@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import FitDomainError, MqcnmrError
 from .spectra import CoherenceSpectrum
@@ -128,6 +127,9 @@ def fit_decay(curve: DecayCurve, model: str = "exponential") -> FitResult:
         resid = float(np.linalg.norm(seed[0] * np.exp(-tau / seed[1]) - y))
         return FitResult(model="exponential", tau_d=seed[1], amplitude=seed[0],
                          residual_norm=resid)
+    # imported here: scipy.optimize roughly doubles the package import time
+    # and only this fit needs it
+    from scipy.optimize import curve_fit
     popt, pcov = curve_fit(lambda t, a, td: a * np.exp(-t / td), tau, y, p0=seed,
                            bounds=([0.0, 1e-300], [np.inf, np.inf]), maxfev=20000)
     resid = float(np.linalg.norm(popt[0] * np.exp(-tau / popt[1]) - y))

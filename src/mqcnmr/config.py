@@ -35,6 +35,29 @@ from .sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8S
 ANGSTROM = 1e-10
 
 
+RUN_KEYS = {"molecule", "engine", "sequence", "decoherence", "n_molecules", "workers",
+            "output", "sweep"}
+MOLECULE_KEYS = {"name", "gamma", "order_parameter", "positions_angstrom", "couplings_hz",
+                 "n_sites"}
+SEQUENCE_KEYS = {"t_p", "block", "tau_schedule", "grid", "acquisition"}
+BLOCK_KEYS = {"mrev8": {"type", "tau1", "mode"}, "magic_sandwich": {"type"}, "none": {"type"}}
+TAU_SCHEDULE_KEYS = {"count", "step", "start"}
+GRID_KEYS = {"n_t", "dt", "n_phi", "phi_step_deg"}
+ACQUISITION_KEYS = {"t_m", "window", "axis"}
+DECOHERENCE_KEYS = {"sigma_cl", "kappa", "omdf"}
+OMDF_KEYS = {"gaussian": {"family", "width"}, "tabulated": {"family", "path"}}
+
+
+def _check_keys(mapping, allowed, context: str) -> None:
+    """Reject a section that is not a mapping or holds a key it does not honour."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
+    unknown = sorted(set(mapping) - set(allowed), key=str)
+    if unknown:
+        raise ConfigError(f"{context}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(sorted(allowed))}")
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
@@ -42,8 +65,7 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(doc).__name__}")
+    _check_keys(doc, MOLECULE_KEYS, context)
     name = doc.get("name", "")
     gamma = float(doc.get("gamma", GAMMA_PROTON))
     s_zz_raw = _require(doc, "order_parameter", context)
@@ -118,21 +140,25 @@ class RunConfig:
 def _block_from_dict(doc: dict | None):
     if doc is None:
         return None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"sequence.block: expected a mapping, got {type(doc).__name__}")
     kind = _require(doc, "type", "sequence.block")
-    if kind == "none":
-        return None
+    if not isinstance(kind, str) or kind not in BLOCK_KEYS:
+        raise ConfigError(f"unknown block type {kind!r}")
+    _check_keys(doc, BLOCK_KEYS[kind], f"sequence.block (type {kind})")
     if kind == "mrev8":
         return Mrev8Spec(tau1=float(_require(doc, "tau1", "sequence.block")),
                          mode=doc.get("mode", "concatenate"))
     if kind == "magic_sandwich":
         return MagicSandwichSpec()
-    raise ConfigError(f"unknown block type {kind!r}")
+    return None
 
 
 def _tau_schedule(doc, block) -> tuple:
     if isinstance(doc, list):
         return tuple(float(v) for v in doc)
     if isinstance(doc, dict):
+        _check_keys(doc, TAU_SCHEDULE_KEYS, "sequence.tau_schedule")
         count = int(_require(doc, "count", "sequence.tau_schedule"))
         if count < 1:
             raise ConfigError("tau schedule must be non-empty")
@@ -163,8 +189,7 @@ def _phi_points(seq: dict) -> int:
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = Path(base_dir) if base_dir else Path.cwd()
-    if not isinstance(doc, dict):
-        raise ConfigError("run config must be a mapping")
+    _check_keys(doc, RUN_KEYS, "config")
 
     mol = doc.get("molecule")
     if isinstance(mol, str):
@@ -178,9 +203,11 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("config: 'molecule' must be a path or an inline mapping")
 
     seq = _require(doc, "sequence", "config")
+    _check_keys(seq, SEQUENCE_KEYS, "sequence")
     block = _block_from_dict(seq.get("block"))
     taus = _tau_schedule(_require(seq, "tau_schedule", "config"), block)
     gdoc = _require(seq, "grid", "config")
+    _check_keys(gdoc, GRID_KEYS, "sequence.grid")
     grid = ExperimentGrid(
         t_p=float(_require(seq, "t_p", "sequence")),
         n_t=int(_require(gdoc, "n_t", "sequence.grid")),
@@ -192,6 +219,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     acq = None
     if "acquisition" in seq:
         adoc = seq["acquisition"]
+        _check_keys(adoc, ACQUISITION_KEYS, "sequence.acquisition")
         acq = AcquisitionSpec(t_m=float(_require(adoc, "t_m", "acquisition")),
                               window=float(_require(adoc, "window", "acquisition")),
                               axis=adoc.get("axis", "x"))
@@ -199,17 +227,21 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     deco = None
     if "decoherence" in doc and doc["decoherence"] is not None:
         ddoc = doc["decoherence"]
+        _check_keys(ddoc, DECOHERENCE_KEYS, "decoherence")
         odoc = ddoc.get("omdf", {"family": "gaussian"})
+        if not isinstance(odoc, dict):
+            raise ConfigError("decoherence.omdf: expected a mapping")
         family = odoc.get("family", "gaussian")
+        if not isinstance(family, str) or family not in OMDF_KEYS:
+            raise ConfigError(f"unknown OMDF family {family!r}")
+        _check_keys(odoc, OMDF_KEYS[family], f"decoherence.omdf (family {family})")
         if family == "gaussian":
             omdf = GaussianOMDF(width=float(_require(odoc, "width", "decoherence.omdf")))
-        elif family == "tabulated":
+        else:
             tab_path = Path(_require(odoc, "path", "decoherence.omdf"))
             if not tab_path.is_absolute():
                 tab_path = base_dir / tab_path
             omdf = TabulatedOMDF.from_file(tab_path)
-        else:
-            raise ConfigError(f"unknown OMDF family {family!r}")
         deco = DecoherenceParams(sigma_cl=float(_require(ddoc, "sigma_cl", "decoherence")),
                                  kappa=float(ddoc.get("kappa", 2.0)), omdf=omdf)
 

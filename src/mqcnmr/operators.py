@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidPairError, MqcnmrError
 
@@ -132,18 +131,33 @@ def single_spin(reg: SpinRegister, site: int, axis: str) -> np.ndarray:
 def collective_angular_momentum(reg: SpinRegister, axis: str) -> OperatorMatrix:
     """Total angular-momentum component I_axis = sum over sites.
 
-    The z component is diagonal with the per-state total m values; x and y
-    are built by Kronecker embedding.  Always traceless and hermitian.
+    The z component is diagonal with the per-state total m values.  The x
+    and y components couple only basis states that differ in one bit, so
+    they are filled in directly from bit flips of the basis index.  Always
+    traceless and hermitian.
     """
     if axis == "z":
-        mat = np.diag(reg.m_values().astype(complex))
-    else:
-        mat = sum(single_spin(reg, j, axis) for j in range(reg.n_spins))
+        return OperatorMatrix(np.diag(reg.m_values().astype(complex)), kind="hermitian")
+    if axis not in ("x", "y"):
+        raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
+    idx = np.arange(reg.dim)
+    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
+    for bit in range(reg.n_spins):
+        mask = 1 << bit
+        if axis == "x":
+            mat[idx ^ mask, idx] = 0.5
+        else:
+            # <up| I_y |down> = -i/2; bit value 1 is spin down
+            mat[idx ^ mask, idx] = np.where(idx & mask, -0.5j, 0.5j)
     return OperatorMatrix(mat, kind="hermitian")
 
 
 def rotation(reg: SpinRegister, theta: float, axis="x") -> OperatorMatrix:
     """Collective rotation ``R(theta) = exp(+i I_chi theta)``.
+
+    The generator is a sum of commuting single-spin terms, so the rotation
+    is the N-fold Kronecker power of the single-spin rotation
+    ``cos(theta/2) 1 + i sin(theta/2) (cos(chi) sigma_x + sin(chi) sigma_y)``.
 
     Args:
         theta: rotation angle in radians (must be finite).
@@ -162,10 +176,13 @@ def rotation(reg: SpinRegister, theta: float, axis="x") -> OperatorMatrix:
         chi = np.pi / 2
     else:
         chi = float(axis)
-    ix = collective_angular_momentum(reg, "x").entries
-    iy = collective_angular_momentum(reg, "y").entries
-    gen = np.cos(chi) * ix + np.sin(chi) * iy
-    return OperatorMatrix(expm(1j * theta * gen), kind="unitary")
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    one = np.array([[c, 1j * s * np.exp(-1j * chi)],
+                    [1j * s * np.exp(1j * chi), c]])
+    mat = one
+    for _ in range(reg.n_spins - 1):
+        mat = np.kron(mat, one)
+    return OperatorMatrix(mat, kind="unitary")
 
 
 def t20_pair(reg: SpinRegister, j: int, k: int) -> OperatorMatrix:

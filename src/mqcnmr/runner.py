@@ -12,24 +12,31 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
 import time
+import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import curves_to_csv, eigen_selectivity_report, frequency_cuts
-from .config import RunConfig, config_hash
+from .config import RunConfig, _check_keys, _require, config_hash
 from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
+from .operators import UNITARY_ATOL
 from .sequence import (Mrev8Spec, PropagatorCache, run_grid, verify_reversion)
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
 
 CACHE_ENV = "MQCNMR_CACHE_DIR"
+# Bump when the layout or meaning of the cached arrays changes; older
+# files are then simply not found.
+EIG_CACHE_VERSION = 2
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -49,7 +56,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _atomic_save_array(path: Path, arr: np.ndarray) -> None:
-    import io
     buf = io.BytesIO()
     np.save(buf, arr)
     _atomic_write_bytes(path, buf.getvalue())
@@ -81,24 +87,55 @@ def molecule_key(cfg: RunConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _load_cached_eigensystem(path: Path, dim: int, order_parameter: float):
+    """The eigensystem stored at ``path``, or None when the file is missing,
+    unreadable, or fails the shape and unitarity checks.
+
+    The returned arrays are read-only.
+    """
+    shapes = {"zeta": (dim,), "vectors": (dim, dim), "m": (dim,), "s": (dim,),
+              "order_parameter": ()}
+    try:
+        with np.load(path) as data:
+            arrays = {name: np.array(data[name]) for name in shapes}
+    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
+        return None
+    if any(arrays[name].shape != shape for name, shape in shapes.items()):
+        return None
+    if arrays["order_parameter"] != order_parameter or not np.all(np.isfinite(arrays["zeta"])):
+        return None
+    v = arrays["vectors"]
+    if not np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= UNITARY_ATOL:
+        return None
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return EigenSystem(zeta=arrays["zeta"], vectors=v, m=arrays["m"], s=arrays["s"],
+                       order_parameter=float(arrays["order_parameter"]))
+
+
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
-    """Eigendecompose the molecule's Hamiltonian, with optional disk cache."""
+    """Eigendecompose the molecule's Hamiltonian, with optional disk cache.
+
+    Cache files carry a format version in their name and are written
+    atomically; a file that cannot be read or fails validation is treated
+    as a miss and rewritten.
+    """
     reg = cfg.molecule.register()
     cache_dir = os.environ.get(CACHE_ENV)
     cache_file = None
     if cache_dir:
-        cache_file = Path(cache_dir) / f"eig_{molecule_key(cfg)}.npz"
-        if cache_file.exists():
-            data = np.load(cache_file)
-            return EigenSystem(zeta=data["zeta"], vectors=data["vectors"],
-                               m=data["m"], s=data["s"],
-                               order_parameter=float(data["order_parameter"]))
+        cache_file = Path(cache_dir) / f"eig_v{EIG_CACHE_VERSION}_{molecule_key(cfg)}.npz"
+        eig = _load_cached_eigensystem(cache_file, reg.dim, cfg.molecule.order_parameter)
+        if eig is not None:
+            return eig
     h = secular_hamiltonian(cfg.molecule, reg)
     eig = eigendecompose(h, reg, cfg.molecule.order_parameter)
     if cache_file is not None:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        np.savez(cache_file, zeta=eig.zeta, vectors=eig.vectors, m=eig.m, s=eig.s,
+        buf = io.BytesIO()
+        np.savez(buf, zeta=eig.zeta, vectors=eig.vectors, m=eig.m, s=eig.s,
                  order_parameter=eig.order_parameter)
+        _atomic_write_bytes(cache_file, buf.getvalue())
     return eig
 
 
@@ -253,23 +290,40 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
 
     from .config import config_from_dict
 
-    sweep_doc = base_doc.get("sweep")
-    if not sweep_doc or "parameters" not in sweep_doc:
-        raise ConfigError("sweep needs a 'sweep.parameters' mapping in the config")
-    params = sweep_doc["parameters"]
+    params = _sweep_parameters(base_doc.get("sweep"))
     names = sorted(params)
-    value_lists = [params[n] for n in names]
     out_root = Path(out_root or base_doc.get("output", "sweep_out"))
-    manifests = []
-    for combo in product(*value_lists):
+    runs = []
+    for combo in product(*(params[n] for n in names)):
         doc = copy.deepcopy(base_doc)
         doc.pop("sweep", None)
-        label_parts = []
         for name, value in zip(names, combo):
             _set_dotted(doc, name, value)
-            label_parts.append(f"{name.split('.')[-1]}={value:g}" if isinstance(value, float)
-                               else f"{name.split('.')[-1]}={value}")
-        run_dir = out_root / "_".join(label_parts)
-        cfg = config_from_dict(doc, base_dir=base_dir)
-        manifests.append(simulate(cfg, out_dir=run_dir))
-    return manifests
+        runs.append((_run_label(names, combo), doc))
+    clashes = sorted(label for label, n in Counter(label for label, _ in runs).items() if n > 1)
+    if clashes:
+        raise ConfigError(f"sweep values give the same run directory more than once: "
+                          f"{', '.join(clashes)}; make the values differ within 6 "
+                          "significant digits")
+    # parse every combination before the first run starts
+    cfgs = [(label, config_from_dict(doc, base_dir=base_dir)) for label, doc in runs]
+    return [simulate(cfg, out_dir=out_root / label) for label, cfg in cfgs]
+
+
+def _sweep_parameters(sweep_doc) -> dict:
+    """The validated ``sweep.parameters`` mapping of dotted paths to value lists."""
+    _check_keys(sweep_doc, {"parameters"}, "sweep")
+    params = _require(sweep_doc, "parameters", "sweep")
+    if not isinstance(params, dict) or not params:
+        raise ConfigError("sweep.parameters must map dotted paths to value lists")
+    for name, values in params.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.parameters.{name} must be a non-empty list of values")
+    return params
+
+
+def _run_label(names, combo) -> str:
+    """Run directory name: ``leaf=value`` per parameter, floats as ``{:g}``."""
+    return "_".join(f"{name.split('.')[-1]}={value:g}" if isinstance(value, float)
+                    else f"{name.split('.')[-1]}={value}"
+                    for name, value in zip(names, combo))

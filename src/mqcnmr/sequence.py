@@ -288,18 +288,23 @@ def verify_reversion(events, cache: PropagatorCache) -> ReversionReport:
 def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
                         dwell: float = 1e-6, n_scan: int = 256) -> AcquisitionSpec:
     """Acquisition defaults: t_m at the first magnitude maximum of the tau=0,
-    phi=0 signal, window two dwell steps wide."""
+    phi=0 signal, window two dwell steps wide.
+
+    The scan runs in the H eigenbasis: with p = exp(-i S_zz zeta t) the
+    signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b with
+    M = I_+ (elementwise) rho^T, one GEMM over (scan time, eigenstate).
+    """
     cache = PropagatorCache(eig, reg)
     prep = compile_program(jb_prepare(t_p), cache)
+    v = eig.vectors
+    u = v.conj().T @ cache.pulse(np.pi / 4, np.pi / 2) @ prep
     iz = collective_angular_momentum(reg, "z").entries
-    rho = prep @ iz @ prep.conj().T
-    rho = cache.pulse(np.pi / 4, np.pi / 2) @ rho @ cache.pulse(np.pi / 4, np.pi / 2).conj().T
+    rho_e = u @ iz @ u.conj().T
     ip = (collective_angular_momentum(reg, "x").entries
           + 1j * collective_angular_momentum(reg, "y").entries)
-    mags = np.empty(n_scan)
-    for i in range(n_scan):
-        u = cache.free(i * dwell)
-        mags[i] = abs(np.trace(ip @ u @ rho @ u.conj().T))
+    weights = (v.conj().T @ ip @ v) * rho_e.T
+    p = _phases(eig, dwell * np.arange(n_scan))
+    mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
     idx = 0
     for i in range(1, n_scan - 1):
         if mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]:
@@ -308,24 +313,69 @@ def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
     return AcquisitionSpec(t_m=idx * dwell, window=2.0 * dwell)
 
 
-def _tau_slab(eig, reg, cache, a_eig, det, nu_labels, n_orders, block, tau, ts, phase_base):
-    """Signal slab S[phi, t] for one tau value."""
-    if block is None:
-        events = ()
+def _phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
+    return np.exp(-1j * eig.order_parameter * np.outer(ts, eig.zeta))
+
+
+def compile_blocks(block, taus, cache: PropagatorCache) -> list:
+    """Compiled reversion block for every tau (None where the block is empty).
+
+    An MREV-8 "concatenate" block of duration tau is n copies of one cycle:
+    the cycle is compiled once and U_n = U_cycle U_{n-1} is advanced up to
+    the largest n, in place of multiplying 17 n event propagators per tau.
+    ``events_for`` still runs for every tau, so a tau that is not a whole
+    number of cycles is rejected as before.
+    """
+    events = [() if block is None else block.events_for(tau) for tau in taus]
+    if not (isinstance(block, Mrev8Spec) and block.mode == "concatenate"):
+        return [compile_program(ev, cache) if ev else None for ev in events]
+    cycle = mrev8_block(block.tau1)
+    counts = [len(ev) // len(cycle) for ev in events]
+    u_cycle = compile_program(cycle, cache)
+    powers = {0: None}
+    u = None
+    for n in range(1, max(counts) + 1):
+        u = u_cycle if u is None else u_cycle @ u
+        if n in counts:
+            powers[n] = u
+    return [powers[n] for n in counts]
+
+
+def _m_blocks(eig: EigenSystem) -> tuple:
+    """Distinct total-m values of the eigenstates, the eigenstates of each,
+    and the (dim, n_m) indicator matrix whose column k marks m_values[k].
+
+    Derived from ``eig.m`` alone; no ordering of the eigenbasis is assumed.
+    """
+    m_values = np.unique(eig.m)
+    rows = [np.flatnonzero(eig.m == m) for m in m_values]
+    member = (eig.m[:, None] == m_values[None, :]).astype(complex)
+    return m_values, rows, member
+
+
+def _tau_slab(eig, a_eig, det, phases, m_blocks, n_spins, u_d):
+    """Order-resolved signal coefficients c[t, nu + N] for one tau.
+
+    Term (a, b) of the signal is det[a, b] sigma[b, a](t), of coherence
+    order nu = m_b - m_a, and sigma[b, a] evolves as p_b(t) conj(p_a(t)).
+    With W = det (elementwise) sigma(0)^T, the rows A of one m value give
+    Q = conj(P[:, A]) @ W[A, :]; summing Q * P over the columns of each m
+    value yields that pair of m values' contribution at every t.  Working
+    memory is O(n_t 2^N) beyond the 2^N x 2^N inputs.
+    """
+    if u_d is None:
+        b = a_eig
     else:
-        events = block.events_for(tau)
-    if events:
-        u_d = compile_program(events, cache)
         w = eig.vectors.conj().T @ u_d @ eig.vectors
         b = w @ a_eig @ w.conj().T
-    else:
-        b = a_eig
-    coeffs = np.zeros((len(ts), n_orders), dtype=complex)
-    for j, t in enumerate(ts):
-        sigma = b * np.exp(phase_base * t)
-        terms = (det * sigma.T).ravel()
-        coeffs[j] = (np.bincount(nu_labels, weights=terms.real, minlength=n_orders)
-                     + 1j * np.bincount(nu_labels, weights=terms.imag, minlength=n_orders))
+    weights = det * b.T
+    m_values, rows, member = m_blocks
+    coeffs = np.zeros((phases.shape[0], 2 * n_spins + 1), dtype=complex)
+    for m_a, idx in zip(m_values, rows):
+        q = phases[:, idx].conj() @ weights[idx, :]
+        cols = np.rint(m_values - m_a).astype(int) + n_spins
+        coeffs[:, cols] += (q * phases) @ member
     return coeffs
 
 
@@ -348,7 +398,12 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    estimate = 16 * grid.n_phi * grid.n_t * len(grid.taus) + 64 * reg.dim ** 2
+    # signal grid, compiled blocks plus shared and per-thread 2^N x 2^N
+    # workspaces, and the (n_t, 2^N) phases plus one GEMM output per thread
+    n_tau = len(grid.taus)
+    estimate = 16 * (grid.n_phi * grid.n_t * n_tau
+                     + reg.dim ** 2 * (n_tau + 4 + 3 * workers)
+                     + grid.n_t * reg.dim * (1 + workers))
     if estimate > memory_budget_bytes:
         raise GridSizeError(
             f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
@@ -364,26 +419,20 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     a_eig = eig.vectors.conj().T @ rho_prep @ eig.vectors
 
     det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
-    # term (a, b) = det[a, b] * sigma[b, a] carries coherence order m_b - m_a
-    nu = -eig.coherence_orders()
-    n_orders = 2 * reg.n_spins + 1
-    nu_labels = (nu + reg.n_spins).ravel()
-    # sigma element (a, b) evolves as exp(-i S_zz (zeta_a - zeta_b) t)
-    phase_base = -1j * eig.order_parameter * eig.gaps()
-
-    ts = grid.ts
+    phases = _phases(eig, grid.ts)
+    m_blocks = _m_blocks(eig)
     nus = np.arange(-reg.n_spins, reg.n_spins + 1)
     encoder = np.exp(1j * np.outer(grid.phis, nus))  # (n_phi, n_orders)
 
-    def one_tau(tau):
-        return _tau_slab(eig, reg, cache, a_eig, det, nu_labels, n_orders,
-                         block, tau, ts, phase_base)
+    def one_tau(u_d):
+        return _tau_slab(eig, a_eig, det, phases, m_blocks, reg.n_spins, u_d)
 
+    blocks = compile_blocks(block, grid.taus, cache)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(one_tau, grid.taus))
+            slabs = list(pool.map(one_tau, blocks))
     else:
-        slabs = [one_tau(tau) for tau in grid.taus]
+        slabs = [one_tau(u_d) for u_d in blocks]
 
     data = np.empty((grid.n_phi, grid.n_t, len(grid.taus)), dtype=complex)
     for k, coeffs in enumerate(slabs):

@@ -124,3 +124,45 @@ def brute_grid(table_hz, s_zz, t_p, phis, ts, taus, block_events, t_m, window,
                 raw = windowed_signal(n, h, rho_read, t_m, window, n_quad)
                 out[i, j, k] = np.exp(-1j * phi) * raw
     return out
+
+
+def first_maximum_t_m(table_hz, s_zz, t_p, dwell=1e-6, n_scan=256):
+    """Default acquisition time by a dense per-point scan.
+
+    Steps the prepared, read-pulsed state through the scan with a dense
+    one-dwell propagator and returns the time of the first local maximum
+    of |tr((I_x + i I_y) rho(t))| (0 when there is none).
+    """
+    table = np.asarray(table_hz, dtype=float)
+    n = table.shape[0]
+    h = ham_ref(table, s_zz)
+    rho = apply_events(n, h, coll(n, "z"),
+                       [("pulse", np.pi / 2, 0.0), ("free", t_p, 1.0),
+                        ("pulse", np.pi / 4, np.pi / 2), ("pulse", np.pi / 4, np.pi / 2)])
+    ip = coll(n, "x") + 1j * coll(n, "y")
+    step = expm(-1j * h * dwell)
+    mags = np.empty(n_scan)
+    for i in range(n_scan):
+        mags[i] = abs(np.trace(ip @ rho))
+        rho = step @ rho @ step.conj().T
+    for i in range(1, n_scan - 1):
+        if mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]:
+            return i * dwell
+    return 0.0
+
+
+def order_sums_loop(det, sigma0, zeta, m, s_zz, ts, n):
+    """Per-time-point coherence-order sums, one dense pass per t.
+
+    c[j, nu + n] = sum over (a, b) with m_b - m_a = nu of
+    det[a, b] sigma0[b, a] exp(-i s_zz (zeta_b - zeta_a) t_j).
+    """
+    nu = np.rint(m[None, :] - m[:, None]).astype(int) + n
+    gap = zeta[None, :] - zeta[:, None]  # (a, b) -> zeta_b - zeta_a
+    out = np.zeros((len(ts), 2 * n + 1), dtype=complex)
+    for j, t in enumerate(ts):
+        terms = det * sigma0.T * np.exp(-1j * s_zz * gap * t)
+        for a in range(len(zeta)):
+            for b in range(len(zeta)):
+                out[j, nu[a, b]] += terms[a, b]
+    return out

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
+from mqcnmr import runner
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
+from mqcnmr.errors import ConfigError
 from mqcnmr.runner import (build_eigensystem, load_signals, read_spectrum_csv,
                            simulate, sweep, verify_stage)
 
@@ -141,6 +143,58 @@ def test_eigensystem_disk_cache(tmp_path, monkeypatch):
     eig2 = build_eigensystem(cfg)
     np.testing.assert_array_equal(eig1.zeta, eig2.zeta)
     np.testing.assert_array_equal(eig1.vectors, eig2.vectors)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "not_unitary", "wrong_shape"])
+def test_eigensystem_disk_cache_rebuilds_bad_file(tmp_path, monkeypatch, damage):
+    monkeypatch.setenv("MQCNMR_CACHE_DIR", str(tmp_path / "cache"))
+    cfg = config_from_dict(tiny_doc())
+    fresh = build_eigensystem(cfg)
+    (path,) = (tmp_path / "cache").glob("eig_*.npz")
+    arrays = dict(zeta=fresh.zeta, vectors=fresh.vectors, m=fresh.m, s=fresh.s,
+                  order_parameter=fresh.order_parameter)
+    if damage == "truncate":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif damage == "not_unitary":
+        np.savez(path, **{**arrays, "vectors": 2.0 * fresh.vectors})
+    else:
+        np.savez(path, **{**arrays, "zeta": fresh.zeta[:-1]})
+    builds = []
+    real = runner.secular_hamiltonian
+    monkeypatch.setattr(runner, "secular_hamiltonian",
+                        lambda *a: builds.append(1) or real(*a))
+    rebuilt = build_eigensystem(cfg)
+    assert builds == [1]  # a miss, not trusted
+    np.testing.assert_array_equal(rebuilt.vectors, fresh.vectors)
+    np.testing.assert_array_equal(rebuilt.zeta, fresh.zeta)
+    cached = build_eigensystem(cfg)
+    assert builds == [1]  # the rewritten file is a hit
+    np.testing.assert_array_equal(cached.vectors, fresh.vectors)
+    for arr in (cached.zeta, cached.vectors, cached.m, cached.s):
+        assert not arr.flags.writeable
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+
+
+def test_sweep_refuses_colliding_run_directories(tmp_path):
+    doc = tiny_doc()
+    doc["sweep"] = {"parameters": {"sequence.t_p": [1.0e-5, 1.000001e-5]}}
+    with pytest.raises(ConfigError, match="t_p=1e-05"):
+        sweep(doc, out_root=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
+    assert main(["sweep", str(write_config(tmp_path, doc)),
+                 "--output", str(tmp_path / "sw")]) == 2
+
+
+def test_sweep_checks_every_combination_before_running(tmp_path):
+    doc = tiny_doc()
+    doc["sweep"] = {"parameters": {"sequence.t_p": [0.0, -1e-5]}}
+    with pytest.raises(ConfigError):
+        sweep(doc, out_root=tmp_path / "sw")
+    assert not (tmp_path / "sw").exists()
+    for bad in ({"parameters": {"sequence.t_p": 0.0}}, {"parameters": {}},
+                {"parameters": {"sequence.t_p": [0.0]}, "param": 1}):
+        with pytest.raises(ConfigError):
+            sweep({**tiny_doc(), "sweep": bad}, out_root=tmp_path / "sw")
 
 
 def test_sweep_runs_all_combinations(tmp_path):

@@ -172,6 +172,51 @@ def test_config_misc_validation():
         config_from_dict(doc)
 
 
+def _full_doc():
+    doc = base_doc(engine="open", workers=2, n_molecules=1, output="out/x")
+    doc["sequence"].update(block={"type": "mrev8", "tau1": 5e-6, "mode": "concatenate"},
+                           tau_schedule={"count": 2, "step": 6e-5, "start": 0.0},
+                           acquisition={"t_m": 3e-6, "window": 2e-6, "axis": "x"})
+    doc["decoherence"] = {"sigma_cl": 2e5, "kappa": 2.0,
+                          "omdf": {"family": "gaussian", "width": 0.05}}
+    return doc
+
+
+@pytest.mark.parametrize("section", [
+    (), ("molecule",), ("sequence",), ("sequence", "block"), ("sequence", "tau_schedule"),
+    ("sequence", "grid"), ("sequence", "acquisition"), ("decoherence",),
+    ("decoherence", "omdf"),
+])
+def test_unknown_config_keys_are_rejected(section):
+    config_from_dict(_full_doc())  # every key used here is honoured
+    doc = _full_doc()
+    node = doc
+    for key in section:
+        node = node[key]
+    node["typo_key"] = 1
+    with pytest.raises(ConfigError, match="typo_key"):
+        config_from_dict(doc)
+
+
+def test_keys_of_another_block_type_or_family_are_rejected(tmp_path):
+    doc = base_doc()
+    doc["sequence"]["block"] = {"type": "magic_sandwich", "tau1": 5e-6}
+    with pytest.raises(ConfigError, match="tau1"):
+        config_from_dict(doc)
+    doc = _full_doc()
+    doc["decoherence"]["omdf"]["path"] = "omdf.txt"
+    with pytest.raises(ConfigError, match="path"):
+        config_from_dict(doc, base_dir=tmp_path)
+
+
+def test_misspelt_workers_key_exits_2(tmp_path):
+    from mqcnmr.cli import main
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(base_doc(worker=4)))
+    assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_hash_stable_and_key_order_independent():
     a = {"b": 1, "a": [1, 2]}
     b = {"a": [1, 2], "b": 1}

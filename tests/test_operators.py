@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from mqcnmr.errors import InvalidPairError, MqcnmrError
@@ -84,6 +86,23 @@ def test_rotation_axis_phase_matches_reference():
                                rotation(reg, 0.3, 0.0).entries, atol=1e-13)
     np.testing.assert_allclose(rotation(reg, 0.3, "y").entries,
                                rotation(reg, 0.3, np.pi / 2).entries, atol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5),
+       theta=st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False),
+       chi=st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False))
+def test_rotation_kronecker_power_matches_expm(n, theta, chi):
+    np.testing.assert_allclose(rotation(SpinRegister(n), theta, chi).entries,
+                               ref.rot(n, theta, chi), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), axis=st.sampled_from("xyz"))
+def test_collective_angular_momentum_matches_kron_sum(n, axis):
+    op = collective_angular_momentum(SpinRegister(n), axis)
+    assert op.kind == "hermitian"
+    np.testing.assert_array_equal(op.entries, ref.coll(n, axis))
 
 
 def test_rotation_composition_and_z():

@@ -5,10 +5,11 @@ import pytest
 
 import reference as ref
 from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
-from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
+from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse,
+                             _m_blocks, _phases, _tau_slab, compile_blocks,
                              compile_program, default_acquisition, jb_prepare,
                              magic_sandwich, mrev8_block, run_grid, total_duration,
                              verify_reversion)
@@ -134,6 +135,51 @@ def test_propagator_cache_stats():
     # distinct delay lengths and pulse phases: 2 free durations x 1 scale
     # plus 4 distinct pulse phases
     assert first["entries"] == 6
+
+
+def test_compile_blocks_mrev8_cycle_power_matches_full_chain():
+    _, _, reg, eig = make_system(n=3, seed=4)
+    cache = PropagatorCache(eig, reg)
+    block = Mrev8Spec(tau1=5e-6)
+    counts = (3, 0, 1, 4, 2)  # unsorted on purpose
+    blocks = compile_blocks(block, [n * block.cycle_time for n in counts], cache)
+    assert blocks[1] is None
+    for n, u in zip(counts, blocks):
+        if n:
+            np.testing.assert_allclose(u, compile_program(mrev8_block(5e-6, n), cache),
+                                       rtol=0, atol=1e-12)
+    with pytest.raises(ConfigError):
+        compile_blocks(block, [0.0, 70e-6], cache)
+    # other block families compile their events for each tau as before
+    for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
+                       (MagicSandwichSpec(), 1.5e-4)):
+        (u,) = compile_blocks(other, [tau], cache)
+        np.testing.assert_array_equal(u, compile_program(other.events_for(tau), cache))
+    assert compile_blocks(None, [0.0, 1e-4], cache) == [None, None]
+
+
+def test_tau_slab_matches_per_time_loop_on_permuted_basis():
+    # a shuffled eigenbasis: the kernel must group states by eig.m alone
+    _, _, reg, eig = make_system(n=4, seed=6)
+    perm = np.random.default_rng(3).permutation(reg.dim)
+    shuffled = EigenSystem(zeta=eig.zeta[perm], vectors=eig.vectors[:, perm],
+                           m=eig.m[perm], s=eig.s[perm], order_parameter=0.6)
+    rng = np.random.default_rng(9)
+    det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    ts = 3e-6 * np.arange(6)
+    fast = _tau_slab(shuffled, sigma0, det, _phases(shuffled, ts), _m_blocks(shuffled),
+                     reg.n_spins, None)
+    slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+
+
+@pytest.mark.parametrize("n,seed", [(2, 1), (3, 4), (4, 6), (5, 2), (6, 7)])
+def test_default_acquisition_matches_dense_scan(n, seed):
+    table, _, reg, eig = make_system(n=n, seed=seed)
+    for t_p in (0.0, 5e-5):
+        acq = default_acquisition(eig, reg, t_p=t_p)
+        assert acq.t_m == ref.first_maximum_t_m(table, 0.6, t_p)
 
 
 def test_experiment_grid_validation():
