@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectra)
 
     p = sub.add_parser("fit", help="cut spectra at fixed frequencies and fit decays")
-    p.add_argument("run_dir", help="directory with spectra.csv")
+    p.add_argument("run_dir", help="directory with spectra.npy")
     p.add_argument("--mu", type=int, required=True, help="coherence order to cut")
     p.add_argument("--frequency", type=float, action="append", required=True,
                    help="frequency in Hz (repeatable)")

@@ -29,8 +29,8 @@ class NotSecularError(NumericalValidationError):
     """Hamiltonian does not commute with total I_z within tolerance."""
 
 
-class GridSizeError(MqcnmrError):
-    """Experiment grid exceeds the configured memory budget."""
+class GridSizeError(ConfigError):
+    """Experiment grid exceeds the memory budget (CLI exit code 2)."""
 
 
 class FitDomainError(MqcnmrError):

@@ -22,17 +22,18 @@ the single-molecule signal; N enters as a plain multiplicative factor.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister, collective_angular_momentum
-from .sequence import (ExperimentGrid, PropagatorCache, compile_program,
-                       default_acquisition, jb_prepare)
-from .spectra import CoherenceSpectrum, SignalGrid, detection_matrix, spectral_assembly
+from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory,
+                       compile_program, default_acquisition, jb_prepare)
+from .spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, pair_chunk_rows,
+                      pair_order_sums, spectral_assembly)
 
 
 class GaussianOMDF:
@@ -194,48 +195,35 @@ def evolve_open(state: ReducedState, t: float, tau: float,
 
 def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
                   params: DecoherenceParams, acquisition=None,
-                  n_molecules: int = 1, workers: int = 1) -> SignalGrid:
+                  n_molecules: int = 1, workers: int = 1,
+                  memory_budget_bytes: int = 2 << 30) -> SignalGrid:
     """Open-engine analog of ``sequence.run_grid``.
 
     The reversion block is ideal by assumption, so tau enters only through
-    G^R; the waiting time t carries the eigenbasis phases and G^T.
+    G^R; the waiting time t carries the eigenbasis phases and G^T, both
+    applied by ``spectra.pair_order_sums``.
     """
+    # signal grid and order sums, the 2^N x 2^N state, detection and pair
+    # arrays, and per thread one chunk of E with its temporaries (plus the
+    # (pairs, n_t, n_u) quadrature intermediate of a tabulated OMDF), its
+    # weights and its partial sums
+    n_tau = len(grid.taus)
+    rows = pair_chunk_rows(eig, grid.n_t)
+    n_u = params.omdf.u.size if isinstance(params.omdf, TabulatedOMDF) else 0
+    check_grid_memory(grid, reg.dim, matrices=12,
+                      t_rows=n_tau * (2 * reg.n_spins + 1)
+                      + workers * (rows * (4 + n_u) + n_tau),
+                      workspace=workers * n_tau * rows, budget=memory_budget_bytes)
     if acquisition is None:
         acquisition = default_acquisition(eig, reg, grid.t_p)
     state = prepare_reduced_state(eig, reg, grid.t_p)
     det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
-    nu = -eig.coherence_orders()
-    n_orders = 2 * reg.n_spins + 1
-    nu_labels = (nu + reg.n_spins).ravel()
-    gaps = eig.gaps()
-    phase_base = -1j * eig.order_parameter * gaps
-
-    ts = grid.ts
-    gt = np.empty((grid.n_t, reg.dim, reg.dim), dtype=complex)
-    for j, t in enumerate(ts):
-        gt[j] = np.exp(phase_base * t) * g_reversible(gaps, t, params)
-
-    def one_tau(tau):
-        a_tau = state.matrix * g_irreversible(gaps, tau, params)
-        coeffs = np.zeros((grid.n_t, n_orders), dtype=complex)
-        for j in range(grid.n_t):
-            terms = (det * (a_tau * gt[j]).T).ravel()
-            coeffs[j] = (np.bincount(nu_labels, weights=terms.real, minlength=n_orders)
-                         + 1j * np.bincount(nu_labels, weights=terms.imag, minlength=n_orders))
-        return coeffs
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(one_tau, grid.taus))
-    else:
-        slabs = [one_tau(tau) for tau in grid.taus]
-
+    sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
+                           partial(g_reversible, params=params),
+                           partial(g_irreversible, params=params), workers=workers)
     nus = np.arange(-reg.n_spins, reg.n_spins + 1)
-    encoder = np.exp(1j * np.outer(grid.phis, nus))
-    data = np.empty((grid.n_phi, grid.n_t, len(grid.taus)), dtype=complex)
-    for k, coeffs in enumerate(slabs):
-        data[:, :, k] = n_molecules * (encoder @ coeffs.T)
-
+    encoder = n_molecules * np.exp(1j * np.outer(grid.phis, nus))
+    data = np.einsum("pn,knt->ptk", encoder, sums, order="C")
     return SignalGrid(data=data, dt=grid.dt, taus=np.asarray(grid.taus, dtype=float),
                       t_p=grid.t_p, t_m=acquisition.t_m, window=acquisition.window)
 
@@ -253,14 +241,10 @@ def synthesize_spectrum(state: ReducedState, reg: SpinRegister, order: int,
     """
     if not -reg.n_spins <= order <= reg.n_spins:
         raise MqcnmrError(f"coherence order {order} outside [-{reg.n_spins}, {reg.n_spins}]")
-    if params is None:
-        g_rev = g_irr = None
-    else:
-        g_rev = lambda dz, t: g_reversible(dz, t, params)
-        g_irr = lambda dz, tau: g_irreversible(dz, tau, params)
-    full = spectral_assembly(state.matrix, state.eig, reg, ts, t_m, window,
-                             g_reversible=g_rev, g_irreversible=g_irr,
-                             taus=taus, n_molecules=n_molecules)
+    factors = {} if params is None else {"g_reversible": partial(g_reversible, params=params),
+                                         "g_irreversible": partial(g_irreversible, params=params)}
+    full = spectral_assembly(state.matrix, state.eig, reg, ts, t_m, window, taus=taus,
+                             n_molecules=n_molecules, **factors)
     i = full.order_index(order)
     return CoherenceSpectrum(data=full.data[:, i:i + 1, :], mu=full.mu[i:i + 1],
                              freqs_hz=full.freqs_hz, taus=full.taus,

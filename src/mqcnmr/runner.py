@@ -66,7 +66,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, stage: str, cfg_hash: str, elapsed: float,
-                    files, cache_stats=None) -> dict:
+                    files, cache_stats=None, upstream: dict | None = None) -> dict:
     manifest = {
         "stage": stage,
         "config_hash": cfg_hash,
@@ -75,9 +75,21 @@ def _write_manifest(out_dir: Path, stage: str, cfg_hash: str, elapsed: float,
         "cache_stats": cache_stats or {},
         "files": {name: _sha256(out_dir / name) for name in sorted(files)},
     }
+    if upstream is not None:
+        manifest["upstream"] = upstream
     _atomic_write_text(out_dir / f"manifest_{stage}.json",
                        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
+
+
+def _upstream(run_dir: Path, stage: str) -> tuple:
+    """(config hash, {"manifest", "sha256"}) of the manifest ``stage`` left in
+    ``run_dir``, or ("", None) when there is none."""
+    path = run_dir / f"manifest_{stage}.json"
+    if not path.exists():
+        return "", None
+    cfg_hash = json.loads(path.read_text()).get("config_hash", "")
+    return cfg_hash, {"manifest": path.name, "sha256": _sha256(path)}
 
 
 def molecule_key(cfg: RunConfig) -> str:
@@ -176,7 +188,12 @@ def load_signals(run_dir) -> SignalGrid:
 
 
 def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> dict:
-    """Transform stored signals into coherence spectra and write them as CSV."""
+    """Transform stored signals into coherence spectra.
+
+    Writes ``spectra.npy`` with ``spectra_meta.json`` (its tau, mu and
+    frequency axes), which the fit stage reads, and ``spectra.csv`` as the
+    export format.
+    """
     t0 = time.monotonic()
     run_dir = Path(run_dir)
     grid = load_signals(run_dir)
@@ -189,17 +206,44 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
     os.close(fd)
     spectrum_to_csv(spec, tmp_name)
     os.replace(tmp_name, tmp)
+    _atomic_save_array(run_dir / "spectra.npy", spec.data)
     _atomic_write_text(run_dir / "spectra_meta.json",
                        json.dumps({**spec.meta, "mu": spec.mu.tolist(),
+                                   "taus": spec.taus.tolist(),
+                                   "freqs_hz": spec.freqs_hz.tolist(),
                                    "n_freq": len(spec.freqs_hz)},
                                   indent=2, sort_keys=True) + "\n")
-    return _write_manifest(run_dir, "spectra", "", time.monotonic() - t0,
-                           ["spectra.csv", "spectra_meta.json"])
+    cfg_hash, upstream = _upstream(run_dir, "simulate")
+    return _write_manifest(run_dir, "spectra", cfg_hash, time.monotonic() - t0,
+                           ["spectra.csv", "spectra.npy", "spectra_meta.json"],
+                           upstream=upstream)
+
+
+def load_spectra(run_dir) -> CoherenceSpectrum:
+    """The spectrum spectra_stage wrote to ``spectra.npy`` + ``spectra_meta.json``."""
+    run_dir = Path(run_dir)
+    path, meta_path = run_dir / "spectra.npy", run_dir / "spectra_meta.json"
+    if not path.exists() or not meta_path.exists():
+        raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
+                          "rerun the spectra stage")
+    meta = json.loads(meta_path.read_text())
+    data = np.load(path)
+    try:
+        axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
+    except KeyError as exc:
+        raise ConfigError(f"{meta_path} lacks the {exc} axis; rerun the spectra stage") from None
+    if data.shape != tuple(axis.size for axis in axes):
+        raise ConfigError(f"{path} has shape {data.shape}, not that of the axes in "
+                          f"{meta_path.name}; rerun the spectra stage")
+    return CoherenceSpectrum(data=data, mu=axes[1], freqs_hz=axes[2], taus=axes[0], meta=meta)
 
 
 def read_spectrum_csv(path) -> CoherenceSpectrum:
-    """Rebuild a CoherenceSpectrum from the CSV written by spectra_stage."""
-    taus, mus, freqs = [], [], []
+    """Rebuild a CoherenceSpectrum from the CSV written by spectra_stage.
+
+    Raises ConfigError when a (tau, mu, omega) key is repeated or missing.
+    """
+    axes = ({}, {}, {})  # value -> index, in order of first appearance
     values = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -207,21 +251,22 @@ def read_spectrum_csv(path) -> CoherenceSpectrum:
         if header[:3] != ["tau", "mu", "omega_hz"]:
             raise ConfigError(f"{path} is not a spectra CSV")
         for row in reader:
-            tau, mu, f = float(row[0]), int(row[1]), float(row[2])
-            if tau not in taus:
-                taus.append(tau)
-            if mu not in mus:
-                mus.append(mu)
-            if f not in freqs:
-                freqs.append(f)
-            values[(tau, mu, f)] = complex(float(row[3]), float(row[4]))
-    data = np.zeros((len(taus), len(mus), len(freqs)), dtype=complex)
-    for k, tau in enumerate(taus):
-        for i, mu in enumerate(mus):
-            for j, f in enumerate(freqs):
-                data[k, i, j] = values[(tau, mu, f)]
-    return CoherenceSpectrum(data=data, mu=np.asarray(mus), freqs_hz=np.asarray(freqs),
-                             taus=np.asarray(taus))
+            key = (float(row[0]), int(row[1]), float(row[2]))
+            if key in values:
+                raise ConfigError(f"{path} repeats the row tau = {key[0]!r}, "
+                                  f"mu = {key[1]}, omega_hz = {key[2]!r}")
+            for axis, value in zip(axes, key):
+                axis.setdefault(value, len(axis))
+            values[key] = complex(float(row[3]), float(row[4]))
+    shape = tuple(len(axis) for axis in axes)
+    if len(values) != np.prod(shape):
+        raise ConfigError(f"{path} has {len(values)} rows, not the {np.prod(shape)} "
+                          "of a full (tau, mu, omega) grid")
+    data = np.zeros(shape, dtype=complex)
+    for key, z in values.items():
+        data[tuple(axis[v] for axis, v in zip(axes, key))] = z
+    taus, mus, freqs = (np.asarray(list(axis)) for axis in axes)
+    return CoherenceSpectrum(data=data, mu=mus, freqs_hz=freqs, taus=taus)
 
 
 def fit_stage(run_dir, mu: int, frequencies, model: str = "exponential",
@@ -229,18 +274,17 @@ def fit_stage(run_dir, mu: int, frequencies, model: str = "exponential",
     """Cut stored spectra at fixed frequencies, fit decays, write the report."""
     t0 = time.monotonic()
     run_dir = Path(run_dir)
-    spec_path = run_dir / "spectra.csv"
-    if not spec_path.exists():
-        raise ConfigError(f"{spec_path} not found; run the spectra stage first")
-    spec = read_spectrum_csv(spec_path)
+    spec = load_spectra(run_dir)
     curves = frequency_cuts(spec, mu, frequencies, mode=cut_mode)
     report = eigen_selectivity_report(curves, model=model)
     _atomic_write_text(run_dir / "fit_report.json",
                        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     _atomic_write_text(run_dir / "fit_report.txt", report.table())
     curves_to_csv(curves, run_dir / "decay_curves.csv")
-    _write_manifest(run_dir, "fit", "", time.monotonic() - t0,
-                    ["fit_report.json", "fit_report.txt", "decay_curves.csv"])
+    cfg_hash, upstream = _upstream(run_dir, "spectra")
+    _write_manifest(run_dir, "fit", cfg_hash, time.monotonic() - t0,
+                    ["fit_report.json", "fit_report.txt", "decay_curves.csv"],
+                    upstream=upstream)
     return report.as_dict()
 
 

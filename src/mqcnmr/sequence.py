@@ -379,6 +379,24 @@ def _tau_slab(eig, a_eig, det, phases, m_blocks, n_spins, u_d):
     return coeffs
 
 
+def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int,
+                      workspace: int = 0, budget: int = 2 << 30) -> None:
+    """Raise GridSizeError when a grid run's complex working set exceeds
+    ``budget`` bytes.
+
+    The estimate counts the (n_phi, n_t, n_tau) signal grid, ``matrices``
+    arrays of dim x dim, ``t_rows`` arrays of n_t and ``workspace`` further
+    values, all complex; engines call it before allocating anything.
+    """
+    estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + dim ** 2 * matrices
+                     + grid.n_t * t_rows + workspace)
+    if estimate > budget:
+        raise GridSizeError(
+            f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
+            f"{budget / 1e6:.0f} MB"
+        )
+
+
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
              n_molecules: int = 1, workers: int = 1,
@@ -400,15 +418,8 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     """
     # signal grid, compiled blocks plus shared and per-thread 2^N x 2^N
     # workspaces, and the (n_t, 2^N) phases plus one GEMM output per thread
-    n_tau = len(grid.taus)
-    estimate = 16 * (grid.n_phi * grid.n_t * n_tau
-                     + reg.dim ** 2 * (n_tau + 4 + 3 * workers)
-                     + grid.n_t * reg.dim * (1 + workers))
-    if estimate > memory_budget_bytes:
-        raise GridSizeError(
-            f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
-            f"{memory_budget_bytes / 1e6:.0f} MB"
-        )
+    check_grid_memory(grid, reg.dim, matrices=len(grid.taus) + 4 + 3 * workers,
+                      t_rows=reg.dim * (1 + workers), budget=memory_budget_bytes)
     if acquisition is None:
         acquisition = default_acquisition(eig, reg, grid.t_p)
 

@@ -9,6 +9,7 @@ exp(+2 pi i f t) to +f.  Frequencies are reported in Hz.
 from __future__ import annotations
 
 import csv
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +120,7 @@ def fft2_coherence(grid: SignalGrid, apodization: np.ndarray | None = None,
     spec = np.fft.fftshift(np.fft.fft(c, n=n_freq, axis=1), axes=1)
     spec = np.moveaxis(spec, 2, 0)  # -> (n_tau, n_mu, n_freq)
 
-    mu = np.fft.fftshift(np.fft.fftfreq(grid.n_phi) * grid.n_phi).astype(int)
+    mu = np.arange(-(grid.n_phi // 2), grid.n_phi - grid.n_phi // 2)
     freqs = np.fft.fftshift(np.fft.fftfreq(n_freq, grid.dt))
     return CoherenceSpectrum(data=spec, mu=mu, freqs_hz=freqs, taus=grid.taus,
                              meta={**grid.metadata(), "zero_pad": int(zero_pad)})
@@ -174,6 +175,66 @@ def g_coefficients(eig: EigenSystem, reg: SpinRegister, component: np.ndarray,
     return complex(np.trapezoid(vals, tps) / window)
 
 
+# Byte budget of one chunk of the pair kernel's (pairs x n_t) time series E.
+PAIR_CHUNK_BYTES = 4 << 20
+
+
+def pair_chunk_rows(eig: EigenSystem, n_t: int) -> int:
+    """Eigenpairs per chunk of ``pair_order_sums``: the rows of E that fit
+    PAIR_CHUNK_BYTES, capped by the pair count of the largest order (nu = 0)."""
+    counts = np.unique(eig.m, return_counts=True)[1]
+    return int(min(max(1, PAIR_CHUNK_BYTES // (16 * n_t)), np.sum(counts ** 2)))
+
+
+def _uniform_exp(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(outer(x, ts)) on uniform ts from about 2 sqrt(n_t) exponentials per
+    row: with j = L k + r, exp(x t_j) = exp(x t_{Lk}) exp(x r dt)."""
+    step, dt = int(np.ceil(np.sqrt(ts.size))), ts[1] - ts[0]
+    coarse = np.exp(np.outer(x, ts[0] + step * dt * np.arange(-(-ts.size // step))))
+    fine = np.exp(np.outer(x, dt * np.arange(step)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(x.size, -1)[:, :ts.size]
+
+
+def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
+                    ts: np.ndarray, taus: np.ndarray, g_reversible=None,
+                    g_irreversible=None, workers: int = 1) -> np.ndarray:
+    """c[tau, nu + N, t] = sum over pairs of order nu of W[tau, pair] E[pair, t].
+
+    Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and
+    W = weights[a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on uniform
+    ts (G None means 1; G^R takes one tau).  Nonzero pairs, sorted stably by
+    order, are cut into chunks of at most PAIR_CHUNK_BYTES of E, one GEMM
+    each, run on ``workers`` threads and summed in chunk order, so the
+    result is bit-identical for any worker count.
+    """
+    ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
+    if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
+        raise UnsupportedGridError("eigenpair sums need at least 2 uniformly spaced times")
+    w, nu = np.asarray(weights).ravel(), -eig.coherence_orders().ravel()
+    keep = np.flatnonzero(w)
+    keep = keep[np.argsort(nu[keep], kind="stable")]
+    w, nu, gap = w[keep], nu[keep], -eig.gaps().ravel()[keep]
+    rows = pair_chunk_rows(eig, ts.size)
+    bounds = np.searchsorted(nu, np.arange(-n_spins, n_spins + 2))
+    tasks = [(i, lo, min(lo + rows, hi)) for i, (start, hi) in enumerate(zip(bounds, bounds[1:]))
+             for lo in range(start, hi, rows)]
+
+    def chunk(task):
+        _, lo, hi = task
+        g = gap[lo:hi]
+        e = _uniform_exp(-1j * eig.order_parameter * g, ts)
+        if g_reversible is not None:
+            e *= g_reversible(g[:, None], ts[None, :])
+        return np.stack([w[lo:hi] * (1.0 if g_irreversible is None else g_irreversible(g, tau))
+                         for tau in taus]) @ e
+
+    c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        for (i, _, _), part in zip(tasks, pool.map(chunk, tasks)):
+            c[:, i] += part
+    return c
+
+
 def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister,
                       ts: np.ndarray, t_m: float, window: float,
                       g_reversible=None, g_irreversible=None,
@@ -181,10 +242,8 @@ def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister
                       n_molecules: int = 1) -> CoherenceSpectrum:
     """Assemble coherence spectra directly from eigenbasis matrix elements.
 
-    For every eigenpair the time series exp(-i S_zz dzeta t) G^T(t) is
-    transformed on the same discrete t grid used by the time-domain route,
-    weighted by the detection matrix, the prepared-state element and
-    G^R(tau), and summed per coherence order.  With G == 1 this reproduces
+    The t transform of the order sums of ``pair_order_sums`` on the t grid
+    of the time-domain route.  With G == 1 this reproduces
     ``fft2_coherence(run_grid(...))`` exactly (up to rounding); with
     decoherence factors it realizes the shifted-copy superposition.
 
@@ -195,36 +254,13 @@ def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister
     """
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray([0.0] if taus is None else taus, dtype=float)
-    n_t = ts.size
     det = detection_matrix(eig, reg, t_m, window)
-    weights = det * state_eig.T  # (a, b): det[a,b] * state[b,a]
-    nu = -eig.coherence_orders()  # order of term (a, b) is m_b - m_a
-    # sigma element (b, a) evolves with gap zeta_b - zeta_a
-    gap = -eig.gaps()
-
-    w_flat = weights.ravel()
-    keep = np.abs(w_flat) > 0
-    w_flat = w_flat[keep]
-    gaps = gap.ravel()[keep]
-    nus = nu.ravel()[keep]
-
-    series = np.exp(-1j * eig.order_parameter * np.outer(gaps, ts))
-    if g_reversible is not None:
-        series = series * g_reversible(gaps[:, None], ts[None, :])
-    f_pairs = np.fft.fftshift(np.fft.fft(series, axis=1), axes=1)
-
-    mu_axis = np.arange(-reg.n_spins, reg.n_spins + 1)
-    data = np.zeros((taus.size, mu_axis.size, n_t), dtype=complex)
-    for k, tau in enumerate(taus):
-        w_tau = w_flat if g_irreversible is None else w_flat * g_irreversible(gaps, tau)
-        for i, m in enumerate(mu_axis):
-            sel = nus == m
-            if np.any(sel):
-                data[k, i, :] = w_tau[sel] @ f_pairs[sel]
-    data *= n_molecules
-
-    freqs = np.fft.fftshift(np.fft.fftfreq(n_t, float(ts[1] - ts[0])))
-    return CoherenceSpectrum(data=data, mu=mu_axis, freqs_hz=freqs, taus=taus,
+    sums = pair_order_sums(det * state_eig.T, eig, reg.n_spins, ts, taus,
+                           g_reversible, g_irreversible)
+    data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
+    freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
+    return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),
+                             freqs_hz=freqs, taus=taus,
                              meta={"route": "eigenbasis-assembly", "t_m": t_m,
                                    "window": window})
 

@@ -166,3 +166,27 @@ def order_sums_loop(det, sigma0, zeta, m, s_zz, ts, n):
             for b in range(len(zeta)):
                 out[j, nu[a, b]] += terms[a, b]
     return out
+
+
+def open_order_sums_loop(det, state, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
+    """Open-engine coherence-order sums c[k, nu + n, j], one dense pass per (tau, t).
+
+    Term (a, b) is det[a, b] (state (elementwise) G^R(tau) G^T(t) phase)[b, a],
+    where element (b, a) has gap zeta_b - zeta_a, phase
+    exp(-i s_zz (zeta_b - zeta_a) t) and coherence order m_b - m_a; terms
+    are summed per order with ``np.bincount``.  ``g_rev(gaps, t)`` and
+    ``g_irr(gaps, tau)`` take the (a, b) -> zeta_a - zeta_b gap matrix.
+    """
+    n_orders = 2 * n + 1
+    nu_labels = (np.rint(m[None, :] - m[:, None]).astype(int) + n).ravel()
+    gaps = zeta[:, None] - zeta[None, :]
+    out = np.zeros((len(taus), n_orders, len(ts)), dtype=complex)
+    for k, tau in enumerate(taus):
+        a_tau = state * g_irr(gaps, tau)
+        for j, t in enumerate(ts):
+            gt = np.exp(-1j * s_zz * gaps * t) * g_rev(gaps, t)
+            terms = (det * (a_tau * gt).T).ravel()
+            out[k, :, j] = (np.bincount(nu_labels, weights=terms.real, minlength=n_orders)
+                            + 1j * np.bincount(nu_labels, weights=terms.imag,
+                                               minlength=n_orders))
+    return out

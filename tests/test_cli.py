@@ -236,3 +236,56 @@ def test_cli_preset_simulate(tmp_path):
                  "--output", str(tmp_path / "preset_run")]) == 0
     sig = np.load(tmp_path / "preset_run" / "signals.npy")
     assert sig.shape == (8, 64, 4)
+
+
+def test_preset_spectra_meta_lists_every_coherence_order(tmp_path):
+    # nonideality_sweep runs n_phi = 18, where orders -7 and 7 used to be
+    # labelled -6 and 6 and the CSV reader dropped two of the 18 orders
+    doc = yaml.safe_load(preset_path("runs/nonideality_sweep.yaml").read_text())
+    doc.pop("sweep")
+    out = tmp_path / "run"
+    simulate(config_from_dict(doc, base_dir=preset_path("runs")), out_dir=out)
+    runner.spectra_stage(out)
+    meta = json.loads((out / "spectra_meta.json").read_text())
+    assert meta["mu"] == list(range(-9, 9))
+    assert read_spectrum_csv(out / "spectra.csv").data.shape[1] == 18
+
+
+def test_read_spectrum_csv_refuses_repeated_or_missing_rows(tmp_path):
+    header = "tau,mu,omega_hz,re,im,abs\n"
+    rows = ["0.0,0,0.0,1.0,0.0,1.0\n", "0.0,1,0.0,2.0,0.0,2.0\n"]
+    good = tmp_path / "good.csv"
+    good.write_text(header + "".join(rows))
+    assert read_spectrum_csv(good).data[0, :, 0].tolist() == [1.0, 2.0]
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text(header + "".join(rows) + "0.0,1,0.0,3.0,0.0,3.0\n")
+    with pytest.raises(ConfigError):
+        read_spectrum_csv(repeated)
+    missing = tmp_path / "missing.csv"
+    missing.write_text(header + "".join(rows) + "1.0,0,0.0,1.0,0.0,1.0\n")
+    with pytest.raises(ConfigError):
+        read_spectrum_csv(missing)
+
+
+def test_spectra_hand_off_through_npy_with_manifest_chain(tmp_path):
+    import hashlib
+    out = tmp_path / "run"
+    simulate(config_from_dict(tiny_doc()), out_dir=out)
+    manifest = runner.spectra_stage(out, zero_pad=2)
+    assert {"spectra.csv", "spectra.npy", "spectra_meta.json"} <= set(manifest["files"])
+    spec = runner.load_spectra(out)
+    from_csv = read_spectrum_csv(out / "spectra.csv")
+    assert np.array_equal(spec.data, from_csv.data)
+    for axis in ("mu", "freqs_hz", "taus"):
+        assert np.array_equal(getattr(spec, axis), getattr(from_csv, axis))
+    runner.fit_stage(out, mu=2, frequencies=[0.0])
+    for stage, upstream in (("spectra", "simulate"), ("fit", "spectra")):
+        doc = json.loads((out / f"manifest_{stage}.json").read_text())
+        up_path = out / f"manifest_{upstream}.json"
+        assert doc["upstream"] == {"manifest": up_path.name, "sha256":
+                                   hashlib.sha256(up_path.read_bytes()).hexdigest()}
+        assert doc["config_hash"] == json.loads(up_path.read_text())["config_hash"] != ""
+    (out / "spectra.npy").unlink()
+    with pytest.raises(ConfigError, match="rerun the spectra stage"):
+        runner.fit_stage(out, mu=2, frequencies=[0.0])
+    assert main(["fit", str(out), "--mu", "2", "--frequency", "0"]) == 2

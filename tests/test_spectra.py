@@ -237,3 +237,17 @@ def test_signal_grid_validation():
     with pytest.raises(MqcnmrError):
         SignalGrid(data=np.zeros((4, 4, 2)), dt=1e-6, taus=[0.0], t_p=0.0,
                    t_m=0.0, window=0.0)
+
+
+def test_coherence_order_labels_are_distinct_and_exact():
+    # fftfreq(n) * n is not always an exact integer (6.999... at n = 18), so
+    # truncating it gave two bins the same label and lost an order
+    for n_phi in range(1, 41):
+        phis = 2 * np.pi * np.arange(n_phi) / n_phi
+        expected = list(range(-(n_phi // 2), n_phi - n_phi // 2))
+        for nu in expected:
+            data = np.repeat(np.exp(1j * nu * phis)[:, None, None], 4, axis=1)
+            grid = SignalGrid(data=data, dt=1e-6, taus=[0.0], t_p=0.0, t_m=0.0, window=0.0)
+            spec = fft2_coherence(grid)
+            assert spec.mu.tolist() == expected
+            assert abs(spec.order(nu)[0, np.argmin(np.abs(spec.freqs_hz))] - 4.0) < 1e-9
