@@ -35,6 +35,9 @@ from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory,
 from .spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, pair_chunk_rows,
                       pair_order_sums, spectral_assembly)
 
+# Byte budget of one block of TabulatedOMDF.q's (points x table) phase factors.
+QUADRATURE_BLOCK_BYTES = 4 << 20
+
 
 class GaussianOMDF:
     """Gaussian orientational distribution, unit integral, width in its own units.
@@ -62,7 +65,8 @@ class TabulatedOMDF:
     """User-tabulated OMDF given as sample points (u, p(u)).
 
     Normalized to unit integral on load; q(x) is evaluated by trapezoid
-    quadrature of p(u) exp(i u x) over the tabulated support.
+    quadrature of p(u) exp(i u x) over the tabulated support, in blocks of
+    x of at most QUADRATURE_BLOCK_BYTES of phase factors.
     """
 
     family = "tabulated"
@@ -94,8 +98,12 @@ class TabulatedOMDF:
 
     def q(self, x):
         x = np.asarray(x, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(x, self.u))
-        return np.trapezoid(phase * self.p_values, self.u, axis=-1)
+        flat, out = x.ravel(), np.empty(x.size, dtype=complex)
+        step = max(1, QUADRATURE_BLOCK_BYTES // (16 * self.u.size))
+        for lo in range(0, flat.size, step):
+            phase = np.exp(1j * np.multiply.outer(flat[lo:lo + step], self.u))
+            out[lo:lo + step] = np.trapezoid(phase * self.p_values, self.u, axis=-1)
+        return out.reshape(x.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -195,32 +203,30 @@ def evolve_open(state: ReducedState, t: float, tau: float,
 
 def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
                   params: DecoherenceParams, acquisition=None,
-                  n_molecules: int = 1, workers: int = 1,
-                  memory_budget_bytes: int = 2 << 30) -> SignalGrid:
+                  n_molecules: int = 1, workers: int = 1) -> SignalGrid:
     """Open-engine analog of ``sequence.run_grid``.
 
     The reversion block is ideal by assumption, so tau enters only through
     G^R; the waiting time t carries the eigenbasis phases and G^T, both
-    applied by ``spectra.pair_order_sums``.
+    applied by ``spectra.pair_order_sums``.  Its chunk GEMMs run in order on
+    the BLAS threads, so ``workers`` (kept for parity with ``run_grid``)
+    does not change the work or the result.
     """
     # signal grid and order sums, the 2^N x 2^N state, detection and pair
-    # arrays, and per thread one chunk of E with its temporaries (plus the
-    # (pairs, n_t, n_u) quadrature intermediate of a tabulated OMDF), its
-    # weights and its partial sums
+    # arrays, one chunk of E with its temporaries, weights and partial sums,
+    # and the phase blocks of a tabulated OMDF's quadrature
     n_tau = len(grid.taus)
     rows = pair_chunk_rows(eig, grid.n_t)
-    n_u = params.omdf.u.size if isinstance(params.omdf, TabulatedOMDF) else 0
     check_grid_memory(grid, reg.dim, matrices=12,
-                      t_rows=n_tau * (2 * reg.n_spins + 1)
-                      + workers * (rows * (4 + n_u) + n_tau),
-                      workspace=workers * n_tau * rows, budget=memory_budget_bytes)
+                      t_rows=n_tau * (2 * reg.n_spins + 2) + 4 * rows,
+                      workspace=n_tau * rows + 4 * QUADRATURE_BLOCK_BYTES // 16)
     if acquisition is None:
         acquisition = default_acquisition(eig, reg, grid.t_p)
     state = prepare_reduced_state(eig, reg, grid.t_p)
     det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
     sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
                            partial(g_reversible, params=params),
-                           partial(g_irreversible, params=params), workers=workers)
+                           partial(g_irreversible, params=params))
     nus = np.arange(-reg.n_spins, reg.n_spins + 1)
     encoder = n_molecules * np.exp(1j * np.outer(grid.phis, nus))
     data = np.einsum("pn,knt->ptk", encoder, sums, order="C")

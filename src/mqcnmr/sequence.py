@@ -379,15 +379,20 @@ def _tau_slab(eig, a_eig, det, phases, m_blocks, n_spins, u_d):
     return coeffs
 
 
+# Working-set budget of one grid run, in bytes.
+MEMORY_BUDGET_BYTES = 2 << 30
+
+
 def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int,
-                      workspace: int = 0, budget: int = 2 << 30) -> None:
+                      workspace: int = 0, budget: int | None = None) -> None:
     """Raise GridSizeError when a grid run's complex working set exceeds
-    ``budget`` bytes.
+    ``budget`` bytes (MEMORY_BUDGET_BYTES when None).
 
     The estimate counts the (n_phi, n_t, n_tau) signal grid, ``matrices``
     arrays of dim x dim, ``t_rows`` arrays of n_t and ``workspace`` further
     values, all complex; engines call it before allocating anything.
     """
+    budget = MEMORY_BUDGET_BYTES if budget is None else budget
     estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + dim ** 2 * matrices
                      + grid.n_t * t_rows + workspace)
     if estimate > budget:
@@ -400,7 +405,7 @@ def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
              n_molecules: int = 1, workers: int = 1,
-             memory_budget_bytes: int = 2 << 30) -> SignalGrid:
+             memory_budget_bytes: int | None = None) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
@@ -415,6 +420,8 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
         block: reversion block spec with an ``events_for(tau)`` method
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
+        memory_budget_bytes: budget of the working set; defaults to
+            MEMORY_BUDGET_BYTES.
     """
     # signal grid, compiled blocks plus shared and per-thread 2^N x 2^N
     # workspaces, and the (n_t, 2^N) phases plus one GEMM output per thread

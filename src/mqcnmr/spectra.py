@@ -9,7 +9,6 @@ exp(+2 pi i f t) to +f.  Frequencies are reported in Hz.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,15 +196,14 @@ def _uniform_exp(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
                     ts: np.ndarray, taus: np.ndarray, g_reversible=None,
-                    g_irreversible=None, workers: int = 1) -> np.ndarray:
+                    g_irreversible=None) -> np.ndarray:
     """c[tau, nu + N, t] = sum over pairs of order nu of W[tau, pair] E[pair, t].
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and
     W = weights[a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on uniform
     ts (G None means 1; G^R takes one tau).  Nonzero pairs, sorted stably by
-    order, are cut into chunks of at most PAIR_CHUNK_BYTES of E, one GEMM
-    each, run on ``workers`` threads and summed in chunk order, so the
-    result is bit-identical for any worker count.
+    order, are cut into chunks of at most PAIR_CHUNK_BYTES of E and added
+    into c in order, one GEMM (on the BLAS threads) per chunk.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
@@ -216,22 +214,16 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
     w, nu, gap = w[keep], nu[keep], -eig.gaps().ravel()[keep]
     rows = pair_chunk_rows(eig, ts.size)
     bounds = np.searchsorted(nu, np.arange(-n_spins, n_spins + 2))
-    tasks = [(i, lo, min(lo + rows, hi)) for i, (start, hi) in enumerate(zip(bounds, bounds[1:]))
-             for lo in range(start, hi, rows)]
-
-    def chunk(task):
-        _, lo, hi = task
-        g = gap[lo:hi]
-        e = _uniform_exp(-1j * eig.order_parameter * g, ts)
-        if g_reversible is not None:
-            e *= g_reversible(g[:, None], ts[None, :])
-        return np.stack([w[lo:hi] * (1.0 if g_irreversible is None else g_irreversible(g, tau))
-                         for tau in taus]) @ e
-
     c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for (i, _, _), part in zip(tasks, pool.map(chunk, tasks)):
-            c[:, i] += part
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        for lo in range(start, end, rows):
+            hi = min(lo + rows, end)
+            g = gap[lo:hi]
+            e = _uniform_exp(-1j * eig.order_parameter * g, ts)
+            if g_reversible is not None:
+                e *= g_reversible(g[:, None], ts[None, :])
+            c[:, i] += np.stack([w[lo:hi] * (1.0 if g_irreversible is None
+                                             else g_irreversible(g, tau)) for tau in taus]) @ e
     return c
 
 

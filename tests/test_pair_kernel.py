@@ -1,5 +1,7 @@
 """The chunked eigenpair kernel shared by the open engine and the spectral route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import yaml
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 
-from mqcnmr import opensystem, spectra
+from mqcnmr import opensystem, sequence, spectra
 from mqcnmr.cli import main
 from mqcnmr.errors import GridSizeError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
@@ -94,31 +96,55 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
     for name in ("default_acquisition", "prepare_reduced_state", "detection_matrix",
                  "pair_order_sums"):
         monkeypatch.setattr(opensystem, name, forbidden)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     with pytest.raises(GridSizeError):
-        run_grid_open(eig, reg, grid, params, memory_budget_bytes=10_000)
+        run_grid_open(eig, reg, grid, params)
 
 
 def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
-    # N = 5 with a 3001-point tabulated OMDF: the (pairs, n_t, n_u) quadrature
-    # intermediates of two workers' chunks alone need about 3 GB
-    u = np.linspace(-0.3, 0.3, 3001)
-    np.savetxt(tmp_path / "omdf.txt", np.column_stack([u, np.exp(-u ** 2 / 0.005)]))
     doc = {
         "molecule": {"order_parameter": 0.6,
-                     "couplings_hz": [[j, j + 1, 3000.0] for j in range(4)]},
+                     "couplings_hz": [[j, j + 1, 3000.0] for j in range(2)]},
         "engine": "open",
-        "decoherence": {"sigma_cl": 2e5, "omdf": {"family": "tabulated", "path": "omdf.txt"}},
+        "decoherence": {"sigma_cl": 2e5, "omdf": {"family": "gaussian", "width": 0.05}},
         "sequence": {"t_p": 3e-5, "tau_schedule": {"count": 2, "step": 1e-4},
                      "acquisition": {"t_m": 3e-6, "window": 2e-6},
-                     "grid": {"n_t": 128, "dt": 2e-6, "n_phi": 12}},
-        "workers": 2,
+                     "grid": {"n_t": 16, "dt": 2e-6, "n_phi": 8}},
     }
-    cfg_path = tmp_path / "big.yaml"
+    cfg_path = tmp_path / "open.yaml"
     cfg_path.write_text(yaml.safe_dump(doc))
-    monkeypatch.setattr(opensystem, "pair_order_sums", None)  # must not be reached
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     out = tmp_path / "out"
     assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
     assert not (out / "signals.npy").exists()
+
+
+def test_long_omdf_table_runs_in_bounded_memory():
+    # the quadrature phases of all (pair, t, u) of one E chunk would need
+    # 70 x 32 x 1001 x 16 B = 36 MB per temporary; q works in blocks instead
+    reg, eig = make_system(4, 5)
+    u = np.linspace(-0.3, 0.3, 1001)
+    params = DecoherenceParams(sigma_cl=2e5, omdf=TabulatedOMDF(u, np.exp(-u ** 2 / 0.005)))
+    grid = ExperimentGrid(t_p=3e-5, n_t=32, dt=2e-6, n_phi=10, taus=(1e-4,))
+    assert spectra.pair_chunk_rows(eig, grid.n_t) == 70
+    tracemalloc.start()
+    try:
+        fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ, workers=2).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * opensystem.QUADRATURE_BLOCK_BYTES
+    slow = oracle_grid(eig, reg, grid, params)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
+def test_tabulated_q_blocks_are_bit_identical(monkeypatch):
+    omdf = make_omdf("tabulated", 0.05)
+    x = np.random.default_rng(2).normal(scale=40.0, size=(7, 5))
+    whole = omdf.q(x)
+    monkeypatch.setattr(opensystem, "QUADRATURE_BLOCK_BYTES", 16 * omdf.u.size * 3)
+    assert np.array_equal(omdf.q(x), whole)  # 12 blocks of 3 points
+    assert omdf.q(x[0, 0]) == whole[0, 0]
 
 
 def test_spectral_route_needs_uniform_times():
