@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .analysis import DecayCurve, FitResult, eigen_selectivity_report, fit_decay, frequency_cuts
 from .hamiltonian import (EigenSystem, SpinSystem, dipolar_frequency, eigendecompose,
-                          propagator, secular_hamiltonian)
+                          secular_hamiltonian)
 from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, TabulatedOMDF,
                          evolve_open, g_irreversible, g_reversible, prepare_reduced_state,
                          run_grid_open, synthesize_spectrum)
@@ -22,7 +22,7 @@ __all__ = [
     "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
     "eigendecompose", "evolve_open", "fft2_coherence", "fit_decay", "frequency_cuts",
     "g_irreversible", "g_reversible", "jb_prepare", "magic_sandwich", "mrev8_block",
-    "prepare_reduced_state", "propagator", "rotation", "run_grid", "run_grid_open",
+    "prepare_reduced_state", "rotation", "run_grid", "run_grid_open",
     "secular_hamiltonian", "spectral_assembly", "synthesize_spectrum", "t20_pair",
     "verify_reversion",
 ]

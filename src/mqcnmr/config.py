@@ -43,7 +43,7 @@ SEQUENCE_KEYS = {"t_p", "block", "tau_schedule", "grid", "acquisition"}
 BLOCK_KEYS = {"mrev8": {"type", "tau1", "mode"}, "magic_sandwich": {"type"}, "none": {"type"}}
 TAU_SCHEDULE_KEYS = {"count", "step", "start"}
 GRID_KEYS = {"n_t", "dt", "n_phi", "phi_step_deg"}
-ACQUISITION_KEYS = {"t_m", "window", "axis"}
+ACQUISITION_KEYS = {"t_m", "window"}
 DECOHERENCE_KEYS = {"sigma_cl", "kappa", "omdf"}
 OMDF_KEYS = {"gaussian": {"family", "width"}, "tabulated": {"family", "path"}}
 
@@ -221,8 +221,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         adoc = seq["acquisition"]
         _check_keys(adoc, ACQUISITION_KEYS, "sequence.acquisition")
         acq = AcquisitionSpec(t_m=float(_require(adoc, "t_m", "acquisition")),
-                              window=float(_require(adoc, "window", "acquisition")),
-                              axis=adoc.get("axis", "x"))
+                              window=float(_require(adoc, "window", "acquisition")))
 
     deco = None
     if "decoherence" in doc and doc["decoherence"] is not None:

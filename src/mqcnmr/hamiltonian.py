@@ -20,7 +20,7 @@ import numpy as np
 from scipy import constants
 
 from .errors import DegenerateGeometryError, MqcnmrError, NotSecularError, TrivialSystemError
-from .operators import OperatorMatrix, SpinRegister, collective_angular_momentum, t20_pair
+from .operators import T20_UNIT, OperatorMatrix, SpinRegister, t20_bits
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 
@@ -106,7 +106,8 @@ def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> Ope
     """Secular dipolar Hamiltonian of the molecule, in rad/s.
 
     The Hz -> rad/s conversion (factor 2*pi) is applied here and nowhere
-    else.  The result is traceless and commutes with total I_z.
+    else.  The result is traceless and commutes with total I_z.  Each pair
+    adds its T20 entries from basis-index bits (``t20_bits``), no dense T20.
     """
     if sys.n_sites < 2:
         raise TrivialSystemError("need at least two sites for a dipolar Hamiltonian")
@@ -118,7 +119,10 @@ def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> Ope
     for j, k in combinations(range(sys.n_sites), 2):
         if table[j, k] == 0.0:
             continue
-        h += np.sqrt(2.0 / 3.0) * (2.0 * np.pi * table[j, k]) * t20_pair(reg, j, k).entries
+        coef = np.sqrt(2.0 / 3.0) * (2.0 * np.pi * table[j, k])
+        diag, rows, cols = t20_bits(reg.n_spins, j, k)
+        h.flat[::reg.dim + 1] += coef * diag
+        h[rows, cols] = coef * -T20_UNIT
     h *= sys.order_parameter
     return OperatorMatrix(h, kind="hermitian")
 
@@ -166,13 +170,13 @@ def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
     1e-9 * ||H||.
     """
     hm = h.entries if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
-    iz = collective_angular_momentum(reg, "z").entries
+    m_basis = reg.m_values()
     hnorm = np.linalg.norm(hm, 2)
-    comm = np.max(np.abs(hm @ iz - iz @ hm))
+    # [H, I_z][a, b] = H[a, b] (m_b - m_a), as I_z is diagonal
+    comm = np.max(np.abs(hm * (m_basis[None, :] - m_basis[:, None])))
     if comm > SECULAR_ATOL * max(hnorm, 1.0):
         raise NotSecularError(f"[H, I_z] max entry {comm:.3e} exceeds tolerance")
 
-    m_basis = reg.m_values()
     dim = reg.dim
     zeta = np.zeros(dim)
     vecs = np.zeros((dim, dim), dtype=complex)
@@ -208,15 +212,3 @@ def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
     return EigenSystem(zeta=zeta, vectors=vecs, m=m_out, s=s,
                        order_parameter=order_parameter)
 
-
-def propagator(eig: EigenSystem, duration: float, scale: float = 1.0) -> OperatorMatrix:
-    """Free-evolution propagator U = V diag(exp(-i scale S_zz zeta t)) V^dagger.
-
-    scale = 1 is ordinary free evolution; scale = -1/2 is the effective
-    burst of the idealized magic sandwich.
-    """
-    if not np.isfinite(duration):
-        raise MqcnmrError(f"duration must be finite, got {duration!r}")
-    phases = np.exp(-1j * scale * eig.order_parameter * eig.zeta * duration)
-    u = (eig.vectors * phases) @ eig.vectors.conj().T
-    return OperatorMatrix(u, kind="unitary")

@@ -26,6 +26,8 @@ from .errors import InvalidPairError, MqcnmrError
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
+# every nonzero entry of T20 is +-1/2 over sqrt(6): 2 I_zj I_zk or -1/2 per flip-flop
+T20_UNIT = 0.5 / np.sqrt(6.0)
 
 _SIGMA_HALF = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -111,21 +113,16 @@ class OperatorMatrix:
         object.__setattr__(self, "dim", a.shape[0])
 
 
-def _embed_single(n_spins: int, site: int, axis: str) -> np.ndarray:
-    """Single-site spin operator extended by identities on all other sites."""
-    op = np.array([[1.0 + 0j]])
-    for j in range(n_spins):
-        op = np.kron(op, _SIGMA_HALF[axis] if j == site else np.eye(2))
-    return op
-
-
 def single_spin(reg: SpinRegister, site: int, axis: str) -> np.ndarray:
-    """I_{axis, site} embedded on the full product space."""
+    """I_{axis, site} embedded on the full product space (Kronecker product)."""
     if not 0 <= site < reg.n_spins:
         raise MqcnmrError(f"site {site} out of range for {reg.n_spins} spins")
     if axis not in _SIGMA_HALF:
         raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
-    return _embed_single(reg.n_spins, site, axis)
+    op = np.array([[1.0 + 0j]])
+    for j in range(reg.n_spins):
+        op = np.kron(op, _SIGMA_HALF[axis] if j == site else np.eye(2))
+    return op
 
 
 def collective_angular_momentum(reg: SpinRegister, axis: str) -> OperatorMatrix:
@@ -185,24 +182,31 @@ def rotation(reg: SpinRegister, theta: float, axis="x") -> OperatorMatrix:
     return OperatorMatrix(mat, kind="unitary")
 
 
+def t20_bits(n_spins: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T20_jk from basis-index bits: its diagonal (+T20_UNIT where bits j and k
+    agree, -T20_UNIT where they differ) and the (rows, cols) of its flip-flop
+    entries, each -T20_UNIT (cols: the two bits differ; rows: both flipped)."""
+    idx = np.arange(2 ** n_spins)
+    bj, bk = n_spins - 1 - j, n_spins - 1 - k
+    differ = ((idx >> bj) ^ (idx >> bk)) & 1
+    cols = np.flatnonzero(differ)
+    return T20_UNIT * (1.0 - 2.0 * differ), cols ^ ((1 << bj) | (1 << bk)), cols
+
+
 def t20_pair(reg: SpinRegister, j: int, k: int) -> OperatorMatrix:
     """Secular rank-2 pair tensor for sites (j, k).
 
     ``T20 = (1/sqrt(6)) [2 I_zj I_zk - (1/2)(I_+j I_-k + I_-j I_+k)]``;
-    traceless, hermitian and commuting with total I_z.
+    traceless, hermitian and commuting with total I_z; built by ``t20_bits``.
     """
     if j == k:
         raise InvalidPairError(f"pair tensor needs two distinct sites, got j == k == {j}")
     for s in (j, k):
         if not 0 <= s < reg.n_spins:
             raise InvalidPairError(f"site {s} out of range for {reg.n_spins} spins")
-    izj = single_spin(reg, j, "z")
-    izk = single_spin(reg, k, "z")
-    ipj = single_spin(reg, j, "x") + 1j * single_spin(reg, j, "y")
-    imj = single_spin(reg, j, "x") - 1j * single_spin(reg, j, "y")
-    ipk = single_spin(reg, k, "x") + 1j * single_spin(reg, k, "y")
-    imk = single_spin(reg, k, "x") - 1j * single_spin(reg, k, "y")
-    mat = (2.0 * izj @ izk - 0.5 * (ipj @ imk + imj @ ipk)) / np.sqrt(6.0)
+    diag, rows, cols = t20_bits(reg.n_spins, j, k)
+    mat = np.diag(diag).astype(complex)
+    mat[rows, cols] = -T20_UNIT
     return OperatorMatrix(mat, kind="hermitian")
 
 

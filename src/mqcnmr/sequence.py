@@ -52,16 +52,13 @@ SequenceEvent = Pulse | FreeEvolution
 
 @dataclass(frozen=True)
 class AcquisitionSpec:
-    """Windowed acquisition: average over [t_m - window/2, t_m + window/2]."""
+    """Windowed tr((I_x + i I_y) rho) acquisition: average over t_m +- window/2."""
     t_m: float
     window: float
-    axis: str = "x"
 
     def __post_init__(self):
         if self.t_m < 0 or self.window < 0:
             raise MqcnmrError("acquisition times must be non-negative")
-        if self.axis not in ("x", "y"):
-            raise MqcnmrError(f"acquisition axis must be x or y, got {self.axis!r}")
 
 
 @dataclass(frozen=True)

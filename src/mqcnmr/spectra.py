@@ -8,7 +8,6 @@ exp(+2 pi i f t) to +f.  Frequencies are reported in Hz.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,14 +257,19 @@ def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister
 
 
 def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
-    """Write a spectrum as CSV rows (tau, mu, omega_hz, re, im, abs)."""
+    """Write a spectrum as CSV rows (tau, mu, omega_hz, re, im, abs).
+
+    Floats are shortest round-trip ``repr``s, abs is ``hypot(re, im)`` and rows
+    end in CRLF; each (tau, mu) block is formatted column-wise and written alone.
+    """
+    freqs = [repr(f) for f in np.asarray(spec.freqs_hz, dtype=float).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "mu", "omega_hz", "re", "im", "abs"])
+        fh.write("tau,mu,omega_hz,re,im,abs\r\n")
         for k, tau in enumerate(spec.taus):
             for i, m in enumerate(spec.mu):
-                for j, f in enumerate(spec.freqs_hz):
-                    z = spec.data[k, i, j]
-                    writer.writerow([repr(float(tau)), int(m), repr(float(f)),
-                                     repr(float(z.real)), repr(float(z.imag)),
-                                     repr(float(abs(z)))])
+                z = spec.data[k, i]
+                head = f"{float(tau)!r},{int(m)},"
+                cols = (map(repr, c.tolist()) for c in (z.real, z.imag, np.hypot(z.real, z.imag)))
+                rows = ("\r\n" + head).join(map(",".join, zip(freqs, *cols)))
+                if rows:
+                    fh.write(head + rows + "\r\n")

@@ -7,6 +7,8 @@ Events are plain tuples: ("pulse", angle, axis_phase) or
 ("free", duration, scale).
 """
 
+import csv
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -57,6 +59,52 @@ def ham_ref(table_hz, s_zz):
             if table[j, k] != 0.0:
                 h += np.sqrt(2.0 / 3.0) * 2.0 * np.pi * table[j, k] * t20_ref(n, j, k)
     return s_zz * h
+
+
+def secular_sum_ref(table_hz, s_zz):
+    """Secular Hamiltonian as a dense sum of ``t20_ref`` in the package's order.
+
+    Pairs in ``j < k`` order, zero couplings skipped, each term
+    ``sqrt(2/3) * (2 pi w_jk) * T20_jk`` and the S_zz factor last, so the
+    floating-point association matches ``secular_hamiltonian`` term by term.
+    """
+    table = np.asarray(table_hz, dtype=float)
+    n = table.shape[0]
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in range(n):
+        for k in range(j + 1, n):
+            if table[j, k] != 0.0:
+                h += np.sqrt(2.0 / 3.0) * (2.0 * np.pi * table[j, k]) * t20_ref(n, j, k)
+    h *= s_zz
+    return h
+
+
+def propagator(eig, duration, scale=1.0):
+    """Free-evolution propagator V diag(exp(-i scale S_zz zeta t)) V^dagger.
+
+    scale = 1 is ordinary free evolution; scale = -1/2 is the effective
+    burst of the idealized magic sandwich.  A non-finite duration raises
+    the package's MqcnmrError.
+    """
+    if not np.isfinite(duration):
+        from mqcnmr.errors import MqcnmrError
+        raise MqcnmrError(f"duration must be finite, got {duration!r}")
+    phases = np.exp(-1j * scale * eig.order_parameter * eig.zeta * duration)
+    return (eig.vectors * phases) @ eig.vectors.conj().T
+
+
+def spectrum_csv_rows(spec, path):
+    """Per-row CSV writer: one ``csv.writer`` row per (tau, mu, omega) element."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["tau", "mu", "omega_hz", "re", "im", "abs"])
+        for k, tau in enumerate(spec.taus):
+            for i, m in enumerate(spec.mu):
+                for j, f in enumerate(spec.freqs_hz):
+                    z = spec.data[k, i, j]
+                    writer.writerow([repr(float(tau)), int(m), repr(float(f)),
+                                     repr(float(z.real)), repr(float(z.imag)),
+                                     repr(float(abs(z)))])
 
 
 def apply_events(n, h, rho, events):

@@ -8,7 +8,7 @@ from mqcnmr.config import (config_from_dict, config_hash, load_config, load_mole
                            molecule_from_dict, preset_path)
 from mqcnmr.errors import ConfigError
 from mqcnmr.hamiltonian import GAMMA_PROTON
-from mqcnmr.sequence import MagicSandwichSpec, Mrev8Spec
+from mqcnmr.sequence import AcquisitionSpec, MagicSandwichSpec, Mrev8Spec
 
 
 def base_doc(**overrides):
@@ -176,7 +176,7 @@ def _full_doc():
     doc = base_doc(engine="open", workers=2, n_molecules=1, output="out/x")
     doc["sequence"].update(block={"type": "mrev8", "tau1": 5e-6, "mode": "concatenate"},
                            tau_schedule={"count": 2, "step": 6e-5, "start": 0.0},
-                           acquisition={"t_m": 3e-6, "window": 2e-6, "axis": "x"})
+                           acquisition={"t_m": 3e-6, "window": 2e-6})
     doc["decoherence"] = {"sigma_cl": 2e5, "kappa": 2.0,
                           "omdf": {"family": "gaussian", "width": 0.05}}
     return doc
@@ -215,6 +215,19 @@ def test_misspelt_workers_key_exits_2(tmp_path):
     path.write_text(yaml.safe_dump(base_doc(worker=4)))
     assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_acquisition_axis_key_exits_2(tmp_path):
+    # detection is always I_x + i I_y, so an axis key would be silently ignored
+    from mqcnmr.cli import main
+    doc = base_doc()
+    doc["sequence"]["acquisition"] = {"t_m": 3e-6, "window": 2e-6, "axis": "y"}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    del doc["sequence"]["acquisition"]["axis"]
+    assert config_from_dict(doc).acquisition == AcquisitionSpec(t_m=3e-6, window=2e-6)
 
 
 def test_config_hash_stable_and_key_order_independent():

@@ -1,14 +1,17 @@
 """Dipolar Hamiltonian construction and eigensystem checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from mqcnmr.errors import (DegenerateGeometryError, MqcnmrError, NotSecularError,
                            TrivialSystemError)
 from mqcnmr.hamiltonian import (GAMMA_PROTON, EigenSystem, SpinSystem, coupling_table,
-                                dipolar_frequency, eigendecompose, propagator,
-                                secular_hamiltonian)
+                                dipolar_frequency, eigendecompose, secular_hamiltonian)
 from mqcnmr.operators import SpinRegister, collective_angular_momentum
 
 # hand-computed with frozen CODATA values mu0 = 1.25663706212e-6,
@@ -148,6 +151,54 @@ def test_eigendecompose_rejects_nonsecular():
         eigendecompose(ix, reg)
 
 
+def test_secular_check_threshold():
+    # [H, I_z] of H + eps I_x has entries of size eps / 2; the tolerance is
+    # SECULAR_ATOL * ||H||_2, about 3e-5 here
+    table, _, reg, h, _ = _example_eig()
+    ix = collective_angular_momentum(reg, "x").entries
+    eigendecompose(h.entries + 1e-5 * ix, reg)
+    with pytest.raises(NotSecularError):
+        eigendecompose(h.entries + 1e-3 * ix, reg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), s_zz=st.floats(-0.5, 1.0),
+       couplings=st.lists(st.one_of(st.just(0.0), st.floats(-2e4, 2e4)),
+                          min_size=15, max_size=15))
+def test_secular_hamiltonian_equals_dense_t20_sum(n, s_zz, couplings):
+    table = np.zeros((n, n))
+    table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
+    table += table.T
+    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    assert np.array_equal(secular_hamiltonian(sys_n).entries, ref.secular_sum_ref(table, s_zz))
+
+
+def test_secular_hamiltonian_geometry_molecule_equals_dense_t20_sum():
+    pos = 1e-10 * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.4], [1.7, 0.3, 1.1],
+                            [2.2, -1.9, 0.4], [-0.8, 1.3, 3.0]])
+    sys5 = SpinSystem(n_sites=5, positions=pos, order_parameter=0.45)
+    assert np.array_equal(secular_hamiltonian(sys5).entries,
+                          ref.secular_sum_ref(coupling_table(sys5), 0.45))
+
+
+def test_secular_hamiltonian_memory_at_ten_spins():
+    rng = np.random.default_rng(4)
+    table = np.zeros((10, 10))
+    table[np.triu_indices(10, 1)] = rng.uniform(-5000, 5000, size=45)
+    sys10 = SpinSystem(n_sites=10, couplings_hz=table + table.T, order_parameter=0.6)
+    tracemalloc.start()
+    try:
+        h = secular_hamiltonian(sys10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.entries.nbytes == 16 << 20
+    # H and the two H-sized temporaries of its hermiticity check; a dense
+    # T20 per pair would add a fourth, the Kronecker build ten
+    assert peak < 3.5 * h.entries.nbytes, f"peak {peak / 2 ** 20:.0f} MiB"
+    assert abs(np.trace(h.entries)) < 1e-6
+
+
 def test_gaps_and_coherence_orders():
     _, _, _, _, eig = _example_eig(n=2, seed=1)
     gaps = eig.gaps()
@@ -159,22 +210,22 @@ def test_gaps_and_coherence_orders():
 
 def test_propagator_identities():
     table, _, reg, h, eig = _example_eig()
-    u1 = propagator(eig, 3e-5).entries
-    u2 = propagator(eig, 7e-5).entries
-    u12 = propagator(eig, 1e-4).entries
+    u1 = ref.propagator(eig, 3e-5)
+    u2 = ref.propagator(eig, 7e-5)
+    u12 = ref.propagator(eig, 1e-4)
     np.testing.assert_allclose(u1 @ u2, u12, atol=1e-12)
-    np.testing.assert_allclose(propagator(eig, 0.0).entries, np.eye(reg.dim), atol=1e-13)
+    np.testing.assert_allclose(ref.propagator(eig, 0.0), np.eye(reg.dim), atol=1e-13)
     # magic-sandwich cancellation: forward tau/2 then tau at scale -1/2
-    u_f = propagator(eig, 5e-5, scale=1.0).entries
-    u_b = propagator(eig, 1e-4, scale=-0.5).entries
+    u_f = ref.propagator(eig, 5e-5, scale=1.0)
+    u_b = ref.propagator(eig, 1e-4, scale=-0.5)
     np.testing.assert_allclose(u_b @ u_f, np.eye(reg.dim), atol=1e-12)
     with pytest.raises(MqcnmrError):
-        propagator(eig, np.nan)
+        ref.propagator(eig, np.nan)
 
 
 def test_propagator_matches_expm():
     from scipy.linalg import expm
     table, _, _, h, eig = _example_eig(seed=9)
     for t in (1e-5, 8e-5):
-        np.testing.assert_allclose(propagator(eig, t).entries,
+        np.testing.assert_allclose(ref.propagator(eig, t),
                                    expm(-1j * h.entries * t), atol=1e-10)

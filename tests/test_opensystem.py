@@ -7,7 +7,7 @@ import reference as ref
 from scipy.linalg import expm
 
 from mqcnmr.errors import ConfigError, MqcnmrError
-from mqcnmr.hamiltonian import SpinSystem, eigendecompose, propagator, secular_hamiltonian
+from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, ReducedState,
                                TabulatedOMDF, evolve_open, g_irreversible, g_reversible,
                                irreversible_decay_time, prepare_reduced_state,
@@ -131,7 +131,7 @@ def test_evolve_open_closed_system_limit():
     params = DecoherenceParams(sigma_cl=1e-6, omdf=GaussianOMDF(1e-9))
     t = 7e-5
     evolved = evolve_open(state, t=t, tau=1e-4, params=params)
-    u = propagator(eig, t).entries
+    u = ref.propagator(eig, t)
     rho_unitary = u @ (eig.vectors @ state.matrix @ eig.vectors.conj().T) @ u.conj().T
     back = eig.vectors @ evolved.matrix @ eig.vectors.conj().T
     np.testing.assert_allclose(back, rho_unitary, atol=1e-10)

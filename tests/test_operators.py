@@ -146,6 +146,16 @@ def test_t20_pair_properties():
         t20_pair(reg, 0, 3)
 
 
+def test_t20_pair_from_bits_equals_kronecker_reference():
+    for n in range(2, 9):
+        reg = SpinRegister(n)
+        for j in range(n):
+            for k in range(n):
+                if j != k:
+                    assert np.array_equal(t20_pair(reg, j, k).entries, ref.t20_ref(n, j, k)), \
+                        (n, j, k)
+
+
 def test_coherence_orders_range():
     reg = SpinRegister(2)
     orders = coherence_orders(reg)

@@ -279,4 +279,6 @@ def test_acquisition_spec_validation():
     with pytest.raises(MqcnmrError):
         AcquisitionSpec(t_m=-1e-6, window=0.0)
     with pytest.raises(MqcnmrError):
-        AcquisitionSpec(t_m=1e-6, window=0.0, axis="z")
+        AcquisitionSpec(t_m=1e-6, window=-1e-6)
+    with pytest.raises(TypeError):
+        AcquisitionSpec(t_m=1e-6, window=0.0, axis="x")  # detection is fixed: I_x + i I_y

@@ -1,7 +1,11 @@
 """Discrete transforms, detection weights and the eigenbasis spectral route."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import reference as ref
 from scipy.linalg import expm
@@ -10,8 +14,8 @@ from mqcnmr.errors import MqcnmrError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import prepare_reduced_state
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
-from mqcnmr.spectra import (SignalGrid, detection_matrix, fft2_coherence,
-                            g_coefficients, spectral_assembly)
+from mqcnmr.spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, fft2_coherence,
+                            g_coefficients, spectral_assembly, spectrum_to_csv)
 
 
 def make_system(n=3, seed=12, s_zz=0.6, scale_hz=5000.0):
@@ -251,3 +255,71 @@ def test_coherence_order_labels_are_distinct_and_exact():
             spec = fft2_coherence(grid)
             assert spec.mu.tolist() == expected
             assert abs(spec.order(nu)[0, np.argmin(np.abs(spec.freqs_hz))] - 4.0) < 1e-9
+
+
+# every float repr edge: signed zeros, subnormals, extremes, nan and inf
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                     1e300, -1e300, 1.7976931348623157e308, float("nan"),
+                     float("inf"), float("-inf"), 0.1, 1e16, 1e-5]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # |z| > float max
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 6)),
+       data=st.data())
+def test_spectrum_csv_bytes_match_per_row_writer(tmp_path, shape, data):
+    n_tau, n_mu, n_freq = shape
+    floats = st.lists(CSV_FLOATS, min_size=2 * n_tau * n_mu * n_freq,
+                      max_size=2 * n_tau * n_mu * n_freq)
+    parts = np.array(data.draw(floats), dtype=float).reshape(2, n_tau, n_mu, n_freq)
+    values = parts[0].astype(complex)
+    values.imag = parts[1]  # exact parts: 1j * inf would make the real part nan
+    spec = CoherenceSpectrum(
+        data=values,
+        mu=np.array(data.draw(st.lists(st.integers(-40, 40), min_size=n_mu, max_size=n_mu)),
+                    dtype=int),
+        freqs_hz=np.array(data.draw(st.lists(CSV_FLOATS, min_size=n_freq, max_size=n_freq)),
+                          dtype=float),
+        taus=np.array(data.draw(st.lists(CSV_FLOATS, min_size=n_tau, max_size=n_tau)),
+                      dtype=float))
+    spectrum_to_csv(spec, tmp_path / "bulk.csv")
+    ref.spectrum_csv_rows(spec, tmp_path / "rows.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_spectrum_csv_abs_is_scalar_abs_and_rows_end_in_crlf(tmp_path):
+    # np.abs on a complex array differs from abs(complex128) in the last bit
+    # for about a third of these values; hypot does not
+    rng = np.random.default_rng(3)
+    z = (rng.normal(size=(2, 3, 64)) + 1j * rng.normal(size=(2, 3, 64))) \
+        * np.exp(rng.uniform(-30, 30, size=(2, 3, 64)))
+    spec = CoherenceSpectrum(data=z, mu=np.arange(-1, 2), freqs_hz=np.arange(64.0) - 32.0,
+                             taus=np.array([0.0, 1e-4]))
+    spectrum_to_csv(spec, tmp_path / "bulk.csv")
+    ref.spectrum_csv_rows(spec, tmp_path / "rows.csv")
+    raw = (tmp_path / "bulk.csv").read_bytes()
+    assert raw == (tmp_path / "rows.csv").read_bytes()
+    lines = raw.split(b"\r\n")
+    assert lines[0] == b"tau,mu,omega_hz,re,im,abs" and lines[-1] == b""
+    assert len(lines) == 2 + z.size and b"\n" not in b"".join(lines)
+
+
+def test_spectrum_csv_is_written_block_by_block(tmp_path):
+    # the open workload's shape: about 20 MB of CSV, which a writer that
+    # joins the whole file first holds in memory
+    rng = np.random.default_rng(0)
+    shape = (24, 18, 512)
+    spec = CoherenceSpectrum(data=rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                             mu=np.arange(-9, 9), freqs_hz=np.fft.fftfreq(512, 1e-6),
+                             taus=np.linspace(0.0, 1e-3, 24))
+    tracemalloc.start()
+    try:
+        spectrum_to_csv(spec, tmp_path / "spectra.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "spectra.csv").stat().st_size > 15e6
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
