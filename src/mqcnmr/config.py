@@ -124,7 +124,7 @@ class RunConfig:
     acquisition: AcquisitionSpec | None
     decoherence: DecoherenceParams | None
     n_molecules: int = 1
-    workers: int = 1
+    workers: int = 1  # validated only: no engine starts threads of its own
     output_dir: str = "out"
     raw: dict = field(default_factory=dict, repr=False)
 

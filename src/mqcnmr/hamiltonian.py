@@ -167,16 +167,10 @@ def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
     the Hamiltonian norm); each m block is diagonalized independently, so
     every eigenvector carries a definite m.  Within each block eigenvalues
     are sorted ascending and degeneracies grouped with relative tolerance
-    1e-9 * ||H||.
+    1e-9 * ||H||, taken as the largest |eigenvalue| of the m blocks.
     """
     hm = h.entries if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
     m_basis = reg.m_values()
-    hnorm = np.linalg.norm(hm, 2)
-    # [H, I_z][a, b] = H[a, b] (m_b - m_a), as I_z is diagonal
-    comm = np.max(np.abs(hm * (m_basis[None, :] - m_basis[:, None])))
-    if comm > SECULAR_ATOL * max(hnorm, 1.0):
-        raise NotSecularError(f"[H, I_z] max entry {comm:.3e} exceeds tolerance")
-
     dim = reg.dim
     zeta = np.zeros(dim)
     vecs = np.zeros((dim, dim), dtype=complex)
@@ -192,6 +186,13 @@ def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
         vecs[np.ix_(idx, range(col, col + n))] = v
         m_out[col:col + n] = m_val
         col += n
+
+    # the spectral norm of a secular H, without an SVD of H
+    hnorm = np.max(np.abs(zeta))
+    # [H, I_z][a, b] = H[a, b] (m_b - m_a), as I_z is diagonal
+    comm = np.max(np.abs(hm * (m_basis[None, :] - m_basis[:, None])))
+    if comm > SECULAR_ATOL * max(hnorm, 1.0):
+        raise NotSecularError(f"[H, I_z] max entry {comm:.3e} exceeds tolerance")
 
     scale = order_parameter if order_parameter != 0.0 else 1.0
     zeta = zeta / scale

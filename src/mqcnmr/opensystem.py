@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
-from .operators import SpinRegister, collective_angular_momentum
+from .operators import SpinRegister
 from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory,
-                       compile_program, default_acquisition, jb_prepare)
+                       default_acquisition, phase_encode, prepared_state)
 from .spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, pair_chunk_rows,
                       pair_order_sums, spectral_assembly)
 
@@ -178,11 +178,7 @@ class ReducedState:
 
 def prepare_reduced_state(eig: EigenSystem, reg: SpinRegister, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    cache = PropagatorCache(eig, reg)
-    prep = compile_program(jb_prepare(t_p), cache)
-    iz = collective_angular_momentum(reg, "z").entries
-    rho = prep @ iz @ prep.conj().T
-    return ReducedState(eig.vectors.conj().T @ rho @ eig.vectors, eig)
+    return ReducedState(prepared_state(PropagatorCache(eig, reg), t_p), eig)
 
 
 def evolve_open(state: ReducedState, t: float, tau: float,
@@ -203,14 +199,13 @@ def evolve_open(state: ReducedState, t: float, tau: float,
 
 def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
                   params: DecoherenceParams, acquisition=None,
-                  n_molecules: int = 1, workers: int = 1) -> SignalGrid:
+                  n_molecules: int = 1) -> SignalGrid:
     """Open-engine analog of ``sequence.run_grid``.
 
     The reversion block is ideal by assumption, so tau enters only through
     G^R; the waiting time t carries the eigenbasis phases and G^T, both
-    applied by ``spectra.pair_order_sums``.  Its chunk GEMMs run in order on
-    the BLAS threads, so ``workers`` (kept for parity with ``run_grid``)
-    does not change the work or the result.
+    applied by ``spectra.pair_order_sums`` to one weight slab shared by
+    every tau.
     """
     # signal grid and order sums, the 2^N x 2^N state, detection and pair
     # arrays, one chunk of E with its temporaries, weights and partial sums,
@@ -227,11 +222,7 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
                            partial(g_reversible, params=params),
                            partial(g_irreversible, params=params))
-    nus = np.arange(-reg.n_spins, reg.n_spins + 1)
-    encoder = n_molecules * np.exp(1j * np.outer(grid.phis, nus))
-    data = np.einsum("pn,knt->ptk", encoder, sums, order="C")
-    return SignalGrid(data=data, dt=grid.dt, taus=np.asarray(grid.taus, dtype=float),
-                      t_p=grid.t_p, t_m=acquisition.t_m, window=acquisition.window)
+    return phase_encode(sums, grid, acquisition, n_molecules)
 
 
 def synthesize_spectrum(state: ReducedState, reg: SpinRegister, order: int,

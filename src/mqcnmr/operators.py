@@ -29,13 +29,6 @@ UNITARY_ATOL = 1e-10
 # every nonzero entry of T20 is +-1/2 over sqrt(6): 2 I_zj I_zk or -1/2 per flip-flop
 T20_UNIT = 0.5 / np.sqrt(6.0)
 
-_SIGMA_HALF = {
-    "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex),
-    "z": np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex),
-}
-
-
 @dataclass(frozen=True)
 class SpinRegister:
     """An N-spin-1/2 product space.
@@ -81,7 +74,6 @@ class OperatorMatrix:
 
     kind = "hermitian" requires A == A^dagger entrywise (atol 1e-12);
     kind = "unitary" requires U U^dagger == 1 (max-norm 1e-10);
-    kind = "density" requires hermitian with unit trace;
     kind = "general" is unconstrained.
     """
 
@@ -93,36 +85,19 @@ class OperatorMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise MqcnmrError(f"operator must be a square matrix, got shape {a.shape}")
-        if self.kind not in ("hermitian", "unitary", "density", "general"):
+        if self.kind not in ("hermitian", "unitary", "general"):
             raise MqcnmrError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("hermitian", "density"):
+        if self.kind == "hermitian":
             herm_err = np.max(np.abs(a - a.conj().T))
             if herm_err > HERMITIAN_ATOL:
-                raise MqcnmrError(f"{self.kind} operator fails A == A^dagger by {herm_err:.3e}")
+                raise MqcnmrError(f"hermitian operator fails A == A^dagger by {herm_err:.3e}")
         if self.kind == "unitary":
             uni_err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
             if uni_err > UNITARY_ATOL:
                 raise MqcnmrError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
-        if self.kind == "density":
-            tr = np.trace(a).real
-            if abs(tr) < 1e-300:
-                raise MqcnmrError("density operator has zero trace")
-            a = a / tr
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "dim", a.shape[0])
-
-
-def single_spin(reg: SpinRegister, site: int, axis: str) -> np.ndarray:
-    """I_{axis, site} embedded on the full product space (Kronecker product)."""
-    if not 0 <= site < reg.n_spins:
-        raise MqcnmrError(f"site {site} out of range for {reg.n_spins} spins")
-    if axis not in _SIGMA_HALF:
-        raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
-    op = np.array([[1.0 + 0j]])
-    for j in range(reg.n_spins):
-        op = np.kron(op, _SIGMA_HALF[axis] if j == site else np.eye(2))
-    return op
 
 
 def collective_angular_momentum(reg: SpinRegister, axis: str) -> OperatorMatrix:
@@ -239,11 +214,3 @@ def coherence_order_decompose(op: OperatorMatrix | np.ndarray,
             out[nu] = comp
     return out
 
-
-def dump_operator(op: OperatorMatrix | np.ndarray) -> str:
-    """Row-major text dump ("re+imj" per entry) for cross-implementation diffs."""
-    a = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    lines = []
-    for row in a:
-        lines.append(" ".join(f"{z.real:+.16e}{z.imag:+.16e}j" for z in row))
-    return "\n".join(lines) + "\n"

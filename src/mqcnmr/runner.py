@@ -161,11 +161,11 @@ def simulate(cfg: RunConfig, out_dir=None) -> dict:
     reg = cfg.molecule.register()
     if cfg.engine == "closed":
         grid = run_grid(eig, reg, cfg.grid, block=cfg.block, acquisition=cfg.acquisition,
-                        n_molecules=cfg.n_molecules, workers=cfg.workers)
+                        n_molecules=cfg.n_molecules)
     else:
         grid = run_grid_open(eig, reg, cfg.grid, cfg.decoherence,
                              acquisition=cfg.acquisition,
-                             n_molecules=cfg.n_molecules, workers=cfg.workers)
+                             n_molecules=cfg.n_molecules)
 
     _atomic_save_array(out / "signals.npy", grid.data)
     _atomic_write_text(out / "signals_meta.json",

@@ -17,8 +17,7 @@ the encoding period at Fourier index nu of the phase transform.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import logm
@@ -26,7 +25,7 @@ from scipy.linalg import logm
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister, collective_angular_momentum, rotation
-from .spectra import SignalGrid, detection_matrix
+from .spectra import SignalGrid, detection_matrix, free_phases, pair_order_sums
 
 
 @dataclass(frozen=True)
@@ -196,8 +195,7 @@ class PropagatorCache:
 
     Keys are the exact (duration, scale) or (angle, axis_phase) floats, so
     identical events from one grid always hit the cache and recompilation
-    is bit-deterministic.  Read-only after warmup; safe to share across
-    worker threads.
+    is bit-deterministic.  Holds one 2^N x 2^N matrix per distinct event.
     """
 
     def __init__(self, eig: EigenSystem, reg: SpinRegister):
@@ -300,7 +298,7 @@ def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
     ip = (collective_angular_momentum(reg, "x").entries
           + 1j * collective_angular_momentum(reg, "y").entries)
     weights = (v.conj().T @ ip @ v) * rho_e.T
-    p = _phases(eig, dwell * np.arange(n_scan))
+    p = free_phases(eig, dwell * np.arange(n_scan))
     mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
     idx = 0
     for i in range(1, n_scan - 1):
@@ -308,11 +306,6 @@ def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
             idx = i
             break
     return AcquisitionSpec(t_m=idx * dwell, window=2.0 * dwell)
-
-
-def _phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
-    return np.exp(-1j * eig.order_parameter * np.outer(ts, eig.zeta))
 
 
 def compile_blocks(block, taus, cache: PropagatorCache) -> list:
@@ -339,41 +332,35 @@ def compile_blocks(block, taus, cache: PropagatorCache) -> list:
     return [powers[n] for n in counts]
 
 
-def _m_blocks(eig: EigenSystem) -> tuple:
-    """Distinct total-m values of the eigenstates, the eigenstates of each,
-    and the (dim, n_m) indicator matrix whose column k marks m_values[k].
-
-    Derived from ``eig.m`` alone; no ordering of the eigenbasis is assumed.
-    """
-    m_values = np.unique(eig.m)
-    rows = [np.flatnonzero(eig.m == m) for m in m_values]
-    member = (eig.m[:, None] == m_values[None, :]).astype(complex)
-    return m_values, rows, member
+def prepared_state(cache: PropagatorCache, t_p: float) -> np.ndarray:
+    """The state I_z after the JB preparation ``jb_prepare(t_p)``, in the H
+    eigenbasis; the preparation is compiled through ``cache``."""
+    prep = compile_program(jb_prepare(t_p), cache)
+    iz = collective_angular_momentum(cache.reg, "z").entries
+    rho = prep @ iz @ prep.conj().T
+    return cache.eig.vectors.conj().T @ rho @ cache.eig.vectors
 
 
-def _tau_slab(eig, a_eig, det, phases, m_blocks, n_spins, u_d):
-    """Order-resolved signal coefficients c[t, nu + N] for one tau.
+def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
+                 n_molecules: int = 1, cache_stats: dict | None = None) -> SignalGrid:
+    """The signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t] on the
+    (phi, t, tau) grid, from the order sums c of ``pair_order_sums``."""
+    n = sums.shape[1] // 2
+    encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(-n, n + 1)))
+    return SignalGrid(data=np.einsum("pn,knt->ptk", encoder, sums, order="C"), dt=grid.dt,
+                      taus=np.asarray(grid.taus, dtype=float), t_p=grid.t_p,
+                      t_m=acquisition.t_m, window=acquisition.window,
+                      cache_stats=cache_stats or {})
 
-    Term (a, b) of the signal is det[a, b] sigma[b, a](t), of coherence
-    order nu = m_b - m_a, and sigma[b, a] evolves as p_b(t) conj(p_a(t)).
-    With W = det (elementwise) sigma(0)^T, the rows A of one m value give
-    Q = conj(P[:, A]) @ W[A, :]; summing Q * P over the columns of each m
-    value yields that pair of m values' contribution at every t.  Working
-    memory is O(n_t 2^N) beyond the 2^N x 2^N inputs.
-    """
+
+def _tau_slab(eig: EigenSystem, a_eig: np.ndarray, det: np.ndarray, u_d) -> np.ndarray:
+    """Pair weights W = det (elementwise) sigma^T of one tau, where sigma is
+    the prepared state ``a_eig`` carried through the compiled block ``u_d``
+    (None: no block), all in the H eigenbasis."""
     if u_d is None:
-        b = a_eig
-    else:
-        w = eig.vectors.conj().T @ u_d @ eig.vectors
-        b = w @ a_eig @ w.conj().T
-    weights = det * b.T
-    m_values, rows, member = m_blocks
-    coeffs = np.zeros((phases.shape[0], 2 * n_spins + 1), dtype=complex)
-    for m_a, idx in zip(m_values, rows):
-        q = phases[:, idx].conj() @ weights[idx, :]
-        cols = np.rint(m_values - m_a).astype(int) + n_spins
-        coeffs[:, cols] += (q * phases) @ member
-    return coeffs
+        return det * a_eig.T
+    w = eig.vectors.conj().T @ u_d @ eig.vectors
+    return det * (w @ a_eig @ w.conj().T).T
 
 
 # Working-set budget of one grid run, in bytes.
@@ -399,19 +386,27 @@ def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int
         )
 
 
+def _distinct_events(block, taus, t_p: float) -> int:
+    """Entries of the PropagatorCache after compiling the preparation and
+    ``compile_blocks(block, taus)``: one per distinct event."""
+    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
+        taus = (block.cycle_time,)  # one compiled cycle serves every tau
+    blocks = (block.events_for(tau) for tau in taus if block is not None)
+    return len(set(jb_prepare(t_p)).union(*blocks))
+
+
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
-             n_molecules: int = 1, workers: int = 1,
-             memory_budget_bytes: int | None = None) -> SignalGrid:
+             n_molecules: int = 1, memory_budget_bytes: int | None = None) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
-    complex transverse signal.  Free evolution and the phi dependence are
-    applied analytically in the H eigenbasis, which is exactly equivalent
-    to propagating every grid point through the compiled pulse chain.
-    tau slabs are independent and may run on ``workers`` threads; results
-    land in disjoint slots so the output is bit-identical for any worker
-    count.
+    complex transverse signal.  Each tau's compiled block turns the prepared
+    state into one slab of pair weights (``_tau_slab``); free evolution and
+    the phi dependence are then applied analytically in the H eigenbasis by
+    ``spectra.pair_order_sums`` and ``phase_encode``, which is exactly
+    equivalent to propagating every grid point through the compiled pulse
+    chain.
 
     Args:
         block: reversion block spec with an ``events_for(tau)`` method
@@ -420,41 +415,22 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
         memory_budget_bytes: budget of the working set; defaults to
             MEMORY_BUDGET_BYTES.
     """
-    # signal grid, compiled blocks plus shared and per-thread 2^N x 2^N
-    # workspaces, and the (n_t, 2^N) phases plus one GEMM output per thread
-    check_grid_memory(grid, reg.dim, matrices=len(grid.taus) + 4 + 3 * workers,
-                      t_rows=reg.dim * (1 + workers), budget=memory_budget_bytes)
+    n_tau = len(grid.taus)
+    # signal grid and order sums, the propagator cache, compiled blocks and
+    # weight slabs, one copy of a row block of the slabs plus a few shared
+    # 2^N x 2^N arrays, and the phases with two GEMM outputs over all slabs
+    matrices = _distinct_events(block, grid.taus, grid.t_p) + 3 * n_tau + 6
+    check_grid_memory(grid, reg.dim, matrices=matrices,
+                      t_rows=n_tau * (2 * reg.n_spins + 1) + reg.dim * (2 + 2 * n_tau),
+                      budget=memory_budget_bytes)
     if acquisition is None:
         acquisition = default_acquisition(eig, reg, grid.t_p)
 
     cache = PropagatorCache(eig, reg)
-    prep = compile_program(jb_prepare(grid.t_p), cache)
-    iz = collective_angular_momentum(reg, "z").entries
-    rho_prep = prep @ iz @ prep.conj().T
-    a_eig = eig.vectors.conj().T @ rho_prep @ eig.vectors
-
+    a_eig = prepared_state(cache, grid.t_p)
     det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
-    phases = _phases(eig, grid.ts)
-    m_blocks = _m_blocks(eig)
-    nus = np.arange(-reg.n_spins, reg.n_spins + 1)
-    encoder = np.exp(1j * np.outer(grid.phis, nus))  # (n_phi, n_orders)
-
-    def one_tau(u_d):
-        return _tau_slab(eig, a_eig, det, phases, m_blocks, reg.n_spins, u_d)
-
-    blocks = compile_blocks(block, grid.taus, cache)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slabs = list(pool.map(one_tau, blocks))
-    else:
-        slabs = [one_tau(u_d) for u_d in blocks]
-
-    data = np.empty((grid.n_phi, grid.n_t, len(grid.taus)), dtype=complex)
-    for k, coeffs in enumerate(slabs):
-        data[:, :, k] = n_molecules * (encoder @ coeffs.T)
-
-    return SignalGrid(
-        data=data, dt=grid.dt, taus=np.asarray(grid.taus, dtype=float),
-        t_p=grid.t_p, t_m=acquisition.t_m, window=acquisition.window,
-        cache_stats=cache.stats(),
-    )
+    weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)
+    for k, u_d in enumerate(compile_blocks(block, grid.taus, cache)):
+        weights[k] = _tau_slab(eig, a_eig, det, u_d)
+    sums = pair_order_sums(weights, eig, reg.n_spins, grid.ts, grid.taus)
+    return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())

@@ -142,37 +142,6 @@ def detection_matrix(eig: EigenSystem, reg: SpinRegister,
     return ry_e.conj().T @ (ip_e * win) @ ry_e
 
 
-def g_coefficients(eig: EigenSystem, reg: SpinRegister, component: np.ndarray,
-                   t_m: float, window: float, axis: str = "x",
-                   n_quad: int = 129) -> complex:
-    """Average signal weight of one coherence-block component.
-
-    Evaluates tr{I_alpha U(t') R_y(pi/4) C R_y(-pi/4) U(t')^dagger} and
-    averages it over the acquisition window by trapezoid quadrature on
-    ``n_quad`` points (window = 0 gives the point value at t_m).
-    """
-    if axis not in ("x", "y"):
-        raise MqcnmrError(f"axis must be x or y, got {axis!r}")
-    i_alpha = collective_angular_momentum(reg, axis).entries
-    ry = rotation(reg, np.pi / 4, "y").entries
-    c_rot = ry @ np.asarray(component, dtype=complex) @ ry.conj().T
-    v = eig.vectors
-    c_eig = v.conj().T @ c_rot @ v
-    i_eig = v.conj().T @ i_alpha @ v
-    phases = eig.order_parameter * eig.zeta
-
-    def value(tp):
-        u = np.exp(-1j * phases * tp)
-        evolved = (u[:, None] * c_eig) * u.conj()[None, :]
-        return np.trace(i_eig @ evolved)
-
-    if window == 0.0:
-        return complex(value(t_m))
-    tps = np.linspace(t_m - window / 2.0, t_m + window / 2.0, n_quad)
-    vals = np.array([value(tp) for tp in tps])
-    return complex(np.trapezoid(vals, tps) / window)
-
-
 # Byte budget of one chunk of the pair kernel's (pairs x n_t) time series E.
 PAIR_CHUNK_BYTES = 4 << 20
 
@@ -193,27 +162,55 @@ def _uniform_exp(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(x.size, -1)[:, :ts.size]
 
 
+def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
+    return np.exp(-1j * eig.order_parameter * np.outer(ts, eig.zeta))
+
+
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
                     ts: np.ndarray, taus: np.ndarray, g_reversible=None,
                     g_irreversible=None) -> np.ndarray:
     """c[tau, nu + N, t] = sum over pairs of order nu of W[tau, pair] E[pair, t].
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and
-    W = weights[a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on uniform
-    ts (G None means 1; G^R takes one tau).  Nonzero pairs, sorted stably by
-    order, are cut into chunks of at most PAIR_CHUNK_BYTES of E and added
-    into c in order, one GEMM (on the BLAS threads) per chunk.
+    W = weights[(tau,) a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on
+    uniform ts (G None means 1; G^R takes one tau).  ``weights`` is (dim, dim),
+    the same for every tau, or (n_tau, dim, dim).
+
+    Without G factors E = p_b conj(p_a) factorises (``free_phases``): one GEMM
+    per total-m row block over all tau slabs side by side, in O(n_t n_tau 2^N)
+    working memory plus a copy of the block's weight rows.  With G^T or G^R,
+    the nonzero pairs, sorted stably by order, are cut into chunks of at most
+    PAIR_CHUNK_BYTES of E and added into c in order, one GEMM per chunk.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
         raise UnsupportedGridError("eigenpair sums need at least 2 uniformly spaced times")
-    w, nu = np.asarray(weights).ravel(), -eig.coherence_orders().ravel()
-    keep = np.flatnonzero(w)
+    weights = np.asarray(weights)
+    if weights.shape not in ((eig.dim, eig.dim), (taus.size, eig.dim, eig.dim)):
+        raise MqcnmrError(f"pair weights of shape {weights.shape} do not match "
+                          f"{taus.size} taus of dimension {eig.dim}")
+    w = weights.reshape(-1, eig.dim, eig.dim)  # one slab for all taus, or one per tau
+    c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
+    if g_reversible is None and g_irreversible is None:
+        # rows A of one m value: Q = conj(P[:, A]) @ W[:, A, :] with the slabs side
+        # by side; Q * P summed over the columns of each m value is that m pair's part
+        p, m_values = free_phases(eig, ts), np.unique(eig.m)
+        member = (eig.m[:, None] == m_values[None, :]).astype(complex)
+        for m_a in m_values:
+            idx = np.flatnonzero(eig.m == m_a)
+            q = p[:, idx].conj() @ w.transpose(1, 0, 2)[idx].reshape(idx.size, -1)
+            part = (q.reshape(ts.size, len(w), -1) * p[:, None, :]).reshape(-1, eig.dim) @ member
+            c[:, np.rint(m_values - m_a).astype(int) + n_spins] += (
+                part.reshape(ts.size, len(w), -1).transpose(1, 2, 0))
+        return c
+    w, nu = w.reshape(len(w), -1), -eig.coherence_orders().ravel()
+    keep = np.flatnonzero(np.any(w, axis=0))
     keep = keep[np.argsort(nu[keep], kind="stable")]
-    w, nu, gap = w[keep], nu[keep], -eig.gaps().ravel()[keep]
+    w = np.broadcast_to(w[:, keep], (taus.size, keep.size))
+    nu, gap = nu[keep], -eig.gaps().ravel()[keep]
     rows = pair_chunk_rows(eig, ts.size)
     bounds = np.searchsorted(nu, np.arange(-n_spins, n_spins + 2))
-    c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
     for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
         for lo in range(start, end, rows):
             hi = min(lo + rows, end)
@@ -221,8 +218,9 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
             e = _uniform_exp(-1j * eig.order_parameter * g, ts)
             if g_reversible is not None:
                 e *= g_reversible(g[:, None], ts[None, :])
-            c[:, i] += np.stack([w[lo:hi] * (1.0 if g_irreversible is None
-                                             else g_irreversible(g, tau)) for tau in taus]) @ e
+            c[:, i] += np.stack([w[k, lo:hi] * (1.0 if g_irreversible is None
+                                                else g_irreversible(g, tau))
+                                 for k, tau in enumerate(taus)]) @ e
     return c
 
 

@@ -93,6 +93,81 @@ def propagator(eig, duration, scale=1.0):
     return (eig.vectors * phases) @ eig.vectors.conj().T
 
 
+def eigen_labels_svd(h, m_basis, order_parameter=1.0):
+    """zeta and degeneracy labels s with the degeneracy tolerance scaled by
+    the spectral norm of a full SVD (``np.linalg.norm(H, 2)``).
+
+    m blocks are taken in descending m and diagonalized with ``eigh``
+    (eigenvalues ascending), zeta = eigenvalue / S_zz (1 when S_zz = 0), and
+    states whose zeta lie within 1e-9 ||H|| / |S_zz| of the lowest member of
+    their group, in ascending zeta, are numbered 0, 1, ...
+    """
+    h = np.asarray(h, dtype=complex)
+    m_basis = np.asarray(m_basis)
+    zeta = np.concatenate([np.linalg.eigh(h[np.ix_(idx, idx)])[0]
+                           for idx in (np.flatnonzero(m_basis == mv)
+                                       for mv in sorted(set(m_basis.tolist()), reverse=True))])
+    scale = order_parameter if order_parameter != 0.0 else 1.0
+    zeta = zeta / scale
+    tol = 1e-9 * max(np.linalg.norm(h, 2) / abs(scale), 1e-300)
+    s = np.zeros(zeta.size, dtype=int)
+    order = np.argsort(zeta, kind="stable")
+    start = 0
+    for i in range(1, zeta.size + 1):
+        if i == zeta.size or zeta[order[i]] - zeta[order[start]] > tol:
+            s[order[start:i]] = np.arange(i - start)
+            start = i
+    return zeta, s
+
+
+def single_spin(reg, site, axis):
+    """I_{axis, site} embedded on the full product space (Kronecker product);
+    a site or axis out of range raises the package's MqcnmrError."""
+    from mqcnmr.errors import MqcnmrError
+    if not 0 <= site < reg.n_spins:
+        raise MqcnmrError(f"site {site} out of range for {reg.n_spins} spins")
+    if axis not in HALF:
+        raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
+    return embed(reg.n_spins, site, axis)
+
+
+def dump_operator(op):
+    """Row-major text dump ("re+imj" per entry) for cross-implementation diffs."""
+    a = np.asarray(getattr(op, "entries", op), dtype=complex)
+    return "".join(" ".join(f"{z.real:+.16e}{z.imag:+.16e}j" for z in row) + "\n" for row in a)
+
+
+def g_coefficients(eig, reg, component, t_m, window, axis="x", n_quad=129):
+    """Average signal weight of one coherence-block component.
+
+    Evaluates tr{I_alpha U(t') R_y(pi/4) C R_y(-pi/4) U(t')^dagger} and
+    averages it over the acquisition window by trapezoid quadrature on
+    ``n_quad`` points (window = 0 gives the point value at t_m).  An axis
+    other than x or y raises the package's MqcnmrError.
+    """
+    if axis not in ("x", "y"):
+        from mqcnmr.errors import MqcnmrError
+        raise MqcnmrError(f"axis must be x or y, got {axis!r}")
+    n = reg.n_spins
+    ry = rot(n, np.pi / 4, np.pi / 2)
+    c_rot = ry @ np.asarray(component, dtype=complex) @ ry.conj().T
+    v = eig.vectors
+    c_eig = v.conj().T @ c_rot @ v
+    i_eig = v.conj().T @ coll(n, axis) @ v
+    phases = eig.order_parameter * eig.zeta
+
+    def value(tp):
+        u = np.exp(-1j * phases * tp)
+        evolved = (u[:, None] * c_eig) * u.conj()[None, :]
+        return np.trace(i_eig @ evolved)
+
+    if window == 0.0:
+        return complex(value(t_m))
+    tps = np.linspace(t_m - window / 2.0, t_m + window / 2.0, n_quad)
+    vals = np.array([value(tp) for tp in tps])
+    return complex(np.trapezoid(vals, tps) / window)
+
+
 def spectrum_csv_rows(spec, path):
     """Per-row CSV writer: one ``csv.writer`` row per (tau, mu, omega) element."""
     with open(path, "w", newline="") as fh:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from mqcnmr.config import load_molecule, preset_path
 from mqcnmr.errors import (DegenerateGeometryError, MqcnmrError, NotSecularError,
                            TrivialSystemError)
 from mqcnmr.hamiltonian import (GAMMA_PROTON, EigenSystem, SpinSystem, coupling_table,
@@ -159,6 +160,43 @@ def test_secular_check_threshold():
     eigendecompose(h.entries + 1e-5 * ix, reg)
     with pytest.raises(NotSecularError):
         eigendecompose(h.entries + 1e-3 * ix, reg)
+
+
+SHIPPED_MOLECULES = ("two_spin", "four_spin_test", "eight_spin_test")
+
+
+@pytest.mark.parametrize("name", SHIPPED_MOLECULES)
+def test_eigen_labels_match_svd_scaled_oracle_on_shipped_molecules(name):
+    mol = load_molecule(preset_path(f"molecules/{name}.yaml"))
+    reg = mol.register()
+    h = secular_hamiltonian(mol, reg)
+    eig = eigendecompose(h, reg, mol.order_parameter)
+    zeta, s = ref.eigen_labels_svd(h.entries, reg.m_values(), mol.order_parameter)
+    assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
+    # the largest |eigenvalue| is the spectral norm the labels used to be scaled by
+    hnorm = np.linalg.norm(h.entries, 2)
+    assert abs(np.max(np.abs(eig.zeta)) * abs(mol.order_parameter) - hnorm) <= 4e-16 * hnorm
+    ix = collective_angular_momentum(reg, "x").entries
+    eigendecompose(h.entries + 1e-5 * ix, reg, mol.order_parameter)
+    with pytest.raises(NotSecularError):
+        eigendecompose(h.entries + 1e-3 * ix, reg, mol.order_parameter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), s_zz=st.floats(-0.5, 1.0),
+       couplings=st.lists(st.sampled_from([0.0, 1500.0, -3000.0, 4500.0]) | st.floats(-2e4, 2e4),
+                          min_size=15, max_size=15))
+def test_eigen_labels_match_svd_scaled_oracle(n, s_zz, couplings):
+    # repeated coupling values give exactly degenerate levels to label
+    table = np.zeros((n, n))
+    table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
+    table = table + table.T
+    mol = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    reg = mol.register()
+    h = secular_hamiltonian(mol, reg)
+    eig = eigendecompose(h, reg, s_zz)
+    zeta, s = ref.eigen_labels_svd(h.entries, reg.m_values(), s_zz)
+    assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
 
 
 @settings(max_examples=40, deadline=None)

@@ -195,9 +195,9 @@ def test_run_grid_open_determinism_and_scaling():
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=3e-5, n_t=6, dt=3e-6, n_phi=8,
                           taus=tuple(k * 2e-4 for k in range(4)))
-    one = run_grid_open(eig, reg, grid, params, acquisition=acq, workers=1).data
-    three = run_grid_open(eig, reg, grid, params, acquisition=acq, workers=3).data
-    assert np.array_equal(one, three)
+    one = run_grid_open(eig, reg, grid, params, acquisition=acq).data
+    again = run_grid_open(eig, reg, grid, params, acquisition=acq).data
+    assert np.array_equal(one, again)
     doubled = run_grid_open(eig, reg, grid, params, acquisition=acq,
                             n_molecules=2).data
     np.testing.assert_allclose(doubled, 2.0 * one, atol=0)

@@ -12,13 +12,13 @@ import reference as ref
 
 from mqcnmr import opensystem, sequence, spectra
 from mqcnmr.cli import main
-from mqcnmr.errors import GridSizeError, UnsupportedGridError
-from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
+from mqcnmr.errors import GridSizeError, MqcnmrError, UnsupportedGridError
+from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, g_reversible, prepare_reduced_state,
                                run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid
-from mqcnmr.spectra import detection_matrix, spectral_assembly
+from mqcnmr.spectra import detection_matrix, pair_order_sums, spectral_assembly
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
 
@@ -71,7 +71,34 @@ def test_open_grid_matches_dense_order_sums(n, seed, family, width, sigma, taus,
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-def test_chunked_orders_are_bit_identical_across_workers(monkeypatch):
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
+       per_tau=st.booleans(), n_t=st.integers(2, 9))
+def test_factorised_and_chunked_sums_agree(n, seed, n_tau, per_tau, n_t):
+    # G^T == 1 forces the chunked path on the same sums; the shuffled
+    # eigenbasis checks that both group states by eig.m alone
+    reg, eig = make_system(n, seed)
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(reg.dim)
+    shuffled = EigenSystem(zeta=eig.zeta[perm], vectors=eig.vectors[:, perm], m=eig.m[perm],
+                           s=eig.s[perm], order_parameter=eig.order_parameter)
+    shape = (n_tau, reg.dim, reg.dim) if per_tau else (reg.dim, reg.dim)
+    weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(n_tau)
+    factorised = pair_order_sums(weights, shuffled, n, ts, taus)
+    chunked = pair_order_sums(weights, shuffled, n, ts, taus,
+                              g_reversible=lambda g, t: np.ones(np.broadcast(g, t).shape))
+    assert factorised.shape == chunked.shape == (n_tau, 2 * n + 1, n_t)
+    assert np.max(np.abs(factorised - chunked)) <= 1e-12 * np.max(np.abs(chunked))
+
+
+def test_pair_weights_need_one_slab_or_one_per_tau():
+    reg, eig = make_system(2, 4)
+    with pytest.raises(MqcnmrError):
+        pair_order_sums(np.ones((2, 4, 4)), eig, 2, 1e-6 * np.arange(4), [0.0, 1e-4, 2e-4])
+
+
+def test_chunked_orders_are_bit_identical_across_repeat_calls(monkeypatch):
     reg, eig = make_system(4, 3)
     params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf("tabulated", 0.05))
     grid = ExperimentGrid(t_p=3e-5, n_t=12, dt=3e-6, n_phi=10, taus=(0.0, 1e-4, 3e-4))
@@ -79,8 +106,7 @@ def test_chunked_orders_are_bit_identical_across_workers(monkeypatch):
     assert spectra.pair_chunk_rows(eig, grid.n_t) == 70  # all of order 0 in one chunk
     monkeypatch.setattr(spectra, "PAIR_CHUNK_BYTES", 16 * grid.n_t * 5)
     assert spectra.pair_chunk_rows(eig, grid.n_t) == 5  # order 0 now spans 14 chunks
-    runs = [run_grid_open(eig, reg, grid, params, acquisition=ACQ, workers=w).data
-            for w in (1, 2, 4)]
+    runs = [run_grid_open(eig, reg, grid, params, acquisition=ACQ).data for _ in range(3)]
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -129,7 +155,7 @@ def test_long_omdf_table_runs_in_bounded_memory():
     assert spectra.pair_chunk_rows(eig, grid.n_t) == 70
     tracemalloc.start()
     try:
-        fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ, workers=2).data
+        fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

