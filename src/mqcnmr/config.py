@@ -124,7 +124,6 @@ class RunConfig:
     acquisition: AcquisitionSpec | None
     decoherence: DecoherenceParams | None
     n_molecules: int = 1
-    workers: int = 1  # validated only: no engine starts threads of its own
     output_dir: str = "out"
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -133,8 +132,8 @@ class RunConfig:
             raise ConfigError(f"engine must be 'closed' or 'open', got {self.engine!r}")
         if self.engine == "open" and self.decoherence is None:
             raise ConfigError("engine 'open' requires a decoherence section")
-        if self.workers < 1 or self.n_molecules < 1:
-            raise ConfigError("workers and n_molecules must be >= 1")
+        if self.n_molecules < 1:
+            raise ConfigError("n_molecules must be >= 1")
 
 
 def _block_from_dict(doc: dict | None):
@@ -190,6 +189,9 @@ def _phi_points(seq: dict) -> int:
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     _check_keys(doc, RUN_KEYS, "config")
+    # accepted for old run files and validated, but no engine reads it
+    if int(doc.get("workers", 1)) < 1:
+        raise ConfigError("workers must be >= 1")
 
     mol = doc.get("molecule")
     if isinstance(mol, str):
@@ -252,7 +254,6 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         acquisition=acq,
         decoherence=deco,
         n_molecules=int(doc.get("n_molecules", 1)),
-        workers=int(doc.get("workers", 1)),
         output_dir=str(doc.get("output", "out")),
         raw=doc,
     )

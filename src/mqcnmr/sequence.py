@@ -308,28 +308,42 @@ def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
     return AcquisitionSpec(t_m=idx * dwell, window=2.0 * dwell)
 
 
-def compile_blocks(block, taus, cache: PropagatorCache) -> list:
-    """Compiled reversion block for every tau (None where the block is empty).
+def _block_plan(block, taus) -> tuple:
+    """The events of each tau, and the event lists ``compile_blocks`` compiles
+    for them: the same lists, or the one cycle of an MREV-8 "concatenate"
+    block, which serves every tau."""
+    events = [() if block is None else block.events_for(tau) for tau in taus]
+    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
+        return events, [mrev8_block(block.tau1)]
+    return events, events
+
+
+def compile_blocks(block, taus, cache: PropagatorCache):
+    """Iterator over the compiled reversion block of each tau, compiled one at
+    a time (None where the block is empty).
 
     An MREV-8 "concatenate" block of duration tau is n copies of one cycle:
-    the cycle is compiled once and U_n = U_cycle U_{n-1} is advanced up to
-    the largest n, in place of multiplying 17 n event propagators per tau.
-    ``events_for`` still runs for every tau, so a tau that is not a whole
-    number of cycles is rejected as before.
+    the cycle is compiled once and U_n = U_cycle U_{n-1} is advanced from the
+    previous tau's power (restarting when n falls).  ``events_for`` runs for
+    every tau at the call, so a tau that is not a whole number of cycles is
+    rejected before anything is compiled.
     """
-    events = [() if block is None else block.events_for(tau) for tau in taus]
-    if not (isinstance(block, Mrev8Spec) and block.mode == "concatenate"):
-        return [compile_program(ev, cache) if ev else None for ev in events]
-    cycle = mrev8_block(block.tau1)
-    counts = [len(ev) // len(cycle) for ev in events]
-    u_cycle = compile_program(cycle, cache)
-    powers = {0: None}
-    u = None
-    for n in range(1, max(counts) + 1):
-        u = u_cycle if u is None else u_cycle @ u
-        if n in counts:
-            powers[n] = u
-    return [powers[n] for n in counts]
+    events, programs = _block_plan(block, taus)
+    if programs is events:
+        return (compile_program(ev, cache) if ev else None for ev in events)
+    (cycle,) = programs
+    return _cycle_powers(compile_program(cycle, cache),
+                         [len(ev) // len(cycle) for ev in events])
+
+
+def _cycle_powers(u_cycle: np.ndarray, counts):
+    n, u = 0, None
+    for count in counts:
+        if count < n:
+            n, u = 0, None
+        for n in range(n + 1, count + 1):
+            u = u_cycle if u is None else u_cycle @ u
+        yield u
 
 
 def prepared_state(cache: PropagatorCache, t_p: float) -> np.ndarray:
@@ -386,15 +400,6 @@ def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int
         )
 
 
-def _distinct_events(block, taus, t_p: float) -> int:
-    """Entries of the PropagatorCache after compiling the preparation and
-    ``compile_blocks(block, taus)``: one per distinct event."""
-    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
-        taus = (block.cycle_time,)  # one compiled cycle serves every tau
-    blocks = (block.events_for(tau) for tau in taus if block is not None)
-    return len(set(jb_prepare(t_p)).union(*blocks))
-
-
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
              n_molecules: int = 1, memory_budget_bytes: int | None = None) -> SignalGrid:
@@ -416,12 +421,14 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
             MEMORY_BUDGET_BYTES.
     """
     n_tau = len(grid.taus)
-    # signal grid and order sums, the propagator cache, compiled blocks and
-    # weight slabs, one copy of a row block of the slabs plus a few shared
-    # 2^N x 2^N arrays, and the phases with two GEMM outputs over all slabs
-    matrices = _distinct_events(block, grid.taus, grid.t_p) + 3 * n_tau + 6
-    check_grid_memory(grid, reg.dim, matrices=matrices,
-                      t_rows=n_tau * (2 * reg.n_spins + 1) + reg.dim * (2 + 2 * n_tau),
+    # the propagator cache holds one matrix per distinct event (equal events
+    # share a key) of the preparation and of what compile_blocks compiles
+    cached = len(set(jb_prepare(grid.t_p)).union(*_block_plan(block, grid.taus)[1]))
+    # signal grid and order sums, the cache, the weight slabs, the block being
+    # compiled and one slab's temporaries with the shared 2^N x 2^N arrays, and
+    # the phases with one slab's GEMM output and product
+    check_grid_memory(grid, reg.dim, matrices=cached + n_tau + 9,
+                      t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
                       budget=memory_budget_bytes)
     if acquisition is None:
         acquisition = default_acquisition(eig, reg, grid.t_p)

@@ -177,10 +177,10 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
     uniform ts (G None means 1; G^R takes one tau).  ``weights`` is (dim, dim),
     the same for every tau, or (n_tau, dim, dim).
 
-    Without G factors E = p_b conj(p_a) factorises (``free_phases``): one GEMM
-    per total-m row block over all tau slabs side by side, in O(n_t n_tau 2^N)
-    working memory plus a copy of the block's weight rows.  With G^T or G^R,
-    the nonzero pairs, sorted stably by order, are cut into chunks of at most
+    Without G factors E = p_b conj(p_a) factorises (``free_phases``): for each
+    slab, one GEMM per total-m row block, in O(n_t 2^N) working memory plus a
+    copy of the block's rows of that slab.  With G^T or G^R, the nonzero
+    pairs, sorted stably by order, are cut into chunks of at most
     PAIR_CHUNK_BYTES of E and added into c in order, one GEMM per chunk.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
@@ -193,16 +193,17 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
     w = weights.reshape(-1, eig.dim, eig.dim)  # one slab for all taus, or one per tau
     c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
     if g_reversible is None and g_irreversible is None:
-        # rows A of one m value: Q = conj(P[:, A]) @ W[:, A, :] with the slabs side
-        # by side; Q * P summed over the columns of each m value is that m pair's part
+        # rows A of one m value: Q = conj(P[:, A]) W[A, :]; Q * P summed over the
+        # columns of each m value is that m pair's part, added into c[k::len(w)]
+        # (every tau for a shared slab)
         p, m_values = free_phases(eig, ts), np.unique(eig.m)
         member = (eig.m[:, None] == m_values[None, :]).astype(complex)
         for m_a in m_values:
             idx = np.flatnonzero(eig.m == m_a)
-            q = p[:, idx].conj() @ w.transpose(1, 0, 2)[idx].reshape(idx.size, -1)
-            part = (q.reshape(ts.size, len(w), -1) * p[:, None, :]).reshape(-1, eig.dim) @ member
-            c[:, np.rint(m_values - m_a).astype(int) + n_spins] += (
-                part.reshape(ts.size, len(w), -1).transpose(1, 2, 0))
+            cols = np.rint(m_values - m_a).astype(int) + n_spins
+            p_a = p[:, idx].conj()
+            for k, slab in enumerate(w):
+                c[k::len(w), cols] += (((p_a @ slab[idx]) * p) @ member).T
         return c
     w, nu = w.reshape(len(w), -1), -eig.coherence_orders().ravel()
     keep = np.flatnonzero(np.any(w, axis=0))

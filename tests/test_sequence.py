@@ -145,7 +145,7 @@ def test_compile_blocks_mrev8_cycle_power_matches_full_chain():
     cache = PropagatorCache(eig, reg)
     block = Mrev8Spec(tau1=5e-6)
     counts = (3, 0, 1, 4, 2)  # unsorted on purpose
-    blocks = compile_blocks(block, [n * block.cycle_time for n in counts], cache)
+    blocks = list(compile_blocks(block, [n * block.cycle_time for n in counts], cache))
     assert blocks[1] is None
     for n, u in zip(counts, blocks):
         if n:
@@ -158,7 +158,7 @@ def test_compile_blocks_mrev8_cycle_power_matches_full_chain():
                        (MagicSandwichSpec(), 1.5e-4)):
         (u,) = compile_blocks(other, [tau], cache)
         np.testing.assert_array_equal(u, compile_program(other.events_for(tau), cache))
-    assert compile_blocks(None, [0.0, 1e-4], cache) == [None, None]
+    assert list(compile_blocks(None, [0.0, 1e-4], cache)) == [None, None]
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -276,8 +276,9 @@ def test_run_grid_memory_budget():
 def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
     # a magic sandwich or a stretched MREV-8 cycle adds about two free-evolution
     # propagators per tau to the cache, so with many taus the cache outgrows
-    # the compiled blocks; a budget below the traced peak must be refused
-    _, _, reg, eig = make_system(n=5, seed=3)
+    # the weight slabs; a budget below the traced peak must be refused, and one
+    # 5% above it accepted (N = 7, where the 2^N x 2^N arrays dominate)
+    _, _, reg, eig = make_system(n=7, seed=3)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
                           taus=tuple(k * 60e-6 for k in range(60)))
@@ -290,8 +291,33 @@ def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
     with pytest.raises(GridSizeError):
         run_grid(eig, reg, grid, block=block, acquisition=acq)
-    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 3 * peak)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
     run_grid(eig, reg, grid, block=block, acquisition=acq)
+
+
+class _GatePassed(Exception):
+    pass
+
+
+def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
+    # N = 10 (16 MiB per 2^N x 2^N array) and 60 MREV-8 "concatenate" taus:
+    # about 1.3 GB of slabs, cache and temporaries, inside the 2 GiB default;
+    # at 120 taus the slabs alone take 2 GB and the cache and temporaries
+    # another 0.3 GB.  An accepted run stops at the acquisition scan that
+    # follows the gate
+    def stop(*args, **kwargs):
+        raise _GatePassed
+
+    monkeypatch.setattr(sequence, "default_acquisition", stop)
+    block = Mrev8Spec(tau1=5e-6)
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22,
+                          taus=block.tau_schedule(60))
+    with pytest.raises(_GatePassed):
+        run_grid(None, SpinRegister(10), grid, block=block)
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22,
+                          taus=block.tau_schedule(120))
+    with pytest.raises(GridSizeError):
+        run_grid(None, SpinRegister(10), grid, block=block)
 
 
 def test_default_acquisition():
