@@ -8,8 +8,7 @@ from .hamiltonian import (EigenSystem, SpinSystem, dipolar_frequency, eigendecom
 from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, TabulatedOMDF,
                          evolve_open, g_irreversible, g_reversible, prepare_reduced_state,
                          run_grid_open, synthesize_spectrum)
-from .operators import (OperatorMatrix, SpinRegister, coherence_order_decompose,
-                        collective_angular_momentum, rotation, t20_pair)
+from .operators import SpinRegister, collective_angular_momentum, rotation, t20_pair
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        jb_prepare, magic_sandwich, mrev8_block, run_grid, verify_reversion)
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectral_assembly
@@ -17,8 +16,7 @@ from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectral_ass
 __all__ = [
     "AcquisitionSpec", "CoherenceSpectrum", "DecayCurve", "DecoherenceParams",
     "EigenSystem", "ExperimentGrid", "FitResult", "GaussianOMDF", "MagicSandwichSpec",
-    "Mrev8Spec", "OperatorMatrix", "ReducedState", "SignalGrid", "SpinRegister",
-    "SpinSystem", "TabulatedOMDF", "coherence_order_decompose",
+    "Mrev8Spec", "ReducedState", "SignalGrid", "SpinRegister", "SpinSystem", "TabulatedOMDF",
     "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
     "eigendecompose", "evolve_open", "fft2_coherence", "fit_decay", "frequency_cuts",
     "g_irreversible", "g_reversible", "jb_prepare", "magic_sandwich", "mrev8_block",

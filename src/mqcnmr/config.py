@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .hamiltonian import GAMMA_PROTON, SpinSystem
+from .errors import ConfigError, MqcnmrError
+from .hamiltonian import GAMMA_PROTON, SpinSystem, coupling_table
 from .opensystem import DecoherenceParams, GaussianOMDF, TabulatedOMDF
 from .sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec
 
@@ -82,8 +82,8 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
             raise ConfigError(f"{context}: positions contain placeholders; fill them from "
                               "literature before running")
         positions = np.asarray(pos, dtype=float) * ANGSTROM
-        return SpinSystem(n_sites=positions.shape[0], positions=positions,
-                          order_parameter=s_zz, gamma=gamma, name=name)
+        return _spin_system(context, n_sites=positions.shape[0], positions=positions,
+                            order_parameter=s_zz, gamma=gamma, name=name)
     rows = doc["couplings_hz"]
     if not rows:
         raise ConfigError(f"{context}: empty coupling list")
@@ -98,8 +98,22 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
         if j == k or not (0 <= j < n_sites and 0 <= k < n_sites):
             raise ConfigError(f"{context}: bad coupling pair ({j}, {k}) for {n_sites} sites")
         table[j, k] = table[k, j] = float(w)
-    return SpinSystem(n_sites=n_sites, couplings_hz=table,
-                      order_parameter=s_zz, gamma=gamma, name=name)
+    return _spin_system(context, n_sites=n_sites, couplings_hz=table,
+                        order_parameter=s_zz, gamma=gamma, name=name)
+
+
+def _spin_system(context: str, **fields) -> SpinSystem:
+    """SpinSystem(**fields); what a run would meet only later (S_zz outside
+    [-0.5, 1], over 10 sites, coincident sites) is a ConfigError now."""
+    if fields["n_sites"] < 2:
+        raise ConfigError(f"{context}: need at least two sites for a dipolar Hamiltonian")
+    try:
+        sys_ = SpinSystem(**fields)
+        sys_.register()
+        coupling_table(sys_)
+    except MqcnmrError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+    return sys_
 
 
 def load_molecule(path) -> SpinSystem:

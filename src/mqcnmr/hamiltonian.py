@@ -20,7 +20,7 @@ import numpy as np
 from scipy import constants
 
 from .errors import DegenerateGeometryError, MqcnmrError, NotSecularError, TrivialSystemError
-from .operators import T20_UNIT, OperatorMatrix, SpinRegister, t20_bits
+from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 
@@ -102,8 +102,8 @@ def coupling_table(sys: SpinSystem) -> np.ndarray:
     return table
 
 
-def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> OperatorMatrix:
-    """Secular dipolar Hamiltonian of the molecule, in rad/s.
+def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> np.ndarray:
+    """Secular dipolar Hamiltonian of the molecule, in rad/s, read-only.
 
     The Hz -> rad/s conversion (factor 2*pi) is applied here and nowhere
     else.  The result is traceless and commutes with total I_z.  Each pair
@@ -124,7 +124,7 @@ def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> Ope
         h.flat[::reg.dim + 1] += coef * diag
         h[rows, cols] = coef * -T20_UNIT
     h *= sys.order_parameter
-    return OperatorMatrix(h, kind="hermitian")
+    return checked_hermitian(h)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class EigenSystem:
         return np.rint(self.m[:, None] - self.m[None, :]).astype(int)
 
 
-def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
+def eigendecompose(h: np.ndarray, reg: SpinRegister,
                    order_parameter: float = 1.0) -> EigenSystem:
     """Diagonalize H simultaneously with total I_z.
 
@@ -169,7 +169,7 @@ def eigendecompose(h: OperatorMatrix, reg: SpinRegister,
     are sorted ascending and degeneracies grouped with relative tolerance
     1e-9 * ||H||, taken as the largest |eigenvalue| of the m blocks.
     """
-    hm = h.entries if isinstance(h, OperatorMatrix) else np.asarray(h, dtype=complex)
+    hm = np.asarray(h, dtype=complex)
     m_basis = reg.m_values()
     dim = reg.dim
     zeta = np.zeros(dim)

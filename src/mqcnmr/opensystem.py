@@ -30,10 +30,10 @@ import numpy as np
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister
-from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory,
-                       default_acquisition, phase_encode, prepared_state)
-from .spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, pair_chunk_rows,
-                      pair_order_sums, spectral_assembly)
+from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory, kernel_inputs,
+                       phase_encode, prepared_setup)
+from .spectra import (CoherenceSpectrum, SignalGrid, pair_chunk_rows, pair_order_sums,
+                      spectral_assembly)
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phase factors.
 QUADRATURE_BLOCK_BYTES = 4 << 20
@@ -178,7 +178,7 @@ class ReducedState:
 
 def prepare_reduced_state(eig: EigenSystem, reg: SpinRegister, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    return ReducedState(prepared_state(PropagatorCache(eig, reg), t_p), eig)
+    return ReducedState(prepared_setup(PropagatorCache(eig, reg), t_p).state, eig)
 
 
 def evolve_open(state: ReducedState, t: float, tau: float,
@@ -205,7 +205,7 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     The reversion block is ideal by assumption, so tau enters only through
     G^R; the waiting time t carries the eigenbasis phases and G^T, both
     applied by ``spectra.pair_order_sums`` to one weight slab shared by
-    every tau.
+    every tau.  The prepared state is checked as a ``ReducedState``.
     """
     # signal grid and order sums, the 2^N x 2^N state, detection and pair
     # arrays, one chunk of E with its temporaries, weights and partial sums,
@@ -215,14 +215,13 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     check_grid_memory(grid, reg.dim, matrices=12,
                       t_rows=n_tau * (2 * reg.n_spins + 2) + 4 * rows,
                       workspace=n_tau * rows + 4 * QUADRATURE_BLOCK_BYTES // 16)
-    if acquisition is None:
-        acquisition = default_acquisition(eig, reg, grid.t_p)
-    state = prepare_reduced_state(eig, reg, grid.t_p)
-    det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
+    cache = PropagatorCache(eig, reg)
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(cache, grid.t_p), acquisition)
+    state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
                            partial(g_reversible, params=params),
                            partial(g_irreversible, params=params))
-    return phase_encode(sums, grid, acquisition, n_molecules)
+    return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())
 
 
 def synthesize_spectrum(state: ReducedState, reg: SpinRegister, order: int,

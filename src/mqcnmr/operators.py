@@ -1,9 +1,8 @@
 """Spin-1/2 operator algebra on N-spin product spaces.
 
-Builds collective angular-momentum operators, rotation pulses, secular
-rank-2 pair tensors and the coherence-order (Delta m) decomposition used
-throughout the simulator.  All matrices are dense complex arrays on the
-2^N-dimensional product space.
+Builds collective angular-momentum operators, rotation pulses and secular
+rank-2 pair tensors used throughout the simulator.  All matrices are dense,
+read-only complex arrays on the 2^N-dimensional product space.
 
 Conventions:
     - Rotation operators are defined as ``R_alpha(theta) = exp(+i I_alpha theta)``
@@ -17,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,48 +67,36 @@ def _m_values(n_spins: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A dense complex matrix with a role tag and tag-specific invariants.
-
-    kind = "hermitian" requires A == A^dagger entrywise (atol 1e-12);
-    kind = "unitary" requires U U^dagger == 1 (max-norm 1e-10);
-    kind = "general" is unconstrained.
-    """
-
-    entries: np.ndarray
-    kind: str = "general"
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MqcnmrError(f"operator must be a square matrix, got shape {a.shape}")
-        if self.kind not in ("hermitian", "unitary", "general"):
-            raise MqcnmrError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "hermitian":
-            herm_err = np.max(np.abs(a - a.conj().T))
-            if herm_err > HERMITIAN_ATOL:
-                raise MqcnmrError(f"hermitian operator fails A == A^dagger by {herm_err:.3e}")
-        if self.kind == "unitary":
-            uni_err = np.max(np.abs(a @ a.conj().T - np.eye(a.shape[0])))
-            if uni_err > UNITARY_ATOL:
-                raise MqcnmrError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "dim", a.shape[0])
+def checked_hermitian(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only complex array, once it passes A == A^dagger
+    entrywise within HERMITIAN_ATOL (MqcnmrError otherwise)."""
+    a = np.asarray(a, dtype=complex)
+    herm_err = np.max(np.abs(a - a.conj().T))
+    if herm_err > HERMITIAN_ATOL:
+        raise MqcnmrError(f"hermitian operator fails A == A^dagger by {herm_err:.3e}")
+    a.flags.writeable = False
+    return a
 
 
-def collective_angular_momentum(reg: SpinRegister, axis: str) -> OperatorMatrix:
-    """Total angular-momentum component I_axis = sum over sites.
+def checked_unitary(u: np.ndarray) -> np.ndarray:
+    """``u`` once it passes U U^dagger == 1 in the max norm within UNITARY_ATOL
+    (MqcnmrError otherwise); ``rotation`` runs it on its 2x2 factor."""
+    uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    if uni_err > UNITARY_ATOL:
+        raise MqcnmrError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
+    return u
+
+
+def collective_angular_momentum(reg: SpinRegister, axis: str) -> np.ndarray:
+    """Total angular-momentum component I_axis = sum over sites, read-only.
 
     The z component is diagonal with the per-state total m values.  The x
     and y components couple only basis states that differ in one bit, so
     they are filled in directly from bit flips of the basis index.  Always
-    traceless and hermitian.
+    traceless and hermitian (checked).
     """
     if axis == "z":
-        return OperatorMatrix(np.diag(reg.m_values().astype(complex)), kind="hermitian")
+        return checked_hermitian(np.diag(reg.m_values().astype(complex)))
     if axis not in ("x", "y"):
         raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
     idx = np.arange(reg.dim)
@@ -121,15 +108,17 @@ def collective_angular_momentum(reg: SpinRegister, axis: str) -> OperatorMatrix:
         else:
             # <up| I_y |down> = -i/2; bit value 1 is spin down
             mat[idx ^ mask, idx] = np.where(idx & mask, -0.5j, 0.5j)
-    return OperatorMatrix(mat, kind="hermitian")
+    return checked_hermitian(mat)
 
 
-def rotation(reg: SpinRegister, theta: float, axis="x") -> OperatorMatrix:
-    """Collective rotation ``R(theta) = exp(+i I_chi theta)``.
+def rotation(reg: SpinRegister, theta: float, axis="x") -> np.ndarray:
+    """Collective rotation ``R(theta) = exp(+i I_chi theta)``, read-only.
 
     The generator is a sum of commuting single-spin terms, so the rotation
     is the N-fold Kronecker power of the single-spin rotation
-    ``cos(theta/2) 1 + i sin(theta/2) (cos(chi) sigma_x + sin(chi) sigma_y)``.
+    ``cos(theta/2) 1 + i sin(theta/2) (cos(chi) sigma_x + sin(chi) sigma_y)``
+    (``diag(exp(i theta/2), exp(-i theta/2))`` about z).  That 2x2 factor is
+    checked to be unitary, which makes its Kronecker power unitary too.
 
     Args:
         theta: rotation angle in radians (must be finite).
@@ -140,21 +129,17 @@ def rotation(reg: SpinRegister, theta: float, axis="x") -> OperatorMatrix:
     if not np.isfinite(theta):
         raise MqcnmrError(f"rotation angle must be finite, got {theta!r}")
     if axis == "z":
-        phases = np.exp(1j * theta * reg.m_values())
-        return OperatorMatrix(np.diag(phases), kind="unitary")
-    if axis == "x":
-        chi = 0.0
-    elif axis == "y":
-        chi = np.pi / 2
+        one = np.diag(np.exp([0.5j * theta, -0.5j * theta]))
     else:
-        chi = float(axis)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    one = np.array([[c, 1j * s * np.exp(-1j * chi)],
-                    [1j * s * np.exp(1j * chi), c]])
-    mat = one
+        chi = 0.0 if axis == "x" else np.pi / 2 if axis == "y" else float(axis)
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        one = np.array([[c, 1j * s * np.exp(-1j * chi)],
+                        [1j * s * np.exp(1j * chi), c]])
+    mat = checked_unitary(one)
     for _ in range(reg.n_spins - 1):
         mat = np.kron(mat, one)
-    return OperatorMatrix(mat, kind="unitary")
+    mat.flags.writeable = False
+    return mat
 
 
 def t20_bits(n_spins: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -168,8 +153,8 @@ def t20_bits(n_spins: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.n
     return T20_UNIT * (1.0 - 2.0 * differ), cols ^ ((1 << bj) | (1 << bk)), cols
 
 
-def t20_pair(reg: SpinRegister, j: int, k: int) -> OperatorMatrix:
-    """Secular rank-2 pair tensor for sites (j, k).
+def t20_pair(reg: SpinRegister, j: int, k: int) -> np.ndarray:
+    """Secular rank-2 pair tensor for sites (j, k), read-only.
 
     ``T20 = (1/sqrt(6)) [2 I_zj I_zk - (1/2)(I_+j I_-k + I_-j I_+k)]``;
     traceless, hermitian and commuting with total I_z; built by ``t20_bits``.
@@ -182,35 +167,5 @@ def t20_pair(reg: SpinRegister, j: int, k: int) -> OperatorMatrix:
     diag, rows, cols = t20_bits(reg.n_spins, j, k)
     mat = np.diag(diag).astype(complex)
     mat[rows, cols] = -T20_UNIT
-    return OperatorMatrix(mat, kind="hermitian")
-
-
-def coherence_orders(reg: SpinRegister) -> np.ndarray:
-    """Integer coherence order m_r - m_c of every matrix element (r, c)."""
-    m = reg.m_values()
-    return np.rint(m[:, None] - m[None, :]).astype(int)
-
-
-def coherence_order_decompose(op: OperatorMatrix | np.ndarray,
-                              reg: SpinRegister) -> dict[int, np.ndarray]:
-    """Split an operator into coherence-order components.
-
-    The order-nu component C satisfies
-    ``R_z(phi) C R_z(-phi) = exp(i nu phi) C`` for all phi, and the
-    components sum exactly back to the input.
-
-    Returns:
-        dict mapping nu to the masked component matrix (only orders with a
-        nonzero component are present).
-    """
-    a = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    if a.shape != (reg.dim, reg.dim):
-        raise MqcnmrError(f"operator shape {a.shape} does not match register dim {reg.dim}")
-    orders = coherence_orders(reg)
-    out = {}
-    for nu in range(-reg.n_spins, reg.n_spins + 1):
-        comp = np.where(orders == nu, a, 0.0)
-        if np.any(comp):
-            out[nu] = comp
-    return out
+    return checked_hermitian(mat)
 

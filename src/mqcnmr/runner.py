@@ -3,8 +3,8 @@
 Every stage writes its outputs atomically (temp file + rename) and records
 them in a manifest with content hashes, so reruns can be diffed and no
 orphan files appear.  Identical configurations produce bit-identical
-signal and spectrum files regardless of worker count; only manifest
-timings differ.  The environment variable ``MQCNMR_CACHE_DIR`` names an
+signal and spectrum files across repeated runs; only manifest timings
+differ.  The environment variable ``MQCNMR_CACHE_DIR`` names an
 optional directory for cached eigendecompositions.
 """
 

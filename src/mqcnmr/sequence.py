@@ -25,7 +25,8 @@ from scipy.linalg import logm
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister, collective_angular_momentum, rotation
-from .spectra import SignalGrid, detection_matrix, free_phases, pair_order_sums
+from .spectra import (RunSetup, SignalGrid, detection_matrix, free_phases, pair_order_sums,
+                      run_setup)
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ class PropagatorCache:
         u = self._store.get(key)
         if u is None:
             self.misses += 1
-            u = rotation(self.reg, angle, axis_phase).entries
+            u = rotation(self.reg, angle, axis_phase)
             self._store[key] = u
         else:
             self.hits += 1
@@ -280,25 +281,19 @@ def verify_reversion(events, cache: PropagatorCache) -> ReversionReport:
     return ReversionReport(residual=residual, effective_hamiltonian=h_eff, duration=tau)
 
 
-def default_acquisition(eig: EigenSystem, reg: SpinRegister, t_p: float,
-                        dwell: float = 1e-6, n_scan: int = 256) -> AcquisitionSpec:
+def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
+                        n_scan: int = 256) -> AcquisitionSpec:
     """Acquisition defaults: t_m at the first magnitude maximum of the tau=0,
-    phi=0 signal, window two dwell steps wide.
+    phi=0 signal of the run ``setup``, window two dwell steps wide.
 
     The scan runs in the H eigenbasis: with p = exp(-i S_zz zeta t) the
     signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b with
-    M = I_+ (elementwise) rho^T, one GEMM over (scan time, eigenstate).
+    M = I_+ (elementwise) rho^T, rho the state after the read pulse, one
+    GEMM over (scan time, eigenstate).
     """
-    cache = PropagatorCache(eig, reg)
-    prep = compile_program(jb_prepare(t_p), cache)
-    v = eig.vectors
-    u = v.conj().T @ cache.pulse(np.pi / 4, np.pi / 2) @ prep
-    iz = collective_angular_momentum(reg, "z").entries
-    rho_e = u @ iz @ u.conj().T
-    ip = (collective_angular_momentum(reg, "x").entries
-          + 1j * collective_angular_momentum(reg, "y").entries)
-    weights = (v.conj().T @ ip @ v) * rho_e.T
-    p = free_phases(eig, dwell * np.arange(n_scan))
+    r = setup.read_pulse
+    weights = setup.i_plus * (r @ setup.state @ r.conj().T).T
+    p = free_phases(setup.eig, dwell * np.arange(n_scan))
     mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
     idx = 0
     for i in range(1, n_scan - 1):
@@ -346,13 +341,22 @@ def _cycle_powers(u_cycle: np.ndarray, counts):
         yield u
 
 
-def prepared_state(cache: PropagatorCache, t_p: float) -> np.ndarray:
-    """The state I_z after the JB preparation ``jb_prepare(t_p)``, in the H
-    eigenbasis; the preparation is compiled through ``cache``."""
+def prepared_setup(cache: PropagatorCache, t_p: float) -> RunSetup:
+    """The operators a run holds fixed, built once after its memory gate: the
+    state I_z after the JB preparation ``jb_prepare(t_p)`` and the read pulse
+    R_y(pi/4), both compiled through ``cache``."""
     prep = compile_program(jb_prepare(t_p), cache)
-    iz = collective_angular_momentum(cache.reg, "z").entries
-    rho = prep @ iz @ prep.conj().T
-    return cache.eig.vectors.conj().T @ rho @ cache.eig.vectors
+    rho = prep @ collective_angular_momentum(cache.reg, "z") @ prep.conj().T
+    v = cache.eig.vectors
+    return run_setup(cache.eig, cache.reg, v.conj().T @ rho @ v, cache.pulse(np.pi / 4, np.pi / 2))
+
+
+def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
+    """(acquisition, prepared state, detection matrix) of a run: the
+    ``default_acquisition`` of ``setup`` when ``acquisition`` is None."""
+    if acquisition is None:
+        acquisition = default_acquisition(setup)
+    return acquisition, setup.state, detection_matrix(setup, acquisition.t_m, acquisition.window)
 
 
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
@@ -430,12 +434,8 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     check_grid_memory(grid, reg.dim, matrices=cached + n_tau + 9,
                       t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
                       budget=memory_budget_bytes)
-    if acquisition is None:
-        acquisition = default_acquisition(eig, reg, grid.t_p)
-
     cache = PropagatorCache(eig, reg)
-    a_eig = prepared_state(cache, grid.t_p)
-    det = detection_matrix(eig, reg, acquisition.t_m, acquisition.window)
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(cache, grid.t_p), acquisition)
     weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)
     for k, u_d in enumerate(compile_blocks(block, grid.taus, cache)):
         weights[k] = _tau_slab(eig, a_eig, det, u_d)

@@ -124,22 +124,44 @@ def fft2_coherence(grid: SignalGrid, apodization: np.ndarray | None = None,
                              meta={**grid.metadata(), "zero_pad": int(zero_pad)})
 
 
-def detection_matrix(eig: EigenSystem, reg: SpinRegister,
-                     t_m: float, window: float) -> np.ndarray:
+@dataclass(frozen=True)
+class RunSetup:
+    """The operators one run holds fixed, in the H eigenbasis V, as read-only
+    views: the prepared state, the read pulse R_y(pi/4) and the detected
+    operator I_+ = I_x + i I_y (each X as V^dagger X V)."""
+
+    eig: EigenSystem
+    state: np.ndarray
+    read_pulse: np.ndarray
+    i_plus: np.ndarray
+
+    def __post_init__(self):
+        for name in ("state", "read_pulse", "i_plus"):
+            view = np.asarray(getattr(self, name), dtype=complex).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+
+def run_setup(eig: EigenSystem, reg: SpinRegister, state_eig: np.ndarray,
+              read_pulse: np.ndarray) -> RunSetup:
+    """The RunSetup of the prepared state ``state_eig`` (eigenbasis) and the
+    read pulse ``read_pulse`` (product basis); I_+ is built here, once."""
+    v = eig.vectors
+    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
+    return RunSetup(eig, state_eig, v.conj().T @ read_pulse @ v, v.conj().T @ i_plus @ v)
+
+
+def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
     """Window-averaged detection weights in the H eigenbasis.
 
     Element (a, b) is the acquisition-averaged trace weight multiplying
     density element (b, a) in the complex transverse signal, with the read
-    pulse R_y(pi/4) folded in.  The window average is analytic (sinc).
+    pulse of ``setup`` folded in.  The window average is analytic (sinc).
     """
-    v = eig.vectors
-    ix = collective_angular_momentum(reg, "x").entries
-    iy = collective_angular_momentum(reg, "y").entries
-    ip_e = v.conj().T @ (ix + 1j * iy) @ v
+    eig, ry_e = setup.eig, setup.read_pulse
     omega = eig.order_parameter * eig.gaps()
     win = np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
-    ry_e = v.conj().T @ rotation(reg, np.pi / 4, "y").entries @ v
-    return ry_e.conj().T @ (ip_e * win) @ ry_e
+    return ry_e.conj().T @ (setup.i_plus * win) @ ry_e
 
 
 # Byte budget of one chunk of the pair kernel's (pairs x n_t) time series E.
@@ -244,8 +266,9 @@ def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister
     """
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray([0.0] if taus is None else taus, dtype=float)
-    det = detection_matrix(eig, reg, t_m, window)
-    sums = pair_order_sums(det * state_eig.T, eig, reg.n_spins, ts, taus,
+    setup = run_setup(eig, reg, state_eig, rotation(reg, np.pi / 4, "y"))
+    det = detection_matrix(setup, t_m, window)
+    sums = pair_order_sums(det * setup.state.T, eig, reg.n_spins, ts, taus,
                            g_reversible, g_irreversible)
     data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
     freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))

@@ -120,6 +120,22 @@ def eigen_labels_svd(h, m_basis, order_parameter=1.0):
     return zeta, s
 
 
+def coherence_orders(reg):
+    """Integer coherence order m_r - m_c of every matrix element (r, c)."""
+    m = coll(reg.n_spins, "z").diagonal().real
+    return np.rint(m[:, None] - m[None, :]).astype(int)
+
+
+def coherence_order_decompose(op, reg):
+    """The coherence-order components of ``op``: {nu: op masked to the elements
+    of order nu}, for the orders with a nonzero component.  The order-nu
+    component C satisfies R_z(phi) C R_z(-phi) = exp(i nu phi) C, and the
+    components sum exactly back to ``op``."""
+    a, orders = np.asarray(op, dtype=complex), coherence_orders(reg)
+    comps = {nu: np.where(orders == nu, a, 0.0) for nu in range(-reg.n_spins, reg.n_spins + 1)}
+    return {nu: comp for nu, comp in comps.items() if np.any(comp)}
+
+
 def single_spin(reg, site, axis):
     """I_{axis, site} embedded on the full product space (Kronecker product);
     a site or axis out of range raises the package's MqcnmrError."""
@@ -133,7 +149,7 @@ def single_spin(reg, site, axis):
 
 def dump_operator(op):
     """Row-major text dump ("re+imj" per entry) for cross-implementation diffs."""
-    a = np.asarray(getattr(op, "entries", op), dtype=complex)
+    a = np.asarray(op, dtype=complex)
     return "".join(" ".join(f"{z.real:+.16e}{z.imag:+.16e}j" for z in row) + "\n" for row in a)
 
 

@@ -69,6 +69,21 @@ def test_configuration_errors_exit_2(tmp_path):
     assert main(["simulate", str(write_config(tmp_path, doc))]) == 2
 
 
+@pytest.mark.parametrize("molecule", [
+    {"order_parameter": 1.5, "couplings_hz": [[0, 1, 5000.0]]},
+    {"order_parameter": 0.6, "couplings_hz": [[j, j + 1, 3000.0] for j in range(10)]},
+    {"order_parameter": 0.6,
+     "positions_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]},
+    {"order_parameter": 0.6, "positions_angstrom": [[0.0, 0.0, 0.0]]},
+], ids=["order_parameter_above_1", "eleven_sites", "coincident_positions", "one_site"])
+def test_invalid_molecule_exits_2_before_any_output(tmp_path, capsys, molecule):
+    cfg_path = write_config(tmp_path, tiny_doc(molecule=molecule))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_gate_exit_3(tmp_path):
     doc = tiny_doc()
     # a single pair is refocused exactly; three coupled spins leave a
@@ -236,6 +251,15 @@ def test_cli_preset_simulate(tmp_path):
                  "--output", str(tmp_path / "preset_run")]) == 0
     sig = np.load(tmp_path / "preset_run" / "signals.npy")
     assert sig.shape == (8, 64, 4)
+
+
+def test_open_preset_manifest_reports_cache_stats(tmp_path):
+    out = tmp_path / "open"
+    assert main(["simulate", "--preset", "open_demo", "--output", str(out)]) == 0
+    stats = json.loads((out / "manifest_simulate.json").read_text())["cache_stats"]
+    # the three events of the JB preparation, then the read pulse (pi/4)_y,
+    # which the preparation already compiled
+    assert stats == {"hits": 1, "misses": 3, "entries": 3}
 
 
 def test_preset_spectra_meta_lists_every_coherence_order(tmp_path):

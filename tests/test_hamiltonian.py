@@ -74,7 +74,7 @@ def test_secular_hamiltonian_two_spin_spectrum():
     w_d, s_zz = 5000.0, 0.6
     table = np.array([[0.0, w_d], [w_d, 0.0]])
     sys2 = SpinSystem(n_sites=2, couplings_hz=table, order_parameter=s_zz)
-    h = secular_hamiltonian(sys2).entries
+    h = secular_hamiltonian(sys2)
     w = np.sort(np.linalg.eigvalsh(h))
     expected = np.sort(s_zz * 2 * np.pi * w_d * np.array([1 / 6, 1 / 6, 0.0, -1 / 3]))
     np.testing.assert_allclose(w, expected, atol=1e-9)
@@ -89,7 +89,7 @@ def test_secular_hamiltonian_matches_reference():
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys3 = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=0.7)
-    np.testing.assert_allclose(secular_hamiltonian(sys3).entries,
+    np.testing.assert_allclose(secular_hamiltonian(sys3),
                                ref.ham_ref(table, 0.7), atol=1e-9)
     with pytest.raises(TrivialSystemError):
         secular_hamiltonian(SpinSystem(n_sites=1, couplings_hz=np.zeros((1, 1))))
@@ -115,9 +115,9 @@ def test_eigendecompose_blocks_and_reconstruction():
     v = eig.vectors
     np.testing.assert_allclose(v @ v.conj().T, np.eye(reg.dim), atol=1e-12)
     np.testing.assert_allclose((v * (eig.order_parameter * eig.zeta)) @ v.conj().T,
-                               h.entries, atol=1e-9)
+                               h, atol=1e-9)
     # every eigenvector has definite m
-    iz = collective_angular_momentum(reg, "z").entries
+    iz = collective_angular_momentum(reg, "z")
     np.testing.assert_allclose(iz @ v, v * eig.m, atol=1e-12)
 
 
@@ -156,10 +156,10 @@ def test_secular_check_threshold():
     # [H, I_z] of H + eps I_x has entries of size eps / 2; the tolerance is
     # SECULAR_ATOL * ||H||_2, about 3e-5 here
     table, _, reg, h, _ = _example_eig()
-    ix = collective_angular_momentum(reg, "x").entries
-    eigendecompose(h.entries + 1e-5 * ix, reg)
+    ix = collective_angular_momentum(reg, "x")
+    eigendecompose(h + 1e-5 * ix, reg)
     with pytest.raises(NotSecularError):
-        eigendecompose(h.entries + 1e-3 * ix, reg)
+        eigendecompose(h + 1e-3 * ix, reg)
 
 
 SHIPPED_MOLECULES = ("two_spin", "four_spin_test", "eight_spin_test")
@@ -171,15 +171,15 @@ def test_eigen_labels_match_svd_scaled_oracle_on_shipped_molecules(name):
     reg = mol.register()
     h = secular_hamiltonian(mol, reg)
     eig = eigendecompose(h, reg, mol.order_parameter)
-    zeta, s = ref.eigen_labels_svd(h.entries, reg.m_values(), mol.order_parameter)
+    zeta, s = ref.eigen_labels_svd(h, reg.m_values(), mol.order_parameter)
     assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
     # the largest |eigenvalue| is the spectral norm the labels used to be scaled by
-    hnorm = np.linalg.norm(h.entries, 2)
+    hnorm = np.linalg.norm(h, 2)
     assert abs(np.max(np.abs(eig.zeta)) * abs(mol.order_parameter) - hnorm) <= 4e-16 * hnorm
-    ix = collective_angular_momentum(reg, "x").entries
-    eigendecompose(h.entries + 1e-5 * ix, reg, mol.order_parameter)
+    ix = collective_angular_momentum(reg, "x")
+    eigendecompose(h + 1e-5 * ix, reg, mol.order_parameter)
     with pytest.raises(NotSecularError):
-        eigendecompose(h.entries + 1e-3 * ix, reg, mol.order_parameter)
+        eigendecompose(h + 1e-3 * ix, reg, mol.order_parameter)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,7 +195,7 @@ def test_eigen_labels_match_svd_scaled_oracle(n, s_zz, couplings):
     reg = mol.register()
     h = secular_hamiltonian(mol, reg)
     eig = eigendecompose(h, reg, s_zz)
-    zeta, s = ref.eigen_labels_svd(h.entries, reg.m_values(), s_zz)
+    zeta, s = ref.eigen_labels_svd(h, reg.m_values(), s_zz)
     assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
 
 
@@ -208,14 +208,14 @@ def test_secular_hamiltonian_equals_dense_t20_sum(n, s_zz, couplings):
     table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
     table += table.T
     sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
-    assert np.array_equal(secular_hamiltonian(sys_n).entries, ref.secular_sum_ref(table, s_zz))
+    assert np.array_equal(secular_hamiltonian(sys_n), ref.secular_sum_ref(table, s_zz))
 
 
 def test_secular_hamiltonian_geometry_molecule_equals_dense_t20_sum():
     pos = 1e-10 * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.4], [1.7, 0.3, 1.1],
                             [2.2, -1.9, 0.4], [-0.8, 1.3, 3.0]])
     sys5 = SpinSystem(n_sites=5, positions=pos, order_parameter=0.45)
-    assert np.array_equal(secular_hamiltonian(sys5).entries,
+    assert np.array_equal(secular_hamiltonian(sys5),
                           ref.secular_sum_ref(coupling_table(sys5), 0.45))
 
 
@@ -230,11 +230,11 @@ def test_secular_hamiltonian_memory_at_ten_spins():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.entries.nbytes == 16 << 20
+    assert h.nbytes == 16 << 20
     # H and the two H-sized temporaries of its hermiticity check; a dense
     # T20 per pair would add a fourth, the Kronecker build ten
-    assert peak < 3.5 * h.entries.nbytes, f"peak {peak / 2 ** 20:.0f} MiB"
-    assert abs(np.trace(h.entries)) < 1e-6
+    assert peak < 3.5 * h.nbytes, f"peak {peak / 2 ** 20:.0f} MiB"
+    assert abs(np.trace(h)) < 1e-6
 
 
 def test_gaps_and_coherence_orders():
@@ -266,4 +266,4 @@ def test_propagator_matches_expm():
     table, _, _, h, eig = _example_eig(seed=9)
     for t in (1e-5, 8e-5):
         np.testing.assert_allclose(ref.propagator(eig, t),
-                                   expm(-1j * h.entries * t), atol=1e-10)
+                                   expm(-1j * h * t), atol=1e-10)

@@ -17,7 +17,7 @@ from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, g_reversible, prepare_reduced_state,
                                run_grid_open)
-from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, PropagatorCache, prepared_setup
 from mqcnmr.spectra import detection_matrix, pair_order_sums, spectral_assembly
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
@@ -44,10 +44,10 @@ def make_omdf(family, width):
 
 def oracle_grid(eig, reg, grid, params, n_molecules=1):
     """(phi, t, tau) signal from the dense per-(tau, t) order sums."""
-    state = prepare_reduced_state(eig, reg, grid.t_p).matrix
-    det = detection_matrix(eig, reg, ACQ.t_m, ACQ.window)
+    setup = prepared_setup(PropagatorCache(eig, reg), grid.t_p)
+    det = detection_matrix(setup, ACQ.t_m, ACQ.window)
     sums = ref.open_order_sums_loop(
-        det, state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
+        det, setup.state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
         lambda dz, t: g_reversible(dz, t, params),
         lambda dz, tau: g_irreversible(dz, tau, params), reg.n_spins)
     encoder = np.exp(1j * np.outer(grid.phis, np.arange(-reg.n_spins, reg.n_spins + 1)))
@@ -119,8 +119,7 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the memory gate")
 
-    for name in ("default_acquisition", "prepare_reduced_state", "detection_matrix",
-                 "pair_order_sums"):
+    for name in ("PropagatorCache", "prepared_setup", "kernel_inputs", "pair_order_sums"):
         monkeypatch.setattr(opensystem, name, forbidden)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     with pytest.raises(GridSizeError):

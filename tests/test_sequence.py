@@ -13,8 +13,8 @@ from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse, _tau_slab,
                              compile_blocks, compile_program, default_acquisition, jb_prepare,
-                             magic_sandwich, mrev8_block, run_grid, total_duration,
-                             verify_reversion)
+                             magic_sandwich, mrev8_block, prepared_setup, run_grid,
+                             total_duration, verify_reversion)
 from mqcnmr.spectra import pair_order_sums
 
 
@@ -181,7 +181,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
 def test_default_acquisition_matches_dense_scan(n, seed):
     table, _, reg, eig = make_system(n=n, seed=seed)
     for t_p in (0.0, 5e-5):
-        acq = default_acquisition(eig, reg, t_p=t_p)
+        acq = default_acquisition(prepared_setup(PropagatorCache(eig, reg), t_p))
         assert acq.t_m == ref.first_maximum_t_m(table, 0.6, t_p)
 
 
@@ -303,12 +303,12 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
     # N = 10 (16 MiB per 2^N x 2^N array) and 60 MREV-8 "concatenate" taus:
     # about 1.3 GB of slabs, cache and temporaries, inside the 2 GiB default;
     # at 120 taus the slabs alone take 2 GB and the cache and temporaries
-    # another 0.3 GB.  An accepted run stops at the acquisition scan that
+    # another 0.3 GB.  An accepted run stops at the operator setup that
     # follows the gate
     def stop(*args, **kwargs):
         raise _GatePassed
 
-    monkeypatch.setattr(sequence, "default_acquisition", stop)
+    monkeypatch.setattr(sequence, "prepared_setup", stop)
     block = Mrev8Spec(tau1=5e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22,
                           taus=block.tau_schedule(60))
@@ -320,9 +320,38 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
         run_grid(None, SpinRegister(10), grid, block=block)
 
 
+def test_closed_run_builds_each_operator_once(monkeypatch):
+    # MREV-8 "concatenate" with the default acquisition: the preparation's
+    # (pi/2)_x equals the MREV-8 x pulse and its (pi/4)_y the read pulse, so
+    # the run has 5 distinct pulses
+    from mqcnmr import operators, spectra
+    _, _, reg, eig = make_system(n=3, seed=2)
+    block = Mrev8Spec(tau1=5e-6)
+    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=block.tau_schedule(3))
+    calls = {"rotation": [], "collective_angular_momentum": [], "compile_program": []}
+
+    def logged(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (operators, sequence, spectra):
+        for name, log in calls.items():
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
+    run_grid(eig, reg, grid, block=block)
+    pulses = [args[1:] for args in calls["rotation"]]
+    assert len(pulses) == len(set(pulses)) == 5
+    axes = [args[1] for args in calls["collective_angular_momentum"]]
+    assert len(axes) == len(set(axes))
+    assert [tuple(args[0]) for args in calls["compile_program"]].count(
+        jb_prepare(grid.t_p)) == 1
+
+
 def test_default_acquisition():
     _, _, reg, eig = make_system(n=2, seed=1)
-    acq = default_acquisition(eig, reg, t_p=5e-5)
+    acq = default_acquisition(prepared_setup(PropagatorCache(eig, reg), 5e-5))
     assert acq.t_m >= 0.0
     assert acq.window == pytest.approx(2e-6)
 
