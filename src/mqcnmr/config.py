@@ -64,14 +64,24 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(value, key: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``key`` when the value is not
+    a number of that kind."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
 def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
     _check_keys(doc, MOLECULE_KEYS, context)
     name = doc.get("name", "")
-    gamma = float(doc.get("gamma", GAMMA_PROTON))
+    gamma = _number(doc.get("gamma", GAMMA_PROTON), f"{context}.gamma")
     s_zz_raw = _require(doc, "order_parameter", context)
     if s_zz_raw is None:
         raise ConfigError(f"{context}: order_parameter is a placeholder; fill it in")
-    s_zz = float(s_zz_raw)
+    s_zz = _number(s_zz_raw, f"{context}.order_parameter")
     has_pos = "positions_angstrom" in doc
     has_coup = "couplings_hz" in doc
     if has_pos == has_coup:
@@ -91,13 +101,15 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
         if row is None or len(row) != 3 or any(v is None for v in row):
             raise ConfigError(f"{context}: coupling rows must be [site_j, site_k, omega_D_hz] "
                               "with no placeholders; fill them from literature")
-    n_sites = int(doc.get("n_sites", max(max(int(r[0]), int(r[1])) for r in rows) + 1))
+    key = f"{context}.couplings_hz"
+    pairs = [(_number(j, key, int), _number(k, key, int), _number(w, key)) for j, k, w in rows]
+    n_sites = _number(doc.get("n_sites", max(max(j, k) for j, k, _ in pairs) + 1),
+                      f"{context}.n_sites", int)
     table = np.zeros((n_sites, n_sites))
-    for j, k, w in rows:
-        j, k = int(j), int(k)
+    for j, k, w in pairs:
         if j == k or not (0 <= j < n_sites and 0 <= k < n_sites):
             raise ConfigError(f"{context}: bad coupling pair ({j}, {k}) for {n_sites} sites")
-        table[j, k] = table[k, j] = float(w)
+        table[j, k] = table[k, j] = w
     return _spin_system(context, n_sites=n_sites, couplings_hz=table,
                         order_parameter=s_zz, gamma=gamma, name=name)
 
@@ -160,8 +172,8 @@ def _block_from_dict(doc: dict | None):
         raise ConfigError(f"unknown block type {kind!r}")
     _check_keys(doc, BLOCK_KEYS[kind], f"sequence.block (type {kind})")
     if kind == "mrev8":
-        return Mrev8Spec(tau1=float(_require(doc, "tau1", "sequence.block")),
-                         mode=doc.get("mode", "concatenate"))
+        tau1 = _number(_require(doc, "tau1", "sequence.block"), "sequence.block.tau1")
+        return Mrev8Spec(tau1=tau1, mode=doc.get("mode", "concatenate"))
     if kind == "magic_sandwich":
         return MagicSandwichSpec()
     return None
@@ -169,15 +181,16 @@ def _block_from_dict(doc: dict | None):
 
 def _tau_schedule(doc, block) -> tuple:
     if isinstance(doc, list):
-        return tuple(float(v) for v in doc)
+        return tuple(_number(v, "sequence.tau_schedule") for v in doc)
     if isinstance(doc, dict):
         _check_keys(doc, TAU_SCHEDULE_KEYS, "sequence.tau_schedule")
-        count = int(_require(doc, "count", "sequence.tau_schedule"))
+        count = _number(_require(doc, "count", "sequence.tau_schedule"),
+                        "sequence.tau_schedule.count", int)
         if count < 1:
             raise ConfigError("tau schedule must be non-empty")
         if "step" in doc:
-            step = float(doc["step"])
-            start = float(doc.get("start", 0.0))
+            step = _number(doc["step"], "sequence.tau_schedule.step")
+            start = _number(doc.get("start", 0.0), "sequence.tau_schedule.start")
             return tuple(start + n * step for n in range(count))
         if isinstance(block, Mrev8Spec):
             return block.tau_schedule(count)
@@ -188,9 +201,9 @@ def _tau_schedule(doc, block) -> tuple:
 
 def _phi_points(seq: dict) -> int:
     if "n_phi" in seq:
-        return int(seq["n_phi"])
+        return _number(seq["n_phi"], "sequence.grid.n_phi", int)
     if "phi_step_deg" in seq:
-        step = float(seq["phi_step_deg"])
+        step = _number(seq["phi_step_deg"], "sequence.grid.phi_step_deg")
         n = 360.0 / step
         if abs(n - round(n)) > 1e-6 * n:
             raise ConfigError(
@@ -204,7 +217,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     _check_keys(doc, RUN_KEYS, "config")
     # accepted for old run files and validated, but no engine reads it
-    if int(doc.get("workers", 1)) < 1:
+    if _number(doc.get("workers", 1), "workers", int) < 1:
         raise ConfigError("workers must be >= 1")
 
     mol = doc.get("molecule")
@@ -225,9 +238,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     gdoc = _require(seq, "grid", "config")
     _check_keys(gdoc, GRID_KEYS, "sequence.grid")
     grid = ExperimentGrid(
-        t_p=float(_require(seq, "t_p", "sequence")),
-        n_t=int(_require(gdoc, "n_t", "sequence.grid")),
-        dt=float(_require(gdoc, "dt", "sequence.grid")),
+        t_p=_number(_require(seq, "t_p", "sequence"), "sequence.t_p"),
+        n_t=_number(_require(gdoc, "n_t", "sequence.grid"), "sequence.grid.n_t", int),
+        dt=_number(_require(gdoc, "dt", "sequence.grid"), "sequence.grid.dt"),
         n_phi=_phi_points(gdoc),
         taus=taus,
     )
@@ -236,8 +249,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if "acquisition" in seq:
         adoc = seq["acquisition"]
         _check_keys(adoc, ACQUISITION_KEYS, "sequence.acquisition")
-        acq = AcquisitionSpec(t_m=float(_require(adoc, "t_m", "acquisition")),
-                              window=float(_require(adoc, "window", "acquisition")))
+        acq = AcquisitionSpec(
+            t_m=_number(_require(adoc, "t_m", "acquisition"), "sequence.acquisition.t_m"),
+            window=_number(_require(adoc, "window", "acquisition"), "sequence.acquisition.window"))
 
     deco = None
     if "decoherence" in doc and doc["decoherence"] is not None:
@@ -251,14 +265,16 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
             raise ConfigError(f"unknown OMDF family {family!r}")
         _check_keys(odoc, OMDF_KEYS[family], f"decoherence.omdf (family {family})")
         if family == "gaussian":
-            omdf = GaussianOMDF(width=float(_require(odoc, "width", "decoherence.omdf")))
+            omdf = GaussianOMDF(width=_number(_require(odoc, "width", "decoherence.omdf"),
+                                               "decoherence.omdf.width"))
         else:
             tab_path = Path(_require(odoc, "path", "decoherence.omdf"))
             if not tab_path.is_absolute():
                 tab_path = base_dir / tab_path
             omdf = TabulatedOMDF.from_file(tab_path)
-        deco = DecoherenceParams(sigma_cl=float(_require(ddoc, "sigma_cl", "decoherence")),
-                                 kappa=float(ddoc.get("kappa", 2.0)), omdf=omdf)
+        deco = DecoherenceParams(
+            sigma_cl=_number(_require(ddoc, "sigma_cl", "decoherence"), "decoherence.sigma_cl"),
+            kappa=_number(ddoc.get("kappa", 2.0), "decoherence.kappa"), omdf=omdf)
 
     return RunConfig(
         molecule=molecule,
@@ -267,7 +283,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         block=block,
         acquisition=acq,
         decoherence=deco,
-        n_molecules=int(doc.get("n_molecules", 1)),
+        n_molecules=_number(doc.get("n_molecules", 1), "n_molecules", int),
         output_dir=str(doc.get("output", "out")),
         raw=doc,
     )

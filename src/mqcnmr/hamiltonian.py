@@ -14,6 +14,7 @@ eigenvalue differences entering decoherence formulas are S_zz-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -157,6 +158,77 @@ class EigenSystem:
     def coherence_orders(self) -> np.ndarray:
         """Integer coherence order m_a - m_b of eigenbasis element (a, b)."""
         return np.rint(self.m[:, None] - self.m[None, :]).astype(int)
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """(rows, cols, V_m) of each total m, in descending m: every eigenvector
+        has a definite m, so V is zero outside the blocks V_m = V[rows, cols]
+        that join the product-basis states of that m (rows) to its
+        eigenvectors (cols)."""
+        m_basis = SpinRegister(int(np.log2(self.dim))).m_values()
+        blocks = []
+        for m in np.unique(self.m)[::-1]:
+            rows, cols = np.flatnonzero(m_basis == m), np.flatnonzero(self.m == m)
+            v = self.vectors[np.ix_(rows, cols)]
+            v.flags.writeable = False
+            blocks.append((rows, cols, v))
+        return tuple(blocks)
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """The slices of the m blocks once both bases are sorted by m, and for
+        the product basis and the eigenbasis the sorting order and its inverse
+        (both None where the basis is sorted already)."""
+        edges = np.cumsum([0] + [rows.size for rows, _, _ in self.blocks])
+        orders = []
+        for k in (0, 1):
+            order = np.concatenate([block[k] for block in self.blocks])
+            sorted_ = np.array_equal(order, np.arange(self.dim))
+            orders.append((None, None) if sorted_ else (order, np.argsort(order)))
+        return tuple(map(slice, edges[:-1], edges[1:])), orders[0], orders[1]
+
+    def to_eigen(self, x: np.ndarray) -> np.ndarray:
+        """V^dagger x V through V's m blocks: sum_m C(N, m)^2 2^(N+1) products
+        instead of 2^(3N+1)."""
+        slices, (rows, _), (_, cols_back) = self._layout
+        return _blockwise(x, slices, rows, cols_back, [v.conj().T for _, _, v in self.blocks],
+                          [v for _, _, v in self.blocks])
+
+    def to_product(self, x: np.ndarray) -> np.ndarray:
+        """V x V^dagger through V's m blocks, the inverse of ``to_eigen``."""
+        slices, (_, rows_back), (cols, _) = self._layout
+        return _blockwise(x, slices, cols, rows_back, [v for _, _, v in self.blocks],
+                          [v.conj().T for _, _, v in self.blocks])
+
+    def product_blockwise(self, x: np.ndarray, left, right=None) -> np.ndarray:
+        """L x R for L and R block diagonal in total m in the product basis,
+        with blocks ``left`` and ``right`` on the rows of ``blocks`` (R = 1
+        when ``right`` is None, where x may have any number of columns)."""
+        slices, (rows, rows_back), _ = self._layout
+        return _blockwise(x, slices, rows, rows_back, left, right)
+
+
+def _blockwise(x: np.ndarray, slices, order, back, left, right=None) -> np.ndarray:
+    """L x R with L, R block diagonal, the blocks ``left`` and ``right`` on
+    ``slices`` of the index order ``order``; the result in the index order
+    ``back`` (None: no reordering).  R = 1 and only rows reorder when ``right``
+    is None."""
+    axes = (0,) if right is None else (0, 1)
+    y = x
+    for axis in axes if order is not None else ():
+        y = y.take(order, axis)
+    out = np.empty(y.shape, dtype=complex)
+    for s, a in zip(slices, left):
+        np.matmul(a, y[s], out=out[s])
+    if right is not None:
+        y = np.empty_like(out) if y is x else y
+        for s, b in zip(slices, right):
+            np.matmul(out[:, s], b, out=y[:, s])
+        out, y = y, out
+    del y  # the spare buffer goes before the reordered copies are made
+    for axis in axes if back is not None else ():
+        out = out.take(back, axis)
+    return out
 
 
 def eigendecompose(h: np.ndarray, reg: SpinRegister,

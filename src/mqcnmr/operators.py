@@ -2,7 +2,9 @@
 
 Builds collective angular-momentum operators, rotation pulses and secular
 rank-2 pair tensors used throughout the simulator.  All matrices are dense,
-read-only complex arrays on the 2^N-dimensional product space.
+read-only complex arrays on the 2^N-dimensional product space, except that a
+collective rotation is also kept as its two Kronecker halves, which apply it
+without forming the 2^N x 2^N matrix.
 
 Conventions:
     - Rotation operators are defined as ``R_alpha(theta) = exp(+i I_alpha theta)``
@@ -80,7 +82,7 @@ def checked_hermitian(a: np.ndarray) -> np.ndarray:
 
 def checked_unitary(u: np.ndarray) -> np.ndarray:
     """``u`` once it passes U U^dagger == 1 in the max norm within UNITARY_ATOL
-    (MqcnmrError otherwise); ``rotation`` runs it on its 2x2 factor."""
+    (MqcnmrError otherwise); ``rotation_halves`` runs it on its 2x2 factor."""
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if uni_err > UNITARY_ATOL:
         raise MqcnmrError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
@@ -111,14 +113,16 @@ def collective_angular_momentum(reg: SpinRegister, axis: str) -> np.ndarray:
     return checked_hermitian(mat)
 
 
-def rotation(reg: SpinRegister, theta: float, axis="x") -> np.ndarray:
-    """Collective rotation ``R(theta) = exp(+i I_chi theta)``, read-only.
+def rotation_halves(reg: SpinRegister, theta: float, axis="x") -> tuple:
+    """Collective rotation ``R(theta) = exp(+i I_chi theta)`` as its two
+    Kronecker halves ``(r^{(x)floor(N/2)}, r^{(x)ceil(N/2)})``, read-only.
 
-    The generator is a sum of commuting single-spin terms, so the rotation
-    is the N-fold Kronecker power of the single-spin rotation
-    ``cos(theta/2) 1 + i sin(theta/2) (cos(chi) sigma_x + sin(chi) sigma_y)``
-    (``diag(exp(i theta/2), exp(-i theta/2))`` about z).  That 2x2 factor is
-    checked to be unitary, which makes its Kronecker power unitary too.
+    The generator is a sum of commuting single-spin terms, so R is the
+    N-fold Kronecker power of the single-spin rotation
+    ``r = cos(theta/2) 1 + i sin(theta/2) (cos(chi) sigma_x + sin(chi) sigma_y)``
+    (``diag(exp(i theta/2), exp(-i theta/2))`` about z), and R = A (x) B for
+    the halves A, B.  The 2x2 factor r is checked to be unitary, which makes
+    its Kronecker powers unitary too.  ``kron_apply`` applies R from them.
 
     Args:
         theta: rotation angle in radians (must be finite).
@@ -135,11 +139,42 @@ def rotation(reg: SpinRegister, theta: float, axis="x") -> np.ndarray:
         c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
         one = np.array([[c, 1j * s * np.exp(-1j * chi)],
                         [1j * s * np.exp(1j * chi), c]])
-    mat = checked_unitary(one)
-    for _ in range(reg.n_spins - 1):
-        mat = np.kron(mat, one)
+    checked_unitary(one)
+    halves = []
+    for n in (reg.n_spins // 2, reg.n_spins - reg.n_spins // 2):
+        mat = np.ones((1, 1), dtype=complex)
+        for _ in range(n):
+            mat = np.kron(mat, one)
+        mat.flags.writeable = False
+        halves.append(mat)
+    return tuple(halves)
+
+
+def rotation(reg: SpinRegister, theta: float, axis="x") -> np.ndarray:
+    """Collective rotation ``R(theta) = exp(+i I_chi theta)`` as one dense
+    read-only 2^N x 2^N matrix, the Kronecker product of ``rotation_halves``."""
+    mat = np.kron(*rotation_halves(reg, theta, axis))
     mat.flags.writeable = False
     return mat
+
+
+def kron_apply(halves: tuple, x: np.ndarray) -> np.ndarray:
+    """(A (x) B) x for the Kronecker halves (A, B) and a matrix x of 2^N rows,
+    as one GEMM with A and one batched GEMM with B on x's (A, B, column)
+    index split, in O(2^N (dim A + dim B)) per column instead of O(4^N)."""
+    a, b = halves
+    y = (a @ x.reshape(a.shape[0], -1)).reshape(a.shape[0], b.shape[0], -1)
+    return np.matmul(b, y).reshape(x.shape)
+
+
+def kron_conjugate(halves: tuple, x: np.ndarray) -> np.ndarray:
+    """R x R^dagger for R = A (x) B given by its Kronecker halves (A, B):
+    ``kron_apply``, then its mirror on the columns, written over the first
+    product."""
+    a, b = halves
+    y = kron_apply(halves, x)
+    z = (y.reshape(-1, b.shape[0]) @ b.conj().T).reshape(x.shape[0], a.shape[0], b.shape[0])
+    return np.matmul(a.conj(), z, out=y.reshape(z.shape)).reshape(x.shape)
 
 
 def t20_bits(n_spins: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

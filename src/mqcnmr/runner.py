@@ -152,11 +152,13 @@ def build_eigensystem(cfg: RunConfig) -> EigenSystem:
 
 
 def simulate(cfg: RunConfig, out_dir=None) -> dict:
-    """Run the configured engine over the grid and write signal files."""
+    """Run the configured engine over the grid and write signal files.
+
+    The run directory is made only once the engine has returned, so a grid
+    that its memory gate refuses leaves none behind.
+    """
     t0 = time.monotonic()
     out = Path(out_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     eig = build_eigensystem(cfg)
     reg = cfg.molecule.register()
     if cfg.engine == "closed":
@@ -167,6 +169,7 @@ def simulate(cfg: RunConfig, out_dir=None) -> dict:
                              acquisition=cfg.acquisition,
                              n_molecules=cfg.n_molecules)
 
+    out.mkdir(parents=True, exist_ok=True)
     _atomic_save_array(out / "signals.npy", grid.data)
     _atomic_write_text(out / "signals_meta.json",
                        json.dumps(grid.metadata(), indent=2, sort_keys=True) + "\n")

@@ -18,13 +18,15 @@ the encoding period at Fourier index nu of the phase transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from scipy.linalg import logm
 
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
-from .operators import SpinRegister, collective_angular_momentum, rotation
+from .operators import (SpinRegister, collective_angular_momentum, kron_apply,
+                        kron_conjugate, rotation_halves)
 from .spectra import (RunSetup, SignalGrid, detection_matrix, free_phases, pair_order_sums,
                       run_setup)
 
@@ -192,11 +194,15 @@ class MagicSandwichSpec:
 
 
 class PropagatorCache:
-    """Compile-once store of event propagators in the product basis.
+    """Compile-once store of the event propagators of one run, held by their
+    structure rather than as 2^N x 2^N matrices.
 
-    Keys are the exact (duration, scale) or (angle, axis_phase) floats, so
-    identical events from one grid always hit the cache and recompilation
-    is bit-deterministic.  Holds one 2^N x 2^N matrix per distinct event.
+    A pulse is its two Kronecker halves r^(x)floor(N/2) and r^(x)ceil(N/2)
+    (``rotation_halves``).  A free evolution commutes with I_z, so it is its
+    total-m blocks V_m diag(p_m) V_m^dagger: sum_m C(N, m)^2 entries instead of
+    4^N.  Keys are the exact (duration, scale) or (angle, axis_phase) floats,
+    so identical events from one grid always hit the cache and recompilation
+    is bit-deterministic.
     """
 
     def __init__(self, eig: EigenSystem, reg: SpinRegister):
@@ -206,46 +212,82 @@ class PropagatorCache:
         self.misses = 0
         self._store = {}
 
-    def free(self, duration: float, scale: float = 1.0) -> np.ndarray:
-        key = ("free", float(duration), float(scale))
-        u = self._store.get(key)
-        if u is None:
+    def _get(self, key, build):
+        value = self._store.get(key)
+        if value is None:
             self.misses += 1
-            eig = self.eig
-            phases = np.exp(-1j * scale * eig.order_parameter * eig.zeta * duration)
-            u = (eig.vectors * phases) @ eig.vectors.conj().T
-            u.flags.writeable = False
-            self._store[key] = u
+            value = self._store[key] = build()
         else:
             self.hits += 1
-        return u
+        return value
 
-    def pulse(self, angle: float, axis_phase: float) -> np.ndarray:
-        key = ("pulse", float(angle), float(axis_phase))
-        u = self._store.get(key)
-        if u is None:
-            self.misses += 1
-            u = rotation(self.reg, angle, axis_phase)
-            self._store[key] = u
-        else:
-            self.hits += 1
-        return u
+    def free(self, duration: float, scale: float = 1.0) -> tuple:
+        """The m blocks of exp(-i scale H duration), in the order of ``eig.blocks``."""
+        def build():
+            phases = free_phases(self.eig, [scale * duration])[0]
+            blocks = tuple((v * phases[cols]) @ v.conj().T for _, cols, v in self.eig.blocks)
+            for u in blocks:
+                u.flags.writeable = False
+            return blocks
+        return self._get(("free", float(duration), float(scale)), build)
 
-    def event(self, ev: SequenceEvent) -> np.ndarray:
+    def pulse(self, angle: float, axis_phase: float) -> tuple:
+        """The Kronecker halves of the collective pulse R_phase(angle)."""
+        return self._get(("pulse", float(angle), float(axis_phase)),
+                         lambda: rotation_halves(self.reg, angle, axis_phase))
+
+    def apply(self, ev: SequenceEvent, x: np.ndarray | None) -> np.ndarray:
+        """U x for the event's propagator U and a matrix x of 2^N rows (None: U)."""
         if isinstance(ev, Pulse):
-            return self.pulse(ev.angle, ev.axis_phase)
-        return self.free(ev.duration, ev.scale)
+            halves = self.pulse(ev.angle, ev.axis_phase)
+            return np.kron(*halves) if x is None else kron_apply(halves, x)
+        blocks = self.free(ev.duration, ev.scale)
+        if x is not None:
+            return self.eig.product_blockwise(x, blocks)
+        u = np.zeros((self.reg.dim,) * 2, dtype=complex)
+        for (rows, _, _), block in zip(self.eig.blocks, blocks):
+            u[np.ix_(rows, rows)] = block
+        return u
+
+    def conjugate(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
+        """U x U^dagger for the event's propagator U."""
+        if isinstance(ev, Pulse):
+            return kron_conjugate(self.pulse(ev.angle, ev.axis_phase), x)
+        blocks = self.free(ev.duration, ev.scale)
+        return self.eig.product_blockwise(x, blocks, [u.conj().T for u in blocks])
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
 
 
 def compile_program(events, cache: PropagatorCache) -> np.ndarray:
-    """Multiply event propagators in time order into one unitary."""
-    u = np.eye(cache.reg.dim, dtype=complex)
+    """Apply the event propagators in time order: their product, one unitary
+    in the product basis."""
+    u = None
     for ev in events:
-        u = cache.event(ev) @ u
-    return u
+        u = cache.apply(ev, u)
+    return np.eye(cache.reg.dim, dtype=complex) if u is None else u
+
+
+def evolve(events, sigma: np.ndarray, cache: PropagatorCache, eigen: bool = True) -> np.ndarray:
+    """The state ``sigma`` carried through ``events`` (U sigma U^dagger per
+    event), returned in the H eigenbasis.
+
+    ``sigma`` is given in the eigenbasis (``eigen``) or the product basis.  A
+    free evolution on a state still in the eigenbasis is a phase per element,
+    O(4^N); a pulse moves the state to the product basis, where every further
+    event applies by its structure (``PropagatorCache.conjugate``).
+    """
+    for ev in events:
+        if eigen and isinstance(ev, FreeEvolution):
+            p = free_phases(cache.eig, [ev.scale * ev.duration])[0]
+            sigma = p[:, None] * sigma
+            sigma *= p.conj()
+        else:
+            if eigen:
+                sigma, eigen = cache.eig.to_product(sigma), False
+            sigma = cache.conjugate(ev, sigma)
+    return sigma if eigen else cache.eig.to_eigen(sigma)
 
 
 @dataclass(frozen=True)
@@ -288,12 +330,14 @@ def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
 
     The scan runs in the H eigenbasis: with p = exp(-i S_zz zeta t) the
     signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b with
-    M = I_+ (elementwise) rho^T, rho the state after the read pulse, one
-    GEMM over (scan time, eigenstate).
+    M = I_+ (elementwise) rho^T, rho the state after the read pulse (applied
+    by its Kronecker halves in the product basis), one GEMM over (scan time,
+    eigenstate).
     """
-    r = setup.read_pulse
-    weights = setup.i_plus * (r @ setup.state @ r.conj().T).T
-    p = free_phases(setup.eig, dwell * np.arange(n_scan))
+    eig = setup.eig
+    rho = eig.to_eigen(kron_conjugate(setup.read_pulse, eig.to_product(setup.state)))
+    weights = setup.i_plus * rho.T
+    p = free_phases(eig, dwell * np.arange(n_scan))
     mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
     idx = 0
     for i in range(1, n_scan - 1):
@@ -304,51 +348,52 @@ def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
 
 
 def _block_plan(block, taus) -> tuple:
-    """The events of each tau, and the event lists ``compile_blocks`` compiles
-    for them: the same lists, or the one cycle of an MREV-8 "concatenate"
-    block, which serves every tau."""
+    """The events of each tau, and the event lists ``block_states`` compiles
+    or applies for them: the same lists, or the one cycle of an MREV-8
+    "concatenate" block, which serves every tau."""
     events = [() if block is None else block.events_for(tau) for tau in taus]
     if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
         return events, [mrev8_block(block.tau1)]
     return events, events
 
 
-def compile_blocks(block, taus, cache: PropagatorCache):
-    """Iterator over the compiled reversion block of each tau, compiled one at
-    a time (None where the block is empty).
+def block_states(block, taus, cache: PropagatorCache, state: np.ndarray):
+    """Iterator over the prepared ``state`` (H eigenbasis) carried through each
+    tau's reversion block, in the eigenbasis, one tau at a time.
 
-    An MREV-8 "concatenate" block of duration tau is n copies of one cycle:
-    the cycle is compiled once and U_n = U_cycle U_{n-1} is advanced from the
-    previous tau's power (restarting when n falls).  ``events_for`` runs for
-    every tau at the call, so a tau that is not a whole number of cycles is
-    rejected before anything is compiled.
+    A block's events are applied to the state one by one (``evolve``).  An
+    MREV-8 "concatenate" block of duration tau is n copies of one cycle: the
+    cycle is compiled once, taken to the eigenbasis as w, and
+    sigma_n = w sigma_{n-1} w^dagger is advanced from the previous tau's state
+    (restarting when n falls).  ``events_for`` runs for every tau at the call,
+    so a tau that is not a whole number of cycles is rejected before anything
+    is compiled.
     """
     events, programs = _block_plan(block, taus)
     if programs is events:
-        return (compile_program(ev, cache) if ev else None for ev in events)
+        return (evolve(ev, state, cache) if ev else state for ev in events)
     (cycle,) = programs
-    return _cycle_powers(compile_program(cycle, cache),
+    return _cycle_states(cache.eig.to_eigen(compile_program(cycle, cache)), state,
                          [len(ev) // len(cycle) for ev in events])
 
 
-def _cycle_powers(u_cycle: np.ndarray, counts):
-    n, u = 0, None
+def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
+    n, sigma = 0, state
     for count in counts:
         if count < n:
-            n, u = 0, None
+            n, sigma = 0, state
         for n in range(n + 1, count + 1):
-            u = u_cycle if u is None else u_cycle @ u
-        yield u
+            sigma = w @ sigma @ w.conj().T
+        yield sigma
 
 
 def prepared_setup(cache: PropagatorCache, t_p: float) -> RunSetup:
     """The operators a run holds fixed, built once after its memory gate: the
-    state I_z after the JB preparation ``jb_prepare(t_p)`` and the read pulse
-    R_y(pi/4), both compiled through ``cache``."""
-    prep = compile_program(jb_prepare(t_p), cache)
-    rho = prep @ collective_angular_momentum(cache.reg, "z") @ prep.conj().T
-    v = cache.eig.vectors
-    return run_setup(cache.eig, cache.reg, v.conj().T @ rho @ v, cache.pulse(np.pi / 4, np.pi / 2))
+    state I_z carried through the JB preparation ``jb_prepare(t_p)`` and the
+    read pulse R_y(pi/4), both through ``cache``."""
+    state = evolve(jb_prepare(t_p), collective_angular_momentum(cache.reg, "z"), cache,
+                   eigen=False)
+    return run_setup(cache.eig, cache.reg, state, cache.pulse(np.pi / 4, np.pi / 2))
 
 
 def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
@@ -371,14 +416,10 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
                       cache_stats=cache_stats or {})
 
 
-def _tau_slab(eig: EigenSystem, a_eig: np.ndarray, det: np.ndarray, u_d) -> np.ndarray:
-    """Pair weights W = det (elementwise) sigma^T of one tau, where sigma is
-    the prepared state ``a_eig`` carried through the compiled block ``u_d``
-    (None: no block), all in the H eigenbasis."""
-    if u_d is None:
-        return det * a_eig.T
-    w = eig.vectors.conj().T @ u_d @ eig.vectors
-    return det * (w @ a_eig @ w.conj().T).T
+def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Pair weights W = det (elementwise) sigma^T of one tau, for the state
+    ``sigma`` after that tau's block, both in the H eigenbasis."""
+    return det * sigma.T
 
 
 # Working-set budget of one grid run, in bytes.
@@ -404,18 +445,35 @@ def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int
         )
 
 
+def _cache_entries(reg: SpinRegister, block, taus, t_p: float) -> int:
+    """Complex entries the run's PropagatorCache comes to hold: the Kronecker
+    halves of each distinct pulse, and the m blocks (sum_m C(N, m)^2 entries)
+    of each distinct free evolution applied in the product basis.  Those are
+    the events of the preparation, of what ``compile_program`` compiles, and of
+    each block that ``evolve`` applies from its first pulse on (it applies the
+    free evolutions before that pulse as eigenbasis phases)."""
+    events, programs = _block_plan(block, taus)
+    if programs is events:
+        programs = [ev[next((i for i, e in enumerate(ev) if isinstance(e, Pulse)), len(ev)):]
+                    for ev in events]
+    half = reg.n_spins // 2
+    size = {Pulse: 4 ** half + 4 ** (reg.n_spins - half),
+            FreeEvolution: comb(2 * reg.n_spins, reg.n_spins)}
+    return sum(size[type(ev)] for ev in set(jb_prepare(t_p)).union(*programs))
+
+
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
              n_molecules: int = 1, memory_budget_bytes: int | None = None) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
-    complex transverse signal.  Each tau's compiled block turns the prepared
-    state into one slab of pair weights (``_tau_slab``); free evolution and
-    the phi dependence are then applied analytically in the H eigenbasis by
-    ``spectra.pair_order_sums`` and ``phase_encode``, which is exactly
-    equivalent to propagating every grid point through the compiled pulse
-    chain.
+    complex transverse signal.  Each tau's block carries the prepared state
+    (``block_states``) into one slab of pair weights (``_tau_slab``); free
+    evolution and the phi dependence are then applied analytically in the H
+    eigenbasis by ``spectra.pair_order_sums`` and ``phase_encode``, which is
+    exactly equivalent to propagating every grid point through the compiled
+    pulse chain.
 
     Args:
         block: reversion block spec with an ``events_for(tau)`` method
@@ -425,19 +483,20 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
             MEMORY_BUDGET_BYTES.
     """
     n_tau = len(grid.taus)
-    # the propagator cache holds one matrix per distinct event (equal events
-    # share a key) of the preparation and of what compile_blocks compiles
-    cached = len(set(jb_prepare(grid.t_p)).union(*_block_plan(block, grid.taus)[1]))
-    # signal grid and order sums, the cache, the weight slabs, the block being
-    # compiled and one slab's temporaries with the shared 2^N x 2^N arrays, and
-    # the phases with one slab's GEMM output and product
-    check_grid_memory(grid, reg.dim, matrices=cached + n_tau + 9,
+    # the weight slabs, the prepared state and detection matrix, and the state
+    # being carried with its temporaries (the state, the compiled cycle, and up
+    # to three products of one event or basis change, or one slab's product);
+    # V's m blocks and the cache; the signal grid and order sums, and the
+    # phases with one slab's GEMM output and product
+    check_grid_memory(grid, reg.dim, matrices=n_tau + 8,
                       t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
+                      workspace=comb(2 * reg.n_spins, reg.n_spins)
+                      + _cache_entries(reg, block, grid.taus, grid.t_p),
                       budget=memory_budget_bytes)
     cache = PropagatorCache(eig, reg)
     acquisition, a_eig, det = kernel_inputs(prepared_setup(cache, grid.t_p), acquisition)
     weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)
-    for k, u_d in enumerate(compile_blocks(block, grid.taus, cache)):
-        weights[k] = _tau_slab(eig, a_eig, det, u_d)
+    for k, sigma in enumerate(block_states(block, grid.taus, cache, a_eig)):
+        weights[k] = _tau_slab(det, sigma)
     sums = pair_order_sums(weights, eig, reg.n_spins, grid.ts, grid.taus)
     return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
-from .operators import SpinRegister, collective_angular_momentum, rotation
+from .operators import (SpinRegister, collective_angular_momentum, kron_conjugate,
+                        rotation_halves)
 
 
 @dataclass(frozen=True)
@@ -126,29 +127,34 @@ def fft2_coherence(grid: SignalGrid, apodization: np.ndarray | None = None,
 
 @dataclass(frozen=True)
 class RunSetup:
-    """The operators one run holds fixed, in the H eigenbasis V, as read-only
-    views: the prepared state, the read pulse R_y(pi/4) and the detected
-    operator I_+ = I_x + i I_y (each X as V^dagger X V)."""
+    """The operators one run holds fixed, as read-only arrays: the prepared
+    state and the detected operator I_+ = I_x + i I_y in the H eigenbasis V
+    (each X as V^dagger X V), and the read pulse R_y(pi/4) as its Kronecker
+    halves (``operators.rotation_halves``)."""
 
     eig: EigenSystem
     state: np.ndarray
-    read_pulse: np.ndarray
+    read_pulse: tuple
     i_plus: np.ndarray
 
     def __post_init__(self):
-        for name in ("state", "read_pulse", "i_plus"):
-            view = np.asarray(getattr(self, name), dtype=complex).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+        for name in ("state", "i_plus"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "read_pulse", tuple(map(_read_only, self.read_pulse)))
+
+
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a, dtype=complex).view()
+    view.flags.writeable = False
+    return view
 
 
 def run_setup(eig: EigenSystem, reg: SpinRegister, state_eig: np.ndarray,
-              read_pulse: np.ndarray) -> RunSetup:
+              read_pulse: tuple) -> RunSetup:
     """The RunSetup of the prepared state ``state_eig`` (eigenbasis) and the
-    read pulse ``read_pulse`` (product basis); I_+ is built here, once."""
-    v = eig.vectors
+    read pulse's Kronecker halves ``read_pulse``; I_+ is built here, once."""
     i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    return RunSetup(eig, state_eig, v.conj().T @ read_pulse @ v, v.conj().T @ i_plus @ v)
+    return RunSetup(eig, state_eig, read_pulse, eig.to_eigen(i_plus))
 
 
 def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
@@ -156,12 +162,15 @@ def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
 
     Element (a, b) is the acquisition-averaged trace weight multiplying
     density element (b, a) in the complex transverse signal, with the read
-    pulse of ``setup`` folded in.  The window average is analytic (sinc).
+    pulse R of ``setup`` folded in: V^dagger R^dagger V (I_+ * win) V^dagger R V,
+    through V's m blocks and R's Kronecker halves.  The window average is
+    analytic (sinc).
     """
-    eig, ry_e = setup.eig, setup.read_pulse
+    eig = setup.eig
     omega = eig.order_parameter * eig.gaps()
     win = np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
-    return ry_e.conj().T @ (setup.i_plus * win) @ ry_e
+    adjoint = tuple(h.conj().T for h in setup.read_pulse)
+    return eig.to_eigen(kron_conjugate(adjoint, eig.to_product(setup.i_plus * win)))
 
 
 # Byte budget of one chunk of the pair kernel's (pairs x n_t) time series E.
@@ -266,7 +275,7 @@ def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister
     """
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray([0.0] if taus is None else taus, dtype=float)
-    setup = run_setup(eig, reg, state_eig, rotation(reg, np.pi / 4, "y"))
+    setup = run_setup(eig, reg, state_eig, rotation_halves(reg, np.pi / 4, "y"))
     det = detection_matrix(setup, t_m, window)
     sums = pair_order_sums(det * setup.state.T, eig, reg.n_spins, ts, taus,
                            g_reversible, g_irreversible)

@@ -10,7 +10,7 @@ import yaml
 from mqcnmr import runner
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
-from mqcnmr.errors import ConfigError
+from mqcnmr.errors import ConfigError, GridSizeError
 from mqcnmr.runner import (build_eigensystem, load_signals, read_spectrum_csv,
                            simulate, sweep, verify_stage)
 
@@ -84,6 +84,46 @@ def test_invalid_molecule_exits_2_before_any_output(tmp_path, capsys, molecule):
     assert not out.exists()
 
 
+def _with(doc, dotted, value):
+    node = doc
+    keys = dotted.split(".")
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("dotted,value,key", [
+    ("molecule.order_parameter", "abc", "molecule.order_parameter"),
+    ("sequence.tau_schedule", {"count": "x", "step": 1e-5}, "sequence.tau_schedule.count"),
+    ("sequence.grid.n_t", "many", "sequence.grid.n_t"),
+    ("molecule.couplings_hz", [[0, 1, "strong"]], "molecule.couplings_hz"),
+], ids=["order_parameter", "tau_count", "n_t", "coupling"])
+def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, dotted, value,
+                                                            key):
+    cfg_path = write_config(tmp_path, _with(tiny_doc(), dotted, value))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["closed", "open"])
+def test_refused_grid_leaves_no_run_directory(tmp_path, capsys, engine):
+    doc = _with(tiny_doc(engine=engine), "sequence.grid", {"n_t": 4000000, "dt": 2e-6,
+                                                           "n_phi": 500})
+    if engine == "open":
+        doc["decoherence"] = {"sigma_cl": 2.5e5, "omdf": {"family": "gaussian", "width": 0.05}}
+    with pytest.raises(GridSizeError):
+        simulate(config_from_dict(doc), out_dir=tmp_path / "direct")
+    assert not (tmp_path / "direct").exists()
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, doc)), "--output", str(out)]) == 2
+    assert "grid needs about" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_gate_exit_3(tmp_path):
     doc = tiny_doc()
     # a single pair is refocused exactly; three coupled spins leave a
@@ -100,7 +140,7 @@ def test_numerical_gate_exit_3(tmp_path):
 
 
 def test_verify_stage_no_block(tmp_path):
-    from mqcnmr.errors import ConfigError
+    from mqcnmr.errors import ConfigError, GridSizeError
     doc = tiny_doc()
     del doc["sequence"]["block"]
     cfg = config_from_dict(doc)
@@ -233,7 +273,7 @@ def test_sweep_runs_all_combinations(tmp_path):
 
 
 def test_sweep_requires_parameters(tmp_path):
-    from mqcnmr.errors import ConfigError
+    from mqcnmr.errors import ConfigError, GridSizeError
     with pytest.raises(ConfigError):
         sweep(tiny_doc(), out_root=tmp_path)
 

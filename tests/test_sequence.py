@@ -12,7 +12,7 @@ from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_
 from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse, _tau_slab,
-                             compile_blocks, compile_program, default_acquisition, jb_prepare,
+                             block_states, compile_program, default_acquisition, jb_prepare,
                              magic_sandwich, mrev8_block, prepared_setup, run_grid,
                              total_duration, verify_reversion)
 from mqcnmr.spectra import pair_order_sums
@@ -140,25 +140,34 @@ def test_propagator_cache_stats():
     assert first["entries"] == 6
 
 
-def test_compile_blocks_mrev8_cycle_power_matches_full_chain():
+def test_block_states_match_the_compiled_chain():
     _, _, reg, eig = make_system(n=3, seed=4)
     cache = PropagatorCache(eig, reg)
+    rng = np.random.default_rng(5)
+    state = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    v = eig.vectors
+
+    def carried(u):
+        w = v.conj().T @ u @ v
+        return w @ state @ w.conj().T
+
     block = Mrev8Spec(tau1=5e-6)
     counts = (3, 0, 1, 4, 2)  # unsorted on purpose
-    blocks = list(compile_blocks(block, [n * block.cycle_time for n in counts], cache))
-    assert blocks[1] is None
-    for n, u in zip(counts, blocks):
+    states = list(block_states(block, [n * block.cycle_time for n in counts], cache, state))
+    assert states[1] is state
+    for n, sigma in zip(counts, states):
         if n:
-            np.testing.assert_allclose(u, compile_program(mrev8_block(5e-6, n), cache),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                sigma, carried(compile_program(mrev8_block(5e-6, n), cache)), rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
-        compile_blocks(block, [0.0, 70e-6], cache)
-    # other block families compile their events for each tau as before
+        block_states(block, [0.0, 70e-6], cache, state)
+    # other block families apply their events to the state for each tau
     for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
                        (MagicSandwichSpec(), 1.5e-4)):
-        (u,) = compile_blocks(other, [tau], cache)
-        np.testing.assert_array_equal(u, compile_program(other.events_for(tau), cache))
-    assert list(compile_blocks(None, [0.0, 1e-4], cache)) == [None, None]
+        (sigma,) = block_states(other, [tau], cache, state)
+        np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), cache)),
+                                   rtol=0, atol=1e-12)
+    assert [s is state for s in block_states(None, [0.0, 1e-4], cache, state)] == [True, True]
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -171,7 +180,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    (fast,) = pair_order_sums(_tau_slab(shuffled, sigma0, det, None), shuffled, reg.n_spins,
+    (fast,) = pair_order_sums(_tau_slab(det, sigma0), shuffled, reg.n_spins,
                               ts, [0.0])
     slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
@@ -274,10 +283,11 @@ def test_run_grid_memory_budget():
 @pytest.mark.parametrize("block", [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"),
                                    Mrev8Spec(tau1=5e-6)])
 def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
-    # a magic sandwich or a stretched MREV-8 cycle adds about two free-evolution
-    # propagators per tau to the cache, so with many taus the cache outgrows
-    # the weight slabs; a budget below the traced peak must be refused, and one
-    # 5% above it accepted (N = 7, where the 2^N x 2^N arrays dominate)
+    # a stretched MREV-8 cycle adds the m blocks of about two free evolutions
+    # per tau to the cache (a magic sandwich applies its free evolutions as
+    # eigenbasis phases and adds none); a budget below the traced peak must be
+    # refused, and one 5% above it accepted (N = 7, where the 2^N x 2^N arrays
+    # dominate)
     _, _, reg, eig = make_system(n=7, seed=3)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
@@ -301,10 +311,10 @@ class _GatePassed(Exception):
 
 def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
     # N = 10 (16 MiB per 2^N x 2^N array) and 60 MREV-8 "concatenate" taus:
-    # about 1.3 GB of slabs, cache and temporaries, inside the 2 GiB default;
-    # at 120 taus the slabs alone take 2 GB and the cache and temporaries
-    # another 0.3 GB.  An accepted run stops at the operator setup that
-    # follows the gate
+    # about 1.2 GB of slabs and temporaries, inside the 2 GiB default; at 120
+    # taus the slabs alone take 2 GB and the prepared state, detection weights
+    # and temporaries another 0.13 GB.  An accepted run stops at the operator
+    # setup that follows the gate
     def stop(*args, **kwargs):
         raise _GatePassed
 
@@ -323,12 +333,12 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
 def test_closed_run_builds_each_operator_once(monkeypatch):
     # MREV-8 "concatenate" with the default acquisition: the preparation's
     # (pi/2)_x equals the MREV-8 x pulse and its (pi/4)_y the read pulse, so
-    # the run has 5 distinct pulses
+    # the run builds the Kronecker halves of 5 distinct pulses
     from mqcnmr import operators, spectra
     _, _, reg, eig = make_system(n=3, seed=2)
     block = Mrev8Spec(tau1=5e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=block.tau_schedule(3))
-    calls = {"rotation": [], "collective_angular_momentum": [], "compile_program": []}
+    calls = {"rotation_halves": [], "collective_angular_momentum": [], "evolve": []}
 
     def logged(fn, log):
         def wrapper(*args, **kwargs):
@@ -341,12 +351,11 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
     run_grid(eig, reg, grid, block=block)
-    pulses = [args[1:] for args in calls["rotation"]]
+    pulses = [args[1:] for args in calls["rotation_halves"]]
     assert len(pulses) == len(set(pulses)) == 5
     axes = [args[1] for args in calls["collective_angular_momentum"]]
     assert len(axes) == len(set(axes))
-    assert [tuple(args[0]) for args in calls["compile_program"]].count(
-        jb_prepare(grid.t_p)) == 1
+    assert [tuple(args[0]) for args in calls["evolve"]].count(jb_prepare(grid.t_p)) == 1
 
 
 def test_default_acquisition():

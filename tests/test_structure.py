@@ -1,0 +1,75 @@
+"""The structured operators of the closed engine against the dense oracles in
+reference.py: Kronecker-half pulses, m-block free evolutions and m-block
+basis changes, for N = 1-8 and eigenbases in eigendecompose's layout or
+shuffled."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from mqcnmr.hamiltonian import EigenSystem, eigendecompose
+from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
+from mqcnmr.sequence import FreeEvolution, PropagatorCache
+
+
+def random_matrix(rng, rows, cols):
+    return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def secular_eigensystem(n, seed, shuffle):
+    """The eigensystem of a random hermitian H that commutes with I_z (one
+    random block per total m), its eigenvectors shuffled when ``shuffle``."""
+    rng = np.random.default_rng(seed)
+    reg = SpinRegister(n)
+    m = reg.m_values()
+    a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
+    eig = eigendecompose(np.where(m[:, None] == m[None, :], a + a.conj().T, 0.0), reg, 0.6)
+    if shuffle:
+        perm = rng.permutation(reg.dim)
+        eig = EigenSystem(zeta=eig.zeta[perm], vectors=eig.vectors[:, perm], m=eig.m[perm],
+                          s=eig.s[perm], order_parameter=0.6)
+    return reg, eig, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), theta=st.floats(-2 * np.pi, 2 * np.pi),
+       axis=st.one_of(st.sampled_from("xyz"), st.floats(-np.pi, np.pi)),
+       cols=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_kronecker_half_pulse_matches_dense_rotation(n, theta, axis, cols, seed):
+    reg, rng = SpinRegister(n), np.random.default_rng(seed)
+    halves = rotation_halves(reg, theta, axis)
+    assert [h.shape[0] for h in halves] == [2 ** (n // 2), 2 ** (n - n // 2)]
+    dense = (ref.rotz(n, theta) if axis == "z"
+             else ref.rot(n, theta, {"x": 0.0, "y": np.pi / 2}.get(axis, axis)))
+    x = random_matrix(rng, reg.dim, cols)
+    assert_close(kron_apply(halves, x), dense @ x)
+    square = random_matrix(rng, reg.dim, reg.dim)
+    assert_close(kron_conjugate(halves, square), dense @ square @ dense.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), duration=st.floats(0.0, 1e-4), scale=st.sampled_from((1.0, -0.5)),
+       shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shuffle, seed):
+    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+    cache = PropagatorCache(eig, reg)
+    ev = FreeEvolution(duration, scale)
+    u = ref.propagator(eig, duration, scale)
+    x = random_matrix(rng, reg.dim, reg.dim)
+    assert_close(cache.apply(ev, None), u)
+    assert_close(cache.apply(ev, x), u @ x)
+    assert_close(cache.conjugate(ev, x), u @ x @ u.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_m_block_basis_change_matches_dense(n, shuffle, seed):
+    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+    v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
+    assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
+    assert_close(eig.to_product(x), v @ x @ v.conj().T)
