@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitDomainError, MqcnmrError
+from .errors import ConfigError, FitDomainError, MqcnmrError
 from .spectra import CoherenceSpectrum
 
 
@@ -73,7 +73,7 @@ def frequency_cuts(spec: CoherenceSpectrum, mu: int, frequencies,
     curves = []
     for f in frequencies:
         if not fmin <= f <= fmax:
-            raise MqcnmrError(f"frequency {f} Hz outside band [{fmin}, {fmax}]")
+            raise ConfigError(f"frequency {f} Hz outside band [{fmin}, {fmax}]")
         j = int(np.argmin(np.abs(spec.freqs_hz - f)))
         if mode == "local3":
             lo, hi = max(j - 1, 0), min(j + 2, block.shape[1])

@@ -235,6 +235,9 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     _check_keys(seq, SEQUENCE_KEYS, "sequence")
     block = _block_from_dict(seq.get("block"))
     taus = _tau_schedule(_require(seq, "tau_schedule", "config"), block)
+    # every decay curve the fit stage cuts runs along tau
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ConfigError(f"sequence.tau_schedule must be strictly increasing, got {list(taus)}")
     gdoc = _require(seq, "grid", "config")
     _check_keys(gdoc, GRID_KEYS, "sequence.grid")
     grid = ExperimentGrid(
@@ -249,9 +252,13 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if "acquisition" in seq:
         adoc = seq["acquisition"]
         _check_keys(adoc, ACQUISITION_KEYS, "sequence.acquisition")
-        acq = AcquisitionSpec(
-            t_m=_number(_require(adoc, "t_m", "acquisition"), "sequence.acquisition.t_m"),
-            window=_number(_require(adoc, "window", "acquisition"), "sequence.acquisition.window"))
+        times = {key: _number(_require(adoc, key, "acquisition"), f"sequence.acquisition.{key}")
+                 for key in ("t_m", "window")}
+        for key, value in times.items():
+            if not value >= 0:
+                raise ConfigError(f"sequence.acquisition.{key} must be non-negative, "
+                                  f"got {value!r}")
+        acq = AcquisitionSpec(**times)
 
     deco = None
     if "decoherence" in doc and doc["decoherence"] is not None:

@@ -6,7 +6,7 @@ class MqcnmrError(Exception):
 
 
 class ConfigError(MqcnmrError):
-    """Invalid run configuration or molecule file (CLI exit code 2)."""
+    """Invalid run configuration, molecule file or stage argument (CLI exit code 2)."""
 
 
 class NumericalValidationError(MqcnmrError):

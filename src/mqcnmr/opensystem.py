@@ -32,8 +32,7 @@ from .hamiltonian import EigenSystem
 from .operators import SpinRegister
 from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory, kernel_inputs,
                        phase_encode, prepared_setup)
-from .spectra import (CoherenceSpectrum, SignalGrid, pair_chunk_rows, pair_order_sums,
-                      spectral_assembly)
+from .spectra import SignalGrid, pair_chunk_rows, pair_order_sums
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phase factors.
 QUADRATURE_BLOCK_BYTES = 4 << 20
@@ -52,10 +51,6 @@ class GaussianOMDF:
         if width <= 0:
             raise ConfigError(f"OMDF width must be positive, got {width}")
         self.width = float(width)
-
-    def p(self, u):
-        w = self.width
-        return np.exp(-np.asarray(u) ** 2 / (2.0 * w ** 2)) / np.sqrt(2.0 * np.pi * w ** 2)
 
     def q(self, x):
         return np.exp(-0.5 * (self.width * np.asarray(x)) ** 2)
@@ -88,13 +83,13 @@ class TabulatedOMDF:
 
     @classmethod
     def from_file(cls, path) -> "TabulatedOMDF":
-        table = np.loadtxt(path)
+        try:
+            table = np.loadtxt(path)
+        except ValueError as exc:
+            raise ConfigError(f"OMDF table {path} is not a table of numbers: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError(f"OMDF table {path} must have two columns (u, p)")
         return cls(table[:, 0], table[:, 1])
-
-    def p(self, u):
-        return np.interp(np.asarray(u), self.u, self.p_values, left=0.0, right=0.0)
 
     def q(self, x):
         x = np.asarray(x, dtype=float)
@@ -113,7 +108,7 @@ class DecoherenceParams:
     Attributes:
         sigma_cl: coupling-strength scale (s^-1) in the irreversible factor.
         kappa: refocusing-technique constant (2 for the sequences used here).
-        omdf: orientational distribution object with p(u) and q(x).
+        omdf: orientational distribution object with its transform q(x).
     """
 
     sigma_cl: float
@@ -139,21 +134,6 @@ def g_reversible(dzeta, t, params: DecoherenceParams):
     return params.omdf.q(np.asarray(dzeta) * np.asarray(t))
 
 
-def irreversible_decay_time(dzeta: float, params: DecoherenceParams) -> float:
-    """tau at which the G^R exponent reaches 1: [8(kappa+1)^2/(dzeta^2 sigma^2)]^(1/4)."""
-    if dzeta == 0:
-        return np.inf
-    return float((8.0 * (params.kappa + 1.0) ** 2
-                  / (dzeta ** 2 * params.sigma_cl ** 2)) ** 0.25)
-
-
-def sigma_for_decay_time(dzeta: float, tau_d: float, kappa: float = 2.0) -> float:
-    """sigma_cl that puts the G^R decay time of gap ``dzeta`` at ``tau_d``."""
-    if dzeta == 0 or tau_d <= 0:
-        raise MqcnmrError("need a nonzero gap and positive decay time")
-    return float(np.sqrt(8.0) * (kappa + 1.0) / (abs(dzeta) * tau_d ** 2))
-
-
 @dataclass(frozen=True)
 class ReducedState:
     """Reduced density matrix elements in the simultaneous (H, I_z) eigenbasis."""
@@ -171,30 +151,10 @@ class ReducedState:
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
 
-    @property
-    def populations(self) -> np.ndarray:
-        return self.matrix.diagonal().real
-
 
 def prepare_reduced_state(eig: EigenSystem, reg: SpinRegister, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
     return ReducedState(prepared_setup(PropagatorCache(eig, reg), t_p).state, eig)
-
-
-def evolve_open(state: ReducedState, t: float, tau: float,
-                params: DecoherenceParams) -> ReducedState:
-    """Apply the open-system map for waiting time t and reversion time tau.
-
-    Element (a, b) is multiplied by
-    exp(-i (zeta_a - zeta_b) S_zz t) * G^T(t) * G^R(tau); hermiticity and
-    the diagonal are preserved exactly.
-    """
-    eig = state.eig
-    gaps = eig.gaps()
-    factor = (np.exp(-1j * eig.order_parameter * gaps * t)
-              * g_reversible(gaps, t, params)
-              * g_irreversible(gaps, tau, params))
-    return ReducedState(state.matrix * factor, eig)
 
 
 def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
@@ -222,26 +182,3 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
                            partial(g_reversible, params=params),
                            partial(g_irreversible, params=params))
     return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())
-
-
-def synthesize_spectrum(state: ReducedState, reg: SpinRegister, order: int,
-                        ts: np.ndarray, t_m: float, window: float,
-                        params: DecoherenceParams | None = None,
-                        taus=None, n_molecules: int = 1) -> CoherenceSpectrum:
-    """Coherence spectra built from eigenpair contributions (shifted OMDF copies).
-
-    Wraps ``spectra.spectral_assembly`` with this module's decoherence
-    factors and returns the spectra restricted to one coherence order
-    (``order``); pass the same discrete t grid as the time-domain route to
-    compare them within rounding.
-    """
-    if not -reg.n_spins <= order <= reg.n_spins:
-        raise MqcnmrError(f"coherence order {order} outside [-{reg.n_spins}, {reg.n_spins}]")
-    factors = {} if params is None else {"g_reversible": partial(g_reversible, params=params),
-                                         "g_irreversible": partial(g_irreversible, params=params)}
-    full = spectral_assembly(state.matrix, state.eig, reg, ts, t_m, window, taus=taus,
-                             n_molecules=n_molecules, **factors)
-    i = full.order_index(order)
-    return CoherenceSpectrum(data=full.data[:, i:i + 1, :], mu=full.mu[i:i + 1],
-                             freqs_hz=full.freqs_hz, taus=full.taus,
-                             meta={**full.meta, "order": order})

@@ -39,16 +39,23 @@ CACHE_ENV = "MQCNMR_CACHE_DIR"
 EIG_CACHE_VERSION = 2
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Have ``write(tmp)`` fill a temp file next to ``path``, then rename it
+    into place; if anything fails, the temp file is removed and ``path`` is
+    left as it was."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -204,11 +211,7 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
     if band_hz is not None:
         spec = spec.band(band_hz)
 
-    tmp = run_dir / "spectra.csv"
-    fd, tmp_name = tempfile.mkstemp(dir=run_dir, prefix="spectra.csv.")
-    os.close(fd)
-    spectrum_to_csv(spec, tmp_name)
-    os.replace(tmp_name, tmp)
+    _atomic_write(run_dir / "spectra.csv", lambda tmp: spectrum_to_csv(spec, tmp))
     _atomic_save_array(run_dir / "spectra.npy", spec.data)
     _atomic_write_text(run_dir / "spectra_meta.json",
                        json.dumps({**spec.meta, "mu": spec.mu.tolist(),
@@ -283,7 +286,7 @@ def fit_stage(run_dir, mu: int, frequencies, model: str = "exponential",
     _atomic_write_text(run_dir / "fit_report.json",
                        json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
     _atomic_write_text(run_dir / "fit_report.txt", report.table())
-    curves_to_csv(curves, run_dir / "decay_curves.csv")
+    _atomic_write(run_dir / "decay_curves.csv", lambda tmp: curves_to_csv(curves, tmp))
     cfg_hash, upstream = _upstream(run_dir, "spectra")
     _write_manifest(run_dir, "fit", cfg_hash, time.monotonic() - t0,
                     ["fit_report.json", "fit_report.txt", "decay_curves.csv"],

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MqcnmrError, UnsupportedGridError
+from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
 from .operators import (SpinRegister, collective_angular_momentum, kron_conjugate,
                         rotation_halves)
@@ -76,7 +76,7 @@ class CoherenceSpectrum:
     def order_index(self, mu: int) -> int:
         idx = np.flatnonzero(self.mu == mu)
         if idx.size == 0:
-            raise MqcnmrError(f"coherence order {mu} outside range [{self.mu[0]}, {self.mu[-1]}]")
+            raise ConfigError(f"coherence order {mu} outside range [{self.mu[0]}, {self.mu[-1]}]")
         return int(idx[0])
 
     def order(self, mu: int) -> np.ndarray:
@@ -86,6 +86,8 @@ class CoherenceSpectrum:
     def band(self, limit_hz: float) -> "CoherenceSpectrum":
         """Restrict the frequency axis to |f| <= limit_hz (display helper)."""
         keep = np.abs(self.freqs_hz) <= limit_hz
+        if not keep.any():
+            raise ConfigError(f"band limit {limit_hz} Hz keeps no frequency bin")
         return CoherenceSpectrum(
             data=self.data[:, :, keep], mu=self.mu, freqs_hz=self.freqs_hz[keep],
             taus=self.taus, meta={**self.meta, "band_hz": limit_hz})
@@ -112,7 +114,7 @@ def fft2_coherence(grid: SignalGrid, apodization: np.ndarray | None = None,
                 f"apodization length {apodization.shape} does not match n_t = {grid.n_t}")
         data = data * apodization[None, :, None]
     if zero_pad < 1 or int(zero_pad) != zero_pad:
-        raise MqcnmrError(f"zero_pad must be a positive integer, got {zero_pad}")
+        raise UnsupportedGridError(f"zero_pad must be a positive integer, got {zero_pad}")
 
     c = np.fft.fftshift(np.fft.fft(data, axis=0), axes=0) / grid.n_phi
     n_freq = grid.n_t * int(zero_pad)

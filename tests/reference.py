@@ -329,3 +329,47 @@ def open_order_sums_loop(det, state, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
                             + 1j * np.bincount(nu_labels, weights=terms.imag,
                                                minlength=n_orders))
     return out
+
+
+def gaussian_density(width, u):
+    """Unit-integral Gaussian OMDF p(u) = exp(-u^2 / (2 w^2)) / sqrt(2 pi w^2),
+    whose inverse transform is ``GaussianOMDF(width).q``."""
+    return np.exp(-np.asarray(u) ** 2 / (2.0 * width ** 2)) / np.sqrt(2.0 * np.pi * width ** 2)
+
+
+def populations(state):
+    """Diagonal (population) elements of a ``ReducedState``."""
+    return state.matrix.diagonal().real
+
+
+def evolve_open(state, t, tau, params):
+    """Open-system map of a ``ReducedState`` for waiting time t and reversion time tau.
+
+    Element (a, b) is multiplied by exp(-i (zeta_a - zeta_b) S_zz t) G^T(t) G^R(tau),
+    with the package's ``g_reversible`` and ``g_irreversible`` as the factors
+    ``run_grid_open`` applies; the result is checked as a ``ReducedState`` again.
+    """
+    from mqcnmr.opensystem import ReducedState, g_irreversible, g_reversible
+    eig = state.eig
+    gaps = eig.gaps()
+    factor = (np.exp(-1j * eig.order_parameter * gaps * t)
+              * g_reversible(gaps, t, params)
+              * g_irreversible(gaps, tau, params))
+    return ReducedState(state.matrix * factor, eig)
+
+
+def irreversible_decay_time(dzeta, params):
+    """tau at which the G^R exponent reaches 1: [8(kappa+1)^2/(dzeta^2 sigma^2)]^(1/4)."""
+    if dzeta == 0:
+        return np.inf
+    return float((8.0 * (params.kappa + 1.0) ** 2
+                  / (dzeta ** 2 * params.sigma_cl ** 2)) ** 0.25)
+
+
+def sigma_for_decay_time(dzeta, tau_d, kappa=2.0):
+    """sigma_cl that puts the G^R decay time of gap ``dzeta`` at ``tau_d``; a zero
+    gap or a non-positive decay time raises the package's MqcnmrError."""
+    if dzeta == 0 or tau_d <= 0:
+        from mqcnmr.errors import MqcnmrError
+        raise MqcnmrError("need a nonzero gap and positive decay time")
+    return float(np.sqrt(8.0) * (kappa + 1.0) / (abs(dzeta) * tau_d ** 2))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -107,6 +108,93 @@ def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, do
     err = capsys.readouterr().err
     assert "configuration error:" in err and key in err and "Traceback" not in err
     assert not out.exists()
+
+
+def assert_configuration_error(capsys, argv, name):
+    """``mqcnmr argv`` exits 2 with a one-line configuration error naming ``name``."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and name in err and "Traceback" not in err
+
+
+def test_negative_acquisition_time_exits_2_before_any_output(tmp_path, capsys):
+    doc = _with(tiny_doc(), "sequence.acquisition", {"t_m": -1.0e-6, "window": 0.0})
+    out = tmp_path / "out"
+    assert_configuration_error(capsys, ["simulate", str(write_config(tmp_path, doc)),
+                                        "--output", str(out)], "sequence.acquisition.t_m")
+    assert not out.exists()
+
+
+def test_non_numeric_omdf_table_exits_2_before_any_output(tmp_path, capsys):
+    table = tmp_path / "omdf.txt"
+    table.write_text("abc def\n0.0 1.0\n")
+    doc = tiny_doc(engine="open", decoherence={
+        "sigma_cl": 2.5e5, "omdf": {"family": "tabulated", "path": str(table)}})
+    out = tmp_path / "out"
+    assert_configuration_error(capsys, ["simulate", str(write_config(tmp_path, doc)),
+                                        "--output", str(out)], str(table))
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_spin_run(tmp_path_factory):
+    """A two_spin_ms run directory after simulate, spectra and fit."""
+    out = tmp_path_factory.mktemp("two_spin") / "run"
+    assert main(["simulate", "--preset", "two_spin_ms", "--output", str(out)]) == 0
+    assert main(["spectra", str(out)]) == 0
+    assert main(["fit", str(out), "--mu", "2", "--frequency", "0"]) == 0
+    return out
+
+
+def _decreasing_taus(tmp_path, run):
+    doc = yaml.safe_load(preset_path("runs/two_spin_ms.yaml").read_text())
+    doc["molecule"] = str(preset_path("molecules/two_spin.yaml"))
+    doc["sequence"]["tau_schedule"] = [0.0, 120.0e-6, 60.0e-6]
+    return ["simulate", str(write_config(tmp_path, doc)), "--output", str(run)]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (lambda tmp_path, run: ["fit", str(run), "--mu", "99", "--frequency", "0"],
+     "coherence order 99"),
+    (lambda tmp_path, run: ["fit", str(run), "--mu", "2", "--frequency", "1e9"],
+     "frequency 1000000000.0 Hz"),
+    (lambda tmp_path, run: ["spectra", str(run), "--zero-pad", "0"], "zero_pad"),
+    (lambda tmp_path, run: ["spectra", str(run), "--band-hz", "-5"], "band limit -5.0 Hz"),
+    (_decreasing_taus, "sequence.tau_schedule"),
+], ids=["fit_mu_99", "fit_frequency_outside_band", "spectra_zero_pad_0",
+        "spectra_negative_band", "decreasing_tau_schedule"])
+def test_bad_stage_argument_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
+                                                                 two_spin_run, argv, name):
+    run = tmp_path / "run"
+    shutil.copytree(two_spin_run, run)
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert_configuration_error(capsys, argv(tmp_path, run), name)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("stage,writer,output", [
+    ("spectra", "spectrum_to_csv", "spectra.csv"),
+    ("fit", "curves_to_csv", "decay_curves.csv"),
+])
+def test_failing_csv_writer_leaves_no_temp_file_and_previous_output(
+        tmp_path, monkeypatch, two_spin_run, stage, writer, output):
+    run = tmp_path / "run"
+    shutil.copytree(two_spin_run, run)
+    before = (run / output).read_bytes()
+
+    def partial_then_fail(_, path):
+        with open(path, "w") as fh:
+            fh.write("tau,partial row")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner, writer, partial_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        if stage == "spectra":
+            runner.spectra_stage(run)
+        else:
+            runner.fit_stage(run, mu=2, frequencies=[0.0])
+    assert (run / output).read_bytes() == before
+    assert not list(run.glob(output + ".*"))
 
 
 @pytest.mark.parametrize("engine", ["closed", "open"])

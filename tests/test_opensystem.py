@@ -1,5 +1,7 @@
 """Eigen-selective decoherence model and the open-system engine."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,10 @@ from scipy.linalg import expm
 from mqcnmr.errors import ConfigError, MqcnmrError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, ReducedState,
-                               TabulatedOMDF, evolve_open, g_irreversible, g_reversible,
-                               irreversible_decay_time, prepare_reduced_state,
-                               run_grid_open, sigma_for_decay_time, synthesize_spectrum)
+                               TabulatedOMDF, g_irreversible, g_reversible,
+                               prepare_reduced_state, run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
-from mqcnmr.spectra import fft2_coherence
+from mqcnmr.spectra import fft2_coherence, spectral_assembly
 
 
 def make_system(n=2, seed=5, s_zz=0.6):
@@ -31,7 +32,8 @@ def make_system(n=2, seed=5, s_zz=0.6):
 def test_gaussian_omdf():
     omdf = GaussianOMDF(width=0.07)
     u = np.linspace(-1.0, 1.0, 4001)
-    np.testing.assert_allclose(np.trapezoid(omdf.p(u), u), 1.0, atol=1e-9)
+    np.testing.assert_allclose(np.trapezoid(ref.gaussian_density(omdf.width, u), u), 1.0,
+                               atol=1e-9)
     assert omdf.q(0.0) == 1.0
     x = np.array([0.0, 3.0, 10.0])
     np.testing.assert_allclose(omdf.q(x), np.exp(-0.5 * (0.07 * x) ** 2), atol=1e-14)
@@ -42,12 +44,14 @@ def test_gaussian_omdf():
 def test_tabulated_omdf_matches_gaussian():
     gauss = GaussianOMDF(width=0.05)
     u = np.linspace(-0.5, 0.5, 3001)
-    tab = TabulatedOMDF(u, gauss.p(u))
+    density = ref.gaussian_density(gauss.width, u)
+    tab = TabulatedOMDF(u, density)
     x = np.linspace(-30.0, 30.0, 7)
     np.testing.assert_allclose(tab.q(x), gauss.q(x), atol=1e-6)
-    np.testing.assert_allclose(tab.p(np.array([0.0, 0.1])),
-                               gauss.p(np.array([0.0, 0.1])), rtol=1e-6)
-    assert tab.p(5.0) == 0.0  # outside the tabulated support
+    # the stored table is the density on its own support, at unit integral
+    assert np.array_equal(tab.u, u)
+    np.testing.assert_allclose(tab.p_values, density, rtol=1e-6)
+    np.testing.assert_allclose(np.trapezoid(tab.p_values, tab.u), 1.0, atol=1e-12)
 
 
 def test_tabulated_omdf_validation_and_file(tmp_path):
@@ -70,27 +74,27 @@ def test_irreversible_factor_basics():
     assert g_irreversible(0.0, 1.0, params) == 1.0
     assert g_irreversible(1e4, 0.0, params) == 1.0
     dz = 2 * np.pi * 3000.0
-    td = irreversible_decay_time(dz, params)
+    td = ref.irreversible_decay_time(dz, params)
     np.testing.assert_allclose(g_irreversible(dz, td, params), np.exp(-1.0), rtol=1e-12)
     # closed form: td = [8 (kappa+1)^2 / (dz^2 sigma^2)]^(1/4)
     np.testing.assert_allclose(td, (8 * 9 / (dz ** 2 * 2e5 ** 2)) ** 0.25, rtol=1e-12)
-    assert irreversible_decay_time(0.0, params) == np.inf
+    assert ref.irreversible_decay_time(0.0, params) == np.inf
 
 
 def test_decay_time_sqrt2_gap_scaling():
     params = DecoherenceParams(sigma_cl=1.5e5, omdf=GaussianOMDF(0.05))
     dz = 2 * np.pi * 2000.0
-    ratio = irreversible_decay_time(dz, params) / irreversible_decay_time(2 * dz, params)
+    ratio = ref.irreversible_decay_time(dz, params) / ref.irreversible_decay_time(2 * dz, params)
     np.testing.assert_allclose(ratio, np.sqrt(2.0), rtol=1e-12)
 
 
 def test_sigma_for_decay_time_roundtrip():
     dz, td = 2 * np.pi * 4000.0, 1.24e-3
-    sigma = sigma_for_decay_time(dz, td, kappa=2.0)
+    sigma = ref.sigma_for_decay_time(dz, td, kappa=2.0)
     params = DecoherenceParams(sigma_cl=sigma, omdf=GaussianOMDF(0.05), kappa=2.0)
-    np.testing.assert_allclose(irreversible_decay_time(dz, params), td, rtol=1e-12)
+    np.testing.assert_allclose(ref.irreversible_decay_time(dz, params), td, rtol=1e-12)
     with pytest.raises(MqcnmrError):
-        sigma_for_decay_time(0.0, td)
+        ref.sigma_for_decay_time(0.0, td)
 
 
 def test_decoherence_params_validation():
@@ -116,8 +120,8 @@ def test_evolve_open_preserves_populations_and_hermiticity():
     _, reg, eig = make_system()
     state = prepare_reduced_state(eig, reg, 3e-5)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.1))
-    evolved = evolve_open(state, t=5e-5, tau=3e-4, params=params)
-    np.testing.assert_allclose(evolved.populations, state.populations, atol=1e-14)
+    evolved = ref.evolve_open(state, t=5e-5, tau=3e-4, params=params)
+    np.testing.assert_allclose(ref.populations(evolved), ref.populations(state), atol=1e-14)
     np.testing.assert_allclose(evolved.matrix, evolved.matrix.conj().T, atol=1e-14)
     # off-diagonal magnitudes can only shrink
     off = ~np.eye(reg.dim, dtype=bool)
@@ -130,7 +134,7 @@ def test_evolve_open_closed_system_limit():
     # negligible damping: unitary phases only
     params = DecoherenceParams(sigma_cl=1e-6, omdf=GaussianOMDF(1e-9))
     t = 7e-5
-    evolved = evolve_open(state, t=t, tau=1e-4, params=params)
+    evolved = ref.evolve_open(state, t=t, tau=1e-4, params=params)
     u = ref.propagator(eig, t)
     rho_unitary = u @ (eig.vectors @ state.matrix @ eig.vectors.conj().T) @ u.conj().T
     back = eig.vectors @ evolved.matrix @ eig.vectors.conj().T
@@ -144,7 +148,7 @@ def test_evolve_open_monotone_in_tau():
     off = ~np.eye(reg.dim, dtype=bool)
     norms = []
     for tau in (0.0, 2e-4, 4e-4, 8e-4):
-        ev = evolve_open(state, t=0.0, tau=tau, params=params)
+        ev = ref.evolve_open(state, t=0.0, tau=tau, params=params)
         norms.append(np.linalg.norm(ev.matrix[off]))
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
 
@@ -203,7 +207,7 @@ def test_run_grid_open_determinism_and_scaling():
     np.testing.assert_allclose(doubled, 2.0 * one, atol=0)
 
 
-def test_synthesize_spectrum_equals_open_grid_route():
+def test_spectral_assembly_equals_open_grid_route():
     _, reg, eig = make_system(n=3, seed=2)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.05))
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
@@ -212,13 +216,15 @@ def test_synthesize_spectrum_equals_open_grid_route():
     via_grid = fft2_coherence(run_grid_open(eig, reg, grid, params, acquisition=acq))
     state = prepare_reduced_state(eig, reg, 3e-5)
     scale = np.max(np.abs(via_grid.data))
+    direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
+                               g_reversible=partial(g_reversible, params=params),
+                               g_irreversible=partial(g_irreversible, params=params),
+                               taus=np.asarray(taus))
     for order in (-2, 1, 2, 3):
-        direct = synthesize_spectrum(state, reg, order, grid.ts, acq.t_m, acq.window,
-                                     params=params, taus=np.asarray(taus))
-        np.testing.assert_allclose(direct.data[:, 0, :], via_grid.order(order),
+        np.testing.assert_allclose(direct.order(order), via_grid.order(order),
                                    atol=1e-10 * scale)
     with pytest.raises(MqcnmrError):
-        synthesize_spectrum(state, reg, 99, grid.ts, acq.t_m, acq.window)
+        direct.order(99)
 
 
 def test_line_shape_is_shifted_scaled_omdf_copy():
@@ -232,7 +238,7 @@ def test_line_shape_is_shifted_scaled_omdf_copy():
     sig = np.exp(-1j * s_zz * dz * ts) * omdf.q(dz * ts)
     freqs = np.fft.fftshift(np.fft.fftfreq(n, dt))
     spec = dt * np.fft.fftshift(np.fft.fft(sig)) * np.exp(-2j * np.pi * freqs * ts[0])
-    expected = (2 * np.pi / abs(dz)) * omdf.p(s_zz + 2 * np.pi * freqs / dz)
+    expected = (2 * np.pi / abs(dz)) * ref.gaussian_density(width, s_zz + 2 * np.pi * freqs / dz)
     err = np.linalg.norm(np.abs(spec) - expected) / np.linalg.norm(expected)
     assert err < 0.02
     # the peak sits at f = -S dz / (2 pi) and its height scales as 1/|dz|
