@@ -10,7 +10,7 @@ from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, Tabulate
 from .operators import SpinRegister, collective_angular_momentum, rotation, t20_pair
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        jb_prepare, magic_sandwich, mrev8_block, run_grid, verify_reversion)
-from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectral_assembly
+from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence
 
 __all__ = [
     "AcquisitionSpec", "CoherenceSpectrum", "DecayCurve", "DecoherenceParams",
@@ -20,5 +20,5 @@ __all__ = [
     "eigendecompose", "fft2_coherence", "fit_decay", "frequency_cuts",
     "g_irreversible", "g_reversible", "jb_prepare", "magic_sandwich", "mrev8_block",
     "prepare_reduced_state", "rotation", "run_grid", "run_grid_open",
-    "secular_hamiltonian", "spectral_assembly", "t20_pair", "verify_reversion",
+    "secular_hamiltonian", "t20_pair", "verify_reversion",
 ]

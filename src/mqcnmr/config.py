@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -66,12 +67,15 @@ def _require(mapping: dict, key: str, context: str):
 
 def _number(value, key: str, kind=float):
     """``kind(value)``, or a ConfigError naming ``key`` when the value is not
-    a number of that kind."""
+    a finite number of that kind."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
-                          f"got {value!r}") from None
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a finite number'}, "
+                      f"got {value!r}")
 
 
 def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister
-from .sequence import (ExperimentGrid, PropagatorCache, check_grid_memory, kernel_inputs,
+from .sequence import (ExperimentGrid, Propagators, check_grid_memory, kernel_inputs,
                        phase_encode, prepared_setup)
 from .spectra import SignalGrid, pair_chunk_rows, pair_order_sums
 
@@ -125,7 +125,7 @@ class DecoherenceParams:
 def g_irreversible(dzeta, tau, params: DecoherenceParams):
     """Irreversible decoherence factor exp(-dzeta^2 sigma^2 tau^4 / [8(kappa+1)^2])."""
     dz = np.asarray(dzeta, dtype=float)
-    return np.exp(-(dz * params.sigma_cl) ** 2 * float(tau) ** 4
+    return np.exp(-(dz * params.sigma_cl) ** 2 * np.asarray(tau, dtype=float) ** 4
                   / (8.0 * (params.kappa + 1.0) ** 2))
 
 
@@ -154,7 +154,7 @@ class ReducedState:
 
 def prepare_reduced_state(eig: EigenSystem, reg: SpinRegister, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    return ReducedState(prepared_setup(PropagatorCache(eig, reg), t_p).state, eig)
+    return ReducedState(prepared_setup(Propagators(eig, reg), t_p).state, eig)
 
 
 def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
@@ -175,10 +175,10 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     check_grid_memory(grid, reg.dim, matrices=12,
                       t_rows=n_tau * (2 * reg.n_spins + 2) + 4 * rows,
                       workspace=n_tau * rows + 4 * QUADRATURE_BLOCK_BYTES // 16)
-    cache = PropagatorCache(eig, reg)
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(cache, grid.t_p), acquisition)
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(Propagators(eig, reg), grid.t_p),
+                                            acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
                            partial(g_reversible, params=params),
                            partial(g_irreversible, params=params))
-    return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())
+    return phase_encode(sums, grid, acquisition, n_molecules)

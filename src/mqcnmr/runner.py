@@ -1,10 +1,11 @@
 """Pipeline orchestration: simulate -> spectra -> fit, with manifests.
 
-Every stage writes its outputs atomically (temp file + rename) and records
-them in a manifest with content hashes, so reruns can be diffed and no
-orphan files appear.  Identical configurations produce bit-identical
-signal and spectrum files across repeated runs; only manifest timings
-differ.  The environment variable ``MQCNMR_CACHE_DIR`` names an
+Every stage fills its outputs and then its manifest, which records their
+content hashes, as temp files, and only then renames them into place, the
+manifest last; so reruns can be diffed, no orphan files appear, and a stage
+that fails replaces none of its old outputs.  Identical configurations
+produce bit-identical signal and spectrum files across repeated runs; only
+manifest timings differ.  The environment variable ``MQCNMR_CACHE_DIR`` names an
 optional directory for cached eigendecompositions.
 """
 
@@ -19,6 +20,7 @@ import tempfile
 import time
 import zipfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
 from .operators import UNITARY_ATOL
-from .sequence import (Mrev8Spec, PropagatorCache, run_grid, verify_reversion)
+from .sequence import Mrev8Spec, Propagators, run_grid, verify_reversion
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
 
 CACHE_ENV = "MQCNMR_CACHE_DIR"
@@ -39,54 +41,69 @@ CACHE_ENV = "MQCNMR_CACHE_DIR"
 EIG_CACHE_VERSION = 2
 
 
-def _atomic_write(path: Path, write) -> None:
-    """Have ``write(tmp)`` fill a temp file next to ``path``, then rename it
-    into place; if anything fails, the temp file is removed and ``path`` is
-    left as it was."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
+@contextmanager
+def _staged(out_dir: Path):
+    """Yield ``stage(name, write)``, which has ``write(tmp)`` fill a temp file in
+    ``out_dir`` and returns its path; when the block ends, every staged file is
+    renamed to its name, in staging order.  If anything fails first, the temp
+    files are removed and every old file is left as it was."""
+    temps = {}
+
+    def stage(name: str, write) -> Path:
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name + ".")
+        os.close(fd)
+        temps[name] = Path(tmp)
         write(tmp)
-        os.replace(tmp, path)
+        return temps[name]
+
+    try:
+        yield stage
+        for name, tmp in temps.items():
+            os.replace(tmp, out_dir / name)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
         raise
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode())
-
-
-def _atomic_save_array(path: Path, arr: np.ndarray) -> None:
-    buf = io.BytesIO()
-    np.save(buf, arr)
-    _atomic_write_bytes(path, buf.getvalue())
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, stage: str, cfg_hash: str, elapsed: float,
-                    files, cache_stats=None, upstream: dict | None = None) -> dict:
-    manifest = {
-        "stage": stage,
-        "config_hash": cfg_hash,
-        "tool_version": __version__,
-        "elapsed_s": elapsed,
-        "cache_stats": cache_stats or {},
-        "files": {name: _sha256(out_dir / name) for name in sorted(files)},
-    }
-    if upstream is not None:
-        manifest["upstream"] = upstream
-    _atomic_write_text(out_dir / f"manifest_{stage}.json",
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _write_stage(out_dir: Path, stage: str, cfg_hash: str, t0: float, writers: dict,
+                 upstream: dict | None = None) -> dict:
+    """Write a stage's outputs (``writers`` maps each file name to its
+    ``write(tmp)``) and its manifest, which records their hashes: all are
+    filled first and then renamed into place, the manifest last, so a failure
+    leaves no output replaced."""
+    with _staged(out_dir) as stage_file:
+        files = {name: _sha256(stage_file(name, write)) for name, write in writers.items()}
+        manifest = {
+            "stage": stage,
+            "config_hash": cfg_hash,
+            "tool_version": __version__,
+            "elapsed_s": time.monotonic() - t0,
+            "files": dict(sorted(files.items())),
+        }
+        if upstream is not None:
+            manifest["upstream"] = upstream
+        stage_file(f"manifest_{stage}.json", _json_writer(manifest))
     return manifest
+
+
+def _text_writer(text: str):
+    return lambda tmp: Path(tmp).write_bytes(text.encode())
+
+
+def _json_writer(doc: dict):
+    return _text_writer(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _npy_writer(arr: np.ndarray):
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            np.save(fh, arr)
+    return write
 
 
 def _upstream(run_dir: Path, stage: str) -> tuple:
@@ -154,7 +171,8 @@ def build_eigensystem(cfg: RunConfig) -> EigenSystem:
         buf = io.BytesIO()
         np.savez(buf, zeta=eig.zeta, vectors=eig.vectors, m=eig.m, s=eig.s,
                  order_parameter=eig.order_parameter)
-        _atomic_write_bytes(cache_file, buf.getvalue())
+        with _staged(cache_file.parent) as stage_file:
+            stage_file(cache_file.name, lambda tmp: Path(tmp).write_bytes(buf.getvalue()))
     return eig
 
 
@@ -177,12 +195,9 @@ def simulate(cfg: RunConfig, out_dir=None) -> dict:
                              n_molecules=cfg.n_molecules)
 
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_save_array(out / "signals.npy", grid.data)
-    _atomic_write_text(out / "signals_meta.json",
-                       json.dumps(grid.metadata(), indent=2, sort_keys=True) + "\n")
-    return _write_manifest(out, "simulate", config_hash(cfg.raw), time.monotonic() - t0,
-                           ["signals.npy", "signals_meta.json"],
-                           cache_stats=grid.cache_stats)
+    return _write_stage(out, "simulate", config_hash(cfg.raw), t0,
+                        {"signals.npy": _npy_writer(grid.data),
+                         "signals_meta.json": _json_writer(grid.metadata())})
 
 
 def load_signals(run_dir) -> SignalGrid:
@@ -211,18 +226,13 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
     if band_hz is not None:
         spec = spec.band(band_hz)
 
-    _atomic_write(run_dir / "spectra.csv", lambda tmp: spectrum_to_csv(spec, tmp))
-    _atomic_save_array(run_dir / "spectra.npy", spec.data)
-    _atomic_write_text(run_dir / "spectra_meta.json",
-                       json.dumps({**spec.meta, "mu": spec.mu.tolist(),
-                                   "taus": spec.taus.tolist(),
-                                   "freqs_hz": spec.freqs_hz.tolist(),
-                                   "n_freq": len(spec.freqs_hz)},
-                                  indent=2, sort_keys=True) + "\n")
+    meta = {**spec.meta, "mu": spec.mu.tolist(), "taus": spec.taus.tolist(),
+            "freqs_hz": spec.freqs_hz.tolist(), "n_freq": len(spec.freqs_hz)}
     cfg_hash, upstream = _upstream(run_dir, "simulate")
-    return _write_manifest(run_dir, "spectra", cfg_hash, time.monotonic() - t0,
-                           ["spectra.csv", "spectra.npy", "spectra_meta.json"],
-                           upstream=upstream)
+    return _write_stage(run_dir, "spectra", cfg_hash, t0,
+                        {"spectra.csv": lambda tmp: spectrum_to_csv(spec, tmp),
+                         "spectra.npy": _npy_writer(spec.data),
+                         "spectra_meta.json": _json_writer(meta)}, upstream)
 
 
 def load_spectra(run_dir) -> CoherenceSpectrum:
@@ -283,14 +293,11 @@ def fit_stage(run_dir, mu: int, frequencies, model: str = "exponential",
     spec = load_spectra(run_dir)
     curves = frequency_cuts(spec, mu, frequencies, mode=cut_mode)
     report = eigen_selectivity_report(curves, model=model)
-    _atomic_write_text(run_dir / "fit_report.json",
-                       json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    _atomic_write_text(run_dir / "fit_report.txt", report.table())
-    _atomic_write(run_dir / "decay_curves.csv", lambda tmp: curves_to_csv(curves, tmp))
     cfg_hash, upstream = _upstream(run_dir, "spectra")
-    _write_manifest(run_dir, "fit", cfg_hash, time.monotonic() - t0,
-                    ["fit_report.json", "fit_report.txt", "decay_curves.csv"],
-                    upstream=upstream)
+    _write_stage(run_dir, "fit", cfg_hash, t0,
+                 {"fit_report.json": _json_writer(report.as_dict()),
+                  "fit_report.txt": _text_writer(report.table()),
+                  "decay_curves.csv": lambda tmp: curves_to_csv(curves, tmp)}, upstream)
     return report.as_dict()
 
 
@@ -300,14 +307,13 @@ def verify_stage(cfg: RunConfig, max_residual: float = 1e-2) -> dict:
         raise ConfigError("config has no reversion block to verify")
     eig = build_eigensystem(cfg)
     reg = cfg.molecule.register()
-    cache = PropagatorCache(eig, reg)
     tau = next((t for t in cfg.grid.taus if t > 0), None)
     if tau is None:
         if isinstance(cfg.block, Mrev8Spec):
             tau = cfg.block.cycle_time
         else:
             raise ConfigError("tau schedule has no positive entry to verify")
-    report = verify_reversion(cfg.block.events_for(tau), cache)
+    report = verify_reversion(cfg.block.events_for(tau), Propagators(eig, reg))
     result = {"tau": tau, "residual": report.residual,
               "effective_hamiltonian_norm": report.effective_norm,
               "duration": report.duration, "max_residual": max_residual}

@@ -27,8 +27,7 @@ from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidation
 from .hamiltonian import EigenSystem
 from .operators import (SpinRegister, collective_angular_momentum, kron_apply,
                         kron_conjugate, rotation_halves)
-from .spectra import (RunSetup, SignalGrid, detection_matrix, free_phases, pair_order_sums,
-                      run_setup)
+from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases, pair_order_sums
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,10 @@ class ExperimentGrid:
             raise ConfigError(f"need at least 2 waiting-time steps, got {self.n_t}")
         if self.n_phi < 1:
             raise ConfigError(f"n_phi must be positive, got {self.n_phi}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_p < 0 or any(tau < 0 for tau in self.taus):
-            raise ConfigError("t_p and all tau values must be non-negative")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
+        if not all(0 <= value < np.inf for value in (self.t_p, *self.taus)):
+            raise ConfigError("t_p and all tau values must be non-negative and finite")
         if len(self.taus) == 0:
             raise ConfigError("tau schedule is empty")
 
@@ -193,55 +192,32 @@ class MagicSandwichSpec:
         return magic_sandwich(tau / 1.5)
 
 
-class PropagatorCache:
-    """Compile-once store of the event propagators of one run, held by their
-    structure rather than as 2^N x 2^N matrices.
+@dataclass(frozen=True)
+class Propagators:
+    """The event propagators of one run, built by their structure where each
+    event is applied rather than as 2^N x 2^N matrices.
 
     A pulse is its two Kronecker halves r^(x)floor(N/2) and r^(x)ceil(N/2)
     (``rotation_halves``).  A free evolution commutes with I_z, so it is its
     total-m blocks V_m diag(p_m) V_m^dagger: sum_m C(N, m)^2 entries instead of
-    4^N.  Keys are the exact (duration, scale) or (angle, axis_phase) floats,
-    so identical events from one grid always hit the cache and recompilation
-    is bit-deterministic.
+    4^N.  Building either costs less than applying it, so no event's factors
+    outlive its application.
     """
 
-    def __init__(self, eig: EigenSystem, reg: SpinRegister):
-        self.eig = eig
-        self.reg = reg
-        self.hits = 0
-        self.misses = 0
-        self._store = {}
+    eig: EigenSystem
+    reg: SpinRegister
 
-    def _get(self, key, build):
-        value = self._store.get(key)
-        if value is None:
-            self.misses += 1
-            value = self._store[key] = build()
-        else:
-            self.hits += 1
-        return value
-
-    def free(self, duration: float, scale: float = 1.0) -> tuple:
+    def _free(self, ev: FreeEvolution) -> list:
         """The m blocks of exp(-i scale H duration), in the order of ``eig.blocks``."""
-        def build():
-            phases = free_phases(self.eig, [scale * duration])[0]
-            blocks = tuple((v * phases[cols]) @ v.conj().T for _, cols, v in self.eig.blocks)
-            for u in blocks:
-                u.flags.writeable = False
-            return blocks
-        return self._get(("free", float(duration), float(scale)), build)
-
-    def pulse(self, angle: float, axis_phase: float) -> tuple:
-        """The Kronecker halves of the collective pulse R_phase(angle)."""
-        return self._get(("pulse", float(angle), float(axis_phase)),
-                         lambda: rotation_halves(self.reg, angle, axis_phase))
+        phases = free_phases(self.eig, [ev.scale * ev.duration])[0]
+        return [(v * phases[cols]) @ v.conj().T for _, cols, v in self.eig.blocks]
 
     def apply(self, ev: SequenceEvent, x: np.ndarray | None) -> np.ndarray:
         """U x for the event's propagator U and a matrix x of 2^N rows (None: U)."""
         if isinstance(ev, Pulse):
-            halves = self.pulse(ev.angle, ev.axis_phase)
+            halves = rotation_halves(self.reg, ev.angle, ev.axis_phase)
             return np.kron(*halves) if x is None else kron_apply(halves, x)
-        blocks = self.free(ev.duration, ev.scale)
+        blocks = self._free(ev)
         if x is not None:
             return self.eig.product_blockwise(x, blocks)
         u = np.zeros((self.reg.dim,) * 2, dtype=complex)
@@ -252,42 +228,39 @@ class PropagatorCache:
     def conjugate(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
         """U x U^dagger for the event's propagator U."""
         if isinstance(ev, Pulse):
-            return kron_conjugate(self.pulse(ev.angle, ev.axis_phase), x)
-        blocks = self.free(ev.duration, ev.scale)
+            return kron_conjugate(rotation_halves(self.reg, ev.angle, ev.axis_phase), x)
+        blocks = self._free(ev)
         return self.eig.product_blockwise(x, blocks, [u.conj().T for u in blocks])
 
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._store)}
 
-
-def compile_program(events, cache: PropagatorCache) -> np.ndarray:
+def compile_program(events, props: Propagators) -> np.ndarray:
     """Apply the event propagators in time order: their product, one unitary
     in the product basis."""
     u = None
     for ev in events:
-        u = cache.apply(ev, u)
-    return np.eye(cache.reg.dim, dtype=complex) if u is None else u
+        u = props.apply(ev, u)
+    return np.eye(props.reg.dim, dtype=complex) if u is None else u
 
 
-def evolve(events, sigma: np.ndarray, cache: PropagatorCache, eigen: bool = True) -> np.ndarray:
+def evolve(events, sigma: np.ndarray, props: Propagators, eigen: bool = True) -> np.ndarray:
     """The state ``sigma`` carried through ``events`` (U sigma U^dagger per
     event), returned in the H eigenbasis.
 
     ``sigma`` is given in the eigenbasis (``eigen``) or the product basis.  A
     free evolution on a state still in the eigenbasis is a phase per element,
     O(4^N); a pulse moves the state to the product basis, where every further
-    event applies by its structure (``PropagatorCache.conjugate``).
+    event applies by its structure (``Propagators.conjugate``).
     """
     for ev in events:
         if eigen and isinstance(ev, FreeEvolution):
-            p = free_phases(cache.eig, [ev.scale * ev.duration])[0]
+            p = free_phases(props.eig, [ev.scale * ev.duration])[0]
             sigma = p[:, None] * sigma
             sigma *= p.conj()
         else:
             if eigen:
-                sigma, eigen = cache.eig.to_product(sigma), False
-            sigma = cache.conjugate(ev, sigma)
-    return sigma if eigen else cache.eig.to_eigen(sigma)
+                sigma, eigen = props.eig.to_product(sigma), False
+            sigma = props.conjugate(ev, sigma)
+    return sigma if eigen else props.eig.to_eigen(sigma)
 
 
 @dataclass(frozen=True)
@@ -302,14 +275,14 @@ class ReversionReport:
         return float(np.linalg.norm(self.effective_hamiltonian, 2))
 
 
-def verify_reversion(events, cache: PropagatorCache) -> ReversionReport:
+def verify_reversion(events, props: Propagators) -> ReversionReport:
     """Measure how far a compiled block is from a global-phase identity.
 
     Reports ||U - exp(i theta) 1|| in the spectral norm with theta chosen
     optimally, plus the effective generator log(U)/(-i tau).  Used as a
     gate so a wrong multipulse phase pattern cannot silently ship.
     """
-    u = compile_program(events, cache)
+    u = compile_program(events, props)
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if uni_err > 1e-8:
         raise NumericalValidationError(f"compiled block is not unitary (error {uni_err:.3e})")
@@ -347,17 +320,7 @@ def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
     return AcquisitionSpec(t_m=idx * dwell, window=2.0 * dwell)
 
 
-def _block_plan(block, taus) -> tuple:
-    """The events of each tau, and the event lists ``block_states`` compiles
-    or applies for them: the same lists, or the one cycle of an MREV-8
-    "concatenate" block, which serves every tau."""
-    events = [() if block is None else block.events_for(tau) for tau in taus]
-    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
-        return events, [mrev8_block(block.tau1)]
-    return events, events
-
-
-def block_states(block, taus, cache: PropagatorCache, state: np.ndarray):
+def block_states(block, taus, props: Propagators, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
 
@@ -369,11 +332,11 @@ def block_states(block, taus, cache: PropagatorCache, state: np.ndarray):
     so a tau that is not a whole number of cycles is rejected before anything
     is compiled.
     """
-    events, programs = _block_plan(block, taus)
-    if programs is events:
-        return (evolve(ev, state, cache) if ev else state for ev in events)
-    (cycle,) = programs
-    return _cycle_states(cache.eig.to_eigen(compile_program(cycle, cache)), state,
+    events = [() if block is None else block.events_for(tau) for tau in taus]
+    if not (isinstance(block, Mrev8Spec) and block.mode == "concatenate"):
+        return (evolve(ev, state, props) if ev else state for ev in events)
+    cycle = mrev8_block(block.tau1)
+    return _cycle_states(props.eig.to_eigen(compile_program(cycle, props)), state,
                          [len(ev) // len(cycle) for ev in events])
 
 
@@ -387,13 +350,15 @@ def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
         yield sigma
 
 
-def prepared_setup(cache: PropagatorCache, t_p: float) -> RunSetup:
+def prepared_setup(props: Propagators, t_p: float) -> RunSetup:
     """The operators a run holds fixed, built once after its memory gate: the
-    state I_z carried through the JB preparation ``jb_prepare(t_p)`` and the
-    read pulse R_y(pi/4), both through ``cache``."""
-    state = evolve(jb_prepare(t_p), collective_angular_momentum(cache.reg, "z"), cache,
-                   eigen=False)
-    return run_setup(cache.eig, cache.reg, state, cache.pulse(np.pi / 4, np.pi / 2))
+    state I_z carried through the JB preparation ``jb_prepare(t_p)``, the read
+    pulse R_y(pi/4) as its Kronecker halves, and I_+ = I_x + i I_y, the state
+    and I_+ in the H eigenbasis."""
+    eig, reg = props.eig, props.reg
+    state = evolve(jb_prepare(t_p), collective_angular_momentum(reg, "z"), props, eigen=False)
+    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
+    return RunSetup(eig, state, rotation_halves(reg, np.pi / 4, np.pi / 2), eig.to_eigen(i_plus))
 
 
 def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
@@ -405,15 +370,14 @@ def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple
 
 
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
-                 n_molecules: int = 1, cache_stats: dict | None = None) -> SignalGrid:
+                 n_molecules: int = 1) -> SignalGrid:
     """The signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t] on the
     (phi, t, tau) grid, from the order sums c of ``pair_order_sums``."""
     n = sums.shape[1] // 2
     encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(-n, n + 1)))
     return SignalGrid(data=np.einsum("pn,knt->ptk", encoder, sums, order="C"), dt=grid.dt,
                       taus=np.asarray(grid.taus, dtype=float), t_p=grid.t_p,
-                      t_m=acquisition.t_m, window=acquisition.window,
-                      cache_stats=cache_stats or {})
+                      t_m=acquisition.t_m, window=acquisition.window)
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -445,23 +409,6 @@ def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int
         )
 
 
-def _cache_entries(reg: SpinRegister, block, taus, t_p: float) -> int:
-    """Complex entries the run's PropagatorCache comes to hold: the Kronecker
-    halves of each distinct pulse, and the m blocks (sum_m C(N, m)^2 entries)
-    of each distinct free evolution applied in the product basis.  Those are
-    the events of the preparation, of what ``compile_program`` compiles, and of
-    each block that ``evolve`` applies from its first pulse on (it applies the
-    free evolutions before that pulse as eigenbasis phases)."""
-    events, programs = _block_plan(block, taus)
-    if programs is events:
-        programs = [ev[next((i for i, e in enumerate(ev) if isinstance(e, Pulse)), len(ev)):]
-                    for ev in events]
-    half = reg.n_spins // 2
-    size = {Pulse: 4 ** half + 4 ** (reg.n_spins - half),
-            FreeEvolution: comb(2 * reg.n_spins, reg.n_spins)}
-    return sum(size[type(ev)] for ev in set(jb_prepare(t_p)).union(*programs))
-
-
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
              n_molecules: int = 1, memory_budget_bytes: int | None = None) -> SignalGrid:
@@ -486,17 +433,16 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     # the weight slabs, the prepared state and detection matrix, and the state
     # being carried with its temporaries (the state, the compiled cycle, and up
     # to three products of one event or basis change, or one slab's product);
-    # V's m blocks and the cache; the signal grid and order sums, and the
-    # phases with one slab's GEMM output and product
+    # V's m blocks and the factors of the one event being applied; the signal
+    # grid and order sums, and the phases with one slab's GEMM output and product
     check_grid_memory(grid, reg.dim, matrices=n_tau + 8,
                       t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
-                      workspace=comb(2 * reg.n_spins, reg.n_spins)
-                      + _cache_entries(reg, block, grid.taus, grid.t_p),
+                      workspace=2 * comb(2 * reg.n_spins, reg.n_spins),
                       budget=memory_budget_bytes)
-    cache = PropagatorCache(eig, reg)
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(cache, grid.t_p), acquisition)
+    props = Propagators(eig, reg)
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(props, grid.t_p), acquisition)
     weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)
-    for k, sigma in enumerate(block_states(block, grid.taus, cache, a_eig)):
+    for k, sigma in enumerate(block_states(block, grid.taus, props, a_eig)):
         weights[k] = _tau_slab(det, sigma)
     sums = pair_order_sums(weights, eig, reg.n_spins, grid.ts, grid.taus)
-    return phase_encode(sums, grid, acquisition, n_molecules, cache.stats())
+    return phase_encode(sums, grid, acquisition, n_molecules)

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
-from .operators import (SpinRegister, collective_angular_momentum, kron_conjugate,
-                        rotation_halves)
+from .operators import kron_conjugate
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class SignalGrid:
     t_p: float
     t_m: float
     window: float
-    cache_stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=complex)
@@ -151,14 +149,6 @@ def _read_only(a) -> np.ndarray:
     return view
 
 
-def run_setup(eig: EigenSystem, reg: SpinRegister, state_eig: np.ndarray,
-              read_pulse: tuple) -> RunSetup:
-    """The RunSetup of the prepared state ``state_eig`` (eigenbasis) and the
-    read pulse's Kronecker halves ``read_pulse``; I_+ is built here, once."""
-    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    return RunSetup(eig, state_eig, read_pulse, eig.to_eigen(i_plus))
-
-
 def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
     """Window-averaged detection weights in the H eigenbasis.
 
@@ -207,8 +197,9 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and
     W = weights[(tau,) a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on
-    uniform ts (G None means 1; G^R takes one tau).  ``weights`` is (dim, dim),
-    the same for every tau, or (n_tau, dim, dim).
+    uniform ts (G None means 1; both are called with arrays that broadcast,
+    G^R with the gaps as a row and the taus as a column).  ``weights`` is
+    (dim, dim), the same for every tau, or (n_tau, dim, dim).
 
     Without G factors E = p_b conj(p_a) factorises (``free_phases``): for each
     slab, one GEMM per total-m row block, in O(n_t 2^N) working memory plus a
@@ -252,41 +243,9 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
             e = _uniform_exp(-1j * eig.order_parameter * g, ts)
             if g_reversible is not None:
                 e *= g_reversible(g[:, None], ts[None, :])
-            c[:, i] += np.stack([w[k, lo:hi] * (1.0 if g_irreversible is None
-                                                else g_irreversible(g, tau))
-                                 for k, tau in enumerate(taus)]) @ e
+            c[:, i] += (w[:, lo:hi] * (1.0 if g_irreversible is None
+                                       else g_irreversible(g[None, :], taus[:, None]))) @ e
     return c
-
-
-def spectral_assembly(state_eig: np.ndarray, eig: EigenSystem, reg: SpinRegister,
-                      ts: np.ndarray, t_m: float, window: float,
-                      g_reversible=None, g_irreversible=None,
-                      taus: np.ndarray | None = None,
-                      n_molecules: int = 1) -> CoherenceSpectrum:
-    """Assemble coherence spectra directly from eigenbasis matrix elements.
-
-    The t transform of the order sums of ``pair_order_sums`` on the t grid
-    of the time-domain route.  With G == 1 this reproduces
-    ``fft2_coherence(run_grid(...))`` exactly (up to rounding); with
-    decoherence factors it realizes the shifted-copy superposition.
-
-    Args:
-        state_eig: prepared reduced state at t_p+ in the H eigenbasis.
-        g_reversible: callable (dzeta, t) -> complex factor, or None for 1.
-        g_irreversible: callable (dzeta, tau) -> real factor, or None for 1.
-    """
-    ts = np.asarray(ts, dtype=float)
-    taus = np.asarray([0.0] if taus is None else taus, dtype=float)
-    setup = run_setup(eig, reg, state_eig, rotation_halves(reg, np.pi / 4, "y"))
-    det = detection_matrix(setup, t_m, window)
-    sums = pair_order_sums(det * setup.state.T, eig, reg.n_spins, ts, taus,
-                           g_reversible, g_irreversible)
-    data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
-    freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
-    return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),
-                             freqs_hz=freqs, taus=taus,
-                             meta={"route": "eigenbasis-assembly", "t_m": t_m,
-                                   "window": window})
 
 
 def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:

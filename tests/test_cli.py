@@ -125,6 +125,20 @@ def test_negative_acquisition_time_exits_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dotted,value,key", [
+    ("sequence.t_p", float("nan"), "sequence.t_p"),
+    ("sequence.grid.dt", float("nan"), "sequence.grid.dt"),
+    ("sequence.tau_schedule", [0.0, float("nan")], "sequence.tau_schedule"),
+    ("sequence.tau_schedule", {"count": 3, "step": float("inf")}, "sequence.tau_schedule.step"),
+], ids=["t_p_nan", "dt_nan", "tau_nan", "tau_step_inf"])
+def test_non_finite_grid_value_exits_2_before_any_output(tmp_path, capsys, dotted, value, key):
+    doc = _with(tiny_doc(), dotted, value)
+    out = tmp_path / "out"
+    assert_configuration_error(capsys, ["simulate", str(write_config(tmp_path, doc)),
+                                        "--output", str(out)], key)
+    assert not out.exists()
+
+
 def test_non_numeric_omdf_table_exits_2_before_any_output(tmp_path, capsys):
     table = tmp_path / "omdf.txt"
     table.write_text("abc def\n0.0 1.0\n")
@@ -195,6 +209,25 @@ def test_failing_csv_writer_leaves_no_temp_file_and_previous_output(
             runner.fit_stage(run, mu=2, frequencies=[0.0])
     assert (run / output).read_bytes() == before
     assert not list(run.glob(output + ".*"))
+
+
+def test_failing_refit_replaces_no_fit_file(tmp_path, monkeypatch, two_spin_run):
+    # a refit at a second frequency would change both reports; the curves
+    # writer fails after they are filled, so none of the four files may change
+    run = tmp_path / "run"
+    shutil.copytree(two_spin_run, run)
+    names = ("fit_report.json", "fit_report.txt", "decay_curves.csv", "manifest_fit.json")
+    before = {name: (run / name).read_bytes() for name in names}
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner, "curves_to_csv", fail)
+    with pytest.raises(OSError, match="disk full"):
+        runner.fit_stage(run, mu=2, frequencies=[0.0, 10000.0])
+    assert {name: (run / name).read_bytes() for name in names} == before
+    assert sorted(path.name for path in run.iterdir()) == sorted(
+        path.name for path in two_spin_run.iterdir())
 
 
 @pytest.mark.parametrize("engine", ["closed", "open"])
@@ -379,15 +412,6 @@ def test_cli_preset_simulate(tmp_path):
                  "--output", str(tmp_path / "preset_run")]) == 0
     sig = np.load(tmp_path / "preset_run" / "signals.npy")
     assert sig.shape == (8, 64, 4)
-
-
-def test_open_preset_manifest_reports_cache_stats(tmp_path):
-    out = tmp_path / "open"
-    assert main(["simulate", "--preset", "open_demo", "--output", str(out)]) == 0
-    stats = json.loads((out / "manifest_simulate.json").read_text())["cache_stats"]
-    # the three events of the JB preparation, then the read pulse (pi/4)_y,
-    # which the preparation already compiled
-    assert stats == {"hits": 1, "misses": 3, "entries": 3}
 
 
 def test_preset_spectra_meta_lists_every_coherence_order(tmp_path):

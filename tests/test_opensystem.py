@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from reference import spectral_assembly
 from scipy.linalg import expm
 
 from mqcnmr.errors import ConfigError, MqcnmrError
@@ -14,7 +15,7 @@ from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, ReducedState,
                                TabulatedOMDF, g_irreversible, g_reversible,
                                prepare_reduced_state, run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
-from mqcnmr.spectra import fft2_coherence, spectral_assembly
+from mqcnmr.spectra import fft2_coherence
 
 
 def make_system(n=2, seed=5, s_zz=0.6):

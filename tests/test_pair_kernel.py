@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from reference import spectral_assembly
 
 from mqcnmr import opensystem, sequence, spectra
 from mqcnmr.cli import main
@@ -17,8 +18,8 @@ from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, g_reversible, prepare_reduced_state,
                                run_grid_open)
-from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, PropagatorCache, prepared_setup
-from mqcnmr.spectra import detection_matrix, pair_order_sums, spectral_assembly
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, Propagators, prepared_setup
+from mqcnmr.spectra import detection_matrix, pair_order_sums
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
 
@@ -44,7 +45,7 @@ def make_omdf(family, width):
 
 def oracle_grid(eig, reg, grid, params, n_molecules=1):
     """(phi, t, tau) signal from the dense per-(tau, t) order sums."""
-    setup = prepared_setup(PropagatorCache(eig, reg), grid.t_p)
+    setup = prepared_setup(Propagators(eig, reg), grid.t_p)
     det = detection_matrix(setup, ACQ.t_m, ACQ.window)
     sums = ref.open_order_sums_loop(
         det, setup.state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
@@ -119,7 +120,7 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the memory gate")
 
-    for name in ("PropagatorCache", "prepared_setup", "kernel_inputs", "pair_order_sums"):
+    for name in ("Propagators", "prepared_setup", "kernel_inputs", "pair_order_sums"):
         monkeypatch.setattr(opensystem, name, forbidden)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     with pytest.raises(GridSizeError):

@@ -11,7 +11,7 @@ from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
 from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
-                             MagicSandwichSpec, Mrev8Spec, PropagatorCache, Pulse, _tau_slab,
+                             MagicSandwichSpec, Mrev8Spec, Propagators, Pulse, _tau_slab,
                              block_states, compile_program, default_acquisition, jb_prepare,
                              magic_sandwich, mrev8_block, prepared_setup, run_grid,
                              total_duration, verify_reversion)
@@ -42,8 +42,8 @@ def test_jb_prepare_structure():
 
 def test_compile_program_matches_reference_chain():
     table, _, reg, eig = make_system(n=3, seed=4)
-    cache = PropagatorCache(eig, reg)
-    u = compile_program(jb_prepare(4e-5), cache)
+    props = Propagators(eig, reg)
+    u = compile_program(jb_prepare(4e-5), props)
     h = ref.ham_ref(table, 0.6)
     from scipy.linalg import expm
     u_ref = (ref.rot(3, np.pi / 4, np.pi / 2)
@@ -73,18 +73,18 @@ def test_mrev8_pulses_alone_compose_to_identity():
     sys2 = SpinSystem(n_sites=2, couplings_hz=table)
     reg = sys2.register()
     eig = eigendecompose(secular_hamiltonian(sys2, reg), reg)
-    cache = PropagatorCache(eig, reg)
-    u = compile_program(mrev8_block(5e-6), cache)
+    props = Propagators(eig, reg)
+    u = compile_program(mrev8_block(5e-6), props)
     theta = np.angle(np.trace(u))
     np.testing.assert_allclose(u, np.exp(1j * theta) * np.eye(4), atol=1e-12)
 
 
 def test_mrev8_residual_third_order_in_tau1():
     _, _, reg, eig = make_system(n=3, seed=4)
-    cache = PropagatorCache(eig, reg)
+    props = Propagators(eig, reg)
     residuals = []
     for tau1 in (20e-6, 10e-6, 5e-6):
-        report = verify_reversion(mrev8_block(tau1), cache)
+        report = verify_reversion(mrev8_block(tau1), props)
         residuals.append(report.residual)
     # each halving of tau1 should cut the residual by about 8 (third order)
     assert residuals[0] / residuals[1] > 5.0
@@ -94,10 +94,10 @@ def test_mrev8_residual_third_order_in_tau1():
 
 def test_magic_sandwich_exact_identity():
     _, _, reg, eig = make_system(n=3, seed=8)
-    cache = PropagatorCache(eig, reg)
+    props = Propagators(eig, reg)
     events = magic_sandwich(1e-4)
     np.testing.assert_allclose(total_duration(events), 1.5e-4, rtol=1e-12)
-    report = verify_reversion(events, cache)
+    report = verify_reversion(events, props)
     assert report.residual < 1e-12
     assert report.effective_norm < 1e-7
     with pytest.raises(MqcnmrError):
@@ -126,23 +126,9 @@ def test_block_specs():
         Mrev8Spec(tau1=5e-6, mode="other")
 
 
-def test_propagator_cache_stats():
-    _, _, reg, eig = make_system()
-    cache = PropagatorCache(eig, reg)
-    compile_program(mrev8_block(5e-6), cache)
-    first = cache.stats()
-    compile_program(mrev8_block(5e-6), cache)
-    second = cache.stats()
-    assert second["misses"] == first["misses"]
-    assert second["hits"] > first["hits"]
-    # distinct delay lengths and pulse phases: 2 free durations x 1 scale
-    # plus 4 distinct pulse phases
-    assert first["entries"] == 6
-
-
 def test_block_states_match_the_compiled_chain():
     _, _, reg, eig = make_system(n=3, seed=4)
-    cache = PropagatorCache(eig, reg)
+    props = Propagators(eig, reg)
     rng = np.random.default_rng(5)
     state = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     v = eig.vectors
@@ -153,21 +139,21 @@ def test_block_states_match_the_compiled_chain():
 
     block = Mrev8Spec(tau1=5e-6)
     counts = (3, 0, 1, 4, 2)  # unsorted on purpose
-    states = list(block_states(block, [n * block.cycle_time for n in counts], cache, state))
+    states = list(block_states(block, [n * block.cycle_time for n in counts], props, state))
     assert states[1] is state
     for n, sigma in zip(counts, states):
         if n:
             np.testing.assert_allclose(
-                sigma, carried(compile_program(mrev8_block(5e-6, n), cache)), rtol=0, atol=1e-12)
+                sigma, carried(compile_program(mrev8_block(5e-6, n), props)), rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
-        block_states(block, [0.0, 70e-6], cache, state)
+        block_states(block, [0.0, 70e-6], props, state)
     # other block families apply their events to the state for each tau
     for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
                        (MagicSandwichSpec(), 1.5e-4)):
-        (sigma,) = block_states(other, [tau], cache, state)
-        np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), cache)),
+        (sigma,) = block_states(other, [tau], props, state)
+        np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), props)),
                                    rtol=0, atol=1e-12)
-    assert [s is state for s in block_states(None, [0.0, 1e-4], cache, state)] == [True, True]
+    assert [s is state for s in block_states(None, [0.0, 1e-4], props, state)] == [True, True]
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -190,7 +176,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
 def test_default_acquisition_matches_dense_scan(n, seed):
     table, _, reg, eig = make_system(n=n, seed=seed)
     for t_p in (0.0, 5e-5):
-        acq = default_acquisition(prepared_setup(PropagatorCache(eig, reg), t_p))
+        acq = default_acquisition(prepared_setup(Propagators(eig, reg), t_p))
         assert acq.t_m == ref.first_maximum_t_m(table, 0.6, t_p)
 
 
@@ -203,6 +189,9 @@ def test_experiment_grid_validation():
         ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=0, taus=(0.0,))
     with pytest.raises(ConfigError):
         ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=4, taus=())
+    for bad in ({"t_p": np.nan}, {"dt": np.nan}, {"dt": np.inf}, {"taus": (0.0, np.nan)}):
+        with pytest.raises(ConfigError):
+            ExperimentGrid(**{"t_p": 0.0, "n_t": 4, "dt": 1e-6, "n_phi": 4, "taus": (0.0,), **bad})
     grid = ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=4, taus=(0.0,))
     np.testing.assert_allclose(grid.phis, [0.0, np.pi / 2, np.pi, 1.5 * np.pi])
     np.testing.assert_allclose(grid.ts, [0.0, 1e-6, 2e-6, 3e-6])
@@ -283,11 +272,10 @@ def test_run_grid_memory_budget():
 @pytest.mark.parametrize("block", [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"),
                                    Mrev8Spec(tau1=5e-6)])
 def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
-    # a stretched MREV-8 cycle adds the m blocks of about two free evolutions
-    # per tau to the cache (a magic sandwich applies its free evolutions as
-    # eigenbasis phases and adds none); a budget below the traced peak must be
-    # refused, and one 5% above it accepted (N = 7, where the 2^N x 2^N arrays
-    # dominate)
+    # each block family holds the factors of one event at a time (a magic
+    # sandwich applies its free evolutions as eigenbasis phases); a budget
+    # below the traced peak must be refused, and one 5% above it accepted
+    # (N = 7, where the 2^N x 2^N arrays dominate)
     _, _, reg, eig = make_system(n=7, seed=3)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
@@ -303,6 +291,28 @@ def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
         run_grid(eig, reg, grid, block=block, acquisition=acq)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
     run_grid(eig, reg, grid, block=block, acquisition=acq)
+
+
+def test_stretched_run_peak_grows_with_taus_only_by_the_slabs():
+    # every tau of a stretched MREV-8 block has its own delays; their m blocks
+    # are built where they are applied and freed after, so 30 more taus add
+    # their weight slabs and their rows of the signal grid and order sums,
+    # and nothing else (N = 7)
+    _, _, reg, eig = make_system(n=7, seed=3)
+    acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
+    block = Mrev8Spec(tau1=5e-6, mode="stretch")
+    peaks = []
+    for n_tau in (30, 60):
+        grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
+                              taus=tuple(k * 60e-6 for k in range(n_tau)))
+        tracemalloc.start()
+        try:
+            run_grid(eig, reg, grid, block=block, acquisition=acq)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_tau = 16 * (reg.dim ** 2 + grid.n_phi * grid.n_t + (2 * reg.n_spins + 1) * grid.n_t)
+    assert peaks[1] - peaks[0] <= 30 * per_tau
 
 
 class _GatePassed(Exception):
@@ -331,14 +341,13 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
 
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
-    # MREV-8 "concatenate" with the default acquisition: the preparation's
-    # (pi/2)_x equals the MREV-8 x pulse and its (pi/4)_y the read pulse, so
-    # the run builds the Kronecker halves of 5 distinct pulses
+    # MREV-8 "concatenate" with the default acquisition: each collective
+    # angular momentum is built once, and the JB preparation applied once
     from mqcnmr import operators, spectra
     _, _, reg, eig = make_system(n=3, seed=2)
     block = Mrev8Spec(tau1=5e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=block.tau_schedule(3))
-    calls = {"rotation_halves": [], "collective_angular_momentum": [], "evolve": []}
+    calls = {"collective_angular_momentum": [], "evolve": []}
 
     def logged(fn, log):
         def wrapper(*args, **kwargs):
@@ -351,8 +360,6 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
     run_grid(eig, reg, grid, block=block)
-    pulses = [args[1:] for args in calls["rotation_halves"]]
-    assert len(pulses) == len(set(pulses)) == 5
     axes = [args[1] for args in calls["collective_angular_momentum"]]
     assert len(axes) == len(set(axes))
     assert [tuple(args[0]) for args in calls["evolve"]].count(jb_prepare(grid.t_p)) == 1
@@ -360,7 +367,7 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
 
 def test_default_acquisition():
     _, _, reg, eig = make_system(n=2, seed=1)
-    acq = default_acquisition(prepared_setup(PropagatorCache(eig, reg), 5e-5))
+    acq = default_acquisition(prepared_setup(Propagators(eig, reg), 5e-5))
     assert acq.t_m >= 0.0
     assert acq.window == pytest.approx(2e-6)
 

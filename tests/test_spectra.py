@@ -8,16 +8,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from reference import g_coefficients
+from reference import g_coefficients, spectral_assembly
 from scipy.linalg import expm
 
 from mqcnmr.errors import MqcnmrError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import prepare_reduced_state
-from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, PropagatorCache, prepared_setup,
+from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, Propagators, prepared_setup,
                              run_grid)
 from mqcnmr.spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, fft2_coherence,
-                            spectral_assembly, spectrum_to_csv)
+                            spectrum_to_csv)
 
 
 def make_system(n=3, seed=12, s_zz=0.6, scale_hz=5000.0):
@@ -172,7 +172,7 @@ def test_g_coefficients_window_limit_and_average():
 def test_detection_matrix_consistent_with_g_coefficients():
     _, reg, eig = make_system(n=2, seed=5)
     t_m, window = 4e-6, 2e-6
-    det = detection_matrix(prepared_setup(PropagatorCache(eig, reg), 0.0), t_m, window)
+    det = detection_matrix(prepared_setup(Propagators(eig, reg), 0.0), t_m, window)
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sigma = a + a.conj().T  # hermitian state in the eigenbasis

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference as ref
 from mqcnmr.hamiltonian import EigenSystem, eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
-from mqcnmr.sequence import FreeEvolution, PropagatorCache
+from mqcnmr.sequence import FreeEvolution, Propagators
 
 
 def random_matrix(rng, rows, cols):
@@ -57,13 +57,13 @@ def test_kronecker_half_pulse_matches_dense_rotation(n, theta, axis, cols, seed)
        shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shuffle, seed):
     reg, eig, rng = secular_eigensystem(n, seed, shuffle)
-    cache = PropagatorCache(eig, reg)
+    props = Propagators(eig, reg)
     ev = FreeEvolution(duration, scale)
     u = ref.propagator(eig, duration, scale)
     x = random_matrix(rng, reg.dim, reg.dim)
-    assert_close(cache.apply(ev, None), u)
-    assert_close(cache.apply(ev, x), u @ x)
-    assert_close(cache.conjugate(ev, x), u @ x @ u.conj().T)
+    assert_close(props.apply(ev, None), u)
+    assert_close(props.apply(ev, x), u @ x)
+    assert_close(props.conjugate(ev, x), u @ x @ u.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
