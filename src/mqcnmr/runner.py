@@ -5,22 +5,18 @@ content hashes, as temp files, and only then renames them into place, the
 manifest last; so reruns can be diffed, no orphan files appear, and a stage
 that fails replaces none of its old outputs.  Identical configurations
 produce bit-identical signal and spectrum files across repeated runs; only
-manifest timings differ.  The environment variable ``MQCNMR_CACHE_DIR`` names an
-optional directory for cached eigendecompositions.
+manifest timings differ.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import os
 import tempfile
 import time
-import zipfile
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,39 +27,8 @@ from .config import RunConfig, _check_keys, _require, config_hash
 from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
-from .operators import UNITARY_ATOL
 from .sequence import Mrev8Spec, Propagators, run_grid, verify_reversion
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
-
-CACHE_ENV = "MQCNMR_CACHE_DIR"
-# Bump when the layout or meaning of the cached arrays changes; older
-# files are then simply not found.
-EIG_CACHE_VERSION = 2
-
-
-@contextmanager
-def _staged(out_dir: Path):
-    """Yield ``stage(name, write)``, which has ``write(tmp)`` fill a temp file in
-    ``out_dir`` and returns its path; when the block ends, every staged file is
-    renamed to its name, in staging order.  If anything fails first, the temp
-    files are removed and every old file is left as it was."""
-    temps = {}
-
-    def stage(name: str, write) -> Path:
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name + ".")
-        os.close(fd)
-        temps[name] = Path(tmp)
-        write(tmp)
-        return temps[name]
-
-    try:
-        yield stage
-        for name, tmp in temps.items():
-            os.replace(tmp, out_dir / name)
-    except BaseException:
-        for tmp in temps.values():
-            tmp.unlink(missing_ok=True)
-        raise
 
 
 def _sha256(path: Path) -> str:
@@ -74,10 +39,20 @@ def _write_stage(out_dir: Path, stage: str, cfg_hash: str, t0: float, writers: d
                  upstream: dict | None = None) -> dict:
     """Write a stage's outputs (``writers`` maps each file name to its
     ``write(tmp)``) and its manifest, which records their hashes: all are
-    filled first and then renamed into place, the manifest last, so a failure
-    leaves no output replaced."""
-    with _staged(out_dir) as stage_file:
-        files = {name: _sha256(stage_file(name, write)) for name, write in writers.items()}
+    filled as temp files in ``out_dir`` first and then renamed into place, in
+    order and the manifest last.  If anything fails first, the temp files are
+    removed and every old file is left as it was."""
+    temps = {}
+
+    def stage_file(name: str, write) -> str:
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name + ".")
+        os.close(fd)
+        temps[name] = Path(tmp)
+        write(tmp)
+        return _sha256(temps[name])
+
+    try:
+        files = {name: stage_file(name, write) for name, write in writers.items()}
         manifest = {
             "stage": stage,
             "config_hash": cfg_hash,
@@ -88,6 +63,12 @@ def _write_stage(out_dir: Path, stage: str, cfg_hash: str, t0: float, writers: d
         if upstream is not None:
             manifest["upstream"] = upstream
         stage_file(f"manifest_{stage}.json", _json_writer(manifest))
+        for name, tmp in temps.items():
+            os.replace(tmp, out_dir / name)
+    except BaseException:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise
     return manifest
 
 
@@ -116,64 +97,11 @@ def _upstream(run_dir: Path, stage: str) -> tuple:
     return cfg_hash, {"manifest": path.name, "sha256": _sha256(path)}
 
 
-def molecule_key(cfg: RunConfig) -> str:
-    from .hamiltonian import coupling_table
-    table = coupling_table(cfg.molecule)
-    blob = table.tobytes() + repr(cfg.molecule.order_parameter).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _load_cached_eigensystem(path: Path, dim: int, order_parameter: float):
-    """The eigensystem stored at ``path``, or None when the file is missing,
-    unreadable, or fails the shape and unitarity checks.
-
-    The returned arrays are read-only.
-    """
-    shapes = {"zeta": (dim,), "vectors": (dim, dim), "m": (dim,), "s": (dim,),
-              "order_parameter": ()}
-    try:
-        with np.load(path) as data:
-            arrays = {name: np.array(data[name]) for name in shapes}
-    except (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile):
-        return None
-    if any(arrays[name].shape != shape for name, shape in shapes.items()):
-        return None
-    if arrays["order_parameter"] != order_parameter or not np.all(np.isfinite(arrays["zeta"])):
-        return None
-    v = arrays["vectors"]
-    if not np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= UNITARY_ATOL:
-        return None
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return EigenSystem(zeta=arrays["zeta"], vectors=v, m=arrays["m"], s=arrays["s"],
-                       order_parameter=float(arrays["order_parameter"]))
-
-
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
-    """Eigendecompose the molecule's Hamiltonian, with optional disk cache.
-
-    Cache files carry a format version in their name and are written
-    atomically; a file that cannot be read or fails validation is treated
-    as a miss and rewritten.
-    """
+    """Eigendecompose the molecule's secular Hamiltonian."""
     reg = cfg.molecule.register()
-    cache_dir = os.environ.get(CACHE_ENV)
-    cache_file = None
-    if cache_dir:
-        cache_file = Path(cache_dir) / f"eig_v{EIG_CACHE_VERSION}_{molecule_key(cfg)}.npz"
-        eig = _load_cached_eigensystem(cache_file, reg.dim, cfg.molecule.order_parameter)
-        if eig is not None:
-            return eig
-    h = secular_hamiltonian(cfg.molecule, reg)
-    eig = eigendecompose(h, reg, cfg.molecule.order_parameter)
-    if cache_file is not None:
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        buf = io.BytesIO()
-        np.savez(buf, zeta=eig.zeta, vectors=eig.vectors, m=eig.m, s=eig.s,
-                 order_parameter=eig.order_parameter)
-        with _staged(cache_file.parent) as stage_file:
-            stage_file(cache_file.name, lambda tmp: Path(tmp).write_bytes(buf.getvalue()))
-    return eig
+    return eigendecompose(secular_hamiltonian(cfg.molecule, reg), reg,
+                          cfg.molecule.order_parameter)
 
 
 def simulate(cfg: RunConfig, out_dir=None) -> dict:

@@ -296,10 +296,15 @@ def verify_reversion(events, props: Propagators) -> ReversionReport:
     return ReversionReport(residual=residual, effective_hamiltonian=h_eff, duration=tau)
 
 
-def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
-                        n_scan: int = 256) -> AcquisitionSpec:
+# Dwell time (s) and length of the scan that places the default t_m.
+ACQUISITION_DWELL = 1e-6
+ACQUISITION_SCAN = 256
+
+
+def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
     """Acquisition defaults: t_m at the first magnitude maximum of the tau=0,
-    phi=0 signal of the run ``setup``, window two dwell steps wide.
+    phi=0 signal of the run ``setup`` over ACQUISITION_SCAN steps of
+    ACQUISITION_DWELL, window two dwell steps wide.
 
     The scan runs in the H eigenbasis: with p = exp(-i S_zz zeta t) the
     signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b with
@@ -310,14 +315,14 @@ def default_acquisition(setup: RunSetup, dwell: float = 1e-6,
     eig = setup.eig
     rho = eig.to_eigen(kron_conjugate(setup.read_pulse, eig.to_product(setup.state)))
     weights = setup.i_plus * rho.T
-    p = free_phases(eig, dwell * np.arange(n_scan))
+    p = free_phases(eig, ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
     mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
     idx = 0
-    for i in range(1, n_scan - 1):
+    for i in range(1, ACQUISITION_SCAN - 1):
         if mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]:
             idx = i
             break
-    return AcquisitionSpec(t_m=idx * dwell, window=2.0 * dwell)
+    return AcquisitionSpec(t_m=idx * ACQUISITION_DWELL, window=2.0 * ACQUISITION_DWELL)
 
 
 def block_states(block, taus, props: Propagators, state: np.ndarray):
@@ -391,27 +396,26 @@ MEMORY_BUDGET_BYTES = 2 << 30
 
 
 def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int,
-                      workspace: int = 0, budget: int | None = None) -> None:
+                      workspace: int = 0) -> None:
     """Raise GridSizeError when a grid run's complex working set exceeds
-    ``budget`` bytes (MEMORY_BUDGET_BYTES when None).
+    MEMORY_BUDGET_BYTES.
 
     The estimate counts the (n_phi, n_t, n_tau) signal grid, ``matrices``
     arrays of dim x dim, ``t_rows`` arrays of n_t and ``workspace`` further
     values, all complex; engines call it before allocating anything.
     """
-    budget = MEMORY_BUDGET_BYTES if budget is None else budget
     estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + dim ** 2 * matrices
                      + grid.n_t * t_rows + workspace)
-    if estimate > budget:
+    if estimate > MEMORY_BUDGET_BYTES:
         raise GridSizeError(
             f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
-            f"{budget / 1e6:.0f} MB"
+            f"{MEMORY_BUDGET_BYTES / 1e6:.0f} MB"
         )
 
 
 def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
              block=None, acquisition: AcquisitionSpec | None = None,
-             n_molecules: int = 1, memory_budget_bytes: int | None = None) -> SignalGrid:
+             n_molecules: int = 1) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
@@ -426,8 +430,6 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
         block: reversion block spec with an ``events_for(tau)`` method
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
-        memory_budget_bytes: budget of the working set; defaults to
-            MEMORY_BUDGET_BYTES.
     """
     n_tau = len(grid.taus)
     # the weight slabs, the prepared state and detection matrix, and the state
@@ -437,8 +439,7 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     # grid and order sums, and the phases with one slab's GEMM output and product
     check_grid_memory(grid, reg.dim, matrices=n_tau + 8,
                       t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
-                      workspace=2 * comb(2 * reg.n_spins, reg.n_spins),
-                      budget=memory_budget_bytes)
+                      workspace=2 * comb(2 * reg.n_spins, reg.n_spins))
     props = Propagators(eig, reg)
     acquisition, a_eig, det = kernel_inputs(prepared_setup(props, grid.t_p), acquisition)
     weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)

@@ -91,30 +91,20 @@ class CoherenceSpectrum:
             taus=self.taus, meta={**self.meta, "band_hz": limit_hz})
 
 
-def fft2_coherence(grid: SignalGrid, apodization: np.ndarray | None = None,
-                   zero_pad: int = 1) -> CoherenceSpectrum:
+def fft2_coherence(grid: SignalGrid, zero_pad: int = 1) -> CoherenceSpectrum:
     """Transform a signal grid into per-tau coherence spectra.
 
     The phi axis is transformed first (normalized by n_phi so that a pure
     exp(i nu phi) input has unit weight at mu = nu), then the t axis.
 
     Args:
-        apodization: optional window of length n_t multiplied into the t
-            axis before transforming (default none).
         zero_pad: integer t-axis padding factor for display interpolation;
             analysis should run on the unpadded bins (factor 1).
     """
-    data = grid.data
-    if apodization is not None:
-        apodization = np.asarray(apodization, dtype=float)
-        if apodization.shape != (grid.n_t,):
-            raise UnsupportedGridError(
-                f"apodization length {apodization.shape} does not match n_t = {grid.n_t}")
-        data = data * apodization[None, :, None]
     if zero_pad < 1 or int(zero_pad) != zero_pad:
         raise UnsupportedGridError(f"zero_pad must be a positive integer, got {zero_pad}")
 
-    c = np.fft.fftshift(np.fft.fft(data, axis=0), axes=0) / grid.n_phi
+    c = np.fft.fftshift(np.fft.fft(grid.data, axis=0), axes=0) / grid.n_phi
     n_freq = grid.n_t * int(zero_pad)
     spec = np.fft.fftshift(np.fft.fft(c, n=n_freq, axis=1), axes=1)
     spec = np.moveaxis(spec, 2, 0)  # -> (n_tau, n_mu, n_freq)

@@ -12,8 +12,7 @@ from mqcnmr import runner
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
 from mqcnmr.errors import ConfigError, GridSizeError
-from mqcnmr.runner import (build_eigensystem, load_signals, read_spectrum_csv,
-                           simulate, sweep, verify_stage)
+from mqcnmr.runner import load_signals, read_spectrum_csv, simulate, sweep, verify_stage
 
 
 def tiny_doc(**overrides):
@@ -310,45 +309,18 @@ def test_signals_roundtrip_and_spectra_csv(tmp_path):
     assert meta["n_phi"] == 5
 
 
-def test_eigensystem_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("MQCNMR_CACHE_DIR", str(tmp_path / "cache"))
+def test_cache_dir_variable_leaves_no_file_and_changes_no_output(tmp_path, tmp_path_factory,
+                                                                monkeypatch):
+    # every run builds its eigendecomposition; MQCNMR_CACHE_DIR names no cache
     cfg = config_from_dict(tiny_doc())
-    eig1 = build_eigensystem(cfg)
-    cached = list((tmp_path / "cache").glob("eig_*.npz"))
-    assert len(cached) == 1
-    eig2 = build_eigensystem(cfg)
-    np.testing.assert_array_equal(eig1.zeta, eig2.zeta)
-    np.testing.assert_array_equal(eig1.vectors, eig2.vectors)
-
-
-@pytest.mark.parametrize("damage", ["truncate", "not_unitary", "wrong_shape"])
-def test_eigensystem_disk_cache_rebuilds_bad_file(tmp_path, monkeypatch, damage):
+    monkeypatch.delenv("MQCNMR_CACHE_DIR", raising=False)
+    plain = tmp_path_factory.mktemp("plain") / "run"
+    simulate(cfg, out_dir=plain)
     monkeypatch.setenv("MQCNMR_CACHE_DIR", str(tmp_path / "cache"))
-    cfg = config_from_dict(tiny_doc())
-    fresh = build_eigensystem(cfg)
-    (path,) = (tmp_path / "cache").glob("eig_*.npz")
-    arrays = dict(zeta=fresh.zeta, vectors=fresh.vectors, m=fresh.m, s=fresh.s,
-                  order_parameter=fresh.order_parameter)
-    if damage == "truncate":
-        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-    elif damage == "not_unitary":
-        np.savez(path, **{**arrays, "vectors": 2.0 * fresh.vectors})
-    else:
-        np.savez(path, **{**arrays, "zeta": fresh.zeta[:-1]})
-    builds = []
-    real = runner.secular_hamiltonian
-    monkeypatch.setattr(runner, "secular_hamiltonian",
-                        lambda *a: builds.append(1) or real(*a))
-    rebuilt = build_eigensystem(cfg)
-    assert builds == [1]  # a miss, not trusted
-    np.testing.assert_array_equal(rebuilt.vectors, fresh.vectors)
-    np.testing.assert_array_equal(rebuilt.zeta, fresh.zeta)
-    cached = build_eigensystem(cfg)
-    assert builds == [1]  # the rewritten file is a hit
-    np.testing.assert_array_equal(cached.vectors, fresh.vectors)
-    for arr in (cached.zeta, cached.vectors, cached.m, cached.s):
-        assert not arr.flags.writeable
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == [path.name]
+    simulate(cfg, out_dir=tmp_path / "run")
+    verify_stage(cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert (tmp_path / "run" / "signals.npy").read_bytes() == (plain / "signals.npy").read_bytes()
 
 
 def test_sweep_refuses_colliding_run_directories(tmp_path):

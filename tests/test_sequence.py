@@ -262,11 +262,12 @@ def test_run_grid_zero_hamiltonian_time_independent():
     np.testing.assert_allclose(data, data[:, :1, :1] * np.ones_like(data), atol=1e-12)
 
 
-def test_run_grid_memory_budget():
+def test_run_grid_memory_budget(monkeypatch):
     _, _, reg, eig = make_system()
     grid = ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=4, taus=(0.0,))
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 100)
     with pytest.raises(GridSizeError):
-        run_grid(eig, reg, grid, memory_budget_bytes=100)
+        run_grid(eig, reg, grid)
 
 
 @pytest.mark.parametrize("block", [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"),

@@ -230,10 +230,6 @@ def test_spectrum_helpers_and_errors():
     assert padded.data.shape[2] == 4 * grid.n_t
     with pytest.raises(MqcnmrError):
         fft2_coherence(grid, zero_pad=0)
-    with pytest.raises(UnsupportedGridError):
-        fft2_coherence(grid, apodization=np.ones(grid.n_t + 1))
-    apod = fft2_coherence(grid, apodization=np.zeros(grid.n_t))
-    assert np.max(np.abs(apod.data)) == 0.0
 
 
 def test_signal_grid_validation():
