@@ -18,12 +18,15 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy import constants
 
 from .errors import DegenerateGeometryError, MqcnmrError, NotSecularError, TrivialSystemError
 from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
+# CODATA 2022: vacuum permeability (N A^-2) and h / (2 pi) with the exact
+# h = 6.62607015e-34 J s, written out so importing the package loads no scipy
+MU_0 = 1.25663706127e-06
+HBAR = 1.0545718176461565e-34
 
 SECULAR_ATOL = 1e-9
 
@@ -87,7 +90,7 @@ def dipolar_frequency(r_jk: np.ndarray, gamma: float = GAMMA_PROTON) -> float:
     if norm == 0.0:
         raise DegenerateGeometryError("internuclear vector has zero length")
     cos_beta = r[2] / norm
-    prefactor = 3.0 * constants.mu_0 * gamma ** 2 * constants.hbar / (8.0 * np.pi * norm ** 3)
+    prefactor = 3.0 * MU_0 * gamma ** 2 * HBAR / (8.0 * np.pi * norm ** 3)
     return prefactor * (1.0 - 3.0 * cos_beta ** 2)
 
 

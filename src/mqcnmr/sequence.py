@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.linalg import logm
 
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
@@ -164,11 +163,10 @@ class Mrev8Spec:
     def cycle_time(self) -> float:
         return 12.0 * self.tau1
 
-    def events_for(self, tau: float) -> tuple:
+    def cycles_for(self, tau: float) -> int:
+        """The number of 12*tau1 cycles in a "concatenate" block of duration tau."""
         if tau == 0:
-            return ()
-        if self.mode == "stretch":
-            return mrev8_block(tau / 12.0)
+            return 0
         n = tau / self.cycle_time
         n_int = int(round(n))
         if n_int < 1 or abs(n - n_int) > 1e-9:
@@ -176,7 +174,14 @@ class Mrev8Spec:
                 f"tau = {tau} is not an integer multiple of the MREV8 cycle "
                 f"time 12*tau1 = {self.cycle_time}"
             )
-        return mrev8_block(self.tau1, n_int)
+        return n_int
+
+    def events_for(self, tau: float) -> tuple:
+        if tau == 0:
+            return ()
+        if self.mode == "stretch":
+            return mrev8_block(tau / 12.0)
+        return mrev8_block(self.tau1, self.cycles_for(tau))
 
     def tau_schedule(self, count: int) -> tuple:
         return tuple(n * self.cycle_time for n in range(count))
@@ -265,35 +270,34 @@ def evolve(events, sigma: np.ndarray, props: Propagators, eigen: bool = True) ->
 
 @dataclass(frozen=True)
 class ReversionReport:
-    """Outcome of the reversion self-check on a compiled block."""
+    """Outcome of the reversion self-check on a compiled block of duration tau:
+    ||U - exp(i theta) 1|| and the spectral norm of the effective Hamiltonian
+    log(U exp(-i theta)) / (-i tau)."""
     residual: float
-    effective_hamiltonian: np.ndarray
     duration: float
-
-    @property
-    def effective_norm(self) -> float:
-        return float(np.linalg.norm(self.effective_hamiltonian, 2))
+    effective_norm: float
 
 
 def verify_reversion(events, props: Propagators) -> ReversionReport:
     """Measure how far a compiled block is from a global-phase identity.
 
-    Reports ||U - exp(i theta) 1|| in the spectral norm with theta chosen
-    optimally, plus the effective generator log(U)/(-i tau).  Used as a
-    gate so a wrong multipulse phase pattern cannot silently ship.
+    Reports ||U - exp(i theta) 1|| in the spectral norm with theta the phase
+    of tr(U), plus the norm of the effective generator log(U)/(-i tau).  U is
+    unitary (checked), so both come from its eigenvalues lambda: the residual
+    is max |lambda - exp(i theta)| and the norm max |arg(lambda exp(-i theta))|
+    / tau (0 when tau = 0).  Used as a gate so a wrong multipulse phase
+    pattern cannot silently ship.
     """
     u = compile_program(events, props)
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if uni_err > 1e-8:
         raise NumericalValidationError(f"compiled block is not unitary (error {uni_err:.3e})")
     theta = np.angle(np.trace(u))
-    residual = float(np.linalg.norm(u - np.exp(1j * theta) * np.eye(u.shape[0]), 2))
+    lam = np.linalg.eigvals(u)
     tau = total_duration(events)
-    if tau > 0:
-        h_eff = logm(u * np.exp(-1j * theta)) / (-1j * tau)
-    else:
-        h_eff = np.zeros_like(u)
-    return ReversionReport(residual=residual, effective_hamiltonian=h_eff, duration=tau)
+    norm = np.max(np.abs(np.angle(lam * np.exp(-1j * theta)))) / tau if tau > 0 else 0.0
+    return ReversionReport(residual=float(np.max(np.abs(lam - np.exp(1j * theta)))),
+                           duration=tau, effective_norm=float(norm))
 
 
 # Dwell time (s) and length of the scan that places the default t_m.
@@ -333,16 +337,16 @@ def block_states(block, taus, props: Propagators, state: np.ndarray):
     MREV-8 "concatenate" block of duration tau is n copies of one cycle: the
     cycle is compiled once, taken to the eigenbasis as w, and
     sigma_n = w sigma_{n-1} w^dagger is advanced from the previous tau's state
-    (restarting when n falls).  ``events_for`` runs for every tau at the call,
+    (restarting when n falls).  ``cycles_for`` runs for every tau at the call,
     so a tau that is not a whole number of cycles is rejected before anything
-    is compiled.
+    is compiled.  Other blocks build each tau's events when it is reached.
     """
-    events = [() if block is None else block.events_for(tau) for tau in taus]
-    if not (isinstance(block, Mrev8Spec) and block.mode == "concatenate"):
-        return (evolve(ev, state, props) if ev else state for ev in events)
-    cycle = mrev8_block(block.tau1)
-    return _cycle_states(props.eig.to_eigen(compile_program(cycle, props)), state,
-                         [len(ev) // len(cycle) for ev in events])
+    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
+        counts = [block.cycles_for(tau) for tau in taus]
+        cycle = compile_program(mrev8_block(block.tau1), props)
+        return _cycle_states(props.eig.to_eigen(cycle), state, counts)
+    return (state if block is None else evolve(block.events_for(tau), state, props)
+            for tau in taus)
 
 
 def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
@@ -383,6 +387,27 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
     return SignalGrid(data=np.einsum("pn,knt->ptk", encoder, sums, order="C"), dt=grid.dt,
                       taus=np.asarray(grid.taus, dtype=float), t_p=grid.t_p,
                       t_m=acquisition.t_m, window=acquisition.window)
+
+
+def _loop_matrices(block) -> int:
+    """The most 2^N x 2^N arrays the tau loop of ``run_grid`` holds at once
+    beside the weight slabs, the prepared state and the detection matrix, plus
+    one spare for numpy's copy buffers and small arrays.
+
+    With no block that is one slab's product det * sigma^T.  While
+    ``block_states`` makes the next state, the loop still holds the last one,
+    and the block adds: two eigenbasis phase products (magic sandwich); the
+    state being carried and two products of one basis change (MREV-8
+    "stretch"); the compiled cycle, its adjoint and the two products of
+    w sigma w^dagger (MREV-8 "concatenate").
+    """
+    if block is None:
+        held = 1
+    elif isinstance(block, Mrev8Spec):
+        held = 5 if block.mode == "concatenate" else 4
+    else:
+        held = 3
+    return held + 1
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -432,12 +457,11 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
     n_tau = len(grid.taus)
-    # the weight slabs, the prepared state and detection matrix, and the state
-    # being carried with its temporaries (the state, the compiled cycle, and up
-    # to three products of one event or basis change, or one slab's product);
-    # V's m blocks and the factors of the one event being applied; the signal
-    # grid and order sums, and the phases with one slab's GEMM output and product
-    check_grid_memory(grid, reg.dim, matrices=n_tau + 8,
+    # the weight slabs, the prepared state and detection matrix, and what the
+    # tau loop holds (``_loop_matrices``); V's m blocks and the factors of the
+    # one event being applied; the signal grid and order sums, and the phases
+    # with one slab's GEMM output and product
+    check_grid_memory(grid, reg.dim, matrices=n_tau + 2 + _loop_matrices(block),
                       t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
                       workspace=2 * comb(2 * reg.n_spins, reg.n_spins))
     props = Propagators(eig, reg)

@@ -10,7 +10,7 @@ Events are plain tuples: ("pulse", angle, axis_phase) or
 import csv
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 HALF = {
     "x": np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex),
@@ -198,6 +198,17 @@ def spectrum_csv_rows(spec, path):
                                      repr(float(abs(z)))])
 
 
+def reversion_figures(u, tau):
+    """(||U - exp(i theta) 1||, ||log(U exp(-i theta)) / (-i tau)||) of a
+    compiled block U of duration tau, theta the phase of tr(U): spectral
+    norms by SVD, the logarithm by scipy logm (norm 0 when tau = 0)."""
+    theta = np.angle(np.trace(u))
+    residual = np.linalg.norm(u - np.exp(1j * theta) * np.eye(u.shape[0]), 2)
+    if tau == 0:
+        return residual, 0.0
+    return residual, np.linalg.norm(logm(u * np.exp(-1j * theta)) / (-1j * tau), 2)
+
+
 def apply_events(n, h, rho, events):
     for ev in events:
         if ev[0] == "pulse":
@@ -329,6 +340,13 @@ def open_order_sums_loop(det, state, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
                             + 1j * np.bincount(nu_labels, weights=terms.imag,
                                                minlength=n_orders))
     return out
+
+
+def tabulated_q(u, p, x):
+    """q(x) = int p(u) exp(i u x) du by the trapezoid rule on the table (u, p),
+    one complex exponential per (x, u) sample."""
+    return np.trapezoid(p * np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float), u)), u,
+                        axis=-1)
 
 
 def gaussian_density(width, u):

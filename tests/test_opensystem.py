@@ -55,6 +55,17 @@ def test_tabulated_omdf_matches_gaussian():
     np.testing.assert_allclose(np.trapezoid(tab.p_values, tab.u), 1.0, atol=1e-12)
 
 
+def test_tabulated_q_matches_complex_exponential_trapezoid():
+    # a skewed density on a non-uniform table, x over many periods of the table
+    rng = np.random.default_rng(7)
+    u = np.sort(rng.uniform(-0.4, 0.4, 601))
+    tab = TabulatedOMDF(u, np.exp(-u ** 2 / 0.01) * (1 + 0.5 * np.tanh(u / 0.05)))
+    x = rng.normal(scale=400.0, size=(50, 9))
+    want = ref.tabulated_q(tab.u, tab.p_values, x)
+    np.testing.assert_allclose(tab.q(x), want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+    assert tab.q(0.0) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_tabulated_omdf_validation_and_file(tmp_path):
     with pytest.raises(ConfigError):
         TabulatedOMDF([0.0, 1.0], [1.0, 1.0])  # too few points

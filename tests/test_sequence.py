@@ -104,6 +104,25 @@ def test_magic_sandwich_exact_identity():
         magic_sandwich(0.0)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("block, tau", [(Mrev8Spec(tau1=5e-6), 60e-6),
+                                        (Mrev8Spec(tau1=2e-6), 48e-6),
+                                        (Mrev8Spec(tau1=5e-6, mode="stretch"), 100e-6),
+                                        (MagicSandwichSpec(), 150e-6)])
+def test_reversion_figures_match_svd_and_logm(n, block, tau):
+    # the eigenvalue figures against the SVD residual and the logm generator;
+    # MREV-8 at N = 2 and every magic sandwich compile to the identity, where
+    # both figures are rounding (residual ~1e-15) and only the floor applies
+    _, _, reg, eig = make_system(n=n, seed=5)
+    props = Propagators(eig, reg)
+    events = block.events_for(tau)
+    report = verify_reversion(events, props)
+    residual, norm = ref.reversion_figures(compile_program(events, props), tau)
+    assert report.duration == pytest.approx(tau, rel=1e-12)
+    np.testing.assert_allclose(report.residual, residual, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(report.effective_norm, norm, rtol=1e-9, atol=1e-12 / tau)
+
+
 def test_block_specs():
     spec = Mrev8Spec(tau1=5e-6)
     assert spec.cycle_time == pytest.approx(60e-6)
