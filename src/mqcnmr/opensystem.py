@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
 from .operators import SpinRegister
-from .sequence import (ExperimentGrid, Propagators, check_grid_memory, kernel_inputs,
-                       phase_encode, prepared_setup)
+from .sequence import (ExperimentGrid, Propagators, acquisition_scan_values, check_grid_memory,
+                       kernel_inputs, phase_encode, prepared_setup)
 from .spectra import SignalGrid, pair_chunk_rows, pair_order_sums
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
@@ -176,14 +176,19 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     applied by ``spectra.pair_order_sums`` to one weight slab shared by
     every tau.  The prepared state is checked as a ``ReducedState``.
     """
-    # signal grid and order sums, the 2^N x 2^N state, detection and pair
-    # arrays, one chunk of E with its temporaries, weights and partial sums,
-    # and the phase blocks of a tabulated OMDF's quadrature
-    n_tau = len(grid.taus)
-    rows = pair_chunk_rows(eig, grid.n_t)
-    check_grid_memory(grid, reg.dim, matrices=12,
-                      t_rows=n_tau * (2 * reg.n_spins + 2) + 4 * rows,
-                      workspace=n_tau * rows + 4 * QUADRATURE_BLOCK_BYTES // 16)
+    # 8 arrays of 2^N x 2^N: the prepared setup's peak, which also covers the
+    # state, detection and weight slab the kernel holds with its pair index
+    # arrays; the order sums with one chunk's product (2 n_tau x n_t) and its
+    # conjugate half; one chunk of E (rows x n_t) and numpy's two cast
+    # buffers.  Beside them, and never at once: the default acquisition's
+    # scan; the temporaries of G^T, with a tabulated OMDF's quadrature block;
+    # or the stacked weights (2 n_tau x rows) with G^R
+    n_tau, rows = len(grid.taus), pair_chunk_rows(eig, grid.n_t)
+    quadrature = QUADRATURE_BLOCK_BYTES // 16 if isinstance(params.omdf, TabulatedOMDF) else 0
+    check_grid_memory(grid, 8 * reg.dim ** 2 + grid.n_t * (n_tau * (2 * reg.n_spins + 4) + rows)
+                      + 2 * np.getbufsize() + max(acquisition_scan_values(reg.dim, acquisition),
+                                                  2 * rows * grid.n_t + quadrature,
+                                                  3 * n_tau * rows))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(Propagators(eig, reg), grid.t_p),
                                             acquisition)
     state = ReducedState(a_eig, eig)

@@ -329,6 +329,13 @@ def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
     return AcquisitionSpec(t_m=idx * ACQUISITION_DWELL, window=2.0 * ACQUISITION_DWELL)
 
 
+def acquisition_scan_values(dim: int, acquisition: AcquisitionSpec | None) -> int:
+    """Complex values ``default_acquisition`` holds beside the run setup when
+    ``acquisition`` is None: the state after the read pulse and its weights,
+    and the scan's phases with their GEMM output and product."""
+    return 0 if acquisition is not None else 2 * dim ** 2 + 3 * ACQUISITION_SCAN * dim
+
+
 def block_states(block, taus, props: Propagators, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
@@ -392,7 +399,7 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
 def _loop_matrices(block) -> int:
     """The most 2^N x 2^N arrays the tau loop of ``run_grid`` holds at once
     beside the weight slabs, the prepared state and the detection matrix, plus
-    one spare for numpy's copy buffers and small arrays.
+    one spare for numpy's copy buffers.
 
     With no block that is one slab's product det * sigma^T.  While
     ``block_states`` makes the next state, the loop still holds the last one,
@@ -419,18 +426,20 @@ def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 # Working-set budget of one grid run, in bytes.
 MEMORY_BUDGET_BYTES = 2 << 30
 
+# Allowance for the small arrays and Python objects a grid run holds beside
+# the terms an engine charges; below N = 6 it is not negligible against them.
+SMALL_ARRAY_BYTES = 16 << 10
 
-def check_grid_memory(grid: ExperimentGrid, dim: int, matrices: int, t_rows: int,
-                      workspace: int = 0) -> None:
-    """Raise GridSizeError when a grid run's complex working set exceeds
+
+def check_grid_memory(grid: ExperimentGrid, values: int) -> None:
+    """Raise GridSizeError when a grid run's working set exceeds
     MEMORY_BUDGET_BYTES.
 
-    The estimate counts the (n_phi, n_t, n_tau) signal grid, ``matrices``
-    arrays of dim x dim, ``t_rows`` arrays of n_t and ``workspace`` further
-    values, all complex; engines call it before allocating anything.
+    The estimate counts the (n_phi, n_t, n_tau) signal grid and ``values``
+    further complex values, the most the engine holds at once beside it, plus
+    SMALL_ARRAY_BYTES; engines call it before allocating anything.
     """
-    estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + dim ** 2 * matrices
-                     + grid.n_t * t_rows + workspace)
+    estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + values) + SMALL_ARRAY_BYTES
     if estimate > MEMORY_BUDGET_BYTES:
         raise GridSizeError(
             f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
@@ -456,14 +465,17 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    n_tau = len(grid.taus)
-    # the weight slabs, the prepared state and detection matrix, and what the
-    # tau loop holds (``_loop_matrices``); V's m blocks and the factors of the
-    # one event being applied; the signal grid and order sums, and the phases
-    # with one slab's GEMM output and product
-    check_grid_memory(grid, reg.dim, matrices=n_tau + 2 + _loop_matrices(block),
-                      t_rows=n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim,
-                      workspace=2 * comb(2 * reg.n_spins, reg.n_spins))
+    n_tau, dim2, blocks = len(grid.taus), reg.dim ** 2, comb(2 * reg.n_spins, reg.n_spins)
+    # the weight slabs, the prepared state, detection matrix and V's m blocks
+    # throughout; beside them, and never at once: the setup's basis changes
+    # (5 arrays of dim x dim), the default acquisition's scan, the tau loop
+    # (``_loop_matrices`` and the factors of the one event being applied) and
+    # the kernel (the last tau's state, the order sums, and the phases with
+    # one slab's GEMM output and product)
+    kernel = dim2 + grid.n_t * (n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim)
+    check_grid_memory(grid, dim2 * (n_tau + 2) + blocks + max(
+        5 * dim2, acquisition_scan_values(reg.dim, acquisition),
+        dim2 * _loop_matrices(block) + blocks, kernel))
     props = Propagators(eig, reg)
     acquisition, a_eig, det = kernel_inputs(prepared_setup(props, grid.t_p), acquisition)
     weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)

@@ -193,9 +193,10 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
 
     Without G factors E = p_b conj(p_a) factorises (``free_phases``): for each
     slab, one GEMM per total-m row block, in O(n_t 2^N) working memory plus a
-    copy of the block's rows of that slab.  With G^T or G^R, the nonzero
-    pairs, sorted stably by order, are cut into chunks of at most
-    PAIR_CHUNK_BYTES of E and added into c in order, one GEMM per chunk.
+    copy of the block's rows of that slab.  With G^T or G^R (G^T(-g, t) =
+    conj(G^T(g, t)), G^R real and even in g), E_ba = conj(E_ab): pairs a <= b
+    nonzero in either mirror (a = b once) are cut by order into chunks of at
+    most PAIR_CHUNK_BYTES of E, each one GEMM [W_ab ; conj(W_ba)] @ E into nu, -nu.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
@@ -219,22 +220,21 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
             for k, slab in enumerate(w):
                 c[k::len(w), cols] += (((p_a @ slab[idx]) * p) @ member).T
         return c
-    w, nu = w.reshape(len(w), -1), -eig.coherence_orders().ravel()
-    keep = np.flatnonzero(np.any(w, axis=0))
-    keep = keep[np.argsort(nu[keep], kind="stable")]
-    w = np.broadcast_to(w[:, keep], (taus.size, keep.size))
-    nu, gap = nu[keep], -eig.gaps().ravel()[keep]
+    a, b = np.nonzero(np.triu(np.any(w, axis=0) | np.any(w, axis=0).T))
+    nu, gap = np.rint(eig.m[b] - eig.m[a]).astype(int) + n_spins, eig.zeta[b] - eig.zeta[a]
+    mirrors = np.stack([w[:, a, b], (w[:, b, a] * (a != b)).conj()])
     rows = pair_chunk_rows(eig, ts.size)
-    bounds = np.searchsorted(nu, np.arange(-n_spins, n_spins + 2))
-    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
-        for lo in range(start, end, rows):
-            hi = min(lo + rows, end)
-            g = gap[lo:hi]
-            e = _uniform_exp(-1j * eig.order_parameter * g, ts)
+    for i in range(2 * n_spins + 1):
+        pairs = np.flatnonzero(nu == i)
+        for lo in range(0, pairs.size, rows):
+            k = pairs[lo:lo + rows]
+            e = _uniform_exp(-1j * eig.order_parameter * gap[k], ts)
             if g_reversible is not None:
-                e *= g_reversible(g[:, None], ts[None, :])
-            c[:, i] += (w[:, lo:hi] * (1.0 if g_irreversible is None
-                                       else g_irreversible(g[None, :], taus[:, None]))) @ e
+                e *= g_reversible(gap[k, None], ts[None, :])
+            prod = (mirrors[:, :, k] * (1.0 if g_irreversible is None else g_irreversible(
+                gap[None, k], taus[:, None]))).reshape(-1, k.size) @ e
+            c[:, i] += prod[:len(prod) // 2]
+            c[:, 2 * n_spins - i] += prod[len(prod) // 2:].conj()
     return c
 
 

@@ -342,6 +342,27 @@ def open_order_sums_loop(det, state, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
     return out
 
 
+def pair_order_sums_dense(weights, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
+    """Order sums c[k, nu + n, j], one ordered pair (a, b) at a time.
+
+    Pair (a, b) has order nu = m_b - m_a and gap g = zeta_b - zeta_a, and adds
+    W[(k,) a, b] g_irr(g, tau_k) exp(-i s_zz g t_j) g_rev(g, t_j) into c
+    (a factor that is None is 1); ``weights`` is (dim, dim) for every tau or
+    (n_tau, dim, dim).  No pair borrows its mirror's factors.
+    """
+    ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
+    dim = len(zeta)
+    w = np.broadcast_to(np.asarray(weights).reshape(-1, dim, dim), (len(taus), dim, dim))
+    out = np.zeros((len(taus), 2 * n + 1, len(ts)), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            g = zeta[b] - zeta[a]
+            e = np.exp(-1j * s_zz * g * ts) * (1.0 if g_rev is None else g_rev(g, ts))
+            r = np.ones(len(taus)) if g_irr is None else g_irr(g, taus)
+            out[:, int(np.rint(m[b] - m[a])) + n] += np.outer(w[:, a, b] * r, e)
+    return out
+
+
 def tabulated_q(u, p, x):
     """q(x) = int p(u) exp(i u x) du by the trapezoid rule on the table (u, p),
     one complex exponential per (x, u) sample."""

@@ -1,6 +1,7 @@
 """The chunked eigenpair kernel shared by the open engine and the spectral route."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -93,6 +94,63 @@ def test_factorised_and_chunked_sums_agree(n, seed, n_tau, per_tau, n_t):
     assert np.max(np.abs(factorised - chunked)) <= 1e-12 * np.max(np.abs(chunked))
 
 
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["gaussian", "tabulated"]), width=st.floats(0.02, 0.2),
+       x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16),
+       sigma=st.floats(5e4, 5e5), kappa=st.floats(0.5, 4.0),
+       tau=st.lists(st.floats(0.0, 5e-4), min_size=1, max_size=4))
+def test_omdf_transform_and_irreversible_factor_are_mirror_symmetric(family, width, x, sigma,
+                                                                    kappa, tau):
+    # the laws the pair kernel's mirror pairs rest on: q(-x) = conj(q(x)) for
+    # the transform of a real OMDF, and G^R even in the gap
+    params = DecoherenceParams(sigma_cl=sigma, omdf=make_omdf(family, width), kappa=kappa)
+    x, tau = np.array(x), np.array(tau)[:, None]
+    q = params.omdf.q(x)
+    assert np.max(np.abs(params.omdf.q(-x) - q.conj())) <= 1e-15 * np.max(np.abs(q))
+    g_r = g_irreversible(x[None, :], tau, params)
+    assert np.max(np.abs(g_irreversible(-x[None, :], tau, params) - g_r)) <= 1e-15 * np.max(g_r)
+
+
+def _one_sided_pairs(eig, rng):
+    """Two pairs a < b of order 0 and two of nonzero order, drawn at random."""
+    same = eig.coherence_orders() == 0
+    upper = np.triu(np.ones_like(same), 1)
+    picks = []
+    for mask in (upper & same, upper & ~same):
+        a, b = np.nonzero(mask)
+        picks += [(a[k], b[k]) for k in rng.choice(a.size, size=2, replace=False)]
+    return picks
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 4), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
+       per_tau=st.booleans(), density=st.floats(0.0, 0.5), n_t=st.integers(2, 9),
+       family=st.sampled_from(["gaussian", "tabulated"]),
+       factors=st.sampled_from(["both", "reversible", "irreversible"]))
+def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, per_tau, density, n_t,
+                                                    family, factors):
+    # sparse weights that are not hermitian: a pair is kept when either
+    # mirror is nonzero, and each of the one-sided pairs below has only one
+    reg, eig = make_system(n, seed)
+    rng = np.random.default_rng(seed)
+    shape = (n_tau, reg.dim, reg.dim) if per_tau else (reg.dim, reg.dim)
+    weights = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (
+        rng.random(shape) < density)
+    for k, (a, b) in enumerate(_one_sided_pairs(eig, rng)):
+        # W_ab != 0 = W_ba for the first pair of each order class, the reverse after
+        a, b = (a, b) if k % 2 == 0 else (b, a)
+        weights[..., a, b], weights[..., b, a] = 1.0 - 0.5j * (k + 1), 0.0
+    weights[..., np.arange(reg.dim), np.arange(reg.dim)] = 0.25 + rng.normal(size=reg.dim)
+    params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf(family, 0.05))
+    g_rev = None if factors == "irreversible" else partial(g_reversible, params=params)
+    g_irr = None if factors == "reversible" else partial(g_irreversible, params=params)
+    ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(1, n_tau + 1)
+    fast = pair_order_sums(weights, eig, n, ts, taus, g_rev, g_irr)
+    slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
+                                     g_rev, g_irr, n)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
+
+
 def test_pair_weights_need_one_slab_or_one_per_tau():
     reg, eig = make_system(2, 4)
     with pytest.raises(MqcnmrError):
@@ -125,6 +183,28 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     with pytest.raises(GridSizeError):
         run_grid_open(eig, reg, grid, params)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "tabulated"])
+def test_open_memory_estimate_covers_the_traced_peak(family, monkeypatch):
+    # a budget at the traced peak must be refused, and one 60% above it
+    # accepted (N = 7, 24 taus); only a tabulated OMDF is charged the
+    # quadrature block, so the Gaussian estimate stays near its peak too
+    reg, eig = make_system(7, 3)
+    params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf(family, 0.05))
+    grid = ExperimentGrid(t_p=3e-5, n_t=64, dt=3e-6, n_phi=16,
+                          taus=tuple(k * 1e-5 for k in range(24)))
+    tracemalloc.start()
+    try:
+        run_grid_open(eig, reg, grid, params, acquisition=ACQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError):
+        run_grid_open(eig, reg, grid, params, acquisition=ACQ)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.6 * peak))
+    run_grid_open(eig, reg, grid, params, acquisition=ACQ)
 
 
 def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):

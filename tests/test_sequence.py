@@ -295,22 +295,24 @@ def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
     # each block family holds the factors of one event at a time (a magic
     # sandwich applies its free evolutions as eigenbasis phases); a budget
     # below the traced peak must be refused, and one 5% above it accepted
-    # (N = 7, where the 2^N x 2^N arrays dominate)
-    _, _, reg, eig = make_system(n=7, seed=3)
+    # (N = 7, where the 2^N x 2^N arrays dominate, and N = 5, where the
+    # small arrays the gate allows for are a few percent of the peak)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
                           taus=tuple(k * 60e-6 for k in range(60)))
-    tracemalloc.start()
-    try:
+    for n in (7, 5):
+        _, _, reg, eig = make_system(n=n, seed=3)
+        tracemalloc.start()
+        try:
+            run_grid(eig, reg, grid, block=block, acquisition=acq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+        with pytest.raises(GridSizeError):
+            run_grid(eig, reg, grid, block=block, acquisition=acq)
+        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
         run_grid(eig, reg, grid, block=block, acquisition=acq)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
-    with pytest.raises(GridSizeError):
-        run_grid(eig, reg, grid, block=block, acquisition=acq)
-    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
-    run_grid(eig, reg, grid, block=block, acquisition=acq)
 
 
 def test_stretched_run_peak_grows_with_taus_only_by_the_slabs():
