@@ -67,10 +67,12 @@ def _require(mapping: dict, key: str, context: str):
 
 def _number(value, key: str, kind=float):
     """``kind(value)``, or a ConfigError naming ``key`` when the value is not
-    a finite number of that kind."""
+    a finite number of that kind: for ``int``, a bool or a value with a
+    fractional part is refused rather than truncated."""
     try:
         number = kind(value)
-        if math.isfinite(number):
+        exact = kind is float or (number == value and not isinstance(value, bool))
+        if math.isfinite(number) and exact:
             return number
     except (TypeError, ValueError, OverflowError):
         pass

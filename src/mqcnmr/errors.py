@@ -25,10 +25,6 @@ class TrivialSystemError(MqcnmrError):
     """Fewer than two spin sites; no dipolar Hamiltonian exists."""
 
 
-class NotSecularError(NumericalValidationError):
-    """Hamiltonian does not commute with total I_z within tolerance."""
-
-
 class GridSizeError(ConfigError):
     """Experiment grid exceeds the memory budget (CLI exit code 2)."""
 

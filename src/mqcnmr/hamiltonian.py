@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, MqcnmrError, NotSecularError, TrivialSystemError
+from .errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
 from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
@@ -27,8 +27,6 @@ GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 # h = 6.62607015e-34 J s, written out so importing the package loads no scipy
 MU_0 = 1.25663706127e-06
 HBAR = 1.0545718176461565e-34
-
-SECULAR_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -106,12 +104,18 @@ def coupling_table(sys: SpinSystem) -> np.ndarray:
     return table
 
 
-def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> np.ndarray:
-    """Secular dipolar Hamiltonian of the molecule, in rad/s, read-only.
+def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> tuple:
+    """Secular dipolar Hamiltonian of the molecule, in rad/s, as its total-m
+    blocks: one (rows, H_m) per total m, in descending m, with rows the
+    product-basis states of that m (ascending) and H_m = H[rows, rows]
+    read-only.
 
     The Hz -> rad/s conversion (factor 2*pi) is applied here and nowhere
-    else.  The result is traceless and commutes with total I_z.  Each pair
-    adds its T20 entries from basis-index bits (``t20_bits``), no dense T20.
+    else.  H is traceless and commutes with total I_z, so it is zero outside
+    these blocks and no 2^N x 2^N matrix is formed.  Each pair adds its T20
+    entries from basis-index bits (``t20_bits``): its diagonal, and its
+    flip-flop entries, which join two states of one m; each block is checked
+    hermitian.
     """
     if sys.n_sites < 2:
         raise TrivialSystemError("need at least two sites for a dipolar Hamiltonian")
@@ -119,63 +123,66 @@ def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> np.
     if reg.n_spins != sys.n_sites:
         raise MqcnmrError(f"register has {reg.n_spins} spins but system has {sys.n_sites} sites")
     table = coupling_table(sys)
-    h = np.zeros((reg.dim, reg.dim), dtype=complex)
+    m_basis = reg.m_values()
+    rows = [np.flatnonzero(m_basis == m) for m in np.unique(m_basis)[::-1]]
+    block_of, local = np.empty(reg.dim, dtype=int), np.empty(reg.dim, dtype=int)
+    for b, r in enumerate(rows):
+        block_of[r], local[r] = b, np.arange(r.size)
+    diag = np.zeros(reg.dim, dtype=complex)
+    hs = [np.zeros((r.size, r.size), dtype=complex) for r in rows]
     for j, k in combinations(range(sys.n_sites), 2):
         if table[j, k] == 0.0:
             continue
         coef = np.sqrt(2.0 / 3.0) * (2.0 * np.pi * table[j, k])
-        diag, rows, cols = t20_bits(reg.n_spins, j, k)
-        h.flat[::reg.dim + 1] += coef * diag
-        h[rows, cols] = coef * -T20_UNIT
-    h *= sys.order_parameter
-    return checked_hermitian(h)
+        pair_diag, flip_rows, flip_cols = t20_bits(reg.n_spins, j, k)
+        diag += coef * pair_diag
+        flip_block = block_of[flip_cols]
+        for b, h in enumerate(hs):
+            flips = flip_block == b
+            h[local[flip_rows[flips]], local[flip_cols[flips]]] = coef * -T20_UNIT
+    for r, h in zip(rows, hs):
+        h.flat[::r.size + 1] = diag[r]
+        h *= sys.order_parameter
+    return tuple((r, checked_hermitian(h)) for r, h in zip(rows, hs))
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Simultaneous eigenbasis of (H, I_z).
+    """Simultaneous eigenbasis of (H, I_z), held as the total-m blocks of the
+    eigenvector matrix V.
 
     Attributes:
         zeta: eigenvalues in rad/s with S_zz factored out,
             H = V diag(S_zz * zeta) V^dagger.
-        vectors: unitary matrix V, one eigenvector per column.
         m: total-I_z quantum number of each eigenvector.
-        s: degeneracy label (index within each group of equal zeta).
+        blocks: (rows, cols, V_m) of each total m, in descending m: every
+            eigenvector has a definite m, so V is zero outside the blocks
+            V_m = V[rows, cols] that join the product-basis states of that m
+            (rows) to its eigenvectors (cols).
         order_parameter: the S_zz that was factored out.
     """
 
     zeta: np.ndarray
-    vectors: np.ndarray
     m: np.ndarray
-    s: np.ndarray
+    blocks: tuple
     order_parameter: float
 
     @property
     def dim(self) -> int:
         return self.zeta.shape[0]
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """The unitary V, one eigenvector per column, assembled from ``blocks``
+        on every read; the engine works on the blocks and never reads it."""
+        v = np.zeros((self.dim, self.dim), dtype=complex)
+        for rows, cols, v_m in self.blocks:
+            v[np.ix_(rows, cols)] = v_m
+        return v
+
     def gaps(self) -> np.ndarray:
         """Matrix of eigenvalue differences zeta_a - zeta_b."""
         return self.zeta[:, None] - self.zeta[None, :]
-
-    def coherence_orders(self) -> np.ndarray:
-        """Integer coherence order m_a - m_b of eigenbasis element (a, b)."""
-        return np.rint(self.m[:, None] - self.m[None, :]).astype(int)
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """(rows, cols, V_m) of each total m, in descending m: every eigenvector
-        has a definite m, so V is zero outside the blocks V_m = V[rows, cols]
-        that join the product-basis states of that m (rows) to its
-        eigenvectors (cols)."""
-        m_basis = SpinRegister(int(np.log2(self.dim))).m_values()
-        blocks = []
-        for m in np.unique(self.m)[::-1]:
-            rows, cols = np.flatnonzero(m_basis == m), np.flatnonzero(self.m == m)
-            v = self.vectors[np.ix_(rows, cols)]
-            v.flags.writeable = False
-            blocks.append((rows, cols, v))
-        return tuple(blocks)
 
     @cached_property
     def _layout(self) -> tuple:
@@ -234,57 +241,25 @@ def _blockwise(x: np.ndarray, slices, order, back, left, right=None) -> np.ndarr
     return out
 
 
-def eigendecompose(h: np.ndarray, reg: SpinRegister,
-                   order_parameter: float = 1.0) -> EigenSystem:
-    """Diagonalize H simultaneously with total I_z.
+def eigendecompose(blocks, reg: SpinRegister, order_parameter: float = 1.0) -> EigenSystem:
+    """Diagonalize H simultaneously with total I_z, from its total-m blocks
+    (rows, H_m) as ``secular_hamiltonian`` returns them.
 
-    H must commute with I_z (checked against ``SECULAR_ATOL`` scaled by
-    the Hamiltonian norm); each m block is diagonalized independently, so
-    every eigenvector carries a definite m.  Within each block eigenvalues
-    are sorted ascending and degeneracies grouped with relative tolerance
-    1e-9 * ||H||, taken as the largest |eigenvalue| of the m blocks.
+    Each block is diagonalized on its own (eigenvalues ascending), so every
+    eigenvector carries a definite m; the eigenvectors of each block take the
+    next columns of V.
     """
-    hm = np.asarray(h, dtype=complex)
     m_basis = reg.m_values()
-    dim = reg.dim
-    zeta = np.zeros(dim)
-    vecs = np.zeros((dim, dim), dtype=complex)
-    m_out = np.zeros(dim)
-    col = 0
-    # descending m keeps the block layout aligned with the product basis
-    for m_val in sorted(set(m_basis.tolist()), reverse=True):
-        idx = np.flatnonzero(m_basis == m_val)
-        block = hm[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(block)
-        n = idx.size
-        zeta[col:col + n] = w
-        vecs[np.ix_(idx, range(col, col + n))] = v
-        m_out[col:col + n] = m_val
-        col += n
-
-    # the spectral norm of a secular H, without an SVD of H
-    hnorm = np.max(np.abs(zeta))
-    # [H, I_z][a, b] = H[a, b] (m_b - m_a), as I_z is diagonal
-    comm = np.max(np.abs(hm * (m_basis[None, :] - m_basis[:, None])))
-    if comm > SECULAR_ATOL * max(hnorm, 1.0):
-        raise NotSecularError(f"[H, I_z] max entry {comm:.3e} exceeds tolerance")
-
+    zeta, m, eig_blocks, col = [], [], [], 0
+    for rows, h in blocks:
+        w, v = np.linalg.eigh(h)
+        v.flags.writeable = False
+        eig_blocks.append((rows, np.arange(col, col + rows.size), v))
+        zeta.append(w)
+        m.append(np.full(rows.size, m_basis[rows[0]]))
+        col += rows.size
     scale = order_parameter if order_parameter != 0.0 else 1.0
-    zeta = zeta / scale
-
-    # degeneracy labels within groups of equal zeta (global grouping)
-    tol = 1e-9 * max(hnorm / abs(scale), 1e-300)
-    s = np.zeros(dim, dtype=int)
-    order = np.argsort(zeta, kind="stable")
-    group_start = 0
-    for i in range(1, dim + 1):
-        if i == dim or zeta[order[i]] - zeta[order[group_start]] > tol:
-            for rank, j in enumerate(order[group_start:i]):
-                s[j] = rank
-            group_start = i
-
-    for arr in (zeta, vecs, m_out, s):
+    zeta, m = np.concatenate(zeta) / scale, np.concatenate(m)
+    for arr in (zeta, m):
         arr.flags.writeable = False
-    return EigenSystem(zeta=zeta, vectors=vecs, m=m_out, s=s,
-                       order_parameter=order_parameter)
-
+    return EigenSystem(zeta=zeta, m=m, blocks=tuple(eig_blocks), order_parameter=order_parameter)

@@ -217,18 +217,11 @@ class Propagators:
         phases = free_phases(self.eig, [ev.scale * ev.duration])[0]
         return [(v * phases[cols]) @ v.conj().T for _, cols, v in self.eig.blocks]
 
-    def apply(self, ev: SequenceEvent, x: np.ndarray | None) -> np.ndarray:
-        """U x for the event's propagator U and a matrix x of 2^N rows (None: U)."""
+    def apply(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
+        """U x for the event's propagator U and a matrix x of 2^N rows."""
         if isinstance(ev, Pulse):
-            halves = rotation_halves(self.reg, ev.angle, ev.axis_phase)
-            return np.kron(*halves) if x is None else kron_apply(halves, x)
-        blocks = self._free(ev)
-        if x is not None:
-            return self.eig.product_blockwise(x, blocks)
-        u = np.zeros((self.reg.dim,) * 2, dtype=complex)
-        for (rows, _, _), block in zip(self.eig.blocks, blocks):
-            u[np.ix_(rows, rows)] = block
-        return u
+            return kron_apply(rotation_halves(self.reg, ev.angle, ev.axis_phase), x)
+        return self.eig.product_blockwise(x, self._free(ev))
 
     def conjugate(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
         """U x U^dagger for the event's propagator U."""
@@ -239,12 +232,12 @@ class Propagators:
 
 
 def compile_program(events, props: Propagators) -> np.ndarray:
-    """Apply the event propagators in time order: their product, one unitary
-    in the product basis."""
-    u = None
+    """Apply the event propagators in time order to the identity: their
+    product, one unitary in the product basis."""
+    u = np.eye(props.reg.dim, dtype=complex)
     for ev in events:
         u = props.apply(ev, u)
-    return np.eye(props.reg.dim, dtype=complex) if u is None else u
+    return u
 
 
 def evolve(events, sigma: np.ndarray, props: Propagators, eigen: bool = True) -> np.ndarray:

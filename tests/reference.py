@@ -103,13 +103,15 @@ def eigen_labels_svd(h, m_basis, order_parameter=1.0):
     their group, in ascending zeta, are numbered 0, 1, ...
     """
     h = np.asarray(h, dtype=complex)
-    m_basis = np.asarray(m_basis)
-    zeta = np.concatenate([np.linalg.eigh(h[np.ix_(idx, idx)])[0]
-                           for idx in (np.flatnonzero(m_basis == mv)
-                                       for mv in sorted(set(m_basis.tolist()), reverse=True))])
+    zeta = np.concatenate([np.linalg.eigh(block)[0] for _, block in m_blocks(h, m_basis)])
     scale = order_parameter if order_parameter != 0.0 else 1.0
     zeta = zeta / scale
-    tol = 1e-9 * max(np.linalg.norm(h, 2) / abs(scale), 1e-300)
+    return zeta, group_labels(zeta, 1e-9 * max(np.linalg.norm(h, 2) / abs(scale), 1e-300))
+
+
+def group_labels(zeta, tol):
+    """The index of each state, in ascending zeta, within its group of states
+    whose zeta lie within ``tol`` of the lowest member of the group."""
     s = np.zeros(zeta.size, dtype=int)
     order = np.argsort(zeta, kind="stable")
     start = 0
@@ -117,7 +119,58 @@ def eigen_labels_svd(h, m_basis, order_parameter=1.0):
         if i == zeta.size or zeta[order[i]] - zeta[order[start]] > tol:
             s[order[start:i]] = np.arange(i - start)
             start = i
-    return zeta, s
+    return s
+
+
+def m_blocks(h, m_basis):
+    """The total-m blocks (rows, H[rows, rows]) of a dense H, in descending m,
+    in the layout ``secular_hamiltonian`` returns; entries outside them are
+    dropped."""
+    h = np.asarray(h, dtype=complex)
+    m_basis = np.asarray(m_basis)
+    rows = (np.flatnonzero(m_basis == mv) for mv in sorted(set(m_basis.tolist()), reverse=True))
+    return tuple((r, h[np.ix_(r, r)]) for r in rows)
+
+
+def dense_from_blocks(blocks, dim):
+    """The dense dim x dim H that is zero outside its m blocks (rows, H_m)."""
+    h = np.zeros((dim, dim), dtype=complex)
+    for rows, h_m in blocks:
+        h[np.ix_(rows, rows)] = h_m
+    return h
+
+
+def iz_commutator(h, m_basis):
+    """Largest entry of [H, I_z] = H[a, b] (m_b - m_a), as I_z is diagonal:
+    0 exactly when H commutes with total I_z."""
+    m_basis = np.asarray(m_basis)
+    return np.max(np.abs(np.asarray(h) * (m_basis[None, :] - m_basis[:, None])))
+
+
+def degeneracy_labels(eig):
+    """Degeneracy label s of each eigenvector: ``group_labels`` with the
+    tolerance 1e-9 max |zeta| (max |zeta| |S_zz| is the spectral norm of a
+    secular H)."""
+    return group_labels(eig.zeta, 1e-9 * max(np.max(np.abs(eig.zeta)), 1e-300))
+
+
+def eigen_coherence_orders(eig):
+    """Integer coherence order m_a - m_b of eigenbasis element (a, b)."""
+    return np.rint(eig.m[:, None] - eig.m[None, :]).astype(int)
+
+
+def shuffled_eigensystem(eig, perm):
+    """``eig`` with its eigenvectors reordered, eigenvector i of the result
+    being eigenvector perm[i] of ``eig``: the same V up to a column
+    permutation, so each m block keeps its rows and gets new columns."""
+    from mqcnmr.hamiltonian import EigenSystem
+    back = np.argsort(perm)
+    blocks = []
+    for rows, cols, v in eig.blocks:
+        new_cols = np.sort(back[cols])
+        blocks.append((rows, new_cols, v[:, np.searchsorted(cols, perm[new_cols])]))
+    return EigenSystem(zeta=eig.zeta[perm], m=eig.m[perm], blocks=tuple(blocks),
+                       order_parameter=eig.order_parameter)
 
 
 def coherence_orders(reg):

@@ -210,8 +210,9 @@ def test_criterion_8_conservation_suite_100_random_trials():
         s_zz = float(rng.uniform(0.3, 1.0))
         sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
         reg = sys_n.register()
-        h = secular_hamiltonian(sys_n, reg)
-        eig = eigendecompose(h, reg, s_zz)
+        blocks = secular_hamiltonian(sys_n, reg)
+        h = reference.dense_from_blocks(blocks, reg.dim)
+        eig = eigendecompose(blocks, reg, s_zz)
         iz = collective_angular_momentum(reg, "z")
         eye = np.eye(reg.dim)
 

@@ -12,6 +12,7 @@ from mqcnmr import runner
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
 from mqcnmr.errors import ConfigError, GridSizeError
+from mqcnmr.hamiltonian import EigenSystem
 from mqcnmr.runner import load_signals, read_spectrum_csv, simulate, sweep, verify_stage
 
 
@@ -102,6 +103,29 @@ def _with(doc, dotted, value):
 def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, dotted, value,
                                                             key):
     cfg_path = write_config(tmp_path, _with(tiny_doc(), dotted, value))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2.7, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize("dotted,key", [
+    ("sequence.grid.n_t", "sequence.grid.n_t"),
+    ("sequence.grid.n_phi", "sequence.grid.n_phi"),
+    ("sequence.tau_schedule", "sequence.tau_schedule.count"),
+    ("n_molecules", "n_molecules"),
+    ("workers", "workers"),
+    ("molecule.n_sites", "molecule.n_sites"),
+    ("molecule.couplings_hz", "molecule.couplings_hz"),
+], ids=["n_t", "n_phi", "tau_count", "n_molecules", "workers", "n_sites", "coupling_site"])
+def test_non_integer_config_value_exits_2_before_any_output(tmp_path, capsys, dotted, key,
+                                                            value):
+    # int() would truncate 2.7 to 2 and read true as 1
+    wrapped = {"sequence.tau_schedule": {"count": value, "step": 9e-5},
+               "molecule.couplings_hz": [[0, value, 5000.0]]}.get(dotted, value)
+    cfg_path = write_config(tmp_path, _with(tiny_doc(), dotted, wrapped))
     out = tmp_path / "out"
     assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
     err = capsys.readouterr().err
@@ -384,6 +408,22 @@ def test_cli_preset_simulate(tmp_path):
                  "--output", str(tmp_path / "preset_run")]) == 0
     sig = np.load(tmp_path / "preset_run" / "signals.npy")
     assert sig.shape == (8, 64, 4)
+
+
+def test_presets_run_on_the_eigenvector_blocks_alone(tmp_path, monkeypatch):
+    # the engines read V only through its m blocks; assembling the dense V
+    # anywhere in a run fails it
+    def dense_v(self):
+        raise AssertionError("a run assembled the dense eigenvector matrix")
+
+    monkeypatch.setattr(EigenSystem, "vectors", property(dense_v))
+    for name in ("two_spin_ms", "fivecb_style", "open_demo"):
+        simulate(load_config(preset_path(f"runs/{name}.yaml")), out_dir=tmp_path / name)
+        assert (tmp_path / name / "signals.npy").exists()
+    path = preset_path("runs/nonideality_sweep.yaml")
+    runs = sweep(yaml.safe_load(path.read_text()), base_dir=path.parent,
+                 out_root=tmp_path / "sweep")
+    assert len(runs) == 8
 
 
 def test_preset_spectra_meta_lists_every_coherence_order(tmp_path):

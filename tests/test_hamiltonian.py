@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import reference as ref
 from mqcnmr.config import load_molecule, preset_path
-from mqcnmr.errors import (DegenerateGeometryError, MqcnmrError, NotSecularError,
-                           TrivialSystemError)
-from mqcnmr.hamiltonian import (GAMMA_PROTON, EigenSystem, SpinSystem, coupling_table,
-                                dipolar_frequency, eigendecompose, secular_hamiltonian)
-from mqcnmr.operators import SpinRegister, collective_angular_momentum
+from mqcnmr import runner
+from mqcnmr.config import config_from_dict
+from mqcnmr.errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
+from mqcnmr.hamiltonian import (GAMMA_PROTON, SpinSystem, coupling_table, dipolar_frequency,
+                                eigendecompose, secular_hamiltonian)
+from mqcnmr.operators import collective_angular_momentum
 
 # hand-computed with frozen CODATA values mu0 = 1.25663706212e-6,
 # hbar = 1.054571817e-34, gamma = 2.6752218744e8, r = 2.0 A:
@@ -74,7 +75,7 @@ def test_secular_hamiltonian_two_spin_spectrum():
     w_d, s_zz = 5000.0, 0.6
     table = np.array([[0.0, w_d], [w_d, 0.0]])
     sys2 = SpinSystem(n_sites=2, couplings_hz=table, order_parameter=s_zz)
-    h = secular_hamiltonian(sys2)
+    h = ref.dense_from_blocks(secular_hamiltonian(sys2), 4)
     w = np.sort(np.linalg.eigvalsh(h))
     expected = np.sort(s_zz * 2 * np.pi * w_d * np.array([1 / 6, 1 / 6, 0.0, -1 / 3]))
     np.testing.assert_allclose(w, expected, atol=1e-9)
@@ -89,7 +90,7 @@ def test_secular_hamiltonian_matches_reference():
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys3 = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=0.7)
-    np.testing.assert_allclose(secular_hamiltonian(sys3),
+    np.testing.assert_allclose(ref.dense_from_blocks(secular_hamiltonian(sys3), 8),
                                ref.ham_ref(table, 0.7), atol=1e-9)
     with pytest.raises(TrivialSystemError):
         secular_hamiltonian(SpinSystem(n_sites=1, couplings_hz=np.zeros((1, 1))))
@@ -103,8 +104,9 @@ def _example_eig(n=3, seed=3, s_zz=0.7):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
     reg = sys_n.register()
-    h = secular_hamiltonian(sys_n, reg)
-    return table, sys_n, reg, h, eigendecompose(h, reg, s_zz)
+    blocks = secular_hamiltonian(sys_n, reg)
+    return table, sys_n, reg, ref.dense_from_blocks(blocks, reg.dim), eigendecompose(blocks, reg,
+                                                                                    s_zz)
 
 
 def test_eigendecompose_blocks_and_reconstruction():
@@ -112,6 +114,9 @@ def test_eigendecompose_blocks_and_reconstruction():
     # m blocks of a 3-spin system have sizes 1, 3, 3, 1
     counts = [np.sum(eig.m == mv) for mv in (1.5, 0.5, -0.5, -1.5)]
     assert counts == [1, 3, 3, 1]
+    m_basis = reg.m_values()
+    for rows, cols, v_m in eig.blocks:
+        assert np.all(m_basis[rows] == eig.m[cols]) and v_m.shape == (rows.size, cols.size)
     v = eig.vectors
     np.testing.assert_allclose(v @ v.conj().T, np.eye(reg.dim), atol=1e-12)
     np.testing.assert_allclose((v * (eig.order_parameter * eig.zeta)) @ v.conj().T,
@@ -141,25 +146,9 @@ def test_degeneracy_labels():
     eig = eigendecompose(secular_hamiltonian(sys2, reg), reg)
     # the doubly degenerate zeta = 2 pi w / 6 level gets labels 0 and 1
     top = np.isclose(eig.zeta, 2 * np.pi * 5000.0 / 6)
-    assert sorted(eig.s[top].tolist()) == [0, 1]
-    assert np.all(eig.s[~top] == 0)
-
-
-def test_eigendecompose_rejects_nonsecular():
-    reg = SpinRegister(2)
-    ix = collective_angular_momentum(reg, "x")
-    with pytest.raises(NotSecularError):
-        eigendecompose(ix, reg)
-
-
-def test_secular_check_threshold():
-    # [H, I_z] of H + eps I_x has entries of size eps / 2; the tolerance is
-    # SECULAR_ATOL * ||H||_2, about 3e-5 here
-    table, _, reg, h, _ = _example_eig()
-    ix = collective_angular_momentum(reg, "x")
-    eigendecompose(h + 1e-5 * ix, reg)
-    with pytest.raises(NotSecularError):
-        eigendecompose(h + 1e-3 * ix, reg)
+    s = ref.degeneracy_labels(eig)
+    assert sorted(s[top].tolist()) == [0, 1]
+    assert np.all(s[~top] == 0)
 
 
 SHIPPED_MOLECULES = ("two_spin", "four_spin_test", "eight_spin_test")
@@ -169,17 +158,14 @@ SHIPPED_MOLECULES = ("two_spin", "four_spin_test", "eight_spin_test")
 def test_eigen_labels_match_svd_scaled_oracle_on_shipped_molecules(name):
     mol = load_molecule(preset_path(f"molecules/{name}.yaml"))
     reg = mol.register()
-    h = secular_hamiltonian(mol, reg)
-    eig = eigendecompose(h, reg, mol.order_parameter)
+    blocks = secular_hamiltonian(mol, reg)
+    h = ref.dense_from_blocks(blocks, reg.dim)
+    eig = eigendecompose(blocks, reg, mol.order_parameter)
     zeta, s = ref.eigen_labels_svd(h, reg.m_values(), mol.order_parameter)
-    assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
-    # the largest |eigenvalue| is the spectral norm the labels used to be scaled by
+    assert np.array_equal(eig.zeta, zeta) and np.array_equal(ref.degeneracy_labels(eig), s)
+    # the largest |eigenvalue| is the spectral norm the labels are scaled by
     hnorm = np.linalg.norm(h, 2)
     assert abs(np.max(np.abs(eig.zeta)) * abs(mol.order_parameter) - hnorm) <= 4e-16 * hnorm
-    ix = collective_angular_momentum(reg, "x")
-    eigendecompose(h + 1e-5 * ix, reg, mol.order_parameter)
-    with pytest.raises(NotSecularError):
-        eigendecompose(h + 1e-3 * ix, reg, mol.order_parameter)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,29 +179,43 @@ def test_eigen_labels_match_svd_scaled_oracle(n, s_zz, couplings):
     table = table + table.T
     mol = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
     reg = mol.register()
-    h = secular_hamiltonian(mol, reg)
-    eig = eigendecompose(h, reg, s_zz)
-    zeta, s = ref.eigen_labels_svd(h, reg.m_values(), s_zz)
-    assert np.array_equal(eig.zeta, zeta) and np.array_equal(eig.s, s)
+    blocks = secular_hamiltonian(mol, reg)
+    eig = eigendecompose(blocks, reg, s_zz)
+    zeta, s = ref.eigen_labels_svd(ref.dense_from_blocks(blocks, reg.dim), reg.m_values(), s_zz)
+    assert np.array_equal(eig.zeta, zeta) and np.array_equal(ref.degeneracy_labels(eig), s)
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 6), s_zz=st.floats(-0.5, 1.0),
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), s_zz=st.floats(-0.5, 1.0),
        couplings=st.lists(st.one_of(st.just(0.0), st.floats(-2e4, 2e4)),
-                          min_size=15, max_size=15))
+                          min_size=28, max_size=28))
 def test_secular_hamiltonian_equals_dense_t20_sum(n, s_zz, couplings):
+    # the blocks are those of the Kronecker-built H summed in the package's
+    # order, bit for bit, and of ham_ref to rounding; each joins states of
+    # one m, so together they commute with I_z
     table = np.zeros((n, n))
     table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
     table += table.T
     sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
-    assert np.array_equal(secular_hamiltonian(sys_n), ref.secular_sum_ref(table, s_zz))
+    m_basis = sys_n.register().m_values()
+    blocks = secular_hamiltonian(sys_n)
+    dense = ref.secular_sum_ref(table, s_zz)
+    assert len(blocks) == n + 1
+    assert all(np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+               for got, want in zip(blocks, ref.m_blocks(dense, m_basis)))
+    h = ref.dense_from_blocks(blocks, 2 ** n)
+    assert np.array_equal(h, dense) and ref.iz_commutator(h, m_basis) == 0.0
+    want = ref.ham_ref(table, s_zz)
+    scale = max(np.abs(want).max(), 1.0)
+    assert ref.iz_commutator(want, m_basis) <= 1e-12 * scale
+    np.testing.assert_allclose(h, want, rtol=0, atol=1e-12 * scale)
 
 
 def test_secular_hamiltonian_geometry_molecule_equals_dense_t20_sum():
     pos = 1e-10 * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.4], [1.7, 0.3, 1.1],
                             [2.2, -1.9, 0.4], [-0.8, 1.3, 3.0]])
     sys5 = SpinSystem(n_sites=5, positions=pos, order_parameter=0.45)
-    assert np.array_equal(secular_hamiltonian(sys5),
+    assert np.array_equal(ref.dense_from_blocks(secular_hamiltonian(sys5), 32),
                           ref.secular_sum_ref(coupling_table(sys5), 0.45))
 
 
@@ -226,15 +226,38 @@ def test_secular_hamiltonian_memory_at_ten_spins():
     sys10 = SpinSystem(n_sites=10, couplings_hz=table + table.T, order_parameter=0.6)
     tracemalloc.start()
     try:
-        h = secular_hamiltonian(sys10)
+        blocks = secular_hamiltonian(sys10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.nbytes == 16 << 20
-    # H and the two H-sized temporaries of its hermiticity check; a dense
-    # T20 per pair would add a fourth, the Kronecker build ten
-    assert peak < 3.5 * h.nbytes, f"peak {peak / 2 ** 20:.0f} MiB"
-    assert abs(np.trace(h)) < 1e-6
+    # sum_m C(10, m)^2 = C(20, 10) entries, against 4^10 for a dense H
+    nbytes = sum(h.nbytes for _, h in blocks)
+    assert nbytes == 16 * 184756
+    # the blocks, and the temporaries of the largest block's hermiticity
+    # check: its conjugate, the difference and its modulus (2.5 blocks of
+    # C(10, 5)^2); a dense H would be 16 MiB
+    largest = max(h.nbytes for _, h in blocks)
+    assert peak < nbytes + 3 * largest, f"peak {peak / 2 ** 20:.1f} MiB"
+    assert abs(sum(np.trace(h) for _, h in blocks)) < 1e-6
+
+
+def test_eigensystem_build_holds_no_dense_matrix():
+    rng = np.random.default_rng(8)
+    n = 8
+    couplings = [[j, k, float(rng.uniform(-5000, 5000))] for j in range(n)
+                 for k in range(j + 1, n)]
+    cfg = config_from_dict({
+        "molecule": {"order_parameter": 0.6, "couplings_hz": couplings},
+        "sequence": {"t_p": 0.0, "tau_schedule": [0.0], "grid": {"n_t": 2, "dt": 1e-6,
+                                                                "n_phi": 1}}})
+    tracemalloc.start()
+    try:
+        eig = runner.build_eigensystem(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 4 ** n, f"peak {peak} B"
+    assert sum(v.size for _, _, v in eig.blocks) == 12870  # C(16, 8)
 
 
 def test_gaps_and_coherence_orders():
@@ -242,7 +265,7 @@ def test_gaps_and_coherence_orders():
     gaps = eig.gaps()
     np.testing.assert_allclose(gaps, -gaps.T, atol=0)
     np.testing.assert_allclose(np.diag(gaps), 0, atol=0)
-    orders = eig.coherence_orders()
+    orders = ref.eigen_coherence_orders(eig)
     assert orders.max() == 2 and orders.min() == -2
 
 

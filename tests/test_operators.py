@@ -203,6 +203,7 @@ def test_decomposition_matches_fourier_extraction():
 
 
 def _two_spin_hamiltonian():
+    """The m blocks of a two-spin H: sizes 1, 2 and 1."""
     table = np.array([[0.0, 4200.0], [4200.0, 0.0]])
     return secular_hamiltonian(SpinSystem(n_sites=2, couplings_hz=table, order_parameter=0.6))
 
@@ -218,8 +219,9 @@ def test_operator_checks_reject_invalid_operators(monkeypatch):
     with pytest.raises(MqcnmrError):
         rotation(SpinRegister(2), np.nan, "x")
 
-    # each constructor runs its check: the hermiticity check on the full operator,
-    # rotation's unitarity check on its 2x2 single-spin factor
+    # each constructor runs its check: the hermiticity check on the full operator
+    # (on each m block of H, the first of them 1 x 1), rotation's unitarity
+    # check on its 2x2 single-spin factor
     def reject(a):
         raise MqcnmrError(f"rejected shape {np.shape(a)}")
 
@@ -229,9 +231,11 @@ def test_operator_checks_reject_invalid_operators(monkeypatch):
     reg = SpinRegister(2)
     for build in (lambda: collective_angular_momentum(reg, "x"),
                   lambda: collective_angular_momentum(reg, "z"),
-                  lambda: t20_pair(reg, 0, 1), _two_spin_hamiltonian):
+                  lambda: t20_pair(reg, 0, 1)):
         with pytest.raises(MqcnmrError, match=r"shape \(4, 4\)"):
             build()
+    with pytest.raises(MqcnmrError, match=r"shape \(1, 1\)"):
+        _two_spin_hamiltonian()
     for axis in ("x", "z", 0.3):
         with pytest.raises(MqcnmrError, match=r"shape \(2, 2\)"):
             rotation(reg, 0.5, axis)
@@ -241,7 +245,7 @@ def test_operators_are_read_only():
     reg = SpinRegister(2)
     for op in (collective_angular_momentum(reg, "x"), collective_angular_momentum(reg, "z"),
                rotation(reg, 0.4, 1.1), rotation(reg, 0.4, "z"), t20_pair(reg, 0, 1),
-               _two_spin_hamiltonian()):
+               *(h for _, h in _two_spin_hamiltonian())):
         assert isinstance(op, np.ndarray) and op.dtype == complex
         with pytest.raises(ValueError):
             op[0, 0] = 5.0

@@ -8,7 +8,7 @@ import pytest
 import reference as ref
 from mqcnmr import sequence
 from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
-from mqcnmr.hamiltonian import EigenSystem, SpinSystem, eigendecompose, secular_hamiltonian
+from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              MagicSandwichSpec, Mrev8Spec, Propagators, Pulse, _tau_slab,
@@ -179,8 +179,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     # a shuffled eigenbasis: the kernel must group states by eig.m alone
     _, _, reg, eig = make_system(n=4, seed=6)
     perm = np.random.default_rng(3).permutation(reg.dim)
-    shuffled = EigenSystem(zeta=eig.zeta[perm], vectors=eig.vectors[:, perm],
-                           m=eig.m[perm], s=eig.s[perm], order_parameter=0.6)
+    shuffled = ref.shuffled_eigensystem(eig, perm)
     rng = np.random.default_rng(9)
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from mqcnmr.hamiltonian import EigenSystem, eigendecompose
+from mqcnmr.hamiltonian import eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
-from mqcnmr.sequence import FreeEvolution, Propagators
+from mqcnmr.sequence import FreeEvolution, Propagators, compile_program
 
 
 def random_matrix(rng, rows, cols):
@@ -28,11 +28,9 @@ def secular_eigensystem(n, seed, shuffle):
     reg = SpinRegister(n)
     m = reg.m_values()
     a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
-    eig = eigendecompose(np.where(m[:, None] == m[None, :], a + a.conj().T, 0.0), reg, 0.6)
+    eig = eigendecompose(ref.m_blocks(a + a.conj().T, m), reg, 0.6)
     if shuffle:
-        perm = rng.permutation(reg.dim)
-        eig = EigenSystem(zeta=eig.zeta[perm], vectors=eig.vectors[:, perm], m=eig.m[perm],
-                          s=eig.s[perm], order_parameter=0.6)
+        eig = ref.shuffled_eigensystem(eig, rng.permutation(reg.dim))
     return reg, eig, rng
 
 
@@ -61,7 +59,7 @@ def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shu
     ev = FreeEvolution(duration, scale)
     u = ref.propagator(eig, duration, scale)
     x = random_matrix(rng, reg.dim, reg.dim)
-    assert_close(props.apply(ev, None), u)
+    assert_close(compile_program([ev], props), u)
     assert_close(props.apply(ev, x), u @ x)
     assert_close(props.conjugate(ev, x), u @ x @ u.conj().T)
 
