@@ -1,16 +1,17 @@
 """Run configuration and molecule files.
 
-Both are YAML.  A molecule file carries the cluster geometry or an
-explicit coupling table:
+Both are YAML.  A molecule is a coupling table and an order parameter; the
+file gives the table itself or the cluster geometry it follows from:
 
-    name: two-proton pair
-    gamma: 2.6752218744e8        # rad/s/T, optional (default proton)
+    name: two-proton pair        # a label; nothing reads it
     order_parameter: 0.6
     positions_angstrom:          # either this ...
       - [0.0, 0.0, 0.0]
       - [0.0, 0.0, 2.0]
+    gamma: 2.6752218744e8        # rad/s/T, with positions only (default proton)
     couplings_hz:                # ... or this: [site_j, site_k, omega_D in Hz]
       - [0, 1, 5000.0]
+    n_sites: 2                   # with couplings only (default: highest site + 1)
 
 A run configuration names the molecule, the engine, the sequence and the
 experiment grid; see ``presets/runs`` for complete examples.
@@ -29,7 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, MqcnmrError
-from .hamiltonian import GAMMA_PROTON, SpinSystem, coupling_table
+from .hamiltonian import GAMMA_PROTON, SpinSystem
 from .opensystem import DecoherenceParams, GaussianOMDF, TabulatedOMDF
 from .sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec
 
@@ -67,11 +68,11 @@ def _require(mapping: dict, key: str, context: str):
 
 def _number(value, key: str, kind=float):
     """``kind(value)``, or a ConfigError naming ``key`` when the value is not
-    a finite number of that kind: for ``int``, a bool or a value with a
-    fractional part is refused rather than truncated."""
+    a finite number of that kind: a bool is refused rather than read as 0 or
+    1, and for ``int`` a value with a fractional part rather than truncated."""
     try:
         number = kind(value)
-        exact = kind is float or (number == value and not isinstance(value, bool))
+        exact = not isinstance(value, bool) and (kind is float or number == value)
         if math.isfinite(number) and exact:
             return number
     except (TypeError, ValueError, OverflowError):
@@ -80,69 +81,73 @@ def _number(value, key: str, kind=float):
                       f"got {value!r}")
 
 
+def _rows(value, key: str, form: str) -> list:
+    """The rows of a molecule table, each of three values, with no null left
+    in them (a placeholder); a ConfigError naming ``key`` otherwise."""
+    if not (isinstance(value, list) and value
+            and all(isinstance(row, list) and len(row) == 3 for row in value)):
+        raise ConfigError(f"{key}: expected a non-empty list of rows {form}, got {value!r}")
+    if any(None in row for row in value):
+        raise ConfigError(f"{key}: placeholders left; fill them in from literature before "
+                          "running")
+    return value
+
+
 def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
     _check_keys(doc, MOLECULE_KEYS, context)
-    name = doc.get("name", "")
-    gamma = _number(doc.get("gamma", GAMMA_PROTON), f"{context}.gamma")
     s_zz_raw = _require(doc, "order_parameter", context)
     if s_zz_raw is None:
         raise ConfigError(f"{context}: order_parameter is a placeholder; fill it in")
     s_zz = _number(s_zz_raw, f"{context}.order_parameter")
     has_pos = "positions_angstrom" in doc
-    has_coup = "couplings_hz" in doc
-    if has_pos == has_coup:
+    if has_pos == ("couplings_hz" in doc):
         raise ConfigError(f"{context}: provide exactly one of positions_angstrom or couplings_hz")
+    for key, form in (("gamma", "couplings_hz"), ("n_sites", "positions_angstrom")):
+        if key in doc and form in doc:
+            raise ConfigError(f"{context}.{key}: not read next to {form}; remove it")
     if has_pos:
-        pos = doc["positions_angstrom"]
-        if not pos or any(row is None or any(v is None for v in row) for row in pos):
-            raise ConfigError(f"{context}: positions contain placeholders; fill them from "
-                              "literature before running")
-        positions = np.asarray(pos, dtype=float) * ANGSTROM
-        return _spin_system(context, n_sites=positions.shape[0], positions=positions,
-                            order_parameter=s_zz, gamma=gamma, name=name)
-    rows = doc["couplings_hz"]
-    if not rows:
-        raise ConfigError(f"{context}: empty coupling list")
-    for row in rows:
-        if row is None or len(row) != 3 or any(v is None for v in row):
-            raise ConfigError(f"{context}: coupling rows must be [site_j, site_k, omega_D_hz] "
-                              "with no placeholders; fill them from literature")
-    key = f"{context}.couplings_hz"
-    pairs = [(_number(j, key, int), _number(k, key, int), _number(w, key)) for j, k, w in rows]
-    n_sites = _number(doc.get("n_sites", max(max(j, k) for j, k, _ in pairs) + 1),
-                      f"{context}.n_sites", int)
-    table = np.zeros((n_sites, n_sites))
-    for j, k, w in pairs:
-        if j == k or not (0 <= j < n_sites and 0 <= k < n_sites):
-            raise ConfigError(f"{context}: bad coupling pair ({j}, {k}) for {n_sites} sites")
-        table[j, k] = table[k, j] = w
-    return _spin_system(context, n_sites=n_sites, couplings_hz=table,
-                        order_parameter=s_zz, gamma=gamma, name=name)
-
-
-def _spin_system(context: str, **fields) -> SpinSystem:
-    """SpinSystem(**fields); what a run would meet only later (S_zz outside
-    [-0.5, 1], over 10 sites, coincident sites) is a ConfigError now."""
-    if fields["n_sites"] < 2:
-        raise ConfigError(f"{context}: need at least two sites for a dipolar Hamiltonian")
+        key = f"{context}.positions_angstrom"
+        positions = np.array([[_number(v, key) for v in row]
+                              for row in _rows(doc["positions_angstrom"], key, "[x, y, z]")])
+        gamma = _number(doc.get("gamma", GAMMA_PROTON), f"{context}.gamma")
+        make, args = SpinSystem.from_positions, (positions * ANGSTROM, s_zz, gamma)
+    else:
+        key = f"{context}.couplings_hz"
+        rows = _rows(doc["couplings_hz"], key, "[site_j, site_k, omega_D_hz]")
+        pairs = [(_number(j, key, int), _number(k, key, int), _number(w, key))
+                 for j, k, w in rows]
+        n_sites = _number(doc.get("n_sites", max(max(j, k) for j, k, _ in pairs) + 1),
+                          f"{context}.n_sites", int)
+        for j, k, _ in pairs:
+            if j == k or not (0 <= j < n_sites and 0 <= k < n_sites):
+                raise ConfigError(f"{context}: bad coupling pair ({j}, {k}) for {n_sites} sites")
+        table = np.zeros((n_sites, n_sites))
+        for j, k, w in pairs:
+            table[j, k] = table[k, j] = w
+        make, args = SpinSystem, (table, s_zz)
+    # what a run would meet only later (S_zz outside [-0.5, 1], fewer than 2 or
+    # over 10 sites, coincident sites, a non-finite coupling) is refused now
     try:
-        sys_ = SpinSystem(**fields)
+        sys_ = make(*args)
+        if sys_.n_sites < 2:
+            raise MqcnmrError("need at least two sites for a dipolar Hamiltonian")
         sys_.register()
-        coupling_table(sys_)
     except MqcnmrError as exc:
         raise ConfigError(f"{context}: {exc}") from None
     return sys_
 
 
-def load_molecule(path) -> SpinSystem:
-    path = Path(path)
+def _load_yaml(path: Path, what: str):
     try:
-        doc = yaml.safe_load(path.read_text())
+        return yaml.safe_load(path.read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read molecule file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"molecule file {path} is not valid YAML: {exc}") from exc
-    return molecule_from_dict(doc, context=str(path))
+        raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from exc
+
+
+def load_molecule(path) -> SpinSystem:
+    return molecule_from_dict(_load_yaml(Path(path), "molecule file"), context=str(path))
 
 
 @dataclass(frozen=True)
@@ -227,19 +232,20 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("workers must be >= 1")
 
     mol = doc.get("molecule")
-    if isinstance(mol, str):
-        mol_path = Path(mol)
-        if not mol_path.is_absolute():
-            mol_path = base_dir / mol_path
-        molecule = load_molecule(mol_path)
+    if isinstance(mol, str):  # relative to the config; an absolute path stays as it is
+        molecule = load_molecule(base_dir / mol)
     elif isinstance(mol, dict):
         molecule = molecule_from_dict(mol)
     else:
         raise ConfigError("config: 'molecule' must be a path or an inline mapping")
 
+    engine = doc.get("engine", "closed")
     seq = _require(doc, "sequence", "config")
     _check_keys(seq, SEQUENCE_KEYS, "sequence")
     block = _block_from_dict(seq.get("block"))
+    if engine == "open" and block is not None:
+        raise ConfigError("sequence.block: the open engine takes the reversion as ideal; "
+                          "give type none or leave the block out")
     taus = _tau_schedule(_require(seq, "tau_schedule", "config"), block)
     # every decay curve the fit stage cuts runs along tau
     if any(b <= a for a, b in zip(taus, taus[1:])):
@@ -267,7 +273,10 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         acq = AcquisitionSpec(**times)
 
     deco = None
-    if "decoherence" in doc and doc["decoherence"] is not None:
+    if doc.get("decoherence") is not None:
+        if engine == "closed":
+            raise ConfigError("decoherence: the closed engine has no decoherence; remove the "
+                              "section or set engine: open")
         ddoc = doc["decoherence"]
         _check_keys(ddoc, DECOHERENCE_KEYS, "decoherence")
         odoc = ddoc.get("omdf", {"family": "gaussian"})
@@ -281,17 +290,14 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
             omdf = GaussianOMDF(width=_number(_require(odoc, "width", "decoherence.omdf"),
                                                "decoherence.omdf.width"))
         else:
-            tab_path = Path(_require(odoc, "path", "decoherence.omdf"))
-            if not tab_path.is_absolute():
-                tab_path = base_dir / tab_path
-            omdf = TabulatedOMDF.from_file(tab_path)
+            omdf = TabulatedOMDF.from_file(base_dir / _require(odoc, "path", "decoherence.omdf"))
         deco = DecoherenceParams(
             sigma_cl=_number(_require(ddoc, "sigma_cl", "decoherence"), "decoherence.sigma_cl"),
             kappa=_number(ddoc.get("kappa", 2.0), "decoherence.kappa"), omdf=omdf)
 
     return RunConfig(
         molecule=molecule,
-        engine=doc.get("engine", "closed"),
+        engine=engine,
         grid=grid,
         block=block,
         acquisition=acq,
@@ -304,13 +310,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-    return config_from_dict(doc, base_dir=path.parent)
+    return config_from_dict(_load_yaml(path, "config"), base_dir=path.parent)
 
 
 def config_hash(doc: dict) -> str:

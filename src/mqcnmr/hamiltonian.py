@@ -4,11 +4,11 @@ The Hamiltonian of one molecule is
 
     H = S_zz * sum_{j<k} sqrt(2/3) * (2*pi*omega_D(j,k)) * T20_{jk}
 
-with the dipolar frequency omega_D in Hz computed from geometry (or taken
-from an explicit coupling table) and converted to angular frequency exactly
-once, here at construction.  Eigenvalues are stored as zeta with the order
-parameter factored out, H |zeta s> = S_zz * zeta |zeta s>, so that
-eigenvalue differences entering decoherence formulas are S_zz-independent.
+with omega_D in Hz read from the molecule's coupling table and converted to
+angular frequency exactly once, here at construction.  Eigenvalues are
+stored as zeta with the order parameter factored out, H |zeta s> = S_zz *
+zeta |zeta s>, so that eigenvalue differences entering decoherence formulas
+are S_zz-independent.
 """
 
 from __future__ import annotations
@@ -31,46 +31,47 @@ HBAR = 1.0545718176461565e-34
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Geometry or couplings of a single molecule's proton cluster.
-
-    Exactly one of ``positions`` (site coordinates in meters) or
-    ``couplings_hz`` (symmetric zero-diagonal table of dipolar frequencies
-    in Hz) must be given.
+    """One molecule's proton cluster: all the Hamiltonian reads of it.
 
     Attributes:
+        couplings_hz: finite, symmetric, zero-diagonal table of the pair
+            dipolar frequencies omega_D(j, k) in Hz, kept as a read-only copy.
         order_parameter: nematic order parameter S_zz in [-0.5, 1].
-        gamma: gyromagnetic ratio in rad s^-1 T^-1 (default proton).
-        name: free-form label carried into output metadata.
     """
 
-    n_sites: int
-    positions: np.ndarray | None = None
-    couplings_hz: np.ndarray | None = None
+    couplings_hz: np.ndarray
     order_parameter: float = 1.0
-    gamma: float = GAMMA_PROTON
-    name: str = ""
 
     def __post_init__(self):
-        if (self.positions is None) == (self.couplings_hz is None):
-            raise MqcnmrError("provide exactly one of positions or couplings_hz")
+        c = np.array(self.couplings_hz, dtype=float)
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise MqcnmrError(f"coupling table shape {c.shape} is not square")
+        if not np.all(np.isfinite(c)):
+            raise MqcnmrError("coupling table has non-finite entries")
+        if not np.array_equal(c, c.T) or np.any(np.diag(c) != 0):
+            raise MqcnmrError("coupling table must be symmetric with a zero diagonal")
         if not -0.5 <= self.order_parameter <= 1.0:
             raise MqcnmrError(f"order parameter {self.order_parameter} outside [-0.5, 1]")
-        if self.positions is not None:
-            pos = np.asarray(self.positions, dtype=float)
-            if pos.shape != (self.n_sites, 3):
-                raise MqcnmrError(f"positions shape {pos.shape} != ({self.n_sites}, 3)")
-            pos.flags.writeable = False
-            object.__setattr__(self, "positions", pos)
-        else:
-            c = np.asarray(self.couplings_hz, dtype=float)
-            if c.shape != (self.n_sites, self.n_sites):
-                raise MqcnmrError(f"coupling table shape {c.shape} != ({self.n_sites},)*2")
-            if np.max(np.abs(c - c.T)) > 0:
-                raise MqcnmrError("coupling table must be symmetric")
-            if np.max(np.abs(np.diag(c))) > 0:
-                raise MqcnmrError("coupling table must have a zero diagonal")
-            c.flags.writeable = False
-            object.__setattr__(self, "couplings_hz", c)
+        c.flags.writeable = False
+        object.__setattr__(self, "couplings_hz", c)
+
+    @classmethod
+    def from_positions(cls, positions_m, order_parameter: float = 1.0,
+                       gamma: float = GAMMA_PROTON) -> SpinSystem:
+        """The molecule with sites at ``positions_m`` (N x 3, meters): the one
+        place where geometry and gamma (rad s^-1 T^-1) enter, each pair's
+        omega_D from ``dipolar_frequency``."""
+        pos = np.asarray(positions_m, dtype=float)
+        if pos.ndim != 2 or pos.shape[1] != 3:
+            raise MqcnmrError(f"positions shape {pos.shape} is not (N, 3)")
+        table = np.zeros((pos.shape[0],) * 2)
+        for j, k in combinations(range(pos.shape[0]), 2):
+            table[j, k] = table[k, j] = dipolar_frequency(pos[k] - pos[j], gamma)
+        return cls(table, order_parameter)
+
+    @property
+    def n_sites(self) -> int:
+        return self.couplings_hz.shape[0]
 
     def register(self) -> SpinRegister:
         return SpinRegister(self.n_sites)
@@ -92,19 +93,7 @@ def dipolar_frequency(r_jk: np.ndarray, gamma: float = GAMMA_PROTON) -> float:
     return prefactor * (1.0 - 3.0 * cos_beta ** 2)
 
 
-def coupling_table(sys: SpinSystem) -> np.ndarray:
-    """Full symmetric table of pair dipolar frequencies (Hz)."""
-    if sys.couplings_hz is not None:
-        return sys.couplings_hz
-    n = sys.n_sites
-    table = np.zeros((n, n))
-    for j, k in combinations(range(n), 2):
-        w = dipolar_frequency(sys.positions[k] - sys.positions[j], sys.gamma)
-        table[j, k] = table[k, j] = w
-    return table
-
-
-def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> tuple:
+def secular_hamiltonian(sys: SpinSystem) -> tuple:
     """Secular dipolar Hamiltonian of the molecule, in rad/s, as its total-m
     blocks: one (rows, H_m) per total m, in descending m, with rows the
     product-basis states of that m (ascending) and H_m = H[rows, rows]
@@ -119,10 +108,8 @@ def secular_hamiltonian(sys: SpinSystem, reg: SpinRegister | None = None) -> tup
     """
     if sys.n_sites < 2:
         raise TrivialSystemError("need at least two sites for a dipolar Hamiltonian")
-    reg = reg or sys.register()
-    if reg.n_spins != sys.n_sites:
-        raise MqcnmrError(f"register has {reg.n_spins} spins but system has {sys.n_sites} sites")
-    table = coupling_table(sys)
+    reg = sys.register()
+    table = sys.couplings_hz
     m_basis = reg.m_values()
     rows = [np.flatnonzero(m_basis == m) for m in np.unique(m_basis)[::-1]]
     block_of, local = np.empty(reg.dim, dtype=int), np.empty(reg.dim, dtype=int)

@@ -93,14 +93,27 @@ def _upstream(run_dir: Path, stage: str) -> tuple:
     path = run_dir / f"manifest_{stage}.json"
     if not path.exists():
         return "", None
-    cfg_hash = json.loads(path.read_text()).get("config_hash", "")
+    cfg_hash = _stage_json(path, stage).get("config_hash", "")
     return cfg_hash, {"manifest": path.name, "sha256": _sha256(path)}
+
+
+def _stage_json(path: Path, stage: str, keys=()) -> dict:
+    """The JSON mapping that ``stage`` wrote to ``path``, holding every key of
+    ``keys``; a ConfigError naming the file and the stage to rerun otherwise."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError:
+        doc = None
+    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
+        raise ConfigError(f"{path} is not the JSON mapping{' with ' if keys else ''}"
+                          f"{', '.join(keys)} that the {stage} stage writes; rerun the "
+                          f"{stage} stage")
+    return doc
 
 
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
     """Eigendecompose the molecule's secular Hamiltonian."""
-    reg = cfg.molecule.register()
-    return eigendecompose(secular_hamiltonian(cfg.molecule, reg), reg,
+    return eigendecompose(secular_hamiltonian(cfg.molecule), cfg.molecule.register(),
                           cfg.molecule.order_parameter)
 
 
@@ -134,7 +147,7 @@ def load_signals(run_dir) -> SignalGrid:
     meta_path = run_dir / "signals_meta.json"
     if not sig_path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} does not contain signals.npy + signals_meta.json")
-    meta = json.loads(meta_path.read_text())
+    meta = _stage_json(meta_path, "simulate", ("dt", "taus", "t_p", "t_m", "window"))
     return SignalGrid(data=np.load(sig_path), dt=meta["dt"],
                       taus=np.asarray(meta["taus"]), t_p=meta["t_p"],
                       t_m=meta["t_m"], window=meta["window"])
@@ -170,12 +183,9 @@ def load_spectra(run_dir) -> CoherenceSpectrum:
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
                           "rerun the spectra stage")
-    meta = json.loads(meta_path.read_text())
+    meta = _stage_json(meta_path, "spectra", ("taus", "mu", "freqs_hz"))
     data = np.load(path)
-    try:
-        axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
-    except KeyError as exc:
-        raise ConfigError(f"{meta_path} lacks the {exc} axis; rerun the spectra stage") from None
+    axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
     if data.shape != tuple(axis.size for axis in axes):
         raise ConfigError(f"{path} has shape {data.shape}, not that of the axes in "
                           f"{meta_path.name}; rerun the spectra stage")

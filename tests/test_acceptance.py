@@ -25,7 +25,7 @@ from mqcnmr.spectra import fft2_coherence
 def load_eig(name):
     mol = load_molecule(preset_path(f"molecules/{name}.yaml"))
     reg = mol.register()
-    eig = eigendecompose(secular_hamiltonian(mol, reg), reg, mol.order_parameter)
+    eig = eigendecompose(secular_hamiltonian(mol), reg, mol.order_parameter)
     return mol, reg, eig
 
 
@@ -83,9 +83,9 @@ def three_spin_coefficients(n_phi):
     for j in range(3):
         for k in range(j + 1, 3):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
-    sys3 = SpinSystem(n_sites=3, couplings_hz=table, order_parameter=0.6)
+    sys3 = SpinSystem(table, 0.6)
     reg = sys3.register()
-    eig = eigendecompose(secular_hamiltonian(sys3, reg), reg, 0.6)
+    eig = eigendecompose(secular_hamiltonian(sys3), reg, 0.6)
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=3e-6, n_phi=n_phi, taus=(0.0,))
     sig = run_grid(eig, reg, grid, acquisition=ACQ)
     c = np.fft.fftshift(np.fft.fft(sig.data, axis=0), axes=0) / n_phi
@@ -208,9 +208,9 @@ def test_criterion_8_conservation_suite_100_random_trials():
             for k in range(j + 1, n):
                 table[j, k] = table[k, j] = rng.uniform(-8000, 8000)
         s_zz = float(rng.uniform(0.3, 1.0))
-        sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+        sys_n = SpinSystem(table, s_zz)
         reg = sys_n.register()
-        blocks = secular_hamiltonian(sys_n, reg)
+        blocks = secular_hamiltonian(sys_n)
         h = reference.dense_from_blocks(blocks, reg.dim)
         eig = eigendecompose(blocks, reg, s_zz)
         iz = collective_angular_momentum(reg, "z")

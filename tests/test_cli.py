@@ -34,6 +34,8 @@ def tiny_doc(**overrides):
         "workers": 1,
     }
     doc.update(overrides)
+    if doc["engine"] == "open":
+        del doc["sequence"]["block"]  # the open engine takes the reversion as ideal
     return doc
 
 
@@ -94,12 +96,29 @@ def _with(doc, dotted, value):
     return doc
 
 
+def _positions(row):
+    return {"order_parameter": 0.6, "positions_angstrom": [[0.0, 0.0, 0.0], row]}
+
+
 @pytest.mark.parametrize("dotted,value,key", [
     ("molecule.order_parameter", "abc", "molecule.order_parameter"),
     ("sequence.tau_schedule", {"count": "x", "step": 1e-5}, "sequence.tau_schedule.count"),
     ("sequence.grid.n_t", "many", "sequence.grid.n_t"),
     ("molecule.couplings_hz", [[0, 1, "strong"]], "molecule.couplings_hz"),
-], ids=["order_parameter", "tau_count", "n_t", "coupling"])
+    # float(True) is 1.0: S_zz = 1, a 1 s preparation time, a 1 s dwell
+    ("molecule.order_parameter", True, "molecule.order_parameter"),
+    ("sequence.t_p", True, "sequence.t_p"),
+    ("sequence.grid.dt", True, "sequence.grid.dt"),
+    ("molecule.couplings_hz", [[0, 1, True]], "molecule.couplings_hz"),
+    ("molecule", _positions([0.0, 0.0]), "molecule.positions_angstrom"),
+    ("molecule", _positions([0.0, "abc", 2.0]), "molecule.positions_angstrom"),
+    ("molecule", _positions([0.0, float("nan"), 2.0]), "molecule.positions_angstrom"),
+    # YAML reads 1e400 (no decimal point) as a string, which float() overflows
+    ("molecule", _positions([0.0, 0.0, "1e400"]), "molecule.positions_angstrom"),
+    ("molecule", _positions([0.0, 0.0, True]), "molecule.positions_angstrom"),
+], ids=["order_parameter", "tau_count", "n_t", "coupling", "order_parameter_bool", "t_p_bool",
+        "dt_bool", "coupling_bool", "position_ragged", "position_string", "position_nan",
+        "position_overflow", "position_bool"])
 def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, dotted, value,
                                                             key):
     cfg_path = write_config(tmp_path, _with(tiny_doc(), dotted, value))
@@ -134,10 +153,12 @@ def test_non_integer_config_value_exits_2_before_any_output(tmp_path, capsys, do
 
 
 def assert_configuration_error(capsys, argv, name):
-    """``mqcnmr argv`` exits 2 with a one-line configuration error naming ``name``."""
+    """``mqcnmr argv`` exits 2 with a one-line configuration error naming
+    ``name``; returns stderr."""
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and name in err and "Traceback" not in err
+    return err
 
 
 def test_negative_acquisition_time_exits_2_before_any_output(tmp_path, capsys):
@@ -206,6 +227,25 @@ def test_bad_stage_argument_exits_2_and_leaves_outputs_untouched(tmp_path, capsy
     shutil.copytree(two_spin_run, run)
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     assert_configuration_error(capsys, argv(tmp_path, run), name)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("name,text,argv,rerun", [
+    ("signals_meta.json", "{not json", ["spectra"], "simulate"),
+    ("signals_meta.json", '{"taus": [0.0]}', ["spectra"], "simulate"),
+    ("spectra_meta.json", "{not json", ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
+    ("manifest_simulate.json", "[1, 2", ["spectra"], "simulate"),
+], ids=["signals_meta_not_json", "signals_meta_without_dt", "spectra_meta_not_json",
+        "manifest_simulate_not_json"])
+def test_damaged_stage_file_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
+                                                                 two_spin_run, name, text,
+                                                                 argv, rerun):
+    run = tmp_path / "run"
+    shutil.copytree(two_spin_run, run)
+    (run / name).write_text(text)
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    err = assert_configuration_error(capsys, [argv[0], str(run), *argv[1:]], name)
+    assert f"rerun the {rerun} stage" in err
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
 

@@ -7,7 +7,7 @@ import yaml
 from mqcnmr.config import (config_from_dict, config_hash, load_config, load_molecule,
                            molecule_from_dict, preset_path)
 from mqcnmr.errors import ConfigError
-from mqcnmr.hamiltonian import GAMMA_PROTON
+from mqcnmr.hamiltonian import GAMMA_PROTON, dipolar_frequency
 from mqcnmr.sequence import AcquisitionSpec, MagicSandwichSpec, Mrev8Spec
 
 
@@ -34,9 +34,14 @@ def test_molecule_from_positions():
         "order_parameter": 0.5,
         "positions_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
     })
-    assert mol.n_sites == 2
-    np.testing.assert_allclose(mol.positions[1, 2], 2.0e-10)
-    assert mol.gamma == GAMMA_PROTON
+    assert mol.n_sites == 2 and mol.order_parameter == 0.5
+    assert mol.couplings_hz[0, 1] == dipolar_frequency(np.array([0.0, 0.0, 2.0e-10]))
+    half = molecule_from_dict({
+        "order_parameter": 0.5, "gamma": GAMMA_PROTON / 2,
+        "positions_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+    })
+    assert half.couplings_hz[0, 1] == dipolar_frequency(np.array([0.0, 0.0, 2.0e-10]),
+                                                        GAMMA_PROTON / 2)
 
 
 def test_molecule_from_couplings():
@@ -74,6 +79,11 @@ def test_molecule_validation_errors():
     with pytest.raises(ConfigError):
         molecule_from_dict({"order_parameter": 0.5, "n_sites": 2,
                             "couplings_hz": [[0, 5, 1.0]]})  # out of range
+    with pytest.raises(ConfigError):
+        molecule_from_dict({"order_parameter": 0.5, "n_sites": -1,
+                            "couplings_hz": [[0, 1, 1.0]]})  # no table of negative size
+    with pytest.raises(ConfigError):
+        molecule_from_dict({"order_parameter": 0.5, "couplings_hz": [5]})  # row not a list
 
 
 def test_template_molecule_refuses_to_load():
@@ -172,13 +182,17 @@ def test_config_misc_validation():
         config_from_dict(doc)
 
 
-def _full_doc():
-    doc = base_doc(engine="open", workers=2, n_molecules=1, output="out/x")
+def _full_doc(engine):
+    """A config that uses every key ``engine`` honours."""
+    doc = base_doc(engine=engine, workers=2, n_molecules=1, output="out/x")
+    doc["molecule"]["n_sites"] = 2
     doc["sequence"].update(block={"type": "mrev8", "tau1": 5e-6, "mode": "concatenate"},
                            tau_schedule={"count": 2, "step": 6e-5, "start": 0.0},
                            acquisition={"t_m": 3e-6, "window": 2e-6})
-    doc["decoherence"] = {"sigma_cl": 2e5, "kappa": 2.0,
-                          "omdf": {"family": "gaussian", "width": 0.05}}
+    if engine == "open":
+        doc["sequence"]["block"] = {"type": "none"}
+        doc["decoherence"] = {"sigma_cl": 2e5, "kappa": 2.0,
+                              "omdf": {"family": "gaussian", "width": 0.05}}
     return doc
 
 
@@ -188,14 +202,45 @@ def _full_doc():
     ("decoherence", "omdf"),
 ])
 def test_unknown_config_keys_are_rejected(section):
-    config_from_dict(_full_doc())  # every key used here is honoured
-    doc = _full_doc()
+    for engine in ("closed", "open"):
+        config_from_dict(_full_doc(engine))  # every key used here is honoured
+        doc = _full_doc(engine)
+        if section[:1] == ("decoherence",) and engine == "closed":
+            continue  # the closed engine takes no decoherence section at all
+        node = doc
+        for key in section:
+            node = node[key]
+        node["typo_key"] = 1
+        with pytest.raises(ConfigError, match="typo_key"):
+            config_from_dict(doc)
+
+
+@pytest.mark.parametrize("engine,dotted,value,key", [
+    ("closed", "decoherence", {"sigma_cl": 2e5, "omdf": {"family": "gaussian", "width": 0.05}},
+     "decoherence"),
+    ("open", "sequence.block", {"type": "mrev8", "tau1": 5e-6}, "sequence.block"),
+    ("open", "sequence.block", {"type": "magic_sandwich"}, "sequence.block"),
+    ("closed", "molecule.gamma", GAMMA_PROTON, "molecule.gamma"),
+    ("closed", "molecule.positions_angstrom", [[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+     "molecule.n_sites"),
+], ids=["closed_decoherence", "open_mrev8", "open_magic_sandwich", "gamma_with_couplings",
+        "n_sites_with_positions"])
+def test_key_the_engine_or_molecule_form_does_not_read_exits_2(tmp_path, capsys, engine,
+                                                               dotted, value, key):
+    from mqcnmr.cli import main
+    doc = _full_doc(engine)
+    if dotted == "molecule.positions_angstrom":
+        del doc["molecule"]["couplings_hz"]  # n_sites stays
     node = doc
-    for key in section:
-        node = node[key]
-    node["typo_key"] = 1
-    with pytest.raises(ConfigError, match="typo_key"):
-        config_from_dict(doc)
+    for part in dotted.split(".")[:-1]:
+        node = node[part]
+    node[dotted.split(".")[-1]] = value
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_keys_of_another_block_type_or_family_are_rejected(tmp_path):
@@ -203,7 +248,7 @@ def test_keys_of_another_block_type_or_family_are_rejected(tmp_path):
     doc["sequence"]["block"] = {"type": "magic_sandwich", "tau1": 5e-6}
     with pytest.raises(ConfigError, match="tau1"):
         config_from_dict(doc)
-    doc = _full_doc()
+    doc = _full_doc("open")
     doc["decoherence"]["omdf"]["path"] = "omdf.txt"
     with pytest.raises(ConfigError, match="path"):
         config_from_dict(doc, base_dir=tmp_path)

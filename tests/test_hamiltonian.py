@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -12,8 +12,8 @@ from mqcnmr.config import load_molecule, preset_path
 from mqcnmr import runner
 from mqcnmr.config import config_from_dict
 from mqcnmr.errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
-from mqcnmr.hamiltonian import (GAMMA_PROTON, SpinSystem, coupling_table, dipolar_frequency,
-                                eigendecompose, secular_hamiltonian)
+from mqcnmr.hamiltonian import (GAMMA_PROTON, SpinSystem, dipolar_frequency, eigendecompose,
+                                secular_hamiltonian)
 from mqcnmr.operators import collective_angular_momentum
 
 # hand-computed with frozen CODATA values mu0 = 1.25663706212e-6,
@@ -47,26 +47,60 @@ def test_dipolar_frequency_magic_angle_and_r_cubed():
 
 def test_spin_system_validation():
     with pytest.raises(MqcnmrError):
-        SpinSystem(n_sites=2)  # neither positions nor couplings
+        SpinSystem(np.zeros((2, 3)))  # not square
     with pytest.raises(MqcnmrError):
-        SpinSystem(n_sites=2, positions=np.zeros((2, 3)),
-                   couplings_hz=np.zeros((2, 2)))
+        SpinSystem(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(MqcnmrError):
-        SpinSystem(n_sites=2, couplings_hz=np.array([[0.0, 1.0], [2.0, 0.0]]))
+        SpinSystem(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(MqcnmrError):
-        SpinSystem(n_sites=2, couplings_hz=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        SpinSystem(np.zeros((2, 2)), order_parameter=1.5)
     with pytest.raises(MqcnmrError):
-        SpinSystem(n_sites=2, couplings_hz=np.zeros((2, 2)), order_parameter=1.5)
+        SpinSystem.from_positions(np.zeros((2, 2)))  # not N x 3
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MqcnmrError, match="non-finite"):
+            SpinSystem(np.array([[0.0, bad], [bad, 0.0]]))
+    with pytest.raises(MqcnmrError, match="non-finite"):
+        SpinSystem.from_positions([[0.0, 0.0, 0.0], [0.0, np.nan, 2.0e-10]])
+    table = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mol = SpinSystem(table, 0.6)
+    assert mol.n_sites == 2 and not mol.couplings_hz.flags.writeable
+    table[0, 1] = 5.0  # the molecule keeps its own copy
+    assert mol.couplings_hz[0, 1] == 1.0
 
 
 def test_coupling_table_from_positions():
     pos = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0e-10], [2.0e-10, 0.0, 0.0]])
-    sys3 = SpinSystem(n_sites=3, positions=pos)
-    table = coupling_table(sys3)
+    table = SpinSystem.from_positions(pos).couplings_hz
     np.testing.assert_allclose(table, table.T, atol=0)
     assert np.all(np.diag(table) == 0)
     np.testing.assert_allclose(table[0, 1], -2.0 * PAIR_PREFACTOR_2A, rtol=1e-6)
     np.testing.assert_allclose(table[0, 2], PAIR_PREFACTOR_2A, rtol=1e-6)
+
+
+_ANGSTROM = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sites=st.lists(st.tuples(_ANGSTROM, _ANGSTROM, _ANGSTROM), min_size=2, max_size=6),
+       gamma=st.floats(0.1 * GAMMA_PROTON, 2.0 * GAMMA_PROTON), s=st.floats(0.25, 4.0),
+       angle=st.floats(0.0, 2.0 * np.pi))
+def test_from_positions_follows_the_dipolar_law(sites, gamma, s, angle):
+    pos = 1e-10 * np.array(sites)
+    pairs = [(j, k) for j in range(len(sites)) for k in range(j + 1, len(sites))]
+    assume(all(np.linalg.norm(pos[k] - pos[j]) >= 0.5e-10 for j, k in pairs))
+    table = SpinSystem.from_positions(pos, gamma=gamma).couplings_hz
+    assert np.array_equal(table, table.T) and np.all(np.diag(table) == 0.0)
+    assert all(table[j, k] == dipolar_frequency(pos[k] - pos[j], gamma) for j, k in pairs)
+    c, sn = np.cos(angle), np.sin(angle)
+    rotated = pos @ np.array([[c, sn, 0.0], [-sn, c, 0.0], [0.0, 0.0, 1.0]])
+    scaled = SpinSystem.from_positions(s * pos, gamma=gamma).couplings_hz
+    turned = SpinSystem.from_positions(rotated, gamma=gamma).couplings_hz
+    for j, k in pairs:
+        # the pair's coupling without its angular factor: near the magic angle
+        # the entry itself is of the order of its rounding
+        size = dipolar_frequency([np.linalg.norm(pos[k] - pos[j]), 0.0, 0.0], gamma)
+        assert abs(scaled[j, k] - table[j, k] / s ** 3) <= 1e-12 * size / s ** 3
+        assert abs(turned[j, k] - table[j, k]) <= 1e-12 * size
 
 
 def test_secular_hamiltonian_two_spin_spectrum():
@@ -74,7 +108,7 @@ def test_secular_hamiltonian_two_spin_spectrum():
     # sqrt(2/3)/sqrt(6) = 1/3 gives S_zz * 2 pi w_D * {1/6, 1/6, 0, -1/3}
     w_d, s_zz = 5000.0, 0.6
     table = np.array([[0.0, w_d], [w_d, 0.0]])
-    sys2 = SpinSystem(n_sites=2, couplings_hz=table, order_parameter=s_zz)
+    sys2 = SpinSystem(table, s_zz)
     h = ref.dense_from_blocks(secular_hamiltonian(sys2), 4)
     w = np.sort(np.linalg.eigvalsh(h))
     expected = np.sort(s_zz * 2 * np.pi * w_d * np.array([1 / 6, 1 / 6, 0.0, -1 / 3]))
@@ -89,11 +123,11 @@ def test_secular_hamiltonian_matches_reference():
     for j in range(n):
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
-    sys3 = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=0.7)
+    sys3 = SpinSystem(table, 0.7)
     np.testing.assert_allclose(ref.dense_from_blocks(secular_hamiltonian(sys3), 8),
                                ref.ham_ref(table, 0.7), atol=1e-9)
     with pytest.raises(TrivialSystemError):
-        secular_hamiltonian(SpinSystem(n_sites=1, couplings_hz=np.zeros((1, 1))))
+        secular_hamiltonian(SpinSystem(np.zeros((1, 1))))
 
 
 def _example_eig(n=3, seed=3, s_zz=0.7):
@@ -102,9 +136,9 @@ def _example_eig(n=3, seed=3, s_zz=0.7):
     for j in range(n):
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
-    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    blocks = secular_hamiltonian(sys_n, reg)
+    blocks = secular_hamiltonian(sys_n)
     return table, sys_n, reg, ref.dense_from_blocks(blocks, reg.dim), eigendecompose(blocks, reg,
                                                                                     s_zz)
 
@@ -130,9 +164,9 @@ def test_eigendecompose_zeta_excludes_order_parameter():
     table = np.array([[0.0, 5000.0], [5000.0, 0.0]])
     zetas = []
     for s_zz in (0.3, 0.9):
-        sys2 = SpinSystem(n_sites=2, couplings_hz=table, order_parameter=s_zz)
+        sys2 = SpinSystem(table, s_zz)
         reg = sys2.register()
-        eig = eigendecompose(secular_hamiltonian(sys2, reg), reg, s_zz)
+        eig = eigendecompose(secular_hamiltonian(sys2), reg, s_zz)
         zetas.append(np.sort(eig.zeta))
     np.testing.assert_allclose(zetas[0], zetas[1], atol=1e-9)
     expected = np.sort(2 * np.pi * 5000.0 * np.array([1 / 6, 1 / 6, 0.0, -1 / 3]))
@@ -141,9 +175,9 @@ def test_eigendecompose_zeta_excludes_order_parameter():
 
 def test_degeneracy_labels():
     table = np.array([[0.0, 5000.0], [5000.0, 0.0]])
-    sys2 = SpinSystem(n_sites=2, couplings_hz=table)
+    sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2, reg), reg)
+    eig = eigendecompose(secular_hamiltonian(sys2), reg)
     # the doubly degenerate zeta = 2 pi w / 6 level gets labels 0 and 1
     top = np.isclose(eig.zeta, 2 * np.pi * 5000.0 / 6)
     s = ref.degeneracy_labels(eig)
@@ -158,7 +192,7 @@ SHIPPED_MOLECULES = ("two_spin", "four_spin_test", "eight_spin_test")
 def test_eigen_labels_match_svd_scaled_oracle_on_shipped_molecules(name):
     mol = load_molecule(preset_path(f"molecules/{name}.yaml"))
     reg = mol.register()
-    blocks = secular_hamiltonian(mol, reg)
+    blocks = secular_hamiltonian(mol)
     h = ref.dense_from_blocks(blocks, reg.dim)
     eig = eigendecompose(blocks, reg, mol.order_parameter)
     zeta, s = ref.eigen_labels_svd(h, reg.m_values(), mol.order_parameter)
@@ -177,9 +211,9 @@ def test_eigen_labels_match_svd_scaled_oracle(n, s_zz, couplings):
     table = np.zeros((n, n))
     table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
     table = table + table.T
-    mol = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    mol = SpinSystem(table, s_zz)
     reg = mol.register()
-    blocks = secular_hamiltonian(mol, reg)
+    blocks = secular_hamiltonian(mol)
     eig = eigendecompose(blocks, reg, s_zz)
     zeta, s = ref.eigen_labels_svd(ref.dense_from_blocks(blocks, reg.dim), reg.m_values(), s_zz)
     assert np.array_equal(eig.zeta, zeta) and np.array_equal(ref.degeneracy_labels(eig), s)
@@ -196,7 +230,7 @@ def test_secular_hamiltonian_equals_dense_t20_sum(n, s_zz, couplings):
     table = np.zeros((n, n))
     table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
     table += table.T
-    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    sys_n = SpinSystem(table, s_zz)
     m_basis = sys_n.register().m_values()
     blocks = secular_hamiltonian(sys_n)
     dense = ref.secular_sum_ref(table, s_zz)
@@ -214,16 +248,16 @@ def test_secular_hamiltonian_equals_dense_t20_sum(n, s_zz, couplings):
 def test_secular_hamiltonian_geometry_molecule_equals_dense_t20_sum():
     pos = 1e-10 * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.4], [1.7, 0.3, 1.1],
                             [2.2, -1.9, 0.4], [-0.8, 1.3, 3.0]])
-    sys5 = SpinSystem(n_sites=5, positions=pos, order_parameter=0.45)
+    sys5 = SpinSystem.from_positions(pos, 0.45)
     assert np.array_equal(ref.dense_from_blocks(secular_hamiltonian(sys5), 32),
-                          ref.secular_sum_ref(coupling_table(sys5), 0.45))
+                          ref.secular_sum_ref(sys5.couplings_hz, 0.45))
 
 
 def test_secular_hamiltonian_memory_at_ten_spins():
     rng = np.random.default_rng(4)
     table = np.zeros((10, 10))
     table[np.triu_indices(10, 1)] = rng.uniform(-5000, 5000, size=45)
-    sys10 = SpinSystem(n_sites=10, couplings_hz=table + table.T, order_parameter=0.6)
+    sys10 = SpinSystem(table + table.T, 0.6)
     tracemalloc.start()
     try:
         blocks = secular_hamiltonian(sys10)

@@ -24,9 +24,9 @@ def make_system(n=2, seed=5, s_zz=0.6):
     for j in range(n):
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
-    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n, reg), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
     return table, reg, eig
 
 

@@ -205,7 +205,15 @@ def test_decomposition_matches_fourier_extraction():
 def _two_spin_hamiltonian():
     """The m blocks of a two-spin H: sizes 1, 2 and 1."""
     table = np.array([[0.0, 4200.0], [4200.0, 0.0]])
-    return secular_hamiltonian(SpinSystem(n_sites=2, couplings_hz=table, order_parameter=0.6))
+    return secular_hamiltonian(SpinSystem(table, 0.6))
+
+
+def test_operator_checks_count_a_nan_error_as_a_failure():
+    # NaN > atol is False, so a check written that way passed a NaN operator
+    with pytest.raises(MqcnmrError, match="by nan"):
+        checked_hermitian(np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(MqcnmrError, match="by nan"):
+        checked_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_operator_checks_reject_invalid_operators(monkeypatch):

@@ -24,9 +24,9 @@ def make_system(n=2, seed=1, s_zz=0.6, scale_hz=5000.0):
     for j in range(n):
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-scale_hz, scale_hz)
-    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n, reg), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
     return table, sys_n, reg, eig
 
 
@@ -70,9 +70,9 @@ def test_mrev8_block_shape_and_duration():
 def test_mrev8_pulses_alone_compose_to_identity():
     # with H = 0 the delays do nothing and the 8 pulses must cancel
     table = np.zeros((2, 2))
-    sys2 = SpinSystem(n_sites=2, couplings_hz=table)
+    sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2, reg), reg)
+    eig = eigendecompose(secular_hamiltonian(sys2), reg)
     props = Propagators(eig, reg)
     u = compile_program(mrev8_block(5e-6), props)
     theta = np.angle(np.trace(u))
@@ -271,9 +271,9 @@ def test_run_grid_molecule_count_scales_linearly():
 
 def test_run_grid_zero_hamiltonian_time_independent():
     table = np.zeros((2, 2))
-    sys2 = SpinSystem(n_sites=2, couplings_hz=table)
+    sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2, reg), reg)
+    eig = eigendecompose(secular_hamiltonian(sys2), reg)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=4, taus=(0.0, 1e-4))
     data = run_grid(eig, reg, grid, block=MagicSandwichSpec(), acquisition=acq).data

@@ -26,9 +26,9 @@ def make_system(n=3, seed=12, s_zz=0.6, scale_hz=5000.0):
     for j in range(n):
         for k in range(j + 1, n):
             table[j, k] = table[k, j] = rng.uniform(-scale_hz, scale_hz)
-    sys_n = SpinSystem(n_sites=n, couplings_hz=table, order_parameter=s_zz)
+    sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n, reg), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
     return table, reg, eig
 
 
