@@ -81,6 +81,13 @@ def _number(value, key: str, kind=float):
                       f"got {value!r}")
 
 
+def _path(value, key: str) -> str:
+    """``value``, or a ConfigError naming ``key`` when it is not a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path (a string), got {value!r}")
+    return value
+
+
 def _rows(value, key: str, form: str) -> list:
     """The rows of a molecule table, each of three values, with no null left
     in them (a placeholder); a ConfigError naming ``key`` otherwise."""
@@ -290,7 +297,8 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
             omdf = GaussianOMDF(width=_number(_require(odoc, "width", "decoherence.omdf"),
                                                "decoherence.omdf.width"))
         else:
-            omdf = TabulatedOMDF.from_file(base_dir / _require(odoc, "path", "decoherence.omdf"))
+            omdf = TabulatedOMDF.from_file(base_dir / _path(
+                _require(odoc, "path", "decoherence.omdf"), "decoherence.omdf.path"))
         deco = DecoherenceParams(
             sigma_cl=_number(_require(ddoc, "sigma_cl", "decoherence"), "decoherence.sigma_cl"),
             kappa=_number(ddoc.get("kappa", 2.0), "decoherence.kappa"), omdf=omdf)
@@ -303,7 +311,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         acquisition=acq,
         decoherence=deco,
         n_molecules=_number(doc.get("n_molecules", 1), "n_molecules", int),
-        output_dir=str(doc.get("output", "out")),
+        output_dir=_path(doc.get("output", "out"), "output"),
         raw=doc,
     )
 

@@ -32,7 +32,7 @@ from .hamiltonian import EigenSystem
 from .operators import SpinRegister
 from .sequence import (ExperimentGrid, Propagators, acquisition_scan_values, check_grid_memory,
                        kernel_inputs, phase_encode, prepared_setup)
-from .spectra import SignalGrid, pair_chunk_rows, pair_order_sums
+from .spectra import SignalGrid, _uniform_exp, pair_chunk_rows, pair_order_sums
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
 # their cosines or sines.
@@ -55,6 +55,13 @@ class GaussianOMDF:
 
     def q(self, x):
         return np.exp(-0.5 * (self.width * np.asarray(x)) ** 2)
+
+    def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
+        """E = exp(-i S_zz g t) q(g t) for each gap g on uniform ts, shape
+        (gaps, n_t): exp(a t + b t^2) with the curvature b = -w^2 g^2 / 2, so
+        neither factor takes an exponential per sample."""
+        gaps = np.asarray(gaps, dtype=float)
+        return _uniform_exp(-1j * s_zz * gaps, ts, -0.5 * (self.width * gaps) ** 2)
 
 
 class TabulatedOMDF:
@@ -109,6 +116,14 @@ class TabulatedOMDF:
                                                self._weights)
         return out.reshape(x.shape)[()]
 
+    def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
+        """E = exp(-i S_zz g t) q(g t) for each gap g on uniform ts, shape
+        (gaps, n_t): the phase from ``_uniform_exp`` times the quadrature."""
+        gaps = np.asarray(gaps, dtype=float)
+        e = _uniform_exp(-1j * s_zz * gaps, ts)
+        e *= self.q(np.multiply.outer(gaps, ts))
+        return e
+
 
 @dataclass(frozen=True)
 class DecoherenceParams:
@@ -136,11 +151,6 @@ def g_irreversible(dzeta, tau, params: DecoherenceParams):
     dz = np.asarray(dzeta, dtype=float)
     return np.exp(-(dz * params.sigma_cl) ** 2 * np.asarray(tau, dtype=float) ** 4
                   / (8.0 * (params.kappa + 1.0) ** 2))
-
-
-def g_reversible(dzeta, t, params: DecoherenceParams):
-    """Reversible line-shape factor q(dzeta * t) from the OMDF transform."""
-    return params.omdf.q(np.asarray(dzeta) * np.asarray(t))
 
 
 @dataclass(frozen=True)
@@ -173,26 +183,33 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
 
     The reversion block is ideal by assumption, so tau enters only through
     G^R; the waiting time t carries the eigenbasis phases and G^T, both
-    applied by ``spectra.pair_order_sums`` to one weight slab shared by
-    every tau.  The prepared state is checked as a ``ReducedState``.
+    built by the OMDF's ``time_factors`` and applied by
+    ``spectra.pair_order_sums`` to one weight slab shared by every tau, one
+    class of spin-flip and mirror pairs at a time.  The prepared state is
+    checked as a ``ReducedState``.  The working set is estimated and gated
+    (``sequence.check_grid_memory``) before anything is allocated.
     """
     # 8 arrays of 2^N x 2^N: the prepared setup's peak, which also covers the
-    # state, detection and weight slab the kernel holds with its pair index
-    # arrays; the order sums with one chunk's product (2 n_tau x n_t) and its
-    # conjugate half; one chunk of E (rows x n_t) and numpy's two cast
-    # buffers.  Beside them, and never at once: the default acquisition's
-    # scan; the temporaries of G^T, with a tabulated OMDF's quadrature block;
-    # or the stacked weights (2 n_tau x rows) with G^R
+    # state, detection and weight slab the kernel holds with its class index
+    # arrays; the order sums; one chunk of E (rows x n_t, padded to a whole
+    # number of steps of the coarse x fine split); numpy's two cast buffers.
+    # Beside them, and never at once: the default acquisition's scan; the
+    # temporaries of G^T (a tabulated OMDF's phases, q and quadrature block,
+    # or the Gaussian's coarse and fine factors); or the chunk's stacked
+    # weights (4 n_tau x rows) with G^R and one temporary, then its product
+    # (4 n_tau x n_t) with the two halves summed into the order sums
     n_tau, rows = len(grid.taus), pair_chunk_rows(eig, grid.n_t)
-    quadrature = QUADRATURE_BLOCK_BYTES // 16 if isinstance(params.omdf, TabulatedOMDF) else 0
-    check_grid_memory(grid, 8 * reg.dim ** 2 + grid.n_t * (n_tau * (2 * reg.n_spins + 4) + rows)
-                      + 2 * np.getbufsize() + max(acquisition_scan_values(reg.dim, acquisition),
-                                                  2 * rows * grid.n_t + quadrature,
-                                                  3 * n_tau * rows))
+    step = int(np.ceil(np.sqrt(grid.n_t)))
+    g_t = (3 * rows * grid.n_t // 2 + QUADRATURE_BLOCK_BYTES // 16
+           if isinstance(params.omdf, TabulatedOMDF) else 4 * step * rows)
+    check_grid_memory(grid, 8 * reg.dim ** 2 + grid.n_t * n_tau * (2 * reg.n_spins + 1)
+                      + rows * (grid.n_t + step) + 2 * np.getbufsize()
+                      + max(acquisition_scan_values(reg.dim, acquisition), g_t,
+                            n_tau * (5 * rows + 6 * grid.n_t)))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(Propagators(eig, reg), grid.t_p),
                                             acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, reg.n_spins, grid.ts, grid.taus,
-                           partial(g_reversible, params=params),
+                           partial(params.omdf.time_factors, s_zz=eig.order_parameter),
                            partial(g_irreversible, params=params))
     return phase_encode(sums, grid, acquisition, n_molecules)

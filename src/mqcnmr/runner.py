@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -97,18 +98,27 @@ def _upstream(run_dir: Path, stage: str) -> tuple:
     return cfg_hash, {"manifest": path.name, "sha256": _sha256(path)}
 
 
-def _stage_json(path: Path, stage: str, keys=()) -> dict:
-    """The JSON mapping that ``stage`` wrote to ``path``, holding every key of
-    ``keys``; a ConfigError naming the file and the stage to rerun otherwise."""
+def _stage_json(path: Path, stage: str, numbers=(), lists=()) -> dict:
+    """The JSON mapping that ``stage`` wrote to ``path``, holding a finite
+    number under every key of ``numbers`` and a list of them under every key
+    of ``lists``; a ConfigError naming the file and the stage to rerun
+    otherwise."""
     try:
         doc = json.loads(path.read_text())
     except ValueError:
         doc = None
-    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
-        raise ConfigError(f"{path} is not the JSON mapping{' with ' if keys else ''}"
-                          f"{', '.join(keys)} that the {stage} stage writes; rerun the "
-                          f"{stage} stage")
+    if not (isinstance(doc, dict) and all(_finite(doc.get(key)) for key in numbers)
+            and all(isinstance(doc.get(key), list) and all(map(_finite, doc[key]))
+                    for key in lists)):
+        keys = ", ".join((*numbers, *lists))
+        raise ConfigError(f"{path} is not the JSON mapping{' with ' if keys else ''}{keys} "
+                          f"that the {stage} stage writes; rerun the {stage} stage")
     return doc
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
@@ -147,7 +157,7 @@ def load_signals(run_dir) -> SignalGrid:
     meta_path = run_dir / "signals_meta.json"
     if not sig_path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} does not contain signals.npy + signals_meta.json")
-    meta = _stage_json(meta_path, "simulate", ("dt", "taus", "t_p", "t_m", "window"))
+    meta = _stage_json(meta_path, "simulate", ("dt", "t_p", "t_m", "window"), ("taus",))
     return SignalGrid(data=np.load(sig_path), dt=meta["dt"],
                       taus=np.asarray(meta["taus"]), t_p=meta["t_p"],
                       t_m=meta["t_m"], window=meta["window"])
@@ -183,7 +193,7 @@ def load_spectra(run_dir) -> CoherenceSpectrum:
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
                           "rerun the spectra stage")
-    meta = _stage_json(meta_path, "spectra", ("taus", "mu", "freqs_hz"))
+    meta = _stage_json(meta_path, "spectra", lists=("taus", "mu", "freqs_hz"))
     data = np.load(path)
     axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
     if data.shape != tuple(axis.size for axis in axes):

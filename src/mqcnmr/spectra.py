@@ -155,24 +155,65 @@ def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
     return eig.to_eigen(kron_conjugate(adjoint, eig.to_product(setup.i_plus * win)))
 
 
-# Byte budget of one chunk of the pair kernel's (pairs x n_t) time series E.
+# Byte budget of one chunk of the pair kernel's (classes x n_t) time series E.
 PAIR_CHUNK_BYTES = 4 << 20
 
 
 def pair_chunk_rows(eig: EigenSystem, n_t: int) -> int:
-    """Eigenpairs per chunk of ``pair_order_sums``: the rows of E that fit
-    PAIR_CHUNK_BYTES, capped by the pair count of the largest order (nu = 0)."""
+    """Pair classes per chunk of ``pair_order_sums``: the rows of E that fit
+    PAIR_CHUNK_BYTES, capped by half the ordered pairs of order 0 (the sum of
+    C_m^2 / 2 over the C_m states of each total m), which from N = 3 on no
+    |nu| exceeds in classes."""
     counts = np.unique(eig.m, return_counts=True)[1]
-    return int(min(max(1, PAIR_CHUNK_BYTES // (16 * n_t)), np.sum(counts ** 2)))
+    return int(min(max(1, PAIR_CHUNK_BYTES // (16 * n_t)), np.sum(counts ** 2) // 2))
 
 
-def _uniform_exp(x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(outer(x, ts)) on uniform ts from about 2 sqrt(n_t) exponentials per
-    row: with j = L k + r, exp(x t_j) = exp(x t_{Lk}) exp(x r dt)."""
-    step, dt = int(np.ceil(np.sqrt(ts.size))), ts[1] - ts[0]
-    coarse = np.exp(np.outer(x, ts[0] + step * dt * np.arange(-(-ts.size // step))))
-    fine = np.exp(np.outer(x, dt * np.arange(step)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(x.size, -1)[:, :ts.size]
+def _powers(x: np.ndarray, n: int, square: bool = False) -> np.ndarray:
+    """x^k (x^(k^2) when ``square``) for k = 0 .. n-1, stacked on a new first
+    axis, by repeated multiplication: x^((k+1)^2) = x^(k^2) x^(2k+1)."""
+    out = np.empty((n,) + x.shape, dtype=x.dtype)
+    out[0] = 1.0
+    step, x2 = x.copy(), x * x if square else None
+    for k in range(1, n):
+        np.multiply(out[k - 1], step, out=out[k])
+        if square:
+            step *= x2
+    return out
+
+
+def _uniform_exp(a: np.ndarray, ts: np.ndarray, b=0.0) -> np.ndarray:
+    """exp(a t + b t^2) for each row's a (complex) and b (real) on uniform ts,
+    shape (rows, n_t), from three complex and three real exponentials per row.
+
+    With t_j = t_0 + j dt the exponent is c0 + c1 j + c2 j^2, and with
+    j = L k + l (L = ceil(sqrt(n_t))) the value is the product of a coarse
+    factor exp(c0) R^k Q^(k^2), a fine factor r^l q^(l^2) and u^(k l), where
+    r, R = exp(c1), exp(L c1) and q, Q, u = exp(c2), exp(L^2 c2), exp(2 L c2);
+    every power is taken by multiplication.  A power p of a base rounded once
+    is off by about p ulp, and no base is raised past n_t (j^2 itself would
+    reach n_t^2); the tests hold the result within 1e-13 of max |E| of exp
+    at every sample for n_t up to 300, 100 rad of phase and a decay to e^-30.
+    The result is the transpose of a (n_t, rows) array, which BLAS reads as
+    it is.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
+    step, t0, dt = int(np.ceil(np.sqrt(ts.size))), ts[0], ts[1] - ts[0]
+    c1 = (a + 2.0 * b * t0) * dt
+    c0, r, big_r = np.exp([a * t0 + b * t0 ** 2, c1, step * c1])
+    coarse = c0 * _powers(big_r, -(-ts.size // step))
+    fine = _powers(r, step)
+    if not np.any(b):
+        return (coarse[:, None] * fine[None]).reshape(-1, a.size)[:ts.size].T
+    q, big_q, u = np.exp(b * dt ** 2 * np.array([1.0, step ** 2, 2 * step])[:, None])
+    coarse *= _powers(big_q, coarse.shape[0], square=True)
+    fine *= _powers(q, step, square=True)
+    cross = _powers(u, step)
+    out = np.empty(coarse.shape[:1] + fine.shape, dtype=complex)
+    for k, factor in enumerate(coarse):
+        np.multiply(factor, fine, out=out[k])
+        fine *= cross  # fine times u^(k l) for the next k
+    return out.reshape(-1, a.size)[:ts.size].T
 
 
 def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
@@ -180,23 +221,53 @@ def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
     return np.exp(-1j * eig.order_parameter * np.outer(ts, eig.zeta))
 
 
+def _spin_flip_images(eig: EigenSystem) -> np.ndarray:
+    """The spin-flip image of each eigenstate: the state of total m -> -m with
+    the same zeta, matched by rank of zeta within the two blocks (a state of
+    m = 0 is its own image).
+
+    The secular dipolar H commutes with the pi rotation of all spins about x,
+    which takes total m to -m, so blocks m and -m share their spectrum.  An
+    eigensystem whose spectra differ by more than 1e-10 max |zeta| is refused.
+    """
+    image = np.empty(eig.dim, dtype=np.intp)
+    tol = 1e-10 * np.max(np.abs(eig.zeta))
+    for m in np.unique(eig.m):
+        here, there = (np.flatnonzero(eig.m == s) for s in (m, -m))
+        here, there = (i[np.argsort(eig.zeta[i], kind="stable")] for i in (here, there))
+        if here.size != there.size or np.any(np.abs(eig.zeta[here] - eig.zeta[there]) > tol):
+            raise MqcnmrError(f"the eigenvalues of total m = {m:g} and {-m:g} differ: the "
+                              "pair kernel needs a Hamiltonian symmetric under a spin flip")
+        image[here] = there
+    return image
+
+
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
-                    ts: np.ndarray, taus: np.ndarray, g_reversible=None,
+                    ts: np.ndarray, taus: np.ndarray, time_factors=None,
                     g_irreversible=None) -> np.ndarray:
     """c[tau, nu + N, t] = sum over pairs of order nu of W[tau, pair] E[pair, t].
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and
-    W = weights[(tau,) a, b] G^R(g, tau), E = exp(-i S_zz g t) G^T(g, t) on
-    uniform ts (G None means 1; both are called with arrays that broadcast,
-    G^R with the gaps as a row and the taus as a column).  ``weights`` is
-    (dim, dim), the same for every tau, or (n_tau, dim, dim).
+    W = weights[(tau,) a, b] G^R(g, tau), E = ``time_factors(gaps, ts)`` on
+    uniform ts, the rows of E for a 1D array of gaps: exp(-i S_zz g t) G^T(g, t)
+    (the phase alone when None).  G^R None means 1; it is called with the gaps
+    as a row and the taus as a column.  ``weights`` is (dim, dim), the same for
+    every tau, or (n_tau, dim, dim).
 
     Without G factors E = p_b conj(p_a) factorises (``free_phases``): for each
     slab, one GEMM per total-m row block, in O(n_t 2^N) working memory plus a
-    copy of the block's rows of that slab.  With G^T or G^R (G^T(-g, t) =
-    conj(G^T(g, t)), G^R real and even in g), E_ba = conj(E_ab): pairs a <= b
-    nonzero in either mirror (a = b once) are cut by order into chunks of at
-    most PAIR_CHUNK_BYTES of E, each one GEMM [W_ab ; conj(W_ba)] @ E into nu, -nu.
+    copy of the block's rows of that slab.  With G^T or G^R, E and G^R depend
+    on the gap alone, and G^T(-g, t) = conj(G^T(g, t)), G^R is real and even
+    in g.  So the pair, its mirror (b, a) (order -nu, E conj), its spin-flip
+    image (a', b') (order -nu, the same E; ``_spin_flip_images``) and the
+    image's mirror (order nu, E conj) form one class, keyed on the unordered
+    pairs {a, b} and {a', b'}, whose members each count once.  Classes nonzero
+    in any member are sorted by |nu| and cut into chunks of at most
+    PAIR_CHUNK_BYTES of E.  Each chunk builds E and G^R once per class and
+    runs one GEMM on the stacked weights [W_ab ; conj(W_b'a') ; W_a'b' ;
+    conj(W_ba)] G^R: the first two rows (the second conjugated after the GEMM)
+    go into nu, the last two into -nu.  At nu = 0 the image has the pair's
+    order and gap, so its weights are added onto the pair's own.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
@@ -207,7 +278,7 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
                           f"{taus.size} taus of dimension {eig.dim}")
     w = weights.reshape(-1, eig.dim, eig.dim)  # one slab for all taus, or one per tau
     c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
-    if g_reversible is None and g_irreversible is None:
+    if time_factors is None and g_irreversible is None:
         # rows A of one m value: Q = conj(P[:, A]) W[A, :]; Q * P summed over the
         # columns of each m value is that m pair's part, added into c[k::len(w)]
         # (every tau for a shared slab)
@@ -220,21 +291,38 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
             for k, slab in enumerate(w):
                 c[k::len(w), cols] += (((p_a @ slab[idx]) * p) @ member).T
         return c
-    a, b = np.nonzero(np.triu(np.any(w, axis=0) | np.any(w, axis=0).T))
-    nu, gap = np.rint(eig.m[b] - eig.m[a]).astype(int) + n_spins, eig.zeta[b] - eig.zeta[a]
-    mirrors = np.stack([w[:, a, b], (w[:, b, a] * (a != b)).conj()])
+    image = _spin_flip_images(eig)
+    nonzero = np.any(w, axis=0)
+    nonzero |= nonzero.T
+    a, b = np.nonzero(np.triu(nonzero | nonzero[np.ix_(image, image)]))
+    ia, ib = image[a], image[b]
+    own, img = a * eig.dim + b, np.minimum(ia, ib) * eig.dim + np.maximum(ia, ib)
+    keep = own <= img  # each class once, from the smaller of its two keys
+    a, b, ia, ib, distinct = a[keep], b[keep], ia[keep], ib[keep], (own < img)[keep]
+    del own, img, keep  # at N = 10, 4 MB each for the rest of the call
+    nu = np.rint(eig.m[b] - eig.m[a]).astype(int)
+    flip = nu < 0  # lead each class with its member of order |nu|
+    a, b, ia, ib = (np.where(flip, ia, a), np.where(flip, ib, b), np.where(flip, a, ia),
+                    np.where(flip, b, ib))
+    nu, gap = np.abs(nu), eig.zeta[b] - eig.zeta[a]
     rows = pair_chunk_rows(eig, ts.size)
-    for i in range(2 * n_spins + 1):
-        pairs = np.flatnonzero(nu == i)
-        for lo in range(0, pairs.size, rows):
-            k = pairs[lo:lo + rows]
-            e = _uniform_exp(-1j * eig.order_parameter * gap[k], ts)
-            if g_reversible is not None:
-                e *= g_reversible(gap[k, None], ts[None, :])
-            prod = (mirrors[:, :, k] * (1.0 if g_irreversible is None else g_irreversible(
-                gap[None, k], taus[:, None]))).reshape(-1, k.size) @ e
-            c[:, i] += prod[:len(prod) // 2]
-            c[:, 2 * n_spins - i] += prod[len(prod) // 2:].conj()
+    for order in range(n_spins + 1):
+        classes = np.flatnonzero(nu == order)
+        for lo in range(0, classes.size, rows):
+            k = classes[lo:lo + rows]
+            e = (_uniform_exp(-1j * eig.order_parameter * gap[k], ts) if time_factors is None
+                 else time_factors(gap[k], ts))
+            p, q, ip, iq, off = a[k], b[k], ia[k], ib[k], a[k] != b[k]
+            parts = [w[:, p, q], (w[:, iq, ip] * (off & distinct[k])).conj(),
+                     w[:, ip, iq] * distinct[k], (w[:, q, p] * off).conj()]
+            if order == 0:
+                parts = [parts[0] + parts[2], parts[1] + parts[3]]
+            if g_irreversible is not None:
+                parts = np.stack(parts) * g_irreversible(gap[None, k], taus[:, None])
+            prod = (np.reshape(parts, (-1, k.size)) @ e).reshape(len(parts), -1, ts.size)
+            for sign, (direct, conjugated) in zip((1, -1), zip(prod[::2], prod[1::2])):
+                c[:, n_spins + sign * order] += direct + conjugated.conj()
+            del parts, e  # before the next chunk builds its own
     return c
 
 

@@ -434,14 +434,21 @@ def populations(state):
     return state.matrix.diagonal().real
 
 
+def g_reversible(dzeta, t, params):
+    """Reversible line-shape factor G^T = q(dzeta * t) of the OMDF transform, one
+    sample at a time: the oracle for the OMDFs' ``time_factors``, which hold it
+    with the phase on uniform times."""
+    return params.omdf.q(np.asarray(dzeta) * np.asarray(t))
+
+
 def evolve_open(state, t, tau, params):
     """Open-system map of a ``ReducedState`` for waiting time t and reversion time tau.
 
     Element (a, b) is multiplied by exp(-i (zeta_a - zeta_b) S_zz t) G^T(t) G^R(tau),
-    with the package's ``g_reversible`` and ``g_irreversible`` as the factors
+    with ``g_reversible`` above and the package's ``g_irreversible`` as the factors
     ``run_grid_open`` applies; the result is checked as a ``ReducedState`` again.
     """
-    from mqcnmr.opensystem import ReducedState, g_irreversible, g_reversible
+    from mqcnmr.opensystem import ReducedState, g_irreversible
     eig = state.eig
     gaps = eig.gaps()
     factor = (np.exp(-1j * eig.order_parameter * gaps * t)
@@ -467,7 +474,7 @@ def sigma_for_decay_time(dzeta, tau_d, kappa=2.0):
     return float(np.sqrt(8.0) * (kappa + 1.0) / (abs(dzeta) * tau_d ** 2))
 
 
-def spectral_assembly(state_eig, eig, reg, ts, t_m, window, g_reversible=None,
+def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
                       g_irreversible=None, taus=None, n_molecules=1):
     """Coherence spectra assembled directly from eigenbasis matrix elements.
 
@@ -475,8 +482,9 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, g_reversible=None,
     time-domain route, for the prepared state ``state_eig`` (H eigenbasis),
     the read pulse (pi/4)_y and detection I_+.  With G == 1 this reproduces
     ``fft2_coherence(run_grid(...))`` up to rounding; with the decoherence
-    factors (callables (dzeta, t) and (dzeta, tau), or None for 1) it
-    realizes the shifted-copy superposition of ``run_grid_open``.
+    factors (the kernel's ``time_factors(gaps, ts)``, phase included, and
+    G^R(dzeta, tau); None for the phase alone and for 1) it realizes the
+    shifted-copy superposition of ``run_grid_open``.
     """
     from mqcnmr.operators import collective_angular_momentum, rotation_halves
     from mqcnmr.spectra import CoherenceSpectrum, RunSetup, detection_matrix, pair_order_sums
@@ -486,7 +494,7 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, g_reversible=None,
     setup = RunSetup(eig, state_eig, rotation_halves(reg, np.pi / 4, "y"), eig.to_eigen(i_plus))
     det = detection_matrix(setup, t_m, window)
     sums = pair_order_sums(det * setup.state.T, eig, reg.n_spins, ts, taus,
-                           g_reversible, g_irreversible)
+                           time_factors, g_irreversible)
     data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
     freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
     return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),

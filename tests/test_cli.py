@@ -116,17 +116,22 @@ def _positions(row):
     # YAML reads 1e400 (no decimal point) as a string, which float() overflows
     ("molecule", _positions([0.0, 0.0, "1e400"]), "molecule.positions_angstrom"),
     ("molecule", _positions([0.0, 0.0, True]), "molecule.positions_angstrom"),
+    # paths: Path(5) raised a TypeError, and str() made a directory "['x', 'y']"
+    ("decoherence.omdf", {"family": "tabulated", "path": 5}, "decoherence.omdf.path"),
+    ("output", ["x", "y"], "output"),
 ], ids=["order_parameter", "tau_count", "n_t", "coupling", "order_parameter_bool", "t_p_bool",
         "dt_bool", "coupling_bool", "position_ragged", "position_string", "position_nan",
-        "position_overflow", "position_bool"])
-def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, dotted, value,
-                                                            key):
-    cfg_path = write_config(tmp_path, _with(tiny_doc(), dotted, value))
-    out = tmp_path / "out"
-    assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
+        "position_overflow", "position_bool", "omdf_path_number", "output_list"])
+def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, monkeypatch,
+                                                            dotted, value, key):
+    doc = (tiny_doc(engine="open", decoherence={"sigma_cl": 2.5e5, "omdf": {}})
+           if dotted.startswith("decoherence") else tiny_doc())
+    cfg_path = write_config(tmp_path, _with(doc, dotted, value))
+    monkeypatch.chdir(tmp_path)  # where a relative output directory would go
+    assert main(["simulate", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err and key in err and "Traceback" not in err
-    assert not out.exists()
+    assert [path.name for path in tmp_path.iterdir()] == [cfg_path.name]
 
 
 @pytest.mark.parametrize("value", [2.7, True], ids=["fraction", "bool"])
@@ -235,8 +240,12 @@ def test_bad_stage_argument_exits_2_and_leaves_outputs_untouched(tmp_path, capsy
     ("signals_meta.json", '{"taus": [0.0]}', ["spectra"], "simulate"),
     ("spectra_meta.json", "{not json", ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
     ("manifest_simulate.json", "[1, 2", ["spectra"], "simulate"),
+    ("signals_meta.json", '{"dt": "abc", "taus": [0.0], "t_p": 0.0, "t_m": 0.0, "window": 0.0}',
+     ["spectra"], "simulate"),
+    ("signals_meta.json", '{"dt": 2e-6, "taus": "abc", "t_p": 0.0, "t_m": 0.0, "window": 0.0}',
+     ["spectra"], "simulate"),
 ], ids=["signals_meta_not_json", "signals_meta_without_dt", "spectra_meta_not_json",
-        "manifest_simulate_not_json"])
+        "manifest_simulate_not_json", "signals_meta_dt_string", "signals_meta_taus_string"])
 def test_damaged_stage_file_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
                                                                  two_spin_run, name, text,
                                                                  argv, rerun):

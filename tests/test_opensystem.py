@@ -12,8 +12,8 @@ from scipy.linalg import expm
 from mqcnmr.errors import ConfigError, MqcnmrError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, ReducedState,
-                               TabulatedOMDF, g_irreversible, g_reversible,
-                               prepare_reduced_state, run_grid_open)
+                               TabulatedOMDF, g_irreversible, prepare_reduced_state,
+                               run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
 from mqcnmr.spectra import fft2_coherence
 
@@ -229,7 +229,8 @@ def test_spectral_assembly_equals_open_grid_route():
     state = prepare_reduced_state(eig, reg, 3e-5)
     scale = np.max(np.abs(via_grid.data))
     direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
-                               g_reversible=partial(g_reversible, params=params),
+                               time_factors=partial(params.omdf.time_factors,
+                                                    s_zz=eig.order_parameter),
                                g_irreversible=partial(g_irreversible, params=params),
                                taus=np.asarray(taus))
     for order in (-2, 1, 2, 3):

@@ -211,8 +211,8 @@ def test_spectral_assembly_molecule_scaling_and_decay_hook():
     np.testing.assert_allclose(scaled.data, 4.0 * base.data, atol=0)
     # a gap-independent reversible factor multiplies the whole spectrum
     damped = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6,
-                               g_reversible=lambda dz, t: np.full_like(
-                                   np.broadcast_arrays(dz, t)[0], 0.5, dtype=float))
+                               time_factors=lambda dz, t: 0.5 * np.exp(
+                                   -1j * eig.order_parameter * np.multiply.outer(dz, t)))
     half = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)
     np.testing.assert_allclose(damped.data, 0.5 * half.data, atol=1e-12)
 
