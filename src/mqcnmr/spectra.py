@@ -203,8 +203,6 @@ def _uniform_exp(a: np.ndarray, ts: np.ndarray, b=0.0) -> np.ndarray:
     c0, r, big_r = np.exp([a * t0 + b * t0 ** 2, c1, step * c1])
     coarse = c0 * _powers(big_r, -(-ts.size // step))
     fine = _powers(r, step)
-    if not np.any(b):
-        return (coarse[:, None] * fine[None]).reshape(-1, a.size)[:ts.size].T
     q, big_q, u = np.exp(b * dt ** 2 * np.array([1.0, step ** 2, 2 * step])[:, None])
     coarse *= _powers(big_q, coarse.shape[0], square=True)
     fine *= _powers(q, step, square=True)
@@ -260,9 +258,11 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
     on the gap alone, and G^T(-g, t) = conj(G^T(g, t)), G^R is real and even
     in g.  So the pair, its mirror (b, a) (order -nu, E conj), its spin-flip
     image (a', b') (order -nu, the same E; ``_spin_flip_images``) and the
-    image's mirror (order nu, E conj) form one class, keyed on the unordered
-    pairs {a, b} and {a', b'}, whose members each count once.  Classes nonzero
-    in any member are sorted by |nu| and cut into chunks of at most
+    image's mirror (order nu, E conj) form one class, whose members each count
+    once.  The flip negates m_a + m_b, so each class nonzero in any member is
+    taken from its unordered pair {a, b} of m_a + m_b >= 0 (on a tie, the one
+    of the smaller index a dim + b, a <= b), led by the member of order |nu|,
+    and the classes are sorted by |nu| and cut into chunks of at most
     PAIR_CHUNK_BYTES of E.  Each chunk builds E and G^R once per class and
     runs one GEMM on the stacked weights [W_ab ; conj(W_b'a') ; W_a'b' ;
     conj(W_ba)] G^R: the first two rows (the second conjugated after the GEMM)
@@ -294,31 +294,33 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, n_spins: int,
     image = _spin_flip_images(eig)
     nonzero = np.any(w, axis=0)
     nonzero |= nonzero.T
-    a, b = np.nonzero(np.triu(nonzero | nonzero[np.ix_(image, image)]))
+    nonzero |= nonzero[np.ix_(image, image)]
+    # one unordered pair per class: m_a + m_b > 0, or on a tie the smaller key
+    a, b = np.nonzero(np.triu(nonzero) & (eig.m[:, None] >= -eig.m))
+    del nonzero
     ia, ib = image[a], image[b]
     own, img = a * eig.dim + b, np.minimum(ia, ib) * eig.dim + np.maximum(ia, ib)
-    keep = own <= img  # each class once, from the smaller of its two keys
-    a, b, ia, ib, distinct = a[keep], b[keep], ia[keep], ib[keep], (own < img)[keep]
-    del own, img, keep  # at N = 10, 4 MB each for the rest of the call
+    keep = (eig.m[a] > -eig.m[b]) | (own <= img)
+    a, b, distinct = a[keep], b[keep], (own != img)[keep]
+    del ia, ib, own, img, keep  # before the chunks
     nu = np.rint(eig.m[b] - eig.m[a]).astype(int)
-    flip = nu < 0  # lead each class with its member of order |nu|
-    a, b, ia, ib = (np.where(flip, ia, a), np.where(flip, ib, b), np.where(flip, a, ia),
-                    np.where(flip, b, ib))
-    nu, gap = np.abs(nu), eig.zeta[b] - eig.zeta[a]
+    a, b = np.where(nu < 0, b, a), np.where(nu < 0, a, b)  # lead with the member of order |nu|
+    nu = np.abs(nu)
     rows = pair_chunk_rows(eig, ts.size)
     for order in range(n_spins + 1):
         classes = np.flatnonzero(nu == order)
         for lo in range(0, classes.size, rows):
             k = classes[lo:lo + rows]
-            e = (_uniform_exp(-1j * eig.order_parameter * gap[k], ts) if time_factors is None
-                 else time_factors(gap[k], ts))
-            p, q, ip, iq, off = a[k], b[k], ia[k], ib[k], a[k] != b[k]
-            parts = [w[:, p, q], (w[:, iq, ip] * (off & distinct[k])).conj(),
-                     w[:, ip, iq] * distinct[k], (w[:, q, p] * off).conj()]
+            p, q, dk = a[k], b[k], distinct[k]
+            ip, iq, off, gap = image[p], image[q], p != q, eig.zeta[q] - eig.zeta[p]
+            e = (_uniform_exp(-1j * eig.order_parameter * gap, ts) if time_factors is None
+                 else time_factors(gap, ts))
+            parts = [w[:, p, q], (w[:, iq, ip] * (off & dk)).conj(), w[:, ip, iq] * dk,
+                     (w[:, q, p] * off).conj()]
             if order == 0:
                 parts = [parts[0] + parts[2], parts[1] + parts[3]]
             if g_irreversible is not None:
-                parts = np.stack(parts) * g_irreversible(gap[None, k], taus[:, None])
+                parts = np.stack(parts) * g_irreversible(gap[None], taus[:, None])
             prod = (np.reshape(parts, (-1, k.size)) @ e).reshape(len(parts), -1, ts.size)
             for sign, (direct, conjugated) in zip((1, -1), zip(prod[::2], prod[1::2])):
                 c[:, n_spins + sign * order] += direct + conjugated.conj()

@@ -269,9 +269,11 @@ def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
 
 def test_long_omdf_table_runs_in_bounded_memory():
     # the quadrature phases of all (class, t, u) of one E chunk would need
-    # 35 x 32 x 1001 x 16 B = 18 MB per temporary; q works in blocks instead
+    # up to 35 x 32 x 2001 x 8 B = 18 MB per real temporary, and an unblocked
+    # q (the phases and their cosines at once) peaks at 33 MB, above the bound;
+    # q works in blocks instead
     reg, eig = make_system(4, 5)
-    u = np.linspace(-0.3, 0.3, 1001)
+    u = np.linspace(-0.3, 0.3, 2001)
     params = DecoherenceParams(sigma_cl=2e5, omdf=TabulatedOMDF(u, np.exp(-u ** 2 / 0.005)))
     grid = ExperimentGrid(t_p=3e-5, n_t=32, dt=2e-6, n_phi=10, taus=(1e-4,))
     assert spectra.pair_chunk_rows(eig, grid.n_t) == 35
