@@ -26,7 +26,7 @@ from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidation
 from .hamiltonian import EigenSystem
 from .operators import (SpinRegister, collective_angular_momentum, kron_apply,
                         kron_conjugate, rotation_halves)
-from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases, pair_order_sums
+from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases
 
 
 @dataclass(frozen=True)
@@ -378,10 +378,30 @@ def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple
     return acquisition, setup.state, detection_matrix(setup, acquisition.t_m, acquisition.window)
 
 
+def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
+    """c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a of W[a, b]
+    exp(-i S_zz (zeta_b - zeta_a) t) for one (2^N, 2^N) slab W.
+
+    The phase is p_b conj(p_a) (``free_phases``): for the rows A of one m
+    value, conj(P[:, A]) W[A, :] times P, summed over the columns of each m
+    value, is that pair of m values' part, one GEMM in O(n_t 2^N) memory
+    beside a copy of W[A, :].
+    """
+    n_spins = eig.dim.bit_length() - 1
+    p, m_values = free_phases(eig, ts), np.unique(eig.m)
+    member = (eig.m[:, None] == m_values[None, :]).astype(complex)
+    c = np.zeros((2 * n_spins + 1, len(ts)), dtype=complex)
+    for m_a in m_values:
+        idx = np.flatnonzero(eig.m == m_a)
+        cols = np.rint(m_values - m_a).astype(int) + n_spins
+        c[cols] += (((p[:, idx].conj() @ weights[idx]) * p) @ member).T
+    return c
+
+
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
                  n_molecules: int = 1) -> SignalGrid:
     """The signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t] on the
-    (phi, t, tau) grid, from the order sums c of ``pair_order_sums``."""
+    (phi, t, tau) grid, from the order sums c[tau] of an engine's kernel."""
     n = sums.shape[1] // 2
     encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(-n, n + 1)))
     return SignalGrid(data=np.einsum("pn,knt->ptk", encoder, sums, order="C"), dt=grid.dt,
@@ -389,25 +409,30 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
                       t_m=acquisition.t_m, window=acquisition.window)
 
 
-def _loop_matrices(block) -> int:
-    """The most 2^N x 2^N arrays the tau loop of ``run_grid`` holds at once
-    beside the weight slabs, the prepared state and the detection matrix, plus
-    one spare for numpy's copy buffers.
+def _loop_values(block, n_spins: int, n_t: int) -> int:
+    """The most complex values the tau loop of ``run_grid`` holds at once
+    beside the prepared state, the detection matrix and the order sums.
 
-    With no block that is one slab's product det * sigma^T.  While
-    ``block_states`` makes the next state, the loop still holds the last one,
-    and the block adds: two eigenbasis phase products (magic sandwich); the
-    state being carried and two products of one basis change (MREV-8
-    "stretch"); the compiled cycle, its adjoint and the two products of
-    w sigma w^dagger (MREV-8 "concatenate").
+    While ``block_states`` makes the next state, the loop still holds the
+    last one, and the block adds: two eigenbasis phase products (magic
+    sandwich); the state being carried, two products of one basis change and
+    one free evolution's m blocks with their adjoints (MREV-8 "stretch"); the
+    compiled cycle w, its adjoint and the two products of w sigma w^dagger
+    (MREV-8 "concatenate").  The kernel runs on one tau's slab beside at most
+    the state and w, and holds a copy of the slab's rows of one m value and
+    four arrays of n_t x 2^N (the phases, their columns of one m value, the
+    GEMM output and its product).
     """
+    dim = 2 ** n_spins
     if block is None:
-        held = 1
-    elif isinstance(block, Mrev8Spec):
-        held = 5 if block.mode == "concatenate" else 4
+        step = 0
+    elif not isinstance(block, Mrev8Spec):
+        step = 3 * dim ** 2
+    elif block.mode == "stretch":
+        step = 4 * dim ** 2 + 2 * comb(2 * n_spins, n_spins)
     else:
-        held = 3
-    return held + 1
+        step = 5 * dim ** 2
+    return max(step, 3 * dim ** 2 + comb(n_spins, n_spins // 2) * dim + 4 * n_t * dim)
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -420,8 +445,9 @@ def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 MEMORY_BUDGET_BYTES = 2 << 30
 
 # Allowance for the small arrays and Python objects a grid run holds beside
-# the terms an engine charges; below N = 6 it is not negligible against them.
-SMALL_ARRAY_BYTES = 16 << 10
+# the terms an engine charges, and the up to 130 kB more that the first run
+# in a new process traces while CPython's free lists fill.
+SMALL_ARRAY_BYTES = 128 << 10
 
 
 def check_grid_memory(grid: ExperimentGrid, values: int) -> None:
@@ -447,32 +473,29 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
 
     The initial state is I_z; each grid point records the window-averaged
     complex transverse signal.  Each tau's block carries the prepared state
-    (``block_states``) into one slab of pair weights (``_tau_slab``); free
-    evolution and the phi dependence are then applied analytically in the H
-    eigenbasis by ``spectra.pair_order_sums`` and ``phase_encode``, which is
-    exactly equivalent to propagating every grid point through the compiled
-    pulse chain.
+    (``block_states``) into one slab of pair weights (``_tau_slab``), which
+    ``pair_order_sums`` turns into that tau's order sums as the loop reaches
+    it; free evolution and the phi dependence are applied analytically in the
+    H eigenbasis there and in ``phase_encode``, which is exactly equivalent
+    to propagating every grid point through the compiled pulse chain.
 
     Args:
         block: reversion block spec with an ``events_for(tau)`` method
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    n_tau, dim2, blocks = len(grid.taus), reg.dim ** 2, comb(2 * reg.n_spins, reg.n_spins)
-    # the weight slabs, the prepared state, detection matrix and V's m blocks
-    # throughout; beside them, and never at once: the setup's basis changes
-    # (5 arrays of dim x dim), the default acquisition's scan, the tau loop
-    # (``_loop_matrices`` and the factors of the one event being applied) and
-    # the kernel (the last tau's state, the order sums, and the phases with
-    # one slab's GEMM output and product)
-    kernel = dim2 + grid.n_t * (n_tau * (2 * reg.n_spins + 1) + 4 * reg.dim)
-    check_grid_memory(grid, dim2 * (n_tau + 2) + blocks + max(
-        5 * dim2, acquisition_scan_values(reg.dim, acquisition),
-        dim2 * _loop_matrices(block) + blocks, kernel))
+    n_tau, dim2 = len(grid.taus), reg.dim ** 2
+    # the prepared state with I_+, then with the detection matrix; beside
+    # them, never at once: the detection matrix's build (the window with its
+    # real frequencies, one basis change's three arrays and V's adjoint m
+    # blocks), the default acquisition's scan, or the sums and the tau loop
+    check_grid_memory(grid, 2 * dim2 + max(
+        9 * dim2 // 2 + comb(2 * reg.n_spins, reg.n_spins),
+        acquisition_scan_values(reg.dim, acquisition),
+        n_tau * (2 * reg.n_spins + 1) * grid.n_t + _loop_values(block, reg.n_spins, grid.n_t)))
     props = Propagators(eig, reg)
     acquisition, a_eig, det = kernel_inputs(prepared_setup(props, grid.t_p), acquisition)
-    weights = np.empty((n_tau, reg.dim, reg.dim), dtype=complex)
+    sums = np.empty((n_tau, 2 * reg.n_spins + 1, grid.n_t), dtype=complex)
     for k, sigma in enumerate(block_states(block, grid.taus, props, a_eig)):
-        weights[k] = _tau_slab(det, sigma)
-    sums = pair_order_sums(weights, eig, reg.n_spins, grid.ts, grid.taus)
+        sums[k] = pair_order_sums(_tau_slab(det, sigma), eig, grid.ts)
     return phase_encode(sums, grid, acquisition, n_molecules)

@@ -399,20 +399,18 @@ def pair_order_sums_dense(weights, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
     """Order sums c[k, nu + n, j], one ordered pair (a, b) at a time.
 
     Pair (a, b) has order nu = m_b - m_a and gap g = zeta_b - zeta_a, and adds
-    W[(k,) a, b] g_irr(g, tau_k) exp(-i s_zz g t_j) g_rev(g, t_j) into c
-    (a factor that is None is 1); ``weights`` is (dim, dim) for every tau or
-    (n_tau, dim, dim).  No pair borrows its mirror's factors.
+    W[a, b] g_irr(g, tau_k) exp(-i s_zz g t_j) g_rev(g, t_j) into c for the
+    (dim, dim) ``weights`` shared by every tau.  No pair borrows its mirror's
+    factors.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     dim = len(zeta)
-    w = np.broadcast_to(np.asarray(weights).reshape(-1, dim, dim), (len(taus), dim, dim))
     out = np.zeros((len(taus), 2 * n + 1, len(ts)), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             g = zeta[b] - zeta[a]
-            e = np.exp(-1j * s_zz * g * ts) * (1.0 if g_rev is None else g_rev(g, ts))
-            r = np.ones(len(taus)) if g_irr is None else g_irr(g, taus)
-            out[:, int(np.rint(m[b] - m[a])) + n] += np.outer(w[:, a, b] * r, e)
+            e = np.exp(-1j * s_zz * g * ts) * g_rev(g, ts)
+            out[:, int(np.rint(m[b] - m[a])) + n] += np.outer(weights[a, b] * g_irr(g, taus), e)
     return out
 
 
@@ -478,23 +476,31 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
                       g_irreversible=None, taus=None, n_molecules=1):
     """Coherence spectra assembled directly from eigenbasis matrix elements.
 
-    The t transform of the package's ``pair_order_sums`` on the t grid of the
-    time-domain route, for the prepared state ``state_eig`` (H eigenbasis),
-    the read pulse (pi/4)_y and detection I_+.  With G == 1 this reproduces
-    ``fft2_coherence(run_grid(...))`` up to rounding; with the decoherence
-    factors (the kernel's ``time_factors(gaps, ts)``, phase included, and
-    G^R(dzeta, tau); None for the phase alone and for 1) it realizes the
-    shifted-copy superposition of ``run_grid_open``.
+    The t transform of the open engine's ``pair_order_sums`` on the t grid of
+    the time-domain route, for the prepared state ``state_eig`` (H
+    eigenbasis), the read pulse (pi/4)_y and detection I_+.  With G == 1 (the
+    phase alone, by direct exp, for ``time_factors`` None, and G^R = 1 for
+    ``g_irreversible`` None) this reproduces ``fft2_coherence(run_grid(...))``
+    up to rounding through the kernel the closed engine does not use; with the
+    decoherence factors (the kernel's ``time_factors(gaps, ts)``, phase
+    included, and G^R(dzeta, tau)) it realizes the shifted-copy superposition
+    of ``run_grid_open``.
     """
     from mqcnmr.operators import collective_angular_momentum, rotation_halves
-    from mqcnmr.spectra import CoherenceSpectrum, RunSetup, detection_matrix, pair_order_sums
+    from mqcnmr.opensystem import pair_order_sums
+    from mqcnmr.spectra import CoherenceSpectrum, RunSetup, detection_matrix
     ts = np.asarray(ts, dtype=float)
     taus = np.asarray([0.0] if taus is None else taus, dtype=float)
+    if time_factors is None:
+        def time_factors(gaps, t):
+            return np.exp(-1j * eig.order_parameter * np.multiply.outer(gaps, t))
+    if g_irreversible is None:
+        def g_irreversible(gaps, tau):
+            return np.ones(np.broadcast_shapes(np.shape(gaps), np.shape(tau)))
     i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
     setup = RunSetup(eig, state_eig, rotation_halves(reg, np.pi / 4, "y"), eig.to_eigen(i_plus))
     det = detection_matrix(setup, t_m, window)
-    sums = pair_order_sums(det * setup.state.T, eig, reg.n_spins, ts, taus,
-                           time_factors, g_irreversible)
+    sums = pair_order_sums(det * setup.state.T, eig, ts, taus, time_factors, g_irreversible)
     data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
     freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
     return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),

@@ -1,11 +1,14 @@
 """The functions perfbench/tracer.py wraps by name still exist in the package,
-and its counter hooks still run on them.
+its counter hooks still run on them, and perfbench's N = 4 oracle still holds.
 
 The tracer looks each ``(module, attribute)`` of its ``TARGETS`` up with a
 plain ``getattr``, and its hooks read the arguments and results of the
 calls they count, so a rename, deletion or signature change under ``src/``
-would otherwise only show when ``perfbench/run.py --trace 1`` fails.  This
-loads the tracer from its source file and leaves perfbench untouched.
+would otherwise only show when ``perfbench/run.py --trace 1`` fails.  The
+oracle reaches the package through ``runner.simulate`` and
+``EigenSystem.vectors`` and this directory's ``reference.py``, which the
+traced pass alone would otherwise check.  Both are loaded from their source
+files, and perfbench is left untouched.
 """
 
 import importlib
@@ -19,22 +22,22 @@ import mqcnmr.config
 import mqcnmr.runner  # with the package, every module the tracer wraps is loaded
 from mqcnmr.config import config_from_dict
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = tracer  # its dataclasses look their module up there
+def load_source(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     try:
-        spec.loader.exec_module(tracer)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return tracer
+    return module
 
 
 @pytest.mark.parametrize("module,attr", [(module, attr) for module, attr, *_ in
-                                         load_tracer().TARGETS])
+                                         load_source("tracer").TARGETS])
 def test_traced_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"mqcnmr.{module}"), attr))
 
@@ -48,7 +51,7 @@ def test_counter_hooks_run_on_real_calls(tmp_path):
                      "tau_schedule": {"count": 3}, "grid": {"n_t": 8, "dt": 2e-6, "n_phi": 5}},
     }
     out = tmp_path / "run"
-    tracer = load_tracer().Tracer()
+    tracer = load_source("tracer").Tracer()
     with tracer:
         mqcnmr.runner.simulate(mqcnmr.config.config_from_dict(doc), out_dir=out)
         mqcnmr.runner.spectra_stage(out)
@@ -60,3 +63,15 @@ def test_counter_hooks_run_on_real_calls(tmp_path):
     assert counts["sequence.compile_program.gflop_computed"] > 0
     assert counts["runner.signals.bytes_written"] == (out / "signals.npy").stat().st_size
     assert counts["runner.spectra.bytes_written"] == (out / "spectra.csv").stat().st_size
+
+
+def test_perfbench_oracle_holds_at_four_spins(tmp_path, monkeypatch):
+    # the closed and open benchmark configurations at N = 4 against the
+    # Kronecker/expm propagators of reference.py, as the traced pass runs them
+    workloads = load_source("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # the oracle imports it
+    monkeypatch.setattr(workloads, "WORK", tmp_path)
+    oracle = load_source("oracle")
+    errors = oracle.oracle_errors(0, mqcnmr.config, mqcnmr.runner)
+    assert set(errors) == {"closed_n4", "open_n4"}
+    assert all(err <= oracle.ORACLE_RTOL for err in errors.values()), errors

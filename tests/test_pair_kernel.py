@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 import reference as ref
 from reference import spectral_assembly
 
-from mqcnmr import opensystem, sequence, spectra
+from mqcnmr import opensystem, sequence
 from mqcnmr.cli import main
 from mqcnmr.errors import GridSizeError, MqcnmrError, UnsupportedGridError
 from mqcnmr.hamiltonian import (EigenSystem, SpinSystem, eigendecompose,
                                 secular_hamiltonian)
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
-                               g_irreversible, prepare_reduced_state, run_grid_open)
+                               g_irreversible, pair_order_sums, prepare_reduced_state,
+                               run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, Propagators, prepared_setup
-from mqcnmr.spectra import detection_matrix, pair_order_sums
+from mqcnmr.spectra import detection_matrix
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
 
@@ -75,21 +76,22 @@ def test_open_grid_matches_dense_order_sums(n, seed, family, width, sigma, taus,
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
-       per_tau=st.booleans(), n_t=st.integers(2, 9))
-def test_factorised_and_chunked_sums_agree(n, seed, n_tau, per_tau, n_t):
-    # the phase alone, by direct exp, forces the chunked path on the same sums;
+       n_t=st.integers(2, 9))
+def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
+    # the closed engine's factorised kernel against the open engine's chunked
+    # one, given the phase alone by direct exp and G^R = 1, on the same sums;
     # the shuffled eigenbasis checks that both group states by eig.m alone
     reg, eig = make_system(n, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(reg.dim)
     shuffled = ref.shuffled_eigensystem(eig, perm)
-    shape = (n_tau, reg.dim, reg.dim) if per_tau else (reg.dim, reg.dim)
-    weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    weights = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(n_tau)
-    factorised = pair_order_sums(weights, shuffled, n, ts, taus)
-    chunked = pair_order_sums(weights, shuffled, n, ts, taus, time_factors=lambda g, t: np.exp(
-        -1j * eig.order_parameter * np.multiply.outer(g, t)))
-    assert factorised.shape == chunked.shape == (n_tau, 2 * n + 1, n_t)
+    factorised = sequence.pair_order_sums(weights, shuffled, ts)
+    chunked = pair_order_sums(weights, shuffled, ts, taus, lambda g, t: np.exp(
+        -1j * eig.order_parameter * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 0 * tau + 1.0)
+    assert factorised.shape == (2 * n + 1, n_t)
+    assert chunked.shape == (n_tau, 2 * n + 1, n_t)
     assert np.max(np.abs(factorised - chunked)) <= 1e-12 * np.max(np.abs(chunked))
 
 
@@ -123,12 +125,10 @@ def _one_sided_pairs(eig, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
-       per_tau=st.booleans(), density=st.floats(0.0, 0.5), n_t=st.integers(2, 9),
-       family=st.sampled_from(["gaussian", "tabulated"]),
-       factors=st.sampled_from(["both", "reversible", "irreversible"]),
-       shuffle=st.booleans())
-def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, per_tau, density, n_t,
-                                                    family, factors, shuffle):
+       density=st.floats(0.0, 0.5), n_t=st.integers(2, 9),
+       family=st.sampled_from(["gaussian", "tabulated"]), shuffle=st.booleans())
+def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t, family,
+                                                    shuffle):
     # sparse weights that are not hermitian: a class of a pair, its mirror, its
     # spin-flip image and the image's mirror is kept when any of them is
     # nonzero, and each of the one-sided pairs below has only one; a shuffled
@@ -137,21 +137,20 @@ def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, per_tau, den
     rng = np.random.default_rng(seed)
     if shuffle:
         eig = ref.shuffled_eigensystem(eig, rng.permutation(reg.dim))
-    shape = (n_tau, reg.dim, reg.dim) if per_tau else (reg.dim, reg.dim)
+    shape = (reg.dim, reg.dim)
     weights = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (
         rng.random(shape) < density)
     for k, (a, b) in enumerate(_one_sided_pairs(eig, rng)):
         # W_ab != 0 = W_ba for the first pair of each order class, the reverse after
         a, b = (a, b) if k % 2 == 0 else (b, a)
-        weights[..., a, b], weights[..., b, a] = 1.0 - 0.5j * (k + 1), 0.0
-    weights[..., np.arange(reg.dim), np.arange(reg.dim)] = 0.25 + rng.normal(size=reg.dim)
+        weights[a, b], weights[b, a] = 1.0 - 0.5j * (k + 1), 0.0
+    weights[np.arange(reg.dim), np.arange(reg.dim)] = 0.25 + rng.normal(size=reg.dim)
     params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf(family, 0.05))
-    g_rev = None if factors == "irreversible" else partial(ref.g_reversible, params=params)
-    g_irr = None if factors == "reversible" else partial(g_irreversible, params=params)
-    time_factors = None if g_rev is None else partial(params.omdf.time_factors,
-                                                      s_zz=eig.order_parameter)
+    g_rev = partial(ref.g_reversible, params=params)
+    g_irr = partial(g_irreversible, params=params)
+    time_factors = partial(params.omdf.time_factors, s_zz=eig.order_parameter)
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(1, n_tau + 1)
-    fast = pair_order_sums(weights, eig, n, ts, taus, time_factors, g_irr)
+    fast = pair_order_sums(weights, eig, ts, taus, time_factors, g_irr)
     slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
                                      g_rev, g_irr, n)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
@@ -167,9 +166,10 @@ def test_kernel_refuses_a_spectrum_that_is_not_spin_flip_symmetric(n, m):
     bent = EigenSystem(zeta=zeta, m=eig.m, blocks=eig.blocks,
                        order_parameter=eig.order_parameter)
     weights, ts = np.ones((reg.dim, reg.dim)), 3e-6 * np.arange(4)
-    pair_order_sums(weights, eig, n, ts, [1e-4], g_irreversible=lambda g, tau: 0 * g + 1.0)
+    factors = (lambda g, t: np.exp(-1j * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 1.0)
+    pair_order_sums(weights, eig, ts, [1e-4], *factors)
     with pytest.raises(MqcnmrError, match="spin flip"):
-        pair_order_sums(weights, bent, n, ts, [1e-4], g_irreversible=lambda g, tau: 0 * g + 1.0)
+        pair_order_sums(weights, bent, ts, [1e-4], *factors)
 
 
 @settings(max_examples=200, deadline=None)
@@ -185,7 +185,7 @@ def test_uniform_exp_matches_exp(n_t, dt_units, start, phase, decay, curved):
     t_max = np.max(np.abs(ts))
     a = 1j * np.array(phase) / t_max
     b = -decay * np.linspace(1.0, 0.1, a.size) / t_max ** 2 if curved else 0.0
-    got = spectra._uniform_exp(a, ts, b)
+    got = opensystem._uniform_exp(a, ts, b)
     t = ts.astype(np.longdouble)
     want = np.exp(np.multiply.outer(a.astype(np.clongdouble), t)
                   + np.multiply.outer(np.broadcast_to(b, a.shape).astype(np.longdouble), t * t))
@@ -193,20 +193,14 @@ def test_uniform_exp_matches_exp(n_t, dt_units, start, phase, decay, curved):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_pair_weights_need_one_slab_or_one_per_tau():
-    reg, eig = make_system(2, 4)
-    with pytest.raises(MqcnmrError):
-        pair_order_sums(np.ones((2, 4, 4)), eig, 2, 1e-6 * np.arange(4), [0.0, 1e-4, 2e-4])
-
-
 def test_chunked_orders_are_bit_identical_across_repeat_calls(monkeypatch):
     reg, eig = make_system(4, 3)
     params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf("tabulated", 0.05))
     grid = ExperimentGrid(t_p=3e-5, n_t=12, dt=3e-6, n_phi=10, taus=(0.0, 1e-4, 3e-4))
     whole = run_grid_open(eig, reg, grid, params, acquisition=ACQ).data
-    assert spectra.pair_chunk_rows(eig, grid.n_t) == 35  # all 32 classes of order 0 in one
-    monkeypatch.setattr(spectra, "PAIR_CHUNK_BYTES", 16 * grid.n_t * 5)
-    assert spectra.pair_chunk_rows(eig, grid.n_t) == 5  # order 0 now spans 7 chunks
+    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35  # all 32 classes of order 0 in one
+    monkeypatch.setattr(opensystem, "PAIR_CHUNK_BYTES", 16 * grid.n_t * 5)
+    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 5  # order 0 now spans 7 chunks
     runs = [run_grid_open(eig, reg, grid, params, acquisition=ACQ).data for _ in range(3)]
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
@@ -276,7 +270,7 @@ def test_long_omdf_table_runs_in_bounded_memory():
     u = np.linspace(-0.3, 0.3, 2001)
     params = DecoherenceParams(sigma_cl=2e5, omdf=TabulatedOMDF(u, np.exp(-u ** 2 / 0.005)))
     grid = ExperimentGrid(t_p=3e-5, n_t=32, dt=2e-6, n_phi=10, taus=(1e-4,))
-    assert spectra.pair_chunk_rows(eig, grid.n_t) == 35
+    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35
     tracemalloc.start()
     try:
         fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ).data

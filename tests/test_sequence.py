@@ -1,10 +1,15 @@
 """Sequence compilation, reversion blocks and the closed-system grid run."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mqcnmr
 import reference as ref
 from mqcnmr import sequence
 from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
@@ -13,9 +18,8 @@ from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              MagicSandwichSpec, Mrev8Spec, Propagators, Pulse, _tau_slab,
                              block_states, compile_program, default_acquisition, jb_prepare,
-                             magic_sandwich, mrev8_block, prepared_setup, run_grid,
-                             total_duration, verify_reversion)
-from mqcnmr.spectra import pair_order_sums
+                             magic_sandwich, mrev8_block, pair_order_sums, prepared_setup,
+                             run_grid, total_duration, verify_reversion)
 
 
 def make_system(n=2, seed=1, s_zz=0.6, scale_hz=5000.0):
@@ -184,8 +188,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    (fast,) = pair_order_sums(_tau_slab(det, sigma0), shuffled, reg.n_spins,
-                              ts, [0.0])
+    fast = pair_order_sums(_tau_slab(det, sigma0), shuffled, ts)
     slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
@@ -288,37 +291,81 @@ def test_run_grid_memory_budget(monkeypatch):
         run_grid(eig, reg, grid)
 
 
-@pytest.mark.parametrize("block", [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"),
-                                   Mrev8Spec(tau1=5e-6)])
+BLOCK_FAMILIES = [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"), Mrev8Spec(tau1=5e-6)]
+
+
+@pytest.mark.parametrize("block", BLOCK_FAMILIES)
 def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
     # each block family holds the factors of one event at a time (a magic
-    # sandwich applies its free evolutions as eigenbasis phases); a budget
-    # below the traced peak must be refused, and one 5% above it accepted
-    # (N = 7, where the 2^N x 2^N arrays dominate, and N = 5, where the
-    # small arrays the gate allows for are a few percent of the peak)
+    # sandwich applies its free evolutions as eigenbasis phases); a budget at
+    # the traced peak must be refused, and one 5% above it accepted (N = 8,
+    # where the 2^N x 2^N arrays dominate the small objects whose count
+    # depends on what ran before in the process)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
                           taus=tuple(k * 60e-6 for k in range(60)))
-    for n in (7, 5):
-        _, _, reg, eig = make_system(n=n, seed=3)
-        tracemalloc.start()
-        try:
-            run_grid(eig, reg, grid, block=block, acquisition=acq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
-        with pytest.raises(GridSizeError):
-            run_grid(eig, reg, grid, block=block, acquisition=acq)
-        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
+    _, _, reg, eig = make_system(n=8, seed=3)
+    tracemalloc.start()
+    try:
         run_grid(eig, reg, grid, block=block, acquisition=acq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError):
+        run_grid(eig, reg, grid, block=block, acquisition=acq)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
+    run_grid(eig, reg, grid, block=block, acquisition=acq)
 
 
-def test_stretched_run_peak_grows_with_taus_only_by_the_slabs():
+_FRESH_RUN = """
+import json, sys, tracemalloc
+import numpy as np
+from mqcnmr import sequence
+from mqcnmr.errors import GridSizeError
+from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec, run_grid
+
+sys_n = SpinSystem(np.array(json.loads(sys.argv[1])), 0.6)
+reg = sys_n.register()
+eig = eigendecompose(secular_hamiltonian(sys_n), reg, 0.6)
+block = eval(sys.argv[2])
+acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
+grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
+                      taus=tuple(k * 60e-6 for k in range(60)))
+tracemalloc.start()
+run_grid(eig, reg, grid, block=block, acquisition=acq)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+sequence.MEMORY_BUDGET_BYTES = peak - 1
+try:
+    run_grid(eig, reg, grid, block=block, acquisition=acq)
+except GridSizeError:
+    print("refused", peak)
+else:
+    print("accepted", peak)
+"""
+
+
+@pytest.mark.parametrize("block", BLOCK_FAMILIES)
+def test_closed_memory_estimate_covers_a_fresh_process(block):
+    # the first closed run in a process traces up to 130 kB more than later
+    # ones while CPython's free lists fill, a tenth of the peak at N = 5; so
+    # that run, in a new interpreter, must be refused a budget one byte below
+    # its traced peak
+    table, *_ = make_system(n=5, seed=3)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
+    result = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(table.tolist()),
+                             repr(block)], capture_output=True, text=True, env=env,
+                            check=True, timeout=300)
+    assert result.stdout.split()[0] == "refused", result.stdout
+
+
+def test_stretched_run_peak_does_not_grow_by_a_matrix_per_tau():
     # every tau of a stretched MREV-8 block has its own delays; their m blocks
-    # are built where they are applied and freed after, so 30 more taus add
-    # their weight slabs and their rows of the signal grid and order sums,
-    # and nothing else (N = 7)
+    # are built where they are applied and freed after, and each tau's slab
+    # goes once its order sums are taken, so 30 more taus add at most their
+    # rows of the signal grid and order sums (N = 7)
     _, _, reg, eig = make_system(n=7, seed=3)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     block = Mrev8Spec(tau1=5e-6, mode="stretch")
@@ -332,7 +379,7 @@ def test_stretched_run_peak_grows_with_taus_only_by_the_slabs():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    per_tau = 16 * (reg.dim ** 2 + grid.n_phi * grid.n_t + (2 * reg.n_spins + 1) * grid.n_t)
+    per_tau = 16 * (grid.n_phi * grid.n_t + (2 * reg.n_spins + 1) * grid.n_t)
     assert peaks[1] - peaks[0] <= 30 * per_tau
 
 
@@ -341,24 +388,25 @@ class _GatePassed(Exception):
 
 
 def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
-    # N = 10 (16 MiB per 2^N x 2^N array) and 60 MREV-8 "concatenate" taus:
-    # about 1.2 GB of slabs and temporaries, inside the 2 GiB default; at 120
-    # taus the slabs alone take 2 GB and the prepared state, detection weights
-    # and temporaries another 0.13 GB.  An accepted run stops at the operator
-    # setup that follows the gate
+    # N = 10 (16 MiB per 2^N x 2^N array): 120 MREV-8 "concatenate" taus hold
+    # one tau's slab at a time, about 0.12 GB in all, inside the 2 GiB
+    # default.  A grid is refused once its signal grid and order sums alone
+    # exceed the budget.  An accepted run stops at the operator setup that
+    # follows the gate
     def stop(*args, **kwargs):
         raise _GatePassed
 
     monkeypatch.setattr(sequence, "prepared_setup", stop)
     block = Mrev8Spec(tau1=5e-6)
-    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22,
-                          taus=block.tau_schedule(60))
+    reg = SpinRegister(10)
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(120))
     with pytest.raises(_GatePassed):
-        run_grid(None, SpinRegister(10), grid, block=block)
-    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22,
-                          taus=block.tau_schedule(120))
+        run_grid(None, reg, grid, block=block)
+    per_tau = 16 * (grid.n_phi + 2 * reg.n_spins + 1) * grid.n_t
+    n_tau = sequence.MEMORY_BUDGET_BYTES // per_tau + 1
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(n_tau))
     with pytest.raises(GridSizeError):
-        run_grid(None, SpinRegister(10), grid, block=block)
+        run_grid(None, reg, grid, block=block)
 
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
