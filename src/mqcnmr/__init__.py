@@ -6,8 +6,8 @@ from .analysis import DecayCurve, FitResult, eigen_selectivity_report, fit_decay
 from .hamiltonian import (EigenSystem, SpinSystem, dipolar_frequency, eigendecompose,
                           secular_hamiltonian)
 from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, TabulatedOMDF,
-                         g_irreversible, prepare_reduced_state, run_grid_open)
-from .operators import SpinRegister, collective_angular_momentum, rotation, t20_pair
+                         g_irreversible, run_grid_open)
+from .operators import SpinRegister, collective_angular_momentum
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        jb_prepare, magic_sandwich, mrev8_block, run_grid, verify_reversion)
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence
@@ -19,6 +19,5 @@ __all__ = [
     "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
     "eigendecompose", "fft2_coherence", "fit_decay", "frequency_cuts",
     "g_irreversible", "jb_prepare", "magic_sandwich", "mrev8_block",
-    "prepare_reduced_state", "rotation", "run_grid", "run_grid_open",
-    "secular_hamiltonian", "t20_pair", "verify_reversion",
+    "run_grid", "run_grid_open", "secular_hamiltonian", "verify_reversion",
 ]

@@ -159,6 +159,11 @@ class EigenSystem:
         return self.zeta.shape[0]
 
     @property
+    def reg(self) -> SpinRegister:
+        """The N-spin product space of the eigenbasis, N from dim = 2^N."""
+        return SpinRegister(self.dim.bit_length() - 1)
+
+    @property
     def vectors(self) -> np.ndarray:
         """The unitary V, one eigenvector per column, assembled from ``blocks``
         on every read; the engine works on the blocks and never reads it."""
@@ -228,25 +233,31 @@ def _blockwise(x: np.ndarray, slices, order, back, left, right=None) -> np.ndarr
     return out
 
 
-def eigendecompose(blocks, reg: SpinRegister, order_parameter: float = 1.0) -> EigenSystem:
+def eigendecompose(blocks, order_parameter: float = 1.0) -> EigenSystem:
     """Diagonalize H simultaneously with total I_z, from its total-m blocks
     (rows, H_m) as ``secular_hamiltonian`` returns them.
 
-    Each block is diagonalized on its own (eigenvalues ascending), so every
-    eigenvector carries a definite m; the eigenvectors of each block take the
-    next columns of V.
+    The blocks' rows must partition the product basis range(2^N), and the rows
+    of each block must share one total m, which the block's eigenvectors then
+    carry (MqcnmrError otherwise).  Each block is diagonalized on its own
+    (eigenvalues ascending); its eigenvectors take the next columns of V.
     """
-    m_basis = reg.m_values()
-    zeta, m, eig_blocks, col = [], [], [], 0
-    for rows, h in blocks:
+    rows_all = np.concatenate([rows for rows, _ in blocks])
+    dim = rows_all.size
+    if dim < 2 or dim & (dim - 1) or not np.array_equal(np.sort(rows_all), np.arange(dim)):
+        raise MqcnmrError("the blocks' rows do not partition the product basis range(2^N)")
+    m_basis = SpinRegister(dim.bit_length() - 1).m_values()
+    zeta, eig_blocks, col = [], [], 0
+    for b, (rows, h) in enumerate(blocks):
+        if np.unique(m_basis[rows]).size != 1:
+            raise MqcnmrError(f"block {b} does not hold product states of one total m")
         w, v = np.linalg.eigh(h)
         v.flags.writeable = False
         eig_blocks.append((rows, np.arange(col, col + rows.size), v))
         zeta.append(w)
-        m.append(np.full(rows.size, m_basis[rows[0]]))
         col += rows.size
     scale = order_parameter if order_parameter != 0.0 else 1.0
-    zeta, m = np.concatenate(zeta) / scale, np.concatenate(m)
+    zeta, m = np.concatenate(zeta) / scale, m_basis[rows_all]
     for arr in (zeta, m):
         arr.flags.writeable = False
     return EigenSystem(zeta=zeta, m=m, blocks=tuple(eig_blocks), order_parameter=order_parameter)

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
-from .operators import SpinRegister
-from .sequence import (ExperimentGrid, Propagators, acquisition_scan_values, check_grid_memory,
-                       kernel_inputs, phase_encode, prepared_setup)
+from .sequence import (ExperimentGrid, acquisition_scan_values, check_grid_memory, kernel_inputs,
+                       phase_encode, prepared_setup)
 from .spectra import SignalGrid
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
@@ -217,9 +216,9 @@ class ReducedState:
         object.__setattr__(self, "matrix", a)
 
 
-def prepare_reduced_state(eig: EigenSystem, reg: SpinRegister, t_p: float) -> ReducedState:
+def prepare_reduced_state(eig: EigenSystem, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    return ReducedState(prepared_setup(Propagators(eig, reg), t_p).state, eig)
+    return ReducedState(prepared_setup(eig, t_p).state, eig)
 
 
 # Byte budget of one chunk of the pair kernel's (classes x n_t) time series E.
@@ -283,7 +282,7 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
         raise UnsupportedGridError("eigenpair sums need at least 2 uniformly spaced times")
-    n_spins = eig.dim.bit_length() - 1
+    n_spins = eig.reg.n_spins
     c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
     image = _spin_flip_images(eig)
     nonzero = weights != 0
@@ -320,9 +319,8 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     return c
 
 
-def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
-                  params: DecoherenceParams, acquisition=None,
-                  n_molecules: int = 1) -> SignalGrid:
+def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherenceParams,
+                  acquisition=None, n_molecules: int = 1) -> SignalGrid:
     """Open-engine analog of ``sequence.run_grid``.
 
     The reversion block is ideal by assumption, so tau enters only through
@@ -333,10 +331,11 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     The working set is estimated and gated (``sequence.check_grid_memory``)
     before anything is allocated.
     """
-    # 8 arrays of 2^N x 2^N: the prepared setup's peak, which also covers the
-    # state, detection and weight slab the kernel holds with its class index
-    # arrays; the order sums; one chunk of E (rows x n_t, padded to a whole
-    # number of steps of the coarse x fine split); numpy's two cast buffers.
+    # The signal grid; 8 arrays of 2^N x 2^N: the prepared setup's peak, which
+    # also covers the state, detection and weight slab the kernel holds with
+    # its class index arrays; the order sums; one chunk of E (rows x n_t,
+    # padded to a whole number of steps of the coarse x fine split); numpy's
+    # two cast buffers.
     # Beside them, and never at once: the default acquisition's scan; the
     # temporaries of G^T (a tabulated OMDF's phases, q and quadrature block,
     # or the Gaussian's coarse and fine factors); or the chunk's stacked
@@ -346,12 +345,12 @@ def run_grid_open(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
     step = int(np.ceil(np.sqrt(grid.n_t)))
     g_t = (3 * rows * grid.n_t // 2 + QUADRATURE_BLOCK_BYTES // 16
            if isinstance(params.omdf, TabulatedOMDF) else 4 * step * rows)
-    check_grid_memory(grid, 8 * reg.dim ** 2 + grid.n_t * n_tau * (2 * reg.n_spins + 1)
+    check_grid_memory(grid.n_phi * grid.n_t * n_tau + 8 * eig.dim ** 2
+                      + grid.n_t * n_tau * (2 * eig.reg.n_spins + 1)
                       + rows * (grid.n_t + step) + 2 * np.getbufsize()
-                      + max(acquisition_scan_values(reg.dim, acquisition), g_t,
+                      + max(acquisition_scan_values(eig.dim, acquisition), g_t,
                             n_tau * (5 * rows + 6 * grid.n_t)))
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(Propagators(eig, reg), grid.t_p),
-                                            acquisition)
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),

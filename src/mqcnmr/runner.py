@@ -28,7 +28,7 @@ from .config import RunConfig, _check_keys, _require, config_hash
 from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
-from .sequence import Mrev8Spec, Propagators, run_grid, verify_reversion
+from .sequence import Mrev8Spec, run_grid, verify_reversion
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
 
 
@@ -123,8 +123,7 @@ def _finite(value) -> bool:
 
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
     """Eigendecompose the molecule's secular Hamiltonian."""
-    return eigendecompose(secular_hamiltonian(cfg.molecule), cfg.molecule.register(),
-                          cfg.molecule.order_parameter)
+    return eigendecompose(secular_hamiltonian(cfg.molecule), cfg.molecule.order_parameter)
 
 
 def simulate(cfg: RunConfig, out_dir=None) -> dict:
@@ -136,13 +135,11 @@ def simulate(cfg: RunConfig, out_dir=None) -> dict:
     t0 = time.monotonic()
     out = Path(out_dir or cfg.output_dir)
     eig = build_eigensystem(cfg)
-    reg = cfg.molecule.register()
     if cfg.engine == "closed":
-        grid = run_grid(eig, reg, cfg.grid, block=cfg.block, acquisition=cfg.acquisition,
+        grid = run_grid(eig, cfg.grid, block=cfg.block, acquisition=cfg.acquisition,
                         n_molecules=cfg.n_molecules)
     else:
-        grid = run_grid_open(eig, reg, cfg.grid, cfg.decoherence,
-                             acquisition=cfg.acquisition,
+        grid = run_grid_open(eig, cfg.grid, cfg.decoherence, acquisition=cfg.acquisition,
                              n_molecules=cfg.n_molecules)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -254,14 +251,12 @@ def verify_stage(cfg: RunConfig, max_residual: float = 1e-2) -> dict:
     if cfg.block is None:
         raise ConfigError("config has no reversion block to verify")
     eig = build_eigensystem(cfg)
-    reg = cfg.molecule.register()
     tau = next((t for t in cfg.grid.taus if t > 0), None)
-    if tau is None:
-        if isinstance(cfg.block, Mrev8Spec):
-            tau = cfg.block.cycle_time
-        else:
-            raise ConfigError("tau schedule has no positive entry to verify")
-    report = verify_reversion(cfg.block.events_for(tau), Propagators(eig, reg))
+    if tau is None and isinstance(cfg.block, Mrev8Spec):
+        tau = cfg.block.cycle_time
+    elif tau is None:
+        raise ConfigError("tau schedule has no positive entry to verify")
+    report = verify_reversion(cfg.block.events_for(tau), eig)
     result = {"tau": tau, "residual": report.residual,
               "effective_hamiltonian_norm": report.effective_norm,
               "duration": report.duration, "max_residual": max_residual}

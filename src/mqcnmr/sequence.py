@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
-from .operators import (SpinRegister, collective_angular_momentum, kron_apply,
-                        kron_conjugate, rotation_halves)
+from .operators import collective_angular_momentum, kron_apply, kron_conjugate, rotation_halves
 from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases
 
 
@@ -119,11 +118,9 @@ def mrev8_block(tau1: float, n_blocks: int = 1) -> tuple:
         raise MqcnmrError(f"tau1 must be positive, got {tau1}")
     if n_blocks < 1:
         raise MqcnmrError(f"n_blocks must be >= 1, got {n_blocks}")
-    cycle = []
-    cycle.append(FreeEvolution(_MREV8_DELAYS[0] * tau1))
+    cycle = [FreeEvolution(_MREV8_DELAYS[0] * tau1)]
     for phase, delay in zip(_MREV8_PHASES, _MREV8_DELAYS[1:]):
-        cycle.append(Pulse(np.pi / 2, phase))
-        cycle.append(FreeEvolution(delay * tau1))
+        cycle += (Pulse(np.pi / 2, phase), FreeEvolution(delay * tau1))
     return tuple(cycle) * n_blocks
 
 
@@ -197,68 +194,58 @@ class MagicSandwichSpec:
         return magic_sandwich(tau / 1.5)
 
 
-@dataclass(frozen=True)
-class Propagators:
-    """The event propagators of one run, built by their structure where each
-    event is applied rather than as 2^N x 2^N matrices.
-
-    A pulse is its two Kronecker halves r^(x)floor(N/2) and r^(x)ceil(N/2)
-    (``rotation_halves``).  A free evolution commutes with I_z, so it is its
-    total-m blocks V_m diag(p_m) V_m^dagger: sum_m C(N, m)^2 entries instead of
-    4^N.  Building either costs less than applying it, so no event's factors
-    outlive its application.
-    """
-
-    eig: EigenSystem
-    reg: SpinRegister
-
-    def _free(self, ev: FreeEvolution) -> list:
-        """The m blocks of exp(-i scale H duration), in the order of ``eig.blocks``."""
-        phases = free_phases(self.eig, [ev.scale * ev.duration])[0]
-        return [(v * phases[cols]) @ v.conj().T for _, cols, v in self.eig.blocks]
-
-    def apply(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
-        """U x for the event's propagator U and a matrix x of 2^N rows."""
-        if isinstance(ev, Pulse):
-            return kron_apply(rotation_halves(self.reg, ev.angle, ev.axis_phase), x)
-        return self.eig.product_blockwise(x, self._free(ev))
-
-    def conjugate(self, ev: SequenceEvent, x: np.ndarray) -> np.ndarray:
-        """U x U^dagger for the event's propagator U."""
-        if isinstance(ev, Pulse):
-            return kron_conjugate(rotation_halves(self.reg, ev.angle, ev.axis_phase), x)
-        blocks = self._free(ev)
-        return self.eig.product_blockwise(x, blocks, [u.conj().T for u in blocks])
+def _free(ev: FreeEvolution, eig: EigenSystem) -> list:
+    """The m blocks V_m diag(p_m) V_m^dagger of exp(-i scale H duration), in the
+    order of ``eig.blocks``: sum_m C(N, m)^2 entries instead of 4^N."""
+    phases = free_phases(eig, [ev.scale * ev.duration])[0]
+    return [(v * phases[cols]) @ v.conj().T for _, cols, v in eig.blocks]
 
 
-def compile_program(events, props: Propagators) -> np.ndarray:
+def apply(ev: SequenceEvent, x: np.ndarray, eig: EigenSystem) -> np.ndarray:
+    """U x for the event's propagator U and a matrix x of 2^N rows, U built
+    where it is applied and then let go: a pulse as its two Kronecker halves
+    (``rotation_halves``), a free evolution as its m blocks (``_free``)."""
+    if isinstance(ev, Pulse):
+        return kron_apply(rotation_halves(eig.reg, ev.angle, ev.axis_phase), x)
+    return eig.product_blockwise(x, _free(ev, eig))
+
+
+def conjugate(ev: SequenceEvent, x: np.ndarray, eig: EigenSystem) -> np.ndarray:
+    """U x U^dagger for the event's propagator U."""
+    if isinstance(ev, Pulse):
+        return kron_conjugate(rotation_halves(eig.reg, ev.angle, ev.axis_phase), x)
+    blocks = _free(ev, eig)
+    return eig.product_blockwise(x, blocks, [u.conj().T for u in blocks])
+
+
+def compile_program(events, eig: EigenSystem) -> np.ndarray:
     """Apply the event propagators in time order to the identity: their
     product, one unitary in the product basis."""
-    u = np.eye(props.reg.dim, dtype=complex)
+    u = np.eye(eig.dim, dtype=complex)
     for ev in events:
-        u = props.apply(ev, u)
+        u = apply(ev, u, eig)
     return u
 
 
-def evolve(events, sigma: np.ndarray, props: Propagators, eigen: bool = True) -> np.ndarray:
+def evolve(events, sigma: np.ndarray, eig: EigenSystem, eigen: bool = True) -> np.ndarray:
     """The state ``sigma`` carried through ``events`` (U sigma U^dagger per
     event), returned in the H eigenbasis.
 
     ``sigma`` is given in the eigenbasis (``eigen``) or the product basis.  A
     free evolution on a state still in the eigenbasis is a phase per element,
     O(4^N); a pulse moves the state to the product basis, where every further
-    event applies by its structure (``Propagators.conjugate``).
+    event applies by its structure (``conjugate``).
     """
     for ev in events:
         if eigen and isinstance(ev, FreeEvolution):
-            p = free_phases(props.eig, [ev.scale * ev.duration])[0]
+            p = free_phases(eig, [ev.scale * ev.duration])[0]
             sigma = p[:, None] * sigma
             sigma *= p.conj()
         else:
             if eigen:
-                sigma, eigen = props.eig.to_product(sigma), False
-            sigma = props.conjugate(ev, sigma)
-    return sigma if eigen else props.eig.to_eigen(sigma)
+                sigma, eigen = eig.to_product(sigma), False
+            sigma = conjugate(ev, sigma, eig)
+    return sigma if eigen else eig.to_eigen(sigma)
 
 
 @dataclass(frozen=True)
@@ -271,7 +258,7 @@ class ReversionReport:
     effective_norm: float
 
 
-def verify_reversion(events, props: Propagators) -> ReversionReport:
+def verify_reversion(events, eig: EigenSystem) -> ReversionReport:
     """Measure how far a compiled block is from a global-phase identity.
 
     Reports ||U - exp(i theta) 1|| in the spectral norm with theta the phase
@@ -281,7 +268,7 @@ def verify_reversion(events, props: Propagators) -> ReversionReport:
     / tau (0 when tau = 0).  Used as a gate so a wrong multipulse phase
     pattern cannot silently ship.
     """
-    u = compile_program(events, props)
+    u = compile_program(events, eig)
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if uni_err > 1e-8:
         raise NumericalValidationError(f"compiled block is not unitary (error {uni_err:.3e})")
@@ -314,11 +301,8 @@ def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
     weights = setup.i_plus * rho.T
     p = free_phases(eig, ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
     mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
-    idx = 0
-    for i in range(1, ACQUISITION_SCAN - 1):
-        if mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]:
-            idx = i
-            break
+    peaks = np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] > mags[2:]))
+    idx = int(peaks[0]) + 1 if peaks.size else 0
     return AcquisitionSpec(t_m=idx * ACQUISITION_DWELL, window=2.0 * ACQUISITION_DWELL)
 
 
@@ -329,7 +313,7 @@ def acquisition_scan_values(dim: int, acquisition: AcquisitionSpec | None) -> in
     return 0 if acquisition is not None else 2 * dim ** 2 + 3 * ACQUISITION_SCAN * dim
 
 
-def block_states(block, taus, props: Propagators, state: np.ndarray):
+def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
 
@@ -343,9 +327,9 @@ def block_states(block, taus, props: Propagators, state: np.ndarray):
     """
     if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
         counts = [block.cycles_for(tau) for tau in taus]
-        cycle = compile_program(mrev8_block(block.tau1), props)
-        return _cycle_states(props.eig.to_eigen(cycle), state, counts)
-    return (state if block is None else evolve(block.events_for(tau), state, props)
+        cycle = compile_program(mrev8_block(block.tau1), eig)
+        return _cycle_states(eig.to_eigen(cycle), state, counts)
+    return (state if block is None else evolve(block.events_for(tau), state, eig)
             for tau in taus)
 
 
@@ -359,13 +343,13 @@ def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
         yield sigma
 
 
-def prepared_setup(props: Propagators, t_p: float) -> RunSetup:
+def prepared_setup(eig: EigenSystem, t_p: float) -> RunSetup:
     """The operators a run holds fixed, built once after its memory gate: the
     state I_z carried through the JB preparation ``jb_prepare(t_p)``, the read
     pulse R_y(pi/4) as its Kronecker halves, and I_+ = I_x + i I_y, the state
     and I_+ in the H eigenbasis."""
-    eig, reg = props.eig, props.reg
-    state = evolve(jb_prepare(t_p), collective_angular_momentum(reg, "z"), props, eigen=False)
+    reg = eig.reg
+    state = evolve(jb_prepare(t_p), collective_angular_momentum(reg, "z"), eig, eigen=False)
     i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
     return RunSetup(eig, state, rotation_halves(reg, np.pi / 4, np.pi / 2), eig.to_eigen(i_plus))
 
@@ -378,24 +362,31 @@ def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple
     return acquisition, setup.state, detection_matrix(setup, acquisition.t_m, acquisition.window)
 
 
-def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a of W[a, b]
-    exp(-i S_zz (zeta_b - zeta_a) t) for one (2^N, 2^N) slab W.
+def pair_order_sums(slabs, eig: EigenSystem, ts: np.ndarray):
+    """Iterator over c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a
+    of W[a, b] exp(-i S_zz (zeta_b - zeta_a) t), one per (2^N, 2^N) slab W
+    drawn from ``slabs``.
 
     The phase is p_b conj(p_a) (``free_phases``): for the rows A of one m
     value, conj(P[:, A]) W[A, :] times P, summed over the columns of each m
     value, is that pair of m values' part, one GEMM in O(n_t 2^N) memory
-    beside a copy of W[A, :].
+    beside a copy of W[A, :].  P and the grouping by m are built once for
+    all slabs; each slab is let go before the next is drawn.
     """
-    n_spins = eig.dim.bit_length() - 1
+    n_spins = eig.reg.n_spins
     p, m_values = free_phases(eig, ts), np.unique(eig.m)
     member = (eig.m[:, None] == m_values[None, :]).astype(complex)
-    c = np.zeros((2 * n_spins + 1, len(ts)), dtype=complex)
-    for m_a in m_values:
-        idx = np.flatnonzero(eig.m == m_a)
-        cols = np.rint(m_values - m_a).astype(int) + n_spins
-        c[cols] += (((p[:, idx].conj() @ weights[idx]) * p) @ member).T
-    return c
+    groups = [(np.flatnonzero(eig.m == m_a), np.rint(m_values - m_a).astype(int) + n_spins)
+              for m_a in m_values]
+    for weights in slabs:
+        c = np.zeros((2 * n_spins + 1, len(ts)), dtype=complex)
+        for idx, cols in groups:
+            prod = p[:, idx].conj() @ weights[idx]
+            prod *= p
+            c[cols] += (prod @ member).T
+            del prod  # before the next GEMM makes its own
+        del weights
+        yield c
 
 
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
@@ -413,26 +404,31 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     """The most complex values the tau loop of ``run_grid`` holds at once
     beside the prepared state, the detection matrix and the order sums.
 
-    While ``block_states`` makes the next state, the loop still holds the
-    last one, and the block adds: two eigenbasis phase products (magic
-    sandwich); the state being carried, two products of one basis change and
-    one free evolution's m blocks with their adjoints (MREV-8 "stretch"); the
-    compiled cycle w, its adjoint and the two products of w sigma w^dagger
-    (MREV-8 "concatenate").  The kernel runs on one tau's slab beside at most
-    the state and w, and holds a copy of the slab's rows of one m value and
-    four arrays of n_t x 2^N (the phases, their columns of one m value, the
-    GEMM output and its product).
+    The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
+    the last tau's sums throughout.  While ``block_states`` makes the next
+    state, the loop still holds the last one, and the block adds: two
+    eigenbasis phase products (magic sandwich); the state being carried, two
+    products of one basis change and one free evolution's m blocks with their
+    adjoints (MREV-8 "stretch"); w, its adjoint and the two products of
+    w sigma w^dagger (MREV-8 "concatenate").  The kernel runs on one slab
+    beside its state (if not the prepared one) and w, with that tau's sums
+    and, per m value of rows A, the GEMM output (n_t x 2^N) with its inputs
+    (P[:, A] conjugated, W[A, :]) or its product with the membership matrix
+    and the sums' rows it adds to.
     """
-    dim = 2 ** n_spins
+    dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
+    # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
     if block is None:
-        step = 0
+        step, mats = 0, 1
     elif not isinstance(block, Mrev8Spec):
-        step = 3 * dim ** 2
+        step, mats = 3 * dim ** 2, 2
     elif block.mode == "stretch":
-        step = 4 * dim ** 2 + 2 * comb(2 * n_spins, n_spins)
+        step, mats = 4 * dim ** 2 + 2 * comb(2 * n_spins, n_spins), 2
     else:
-        step = 5 * dim ** 2
-    return max(step, 3 * dim ** 2 + comb(n_spins, n_spins // 2) * dim + 4 * n_t * dim)
+        step, mats = 5 * dim ** 2, 3
+    kernel = (mats * dim ** 2 + (2 * n_spins + 1 + dim) * n_t
+              + max(rows * (n_t + dim), 2 * (n_spins + 1) * n_t))
+    return (n_t + n_spins + 1) * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -450,25 +446,22 @@ MEMORY_BUDGET_BYTES = 2 << 30
 SMALL_ARRAY_BYTES = 128 << 10
 
 
-def check_grid_memory(grid: ExperimentGrid, values: int) -> None:
+def check_grid_memory(values: int) -> None:
     """Raise GridSizeError when a grid run's working set exceeds
     MEMORY_BUDGET_BYTES.
 
-    The estimate counts the (n_phi, n_t, n_tau) signal grid and ``values``
-    further complex values, the most the engine holds at once beside it, plus
+    The estimate counts ``values`` complex values, the most the engine holds
+    at once, its (n_phi, n_t, n_tau) signal grid included, plus
     SMALL_ARRAY_BYTES; engines call it before allocating anything.
     """
-    estimate = 16 * (grid.n_phi * grid.n_t * len(grid.taus) + values) + SMALL_ARRAY_BYTES
+    estimate = 16 * values + SMALL_ARRAY_BYTES
     if estimate > MEMORY_BUDGET_BYTES:
-        raise GridSizeError(
-            f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
-            f"{MEMORY_BUDGET_BYTES / 1e6:.0f} MB"
-        )
+        raise GridSizeError(f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
+                            f"{MEMORY_BUDGET_BYTES / 1e6:.0f} MB")
 
 
-def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
-             block=None, acquisition: AcquisitionSpec | None = None,
-             n_molecules: int = 1) -> SignalGrid:
+def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
+             acquisition: AcquisitionSpec | None = None, n_molecules: int = 1) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
@@ -484,18 +477,20 @@ def run_grid(eig: EigenSystem, reg: SpinRegister, grid: ExperimentGrid,
             (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    n_tau, dim2 = len(grid.taus), reg.dim ** 2
+    n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
     # the prepared state with I_+, then with the detection matrix; beside
     # them, never at once: the detection matrix's build (the window with its
     # real frequencies, one basis change's three arrays and V's adjoint m
-    # blocks), the default acquisition's scan, or the sums and the tau loop
-    check_grid_memory(grid, 2 * dim2 + max(
-        9 * dim2 // 2 + comb(2 * reg.n_spins, reg.n_spins),
-        acquisition_scan_values(reg.dim, acquisition),
-        n_tau * (2 * reg.n_spins + 1) * grid.n_t + _loop_values(block, reg.n_spins, grid.n_t)))
-    props = Propagators(eig, reg)
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(props, grid.t_p), acquisition)
-    sums = np.empty((n_tau, 2 * reg.n_spins + 1, grid.n_t), dtype=complex)
-    for k, sigma in enumerate(block_states(block, grid.taus, props, a_eig)):
-        sums[k] = pair_order_sums(_tau_slab(det, sigma), eig, grid.ts)
+    # blocks), the default acquisition's scan, or the sums with the tau loop
+    # and then with the signal grid
+    check_grid_memory(2 * dim2 + max(
+        9 * dim2 // 2 + comb(2 * n_spins, n_spins),
+        acquisition_scan_values(eig.dim, acquisition),
+        n_tau * (2 * n_spins + 1) * grid.n_t
+        + max(_loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)))
+    acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
+    slabs = (_tau_slab(det, sigma) for sigma in block_states(block, grid.taus, eig, a_eig))
+    sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)
+    for k, c in enumerate(pair_order_sums(slabs, eig, grid.ts)):
+        sums[k] = c
     return phase_encode(sums, grid, acquisition, n_molecules)

@@ -25,7 +25,7 @@ from mqcnmr.spectra import fft2_coherence
 def load_eig(name):
     mol = load_molecule(preset_path(f"molecules/{name}.yaml"))
     reg = mol.register()
-    eig = eigendecompose(secular_hamiltonian(mol), reg, mol.order_parameter)
+    eig = eigendecompose(secular_hamiltonian(mol), mol.order_parameter)
     return mol, reg, eig
 
 
@@ -37,7 +37,7 @@ def test_criterion_1_magic_sandwich_tau_invariance():
     _, reg, eig = load_eig("four_spin_test")
     taus = (0.0, 9e-5, 1.8e-4, 3.6e-4)
     grid = ExperimentGrid(t_p=4.75e-5, n_t=24, dt=2e-6, n_phi=10, taus=taus)
-    data = run_grid(eig, reg, grid, block=MagicSandwichSpec(), acquisition=ACQ).data
+    data = run_grid(eig, grid, block=MagicSandwichSpec(), acquisition=ACQ).data
     spread = np.max(np.abs(data - data[:, :, :1])) / np.max(np.abs(data))
     elapsed = time.monotonic() - start
     assert spread <= 1e-10
@@ -50,7 +50,7 @@ def per_order_variation(eig, reg, tau1):
     block = Mrev8Spec(tau1=tau1)
     grid = ExperimentGrid(t_p=4.75e-5, n_t=48, dt=2e-6, n_phi=2 * reg.n_spins + 2,
                           taus=block.tau_schedule(4))
-    spec = fft2_coherence(run_grid(eig, reg, grid, block=block, acquisition=ACQ))
+    spec = fft2_coherence(run_grid(eig, grid, block=block, acquisition=ACQ))
     amp = np.sum(np.abs(spec.data), axis=2)  # (n_tau, n_mu)
     a0 = amp[0]
     keep = a0 > 1e-3 * a0.max()
@@ -85,9 +85,9 @@ def three_spin_coefficients(n_phi):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys3 = SpinSystem(table, 0.6)
     reg = sys3.register()
-    eig = eigendecompose(secular_hamiltonian(sys3), reg, 0.6)
+    eig = eigendecompose(secular_hamiltonian(sys3), 0.6)
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=3e-6, n_phi=n_phi, taus=(0.0,))
-    sig = run_grid(eig, reg, grid, acquisition=ACQ)
+    sig = run_grid(eig, grid, acquisition=ACQ)
     c = np.fft.fftshift(np.fft.fft(sig.data, axis=0), axes=0) / n_phi
     mu = np.fft.fftshift(np.fft.fftfreq(n_phi) * n_phi).astype(int)
     return {m: c[i] for i, m in enumerate(mu)}
@@ -119,8 +119,8 @@ def test_criterion_4_route_equivalence():
     _, reg, eig = load_eig("four_spin_test")
     taus = (0.0, 6e-5)
     grid = ExperimentGrid(t_p=4.75e-5, n_t=16, dt=2e-6, n_phi=10, taus=taus)
-    via_fft = fft2_coherence(run_grid(eig, reg, grid, acquisition=ACQ))
-    state = prepare_reduced_state(eig, reg, 4.75e-5)
+    via_fft = fft2_coherence(run_grid(eig, grid, acquisition=ACQ))
+    state = prepare_reduced_state(eig, 4.75e-5)
     direct = spectral_assembly(state.matrix, eig, reg, grid.ts, ACQ.t_m, ACQ.window,
                                taus=np.asarray(taus))
     scale = np.max(np.abs(via_fft.data))
@@ -212,7 +212,7 @@ def test_criterion_8_conservation_suite_100_random_trials():
         reg = sys_n.register()
         blocks = secular_hamiltonian(sys_n)
         h = reference.dense_from_blocks(blocks, reg.dim)
-        eig = eigendecompose(blocks, reg, s_zz)
+        eig = eigendecompose(blocks, s_zz)
         iz = collective_angular_momentum(reg, "z")
         eye = np.eye(reg.dim)
 
@@ -227,7 +227,7 @@ def test_criterion_8_conservation_suite_100_random_trials():
         u = reference.propagator(eig, t)
         checks["U unitary"] = np.max(np.abs(u @ u.conj().T - eye)) < 1e-11
 
-        state = prepare_reduced_state(eig, reg, float(rng.uniform(0.0, 1e-4)))
+        state = prepare_reduced_state(eig, float(rng.uniform(0.0, 1e-4)))
         rho = eig.vectors @ state.matrix @ eig.vectors.conj().T
         rho_t = u @ rho @ u.conj().T
         checks["trace conserved"] = abs(np.trace(rho_t) - np.trace(rho)) < 1e-12

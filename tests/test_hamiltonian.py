@@ -139,8 +139,7 @@ def _example_eig(n=3, seed=3, s_zz=0.7):
     sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
     blocks = secular_hamiltonian(sys_n)
-    return table, sys_n, reg, ref.dense_from_blocks(blocks, reg.dim), eigendecompose(blocks, reg,
-                                                                                    s_zz)
+    return table, sys_n, reg, ref.dense_from_blocks(blocks, reg.dim), eigendecompose(blocks, s_zz)
 
 
 def test_eigendecompose_blocks_and_reconstruction():
@@ -166,7 +165,7 @@ def test_eigendecompose_zeta_excludes_order_parameter():
     for s_zz in (0.3, 0.9):
         sys2 = SpinSystem(table, s_zz)
         reg = sys2.register()
-        eig = eigendecompose(secular_hamiltonian(sys2), reg, s_zz)
+        eig = eigendecompose(secular_hamiltonian(sys2), s_zz)
         zetas.append(np.sort(eig.zeta))
     np.testing.assert_allclose(zetas[0], zetas[1], atol=1e-9)
     expected = np.sort(2 * np.pi * 5000.0 * np.array([1 / 6, 1 / 6, 0.0, -1 / 3]))
@@ -177,7 +176,7 @@ def test_degeneracy_labels():
     table = np.array([[0.0, 5000.0], [5000.0, 0.0]])
     sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2), reg)
+    eig = eigendecompose(secular_hamiltonian(sys2))
     # the doubly degenerate zeta = 2 pi w / 6 level gets labels 0 and 1
     top = np.isclose(eig.zeta, 2 * np.pi * 5000.0 / 6)
     s = ref.degeneracy_labels(eig)
@@ -194,7 +193,7 @@ def test_eigen_labels_match_svd_scaled_oracle_on_shipped_molecules(name):
     reg = mol.register()
     blocks = secular_hamiltonian(mol)
     h = ref.dense_from_blocks(blocks, reg.dim)
-    eig = eigendecompose(blocks, reg, mol.order_parameter)
+    eig = eigendecompose(blocks, mol.order_parameter)
     zeta, s = ref.eigen_labels_svd(h, reg.m_values(), mol.order_parameter)
     assert np.array_equal(eig.zeta, zeta) and np.array_equal(ref.degeneracy_labels(eig), s)
     # the largest |eigenvalue| is the spectral norm the labels are scaled by
@@ -214,7 +213,7 @@ def test_eigen_labels_match_svd_scaled_oracle(n, s_zz, couplings):
     mol = SpinSystem(table, s_zz)
     reg = mol.register()
     blocks = secular_hamiltonian(mol)
-    eig = eigendecompose(blocks, reg, s_zz)
+    eig = eigendecompose(blocks, s_zz)
     zeta, s = ref.eigen_labels_svd(ref.dense_from_blocks(blocks, reg.dim), reg.m_values(), s_zz)
     assert np.array_equal(eig.zeta, zeta) and np.array_equal(ref.degeneracy_labels(eig), s)
 

@@ -26,7 +26,7 @@ def make_system(n=2, seed=5, s_zz=0.6):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), s_zz)
     return table, reg, eig
 
 
@@ -119,7 +119,7 @@ def test_decoherence_params_validation():
 def test_prepare_reduced_state_matches_reference():
     table, reg, eig = make_system(n=3, seed=7)
     t_p = 4e-5
-    state = prepare_reduced_state(eig, reg, t_p)
+    state = prepare_reduced_state(eig, t_p)
     h = ref.ham_ref(table, 0.6)
     rho_ref = ref.apply_events(3, h, ref.coll(3, "z"),
                                [("pulse", np.pi / 2, 0.0), ("free", t_p, 1.0),
@@ -130,7 +130,7 @@ def test_prepare_reduced_state_matches_reference():
 
 def test_evolve_open_preserves_populations_and_hermiticity():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    state = prepare_reduced_state(eig, 3e-5)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.1))
     evolved = ref.evolve_open(state, t=5e-5, tau=3e-4, params=params)
     np.testing.assert_allclose(ref.populations(evolved), ref.populations(state), atol=1e-14)
@@ -142,7 +142,7 @@ def test_evolve_open_preserves_populations_and_hermiticity():
 
 def test_evolve_open_closed_system_limit():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    state = prepare_reduced_state(eig, 3e-5)
     # negligible damping: unitary phases only
     params = DecoherenceParams(sigma_cl=1e-6, omdf=GaussianOMDF(1e-9))
     t = 7e-5
@@ -155,7 +155,7 @@ def test_evolve_open_closed_system_limit():
 
 def test_evolve_open_monotone_in_tau():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    state = prepare_reduced_state(eig, 3e-5)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.05))
     off = ~np.eye(reg.dim, dtype=bool)
     norms = []
@@ -181,7 +181,7 @@ def test_run_grid_open_matches_brute_force():
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     taus = (0.0, 4e-4)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=5e-6, n_phi=5, taus=taus)
-    fast = run_grid_open(eig, reg, grid, params, acquisition=acq).data
+    fast = run_grid_open(eig, grid, params, acquisition=acq).data
 
     h = ref.ham_ref(table, 0.6)
     rho0 = ref.apply_events(2, h, ref.coll(2, "z"),
@@ -211,10 +211,10 @@ def test_run_grid_open_determinism_and_scaling():
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=3e-5, n_t=6, dt=3e-6, n_phi=8,
                           taus=tuple(k * 2e-4 for k in range(4)))
-    one = run_grid_open(eig, reg, grid, params, acquisition=acq).data
-    again = run_grid_open(eig, reg, grid, params, acquisition=acq).data
+    one = run_grid_open(eig, grid, params, acquisition=acq).data
+    again = run_grid_open(eig, grid, params, acquisition=acq).data
     assert np.array_equal(one, again)
-    doubled = run_grid_open(eig, reg, grid, params, acquisition=acq,
+    doubled = run_grid_open(eig, grid, params, acquisition=acq,
                             n_molecules=2).data
     np.testing.assert_allclose(doubled, 2.0 * one, atol=0)
 
@@ -225,8 +225,8 @@ def test_spectral_assembly_equals_open_grid_route():
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     taus = (0.0, 3e-4)
     grid = ExperimentGrid(t_p=3e-5, n_t=10, dt=3e-6, n_phi=8, taus=taus)
-    via_grid = fft2_coherence(run_grid_open(eig, reg, grid, params, acquisition=acq))
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    via_grid = fft2_coherence(run_grid_open(eig, grid, params, acquisition=acq))
+    state = prepare_reduced_state(eig, 3e-5)
     scale = np.max(np.abs(via_grid.data))
     direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
                                time_factors=partial(params.omdf.time_factors,

@@ -20,7 +20,7 @@ from mqcnmr.hamiltonian import (EigenSystem, SpinSystem, eigendecompose,
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, pair_order_sums, prepare_reduced_state,
                                run_grid_open)
-from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, Propagators, prepared_setup
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, prepared_setup
 from mqcnmr.spectra import detection_matrix
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
@@ -34,7 +34,7 @@ def make_system(n, seed, s_zz=0.6):
             table[j, k] = table[k, j] = rng.uniform(-5000, 5000)
     sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    return reg, eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
+    return reg, eigendecompose(secular_hamiltonian(sys_n), s_zz)
 
 
 def make_omdf(family, width):
@@ -47,7 +47,7 @@ def make_omdf(family, width):
 
 def oracle_grid(eig, reg, grid, params, n_molecules=1):
     """(phi, t, tau) signal from the dense per-(tau, t) order sums."""
-    setup = prepared_setup(Propagators(eig, reg), grid.t_p)
+    setup = prepared_setup(eig, grid.t_p)
     det = detection_matrix(setup, ACQ.t_m, ACQ.window)
     sums = ref.open_order_sums_loop(
         det, setup.state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
@@ -68,7 +68,7 @@ def test_open_grid_matches_dense_order_sums(n, seed, family, width, sigma, taus,
     reg, eig = make_system(n, seed)
     params = DecoherenceParams(sigma_cl=sigma, omdf=make_omdf(family, width))
     grid = ExperimentGrid(t_p=3e-5, n_t=n_t, dt=3e-6, n_phi=2 * n + 2, taus=tuple(taus))
-    fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ,
+    fast = run_grid_open(eig, grid, params, acquisition=ACQ,
                          n_molecules=n_molecules).data
     slow = oracle_grid(eig, reg, grid, params, n_molecules)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
@@ -87,7 +87,7 @@ def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
     shuffled = ref.shuffled_eigensystem(eig, perm)
     weights = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(n_tau)
-    factorised = sequence.pair_order_sums(weights, shuffled, ts)
+    (factorised,) = sequence.pair_order_sums([weights], shuffled, ts)
     chunked = pair_order_sums(weights, shuffled, ts, taus, lambda g, t: np.exp(
         -1j * eig.order_parameter * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 0 * tau + 1.0)
     assert factorised.shape == (2 * n + 1, n_t)
@@ -197,11 +197,11 @@ def test_chunked_orders_are_bit_identical_across_repeat_calls(monkeypatch):
     reg, eig = make_system(4, 3)
     params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf("tabulated", 0.05))
     grid = ExperimentGrid(t_p=3e-5, n_t=12, dt=3e-6, n_phi=10, taus=(0.0, 1e-4, 3e-4))
-    whole = run_grid_open(eig, reg, grid, params, acquisition=ACQ).data
+    whole = run_grid_open(eig, grid, params, acquisition=ACQ).data
     assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35  # all 32 classes of order 0 in one
     monkeypatch.setattr(opensystem, "PAIR_CHUNK_BYTES", 16 * grid.n_t * 5)
     assert opensystem.pair_chunk_rows(eig, grid.n_t) == 5  # order 0 now spans 7 chunks
-    runs = [run_grid_open(eig, reg, grid, params, acquisition=ACQ).data for _ in range(3)]
+    runs = [run_grid_open(eig, grid, params, acquisition=ACQ).data for _ in range(3)]
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -214,11 +214,11 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran past the memory gate")
 
-    for name in ("Propagators", "prepared_setup", "kernel_inputs", "pair_order_sums"):
+    for name in ("prepared_setup", "kernel_inputs", "pair_order_sums"):
         monkeypatch.setattr(opensystem, name, forbidden)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
     with pytest.raises(GridSizeError):
-        run_grid_open(eig, reg, grid, params)
+        run_grid_open(eig, grid, params)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "tabulated"])
@@ -232,15 +232,15 @@ def test_open_memory_estimate_covers_the_traced_peak(family, monkeypatch):
                           taus=tuple(k * 1e-5 for k in range(24)))
     tracemalloc.start()
     try:
-        run_grid_open(eig, reg, grid, params, acquisition=ACQ)
+        run_grid_open(eig, grid, params, acquisition=ACQ)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
     with pytest.raises(GridSizeError):
-        run_grid_open(eig, reg, grid, params, acquisition=ACQ)
+        run_grid_open(eig, grid, params, acquisition=ACQ)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.6 * peak))
-    run_grid_open(eig, reg, grid, params, acquisition=ACQ)
+    run_grid_open(eig, grid, params, acquisition=ACQ)
 
 
 def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
@@ -273,7 +273,7 @@ def test_long_omdf_table_runs_in_bounded_memory():
     assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35
     tracemalloc.start()
     try:
-        fast = run_grid_open(eig, reg, grid, params, acquisition=ACQ).data
+        fast = run_grid_open(eig, grid, params, acquisition=ACQ).data
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,7 +293,7 @@ def test_tabulated_q_blocks_are_bit_identical(monkeypatch):
 
 def test_spectral_route_needs_uniform_times():
     reg, eig = make_system(2, 4)
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    state = prepare_reduced_state(eig, 3e-5)
     ts = np.array([0.0, 1e-6, 3e-6, 4e-6])
     with pytest.raises(UnsupportedGridError):
         spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)

@@ -14,9 +14,8 @@ import reference as ref
 from mqcnmr import sequence
 from mqcnmr.errors import ConfigError, GridSizeError, MqcnmrError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
-from mqcnmr.operators import SpinRegister
 from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
-                             MagicSandwichSpec, Mrev8Spec, Propagators, Pulse, _tau_slab,
+                             MagicSandwichSpec, Mrev8Spec, Pulse, _tau_slab,
                              block_states, compile_program, default_acquisition, jb_prepare,
                              magic_sandwich, mrev8_block, pair_order_sums, prepared_setup,
                              run_grid, total_duration, verify_reversion)
@@ -30,7 +29,7 @@ def make_system(n=2, seed=1, s_zz=0.6, scale_hz=5000.0):
             table[j, k] = table[k, j] = rng.uniform(-scale_hz, scale_hz)
     sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), s_zz)
     return table, sys_n, reg, eig
 
 
@@ -46,8 +45,7 @@ def test_jb_prepare_structure():
 
 def test_compile_program_matches_reference_chain():
     table, _, reg, eig = make_system(n=3, seed=4)
-    props = Propagators(eig, reg)
-    u = compile_program(jb_prepare(4e-5), props)
+    u = compile_program(jb_prepare(4e-5), eig)
     h = ref.ham_ref(table, 0.6)
     from scipy.linalg import expm
     u_ref = (ref.rot(3, np.pi / 4, np.pi / 2)
@@ -76,19 +74,17 @@ def test_mrev8_pulses_alone_compose_to_identity():
     table = np.zeros((2, 2))
     sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2), reg)
-    props = Propagators(eig, reg)
-    u = compile_program(mrev8_block(5e-6), props)
+    eig = eigendecompose(secular_hamiltonian(sys2))
+    u = compile_program(mrev8_block(5e-6), eig)
     theta = np.angle(np.trace(u))
     np.testing.assert_allclose(u, np.exp(1j * theta) * np.eye(4), atol=1e-12)
 
 
 def test_mrev8_residual_third_order_in_tau1():
     _, _, reg, eig = make_system(n=3, seed=4)
-    props = Propagators(eig, reg)
     residuals = []
     for tau1 in (20e-6, 10e-6, 5e-6):
-        report = verify_reversion(mrev8_block(tau1), props)
+        report = verify_reversion(mrev8_block(tau1), eig)
         residuals.append(report.residual)
     # each halving of tau1 should cut the residual by about 8 (third order)
     assert residuals[0] / residuals[1] > 5.0
@@ -98,10 +94,9 @@ def test_mrev8_residual_third_order_in_tau1():
 
 def test_magic_sandwich_exact_identity():
     _, _, reg, eig = make_system(n=3, seed=8)
-    props = Propagators(eig, reg)
     events = magic_sandwich(1e-4)
     np.testing.assert_allclose(total_duration(events), 1.5e-4, rtol=1e-12)
-    report = verify_reversion(events, props)
+    report = verify_reversion(events, eig)
     assert report.residual < 1e-12
     assert report.effective_norm < 1e-7
     with pytest.raises(MqcnmrError):
@@ -118,10 +113,9 @@ def test_reversion_figures_match_svd_and_logm(n, block, tau):
     # MREV-8 at N = 2 and every magic sandwich compile to the identity, where
     # both figures are rounding (residual ~1e-15) and only the floor applies
     _, _, reg, eig = make_system(n=n, seed=5)
-    props = Propagators(eig, reg)
     events = block.events_for(tau)
-    report = verify_reversion(events, props)
-    residual, norm = ref.reversion_figures(compile_program(events, props), tau)
+    report = verify_reversion(events, eig)
+    residual, norm = ref.reversion_figures(compile_program(events, eig), tau)
     assert report.duration == pytest.approx(tau, rel=1e-12)
     np.testing.assert_allclose(report.residual, residual, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(report.effective_norm, norm, rtol=1e-9, atol=1e-12 / tau)
@@ -151,7 +145,6 @@ def test_block_specs():
 
 def test_block_states_match_the_compiled_chain():
     _, _, reg, eig = make_system(n=3, seed=4)
-    props = Propagators(eig, reg)
     rng = np.random.default_rng(5)
     state = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     v = eig.vectors
@@ -162,21 +155,21 @@ def test_block_states_match_the_compiled_chain():
 
     block = Mrev8Spec(tau1=5e-6)
     counts = (3, 0, 1, 4, 2)  # unsorted on purpose
-    states = list(block_states(block, [n * block.cycle_time for n in counts], props, state))
+    states = list(block_states(block, [n * block.cycle_time for n in counts], eig, state))
     assert states[1] is state
     for n, sigma in zip(counts, states):
         if n:
             np.testing.assert_allclose(
-                sigma, carried(compile_program(mrev8_block(5e-6, n), props)), rtol=0, atol=1e-12)
+                sigma, carried(compile_program(mrev8_block(5e-6, n), eig)), rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
-        block_states(block, [0.0, 70e-6], props, state)
+        block_states(block, [0.0, 70e-6], eig, state)
     # other block families apply their events to the state for each tau
     for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
                        (MagicSandwichSpec(), 1.5e-4)):
-        (sigma,) = block_states(other, [tau], props, state)
-        np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), props)),
+        (sigma,) = block_states(other, [tau], eig, state)
+        np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), eig)),
                                    rtol=0, atol=1e-12)
-    assert [s is state for s in block_states(None, [0.0, 1e-4], props, state)] == [True, True]
+    assert [s is state for s in block_states(None, [0.0, 1e-4], eig, state)] == [True, True]
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -188,7 +181,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    fast = pair_order_sums(_tau_slab(det, sigma0), shuffled, ts)
+    (fast,) = pair_order_sums([_tau_slab(det, sigma0)], shuffled, ts)
     slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
 
@@ -197,7 +190,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
 def test_default_acquisition_matches_dense_scan(n, seed):
     table, _, reg, eig = make_system(n=n, seed=seed)
     for t_p in (0.0, 5e-5):
-        acq = default_acquisition(prepared_setup(Propagators(eig, reg), t_p))
+        acq = default_acquisition(prepared_setup(eig, t_p))
         assert acq.t_m == ref.first_maximum_t_m(table, 0.6, t_p)
 
 
@@ -233,7 +226,7 @@ def test_run_grid_matches_brute_force(blockname):
     else:
         block = None
         events = lambda tau: []
-    fast = run_grid(eig, reg, grid, block=block, acquisition=acq).data
+    fast = run_grid(eig, grid, block=block, acquisition=acq).data
     slow = ref.brute_grid(table, 0.6, 5e-5, grid.phis, grid.ts, taus, events,
                           acq.t_m, acq.window, n_quad=2001)
     np.testing.assert_allclose(fast, slow, atol=1e-8)
@@ -245,7 +238,7 @@ def test_run_grid_three_spin_point_acquisition():
     taus = (0.0, 9e-5)
     grid = ExperimentGrid(t_p=3e-5, n_t=3, dt=5e-6, n_phi=7, taus=taus)
     block = MagicSandwichSpec()
-    fast = run_grid(eig, reg, grid, block=block, acquisition=acq).data
+    fast = run_grid(eig, grid, block=block, acquisition=acq).data
     slow = ref.brute_grid(table, 0.6, 3e-5, grid.phis, grid.ts, taus,
                           lambda tau: [] if tau == 0 else ref.magic_sandwich_events(tau),
                           acq.t_m, acq.window)
@@ -258,8 +251,8 @@ def test_run_grid_repeat_calls_bit_identical():
     grid = ExperimentGrid(t_p=4e-5, n_t=8, dt=2e-6, n_phi=8,
                           taus=tuple(k * 6e-5 for k in range(5)))
     block = Mrev8Spec(tau1=5e-6)
-    one = run_grid(eig, reg, grid, block=block, acquisition=acq).data
-    again = run_grid(eig, reg, grid, block=block, acquisition=acq).data
+    one = run_grid(eig, grid, block=block, acquisition=acq).data
+    again = run_grid(eig, grid, block=block, acquisition=acq).data
     assert np.array_equal(one, again)
 
 
@@ -267,8 +260,8 @@ def test_run_grid_molecule_count_scales_linearly():
     _, _, reg, eig = make_system()
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4, taus=(0.0,))
-    base = run_grid(eig, reg, grid, acquisition=acq, n_molecules=1).data
-    triple = run_grid(eig, reg, grid, acquisition=acq, n_molecules=3).data
+    base = run_grid(eig, grid, acquisition=acq, n_molecules=1).data
+    triple = run_grid(eig, grid, acquisition=acq, n_molecules=3).data
     np.testing.assert_allclose(triple, 3.0 * base, atol=0)
 
 
@@ -276,10 +269,10 @@ def test_run_grid_zero_hamiltonian_time_independent():
     table = np.zeros((2, 2))
     sys2 = SpinSystem(table)
     reg = sys2.register()
-    eig = eigendecompose(secular_hamiltonian(sys2), reg)
+    eig = eigendecompose(secular_hamiltonian(sys2))
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=4, taus=(0.0, 1e-4))
-    data = run_grid(eig, reg, grid, block=MagicSandwichSpec(), acquisition=acq).data
+    data = run_grid(eig, grid, block=MagicSandwichSpec(), acquisition=acq).data
     np.testing.assert_allclose(data, data[:, :1, :1] * np.ones_like(data), atol=1e-12)
 
 
@@ -288,34 +281,41 @@ def test_run_grid_memory_budget(monkeypatch):
     grid = ExperimentGrid(t_p=0.0, n_t=4, dt=1e-6, n_phi=4, taus=(0.0,))
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 100)
     with pytest.raises(GridSizeError):
-        run_grid(eig, reg, grid)
+        run_grid(eig, grid)
 
 
 BLOCK_FAMILIES = [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"), Mrev8Spec(tau1=5e-6)]
+# (block, n_t, n_tau): 60 taus of 4 times, where the operators of the block
+# step set the peak, and 8 taus of 1024 times, where the kernel's phases and
+# GEMM output of n_t x 2^N do
+CLOSED_MEMORY_CASES = (
+    [pytest.param(block, 4, 60, id=f"block{i}") for i, block in enumerate(BLOCK_FAMILIES)]
+    + [pytest.param(block, 1024, 8, id=f"n_t1024-block{i}")
+       for i, block in enumerate(BLOCK_FAMILIES)])
 
 
-@pytest.mark.parametrize("block", BLOCK_FAMILIES)
-def test_closed_memory_estimate_covers_the_propagator_cache(block, monkeypatch):
+@pytest.mark.parametrize("block, n_t, n_tau", CLOSED_MEMORY_CASES)
+def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, monkeypatch):
     # each block family holds the factors of one event at a time (a magic
     # sandwich applies its free evolutions as eigenbasis phases); a budget at
     # the traced peak must be refused, and one 5% above it accepted (N = 8,
     # where the 2^N x 2^N arrays dominate the small objects whose count
     # depends on what ran before in the process)
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
-    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
-                          taus=tuple(k * 60e-6 for k in range(60)))
+    grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=2e-6, n_phi=4,
+                          taus=tuple(k * 60e-6 for k in range(n_tau)))
     _, _, reg, eig = make_system(n=8, seed=3)
     tracemalloc.start()
     try:
-        run_grid(eig, reg, grid, block=block, acquisition=acq)
+        run_grid(eig, grid, block=block, acquisition=acq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
     with pytest.raises(GridSizeError):
-        run_grid(eig, reg, grid, block=block, acquisition=acq)
+        run_grid(eig, grid, block=block, acquisition=acq)
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
-    run_grid(eig, reg, grid, block=block, acquisition=acq)
+    run_grid(eig, grid, block=block, acquisition=acq)
 
 
 _FRESH_RUN = """
@@ -328,18 +328,18 @@ from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, 
 
 sys_n = SpinSystem(np.array(json.loads(sys.argv[1])), 0.6)
 reg = sys_n.register()
-eig = eigendecompose(secular_hamiltonian(sys_n), reg, 0.6)
+eig = eigendecompose(secular_hamiltonian(sys_n), 0.6)
 block = eval(sys.argv[2])
 acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
 grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
                       taus=tuple(k * 60e-6 for k in range(60)))
 tracemalloc.start()
-run_grid(eig, reg, grid, block=block, acquisition=acq)
+run_grid(eig, grid, block=block, acquisition=acq)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 sequence.MEMORY_BUDGET_BYTES = peak - 1
 try:
-    run_grid(eig, reg, grid, block=block, acquisition=acq)
+    run_grid(eig, grid, block=block, acquisition=acq)
 except GridSizeError:
     print("refused", peak)
 else:
@@ -375,7 +375,7 @@ def test_stretched_run_peak_does_not_grow_by_a_matrix_per_tau():
                               taus=tuple(k * 60e-6 for k in range(n_tau)))
         tracemalloc.start()
         try:
-            run_grid(eig, reg, grid, block=block, acquisition=acq)
+            run_grid(eig, grid, block=block, acquisition=acq)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -398,15 +398,15 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
 
     monkeypatch.setattr(sequence, "prepared_setup", stop)
     block = Mrev8Spec(tau1=5e-6)
-    reg = SpinRegister(10)
+    _, _, reg, eig = make_system(n=10, seed=3)
     grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(120))
     with pytest.raises(_GatePassed):
-        run_grid(None, reg, grid, block=block)
+        run_grid(eig, grid, block=block)
     per_tau = 16 * (grid.n_phi + 2 * reg.n_spins + 1) * grid.n_t
     n_tau = sequence.MEMORY_BUDGET_BYTES // per_tau + 1
     grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(n_tau))
     with pytest.raises(GridSizeError):
-        run_grid(None, reg, grid, block=block)
+        run_grid(eig, grid, block=block)
 
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
@@ -428,7 +428,7 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
         for name, log in calls.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
-    run_grid(eig, reg, grid, block=block)
+    run_grid(eig, grid, block=block)
     axes = [args[1] for args in calls["collective_angular_momentum"]]
     assert len(axes) == len(set(axes))
     assert [tuple(args[0]) for args in calls["evolve"]].count(jb_prepare(grid.t_p)) == 1
@@ -436,7 +436,7 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
 
 def test_default_acquisition():
     _, _, reg, eig = make_system(n=2, seed=1)
-    acq = default_acquisition(prepared_setup(Propagators(eig, reg), 5e-5))
+    acq = default_acquisition(prepared_setup(eig, 5e-5))
     assert acq.t_m >= 0.0
     assert acq.window == pytest.approx(2e-6)
 

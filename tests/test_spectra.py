@@ -14,8 +14,7 @@ from scipy.linalg import expm
 from mqcnmr.errors import MqcnmrError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import prepare_reduced_state
-from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, Propagators, prepared_setup,
-                             run_grid)
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, prepared_setup, run_grid
 from mqcnmr.spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, fft2_coherence,
                             spectrum_to_csv)
 
@@ -28,7 +27,7 @@ def make_system(n=3, seed=12, s_zz=0.6, scale_hz=5000.0):
             table[j, k] = table[k, j] = rng.uniform(-scale_hz, scale_hz)
     sys_n = SpinSystem(table, s_zz)
     reg = sys_n.register()
-    eig = eigendecompose(secular_hamiltonian(sys_n), reg, s_zz)
+    eig = eigendecompose(secular_hamiltonian(sys_n), s_zz)
     return table, reg, eig
 
 
@@ -93,7 +92,7 @@ def run_three_spin(n_phi, taus=(0.0,), n_t=6):
     table, reg, eig = make_system()
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=3e-6, n_phi=n_phi, taus=taus)
-    return run_grid(eig, reg, grid, acquisition=acq), reg, eig
+    return run_grid(eig, grid, acquisition=acq), reg, eig
 
 
 def test_coherence_selection_is_clean():
@@ -172,7 +171,7 @@ def test_g_coefficients_window_limit_and_average():
 def test_detection_matrix_consistent_with_g_coefficients():
     _, reg, eig = make_system(n=2, seed=5)
     t_m, window = 4e-6, 2e-6
-    det = detection_matrix(prepared_setup(Propagators(eig, reg), 0.0), t_m, window)
+    det = detection_matrix(prepared_setup(eig, 0.0), t_m, window)
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sigma = a + a.conj().T  # hermitian state in the eigenbasis
@@ -188,10 +187,10 @@ def test_spectral_assembly_equals_fft_route():
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     taus = (0.0, 6e-5)
     grid = ExperimentGrid(t_p=4e-5, n_t=12, dt=3e-6, n_phi=8, taus=taus)
-    sig = run_grid(eig, reg, grid, acquisition=acq)
+    sig = run_grid(eig, grid, acquisition=acq)
     via_fft = fft2_coherence(sig)
 
-    state = prepare_reduced_state(eig, reg, 4e-5)
+    state = prepare_reduced_state(eig, 4e-5)
     direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
                                taus=np.asarray(taus))
     scale = np.max(np.abs(via_fft.data))
@@ -204,7 +203,7 @@ def test_spectral_assembly_equals_fft_route():
 
 def test_spectral_assembly_molecule_scaling_and_decay_hook():
     _, reg, eig = make_system(n=2, seed=5)
-    state = prepare_reduced_state(eig, reg, 3e-5)
+    state = prepare_reduced_state(eig, 3e-5)
     ts = 2e-6 * np.arange(8)
     base = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)
     scaled = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6, n_molecules=4)

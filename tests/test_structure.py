@@ -1,16 +1,19 @@
 """The structured operators of the closed engine against the dense oracles in
 reference.py: Kronecker-half pulses, m-block free evolutions and m-block
 basis changes, for N = 1-8 and eigenbases in eigendecompose's layout or
-shuffled."""
+shuffled; and the eigensystem eigendecompose reads from the m blocks' rows
+alone."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from mqcnmr.errors import MqcnmrError
 from mqcnmr.hamiltonian import eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
-from mqcnmr.sequence import FreeEvolution, Propagators, compile_program
+from mqcnmr.sequence import FreeEvolution, apply, compile_program, conjugate
 
 
 def random_matrix(rng, rows, cols):
@@ -28,7 +31,7 @@ def secular_eigensystem(n, seed, shuffle):
     reg = SpinRegister(n)
     m = reg.m_values()
     a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
-    eig = eigendecompose(ref.m_blocks(a + a.conj().T, m), reg, 0.6)
+    eig = eigendecompose(ref.m_blocks(a + a.conj().T, m), 0.6)
     if shuffle:
         eig = ref.shuffled_eigensystem(eig, rng.permutation(reg.dim))
     return reg, eig, rng
@@ -55,13 +58,12 @@ def test_kronecker_half_pulse_matches_dense_rotation(n, theta, axis, cols, seed)
        shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shuffle, seed):
     reg, eig, rng = secular_eigensystem(n, seed, shuffle)
-    props = Propagators(eig, reg)
     ev = FreeEvolution(duration, scale)
     u = ref.propagator(eig, duration, scale)
     x = random_matrix(rng, reg.dim, reg.dim)
-    assert_close(compile_program([ev], props), u)
-    assert_close(props.apply(ev, x), u @ x)
-    assert_close(props.conjugate(ev, x), u @ x @ u.conj().T)
+    assert_close(compile_program([ev], eig), u)
+    assert_close(apply(ev, x, eig), u @ x)
+    assert_close(conjugate(ev, x, eig), u @ x @ u.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,3 +73,39 @@ def test_m_block_basis_change_matches_dense(n, shuffle, seed):
     v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
     assert_close(eig.to_product(x), v @ x @ v.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
+    # random secular blocks, each block's rows (with its H_m) and the block
+    # order permuted when ``shuffle``: every eigenvector carries the total m
+    # of its block's product states, and N comes from the rows' count
+    rng = np.random.default_rng(seed)
+    reg = SpinRegister(n)
+    m_basis = reg.m_values()
+    a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
+    blocks = list(ref.m_blocks(a + a.conj().T, m_basis))
+    if shuffle:
+        perms = [rng.permutation(rows.size) for rows, _ in blocks]
+        blocks = [(rows[p], h[np.ix_(p, p)]) for (rows, h), p in zip(blocks, perms)]
+        blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+    eig = eigendecompose(blocks, 0.6)
+    assert eig.reg.n_spins == n and eig.reg.dim == eig.dim
+    v, h = eig.vectors, ref.dense_from_blocks(blocks, reg.dim)
+    assert np.array_equal(m_basis[:, None] * v, v * eig.m)  # I_z V = V diag(m)
+    assert_close((v * (0.6 * eig.zeta)) @ v.conj().T, h)
+    x = random_matrix(rng, reg.dim, reg.dim)
+    assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
+    # a block left out, a row left out of a block, and two blocks of
+    # different m joined into one are refused
+    k = int(rng.integers(len(blocks)))
+    j = (k + 1) % len(blocks)
+    rows = blocks[k][0]
+    joined = np.concatenate([rows, blocks[j][0]])
+    others = [b for i, b in enumerate(blocks) if i not in (k, j)]
+    for bad in (blocks[:k] + blocks[k + 1:],
+                blocks[:k] + [(rows[1:], h[np.ix_(rows[1:], rows[1:])])] + blocks[k + 1:],
+                others + [(joined, h[np.ix_(joined, joined)])]):
+        with pytest.raises(MqcnmrError):
+            eigendecompose(bad, 0.6)
