@@ -11,9 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
-from .config import load_config, preset_path
+from .config import load_config, load_yaml, preset_path
 from .errors import ConfigError, NumericalValidationError
 from .runner import fit_stage, simulate, spectra_stage, sweep, verify_stage
 
@@ -59,7 +57,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     path = _resolve_config(args)
-    doc = yaml.safe_load(path.read_text())
+    doc = load_yaml(path, "config")
     manifests = sweep(doc, base_dir=path.parent, out_root=args.output)
     print(json.dumps({"runs": len(manifests)}, indent=2))
     return EXIT_OK
@@ -120,7 +118,7 @@ def main(argv=None) -> int:
     except NumericalValidationError as exc:
         print(f"numerical validation failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, OSError, yaml.YAMLError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

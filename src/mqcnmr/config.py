@@ -144,9 +144,15 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
     return sys_
 
 
-def _load_yaml(path: Path, what: str):
+# PyYAML's safe loader on libyaml's parser where PyYAML was built with it
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(path: Path, what: str):
+    """The YAML document in ``path`` (parsed by YAML_LOADER), or a ConfigError
+    naming ``what`` when the file cannot be read or is not valid YAML."""
     try:
-        return yaml.safe_load(path.read_text())
+        return yaml.load(path.read_text(), Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -154,7 +160,7 @@ def _load_yaml(path: Path, what: str):
 
 
 def load_molecule(path) -> SpinSystem:
-    return molecule_from_dict(_load_yaml(Path(path), "molecule file"), context=str(path))
+    return molecule_from_dict(load_yaml(Path(path), "molecule file"), context=str(path))
 
 
 @dataclass(frozen=True)
@@ -318,7 +324,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    return config_from_dict(_load_yaml(path, "config"), base_dir=path.parent)
+    return config_from_dict(load_yaml(path, "config"), base_dir=path.parent)
 
 
 def config_hash(doc: dict) -> str:

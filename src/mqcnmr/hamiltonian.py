@@ -20,7 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
-from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
+from .operators import (T20_UNIT, SpinRegister, checked_hermitian, collective_angular_momentum,
+                        t20_bits)
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 # CODATA 2022: vacuum permeability (N A^-2) and h / (2 pi) with the exact
@@ -29,13 +30,17 @@ MU_0 = 1.25663706127e-06
 HBAR = 1.0545718176461565e-34
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSystem:
     """One molecule's proton cluster: all the Hamiltonian reads of it.
 
+    Two molecules are equal, and hash equal, when their tables hold the same
+    values and their order parameters are equal.
+
     Attributes:
         couplings_hz: finite, symmetric, zero-diagonal table of the pair
-            dipolar frequencies omega_D(j, k) in Hz, kept as a read-only copy.
+            dipolar frequencies omega_D(j, k) in Hz, kept as a read-only copy
+            (with -0.0 stored as 0.0, so equal tables have equal bytes).
         order_parameter: nematic order parameter S_zz in [-0.5, 1].
     """
 
@@ -52,8 +57,18 @@ class SpinSystem:
             raise MqcnmrError("coupling table must be symmetric with a zero diagonal")
         if not -0.5 <= self.order_parameter <= 1.0:
             raise MqcnmrError(f"order parameter {self.order_parameter} outside [-0.5, 1]")
+        c += 0.0
         c.flags.writeable = False
         object.__setattr__(self, "couplings_hz", c)
+
+    def __eq__(self, other):
+        if not isinstance(other, SpinSystem):
+            return NotImplemented
+        return (np.array_equal(self.couplings_hz, other.couplings_hz)
+                and self.order_parameter == other.order_parameter)
+
+    def __hash__(self) -> int:
+        return hash((self.couplings_hz.tobytes(), self.order_parameter))
 
     @classmethod
     def from_positions(cls, positions_m, order_parameter: float = 1.0,
@@ -147,6 +162,10 @@ class EigenSystem:
             V_m = V[rows, cols] that join the product-basis states of that m
             (rows) to its eigenvectors (cols).
         order_parameter: the S_zz that was factored out.
+
+    Beside these it holds, read-only and for as long as it lives, what every
+    run on it would build alike: I_+ in its eigenbasis (``i_plus``, built on
+    the first read) and one reversion cycle (``held_cycle``).
     """
 
     zeta: np.ndarray
@@ -188,6 +207,34 @@ class EigenSystem:
             sorted_ = np.array_equal(order, np.arange(self.dim))
             orders.append((None, None) if sorted_ else (order, np.argsort(order)))
         return tuple(map(slice, edges[:-1], edges[1:])), orders[0], orders[1]
+
+    @cached_property
+    def i_plus(self) -> np.ndarray:
+        """The detected operator I_+ = I_x + i I_y in the eigenbasis,
+        V^dagger I_+ V, read-only."""
+        reg = self.reg
+        i_plus = self.to_eigen(collective_angular_momentum(reg, "x")
+                               + 1j * collective_angular_momentum(reg, "y"))
+        i_plus.flags.writeable = False
+        return i_plus
+
+    @property
+    def holds_cycle(self) -> bool:
+        """Whether ``held_cycle`` holds an operator."""
+        return "_cycle" in self.__dict__
+
+    def held_cycle(self, key, build) -> np.ndarray:
+        """The operator ``build()`` returns, built on the first call with
+        ``key`` and held, read-only, for the next calls with it.  The holder
+        has one entry: a call with another key lets the held operator go
+        before it builds its own."""
+        if self.holds_cycle and self.__dict__["_cycle"][0] != key:
+            del self.__dict__["_cycle"]
+        if not self.holds_cycle:
+            cycle = build()
+            cycle.flags.writeable = False
+            self.__dict__["_cycle"] = (key, cycle)
+        return self.__dict__["_cycle"][1]
 
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
         """V^dagger x V through V's m blocks: sum_m C(N, m)^2 2^(N+1) products

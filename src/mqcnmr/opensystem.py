@@ -332,8 +332,9 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     before anything is allocated.
     """
     # The signal grid; 8 arrays of 2^N x 2^N: the prepared setup's peak, which
-    # also covers the state, detection and weight slab the kernel holds with
-    # its class index arrays; the order sums; one chunk of E (rows x n_t,
+    # also covers I_+ and the state, detection and weight slab the kernel
+    # holds with its class index arrays; the MREV-8 cycle the eigensystem
+    # may hold from a closed run; the order sums; one chunk of E (rows x n_t,
     # padded to a whole number of steps of the coarse x fine split); numpy's
     # two cast buffers.
     # Beside them, and never at once: the default acquisition's scan; the
@@ -345,7 +346,7 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     step = int(np.ceil(np.sqrt(grid.n_t)))
     g_t = (3 * rows * grid.n_t // 2 + QUADRATURE_BLOCK_BYTES // 16
            if isinstance(params.omdf, TabulatedOMDF) else 4 * step * rows)
-    check_grid_memory(grid.n_phi * grid.n_t * n_tau + 8 * eig.dim ** 2
+    check_grid_memory(grid.n_phi * grid.n_t * n_tau + (9 if eig.holds_cycle else 8) * eig.dim ** 2
                       + grid.n_t * n_tau * (2 * eig.reg.n_spins + 1)
                       + rows * (grid.n_t + step) + 2 * np.getbufsize()
                       + max(acquisition_scan_values(eig.dim, acquisition), g_t,

@@ -126,15 +126,18 @@ def build_eigensystem(cfg: RunConfig) -> EigenSystem:
     return eigendecompose(secular_hamiltonian(cfg.molecule), cfg.molecule.order_parameter)
 
 
-def simulate(cfg: RunConfig, out_dir=None) -> dict:
+def simulate(cfg: RunConfig, out_dir=None, eig: EigenSystem | None = None) -> dict:
     """Run the configured engine over the grid and write signal files.
 
-    The run directory is made only once the engine has returned, so a grid
-    that its memory gate refuses leaves none behind.
+    ``eig`` is the eigensystem of ``cfg.molecule`` when the caller holds it
+    (``build_eigensystem(cfg)``); it is built here when None.  The run
+    directory is made only once the engine has returned, so a grid that its
+    memory gate refuses leaves none behind.
     """
     t0 = time.monotonic()
     out = Path(out_dir or cfg.output_dir)
-    eig = build_eigensystem(cfg)
+    if eig is None:
+        eig = build_eigensystem(cfg)
     if cfg.engine == "closed":
         grid = run_grid(eig, cfg.grid, block=cfg.block, acquisition=cfg.acquisition,
                         n_molecules=cfg.n_molecules)
@@ -268,13 +271,20 @@ def verify_stage(cfg: RunConfig, max_residual: float = 1e-2) -> dict:
 
 
 def _set_dotted(doc: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+    """Set the value at the dotted path ``dotted`` of ``doc``, making each
+    missing (or null) mapping on the way; a ConfigError naming the path when
+    it descends into a value that is not a mapping, such as a molecule given
+    as a file path."""
+    *parents, leaf = dotted.split(".")
     node = doc
-    for k in keys[:-1]:
-        if not isinstance(node.get(k), dict):
+    for k in parents:
+        if node.get(k) is None:
             node[k] = {}
+        elif not isinstance(node[k], dict):
+            raise ConfigError(f"sweep.parameters.{dotted}: {k} is {node[k]!r}, not a mapping "
+                              f"to set {leaf} in")
         node = node[k]
-    node[keys[-1]] = value
+    node[leaf] = value
 
 
 def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
@@ -282,7 +292,15 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
 
     The config's ``sweep.parameters`` maps dotted paths (for example
     ``sequence.t_p``) to value lists; each combination runs in its own
-    subdirectory, in deterministic order.
+    subdirectory.  Every combination is parsed before the first run starts.
+    The runs are grouped by molecule, in order of first appearance: each
+    molecule is eigendecomposed once, and its eigensystem, with the I_+ and
+    the one MREV-8 cycle it holds (``EigenSystem.i_plus``, ``held_cycle``),
+    is shared by that molecule's runs and let go after the last.  Within a
+    group the runs go in combination order, stably sorted by the block's
+    tau1, so that runs of one cycle follow each other and each cycle is
+    compiled once.  Nothing outlives the call.  Returns the runs' manifests
+    in combination order.
     """
     import copy
     from itertools import product
@@ -304,9 +322,18 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
         raise ConfigError(f"sweep values give the same run directory more than once: "
                           f"{', '.join(clashes)}; make the values differ within 6 "
                           "significant digits")
-    # parse every combination before the first run starts
     cfgs = [(label, config_from_dict(doc, base_dir=base_dir)) for label, doc in runs]
-    return [simulate(cfg, out_dir=out_root / label) for label, cfg in cfgs]
+    groups = {}
+    for k, (_, cfg) in enumerate(cfgs):
+        groups.setdefault(cfg.molecule, []).append(k)
+    manifests = [None] * len(cfgs)
+    for indices in groups.values():
+        eig = build_eigensystem(cfgs[indices[0]][1])
+        for k in sorted(indices, key=lambda k: getattr(cfgs[k][1].block, "tau1", 0.0)):
+            label, cfg = cfgs[k]
+            manifests[k] = simulate(cfg, out_dir=out_root / label, eig=eig)
+        del eig  # with what it holds, before the next molecule's is built
+    return manifests
 
 
 def _sweep_parameters(sweep_doc) -> dict:

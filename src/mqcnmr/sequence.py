@@ -18,6 +18,7 @@ the encoding period at Fourier index nu of the phase transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -313,22 +314,30 @@ def acquisition_scan_values(dim: int, acquisition: AcquisitionSpec | None) -> in
     return 0 if acquisition is not None else 2 * dim ** 2 + 3 * ACQUISITION_SCAN * dim
 
 
+def _compiles_cycle(block) -> bool:
+    """Whether ``block`` is an MREV-8 "concatenate" block, whose one cycle
+    ``block_states`` compiles (or finds held by the eigensystem)."""
+    return isinstance(block, Mrev8Spec) and block.mode == "concatenate"
+
+
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
 
     A block's events are applied to the state one by one (``evolve``).  An
     MREV-8 "concatenate" block of duration tau is n copies of one cycle: the
-    cycle is compiled once, taken to the eigenbasis as w, and
+    cycle taken to the eigenbasis, w, is held by ``eig`` under tau1 and
+    compiled only when it holds none for that tau1; and
     sigma_n = w sigma_{n-1} w^dagger is advanced from the previous tau's state
     (restarting when n falls).  ``cycles_for`` runs for every tau at the call,
     so a tau that is not a whole number of cycles is rejected before anything
     is compiled.  Other blocks build each tau's events when it is reached.
     """
-    if isinstance(block, Mrev8Spec) and block.mode == "concatenate":
+    if _compiles_cycle(block):
         counts = [block.cycles_for(tau) for tau in taus]
-        cycle = compile_program(mrev8_block(block.tau1), eig)
-        return _cycle_states(eig.to_eigen(cycle), state, counts)
+        w = eig.held_cycle(block.tau1, lambda: eig.to_eigen(
+            compile_program(mrev8_block(block.tau1), eig)))
+        return _cycle_states(w, state, counts)
     return (state if block is None else evolve(block.events_for(tau), state, eig)
             for tau in taus)
 
@@ -339,19 +348,19 @@ def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
         if count < n:
             n, sigma = 0, state
         for n in range(n + 1, count + 1):
-            sigma = w @ sigma @ w.conj().T
+            sigma = w @ sigma  # the last state goes before w^dagger is made
+            sigma = sigma @ w.conj().T
         yield sigma
 
 
 def prepared_setup(eig: EigenSystem, t_p: float) -> RunSetup:
     """The operators a run holds fixed, built once after its memory gate: the
     state I_z carried through the JB preparation ``jb_prepare(t_p)``, the read
-    pulse R_y(pi/4) as its Kronecker halves, and I_+ = I_x + i I_y, the state
-    and I_+ in the H eigenbasis."""
+    pulse R_y(pi/4) as its Kronecker halves, and I_+ = I_x + i I_y as ``eig``
+    holds it, the state and I_+ in the H eigenbasis."""
     reg = eig.reg
     state = evolve(jb_prepare(t_p), collective_angular_momentum(reg, "z"), eig, eigen=False)
-    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    return RunSetup(eig, state, rotation_halves(reg, np.pi / 4, np.pi / 2), eig.to_eigen(i_plus))
+    return RunSetup(eig, state, rotation_halves(reg, np.pi / 4, np.pi / 2), eig.i_plus)
 
 
 def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
@@ -402,16 +411,17 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
 
 def _loop_values(block, n_spins: int, n_t: int) -> int:
     """The most complex values the tau loop of ``run_grid`` holds at once
-    beside the prepared state, the detection matrix and the order sums.
+    beside the prepared state, the detection matrix, the order sums and what
+    the eigensystem holds (I_+ and an MREV-8 cycle w).
 
     The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
     the last tau's sums throughout.  While ``block_states`` makes the next
-    state, the loop still holds the last one, and the block adds: two
-    eigenbasis phase products (magic sandwich); the state being carried, two
-    products of one basis change and one free evolution's m blocks with their
-    adjoints (MREV-8 "stretch"); w, its adjoint and the two products of
-    w sigma w^dagger (MREV-8 "concatenate").  The kernel runs on one slab
-    beside its state (if not the prepared one) and w, with that tau's sums
+    state, the block holds: two eigenbasis phase products (magic sandwich);
+    the state being carried, two products of one basis change and one free
+    evolution's m blocks with their adjoints (MREV-8 "stretch"); w sigma,
+    which replaces the last state, w's adjoint and their product (MREV-8
+    "concatenate").  The kernel runs on one slab, beside the state that
+    block carries from tau to tau (MREV-8 "concatenate"), with that tau's sums
     and, per m value of rows A, the GEMM output (n_t x 2^N) with its inputs
     (P[:, A] conjugated, W[A, :]) or its product with the membership matrix
     and the sums' rows it adds to.
@@ -421,11 +431,11 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     if block is None:
         step, mats = 0, 1
     elif not isinstance(block, Mrev8Spec):
-        step, mats = 3 * dim ** 2, 2
+        step, mats = 2 * dim ** 2, 1
     elif block.mode == "stretch":
-        step, mats = 4 * dim ** 2 + 2 * comb(2 * n_spins, n_spins), 2
+        step, mats = 3 * dim ** 2 + 2 * comb(2 * n_spins, n_spins), 1
     else:
-        step, mats = 5 * dim ** 2, 3
+        step, mats = 3 * dim ** 2, 2
     kernel = (mats * dim ** 2 + (2 * n_spins + 1 + dim) * n_t
               + max(rows * (n_t + dim), 2 * (n_spins + 1) * n_t))
     return (n_t + n_spins + 1) * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
@@ -478,18 +488,24 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
     n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
-    # the prepared state with I_+, then with the detection matrix; beside
-    # them, never at once: the detection matrix's build (the window with its
-    # real frequencies, one basis change's three arrays and V's adjoint m
-    # blocks), the default acquisition's scan, or the sums with the tau loop
-    # and then with the signal grid
+    # the MREV-8 cycle eig holds before the tau loop, and through it (one
+    # that the block compiles replaces one eig held at another tau1)
+    cycle = dim2 if eig.holds_cycle else 0
+    loop_cycle = dim2 if eig.holds_cycle or _compiles_cycle(block) else 0
+    # I_+, which eig holds, and the prepared state; beside them, never at
+    # once: the detection matrix's build (the matrix, the window with its
+    # real frequencies, one basis change's arrays and V's adjoint m blocks)
+    # or the default acquisition's scan, each beside the cycle eig holds; or
+    # the detection matrix and the sums with the tau loop and then with the
+    # signal grid, beside the loop's cycle
     check_grid_memory(2 * dim2 + max(
-        9 * dim2 // 2 + comb(2 * n_spins, n_spins),
-        acquisition_scan_values(eig.dim, acquisition),
-        n_tau * (2 * n_spins + 1) * grid.n_t
+        cycle + 9 * dim2 // 2 + comb(2 * n_spins, n_spins),
+        cycle + acquisition_scan_values(eig.dim, acquisition),
+        loop_cycle + dim2 + n_tau * (2 * n_spins + 1) * grid.n_t
         + max(_loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
-    slabs = (_tau_slab(det, sigma) for sigma in block_states(block, grid.taus, eig, a_eig))
+    # map, unlike a generator expression, lets each state go once its slab is made
+    slabs = map(partial(_tau_slab, det), block_states(block, grid.taus, eig, a_eig))
     sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)
     for k, c in enumerate(pair_order_sums(slabs, eig, grid.ts)):
         sums[k] = c

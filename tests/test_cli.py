@@ -438,6 +438,92 @@ def test_sweep_runs_all_combinations(tmp_path):
         np.testing.assert_allclose(doubles[d2], 2.0 * a1, atol=0)
 
 
+def _count_calls(monkeypatch, module, name, log):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_eigendecomposes_once_and_compiles_once_per_tau1(tmp_path, monkeypatch):
+    # nonideality_sweep: 8 runs of one molecule at 2 values of tau1; each run
+    # writes the signals of a standalone simulate of its combination
+    from mqcnmr import sequence
+    log = []
+    _count_calls(monkeypatch, runner, "eigendecompose", log)
+    _count_calls(monkeypatch, sequence, "compile_program", log)
+    path = preset_path("runs/nonideality_sweep.yaml")
+    doc = yaml.safe_load(path.read_text())
+    manifests = sweep(doc, base_dir=path.parent, out_root=tmp_path / "sweep")
+    assert len(manifests) == 8
+    assert log.count("eigendecompose") == 1 and log.count("compile_program") == 2
+    params = doc.pop("sweep")["parameters"]
+    for tau1 in params["sequence.block.tau1"]:
+        for t_p in params["sequence.t_p"]:
+            one = {**doc, "sequence": {**doc["sequence"], "t_p": t_p,
+                                       "block": {**doc["sequence"]["block"], "tau1": tau1}}}
+            out = tmp_path / "alone"
+            simulate(config_from_dict(one, base_dir=path.parent), out_dir=out)
+            swept = tmp_path / "sweep" / f"tau1={tau1:g}_t_p={t_p:g}" / "signals.npy"
+            assert swept.read_bytes() == (out / "signals.npy").read_bytes()
+    assert log.count("eigendecompose") == 9 and log.count("compile_program") == 10
+
+
+def test_sweep_builds_one_eigensystem_per_molecule_and_call(tmp_path, monkeypatch):
+    # an inline molecule's order parameter changes the molecule: one
+    # eigensystem per value, shared by its runs, which compile one MREV-8
+    # cycle per tau1 though tau1 is the innermost parameter; a second call
+    # builds its own
+    from mqcnmr import sequence
+    log = []
+    _count_calls(monkeypatch, runner, "eigendecompose", log)
+    _count_calls(monkeypatch, sequence, "compile_program", log)
+    doc = tiny_doc()
+    doc["sequence"].update(block={"type": "mrev8", "tau1": 5e-6}, tau_schedule={"count": 3})
+    doc["sweep"] = {"parameters": {"molecule.order_parameter": [0.4, 0.6, 0.8],
+                                   "sequence.acquisition.t_m": [3e-6, 4e-6],
+                                   "sequence.block.tau1": [5e-6, 1e-5]}}
+    assert len(sweep(doc, out_root=tmp_path / "a")) == 12
+    assert log.count("eigendecompose") == 3 and log.count("compile_program") == 6
+    sweep(doc, out_root=tmp_path / "b")
+    assert log.count("eigendecompose") == 6 and log.count("compile_program") == 12
+    for run in (tmp_path / "a").iterdir():
+        assert (run / "signals.npy").read_bytes() == \
+            (tmp_path / "b" / run.name / "signals.npy").read_bytes()
+
+
+def test_sweep_refuses_a_key_inside_a_value_that_is_not_a_mapping(tmp_path):
+    # a molecule given as a path has no order_parameter to set: the sweep
+    # names the key and writes nothing, where it used to drop the path
+    shutil.copy(preset_path("molecules/two_spin.yaml"), tmp_path / "pair.yaml")
+    doc = tiny_doc(molecule="pair.yaml")
+    doc["sweep"] = {"parameters": {"molecule.order_parameter": [0.4, 0.6]}}
+    with pytest.raises(ConfigError, match="molecule.order_parameter"):
+        sweep(doc, base_dir=tmp_path, out_root=tmp_path / "sw")
+    assert main(["sweep", str(write_config(tmp_path, doc)),
+                 "--output", str(tmp_path / "sw")]) == 2
+    assert not (tmp_path / "sw").exists()
+    # a missing (or null) parent is made
+    doc = tiny_doc(molecule="pair.yaml")
+    doc["sequence"]["block"] = None
+    doc["sweep"] = {"parameters": {"sequence.block.type": ["magic_sandwich"],
+                                   "sequence.acquisition.t_m": [3e-6]}}
+    del doc["sequence"]["acquisition"]
+    with pytest.raises(ConfigError, match="acquisition: missing required key 'window'"):
+        sweep(doc, base_dir=tmp_path, out_root=tmp_path / "sw")
+    doc["sweep"]["parameters"]["sequence.acquisition.window"] = [2e-6]
+    assert len(sweep(doc, base_dir=tmp_path, out_root=tmp_path / "sw")) == 1
+
+
+def test_sweep_cli_refuses_bad_yaml(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("sweep: [parameters: {")
+    assert main(["sweep", str(bad), "--output", str(tmp_path / "sw")]) == 2
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_requires_parameters(tmp_path):
     from mqcnmr.errors import ConfigError, GridSizeError
     with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from mqcnmr import config
 from mqcnmr.config import (config_from_dict, config_hash, load_config, load_molecule,
                            molecule_from_dict, preset_path)
 from mqcnmr.errors import ConfigError
@@ -100,6 +101,29 @@ def test_load_molecule_bad_file(tmp_path):
     bad.write_text("not: [valid: yaml")
     with pytest.raises(ConfigError):
         load_molecule(bad)
+
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+def test_shipped_presets_load_alike_under_both_yaml_loaders(loader, tmp_path, monkeypatch):
+    # config files are parsed by libyaml where PyYAML was built with it; each
+    # shipped run and molecule preset reads to the document, value types
+    # included, that the pure-Python safe loader gives, and bad YAML is a
+    # ConfigError under either loader
+    if yaml.__with_libyaml__:
+        assert config.YAML_LOADER is yaml.CSafeLoader
+    monkeypatch.setattr(config, "YAML_LOADER", loader)
+    paths = sorted(preset_path("runs").parent.rglob("*.yaml"))
+    assert {path.parent.name for path in paths} == {"runs", "molecules"} and len(paths) == 8
+    for path in paths:
+        doc, want = config.load_yaml(path, "preset"), yaml.safe_load(path.read_text())
+        assert doc == want and repr(doc) == repr(want), path
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("not: [valid: yaml")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_config(bad)
 
 
 def test_config_blocks_and_schedules():

@@ -323,3 +323,54 @@ def test_propagator_matches_expm():
     for t in (1e-5, 8e-5):
         np.testing.assert_allclose(ref.propagator(eig, t),
                                    expm(-1j * h * t), atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), s_zz=st.floats(-0.5, 1.0),
+       couplings=st.lists(st.sampled_from([0.0, -0.0, 1500.0, -3000.0]) | st.floats(-2e4, 2e4),
+                          min_size=15, max_size=15),
+       pick=st.integers(0, 14), delta=st.sampled_from([1.0, -250.0, 1e-3]))
+def test_spin_systems_compare_and_hash_by_value(n, s_zz, couplings, pick, delta):
+    # equal tables (a copy, or -0.0 in place of 0.0) give equal molecules with
+    # equal hashes; one changed coupling or S_zz gives unequal ones
+    table = np.zeros((n, n))
+    table[np.triu_indices(n, 1)] = couplings[:n * (n - 1) // 2]
+    table = table + table.T
+    mol = SpinSystem(table, s_zz)
+    twin = SpinSystem(np.where(table == 0.0, -0.0, table).copy(), s_zz)
+    assert mol == twin and hash(mol) == hash(twin)
+    assert len({mol, twin}) == 1 and {mol: 1}[twin] == 1
+    j, k = np.triu_indices(n, 1)
+    j, k = j[pick % j.size], k[pick % k.size]
+    changed = table.copy()
+    changed[j, k] = changed[k, j] = table[j, k] + delta
+    assume(changed[j, k] != table[j, k])
+    assert mol != SpinSystem(changed, s_zz)
+    other_s_zz = s_zz - 0.25 if s_zz > 0.0 else s_zz + 0.25
+    assert mol != SpinSystem(table, other_s_zz)
+    assert mol != SpinSystem(np.zeros((n + 1, n + 1)), s_zz) and mol != "molecule"
+
+
+def test_eigensystem_holds_i_plus_and_one_cycle():
+    table = np.array([[0.0, 4000.0, -900.0], [4000.0, 0.0, 2500.0], [-900.0, 2500.0, 0.0]])
+    eig = eigendecompose(secular_hamiltonian(SpinSystem(table, 0.6)), 0.6)
+    reg = eig.reg
+    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
+    np.testing.assert_allclose(eig.i_plus, eig.vectors.conj().T @ i_plus @ eig.vectors,
+                               rtol=0, atol=1e-12)
+    assert eig.i_plus is eig.i_plus and not eig.i_plus.flags.writeable
+    builds = []
+
+    def build(value):
+        def make():
+            builds.append(value)
+            return np.full((2, 2), value, dtype=complex)
+        return make
+
+    assert not eig.holds_cycle
+    first = eig.held_cycle(1e-6, build(1.0))
+    assert eig.held_cycle(1e-6, build(2.0)) is first and builds == [1.0]
+    assert eig.holds_cycle and not first.flags.writeable
+    # one entry: another key replaces it, and the first key builds again
+    assert eig.held_cycle(2e-6, build(3.0))[0, 0] == 3.0
+    assert eig.held_cycle(1e-6, build(4.0))[0, 0] == 4.0 and builds == [1.0, 3.0, 4.0]

@@ -285,37 +285,54 @@ def test_run_grid_memory_budget(monkeypatch):
 
 
 BLOCK_FAMILIES = [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"), Mrev8Spec(tau1=5e-6)]
-# (block, n_t, n_tau): 60 taus of 4 times, where the operators of the block
-# step set the peak, and 8 taus of 1024 times, where the kernel's phases and
-# GEMM output of n_t x 2^N do
+# (block, n_t, n_tau, first): 60 taus of 4 times, where the operators of the
+# block step set the peak, and 8 taus of 1024 times, where the kernel's
+# phases and GEMM output of n_t x 2^N do; each on a new eigensystem, or on
+# one that a first run left holding I_+ and its MREV-8 cycle (which a
+# "concatenate" run at another tau1, two cycles per 60 us, replaces)
 CLOSED_MEMORY_CASES = (
-    [pytest.param(block, 4, 60, id=f"block{i}") for i, block in enumerate(BLOCK_FAMILIES)]
-    + [pytest.param(block, 1024, 8, id=f"n_t1024-block{i}")
-       for i, block in enumerate(BLOCK_FAMILIES)])
+    [pytest.param(block, 4, 60, None, id=f"block{i}") for i, block in enumerate(BLOCK_FAMILIES)]
+    + [pytest.param(block, 1024, 8, None, id=f"n_t1024-block{i}")
+       for i, block in enumerate(BLOCK_FAMILIES)]
+    + [pytest.param(MagicSandwichSpec(), 4, 60, BLOCK_FAMILIES[2], id="block2-then-block0"),
+       pytest.param(Mrev8Spec(tau1=2.5e-6), 4, 60, BLOCK_FAMILIES[2],
+                    id="block2-then-other-tau1")])
 
 
-@pytest.mark.parametrize("block, n_t, n_tau", CLOSED_MEMORY_CASES)
-def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, monkeypatch):
+@pytest.mark.parametrize("block, n_t, n_tau, first", CLOSED_MEMORY_CASES)
+def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, first,
+                                                            monkeypatch):
     # each block family holds the factors of one event at a time (a magic
     # sandwich applies its free evolutions as eigenbasis phases); a budget at
     # the traced peak must be refused, and one 5% above it accepted (N = 8,
     # where the 2^N x 2^N arrays dominate the small objects whose count
-    # depends on what ran before in the process)
+    # depends on what ran before in the process).  After a first run the
+    # trace counts what the eigensystem still holds from it.  Each budget is
+    # tried on an eigensystem in the state the traced run found it in: a new
+    # one, or the used one, which holds an MREV-8 cycle before and after
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=2e-6, n_phi=4,
                           taus=tuple(k * 60e-6 for k in range(n_tau)))
     _, _, reg, eig = make_system(n=8, seed=3)
     tracemalloc.start()
     try:
+        if first is not None:
+            run_grid(eig, grid, block=first, acquisition=acq)
+            tracemalloc.reset_peak()
         run_grid(eig, grid, block=block, acquisition=acq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+    def gated_run():
+        run_grid(eig if first is not None else make_system(n=8, seed=3)[3], grid,
+                 block=block, acquisition=acq)
+
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
     with pytest.raises(GridSizeError):
-        run_grid(eig, grid, block=block, acquisition=acq)
+        gated_run()
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
-    run_grid(eig, grid, block=block, acquisition=acq)
+    gated_run()
 
 
 _FRESH_RUN = """
@@ -411,12 +428,14 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
     # MREV-8 "concatenate" with the default acquisition: each collective
-    # angular momentum is built once, and the JB preparation applied once
-    from mqcnmr import operators, spectra
+    # angular momentum is built once, and the JB preparation applied once;
+    # a second run on the same eigensystem builds only its own I_z and
+    # prepared state, and compiles its cycle only at another tau1
+    from mqcnmr import hamiltonian, operators, spectra
     _, _, reg, eig = make_system(n=3, seed=2)
     block = Mrev8Spec(tau1=5e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=block.tau_schedule(3))
-    calls = {"collective_angular_momentum": [], "evolve": []}
+    calls = {"collective_angular_momentum": [], "evolve": [], "compile_program": []}
 
     def logged(fn, log):
         def wrapper(*args, **kwargs):
@@ -424,14 +443,21 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (operators, sequence, spectra):
+    for mod in (operators, hamiltonian, sequence, spectra):
         for name, log in calls.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
-    run_grid(eig, grid, block=block)
+    first = run_grid(eig, grid, block=block).data
     axes = [args[1] for args in calls["collective_angular_momentum"]]
-    assert len(axes) == len(set(axes))
+    assert sorted(axes) == ["x", "y", "z"]
     assert [tuple(args[0]) for args in calls["evolve"]].count(jb_prepare(grid.t_p)) == 1
+    assert len(calls["compile_program"]) == 1
+    assert np.array_equal(run_grid(eig, grid, block=block).data, first)
+    assert [args[1] for args in calls["collective_angular_momentum"]] == axes + ["z"]
+    assert len(calls["compile_program"]) == 1
+    other = Mrev8Spec(tau1=2.5e-6)
+    run_grid(eig, grid, block=other)
+    assert len(calls["compile_program"]) == 2
 
 
 def test_default_acquisition():
