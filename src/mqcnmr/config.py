@@ -212,19 +212,22 @@ def _tau_schedule(doc, block) -> tuple:
                         "sequence.tau_schedule.count", int)
         if count < 1:
             raise ConfigError("tau schedule must be non-empty")
+        start = _number(doc.get("start", 0.0), "sequence.tau_schedule.start")
         if "step" in doc:
             step = _number(doc["step"], "sequence.tau_schedule.step")
-            start = _number(doc.get("start", 0.0), "sequence.tau_schedule.start")
-            return tuple(start + n * step for n in range(count))
-        if isinstance(block, Mrev8Spec):
-            return block.tau_schedule(count)
-        raise ConfigError("tau_schedule needs a step unless the block is MREV8 "
-                          "(whose cycle time sets the step)")
+        elif isinstance(block, Mrev8Spec):
+            step = block.cycle_time
+        else:
+            raise ConfigError("tau_schedule needs a step unless the block is MREV8 "
+                              "(whose cycle time sets the step)")
+        return tuple(start + n * step for n in range(count))
     raise ConfigError("tau_schedule must be a list of times or {count, step}")
 
 
 def _phi_points(seq: dict) -> int:
     if "n_phi" in seq:
+        if "phi_step_deg" in seq:
+            raise ConfigError("sequence.grid.phi_step_deg: not read next to n_phi; remove it")
         return _number(seq["n_phi"], "sequence.grid.n_phi", int)
     if "phi_step_deg" in seq:
         step = _number(seq["phi_step_deg"], "sequence.grid.phi_step_deg")

@@ -298,9 +298,9 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
     the one MREV-8 cycle it holds (``EigenSystem.i_plus``, ``held_cycle``),
     is shared by that molecule's runs and let go after the last.  Within a
     group the runs go in combination order, stably sorted by the block's
-    tau1, so that runs of one cycle follow each other and each cycle is
-    compiled once.  Nothing outlives the call.  Returns the runs' manifests
-    in combination order.
+    tau1, so that runs of one "concatenate" cycle follow each other and
+    each such cycle is compiled once.  Nothing outlives the call.  Returns
+    the runs' manifests in combination order.
     """
     import copy
     from itertools import product

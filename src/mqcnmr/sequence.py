@@ -144,9 +144,11 @@ def total_duration(events) -> float:
 class Mrev8Spec:
     """Reversion block family: MREV-8 cycles reaching a target duration tau.
 
-    mode "concatenate" repeats fixed cycles of length 12*tau1 (tau must be
-    an integer multiple); mode "stretch" uses a single cycle with
-    tau1 = tau/12.
+    ``cycles(tau)`` gives the pulse spacing of the cycle a block repeats and
+    its number of whole cycles: mode "concatenate" repeats cycles of length
+    12*tau1 (tau must be an integer multiple); mode "stretch" stretches one
+    cycle to tau, spacing tau/12 (Rhim, Elleman & Vaughan, J. Chem. Phys. 58,
+    1772 (1973)).
     """
     tau1: float
     mode: str = "concatenate"
@@ -161,25 +163,19 @@ class Mrev8Spec:
     def cycle_time(self) -> float:
         return 12.0 * self.tau1
 
-    def cycles_for(self, tau: float) -> int:
-        """The number of 12*tau1 cycles in a "concatenate" block of duration tau."""
-        if tau == 0:
-            return 0
+    def cycles(self, tau: float) -> tuple:
+        """(spacing, count) of a block of duration tau; count 0 at tau = 0."""
+        if self.mode == "stretch":
+            return tau / 12.0, int(tau != 0)
         n = tau / self.cycle_time
-        n_int = int(round(n))
-        if n_int < 1 or abs(n - n_int) > 1e-9:
-            raise ConfigError(
-                f"tau = {tau} is not an integer multiple of the MREV8 cycle "
-                f"time 12*tau1 = {self.cycle_time}"
-            )
-        return n_int
+        if tau != 0 and (round(n) < 1 or abs(n - round(n)) > 1e-9):
+            raise ConfigError(f"tau = {tau} is not an integer multiple of the MREV8 cycle "
+                              f"time 12*tau1 = {self.cycle_time}")
+        return self.tau1, round(n)
 
     def events_for(self, tau: float) -> tuple:
-        if tau == 0:
-            return ()
-        if self.mode == "stretch":
-            return mrev8_block(tau / 12.0)
-        return mrev8_block(self.tau1, self.cycles_for(tau))
+        spacing, count = self.cycles(tau)
+        return mrev8_block(spacing, count) if count else ()
 
     def tau_schedule(self, count: int) -> tuple:
         return tuple(n * self.cycle_time for n in range(count))
@@ -232,21 +228,19 @@ def evolve(events, sigma: np.ndarray, eig: EigenSystem, eigen: bool = True) -> n
     """The state ``sigma`` carried through ``events`` (U sigma U^dagger per
     event), returned in the H eigenbasis.
 
-    ``sigma`` is given in the eigenbasis (``eigen``) or the product basis.  A
-    free evolution on a state still in the eigenbasis is a phase per element,
-    O(4^N); a pulse moves the state to the product basis, where every further
-    event applies by its structure (``conjugate``).
+    ``sigma`` is given in the eigenbasis (``eigen``), where each event must be
+    a free evolution, a phase per element, O(4^N); or in the product basis,
+    where each event applies by its structure (``conjugate``).
     """
-    for ev in events:
-        if eigen and isinstance(ev, FreeEvolution):
-            p = free_phases(eig, [ev.scale * ev.duration])[0]
-            sigma = p[:, None] * sigma
-            sigma *= p.conj()
-        else:
-            if eigen:
-                sigma, eigen = eig.to_product(sigma), False
+    if not eigen:
+        for ev in events:
             sigma = conjugate(ev, sigma, eig)
-    return sigma if eigen else eig.to_eigen(sigma)
+        return eig.to_eigen(sigma)
+    for ev in events:
+        p = free_phases(eig, [ev.scale * ev.duration])[0]
+        sigma = p[:, None] * sigma
+        sigma *= p.conj()
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -314,39 +308,41 @@ def acquisition_scan_values(dim: int, acquisition: AcquisitionSpec | None) -> in
     return 0 if acquisition is not None else 2 * dim ** 2 + 3 * ACQUISITION_SCAN * dim
 
 
-def _compiles_cycle(block) -> bool:
-    """Whether ``block`` is an MREV-8 "concatenate" block, whose one cycle
-    ``block_states`` compiles (or finds held by the eigensystem)."""
-    return isinstance(block, Mrev8Spec) and block.mode == "concatenate"
-
-
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
 
-    A block's events are applied to the state one by one (``evolve``).  An
-    MREV-8 "concatenate" block of duration tau is n copies of one cycle: the
-    cycle taken to the eigenbasis, w, is held by ``eig`` under tau1 and
-    compiled only when it holds none for that tau1; and
-    sigma_n = w sigma_{n-1} w^dagger is advanced from the previous tau's state
-    (restarting when n falls).  ``cycles_for`` runs for every tau at the call,
-    so a tau that is not a whole number of cycles is rejected before anything
-    is compiled.  Other blocks build each tau's events when it is reached.
+    An MREV-8 block of duration tau is n copies of one cycle
+    (``Mrev8Spec.cycles``), carried by ``_cycle_states``.  ``cycles`` runs
+    for every tau at the call, so a "concatenate" tau that is not a whole
+    number of cycles is rejected before anything is compiled.  A magic
+    sandwich's free evolutions apply to the state as eigenbasis phases
+    (``evolve``).
     """
-    if _compiles_cycle(block):
-        counts = [block.cycles_for(tau) for tau in taus]
-        w = eig.held_cycle(block.tau1, lambda: eig.to_eigen(
-            compile_program(mrev8_block(block.tau1), eig)))
-        return _cycle_states(w, state, counts)
+    if isinstance(block, Mrev8Spec):
+        return _cycle_states(eig, state, [block.cycles(tau) for tau in taus])
     return (state if block is None else evolve(block.events_for(tau), state, eig)
             for tau in taus)
 
 
-def _cycle_states(w: np.ndarray, state: np.ndarray, counts):
-    n, sigma = 0, state
-    for count in counts:
-        if count < n:
+def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
+    """Iterator over ``state`` carried through n cycles of pulse spacing s, for
+    each (s, n) of ``cycles``.
+
+    The cycle taken to the eigenbasis, w, is held by ``eig`` under s and
+    compiled only when it holds none for that s; sigma_n = w sigma_(n-1)
+    w^dagger is advanced from the previous state, restarting from ``state``
+    when s changes or n falls.  The loop lets its w go before ``eig`` builds
+    the next, so at most one cycle is alive.
+    """
+    spacing, w, n, sigma = None, None, 0, state
+    for s, count in cycles:
+        if s != spacing:
+            spacing, w, n, sigma = s, None, 0, state
+        elif count < n:
             n, sigma = 0, state
+        if count and w is None:
+            w = eig.held_cycle(s, lambda: eig.to_eigen(compile_program(mrev8_block(s), eig)))
         for n in range(n + 1, count + 1):
             sigma = w @ sigma  # the last state goes before w^dagger is made
             sigma = sigma @ w.conj().T
@@ -417,25 +413,22 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
     the last tau's sums throughout.  While ``block_states`` makes the next
     state, the block holds: two eigenbasis phase products (magic sandwich);
-    the state being carried, two products of one basis change and one free
-    evolution's m blocks with their adjoints (MREV-8 "stretch"); w sigma,
-    which replaces the last state, w's adjoint and their product (MREV-8
-    "concatenate").  The kernel runs on one slab, beside the state that
-    block carries from tau to tau (MREV-8 "concatenate"), with that tau's sums
-    and, per m value of rows A, the GEMM output (n_t x 2^N) with its inputs
-    (P[:, A] conjugated, W[A, :]) or its product with the membership matrix
-    and the sums' rows it adds to.
+    w sigma, which replaces the last state, w's adjoint and their product,
+    or the cycle being compiled and taken to the eigenbasis (MREV-8, in
+    either mode).  The kernel runs on one slab, beside the state that an
+    MREV-8 block carries from tau to tau, with that tau's sums and, per m
+    value of rows A, the GEMM output (n_t x 2^N) with its inputs (P[:, A]
+    conjugated, W[A, :]) or its product with the membership matrix and the
+    sums' rows it adds to.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
     if block is None:
         step, mats = 0, 1
-    elif not isinstance(block, Mrev8Spec):
-        step, mats = 2 * dim ** 2, 1
-    elif block.mode == "stretch":
-        step, mats = 3 * dim ** 2 + 2 * comb(2 * n_spins, n_spins), 1
-    else:
+    elif isinstance(block, Mrev8Spec):
         step, mats = 3 * dim ** 2, 2
+    else:
+        step, mats = 2 * dim ** 2, 1
     kernel = (mats * dim ** 2 + (2 * n_spins + 1 + dim) * n_t
               + max(rows * (n_t + dim), 2 * (n_spins + 1) * n_t))
     return (n_t + n_spins + 1) * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
@@ -483,15 +476,15 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     to propagating every grid point through the compiled pulse chain.
 
     Args:
-        block: reversion block spec with an ``events_for(tau)`` method
-            (``Mrev8Spec``, ``MagicSandwichSpec``) or None.
+        block: reversion block spec, ``Mrev8Spec`` (one compiled cycle per
+            pulse spacing, in either mode), ``MagicSandwichSpec`` or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
     n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
     # the MREV-8 cycle eig holds before the tau loop, and through it (one
-    # that the block compiles replaces one eig held at another tau1)
+    # that the block compiles replaces one eig held at another spacing)
     cycle = dim2 if eig.holds_cycle else 0
-    loop_cycle = dim2 if eig.holds_cycle or _compiles_cycle(block) else 0
+    loop_cycle = dim2 if eig.holds_cycle or isinstance(block, Mrev8Spec) else 0
     # I_+, which eig holds, and the prepared state; beside them, never at
     # once: the detection matrix's build (the matrix, the window with its
     # real frequencies, one basis change's arrays and V's adjoint m blocks)

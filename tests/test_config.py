@@ -153,6 +153,38 @@ def test_config_blocks_and_schedules():
         config_from_dict(doc)
 
 
+def test_tau_schedule_start_is_honoured_when_the_mrev8_cycle_sets_the_step(tmp_path, capsys):
+    from mqcnmr.cli import main
+    doc = base_doc()
+    doc["sequence"]["block"] = {"type": "mrev8", "tau1": 5e-6}
+    doc["sequence"]["tau_schedule"] = {"count": 3, "start": 1.2e-4}
+    np.testing.assert_allclose(config_from_dict(doc).grid.taus, [1.2e-4, 1.8e-4, 2.4e-4])
+    doc["sequence"]["tau_schedule"]["start"] = "abc"
+    with pytest.raises(ConfigError, match="sequence.tau_schedule.start"):
+        config_from_dict(doc)
+    # a start that is not a whole number of 60 us cycles is refused like any such tau
+    doc["sequence"]["tau_schedule"]["start"] = 7e-5
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "integer multiple" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_phi_step_next_to_n_phi_exits_2(tmp_path, capsys):
+    from mqcnmr.cli import main
+    for step in (45.0, "abc"):
+        doc = base_doc()
+        doc["sequence"]["grid"]["phi_step_deg"] = step
+        with pytest.raises(ConfigError, match="phi_step_deg: not read next to n_phi"):
+            config_from_dict(doc)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert "sequence.grid.phi_step_deg" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_phi_step_degrees():
     doc = base_doc()
     del doc["sequence"]["grid"]["n_phi"]

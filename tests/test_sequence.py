@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mqcnmr
 import reference as ref
@@ -163,13 +165,61 @@ def test_block_states_match_the_compiled_chain():
                 sigma, carried(compile_program(mrev8_block(5e-6, n), eig)), rtol=0, atol=1e-12)
     with pytest.raises(ConfigError):
         block_states(block, [0.0, 70e-6], eig, state)
-    # other block families apply their events to the state for each tau
+    # a stretched cycle and a magic sandwich carry the state alike
     for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
                        (MagicSandwichSpec(), 1.5e-4)):
         (sigma,) = block_states(other, [tau], eig, state)
         np.testing.assert_allclose(sigma, carried(compile_program(other.events_for(tau), eig)),
                                    rtol=0, atol=1e-12)
     assert [s is state for s in block_states(None, [0.0, 1e-4], eig, state)] == [True, True]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["concatenate", "stretch"]),
+       counts=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       unit=st.floats(1e-5, 1e-4), held=st.booleans())
+def test_block_states_match_the_compiled_chain_for_any_schedule(mode, counts, unit, held):
+    # unsorted taus with zeros and repeats; a "stretch" tau is any multiple of
+    # ``unit``.  A "concatenate" schedule with one bad tau is refused before
+    # anything is compiled.  With ``held`` the eigensystem first holds an
+    # operator under a spacing no tau uses, which no state may read
+    _, _, reg, eig = make_system(n=3, seed=4)
+    block = Mrev8Spec(tau1=5e-6, mode=mode)
+    taus = [n * (block.cycle_time if mode == "concatenate" else unit) for n in counts]
+    with pytest.raises(ConfigError):
+        block_states(Mrev8Spec(tau1=5e-6), [n * 60e-6 for n in counts] + [70e-6], eig, None)
+    assert not eig.holds_cycle
+    if held:
+        eig.held_cycle(-1.0, lambda: np.ones((8, 8), dtype=complex))
+    rng = np.random.default_rng(len(counts))
+    state = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    v = eig.vectors
+    for tau, sigma in zip(taus, block_states(block, taus, eig, state)):
+        w = v.conj().T @ compile_program(block.events_for(tau), eig) @ v
+        np.testing.assert_allclose(sigma, w @ state @ w.conj().T, rtol=0, atol=1e-12)
+
+
+def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
+    # each nonzero tau of a stretched block is one compiled cycle; no event is
+    # applied to the state on its own but the JB preparation's three
+    _, _, reg, eig = make_system(n=3, seed=2)
+    calls = {"compile_program": 0, "conjugate": 0}
+
+    def counted(name):
+        fn = getattr(sequence, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sequence, name, counted(name))
+    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8,
+                          taus=(0.0, 6e-5, 1.1e-4, 2.4e-4))
+    run_grid(eig, grid, block=Mrev8Spec(tau1=5e-6, mode="stretch"),
+             acquisition=AcquisitionSpec(t_m=3e-6, window=2e-6))
+    assert calls == {"compile_program": 3, "conjugate": 3}
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -302,8 +352,8 @@ CLOSED_MEMORY_CASES = (
 @pytest.mark.parametrize("block, n_t, n_tau, first", CLOSED_MEMORY_CASES)
 def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, first,
                                                             monkeypatch):
-    # each block family holds the factors of one event at a time (a magic
-    # sandwich applies its free evolutions as eigenbasis phases); a budget at
+    # each block family holds one step at a time (a magic sandwich its
+    # eigenbasis phases, an MREV-8 block its compiled cycle); a budget at
     # the traced peak must be refused, and one 5% above it accepted (N = 8,
     # where the 2^N x 2^N arrays dominate the small objects whose count
     # depends on what ran before in the process).  After a first run the
@@ -379,8 +429,8 @@ def test_closed_memory_estimate_covers_a_fresh_process(block):
 
 
 def test_stretched_run_peak_does_not_grow_by_a_matrix_per_tau():
-    # every tau of a stretched MREV-8 block has its own delays; their m blocks
-    # are built where they are applied and freed after, and each tau's slab
+    # every tau of a stretched MREV-8 block has its own cycle, which goes
+    # before the next tau's is compiled, and each tau's slab
     # goes once its order sums are taken, so 30 more taus add at most their
     # rows of the signal grid and order sums (N = 7)
     _, _, reg, eig = make_system(n=7, seed=3)
