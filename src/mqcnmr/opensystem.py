@@ -18,16 +18,22 @@ tau, and the tau^4 law is applied to the total block duration.
 
 The total-sample signal of N identical uncorrelated molecules is N times
 the single-molecule signal; N enters as a plain multiplicative factor.
+
+The factors and the phase depend on the gap alone, so the kernel
+(``pair_order_sums``) spreads each pair's weight onto uniform gap nodes (Dutt &
+Rokhlin, SIAM J. Sci. Comput. 14, 1368 (1993)) by barycentric Lagrange weights
+(Berrut & Trefethen, SIAM Rev. 46, 501 (2004)) and sums over the nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, MqcnmrError, UnsupportedGridError
+from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
 from .sequence import (ExperimentGrid, acquisition_scan_values, check_grid_memory, kernel_inputs,
                        phase_encode, prepared_setup)
@@ -37,54 +43,30 @@ from .spectra import SignalGrid
 # their cosines or sines.
 QUADRATURE_BLOCK_BYTES = 4 << 20
 
+# The gap grid: P-point Lagrange interpolation between nodes pi / (c B) apart for
+# a band B; the byte budget of its transients (a chunk of pairs being spread, a
+# block of E with its temporaries, or a group of taus' product with its operand);
+# the bytes of one pair of a chunk (P weights, their nodes and values, 12 scalars).
+STENCIL = 20
+OVERSAMPLING = 6.0
+GRID_CHUNK_BYTES = 4 << 20
+_PAIR_BYTES = 8 * (3 * STENCIL + 12)
 
-def _powers(x: np.ndarray, n: int, square: bool = False) -> np.ndarray:
-    """x^k (x^(k^2) when ``square``) for k = 0 .. n-1, stacked on a new first
-    axis, by repeated multiplication: x^((k+1)^2) = x^(k^2) x^(2k+1)."""
-    out = np.empty((n,) + x.shape, dtype=x.dtype)
-    out[0] = 1.0
-    step, x2 = x.copy(), x * x if square else None
-    for k in range(1, n):
-        np.multiply(out[k - 1], step, out=out[k])
-        if square:
-            step *= x2
-    return out
-
-
-def _uniform_exp(a: np.ndarray, ts: np.ndarray, b=0.0) -> np.ndarray:
-    """exp(a t + b t^2) for each row's a (complex) and b (real) on uniform ts,
-    shape (rows, n_t), from three complex and three real exponentials per row.
-
-    With t_j = t_0 + j dt the exponent is c0 + c1 j + c2 j^2, and with
-    j = L k + l (L = ceil(sqrt(n_t))) the value is the product of a coarse
-    factor exp(c0) R^k Q^(k^2), a fine factor r^l q^(l^2) and u^(k l), where
-    r, R = exp(c1), exp(L c1) and q, Q, u = exp(c2), exp(L^2 c2), exp(2 L c2);
-    every power is taken by multiplication.  A power p of a base rounded once
-    is off by about p ulp, and no base is raised past n_t (j^2 itself would
-    reach n_t^2); the tests hold the result within 1e-13 of max |E| of exp
-    at every sample for n_t up to 300, 100 rad of phase and a decay to e^-30.
-    The result is the transpose of a (n_t, rows) array, which BLAS reads as
-    it is.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.broadcast_to(np.asarray(b, dtype=float), a.shape)
-    step, t0, dt = int(np.ceil(np.sqrt(ts.size))), ts[0], ts[1] - ts[0]
-    c1 = (a + 2.0 * b * t0) * dt
-    c0, r, big_r = np.exp([a * t0 + b * t0 ** 2, c1, step * c1])
-    coarse = c0 * _powers(big_r, -(-ts.size // step))
-    fine = _powers(r, step)
-    q, big_q, u = np.exp(b * dt ** 2 * np.array([1.0, step ** 2, 2 * step])[:, None])
-    coarse *= _powers(big_q, coarse.shape[0], square=True)
-    fine *= _powers(q, step, square=True)
-    cross = _powers(u, step)
-    out = np.empty(coarse.shape[:1] + fine.shape, dtype=complex)
-    for k, factor in enumerate(coarse):
-        np.multiply(factor, fine, out=out[k])
-        fine *= cross  # fine times u^(k l) for the next k
-    return out.reshape(-1, a.size)[:ts.size].T
+# The band of a Gaussian spectrum of deviation s is M s, M = ((P-1)!!)^(1/P) = 2.77:
+# the error grows as frequency^P, whose mean there is (M s)^P, as on a flat band to M s.
+GAUSSIAN_BAND = float(np.prod(np.arange(1.0, STENCIL, 2.0)) ** (1.0 / STENCIL))
 
 
-class GaussianOMDF:
+class _OMDF:
+    """What both OMDFs share: the kernel's time factors from the transform q."""
+
+    def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
+        """E = exp(-i S_zz g t) q(g t) for each gap g, shape (gaps, n_t)."""
+        x = np.multiply.outer(np.asarray(gaps, dtype=float), np.asarray(ts, dtype=float))
+        return np.exp(-1j * s_zz * x) * self.q(x)
+
+
+class GaussianOMDF(_OMDF):
     """Gaussian orientational distribution, unit integral, width in its own units.
 
     p(u) = exp(-u^2 / (2 w^2)) / sqrt(2 pi w^2); its inverse transform is
@@ -101,15 +83,12 @@ class GaussianOMDF:
     def q(self, x):
         return np.exp(-0.5 * (self.width * np.asarray(x)) ** 2)
 
-    def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
-        """E = exp(-i S_zz g t) q(g t) for each gap g on uniform ts, shape
-        (gaps, n_t): exp(a t + b t^2) with the curvature b = -w^2 g^2 / 2, so
-        neither factor takes an exponential per sample."""
-        gaps = np.asarray(gaps, dtype=float)
-        return _uniform_exp(-1j * s_zz * gaps, ts, -0.5 * (self.width * gaps) ** 2)
+    def band(self, t_max: float) -> float:
+        """Band in g of q(g t), |t| <= t_max: a Gaussian of spectral deviation w t_max."""
+        return GAUSSIAN_BAND * self.width * t_max
 
 
-class TabulatedOMDF:
+class TabulatedOMDF(_OMDF):
     """User-tabulated OMDF given as sample points (u, p(u)).
 
     Normalized to unit integral on load; q(x) is evaluated by trapezoid
@@ -161,13 +140,9 @@ class TabulatedOMDF:
                                                self._weights)
         return out.reshape(x.shape)[()]
 
-    def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
-        """E = exp(-i S_zz g t) q(g t) for each gap g on uniform ts, shape
-        (gaps, n_t): the phase from ``_uniform_exp`` times the quadrature."""
-        gaps = np.asarray(gaps, dtype=float)
-        e = _uniform_exp(-1j * s_zz * gaps, ts)
-        e *= self.q(np.multiply.outer(gaps, ts))
-        return e
+    def band(self, t_max: float) -> float:
+        """Band in g of q(g t), |t| <= t_max: exactly max |u| t_max (q sums exp(i u g t))."""
+        return float(np.max(np.abs(self.u))) * t_max
 
 
 @dataclass(frozen=True)
@@ -189,6 +164,14 @@ class DecoherenceParams:
             raise ConfigError(f"sigma_cl must be positive, got {self.sigma_cl}")
         if self.kappa <= 0:
             raise ConfigError(f"kappa must be positive, got {self.kappa}")
+
+    def band(self, ts, taus, s_zz: float) -> float:
+        """Band in the gap g of G^R(g, tau) E(g, t) over ts and taus: the phase's
+        |S_zz| max |t|, the OMDF's, and G^R = exp(-beta g^2)'s, a Gaussian of spectral
+        deviation sqrt(2 beta) at the largest tau's beta = sigma^2 tau^4 / [8 (kappa+1)^2]."""
+        t_max = float(np.max(np.abs(ts)))
+        beta = (self.sigma_cl * np.max(taus) ** 2) ** 2 / (8.0 * (self.kappa + 1.0) ** 2)
+        return abs(s_zz) * t_max + self.omdf.band(t_max) + GAUSSIAN_BAND * np.sqrt(2.0 * beta)
 
 
 def g_irreversible(dzeta, tau, params: DecoherenceParams):
@@ -221,101 +204,119 @@ def prepare_reduced_state(eig: EigenSystem, t_p: float) -> ReducedState:
     return ReducedState(prepared_setup(eig, t_p).state, eig)
 
 
-# Byte budget of one chunk of the pair kernel's (classes x n_t) time series E.
-PAIR_CHUNK_BYTES = 4 << 20
+def grid_nodes(zeta: np.ndarray, band, most: int) -> tuple:
+    """(nodes k h for |k| <= ceil(max gap / h) + STENCIL / 2, h) for
+    h = pi / (OVERSAMPLING band): all stencils of the gaps; (None, None) for no
+    band or for more than ``most`` nodes."""
+    if not band or band <= 0:
+        return None, None
+    h = np.pi / (OVERSAMPLING * band)
+    k = np.ceil(np.ptp(zeta) / h) + STENCIL // 2
+    return (h * np.arange(-k, k + 1), h) if 2 * k + 1 <= most else (None, None)
 
 
-def pair_chunk_rows(eig: EigenSystem, n_t: int) -> int:
-    """Pair classes per chunk of ``pair_order_sums``: the rows of E that fit
-    PAIR_CHUNK_BYTES, capped by half the ordered pairs of order 0 (the sum of
-    C_m^2 / 2 over the C_m states of each total m), which from N = 3 on no
-    |nu| exceeds in classes."""
-    counts = np.unique(eig.m, return_counts=True)[1]
-    return int(min(max(1, PAIR_CHUNK_BYTES // (16 * n_t)), np.sum(counts ** 2) // 2))
+def _node_set(upper: np.ndarray, zeta: np.ndarray, band) -> tuple:
+    """(nodes, spacing) for the pairs a <= b in ``upper``: ``grid_nodes``, or
+    where there is no band or those outnumber the ordered pairs (a bound on the
+    distinct gaps that needs no sort), the pairs' gaps and their negatives."""
+    pairs = 2 * np.count_nonzero(upper) - np.count_nonzero(upper.diagonal())
+    nodes, h = grid_nodes(zeta, band, pairs)
+    if h is None:
+        a, b = np.nonzero(upper)
+        nodes = np.unique(np.concatenate([zeta[b] - zeta[a], zeta[a] - zeta[b]]))
+    return nodes, h
 
 
-def _spin_flip_images(eig: EigenSystem) -> np.ndarray:
-    """The spin-flip image of each eigenstate: the state of total m -> -m with
-    the same zeta, matched by rank of zeta within the two blocks (a state of
-    m = 0 is its own image).
-
-    The secular dipolar H commutes with the pi rotation of all spins about x,
-    which takes total m to -m, so blocks m and -m share their spectrum.  An
-    eigensystem whose spectra differ by more than 1e-10 max |zeta| is refused.
-    """
-    image = np.empty(eig.dim, dtype=np.intp)
-    tol = 1e-10 * np.max(np.abs(eig.zeta))
-    for m in np.unique(eig.m):
-        here, there = (np.flatnonzero(eig.m == s) for s in (m, -m))
-        here, there = (i[np.argsort(eig.zeta[i], kind="stable")] for i in (here, there))
-        if here.size != there.size or np.any(np.abs(eig.zeta[here] - eig.zeta[there]) > tol):
-            raise MqcnmrError(f"the eigenvalues of total m = {m:g} and {-m:g} differ: the "
-                              "pair kernel needs a Hamiltonian symmetric under a spin flip")
-        image[here] = there
-    return image
+def _stencils(gaps: np.ndarray, nodes: np.ndarray, h) -> tuple:
+    """(first node, weights (P, gaps)) of each gap's stencil: the P = STENCIL
+    barycentric weights (-1)^j C(P-1, j) / (s - j) over their sum, s the gap's
+    place among the nodes, which hold it between their middle two (weight 1 on
+    a node it hits); or, on the gaps themselves (h None), its own node."""
+    if h is None:
+        return np.searchsorted(nodes, gaps), np.ones((1, gaps.size))
+    x = gaps / h
+    whole = np.floor(x)
+    first = whole.astype(np.intp) + (nodes.size // 2 - STENCIL // 2 + 1)
+    at = x - whole + (STENCIL // 2 - 1)  # in [P/2 - 1, P/2]: the gap's place in its stencil
+    d = at - np.arange(STENCIL)[:, None]
+    signs = np.array([(-1) ** j * comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(signs[:, None], d, out=d)
+        d /= d.sum(axis=0)
+    on_node = at == np.rint(at)
+    d[:, on_node] = np.arange(STENCIL)[:, None] == at[on_node]
+    return first, d
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus: np.ndarray,
-                    time_factors, g_irreversible) -> np.ndarray:
+                    time_factors, g_irreversible, band=None) -> np.ndarray:
     """c[tau, nu + N, t] = sum over pairs of order nu of W G^R E, for one
-    (2^N, 2^N) slab W of pair weights shared by every tau.
+    (2^N, 2^N) slab W of pair weights shared by every tau, on a grid of gaps.
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and the term
-    weights[a, b] G^R(g, tau) E(g, t): E = ``time_factors(gaps, ts)`` on
-    uniform ts, the rows of E for a 1D array of gaps, exp(-i S_zz g t) G^T(g, t);
-    ``g_irreversible`` is called with the gaps as a row and the taus as a column.
+    weights[a, b] G^R(g, tau) E(g, t), with E = ``time_factors(gaps, ts)`` =
+    exp(-i S_zz g t) G^T(g, t) for a 1D array of gaps and ``g_irreversible``
+    called with the gaps as a row and the taus as a column; G^T(-g, t) =
+    conj(G^T(g, t)), and G^R is real and even in g.
 
-    E and G^R depend on the gap alone, and G^T(-g, t) = conj(G^T(g, t)), G^R is
-    real and even in g.  So the pair, its mirror (b, a) (order -nu, E conj),
-    its spin-flip image (a', b') (order -nu, the same E; ``_spin_flip_images``)
-    and the image's mirror (order nu, E conj) form one class, whose members
-    each count once.  The flip negates m_a + m_b, so each class nonzero in any
-    member is taken from its unordered pair {a, b} of m_a + m_b >= 0 (on a tie,
-    the one of the smaller index a dim + b, a <= b), led by the member of order
-    |nu|, and the classes are sorted by |nu| and cut into chunks of at most
-    PAIR_CHUNK_BYTES of E.  Each chunk builds E and G^R once per class and runs
-    one GEMM on the stacked weights [W_ab ; conj(W_b'a') ; W_a'b' ; conj(W_ba)]
-    G^R: the first two rows (the second conjugated after the GEMM) go into nu,
-    the last two into -nu.  At nu = 0 the image has the pair's order and gap,
-    so its weights are added onto the pair's own.
+    Each pair's weight is spread onto gap nodes g_k, rho[nu, k] = sum_ab W_ab
+    L_k(g_ab), and c[tau, nu] = (rho[nu] G^R(g_k, tau)) @ E(g_k, :).  For a
+    ``band`` B in g of G^R E over ts and taus (``DecoherenceParams.band``) the
+    nodes are uniform, spaced pi / (c B), and L is P-point Lagrange
+    interpolation, whose error grows as (pi / c)^P at the band's edge: P = 20
+    and c = 6 hold the sums within about 1e-13 of the largest.  With no band,
+    or where those would outnumber the eigenpairs, the nodes are the gaps
+    themselves and L the identity, which is exact (``_node_set``).  Both sets
+    are symmetric about 0: a pair a <= b and its mirror (b, a) share one
+    stencil, mirrored, and E is built on the nodes g >= 0 only.  Pairs are
+    spread in chunks of at most GRID_CHUNK_BYTES, all stencil offsets of a
+    chunk in one ``np.bincount`` per part, so repeated calls are bit-identical;
+    the products run in groups of taus of at most GRID_CHUNK_BYTES.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
-    if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
-        raise UnsupportedGridError("eigenpair sums need at least 2 uniformly spaced times")
     n_spins = eig.reg.n_spins
+    upper = np.triu((weights != 0) | (weights.T != 0))  # pairs a <= b nonzero either way
+    nodes, h = _node_set(upper, eig.zeta, band)
+    size = (2 * n_spins + 1) * nodes.size
+    direct, mirror = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
+    done = np.cumsum(np.count_nonzero(upper, axis=1))  # the pairs in rows <= r
+    cuts = np.unique(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
+                                     side="right"))  # the first row of each chunk
+    for lo, hi in zip(cuts, np.append(cuts[1:], eig.dim)):
+        a, b = np.nonzero(upper[lo:hi])
+        a += lo
+        first, lagrange = _stencils(eig.zeta[b] - eig.zeta[a], nodes, h)
+        first += (np.rint(eig.m[b] - eig.m[a]).astype(np.intp) + n_spins) * nodes.size
+        index = (first + np.arange(len(lagrange))[:, None]).ravel()
+        pair, image = weights[a, b], weights[b, a] * (a != b)  # the diagonal counts once
+        for rho, w in ((direct, pair), (mirror, image)):
+            rho.real += np.bincount(index, (lagrange * w.real).ravel(), size)
+            rho.imag += np.bincount(index, (lagrange * w.imag).ravel(), size)
+        del a, b, first, index, lagrange, pair, image  # before the next chunk makes its own
+    direct += mirror[::-1]
+    del upper, mirror
+    rho = direct.reshape(2 * n_spins + 1, -1)
+    live = np.flatnonzero(np.any(rho, axis=1))
+    below = nodes.size // 2  # the nodes g < 0, mirrors of the last of the nodes g >= 0
+    half = nodes[below:]
+    e = np.empty((half.size, ts.size), dtype=complex)
+    step = max(1, GRID_CHUNK_BYTES // (256 * ts.size))  # a sixteenth of it per array
+    for lo in range(0, half.size, step):
+        e[lo:lo + step] = time_factors(half[lo:lo + step], ts)
+    # E(-g) = conj(E(g)): rho at g >= 0 and, conjugated, at their mirrors -g
+    folded = np.zeros((2, live.size, half.size), dtype=complex)
+    folded[0] = rho[live, below:]
+    folded[1, :, half.size - below:] = rho[live, :below][:, ::-1].conj()
+    del direct, rho
+    g_r = g_irreversible(half[None], taus[:, None])
     c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
-    image = _spin_flip_images(eig)
-    nonzero = weights != 0
-    nonzero |= nonzero.T
-    nonzero |= nonzero[np.ix_(image, image)]
-    # one unordered pair per class: m_a + m_b > 0, or on a tie the smaller key
-    a, b = np.nonzero(np.triu(nonzero) & (eig.m[:, None] >= -eig.m))
-    del nonzero
-    ia, ib = image[a], image[b]
-    own, img = a * eig.dim + b, np.minimum(ia, ib) * eig.dim + np.maximum(ia, ib)
-    keep = (eig.m[a] > -eig.m[b]) | (own <= img)
-    a, b, distinct = a[keep], b[keep], (own != img)[keep]
-    del ia, ib, own, img, keep  # before the chunks
-    nu = np.rint(eig.m[b] - eig.m[a]).astype(int)
-    a, b = np.where(nu < 0, b, a), np.where(nu < 0, a, b)  # lead with the member of order |nu|
-    nu = np.abs(nu)
-    rows = pair_chunk_rows(eig, ts.size)
-    for order in range(n_spins + 1):
-        classes = np.flatnonzero(nu == order)
-        for lo in range(0, classes.size, rows):
-            k = classes[lo:lo + rows]
-            p, q, dk = a[k], b[k], distinct[k]
-            ip, iq, off, gap = image[p], image[q], p != q, eig.zeta[q] - eig.zeta[p]
-            e = time_factors(gap, ts)
-            parts = [weights[p, q], (weights[iq, ip] * (off & dk)).conj(),
-                     weights[ip, iq] * dk, (weights[q, p] * off).conj()]
-            if order == 0:
-                parts = [parts[0] + parts[2], parts[1] + parts[3]]
-            parts = np.stack(parts)[:, None] * g_irreversible(gap[None], taus[:, None])
-            prod = (parts.reshape(-1, k.size) @ e).reshape(len(parts), -1, ts.size)
-            for sign, (direct, conjugated) in zip((1, -1), zip(prod[::2], prod[1::2])):
-                c[:, n_spins + sign * order] += direct + conjugated.conj()
-            del parts, e  # before the next chunk builds its own
+    group = max(1, GRID_CHUNK_BYTES // (32 * max(live.size, 1) * (half.size + ts.size)))
+    for lo in range(0, taus.size, group):
+        x = folded * g_r[lo:lo + group, None, None]
+        prod = x.reshape(len(x) * 2 * live.size, half.size) @ e
+        prod = prod.reshape(len(x), 2, live.size, ts.size)
+        c[lo:lo + group, live] = prod[:, 0] + prod[:, 1].conj()
+        del x, prod
     return c
 
 
@@ -326,34 +327,32 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     The reversion block is ideal by assumption, so tau enters only through
     G^R; the waiting time t carries the eigenbasis phases and G^T, both
     built by the OMDF's ``time_factors`` and applied by ``pair_order_sums``
-    to one weight slab shared by every tau, one class of spin-flip and mirror
-    pairs at a time.  The prepared state is checked as a ``ReducedState``.
-    The working set is estimated and gated (``sequence.check_grid_memory``)
-    before anything is allocated.
+    to one weight slab shared by every tau, on gap nodes for the band that
+    ``DecoherenceParams.band`` gives over the grid (P = 20, c = 6: within
+    about 1e-13 of the largest sum).  The prepared state is checked as a
+    ``ReducedState``.  The working set is estimated and gated
+    (``sequence.check_grid_memory``) before anything is allocated.
     """
-    # The signal grid; 8 arrays of 2^N x 2^N: the prepared setup's peak, which
-    # also covers I_+ and the state, detection and weight slab the kernel
-    # holds with its class index arrays; the MREV-8 cycle the eigensystem
-    # may hold from a closed run; the order sums; one chunk of E (rows x n_t,
-    # padded to a whole number of steps of the coarse x fine split); numpy's
-    # two cast buffers.
-    # Beside them, and never at once: the default acquisition's scan; the
-    # temporaries of G^T (a tabulated OMDF's phases, q and quadrature block,
-    # or the Gaussian's coarse and fine factors); or the chunk's stacked
-    # weights (4 n_tau x rows) with G^R and one temporary, then its product
-    # (4 n_tau x n_t) with the two halves summed into the order sums
-    n_tau, rows = len(grid.taus), pair_chunk_rows(eig, grid.n_t)
-    step = int(np.ceil(np.sqrt(grid.n_t)))
-    g_t = (3 * rows * grid.n_t // 2 + QUADRATURE_BLOCK_BYTES // 16
-           if isinstance(params.omdf, TabulatedOMDF) else 4 * step * rows)
+    # The signal grid; 8 arrays of 2^N x 2^N (the setup's peak, which covers I_+,
+    # the state, detection, weights and pair masks); the cycle eig may hold; the
+    # order sums; numpy's cast buffers; on the uniform set's nodes, the spread
+    # weights and their mirror (then folded), and on half of them E and G^R.
+    # Beside them, never at once: the default acquisition's scan; a spreading
+    # chunk and a bincount's output; a block of E, its temporaries and a
+    # tabulated q's quadrature block; or a group of taus' product and operand
+    n_tau, n_orders = len(grid.taus), 2 * eig.reg.n_spins + 1
+    band = params.band(grid.ts, grid.taus, eig.order_parameter)
+    uniform = grid_nodes(eig.zeta, band, eig.dim ** 2)[0]
+    nodes = eig.dim ** 2 if uniform is None else uniform.size  # ordered pairs otherwise
     check_grid_memory(grid.n_phi * grid.n_t * n_tau + (9 if eig.holds_cycle else 8) * eig.dim ** 2
-                      + grid.n_t * n_tau * (2 * eig.reg.n_spins + 1)
-                      + rows * (grid.n_t + step) + 2 * np.getbufsize()
-                      + max(acquisition_scan_values(eig.dim, acquisition), g_t,
-                            n_tau * (5 * rows + 6 * grid.n_t)))
+                      + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
+                      + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
+                      + max(acquisition_scan_values(eig.dim, acquisition),
+                            GRID_CHUNK_BYTES // 16 + nodes * n_orders // 2,
+                            (GRID_CHUNK_BYTES // 4 + QUADRATURE_BLOCK_BYTES) // 16))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),
-                           partial(g_irreversible, params=params))
+                           partial(g_irreversible, params=params), band)
     return phase_encode(sums, grid, acquisition, n_molecules)

@@ -477,7 +477,8 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
     """Coherence spectra assembled directly from eigenbasis matrix elements.
 
     The t transform of the open engine's ``pair_order_sums`` on the t grid of
-    the time-domain route, for the prepared state ``state_eig`` (H
+    the time-domain route, which must be uniform (UnsupportedGridError
+    otherwise), for the prepared state ``state_eig`` (H
     eigenbasis), the read pulse (pi/4)_y and detection I_+.  With G == 1 (the
     phase alone, by direct exp, for ``time_factors`` None, and G^R = 1 for
     ``g_irreversible`` None) this reproduces ``fft2_coherence(run_grid(...))``
@@ -489,7 +490,10 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
     from mqcnmr.operators import collective_angular_momentum, rotation_halves
     from mqcnmr.opensystem import pair_order_sums
     from mqcnmr.spectra import CoherenceSpectrum, RunSetup, detection_matrix
+    from mqcnmr.errors import UnsupportedGridError
     ts = np.asarray(ts, dtype=float)
+    if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
+        raise UnsupportedGridError("the spectral route needs at least 2 uniformly spaced times")
     taus = np.asarray([0.0] if taus is None else taus, dtype=float)
     if time_factors is None:
         def time_factors(gaps, t):

@@ -1,4 +1,4 @@
-"""The chunked eigenpair kernel shared by the open engine and the spectral route."""
+"""The gap-grid eigenpair kernel shared by the open engine and the spectral route."""
 
 import tracemalloc
 from functools import partial
@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -14,9 +14,8 @@ from reference import spectral_assembly
 
 from mqcnmr import opensystem, sequence
 from mqcnmr.cli import main
-from mqcnmr.errors import GridSizeError, MqcnmrError, UnsupportedGridError
-from mqcnmr.hamiltonian import (EigenSystem, SpinSystem, eigendecompose,
-                                secular_hamiltonian)
+from mqcnmr.errors import GridSizeError, UnsupportedGridError
+from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, pair_order_sums, prepare_reduced_state,
                                run_grid_open)
@@ -78,9 +77,10 @@ def test_open_grid_matches_dense_order_sums(n, seed, family, width, sigma, taus,
 @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
        n_t=st.integers(2, 9))
 def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
-    # the closed engine's factorised kernel against the open engine's chunked
-    # one, given the phase alone by direct exp and G^R = 1, on the same sums;
-    # the shuffled eigenbasis checks that both group states by eig.m alone
+    # the closed engine's factorised kernel against the open engine's gap-grid
+    # one, given the phase alone by direct exp and G^R = 1 and no band (so on
+    # the gaps themselves), on the same sums; the shuffled eigenbasis checks
+    # that both group states by eig.m alone
     reg, eig = make_system(n, seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(reg.dim)
@@ -126,13 +126,14 @@ def _one_sided_pairs(eig, rng):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
        density=st.floats(0.0, 0.5), n_t=st.integers(2, 9),
-       family=st.sampled_from(["gaussian", "tabulated"]), shuffle=st.booleans())
+       family=st.sampled_from(["gaussian", "tabulated"]), shuffle=st.booleans(),
+       banded=st.booleans())
 def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t, family,
-                                                    shuffle):
-    # sparse weights that are not hermitian: a class of a pair, its mirror, its
-    # spin-flip image and the image's mirror is kept when any of them is
-    # nonzero, and each of the one-sided pairs below has only one; a shuffled
-    # eigenbasis checks that images are found by m and zeta, not by position
+                                                    shuffle, banded):
+    # sparse weights that are not hermitian: a pair is spread with its mirror
+    # when either of them is nonzero, and each of the one-sided pairs below
+    # has only one; a shuffled eigenbasis checks that orders and gaps are read
+    # from m and zeta, not from positions; with a band stated or not
     reg, eig = make_system(n, seed)
     rng = np.random.default_rng(seed)
     if shuffle:
@@ -141,7 +142,7 @@ def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t
     weights = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (
         rng.random(shape) < density)
     for k, (a, b) in enumerate(_one_sided_pairs(eig, rng)):
-        # W_ab != 0 = W_ba for the first pair of each order class, the reverse after
+        # W_ab != 0 = W_ba for the first pair of each kind, the reverse after
         a, b = (a, b) if k % 2 == 0 else (b, a)
         weights[a, b], weights[b, a] = 1.0 - 0.5j * (k + 1), 0.0
     weights[np.arange(reg.dim), np.arange(reg.dim)] = 0.25 + rng.normal(size=reg.dim)
@@ -150,58 +151,107 @@ def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t
     g_irr = partial(g_irreversible, params=params)
     time_factors = partial(params.omdf.time_factors, s_zz=eig.order_parameter)
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(1, n_tau + 1)
-    fast = pair_order_sums(weights, eig, ts, taus, time_factors, g_irr)
+    band = params.band(ts, taus, eig.order_parameter) if banded else None
+    fast = pair_order_sums(weights, eig, ts, taus, time_factors, g_irr, band)
     slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
                                      g_rev, g_irr, n)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-@pytest.mark.parametrize("n,m", [(3, 0.5), (4, 1.0), (5, 2.5)])
-def test_kernel_refuses_a_spectrum_that_is_not_spin_flip_symmetric(n, m):
-    # blocks m and -m of a secular H share their spectrum; move one -m
-    # eigenvalue by 1e-8 max |zeta| and the image search must refuse it
-    reg, eig = make_system(n, 2)
-    zeta = eig.zeta.copy()
-    zeta[np.flatnonzero(eig.m == -m)[0]] += 1e-8 * np.max(np.abs(zeta))
-    bent = EigenSystem(zeta=zeta, m=eig.m, blocks=eig.blocks,
-                       order_parameter=eig.order_parameter)
-    weights, ts = np.ones((reg.dim, reg.dim)), 3e-6 * np.arange(4)
-    factors = (lambda g, t: np.exp(-1j * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 1.0)
-    pair_order_sums(weights, eig, ts, [1e-4], *factors)
-    with pytest.raises(MqcnmrError, match="spin flip"):
-        pair_order_sums(weights, bent, ts, [1e-4], *factors)
+def _random_omdf(family, width, table):
+    """A Gaussian of the given width, or the table ``table`` of p (made to
+    have a positive integral) on a uniform u span of 8 widths."""
+    if family == "gaussian":
+        return GaussianOMDF(width)
+    p = np.asarray(table, dtype=float)
+    p[np.argmax(p)] += 1.0
+    return TabulatedOMDF(np.linspace(-4.0 * width, 4.0 * width, p.size), p)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n_t=st.integers(2, 300), dt_units=st.integers(1, 1023), start=st.integers(-300, 300),
-       phase=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=4),
-       decay=st.floats(0.0, 30.0), curved=st.booleans())
-def test_uniform_exp_matches_exp(n_t, dt_units, start, phase, decay, curved):
-    # exp(a t + b t^2) from powers against exp taken at every sample (in
-    # extended precision where the platform has it): up to 100 rad of phase
-    # and a decay of up to e^-30 over |t| <= t_max, b = 0 or b < 0, on times
-    # that start anywhere and are exact in binary, so only the method differs
-    ts = (start + np.arange(n_t)) * dt_units * 2.0 ** -30
-    t_max = np.max(np.abs(ts))
-    a = 1j * np.array(phase) / t_max
-    b = -decay * np.linspace(1.0, 0.1, a.size) / t_max ** 2 if curved else 0.0
-    got = opensystem._uniform_exp(a, ts, b)
-    t = ts.astype(np.longdouble)
-    want = np.exp(np.multiply.outer(a.astype(np.clongdouble), t)
-                  + np.multiply.outer(np.broadcast_to(b, a.shape).astype(np.longdouble), t * t))
-    assert got.shape == (a.size, n_t)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([6, 5, 4, 3, 2]), seed=st.integers(0, 2 ** 16),
+       family=st.sampled_from(["gaussian", "tabulated"]), width=st.floats(0.01, 0.3),
+       table=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=60),
+       sigma=st.floats(1e4, 5e5), tau_span=st.floats(0.0, 2e-4),
+       n_tau=st.integers(1, 4), n_t=st.integers(2, 24), dt=st.floats(1e-6, 1e-5),
+       banded=st.sampled_from([True, True, False]))
+def test_gap_grid_matches_dense_order_sums(n, seed, family, width, table, sigma, tau_span,
+                                           n_tau, n_t, dt, banded):
+    # the kernel on uniform gap nodes (a band stated, and fewer nodes than
+    # ordered pairs) or on the gaps themselves (no band, or N = 2 to 4
+    # mostly), against one ordered pair at a time, to 1e-12 of the largest sum
+    reg, eig = make_system(n, seed)
+    rng = np.random.default_rng(seed)
+    params = DecoherenceParams(sigma_cl=sigma, omdf=_random_omdf(family, width, table))
+    shape = (reg.dim, reg.dim)
+    weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ts, taus = dt * np.arange(n_t), np.linspace(0.0, tau_span, n_tau)
+    band = params.band(ts, taus, eig.order_parameter) if banded else None
+    h = opensystem._node_set(np.triu(np.ones(shape, dtype=bool)), eig.zeta, band)[1]
+    event("uniform nodes" if h is not None else "at the gaps")
+    g_irr = partial(g_irreversible, params=params)
+    fast = pair_order_sums(weights, eig, ts, taus,
+                           partial(params.omdf.time_factors, s_zz=eig.order_parameter),
+                           g_irr, band)
+    slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
+                                     partial(ref.g_reversible, params=params), g_irr, n)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
-def test_chunked_orders_are_bit_identical_across_repeat_calls(monkeypatch):
-    reg, eig = make_system(4, 3)
-    params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf("tabulated", 0.05))
-    grid = ExperimentGrid(t_p=3e-5, n_t=12, dt=3e-6, n_phi=10, taus=(0.0, 1e-4, 3e-4))
-    whole = run_grid_open(eig, grid, params, acquisition=ACQ).data
-    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35  # all 32 classes of order 0 in one
-    monkeypatch.setattr(opensystem, "PAIR_CHUNK_BYTES", 16 * grid.n_t * 5)
-    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 5  # order 0 now spans 7 chunks
-    runs = [run_grid_open(eig, grid, params, acquisition=ACQ).data for _ in range(3)]
+def test_node_sets_of_the_gap_grid():
+    # uniform nodes where a band is stated and they are fewer than the
+    # ordered pairs; the gaps themselves, each with its negative, otherwise
+    params = DecoherenceParams(sigma_cl=2.5e5, omdf=GaussianOMDF(0.05))
+    ts, taus = 2e-6 * np.arange(256), 1e-5 * np.arange(24)
+    for n, banded, uniform in [(6, True, True), (6, False, False), (2, True, False)]:
+        reg, eig = make_system(n, 1)
+        band = params.band(ts, taus, eig.order_parameter) if banded else None
+        upper = np.triu(np.ones((reg.dim, reg.dim), dtype=bool))
+        nodes, h = opensystem._node_set(upper, eig.zeta, band)
+        assert np.array_equal(nodes, -nodes[::-1])
+        if uniform:
+            assert h > 0 and nodes.size < reg.dim ** 2
+            assert np.allclose(np.diff(nodes), h, rtol=1e-12, atol=0.0)
+        else:
+            assert h is None
+            assert np.array_equal(nodes, np.unique(eig.gaps()))
+
+
+def test_stencil_weights_interpolate_and_hit_nodes():
+    # P-point Lagrange weights hold each gap between their middle two nodes,
+    # sum to 1, reproduce polynomials of degree < P and are one-hot on a node
+    p = opensystem.STENCIL
+    nodes, h = opensystem.grid_nodes(np.array([-3.0, 5.0]), np.pi / opensystem.OVERSAMPLING, 99)
+    assert h == 1.0
+    gaps = np.concatenate([np.random.default_rng(0).uniform(-8.0, 8.0, 50), nodes[p:-p]])
+    first, lagrange = opensystem._stencils(gaps, nodes, h)
+    stencil = nodes[first + np.arange(p)[:, None]]
+    assert np.all((stencil[p // 2 - 1] <= gaps) & (gaps <= stencil[p // 2]))
+    np.testing.assert_allclose(lagrange.sum(axis=0), 1.0, rtol=0, atol=1e-13)
+    for degree in (1, 3, 7):
+        np.testing.assert_allclose((lagrange * (stencil / 8.0) ** degree).sum(axis=0),
+                                   (gaps / 8.0) ** degree, rtol=0, atol=1e-11)
+    assert np.all((lagrange[:, 50:] != 0) == (np.arange(p)[:, None] == p // 2 - 1))
+
+
+def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
+    # uniform nodes (N = 6, times as in the benchmark's open run); a spreading
+    # budget of 40 pairs makes every order span many chunks, and each call
+    # under it gives the same bits, within rounding of the one-chunk sums
+    reg, eig = make_system(6, 3)
+    rng = np.random.default_rng(3)
+    shape = (reg.dim, reg.dim)
+    weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    params = DecoherenceParams(sigma_cl=2.5e5, omdf=make_omdf("tabulated", 0.05))
+    ts, taus = 2e-6 * np.arange(64), 1e-5 * np.arange(6)
+    band = params.band(ts, taus, eig.order_parameter)
+    factors = (partial(params.omdf.time_factors, s_zz=eig.order_parameter),
+               partial(g_irreversible, params=params), band)
+    assert opensystem._node_set(np.triu(np.ones(shape, dtype=bool)), eig.zeta, band)[1]
+    assert opensystem._PAIR_BYTES * reg.dim ** 2 < opensystem.GRID_CHUNK_BYTES  # one chunk
+    whole = pair_order_sums(weights, eig, ts, taus, *factors)
+    monkeypatch.setattr(opensystem, "GRID_CHUNK_BYTES", 40 * opensystem._PAIR_BYTES)
+    runs = [pair_order_sums(weights, eig, ts, taus, *factors) for _ in range(3)]
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
     assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
@@ -224,8 +274,8 @@ def test_open_memory_gate_runs_before_any_work(monkeypatch):
 @pytest.mark.parametrize("family", ["gaussian", "tabulated"])
 def test_open_memory_estimate_covers_the_traced_peak(family, monkeypatch):
     # a budget at the traced peak must be refused, and one 60% above it
-    # accepted (N = 7, 24 taus); only a tabulated OMDF is charged the
-    # quadrature block, so the Gaussian estimate stays near its peak too
+    # accepted (N = 7, 24 taus), for either OMDF, though both are charged a
+    # tabulated q's quadrature block
     reg, eig = make_system(7, 3)
     params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf(family, 0.05))
     grid = ExperimentGrid(t_p=3e-5, n_t=64, dt=3e-6, n_phi=16,
@@ -262,15 +312,13 @@ def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
 
 
 def test_long_omdf_table_runs_in_bounded_memory():
-    # the quadrature phases of all (class, t, u) of one E chunk would need
-    # up to 35 x 32 x 2001 x 8 B = 18 MB per real temporary, and an unblocked
-    # q (the phases and their cosines at once) peaks at 33 MB, above the bound;
-    # q works in blocks instead
+    # an unblocked q (the phases of every node and time with the 2001 table
+    # points, and their cosines at once) would peak above the bound; q works
+    # in blocks instead
     reg, eig = make_system(4, 5)
     u = np.linspace(-0.3, 0.3, 2001)
     params = DecoherenceParams(sigma_cl=2e5, omdf=TabulatedOMDF(u, np.exp(-u ** 2 / 0.005)))
     grid = ExperimentGrid(t_p=3e-5, n_t=32, dt=2e-6, n_phi=10, taus=(1e-4,))
-    assert opensystem.pair_chunk_rows(eig, grid.n_t) == 35
     tracemalloc.start()
     try:
         fast = run_grid_open(eig, grid, params, acquisition=ACQ).data
