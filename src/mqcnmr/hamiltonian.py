@@ -20,8 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
-from .operators import (T20_UNIT, SpinRegister, checked_hermitian, collective_angular_momentum,
-                        t20_bits)
+from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 # CODATA 2022: vacuum permeability (N A^-2) and h / (2 pi) with the exact
@@ -164,8 +163,8 @@ class EigenSystem:
         order_parameter: the S_zz that was factored out.
 
     Beside these it holds, read-only and for as long as it lives, what every
-    run on it would build alike: I_+ in its eigenbasis (``i_plus``, built on
-    the first read) and one reversion cycle (``held_cycle``).
+    run on it would build alike: I_+'s eigenbasis blocks (``i_plus``, built
+    on the first read) and one reversion cycle (``held_cycle``).
     """
 
     zeta: np.ndarray
@@ -191,10 +190,6 @@ class EigenSystem:
             v[np.ix_(rows, cols)] = v_m
         return v
 
-    def gaps(self) -> np.ndarray:
-        """Matrix of eigenvalue differences zeta_a - zeta_b."""
-        return self.zeta[:, None] - self.zeta[None, :]
-
     @cached_property
     def _layout(self) -> tuple:
         """The slices of the m blocks once both bases are sorted by m, and for
@@ -209,14 +204,36 @@ class EigenSystem:
         return tuple(map(slice, edges[:-1], edges[1:])), orders[0], orders[1]
 
     @cached_property
-    def i_plus(self) -> np.ndarray:
-        """The detected operator I_+ = I_x + i I_y in the eigenbasis,
-        V^dagger I_+ V, read-only."""
-        reg = self.reg
-        i_plus = self.to_eigen(collective_angular_momentum(reg, "x")
-                               + 1j * collective_angular_momentum(reg, "y"))
-        i_plus.flags.writeable = False
-        return i_plus
+    def i_plus(self) -> tuple:
+        """I_+ = I_x + i I_y in the eigenbasis, read-only, as its only nonzero
+        blocks, C(2N, N - 1) entries: (up, down, V_{m+1}^dagger X V_m) for the
+        entries up and down of ``blocks`` of each total m + 1 and m, with
+        X = I_+[rows_{m+1}, rows_m] from basis-index bits (I_+ clears one down
+        bit, coefficient 1)."""
+        local, by_m, pairs = np.empty(self.dim, dtype=np.intp), {}, []
+        for block in self.blocks:
+            rows, cols, _ = block
+            local[rows], by_m[self.m[cols[0]]] = np.arange(rows.size), block
+        for m, down in by_m.items():
+            if (up := by_m.get(m + 1.0)) is None:
+                continue
+            (rows_up, _, v_up), (rows, _, v) = up, down
+            x = np.zeros((rows_up.size, rows.size), dtype=complex)
+            at, bit = np.nonzero(rows[:, None] & 1 << np.arange(self.reg.n_spins))
+            x[local[rows[at] ^ 1 << bit], at] = 1.0
+            x = v_up.conj().T @ (x @ v)
+            x.flags.writeable = False
+            pairs.append((up, down, x))
+        return tuple(pairs)
+
+    def blocks_to_product(self, pairs) -> np.ndarray:
+        """V X V^dagger for X given by its nonzero blocks (left, right, X_lr),
+        left and right entries of ``blocks``: each V_l X_lr V_r^dagger written
+        at its product-basis rows and columns of a zero 2^N x 2^N matrix."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for (rows_l, _, v_l), (rows_r, _, v_r), x in pairs:
+            out[np.ix_(rows_l, rows_r)] = (v_l @ x) @ v_r.conj().T
+        return out
 
     @property
     def holds_cycle(self) -> bool:
@@ -243,18 +260,12 @@ class EigenSystem:
         return _blockwise(x, slices, rows, cols_back, [v.conj().T for _, _, v in self.blocks],
                           [v for _, _, v in self.blocks])
 
-    def to_product(self, x: np.ndarray) -> np.ndarray:
-        """V x V^dagger through V's m blocks, the inverse of ``to_eigen``."""
-        slices, (_, rows_back), (cols, _) = self._layout
-        return _blockwise(x, slices, cols, rows_back, [v for _, _, v in self.blocks],
-                          [v.conj().T for _, _, v in self.blocks])
-
-    def product_blockwise(self, x: np.ndarray, left, right=None) -> np.ndarray:
-        """L x R for L and R block diagonal in total m in the product basis,
-        with blocks ``left`` and ``right`` on the rows of ``blocks`` (R = 1
-        when ``right`` is None, where x may have any number of columns)."""
+    def product_blockwise(self, x: np.ndarray, left) -> np.ndarray:
+        """L x for L block diagonal in total m in the product basis, with
+        blocks ``left`` on the rows of ``blocks``, and x of any number of
+        columns."""
         slices, (rows, rows_back), _ = self._layout
-        return _blockwise(x, slices, rows, rows_back, left, right)
+        return _blockwise(x, slices, rows, rows_back, left)
 
 
 def _blockwise(x: np.ndarray, slices, order, back, left, right=None) -> np.ndarray:

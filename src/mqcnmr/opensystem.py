@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import EigenSystem
-from .sequence import (ExperimentGrid, acquisition_scan_values, check_grid_memory, kernel_inputs,
-                       phase_encode, prepared_setup)
+from .sequence import (ExperimentGrid, check_grid_memory, kernel_inputs, phase_encode,
+                       prepared_setup, setup_values)
 from .spectra import SignalGrid
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
@@ -59,6 +59,10 @@ GAUSSIAN_BAND = float(np.prod(np.arange(1.0, STENCIL, 2.0)) ** (1.0 / STENCIL))
 
 class _OMDF:
     """What both OMDFs share: the kernel's time factors from the transform q."""
+
+    def q_values(self, points: int) -> int:
+        """Complex values q holds for ``points`` points beyond a few arrays of them."""
+        return 0
 
     def time_factors(self, gaps, ts, s_zz: float) -> np.ndarray:
         """E = exp(-i S_zz g t) q(g t) for each gap g, shape (gaps, n_t)."""
@@ -116,6 +120,7 @@ class TabulatedOMDF(_OMDF):
         self.p_values = p / area
         du = np.diff(u)
         self._weights = self.p_values * (np.append(0.0, du) + np.append(du, 0.0)) / 2
+        self._step = max(1, QUADRATURE_BLOCK_BYTES // (16 * u.size))  # points per block
 
     @classmethod
     def from_file(cls, path) -> "TabulatedOMDF":
@@ -130,7 +135,7 @@ class TabulatedOMDF(_OMDF):
     def q(self, x):
         x = np.asarray(x, dtype=float)
         flat, out = x.ravel(), np.empty(x.size, dtype=complex)
-        step = max(1, QUADRATURE_BLOCK_BYTES // (16 * self.u.size))
+        step = self._step
         for lo in range(0, flat.size, step):
             phase = np.multiply.outer(flat[lo:lo + step], self.u)
             # einsum sums each row in one order whatever the block's row count
@@ -139,6 +144,10 @@ class TabulatedOMDF(_OMDF):
             out.imag[lo:lo + step] = np.einsum("xu,u->x", np.sin(phase, out=phase),
                                                self._weights)
         return out.reshape(x.shape)[()]
+
+    def q_values(self, points: int) -> int:
+        """One block's phases and their cosines or sines, as complex values."""
+        return min(points, self._step) * self.u.size
 
     def band(self, t_max: float) -> float:
         """Band in g of q(g t), |t| <= t_max: exactly max |u| t_max (q sums exp(i u g t))."""
@@ -333,23 +342,28 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     ``ReducedState``.  The working set is estimated and gated
     (``sequence.check_grid_memory``) before anything is allocated.
     """
-    # The signal grid; 8 arrays of 2^N x 2^N (the setup's peak, which covers I_+,
-    # the state, detection, weights and pair masks); the cycle eig may hold; the
-    # order sums; numpy's cast buffers; on the uniform set's nodes, the spread
-    # weights and their mirror (then folded), and on half of them E and G^R.
-    # Beside them, never at once: the default acquisition's scan; a spreading
-    # chunk and a bincount's output; a block of E, its temporaries and a
-    # tabulated q's quadrature block; or a group of taus' product and operand
-    n_tau, n_orders = len(grid.taus), 2 * eig.reg.n_spins + 1
+    # I_+'s blocks, the prepared state, the cycle eig may hold, and the setup
+    # or: the detection matrix, the weights, their pair masks, the signal grid,
+    # the order sums, numpy's cast buffers, on the uniform set's nodes the
+    # spread weights and their mirror, on half of them E and G^R, and the
+    # largest of, each at most what the grid fills, a spreading chunk with a
+    # bincount's output, a block of E with q's own, a group of taus' product
+    n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
+    n_tau, n_orders = len(grid.taus), 2 * n_spins + 1
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
-    uniform = grid_nodes(eig.zeta, band, eig.dim ** 2)[0]
-    nodes = eig.dim ** 2 if uniform is None else uniform.size  # ordered pairs otherwise
-    check_grid_memory(grid.n_phi * grid.n_t * n_tau + (9 if eig.holds_cycle else 8) * eig.dim ** 2
-                      + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
-                      + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
-                      + max(acquisition_scan_values(eig.dim, acquisition),
-                            GRID_CHUNK_BYTES // 16 + nodes * n_orders // 2,
-                            (GRID_CHUNK_BYTES // 4 + QUADRATURE_BLOCK_BYTES) // 16))
+    uniform = grid_nodes(eig.zeta, band, dim2)[0]
+    nodes = dim2 if uniform is None else uniform.size  # ordered pairs otherwise
+    half = nodes // 2 + 1
+    points = min(half, max(1, GRID_CHUNK_BYTES // (256 * grid.n_t))) * grid.n_t  # a block of E
+    chunk = min(GRID_CHUNK_BYTES, _PAIR_BYTES * (dim2 + eig.dim) // 2) // 16
+    group = min(GRID_CHUNK_BYTES // 16, 2 * n_tau * n_orders * (half + grid.n_t))
+    check_grid_memory(comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
+                      + max(setup_values(n_spins, acquisition),
+                            2 * dim2 + dim2 // 4 + grid.n_phi * grid.n_t * n_tau
+                            + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
+                            + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
+                            + max(chunk + nodes * n_orders // 2,
+                                  4 * points + params.omdf.q_values(points), group)))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, grid.ts, grid.taus,

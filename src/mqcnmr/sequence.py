@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
-from .operators import collective_angular_momentum, kron_apply, kron_conjugate, rotation_halves
+from .operators import kron_apply, kron_conjugate, rotation_halves
 from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases
 
 
@@ -177,9 +177,6 @@ class Mrev8Spec:
         spacing, count = self.cycles(tau)
         return mrev8_block(spacing, count) if count else ()
 
-    def tau_schedule(self, count: int) -> tuple:
-        return tuple(n * self.cycle_time for n in range(count))
-
 
 @dataclass(frozen=True)
 class MagicSandwichSpec:
@@ -207,14 +204,6 @@ def apply(ev: SequenceEvent, x: np.ndarray, eig: EigenSystem) -> np.ndarray:
     return eig.product_blockwise(x, _free(ev, eig))
 
 
-def conjugate(ev: SequenceEvent, x: np.ndarray, eig: EigenSystem) -> np.ndarray:
-    """U x U^dagger for the event's propagator U."""
-    if isinstance(ev, Pulse):
-        return kron_conjugate(rotation_halves(eig.reg, ev.angle, ev.axis_phase), x)
-    blocks = _free(ev, eig)
-    return eig.product_blockwise(x, blocks, [u.conj().T for u in blocks])
-
-
 def compile_program(events, eig: EigenSystem) -> np.ndarray:
     """Apply the event propagators in time order to the identity: their
     product, one unitary in the product basis."""
@@ -224,18 +213,10 @@ def compile_program(events, eig: EigenSystem) -> np.ndarray:
     return u
 
 
-def evolve(events, sigma: np.ndarray, eig: EigenSystem, eigen: bool = True) -> np.ndarray:
-    """The state ``sigma`` carried through ``events`` (U sigma U^dagger per
-    event), returned in the H eigenbasis.
-
-    ``sigma`` is given in the eigenbasis (``eigen``), where each event must be
-    a free evolution, a phase per element, O(4^N); or in the product basis,
-    where each event applies by its structure (``conjugate``).
-    """
-    if not eigen:
-        for ev in events:
-            sigma = conjugate(ev, sigma, eig)
-        return eig.to_eigen(sigma)
+def evolve(events, sigma: np.ndarray, eig: EigenSystem) -> np.ndarray:
+    """The state ``sigma``, given in the H eigenbasis, carried through
+    ``events`` (U sigma U^dagger per event), each a free evolution: a phase
+    per element, O(4^N)."""
     for ev in events:
         p = free_phases(eig, [ev.scale * ev.duration])[0]
         sigma = p[:, None] * sigma
@@ -285,27 +266,39 @@ def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
     phi=0 signal of the run ``setup`` over ACQUISITION_SCAN steps of
     ACQUISITION_DWELL, window two dwell steps wide.
 
-    The scan runs in the H eigenbasis: with p = exp(-i S_zz zeta t) the
-    signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b with
-    M = I_+ (elementwise) rho^T, rho the state after the read pulse (applied
-    by its Kronecker halves in the product basis), one GEMM over (scan time,
-    eigenstate).
+    The read pulse (pi/4)_y follows the preparation's about the same axis, so
+    the scanned state rho is the setup's pre-pulse state under one fused
+    (pi/2)_y, applied by its Kronecker halves.  With p = exp(-i S_zz zeta t)
+    the signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b in the
+    H eigenbasis, M = I_+ (elementwise) rho^T.  M lives on I_+'s (m + 1, m)
+    blocks, so only rho's (m, m + 1) blocks go to the eigenbasis, and the
+    scan is one GEMM over (scan time, eigenstate) per block.
     """
     eig = setup.eig
-    rho = eig.to_eigen(kron_conjugate(setup.read_pulse, eig.to_product(setup.state)))
-    weights = setup.i_plus * rho.T
+    rho = kron_conjugate(rotation_halves(eig.reg, np.pi / 2, np.pi / 2), setup.pre_pulse)
     p = free_phases(eig, ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
-    mags = np.abs(np.sum((p.conj() @ weights) * p, axis=1))
+    signal = np.zeros(ACQUISITION_SCAN, dtype=complex)
+    for (rows_up, cols_up, v_up), (rows, cols, v), x in eig.i_plus:
+        weights = x * (v.conj().T @ rho[np.ix_(rows, rows_up)] @ v_up).T
+        prod = p[:, cols_up].conj() @ weights
+        prod *= p[:, cols]
+        signal += prod.sum(axis=1)
+    mags = np.abs(signal)
     peaks = np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] > mags[2:]))
     idx = int(peaks[0]) + 1 if peaks.size else 0
     return AcquisitionSpec(t_m=idx * ACQUISITION_DWELL, window=2.0 * ACQUISITION_DWELL)
 
 
-def acquisition_scan_values(dim: int, acquisition: AcquisitionSpec | None) -> int:
-    """Complex values ``default_acquisition`` holds beside the run setup when
-    ``acquisition`` is None: the state after the read pulse and its weights,
-    and the scan's phases with their GEMM output and product."""
-    return 0 if acquisition is not None else 2 * dim ** 2 + 3 * ACQUISITION_SCAN * dim
+def setup_values(n_spins: int, acquisition: AcquisitionSpec | None) -> int:
+    """Complex values ``kernel_inputs`` on a new ``prepared_setup`` holds beside
+    I_+'s blocks and the prepared state: the pre-pulse state, and beside it
+    the default acquisition (when ``acquisition`` is None: the scanned state
+    with the fused pulse's two products, or with the scan's phases and their
+    transients) or the build of a 2^N x 2^N result from its input (two
+    products of a pulse's halves or a basis change, and V's adjoint blocks)."""
+    dim2 = 4 ** n_spins
+    scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * 2 ** n_spins)
+    return dim2 + max(scan, 3 * dim2 + comb(2 * n_spins, n_spins))
 
 
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
@@ -350,13 +343,23 @@ def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
 
 
 def prepared_setup(eig: EigenSystem, t_p: float) -> RunSetup:
-    """The operators a run holds fixed, built once after its memory gate: the
-    state I_z carried through the JB preparation ``jb_prepare(t_p)``, the read
-    pulse R_y(pi/4) as its Kronecker halves, and I_+ = I_x + i I_y as ``eig``
-    holds it, the state and I_+ in the H eigenbasis."""
-    reg = eig.reg
-    state = evolve(jb_prepare(t_p), collective_angular_momentum(reg, "z"), eig, eigen=False)
-    return RunSetup(eig, state, rotation_halves(reg, np.pi / 4, np.pi / 2), eig.i_plus)
+    """The states a run holds fixed, built once after its memory gate.
+
+    ``jb_prepare(t_p)`` takes I_z by its (pi/2)_x to +I_y, which t_p of free
+    evolution takes to p_a conj(p_b) (I_y)_ab in the H eigenbasis,
+    p = exp(-i S_zz zeta t_p), I_y = (I_+ - I_+^dagger) / 2i.  So the state
+    before the (pi/4)_y pulse is built from the I_+ blocks ``eig`` holds,
+    taken to the product basis block by block; that pulse applies once, by
+    its Kronecker halves, and the prepared state goes to the eigenbasis.
+    """
+    p = free_phases(eig, [t_p])[0]
+    a = eig.blocks_to_product((up, down, -0.5j * p[up[1], None] * x * p[down[1]].conj())
+                              for up, down, x in eig.i_plus)
+    for (rows_up, _, _), (rows, _, _), _ in eig.i_plus:  # and the -I_+^dagger / 2i blocks
+        a[np.ix_(rows, rows_up)] = a[np.ix_(rows_up, rows)].conj().T
+    state = eig.to_eigen(kron_conjugate(rotation_halves(eig.reg, np.pi / 4, np.pi / 2), a))
+    state.flags.writeable = a.flags.writeable = False
+    return RunSetup(eig, state, a)
 
 
 def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
@@ -408,18 +411,15 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
 def _loop_values(block, n_spins: int, n_t: int) -> int:
     """The most complex values the tau loop of ``run_grid`` holds at once
     beside the prepared state, the detection matrix, the order sums and what
-    the eigensystem holds (I_+ and an MREV-8 cycle w).
+    the eigensystem holds (I_+'s blocks and an MREV-8 cycle w).
 
     The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
-    the last tau's sums throughout.  While ``block_states`` makes the next
-    state, the block holds: two eigenbasis phase products (magic sandwich);
-    w sigma, which replaces the last state, w's adjoint and their product,
-    or the cycle being compiled and taken to the eigenbasis (MREV-8, in
-    either mode).  The kernel runs on one slab, beside the state that an
-    MREV-8 block carries from tau to tau, with that tau's sums and, per m
-    value of rows A, the GEMM output (n_t x 2^N) with its inputs (P[:, A]
-    conjugated, W[A, :]) or its product with the membership matrix and the
-    sums' rows it adds to.
+    the last tau's sums throughout.  Beside them: the block step (two
+    eigenbasis phase products for a magic sandwich; for MREV-8, w sigma, w's
+    adjoint and their product, or the cycle being compiled and taken to the
+    eigenbasis), or the kernel on one slab, beside the state an MREV-8 block
+    carries, with that tau's sums and, per m value of rows A, the GEMM output
+    (n_t x 2^N) with its inputs or its product with the membership matrix.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
@@ -485,15 +485,12 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     # that the block compiles replaces one eig held at another spacing)
     cycle = dim2 if eig.holds_cycle else 0
     loop_cycle = dim2 if eig.holds_cycle or isinstance(block, Mrev8Spec) else 0
-    # I_+, which eig holds, and the prepared state; beside them, never at
-    # once: the detection matrix's build (the matrix, the window with its
-    # real frequencies, one basis change's arrays and V's adjoint m blocks)
-    # or the default acquisition's scan, each beside the cycle eig holds; or
-    # the detection matrix and the sums with the tau loop and then with the
-    # signal grid, beside the loop's cycle
-    check_grid_memory(2 * dim2 + max(
-        cycle + 9 * dim2 // 2 + comb(2 * n_spins, n_spins),
-        cycle + acquisition_scan_values(eig.dim, acquisition),
+    # I_+'s blocks, which eig holds, and the prepared state; beside them, never
+    # at once: the setup, beside the cycle eig holds; or the detection matrix
+    # and the sums with the tau loop and then with the signal grid, beside
+    # the loop's cycle
+    check_grid_memory(comb(2 * n_spins, n_spins - 1) + dim2 + max(
+        cycle + setup_values(n_spins, acquisition),
         loop_cycle + dim2 + n_tau * (2 * n_spins + 1) * grid.n_t
         + max(_loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)))
     acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)

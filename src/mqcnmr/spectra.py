@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
-from .operators import kron_conjugate
+from .operators import kron_conjugate, rotation_halves
 
 
 @dataclass(frozen=True)
@@ -117,26 +117,15 @@ def fft2_coherence(grid: SignalGrid, zero_pad: int = 1) -> CoherenceSpectrum:
 
 @dataclass(frozen=True)
 class RunSetup:
-    """The operators one run holds fixed, as read-only arrays: the prepared
-    state and the detected operator I_+ = I_x + i I_y in the H eigenbasis V
-    (each X as V^dagger X V), and the read pulse R_y(pi/4) as its Kronecker
-    halves (``operators.rotation_halves``)."""
+    """The states one run holds fixed (``sequence.prepared_setup``), as
+    read-only arrays: the JB state just before the preparation's (pi/4)_y
+    pulse, in the product basis (``pre_pulse``), and the prepared state after
+    it, in the H eigenbasis V (V^dagger X V).  The detected
+    I_+ = I_x + i I_y is the one ``eig`` holds (``EigenSystem.i_plus``)."""
 
     eig: EigenSystem
     state: np.ndarray
-    read_pulse: tuple
-    i_plus: np.ndarray
-
-    def __post_init__(self):
-        for name in ("state", "i_plus"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
-        object.__setattr__(self, "read_pulse", tuple(map(_read_only, self.read_pulse)))
-
-
-def _read_only(a) -> np.ndarray:
-    view = np.asarray(a, dtype=complex).view()
-    view.flags.writeable = False
-    return view
+    pre_pulse: np.ndarray
 
 
 def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
@@ -144,15 +133,20 @@ def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
 
     Element (a, b) is the acquisition-averaged trace weight multiplying
     density element (b, a) in the complex transverse signal, with the read
-    pulse R of ``setup`` folded in: V^dagger R^dagger V (I_+ * win) V^dagger R V,
-    through V's m blocks and R's Kronecker halves.  The window average is
-    analytic (sinc).
+    pulse R = R_y(pi/4) folded in: V^dagger R^dagger V (I_+ * win) V^dagger R V.
+    The window average is analytic (sinc).  I_+ * win lives on I_+'s
+    (m + 1, m) blocks, so the window is evaluated on their gaps alone and
+    taken to the product basis block by block; R^dagger's Kronecker halves
+    and the basis change back act on the dense matrix.
     """
     eig = setup.eig
-    omega = eig.order_parameter * eig.gaps()
-    win = np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
-    adjoint = tuple(h.conj().T for h in setup.read_pulse)
-    return eig.to_eigen(kron_conjugate(adjoint, eig.to_product(setup.i_plus * win)))
+
+    def windowed(up, down, x):
+        omega = eig.order_parameter * (eig.zeta[up[1], None] - eig.zeta[down[1]])
+        return up, down, x * np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
+
+    return eig.to_eigen(kron_conjugate(rotation_halves(eig.reg, -np.pi / 4, np.pi / 2),
+                                       eig.blocks_to_product(windowed(*b) for b in eig.i_plus)))
 
 
 def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:

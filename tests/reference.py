@@ -173,6 +173,47 @@ def shuffled_eigensystem(eig, perm):
                        order_parameter=eig.order_parameter)
 
 
+def tau_schedule(block, count):
+    """The first ``count`` whole-cycle durations 0, 12 tau1, 24 tau1, ... of an
+    MREV-8 block spec."""
+    return tuple(n * block.cycle_time for n in range(count))
+
+
+def conjugate(ev, x, eig):
+    """U x U^dagger for the propagator U of a sequence event, from the
+    package's ``sequence.apply`` on x and then on (U x)^dagger."""
+    from mqcnmr.sequence import apply
+    return apply(ev, apply(ev, x, eig).conj().T, eig).conj().T
+
+
+def dense_blocks(eig, pairs):
+    """The dense 2^N x 2^N eigenbasis matrix of the blocks (left, right, X),
+    left and right entries (rows, cols, V_m) of ``eig.blocks``, as
+    ``EigenSystem.i_plus`` holds I_+; zero elsewhere."""
+    out = np.zeros((eig.dim, eig.dim), dtype=complex)
+    for (_, cols_l, _), (_, cols_r, _), x in pairs:
+        out[np.ix_(cols_l, cols_r)] = x
+    return out
+
+
+def gaps(eig):
+    """Matrix of eigenvalue differences zeta_a - zeta_b."""
+    return eig.zeta[:, None] - eig.zeta[None, :]
+
+
+def dense_detection(eig, t_m, window):
+    """V^dagger R^dagger V (I_+ * win) V^dagger R V with every factor dense: I_+
+    from Kronecker sums, V from ``eig.vectors``, R = R_y(pi/4) by expm and the
+    window exp(i w t_m) sinc(w window / 2 pi) on all gaps w = S_zz (zeta_a - zeta_b)."""
+    n = eig.reg.n_spins
+    v, r = eig.vectors, rot(n, np.pi / 4, np.pi / 2)
+    omega = eig.order_parameter * (eig.zeta[:, None] - eig.zeta[None, :])
+    win = np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
+    i_plus = v.conj().T @ (coll(n, "x") + 1j * coll(n, "y")) @ v
+    pulse = v.conj().T @ r @ v
+    return pulse.conj().T @ (i_plus * win) @ pulse
+
+
 def coherence_orders(reg):
     """Integer coherence order m_r - m_c of every matrix element (r, c)."""
     m = coll(reg.n_spins, "z").diagonal().real
@@ -330,28 +371,33 @@ def brute_grid(table_hz, s_zz, t_p, phis, ts, taus, block_events, t_m, window,
 
 
 def first_maximum_t_m(table_hz, s_zz, t_p, dwell=1e-6, n_scan=256):
-    """Default acquisition time by a dense per-point scan.
+    """Default acquisition time by a dense per-point scan
+    (``scan_first_maximum``) under the dipolar H of a coupling table."""
+    return scan_first_maximum(ham_ref(table_hz, s_zz), t_p, dwell, n_scan)[0]
+
+
+def scan_first_maximum(h, t_p, dwell=1e-6, n_scan=256):
+    """(t_m, magnitudes) of the default acquisition under a dense H.
 
     Steps the prepared, read-pulsed state through the scan with a dense
     one-dwell propagator and returns the time of the first local maximum
-    of |tr((I_x + i I_y) rho(t))| (0 when there is none).
+    of |tr((I_x + i I_y) rho(t))| (0 when there is none), with the
+    magnitudes scanned up to it (all n_scan when there is none).
     """
-    table = np.asarray(table_hz, dtype=float)
-    n = table.shape[0]
-    h = ham_ref(table, s_zz)
+    h = np.asarray(h, dtype=complex)
+    n = h.shape[0].bit_length() - 1
     rho = apply_events(n, h, coll(n, "z"),
                        [("pulse", np.pi / 2, 0.0), ("free", t_p, 1.0),
                         ("pulse", np.pi / 4, np.pi / 2), ("pulse", np.pi / 4, np.pi / 2)])
     ip = coll(n, "x") + 1j * coll(n, "y")
     step = expm(-1j * h * dwell)
-    mags = np.empty(n_scan)
+    mags = []
     for i in range(n_scan):
-        mags[i] = abs(np.trace(ip @ rho))
+        mags.append(abs(np.trace(ip @ rho)))
+        if i >= 2 and mags[i - 1] >= mags[i - 2] and mags[i - 1] > mags[i]:
+            return (i - 1) * dwell, np.array(mags)
         rho = step @ rho @ step.conj().T
-    for i in range(1, n_scan - 1):
-        if mags[i] >= mags[i - 1] and mags[i] > mags[i + 1]:
-            return i * dwell
-    return 0.0
+    return 0.0, np.array(mags)
 
 
 def order_sums_loop(det, sigma0, zeta, m, s_zz, ts, n):
@@ -448,10 +494,10 @@ def evolve_open(state, t, tau, params):
     """
     from mqcnmr.opensystem import ReducedState, g_irreversible
     eig = state.eig
-    gaps = eig.gaps()
-    factor = (np.exp(-1j * eig.order_parameter * gaps * t)
-              * g_reversible(gaps, t, params)
-              * g_irreversible(gaps, tau, params))
+    dz = gaps(eig)
+    factor = (np.exp(-1j * eig.order_parameter * dz * t)
+              * g_reversible(dz, t, params)
+              * g_irreversible(dz, tau, params))
     return ReducedState(state.matrix * factor, eig)
 
 
@@ -479,7 +525,8 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
     The t transform of the open engine's ``pair_order_sums`` on the t grid of
     the time-domain route, which must be uniform (UnsupportedGridError
     otherwise), for the prepared state ``state_eig`` (H
-    eigenbasis), the read pulse (pi/4)_y and detection I_+.  With G == 1 (the
+    eigenbasis), the read pulse (pi/4)_y and detection I_+, the detection
+    weights built densely (``dense_detection``).  With G == 1 (the
     phase alone, by direct exp, for ``time_factors`` None, and G^R = 1 for
     ``g_irreversible`` None) this reproduces ``fft2_coherence(run_grid(...))``
     up to rounding through the kernel the closed engine does not use; with the
@@ -487,9 +534,8 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
     included, and G^R(dzeta, tau)) it realizes the shifted-copy superposition
     of ``run_grid_open``.
     """
-    from mqcnmr.operators import collective_angular_momentum, rotation_halves
     from mqcnmr.opensystem import pair_order_sums
-    from mqcnmr.spectra import CoherenceSpectrum, RunSetup, detection_matrix
+    from mqcnmr.spectra import CoherenceSpectrum
     from mqcnmr.errors import UnsupportedGridError
     ts = np.asarray(ts, dtype=float)
     if ts.size < 2 or not np.allclose(np.diff(ts), ts[1] - ts[0], rtol=1e-9, atol=0.0):
@@ -501,10 +547,9 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
     if g_irreversible is None:
         def g_irreversible(gaps, tau):
             return np.ones(np.broadcast_shapes(np.shape(gaps), np.shape(tau)))
-    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    setup = RunSetup(eig, state_eig, rotation_halves(reg, np.pi / 4, "y"), eig.to_eigen(i_plus))
-    det = detection_matrix(setup, t_m, window)
-    sums = pair_order_sums(det * setup.state.T, eig, ts, taus, time_factors, g_irreversible)
+    det = dense_detection(eig, t_m, window)
+    sums = pair_order_sums(det * np.asarray(state_eig).T, eig, ts, taus, time_factors,
+                           g_irreversible)
     data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
     freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
     return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),

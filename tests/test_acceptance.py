@@ -49,7 +49,7 @@ def test_criterion_1_magic_sandwich_tau_invariance():
 def per_order_variation(eig, reg, tau1):
     block = Mrev8Spec(tau1=tau1)
     grid = ExperimentGrid(t_p=4.75e-5, n_t=48, dt=2e-6, n_phi=2 * reg.n_spins + 2,
-                          taus=block.tau_schedule(4))
+                          taus=reference.tau_schedule(block, 4))
     spec = fft2_coherence(run_grid(eig, grid, block=block, acquisition=ACQ))
     amp = np.sum(np.abs(spec.data), axis=2)  # (n_tau, n_mu)
     a0 = amp[0]

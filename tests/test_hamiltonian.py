@@ -295,7 +295,7 @@ def test_eigensystem_build_holds_no_dense_matrix():
 
 def test_gaps_and_coherence_orders():
     _, _, _, _, eig = _example_eig(n=2, seed=1)
-    gaps = eig.gaps()
+    gaps = ref.gaps(eig)
     np.testing.assert_allclose(gaps, -gaps.T, atol=0)
     np.testing.assert_allclose(np.diag(gaps), 0, atol=0)
     orders = ref.eigen_coherence_orders(eig)
@@ -356,9 +356,11 @@ def test_eigensystem_holds_i_plus_and_one_cycle():
     eig = eigendecompose(secular_hamiltonian(SpinSystem(table, 0.6)), 0.6)
     reg = eig.reg
     i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    np.testing.assert_allclose(eig.i_plus, eig.vectors.conj().T @ i_plus @ eig.vectors,
-                               rtol=0, atol=1e-12)
-    assert eig.i_plus is eig.i_plus and not eig.i_plus.flags.writeable
+    np.testing.assert_allclose(ref.dense_blocks(eig, eig.i_plus),
+                               eig.vectors.conj().T @ i_plus @ eig.vectors, rtol=0, atol=1e-12)
+    assert eig.i_plus is eig.i_plus
+    assert not any(x.flags.writeable for _, _, x in eig.i_plus)
+    assert sum(x.size for _, _, x in eig.i_plus) == 15  # C(6, 2) of 4^3
     builds = []
 
     def build(value):

@@ -130,7 +130,7 @@ def test_block_specs():
     assert total_duration(spec.events_for(120e-6)) == pytest.approx(120e-6)
     with pytest.raises(ConfigError):
         spec.events_for(70e-6)
-    np.testing.assert_allclose(spec.tau_schedule(3), [0.0, 60e-6, 120e-6])
+    np.testing.assert_allclose(ref.tau_schedule(spec, 3), [0.0, 60e-6, 120e-6])
 
     stretch = Mrev8Spec(tau1=5e-6, mode="stretch")
     ev = stretch.events_for(240e-6)
@@ -201,9 +201,9 @@ def test_block_states_match_the_compiled_chain_for_any_schedule(mode, counts, un
 
 def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
     # each nonzero tau of a stretched block is one compiled cycle; no event is
-    # applied to the state on its own but the JB preparation's three
+    # applied to the state on its own, the JB preparation's included
     _, _, reg, eig = make_system(n=3, seed=2)
-    calls = {"compile_program": 0, "conjugate": 0}
+    calls = {"compile_program": 0, "evolve": 0}
 
     def counted(name):
         fn = getattr(sequence, name)
@@ -219,7 +219,7 @@ def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
                           taus=(0.0, 6e-5, 1.1e-4, 2.4e-4))
     run_grid(eig, grid, block=Mrev8Spec(tau1=5e-6, mode="stretch"),
              acquisition=AcquisitionSpec(t_m=3e-6, window=2e-6))
-    assert calls == {"compile_program": 3, "conjugate": 3}
+    assert calls == {"compile_program": 3, "evolve": 0}
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -466,25 +466,26 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
     monkeypatch.setattr(sequence, "prepared_setup", stop)
     block = Mrev8Spec(tau1=5e-6)
     _, _, reg, eig = make_system(n=10, seed=3)
-    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(120))
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=ref.tau_schedule(block, 120))
     with pytest.raises(_GatePassed):
         run_grid(eig, grid, block=block)
     per_tau = 16 * (grid.n_phi + 2 * reg.n_spins + 1) * grid.n_t
     n_tau = sequence.MEMORY_BUDGET_BYTES // per_tau + 1
-    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=block.tau_schedule(n_tau))
+    grid = ExperimentGrid(t_p=4e-5, n_t=64, dt=2e-6, n_phi=22, taus=ref.tau_schedule(block, n_tau))
     with pytest.raises(GridSizeError):
         run_grid(eig, grid, block=block)
 
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
-    # MREV-8 "concatenate" with the default acquisition: each collective
-    # angular momentum is built once, and the JB preparation applied once;
-    # a second run on the same eigensystem builds only its own I_z and
-    # prepared state, and compiles its cycle only at another tau1
+    # MREV-8 "concatenate" with the default acquisition: no collective
+    # angular momentum is built and no event is applied to the state on its
+    # own (the JB state comes from I_+'s blocks), I_+ is built once per
+    # eigensystem, and a second run on the same eigensystem compiles its
+    # cycle only at another tau1
     from mqcnmr import hamiltonian, operators, spectra
     _, _, reg, eig = make_system(n=3, seed=2)
     block = Mrev8Spec(tau1=5e-6)
-    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=block.tau_schedule(3))
+    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=ref.tau_schedule(block, 3))
     calls = {"collective_angular_momentum": [], "evolve": [], "compile_program": []}
 
     def logged(fn, log):
@@ -497,17 +498,22 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
         for name, log in calls.items():
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, logged(getattr(mod, name), log))
+    assert "i_plus" not in eig.__dict__
     first = run_grid(eig, grid, block=block).data
-    axes = [args[1] for args in calls["collective_angular_momentum"]]
-    assert sorted(axes) == ["x", "y", "z"]
-    assert [tuple(args[0]) for args in calls["evolve"]].count(jb_prepare(grid.t_p)) == 1
+    held = eig.__dict__["i_plus"]
+    assert calls["collective_angular_momentum"] == [] and calls["evolve"] == []
     assert len(calls["compile_program"]) == 1
     assert np.array_equal(run_grid(eig, grid, block=block).data, first)
-    assert [args[1] for args in calls["collective_angular_momentum"]] == axes + ["z"]
+    assert eig.__dict__["i_plus"] is held
+    assert calls["collective_angular_momentum"] == [] and calls["evolve"] == []
     assert len(calls["compile_program"]) == 1
     other = Mrev8Spec(tau1=2.5e-6)
     run_grid(eig, grid, block=other)
     assert len(calls["compile_program"]) == 2
+    # a new eigensystem builds its own
+    _, _, _, fresh = make_system(n=3, seed=2)
+    run_grid(fresh, grid, block=block)
+    assert fresh.__dict__["i_plus"] is not held and eig.__dict__["i_plus"] is held
 
 
 def test_default_acquisition():

@@ -1,8 +1,8 @@
 """The structured operators of the closed engine against the dense oracles in
 reference.py: Kronecker-half pulses, m-block free evolutions and m-block
-basis changes, for N = 1-8 and eigenbases in eigendecompose's layout or
-shuffled; and the eigensystem eigendecompose reads from the m blocks' rows
-alone."""
+basis changes, and the run setup built on I_+'s (m + 1, m) blocks, for
+N = 1-8 and eigenbases in eigendecompose's layout or shuffled; and the
+eigensystem eigendecompose reads from the m blocks' rows alone."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,9 @@ import reference as ref
 from mqcnmr.errors import MqcnmrError
 from mqcnmr.hamiltonian import eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
-from mqcnmr.sequence import FreeEvolution, apply, compile_program, conjugate
+from mqcnmr.sequence import (FreeEvolution, Pulse, apply, compile_program, default_acquisition,
+                             jb_prepare, prepared_setup)
+from mqcnmr.spectra import detection_matrix
 
 
 def random_matrix(rng, rows, cols):
@@ -63,16 +65,21 @@ def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shu
     x = random_matrix(rng, reg.dim, reg.dim)
     assert_close(compile_program([ev], eig), u)
     assert_close(apply(ev, x, eig), u @ x)
-    assert_close(conjugate(ev, x, eig), u @ x @ u.conj().T)
+    assert_close(ref.conjugate(ev, x, eig), u @ x @ u.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_m_block_basis_change_matches_dense(n, shuffle, seed):
+    # to_eigen on a dense matrix, and blocks_to_product on random blocks in
+    # the (m + 1, m) layout of I_+ and its mirror
     reg, eig, rng = secular_eigensystem(n, seed, shuffle)
     v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
-    assert_close(eig.to_product(x), v @ x @ v.conj().T)
+    pairs = [pair for up, down, b in eig.i_plus
+             for pair in ((up, down, random_matrix(rng, *b.shape)),
+                          (down, up, random_matrix(rng, *b.T.shape)))]
+    assert_close(eig.blocks_to_product(pairs), v @ ref.dense_blocks(eig, pairs) @ v.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,3 +116,29 @@ def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
                 others + [(joined, h[np.ix_(joined, joined)])]):
         with pytest.raises(MqcnmrError):
             eigendecompose(bad, 0.6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), t_p=st.just(0.0) | st.floats(0.0, 1e-4),
+       t_m=st.floats(0.0, 2e-5), window=st.just(0.0) | st.floats(0.0, 4e-6),
+       shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, shuffle, seed):
+    # the prepared state, the detection matrix and the default acquisition,
+    # all built on I_+'s (m + 1, m) blocks, against dense oracles: I_z
+    # carried through jb_prepare by dense pulses and propagators, the
+    # detection matrix from dense V, R and I_+, and the dense per-step scan
+    # (its t_m compared where no two magnitudes up to its decision tie)
+    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+    v = eig.vectors
+    setup = prepared_setup(eig, t_p)
+    rho = ref.coll(n, "z")
+    for ev in jb_prepare(t_p):
+        u = (ref.rot(n, ev.angle, ev.axis_phase) if isinstance(ev, Pulse)
+             else ref.propagator(eig, ev.duration, ev.scale))
+        rho = u @ rho @ u.conj().T
+    assert_close(setup.state, v.conj().T @ rho @ v)
+    assert_close(detection_matrix(setup, t_m, window), ref.dense_detection(eig, t_m, window))
+    h = (v * (eig.order_parameter * eig.zeta)) @ v.conj().T
+    t_ref, mags = ref.scan_first_maximum(h, t_p)
+    if np.all(np.abs(np.diff(mags)) > 1e-9 * mags.max()):
+        assert default_acquisition(setup).t_m == t_ref
