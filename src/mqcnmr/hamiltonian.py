@@ -226,13 +226,17 @@ class EigenSystem:
             pairs.append((up, down, x))
         return tuple(pairs)
 
-    def blocks_to_product(self, pairs) -> np.ndarray:
-        """V X V^dagger for X given by its nonzero blocks (left, right, X_lr),
-        left and right entries of ``blocks``: each V_l X_lr V_r^dagger written
-        at its product-basis rows and columns of a zero 2^N x 2^N matrix."""
+    def i_plus_product(self, weight) -> np.ndarray:
+        """V (f o I_+) V^dagger in the product basis for a per-gap weight f:
+        each eigenbasis element of I_+ times f of its gap
+        omega = S_zz (zeta_up - zeta_down), ``weight`` taking an array of gaps
+        elementwise.  Each (m + 1, m) block goes to the product basis on its
+        own, V_{m+1} X V_m^dagger written at its rows of a zero 2^N x 2^N
+        matrix."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (rows_l, _, v_l), (rows_r, _, v_r), x in pairs:
-            out[np.ix_(rows_l, rows_r)] = (v_l @ x) @ v_r.conj().T
+        for (rows_up, cols_up, v_up), (rows, cols, v), x in self.i_plus:
+            omega = self.order_parameter * (self.zeta[cols_up, None] - self.zeta[cols])
+            out[np.ix_(rows_up, rows)] = (v_up @ (x * weight(omega))) @ v.conj().T
         return out
 
     @property

@@ -109,6 +109,8 @@ class TabulatedOMDF(_OMDF):
         p = np.asarray(p, dtype=float)
         if u.ndim != 1 or u.shape != p.shape or u.size < 3:
             raise ConfigError("tabulated OMDF needs matching 1D u and p arrays (>= 3 points)")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(p))):
+            raise ConfigError("tabulated OMDF has non-finite entries")
         if np.any(np.diff(u) <= 0):
             raise ConfigError("tabulated OMDF abscissa must be strictly increasing")
         if np.any(p < 0):
@@ -130,7 +132,10 @@ class TabulatedOMDF(_OMDF):
             raise ConfigError(f"OMDF table {path} is not a table of numbers: {exc}") from None
         if table.ndim != 2 or table.shape[1] != 2:
             raise ConfigError(f"OMDF table {path} must have two columns (u, p)")
-        return cls(table[:, 0], table[:, 1])
+        try:
+            return cls(table[:, 0], table[:, 1])
+        except ConfigError as exc:
+            raise ConfigError(f"OMDF table {path}: {exc}") from None
 
     def q(self, x):
         x = np.asarray(x, dtype=float)
@@ -210,7 +215,7 @@ class ReducedState:
 
 def prepare_reduced_state(eig: EigenSystem, t_p: float) -> ReducedState:
     """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    return ReducedState(prepared_setup(eig, t_p).state, eig)
+    return ReducedState(eig.to_eigen(prepared_setup(eig, t_p)), eig)
 
 
 def grid_nodes(zeta: np.ndarray, band, most: int) -> tuple:
@@ -364,7 +369,7 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
                             + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
                             + max(chunk + nodes * n_orders // 2,
                                   4 * points + params.omdf.q_values(points), group)))
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
+    acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
     state = ReducedState(a_eig, eig)
     sums = pair_order_sums(det * state.matrix.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
 from .operators import kron_apply, kron_conjugate, rotation_halves
-from .spectra import RunSetup, SignalGrid, detection_matrix, free_phases
+from .spectra import SignalGrid, detection_matrix, free_phases
 
 
 @dataclass(frozen=True)
@@ -213,17 +213,6 @@ def compile_program(events, eig: EigenSystem) -> np.ndarray:
     return u
 
 
-def evolve(events, sigma: np.ndarray, eig: EigenSystem) -> np.ndarray:
-    """The state ``sigma``, given in the H eigenbasis, carried through
-    ``events`` (U sigma U^dagger per event), each a free evolution: a phase
-    per element, O(4^N)."""
-    for ev in events:
-        p = free_phases(eig, [ev.scale * ev.duration])[0]
-        sigma = p[:, None] * sigma
-        sigma *= p.conj()
-    return sigma
-
-
 @dataclass(frozen=True)
 class ReversionReport:
     """Outcome of the reversion self-check on a compiled block of duration tau:
@@ -261,21 +250,20 @@ ACQUISITION_DWELL = 1e-6
 ACQUISITION_SCAN = 256
 
 
-def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
+def default_acquisition(eig: EigenSystem, prepared: np.ndarray) -> AcquisitionSpec:
     """Acquisition defaults: t_m at the first magnitude maximum of the tau=0,
-    phi=0 signal of the run ``setup`` over ACQUISITION_SCAN steps of
-    ACQUISITION_DWELL, window two dwell steps wide.
+    phi=0 signal of the ``prepared`` state (product basis, ``prepared_setup``)
+    over ACQUISITION_SCAN steps of ACQUISITION_DWELL, window two dwell steps
+    wide.
 
-    The read pulse (pi/4)_y follows the preparation's about the same axis, so
-    the scanned state rho is the setup's pre-pulse state under one fused
-    (pi/2)_y, applied by its Kronecker halves.  With p = exp(-i S_zz zeta t)
+    The scanned state rho is ``prepared`` under the (pi/4)_y read pulse,
+    applied by its Kronecker halves.  With p = exp(-i S_zz zeta t)
     the signal tr(I_+ U rho U^dagger) is sum_ab conj(p_a) M[a, b] p_b in the
     H eigenbasis, M = I_+ (elementwise) rho^T.  M lives on I_+'s (m + 1, m)
     blocks, so only rho's (m, m + 1) blocks go to the eigenbasis, and the
     scan is one GEMM over (scan time, eigenstate) per block.
     """
-    eig = setup.eig
-    rho = kron_conjugate(rotation_halves(eig.reg, np.pi / 2, np.pi / 2), setup.pre_pulse)
+    rho = kron_conjugate(rotation_halves(eig.reg, np.pi / 4, np.pi / 2), prepared)
     p = free_phases(eig, ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
     signal = np.zeros(ACQUISITION_SCAN, dtype=complex)
     for (rows_up, cols_up, v_up), (rows, cols, v), x in eig.i_plus:
@@ -290,15 +278,16 @@ def default_acquisition(setup: RunSetup) -> AcquisitionSpec:
 
 
 def setup_values(n_spins: int, acquisition: AcquisitionSpec | None) -> int:
-    """Complex values ``kernel_inputs`` on a new ``prepared_setup`` holds beside
-    I_+'s blocks and the prepared state: the pre-pulse state, and beside it
-    the default acquisition (when ``acquisition`` is None: the scanned state
-    with the fused pulse's two products, or with the scan's phases and their
-    transients) or the build of a 2^N x 2^N result from its input (two
+    """Complex values ``kernel_inputs`` holds at once beside I_+'s blocks and
+    the one 2^N x 2^N array its caller charges for the eigenbasis prepared
+    state: the default acquisition's scan (when ``acquisition`` is None)
+    beside the product-basis state, that is the scanned state with the read
+    pulse's second product, or with the scan's phases and their transients;
+    or the build of a 2^N x 2^N result from its input beside that array (two
     products of a pulse's halves or a basis change, and V's adjoint blocks)."""
     dim2 = 4 ** n_spins
     scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * 2 ** n_spins)
-    return dim2 + max(scan, 3 * dim2 + comb(2 * n_spins, n_spins))
+    return max(scan, 3 * dim2 + comb(2 * n_spins, n_spins))
 
 
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
@@ -308,14 +297,13 @@ def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     An MREV-8 block of duration tau is n copies of one cycle
     (``Mrev8Spec.cycles``), carried by ``_cycle_states``.  ``cycles`` runs
     for every tau at the call, so a "concatenate" tau that is not a whole
-    number of cycles is rejected before anything is compiled.  A magic
-    sandwich's free evolutions apply to the state as eigenbasis phases
-    (``evolve``).
+    number of cycles is rejected before anything is compiled.  An idealized
+    magic sandwich compiles to the identity (``magic_sandwich``), so it
+    yields ``state`` itself for every tau, as no block does.
     """
     if isinstance(block, Mrev8Spec):
         return _cycle_states(eig, state, [block.cycles(tau) for tau in taus])
-    return (state if block is None else evolve(block.events_for(tau), state, eig)
-            for tau in taus)
+    return (state for _ in taus)
 
 
 def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
@@ -342,32 +330,38 @@ def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
         yield sigma
 
 
-def prepared_setup(eig: EigenSystem, t_p: float) -> RunSetup:
-    """The states a run holds fixed, built once after its memory gate.
+def prepared_setup(eig: EigenSystem, t_p: float) -> np.ndarray:
+    """The prepared state of a run, I_z carried through ``jb_prepare(t_p)``, in
+    the product basis and read-only.
 
-    ``jb_prepare(t_p)`` takes I_z by its (pi/2)_x to +I_y, which t_p of free
-    evolution takes to p_a conj(p_b) (I_y)_ab in the H eigenbasis,
-    p = exp(-i S_zz zeta t_p), I_y = (I_+ - I_+^dagger) / 2i.  So the state
-    before the (pi/4)_y pulse is built from the I_+ blocks ``eig`` holds,
-    taken to the product basis block by block; that pulse applies once, by
-    its Kronecker halves, and the prepared state goes to the eigenbasis.
+    The (pi/2)_x pulse takes I_z to +I_y, and t_p of free evolution multiplies
+    each eigenbasis element by exp(-i w t_p), w = S_zz (zeta_a - zeta_b).  With
+    I_y = (I_+ - I_+^dagger) / 2i that state is A + A^dagger for
+    A = V (f o I_+) V^dagger, f = -exp(-i w t_p) / 2i, built by
+    ``EigenSystem.i_plus_product``; I_+ has no diagonal, so A and A^dagger do
+    not overlap and the sum is exact.  The (pi/4)_y pulse applies by its
+    Kronecker halves.
     """
-    p = free_phases(eig, [t_p])[0]
-    a = eig.blocks_to_product((up, down, -0.5j * p[up[1], None] * x * p[down[1]].conj())
-                              for up, down, x in eig.i_plus)
-    for (rows_up, _, _), (rows, _, _), _ in eig.i_plus:  # and the -I_+^dagger / 2i blocks
-        a[np.ix_(rows, rows_up)] = a[np.ix_(rows_up, rows)].conj().T
-    state = eig.to_eigen(kron_conjugate(rotation_halves(eig.reg, np.pi / 4, np.pi / 2), a))
-    state.flags.writeable = a.flags.writeable = False
-    return RunSetup(eig, state, a)
+    a = eig.i_plus_product(lambda omega: -0.5j * np.exp(-1j * omega * t_p))
+    a += a.conj().T
+    a = kron_conjugate(rotation_halves(eig.reg, np.pi / 4, np.pi / 2), a)
+    a.flags.writeable = False
+    return a
 
 
-def kernel_inputs(setup: RunSetup, acquisition: AcquisitionSpec | None) -> tuple:
-    """(acquisition, prepared state, detection matrix) of a run: the
-    ``default_acquisition`` of ``setup`` when ``acquisition`` is None."""
+def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | None) -> tuple:
+    """(acquisition, prepared state, detection matrix) of a run with preparation
+    time t_p, the state read-only in the H eigenbasis: the
+    ``default_acquisition`` of the ``prepared_setup`` state when
+    ``acquisition`` is None.  The product-basis state goes once the
+    eigenbasis one is made, before the detection matrix is built."""
+    prepared = prepared_setup(eig, t_p)
     if acquisition is None:
-        acquisition = default_acquisition(setup)
-    return acquisition, setup.state, detection_matrix(setup, acquisition.t_m, acquisition.window)
+        acquisition = default_acquisition(eig, prepared)
+    state = eig.to_eigen(prepared)
+    del prepared
+    state.flags.writeable = False
+    return acquisition, state, detection_matrix(eig, acquisition.t_m, acquisition.window)
 
 
 def pair_order_sums(slabs, eig: EigenSystem, ts: np.ndarray):
@@ -414,21 +408,16 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     the eigensystem holds (I_+'s blocks and an MREV-8 cycle w).
 
     The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
-    the last tau's sums throughout.  Beside them: the block step (two
-    eigenbasis phase products for a magic sandwich; for MREV-8, w sigma, w's
-    adjoint and their product, or the cycle being compiled and taken to the
-    eigenbasis), or the kernel on one slab, beside the state an MREV-8 block
-    carries, with that tau's sums and, per m value of rows A, the GEMM output
-    (n_t x 2^N) with its inputs or its product with the membership matrix.
+    the last tau's sums throughout.  Beside them: an MREV-8 block's step (w
+    sigma, w's adjoint and their product, or the cycle being compiled and
+    taken to the eigenbasis), or the kernel on one slab, beside the state an
+    MREV-8 block carries, with that tau's sums and, per m value of rows A,
+    the GEMM output (n_t x 2^N) with its inputs or its product with the
+    membership matrix.  Any other block carries no state of its own.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
-    if block is None:
-        step, mats = 0, 1
-    elif isinstance(block, Mrev8Spec):
-        step, mats = 3 * dim ** 2, 2
-    else:
-        step, mats = 2 * dim ** 2, 1
+    step, mats = (3 * dim ** 2, 2) if isinstance(block, Mrev8Spec) else (0, 1)
     kernel = (mats * dim ** 2 + (2 * n_spins + 1 + dim) * n_t
               + max(rows * (n_t + dim), 2 * (n_spins + 1) * n_t))
     return (n_t + n_spins + 1) * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
@@ -444,7 +433,7 @@ def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 MEMORY_BUDGET_BYTES = 2 << 30
 
 # Allowance for the small arrays and Python objects a grid run holds beside
-# the terms an engine charges, and the up to 130 kB more that the first run
+# the terms an engine charges, and the up to 15 kB more that the first run
 # in a new process traces while CPython's free lists fill.
 SMALL_ARRAY_BYTES = 128 << 10
 
@@ -468,7 +457,8 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
 
     The initial state is I_z; each grid point records the window-averaged
-    complex transverse signal.  Each tau's block carries the prepared state
+    complex transverse signal.  ``kernel_inputs`` builds the prepared state
+    and the detection matrix once.  Each tau's block carries the prepared state
     (``block_states``) into one slab of pair weights (``_tau_slab``), which
     ``pair_order_sums`` turns into that tau's order sums as the loop reaches
     it; free evolution and the phi dependence are applied analytically in the
@@ -477,7 +467,8 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
 
     Args:
         block: reversion block spec, ``Mrev8Spec`` (one compiled cycle per
-            pulse spacing, in either mode), ``MagicSandwichSpec`` or None.
+            pulse spacing, in either mode), ``MagicSandwichSpec`` (the
+            identity, as None) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
     n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
@@ -493,7 +484,7 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
         cycle + setup_values(n_spins, acquisition),
         loop_cycle + dim2 + n_tau * (2 * n_spins + 1) * grid.n_t
         + max(_loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)))
-    acquisition, a_eig, det = kernel_inputs(prepared_setup(eig, grid.t_p), acquisition)
+    acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
     # map, unlike a generator expression, lets each state go once its slab is made
     slabs = map(partial(_tau_slab, det), block_states(block, grid.taus, eig, a_eig))
     sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)

@@ -115,38 +115,22 @@ def fft2_coherence(grid: SignalGrid, zero_pad: int = 1) -> CoherenceSpectrum:
                              meta={**grid.metadata(), "zero_pad": int(zero_pad)})
 
 
-@dataclass(frozen=True)
-class RunSetup:
-    """The states one run holds fixed (``sequence.prepared_setup``), as
-    read-only arrays: the JB state just before the preparation's (pi/4)_y
-    pulse, in the product basis (``pre_pulse``), and the prepared state after
-    it, in the H eigenbasis V (V^dagger X V).  The detected
-    I_+ = I_x + i I_y is the one ``eig`` holds (``EigenSystem.i_plus``)."""
-
-    eig: EigenSystem
-    state: np.ndarray
-    pre_pulse: np.ndarray
-
-
-def detection_matrix(setup: RunSetup, t_m: float, window: float) -> np.ndarray:
+def detection_matrix(eig: EigenSystem, t_m: float, window: float) -> np.ndarray:
     """Window-averaged detection weights in the H eigenbasis.
 
     Element (a, b) is the acquisition-averaged trace weight multiplying
     density element (b, a) in the complex transverse signal, with the read
     pulse R = R_y(pi/4) folded in: V^dagger R^dagger V (I_+ * win) V^dagger R V.
-    The window average is analytic (sinc).  I_+ * win lives on I_+'s
-    (m + 1, m) blocks, so the window is evaluated on their gaps alone and
-    taken to the product basis block by block; R^dagger's Kronecker halves
-    and the basis change back act on the dense matrix.
+    The window average is analytic: win = exp(i w t_m) sinc(w window / 2 pi)
+    on each gap w of I_+'s (m + 1, m) blocks (``EigenSystem.i_plus_product``);
+    R^dagger's Kronecker halves and the basis change back act on the dense
+    matrix.
     """
-    eig = setup.eig
-
-    def windowed(up, down, x):
-        omega = eig.order_parameter * (eig.zeta[up[1], None] - eig.zeta[down[1]])
-        return up, down, x * np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
+    def win(omega):
+        return np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
 
     return eig.to_eigen(kron_conjugate(rotation_halves(eig.reg, -np.pi / 4, np.pi / 2),
-                                       eig.blocks_to_product(windowed(*b) for b in eig.i_plus)))
+                                       eig.i_plus_product(win)))
 
 
 def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:

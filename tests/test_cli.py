@@ -199,6 +199,19 @@ def test_non_numeric_omdf_table_exits_2_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_omdf_table_exits_2_before_any_output(tmp_path, capsys):
+    # a NaN row once ran to exit 0 with every signal value NaN
+    table = tmp_path / "omdf.txt"
+    table.write_text("-0.1 0.5\n0.0 1.0\n0.1 nan\n0.2 0.5\n")
+    doc = tiny_doc(engine="open", decoherence={
+        "sigma_cl": 2.5e5, "omdf": {"family": "tabulated", "path": str(table)}})
+    out = tmp_path / "out"
+    err = assert_configuration_error(capsys, ["simulate", str(write_config(tmp_path, doc)),
+                                              "--output", str(out)], str(table))
+    assert "non-finite" in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def two_spin_run(tmp_path_factory):
     """A two_spin_ms run directory after simulate, spectra and fit."""

@@ -73,6 +73,11 @@ def test_tabulated_omdf_validation_and_file(tmp_path):
         TabulatedOMDF([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])  # non-monotone
     with pytest.raises(ConfigError):
         TabulatedOMDF([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])  # negative
+    # NaN passes every comparison above, and inf makes the integral inf
+    for u, p in (([0.0, 0.1, 0.2], [1.0, np.nan, 1.0]), ([0.0, np.nan, 0.2], [1.0] * 3),
+                 ([0.0, 0.1, np.inf], [1.0] * 3), ([0.0, 0.1, 0.2], [1.0, np.inf, 1.0])):
+        with pytest.raises(ConfigError, match="non-finite"):
+            TabulatedOMDF(u, p)
     path = tmp_path / "omdf.txt"
     u = np.linspace(-0.3, 0.3, 101)
     p = np.exp(-u ** 2 / (2 * 0.1 ** 2))

@@ -19,7 +19,7 @@ from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
                                g_irreversible, pair_order_sums, prepare_reduced_state,
                                run_grid_open)
-from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, prepared_setup
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid
 from mqcnmr.spectra import detection_matrix
 
 ACQ = AcquisitionSpec(t_m=3e-6, window=2e-6)
@@ -46,10 +46,10 @@ def make_omdf(family, width):
 
 def oracle_grid(eig, reg, grid, params, n_molecules=1):
     """(phi, t, tau) signal from the dense per-(tau, t) order sums."""
-    setup = prepared_setup(eig, grid.t_p)
-    det = detection_matrix(setup, ACQ.t_m, ACQ.window)
+    det = detection_matrix(eig, ACQ.t_m, ACQ.window)
+    state = prepare_reduced_state(eig, grid.t_p).matrix
     sums = ref.open_order_sums_loop(
-        det, setup.state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
+        det, state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
         lambda dz, t: ref.g_reversible(dz, t, params),
         lambda dz, tau: g_irreversible(dz, tau, params), reg.n_spins)
     encoder = np.exp(1j * np.outer(grid.phis, np.arange(-reg.n_spins, reg.n_spins + 1)))

@@ -200,10 +200,9 @@ def test_block_states_match_the_compiled_chain_for_any_schedule(mode, counts, un
 
 
 def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
-    # each nonzero tau of a stretched block is one compiled cycle; no event is
-    # applied to the state on its own, the JB preparation's included
+    # each nonzero tau of a stretched block is one compiled cycle
     _, _, reg, eig = make_system(n=3, seed=2)
-    calls = {"compile_program": 0, "evolve": 0}
+    calls = {"compile_program": 0}
 
     def counted(name):
         fn = getattr(sequence, name)
@@ -219,7 +218,7 @@ def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
                           taus=(0.0, 6e-5, 1.1e-4, 2.4e-4))
     run_grid(eig, grid, block=Mrev8Spec(tau1=5e-6, mode="stretch"),
              acquisition=AcquisitionSpec(t_m=3e-6, window=2e-6))
-    assert calls == {"compile_program": 3, "evolve": 0}
+    assert calls == {"compile_program": 3}
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
@@ -240,7 +239,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
 def test_default_acquisition_matches_dense_scan(n, seed):
     table, _, reg, eig = make_system(n=n, seed=seed)
     for t_p in (0.0, 5e-5):
-        acq = default_acquisition(prepared_setup(eig, t_p))
+        acq = default_acquisition(eig, prepared_setup(eig, t_p))
         assert acq.t_m == ref.first_maximum_t_m(table, 0.6, t_p)
 
 
@@ -315,6 +314,15 @@ def test_run_grid_molecule_count_scales_linearly():
     np.testing.assert_allclose(triple, 3.0 * base, atol=0)
 
 
+def test_magic_sandwich_run_equals_a_block_less_run():
+    # the idealized sandwich compiles to the identity, so every tau carries
+    # the prepared state unchanged, bit for bit
+    _, _, reg, eig = make_system(n=4, seed=5)
+    grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=10, taus=(0.0, 9e-5, 1.8e-4))
+    sandwich = run_grid(eig, grid, block=MagicSandwichSpec()).data
+    assert np.array_equal(sandwich, run_grid(eig, grid).data)
+
+
 def test_run_grid_zero_hamiltonian_time_independent():
     table = np.zeros((2, 2))
     sys2 = SpinSystem(table)
@@ -352,14 +360,15 @@ CLOSED_MEMORY_CASES = (
 @pytest.mark.parametrize("block, n_t, n_tau, first", CLOSED_MEMORY_CASES)
 def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, first,
                                                             monkeypatch):
-    # each block family holds one step at a time (a magic sandwich its
-    # eigenbasis phases, an MREV-8 block its compiled cycle); a budget at
-    # the traced peak must be refused, and one 5% above it accepted (N = 8,
-    # where the 2^N x 2^N arrays dominate the small objects whose count
-    # depends on what ran before in the process).  After a first run the
-    # trace counts what the eigensystem still holds from it.  Each budget is
-    # tried on an eigensystem in the state the traced run found it in: a new
-    # one, or the used one, which holds an MREV-8 cycle before and after
+    # each block family holds one step at a time (a magic sandwich none, as
+    # it leaves the state as it is; an MREV-8 block its compiled cycle); a
+    # budget at the traced peak must be refused, and one 5% above it
+    # accepted (N = 8, where the 2^N x 2^N arrays dominate the small objects
+    # whose count depends on what ran before in the process).  After a first
+    # run the trace counts what the eigensystem still holds from it.  Each
+    # budget is tried on an eigensystem in the state the traced run found it
+    # in: a new one, or the used one, which holds an MREV-8 cycle before and
+    # after
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=2e-6, n_phi=4,
                           taus=tuple(k * 60e-6 for k in range(n_tau)))
@@ -416,10 +425,9 @@ else:
 
 @pytest.mark.parametrize("block", BLOCK_FAMILIES)
 def test_closed_memory_estimate_covers_a_fresh_process(block):
-    # the first closed run in a process traces up to 130 kB more than later
-    # ones while CPython's free lists fill, a tenth of the peak at N = 5; so
-    # that run, in a new interpreter, must be refused a budget one byte below
-    # its traced peak
+    # the first closed run in a process traces up to 15 kB more than later
+    # ones while CPython's free lists fill; so that run, in a new interpreter,
+    # must be refused a budget one byte below its traced peak
     table, *_ = make_system(n=5, seed=3)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
     result = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(table.tolist()),
@@ -478,15 +486,14 @@ def test_closed_memory_gate_accepts_long_concatenate_grids(monkeypatch):
 
 def test_closed_run_builds_each_operator_once(monkeypatch):
     # MREV-8 "concatenate" with the default acquisition: no collective
-    # angular momentum is built and no event is applied to the state on its
-    # own (the JB state comes from I_+'s blocks), I_+ is built once per
-    # eigensystem, and a second run on the same eigensystem compiles its
-    # cycle only at another tau1
+    # angular momentum is built (the JB state comes from I_+'s blocks), I_+
+    # is built once per eigensystem, and a second run on the same
+    # eigensystem compiles its cycle only at another tau1
     from mqcnmr import hamiltonian, operators, spectra
     _, _, reg, eig = make_system(n=3, seed=2)
     block = Mrev8Spec(tau1=5e-6)
     grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=8, taus=ref.tau_schedule(block, 3))
-    calls = {"collective_angular_momentum": [], "evolve": [], "compile_program": []}
+    calls = {"collective_angular_momentum": [], "compile_program": []}
 
     def logged(fn, log):
         def wrapper(*args, **kwargs):
@@ -501,11 +508,11 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
     assert "i_plus" not in eig.__dict__
     first = run_grid(eig, grid, block=block).data
     held = eig.__dict__["i_plus"]
-    assert calls["collective_angular_momentum"] == [] and calls["evolve"] == []
+    assert calls["collective_angular_momentum"] == []
     assert len(calls["compile_program"]) == 1
     assert np.array_equal(run_grid(eig, grid, block=block).data, first)
     assert eig.__dict__["i_plus"] is held
-    assert calls["collective_angular_momentum"] == [] and calls["evolve"] == []
+    assert calls["collective_angular_momentum"] == []
     assert len(calls["compile_program"]) == 1
     other = Mrev8Spec(tau1=2.5e-6)
     run_grid(eig, grid, block=other)
@@ -518,7 +525,7 @@ def test_closed_run_builds_each_operator_once(monkeypatch):
 
 def test_default_acquisition():
     _, _, reg, eig = make_system(n=2, seed=1)
-    acq = default_acquisition(prepared_setup(eig, 5e-5))
+    acq = default_acquisition(eig, prepared_setup(eig, 5e-5))
     assert acq.t_m >= 0.0
     assert acq.window == pytest.approx(2e-6)
 

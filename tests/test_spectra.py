@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from mqcnmr.errors import MqcnmrError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import prepare_reduced_state
-from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, prepared_setup, run_grid
+from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
 from mqcnmr.spectra import (CoherenceSpectrum, SignalGrid, detection_matrix, fft2_coherence,
                             spectrum_to_csv)
 
@@ -171,7 +171,7 @@ def test_g_coefficients_window_limit_and_average():
 def test_detection_matrix_consistent_with_g_coefficients():
     _, reg, eig = make_system(n=2, seed=5)
     t_m, window = 4e-6, 2e-6
-    det = detection_matrix(prepared_setup(eig, 0.0), t_m, window)
+    det = detection_matrix(eig, t_m, window)
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sigma = a + a.conj().T  # hermitian state in the eigenbasis

@@ -13,9 +13,8 @@ import reference as ref
 from mqcnmr.errors import MqcnmrError
 from mqcnmr.hamiltonian import eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
-from mqcnmr.sequence import (FreeEvolution, Pulse, apply, compile_program, default_acquisition,
-                             jb_prepare, prepared_setup)
-from mqcnmr.spectra import detection_matrix
+from mqcnmr.sequence import (AcquisitionSpec, FreeEvolution, Pulse, apply, compile_program,
+                             default_acquisition, jb_prepare, kernel_inputs, prepared_setup)
 
 
 def random_matrix(rng, rows, cols):
@@ -71,15 +70,19 @@ def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shu
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_m_block_basis_change_matches_dense(n, shuffle, seed):
-    # to_eigen on a dense matrix, and blocks_to_product on random blocks in
-    # the (m + 1, m) layout of I_+ and its mirror
+    # to_eigen on a dense matrix, and the I_+ builder under a random weight
+    # of the gap S_zz (zeta_a - zeta_b), applied to the dense blocks of I_+
     reg, eig, rng = secular_eigensystem(n, seed, shuffle)
     v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
-    pairs = [pair for up, down, b in eig.i_plus
-             for pair in ((up, down, random_matrix(rng, *b.shape)),
-                          (down, up, random_matrix(rng, *b.T.shape)))]
-    assert_close(eig.blocks_to_product(pairs), v @ ref.dense_blocks(eig, pairs) @ v.conj().T)
+    c, k = random_matrix(rng, 2, 1)[:, 0], rng.uniform(-1e-4, 1e-4, 2)
+
+    def weight(omega):
+        return c[0] * np.exp(1j * k[0] * omega) + c[1] * np.cos(k[1] * omega)
+
+    gaps = weight(eig.order_parameter * ref.gaps(eig))
+    assert_close(eig.i_plus_product(weight),
+                 v @ (ref.dense_blocks(eig, eig.i_plus) * gaps) @ v.conj().T)
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,22 +126,28 @@ def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
        t_m=st.floats(0.0, 2e-5), window=st.just(0.0) | st.floats(0.0, 4e-6),
        shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, shuffle, seed):
-    # the prepared state, the detection matrix and the default acquisition,
-    # all built on I_+'s (m + 1, m) blocks, against dense oracles: I_z
-    # carried through jb_prepare by dense pulses and propagators, the
-    # detection matrix from dense V, R and I_+, and the dense per-step scan
-    # (its t_m compared where no two magnitudes up to its decision tie)
+    # the prepared state (product basis, and in the eigenbasis from
+    # kernel_inputs), the detection matrix and the default acquisition, all
+    # built on I_+'s (m + 1, m) blocks, against dense oracles: I_z carried
+    # through jb_prepare by dense pulses and propagators, the detection
+    # matrix from dense V, R and I_+, and the dense per-step scan (its t_m
+    # compared where no two magnitudes up to its decision tie)
     reg, eig, rng = secular_eigensystem(n, seed, shuffle)
     v = eig.vectors
-    setup = prepared_setup(eig, t_p)
+    prepared = prepared_setup(eig, t_p)
     rho = ref.coll(n, "z")
     for ev in jb_prepare(t_p):
         u = (ref.rot(n, ev.angle, ev.axis_phase) if isinstance(ev, Pulse)
              else ref.propagator(eig, ev.duration, ev.scale))
         rho = u @ rho @ u.conj().T
-    assert_close(setup.state, v.conj().T @ rho @ v)
-    assert_close(detection_matrix(setup, t_m, window), ref.dense_detection(eig, t_m, window))
+    assert not prepared.flags.writeable
+    assert_close(prepared, rho)
+    acq = AcquisitionSpec(t_m, window)
+    got, state, det = kernel_inputs(eig, t_p, acq)
+    assert got is acq
+    assert_close(state, v.conj().T @ rho @ v)
+    assert_close(det, ref.dense_detection(eig, t_m, window))
     h = (v * (eig.order_parameter * eig.zeta)) @ v.conj().T
     t_ref, mags = ref.scan_first_maximum(h, t_p)
     if np.all(np.abs(np.diff(mags)) > 1e-9 * mags.max()):
-        assert default_acquisition(setup).t_m == t_ref
+        assert default_acquisition(eig, prepared).t_m == t_ref
