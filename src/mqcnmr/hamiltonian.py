@@ -150,16 +150,18 @@ def secular_hamiltonian(sys: SpinSystem) -> tuple:
 @dataclass(frozen=True)
 class EigenSystem:
     """Simultaneous eigenbasis of (H, I_z), held as the total-m blocks of the
-    eigenvector matrix V.
+    eigenvector matrix V, in block order: the blocks in descending m, each
+    block's eigenvectors on the next contiguous columns.
 
     Attributes:
         zeta: eigenvalues in rad/s with S_zz factored out,
             H = V diag(S_zz * zeta) V^dagger.
-        m: total-I_z quantum number of each eigenvector.
+        m: total-I_z quantum number of each eigenvector, non-increasing.
         blocks: (rows, cols, V_m) of each total m, in descending m: every
             eigenvector has a definite m, so V is zero outside the blocks
             V_m = V[rows, cols] that join the product-basis states of that m
-            (rows) to its eigenvectors (cols).
+            (rows, an index array) to its eigenvectors (cols, a slice; the
+            slices follow one another from 0 to 2^N).
         order_parameter: the S_zz that was factored out.
 
     Beside these it holds, read-only and for as long as it lives, what every
@@ -187,36 +189,20 @@ class EigenSystem:
         on every read; the engine works on the blocks and never reads it."""
         v = np.zeros((self.dim, self.dim), dtype=complex)
         for rows, cols, v_m in self.blocks:
-            v[np.ix_(rows, cols)] = v_m
+            v[rows, cols] = v_m
         return v
-
-    @cached_property
-    def _layout(self) -> tuple:
-        """The slices of the m blocks once both bases are sorted by m, and for
-        the product basis and the eigenbasis the sorting order and its inverse
-        (both None where the basis is sorted already)."""
-        edges = np.cumsum([0] + [rows.size for rows, _, _ in self.blocks])
-        orders = []
-        for k in (0, 1):
-            order = np.concatenate([block[k] for block in self.blocks])
-            sorted_ = np.array_equal(order, np.arange(self.dim))
-            orders.append((None, None) if sorted_ else (order, np.argsort(order)))
-        return tuple(map(slice, edges[:-1], edges[1:])), orders[0], orders[1]
 
     @cached_property
     def i_plus(self) -> tuple:
         """I_+ = I_x + i I_y in the eigenbasis, read-only, as its only nonzero
-        blocks, C(2N, N - 1) entries: (up, down, V_{m+1}^dagger X V_m) for the
-        entries up and down of ``blocks`` of each total m + 1 and m, with
-        X = I_+[rows_{m+1}, rows_m] from basis-index bits (I_+ clears one down
-        bit, coefficient 1)."""
-        local, by_m, pairs = np.empty(self.dim, dtype=np.intp), {}, []
-        for block in self.blocks:
-            rows, cols, _ = block
-            local[rows], by_m[self.m[cols[0]]] = np.arange(rows.size), block
-        for m, down in by_m.items():
-            if (up := by_m.get(m + 1.0)) is None:
-                continue
+        blocks, C(2N, N - 1) entries: (up, down, V_{m+1}^dagger X V_m) for each
+        two neighbouring entries up and down of ``blocks`` (total m + 1 and m),
+        with X = I_+[rows_{m+1}, rows_m] from basis-index bits (I_+ clears one
+        down bit, coefficient 1)."""
+        local, pairs = np.empty(self.dim, dtype=np.intp), []
+        for rows, _, _ in self.blocks:
+            local[rows] = np.arange(rows.size)
+        for up, down in zip(self.blocks, self.blocks[1:]):
             (rows_up, _, v_up), (rows, _, v) = up, down
             x = np.zeros((rows_up.size, rows.size), dtype=complex)
             at, bit = np.nonzero(rows[:, None] & 1 << np.arange(self.reg.n_spins))
@@ -257,69 +243,67 @@ class EigenSystem:
             self.__dict__["_cycle"] = (key, cycle)
         return self.__dict__["_cycle"][1]
 
+    def phases(self, ts) -> np.ndarray:
+        """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
+        return np.exp(-1j * self.order_parameter * np.outer(ts, self.zeta))
+
+    def evolve(self, x: np.ndarray, duration: float) -> np.ndarray:
+        """exp(-i H duration) x for x of 2^N rows in the product basis: the rows
+        of each m block times V_m diag(p_m) V_m^dagger (``phases``), sum_m
+        C(N, m)^2 entries instead of 4^N."""
+        p = self.phases([duration])[0]
+        out = np.empty(x.shape, dtype=complex)
+        for rows, cols, v in self.blocks:
+            out[rows] = ((v * p[cols]) @ v.conj().T) @ x[rows]
+        return out
+
     def to_eigen(self, x: np.ndarray) -> np.ndarray:
-        """V^dagger x V through V's m blocks: sum_m C(N, m)^2 2^(N+1) products
-        instead of 2^(3N+1)."""
-        slices, (rows, _), (_, cols_back) = self._layout
-        return _blockwise(x, slices, rows, cols_back, [v.conj().T for _, _, v in self.blocks],
-                          [v for _, _, v in self.blocks])
-
-    def product_blockwise(self, x: np.ndarray, left) -> np.ndarray:
-        """L x for L block diagonal in total m in the product basis, with
-        blocks ``left`` on the rows of ``blocks``, and x of any number of
-        columns."""
-        slices, (rows, rows_back), _ = self._layout
-        return _blockwise(x, slices, rows, rows_back, left)
-
-
-def _blockwise(x: np.ndarray, slices, order, back, left, right=None) -> np.ndarray:
-    """L x R with L, R block diagonal, the blocks ``left`` and ``right`` on
-    ``slices`` of the index order ``order``; the result in the index order
-    ``back`` (None: no reordering).  R = 1 and only rows reorder when ``right``
-    is None."""
-    axes = (0,) if right is None else (0, 1)
-    y = x
-    for axis in axes if order is not None else ():
-        y = y.take(order, axis)
-    out = np.empty(y.shape, dtype=complex)
-    for s, a in zip(slices, left):
-        np.matmul(a, y[s], out=out[s])
-    if right is not None:
-        y = np.empty_like(out) if y is x else y
-        for s, b in zip(slices, right):
-            np.matmul(out[:, s], b, out=y[:, s])
-        out, y = y, out
-    del y  # the spare buffer goes before the reordered copies are made
-    for axis in axes if back is not None else ():
-        out = out.take(back, axis)
-    return out
+        """V^dagger x V through V's m blocks: x's product states taken into
+        block order on both axes, then each block's rows and then its columns
+        multiplied in place, sum_m C(N, m)^2 2^(N+1) products instead of
+        2^(3N+1)."""
+        order = np.concatenate([rows for rows, _, _ in self.blocks])
+        y = x.take(order, 0).take(order, 1)
+        for _, cols, v in self.blocks:
+            y[cols] = v.conj().T @ y[cols]
+        for _, cols, v in self.blocks:
+            y[:, cols] = y[:, cols] @ v
+        return y
 
 
 def eigendecompose(blocks, order_parameter: float = 1.0) -> EigenSystem:
     """Diagonalize H simultaneously with total I_z, from its total-m blocks
-    (rows, H_m) as ``secular_hamiltonian`` returns them.
+    (rows, H_m) in any order, as ``secular_hamiltonian`` returns them.
 
-    The blocks' rows must partition the product basis range(2^N), and the rows
-    of each block must share one total m, which the block's eigenvectors then
-    carry (MqcnmrError otherwise).  Each block is diagonalized on its own
-    (eigenvalues ascending); its eigenvectors take the next columns of V.
+    The blocks' rows must partition the product basis range(2^N), the rows of
+    each block must share one total m, and no two blocks may share one
+    (MqcnmrError otherwise).  The eigensystem is in block order
+    (``EigenSystem``): each block, taken in descending m, is diagonalized on
+    its own (eigenvalues ascending) and its eigenvectors take the next
+    columns of V; a block's rows keep the order they are given in.
     """
     rows_all = np.concatenate([rows for rows, _ in blocks])
     dim = rows_all.size
     if dim < 2 or dim & (dim - 1) or not np.array_equal(np.sort(rows_all), np.arange(dim)):
         raise MqcnmrError("the blocks' rows do not partition the product basis range(2^N)")
     m_basis = SpinRegister(dim.bit_length() - 1).m_values()
-    zeta, eig_blocks, col = [], [], 0
-    for b, (rows, h) in enumerate(blocks):
-        if np.unique(m_basis[rows]).size != 1:
+    ms = [np.unique(m_basis[rows]) for rows, _ in blocks]
+    for b, values in enumerate(ms):
+        if values.size != 1:
             raise MqcnmrError(f"block {b} does not hold product states of one total m")
+    if np.unique(ms).size != len(ms):
+        raise MqcnmrError("two blocks hold product states of one total m")
+    zeta, eig_blocks, col = [], [], 0
+    for b in np.argsort(np.concatenate(ms))[::-1]:
+        rows, h = blocks[b]
         w, v = np.linalg.eigh(h)
         v.flags.writeable = False
-        eig_blocks.append((rows, np.arange(col, col + rows.size), v))
+        eig_blocks.append((rows, slice(col, col + rows.size), v))
         zeta.append(w)
         col += rows.size
     scale = order_parameter if order_parameter != 0.0 else 1.0
-    zeta, m = np.concatenate(zeta) / scale, m_basis[rows_all]
+    zeta = np.concatenate(zeta) / scale
+    m = m_basis[np.concatenate([rows for rows, _, _ in eig_blocks])]
     for arr in (zeta, m):
         arr.flags.writeable = False
     return EigenSystem(zeta=zeta, m=m, blocks=tuple(eig_blocks), order_parameter=order_parameter)

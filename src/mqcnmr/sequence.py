@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
 from .operators import kron_apply, kron_conjugate, rotation_halves
-from .spectra import SignalGrid, detection_matrix, free_phases
+from .spectra import SignalGrid, detection_matrix
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class AcquisitionSpec:
     window: float
 
     def __post_init__(self):
-        if self.t_m < 0 or self.window < 0:
-            raise MqcnmrError("acquisition times must be non-negative")
+        if not (0 <= self.t_m < np.inf and 0 <= self.window < np.inf):
+            raise MqcnmrError("acquisition times must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -188,20 +188,14 @@ class MagicSandwichSpec:
         return magic_sandwich(tau / 1.5)
 
 
-def _free(ev: FreeEvolution, eig: EigenSystem) -> list:
-    """The m blocks V_m diag(p_m) V_m^dagger of exp(-i scale H duration), in the
-    order of ``eig.blocks``: sum_m C(N, m)^2 entries instead of 4^N."""
-    phases = free_phases(eig, [ev.scale * ev.duration])[0]
-    return [(v * phases[cols]) @ v.conj().T for _, cols, v in eig.blocks]
-
-
 def apply(ev: SequenceEvent, x: np.ndarray, eig: EigenSystem) -> np.ndarray:
     """U x for the event's propagator U and a matrix x of 2^N rows, U built
     where it is applied and then let go: a pulse as its two Kronecker halves
-    (``rotation_halves``), a free evolution as its m blocks (``_free``)."""
+    (``rotation_halves``), a free evolution as its m blocks
+    (``EigenSystem.evolve``)."""
     if isinstance(ev, Pulse):
         return kron_apply(rotation_halves(eig.reg, ev.angle, ev.axis_phase), x)
-    return eig.product_blockwise(x, _free(ev, eig))
+    return eig.evolve(x, ev.scale * ev.duration)
 
 
 def compile_program(events, eig: EigenSystem) -> np.ndarray:
@@ -264,7 +258,7 @@ def default_acquisition(eig: EigenSystem, prepared: np.ndarray) -> AcquisitionSp
     scan is one GEMM over (scan time, eigenstate) per block.
     """
     rho = kron_conjugate(rotation_halves(eig.reg, np.pi / 4, np.pi / 2), prepared)
-    p = free_phases(eig, ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
+    p = eig.phases(ACQUISITION_DWELL * np.arange(ACQUISITION_SCAN))
     signal = np.zeros(ACQUISITION_SCAN, dtype=complex)
     for (rows_up, cols_up, v_up), (rows, cols, v), x in eig.i_plus:
         weights = x * (v.conj().T @ rho[np.ix_(rows, rows_up)] @ v_up).T
@@ -284,10 +278,10 @@ def setup_values(n_spins: int, acquisition: AcquisitionSpec | None) -> int:
     beside the product-basis state, that is the scanned state with the read
     pulse's second product, or with the scan's phases and their transients;
     or the build of a 2^N x 2^N result from its input beside that array (two
-    products of a pulse's halves or a basis change, and V's adjoint blocks)."""
+    products of a pulse's halves, or a basis change's two reordered copies)."""
     dim2 = 4 ** n_spins
     scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * 2 ** n_spins)
-    return max(scan, 3 * dim2 + comb(2 * n_spins, n_spins))
+    return max(scan, 3 * dim2)
 
 
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
@@ -369,23 +363,22 @@ def pair_order_sums(slabs, eig: EigenSystem, ts: np.ndarray):
     of W[a, b] exp(-i S_zz (zeta_b - zeta_a) t), one per (2^N, 2^N) slab W
     drawn from ``slabs``.
 
-    The phase is p_b conj(p_a) (``free_phases``): for the rows A of one m
-    value, conj(P[:, A]) W[A, :] times P, summed over the columns of each m
-    value, is that pair of m values' part, one GEMM in O(n_t 2^N) memory
-    beside a copy of W[A, :].  P and the grouping by m are built once for
-    all slabs; each slab is let go before the next is drawn.
+    The phase is p_b conj(p_a) (``EigenSystem.phases``).  The eigenbasis is in
+    block order, so the rows A of one m block are a slice: conj(P[:, A]) W[A]
+    times P, one GEMM on views of P and W in O(n_t 2^N) memory, summed over
+    the columns of each m block by one ``np.add.reduceat`` at the block
+    starts, is that block's part of every order.  P is built once for all
+    slabs; each slab is let go before the next is drawn.
     """
     n_spins = eig.reg.n_spins
-    p, m_values = free_phases(eig, ts), np.unique(eig.m)
-    member = (eig.m[:, None] == m_values[None, :]).astype(complex)
-    groups = [(np.flatnonzero(eig.m == m_a), np.rint(m_values - m_a).astype(int) + n_spins)
-              for m_a in m_values]
+    p, starts = eig.phases(ts), [cols.start for _, cols, _ in eig.blocks]
     for weights in slabs:
         c = np.zeros((2 * n_spins + 1, len(ts)), dtype=complex)
-        for idx, cols in groups:
-            prod = p[:, idx].conj() @ weights[idx]
+        for a, (_, cols, _) in enumerate(eig.blocks):
+            prod = p[:, cols].conj() @ weights[cols]
             prod *= p
-            c[cols] += (prod @ member).T
+            # block b holds m = N/2 - b, so its columns are order a - b, at row N + a - b
+            c[a:a + n_spins + 1] += np.add.reduceat(prod, starts, axis=1)[:, ::-1].T
             del prod  # before the next GEMM makes its own
         del weights
         yield c
@@ -407,20 +400,19 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     beside the prepared state, the detection matrix, the order sums and what
     the eigensystem holds (I_+'s blocks and an MREV-8 cycle w).
 
-    The kernel holds its phases P (n_t x 2^N), the m-membership matrix and
-    the last tau's sums throughout.  Beside them: an MREV-8 block's step (w
-    sigma, w's adjoint and their product, or the cycle being compiled and
-    taken to the eigenbasis), or the kernel on one slab, beside the state an
-    MREV-8 block carries, with that tau's sums and, per m value of rows A,
-    the GEMM output (n_t x 2^N) with its inputs or its product with the
-    membership matrix.  Any other block carries no state of its own.
+    The kernel holds its phases P (n_t x 2^N) and the last tau's sums
+    throughout.  Beside them: an MREV-8 block's step (w sigma, w's adjoint
+    and their product, or the cycle being compiled and taken to the
+    eigenbasis), or the kernel on one slab, beside the state an MREV-8 block
+    carries, with that tau's sums and, per m block of rows A, the GEMM output
+    (n_t x 2^N) with conj(P[:, A]) or with its column sums per m block.  Any
+    other block carries no state of its own.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
     step, mats = (3 * dim ** 2, 2) if isinstance(block, Mrev8Spec) else (0, 1)
-    kernel = (mats * dim ** 2 + (2 * n_spins + 1 + dim) * n_t
-              + max(rows * (n_t + dim), 2 * (n_spins + 1) * n_t))
-    return (n_t + n_spins + 1) * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
+    kernel = mats * dim ** 2 + (2 * n_spins + 1 + dim + max(rows, n_spins + 1)) * n_t
+    return n_t * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -435,7 +427,7 @@ MEMORY_BUDGET_BYTES = 2 << 30
 # Allowance for the small arrays and Python objects a grid run holds beside
 # the terms an engine charges, and the up to 15 kB more that the first run
 # in a new process traces while CPython's free lists fill.
-SMALL_ARRAY_BYTES = 128 << 10
+SMALL_ARRAY_BYTES = 64 << 10
 
 
 def check_grid_memory(values: int) -> None:

@@ -133,11 +133,6 @@ def detection_matrix(eig: EigenSystem, t_m: float, window: float) -> np.ndarray:
                                        eig.i_plus_product(win)))
 
 
-def free_phases(eig: EigenSystem, ts: np.ndarray) -> np.ndarray:
-    """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
-    return np.exp(-1j * eig.order_parameter * np.outer(ts, eig.zeta))
-
-
 def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
     """Write a spectrum as CSV rows (tau, mu, omega_hz, re, im, abs).
 

@@ -159,18 +159,12 @@ def eigen_coherence_orders(eig):
     return np.rint(eig.m[:, None] - eig.m[None, :]).astype(int)
 
 
-def shuffled_eigensystem(eig, perm):
-    """``eig`` with its eigenvectors reordered, eigenvector i of the result
-    being eigenvector perm[i] of ``eig``: the same V up to a column
-    permutation, so each m block keeps its rows and gets new columns."""
-    from mqcnmr.hamiltonian import EigenSystem
-    back = np.argsort(perm)
-    blocks = []
-    for rows, cols, v in eig.blocks:
-        new_cols = np.sort(back[cols])
-        blocks.append((rows, new_cols, v[:, np.searchsorted(cols, perm[new_cols])]))
-    return EigenSystem(zeta=eig.zeta[perm], m=eig.m[perm], blocks=tuple(blocks),
-                       order_parameter=eig.order_parameter)
+def shuffled_blocks(blocks, rng):
+    """The m blocks (rows, H_m) of one H in a random order, each with its rows,
+    and H_m's rows and columns, in a random order."""
+    perms = [rng.permutation(rows.size) for rows, _ in blocks]
+    shuffled = [(rows[p], h[np.ix_(p, p)]) for (rows, h), p in zip(blocks, perms)]
+    return [shuffled[i] for i in rng.permutation(len(shuffled))]
 
 
 def tau_schedule(block, count):
@@ -188,11 +182,11 @@ def conjugate(ev, x, eig):
 
 def dense_blocks(eig, pairs):
     """The dense 2^N x 2^N eigenbasis matrix of the blocks (left, right, X),
-    left and right entries (rows, cols, V_m) of ``eig.blocks``, as
-    ``EigenSystem.i_plus`` holds I_+; zero elsewhere."""
+    left and right entries (rows, cols, V_m) of ``eig.blocks`` (cols a slice),
+    as ``EigenSystem.i_plus`` holds I_+; zero elsewhere."""
     out = np.zeros((eig.dim, eig.dim), dtype=complex)
     for (_, cols_l, _), (_, cols_r, _), x in pairs:
-        out[np.ix_(cols_l, cols_r)] = x
+        out[cols_l, cols_r] = x
     return out
 
 

@@ -149,7 +149,7 @@ def test_eigendecompose_blocks_and_reconstruction():
     assert counts == [1, 3, 3, 1]
     m_basis = reg.m_values()
     for rows, cols, v_m in eig.blocks:
-        assert np.all(m_basis[rows] == eig.m[cols]) and v_m.shape == (rows.size, cols.size)
+        assert np.all(m_basis[rows] == eig.m[cols]) and v_m.shape == (rows.size, eig.m[cols].size)
     v = eig.vectors
     np.testing.assert_allclose(v @ v.conj().T, np.eye(reg.dim), atol=1e-12)
     np.testing.assert_allclose((v * (eig.order_parameter * eig.zeta)) @ v.conj().T,

@@ -79,16 +79,13 @@ def test_open_grid_matches_dense_order_sums(n, seed, family, width, sigma, taus,
 def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
     # the closed engine's factorised kernel against the open engine's gap-grid
     # one, given the phase alone by direct exp and G^R = 1 and no band (so on
-    # the gaps themselves), on the same sums; the shuffled eigenbasis checks
-    # that both group states by eig.m alone
+    # the gaps themselves), on the same sums
     reg, eig = make_system(n, seed)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(reg.dim)
-    shuffled = ref.shuffled_eigensystem(eig, perm)
     weights = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(n_tau)
-    (factorised,) = sequence.pair_order_sums([weights], shuffled, ts)
-    chunked = pair_order_sums(weights, shuffled, ts, taus, lambda g, t: np.exp(
+    (factorised,) = sequence.pair_order_sums([weights], eig, ts)
+    chunked = pair_order_sums(weights, eig, ts, taus, lambda g, t: np.exp(
         -1j * eig.order_parameter * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 0 * tau + 1.0)
     assert factorised.shape == (2 * n + 1, n_t)
     assert chunked.shape == (n_tau, 2 * n + 1, n_t)
@@ -126,18 +123,14 @@ def _one_sided_pairs(eig, rng):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 16), n_tau=st.integers(1, 3),
        density=st.floats(0.0, 0.5), n_t=st.integers(2, 9),
-       family=st.sampled_from(["gaussian", "tabulated"]), shuffle=st.booleans(),
-       banded=st.booleans())
+       family=st.sampled_from(["gaussian", "tabulated"]), banded=st.booleans())
 def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t, family,
-                                                    shuffle, banded):
+                                                    banded):
     # sparse weights that are not hermitian: a pair is spread with its mirror
     # when either of them is nonzero, and each of the one-sided pairs below
-    # has only one; a shuffled eigenbasis checks that orders and gaps are read
-    # from m and zeta, not from positions; with a band stated or not
+    # has only one; with a band stated or not
     reg, eig = make_system(n, seed)
     rng = np.random.default_rng(seed)
-    if shuffle:
-        eig = ref.shuffled_eigensystem(eig, rng.permutation(reg.dim))
     shape = (reg.dim, reg.dim)
     weights = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (
         rng.random(shape) < density)

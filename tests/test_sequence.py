@@ -222,17 +222,25 @@ def test_stretched_run_compiles_one_cycle_per_tau(monkeypatch):
 
 
 def test_tau_slab_matches_per_time_loop_on_permuted_basis():
-    # a shuffled eigenbasis: the kernel must group states by eig.m alone
-    _, _, reg, eig = make_system(n=4, seed=6)
-    perm = np.random.default_rng(3).permutation(reg.dim)
-    shuffled = ref.shuffled_eigensystem(eig, perm)
+    # the m blocks given to eigendecompose in a random order, with the rows
+    # of each shuffled: the kernel matches the per-time loop on that
+    # eigensystem, and an MREV-8 run on it gives the signals of one on the
+    # blocks as secular_hamiltonian orders them
+    _, sys_n, reg, eig = make_system(n=4, seed=6)
+    permuted = eigendecompose(ref.shuffled_blocks(secular_hamiltonian(sys_n),
+                                                  np.random.default_rng(3)), 0.6)
     rng = np.random.default_rng(9)
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    (fast,) = pair_order_sums([_tau_slab(det, sigma0)], shuffled, ts)
-    slow = ref.order_sums_loop(det, sigma0, shuffled.zeta, shuffled.m, 0.6, ts, reg.n_spins)
+    (fast,) = pair_order_sums([_tau_slab(det, sigma0)], permuted, ts)
+    slow = ref.order_sums_loop(det, sigma0, permuted.zeta, permuted.m, 0.6, ts, reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
+    grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=10, taus=(0.0, 1.2e-4))
+    runs = [run_grid(e, grid, block=Mrev8Spec(tau1=5e-6),
+                     acquisition=AcquisitionSpec(t_m=3e-6, window=2e-6)).data
+            for e in (eig, permuted)]
+    np.testing.assert_allclose(runs[1], runs[0], rtol=0, atol=1e-12 * np.abs(runs[0]).max())
 
 
 @pytest.mark.parametrize("n,seed", [(2, 1), (3, 4), (4, 6), (5, 2), (6, 7)])
@@ -436,6 +444,30 @@ def test_closed_memory_estimate_covers_a_fresh_process(block):
     assert result.stdout.split()[0] == "refused", result.stdout
 
 
+@pytest.mark.parametrize("block", BLOCK_FAMILIES)
+def test_closed_memory_estimate_stays_within_half_again_the_peak(block, monkeypatch):
+    # at N = 5 a 2^N x 2^N array is 16 KiB, so the allowance for small arrays
+    # weighs most in the estimate; it must still cover the traced peak and
+    # stay within 1.5 times it
+    _, _, _, eig = make_system(n=5, seed=3)
+    estimates, gate = [], sequence.check_grid_memory
+
+    def recorded(values):
+        estimates.append(16 * values + sequence.SMALL_ARRAY_BYTES)
+        gate(values)
+
+    monkeypatch.setattr(sequence, "check_grid_memory", recorded)
+    grid = ExperimentGrid(t_p=4e-5, n_t=4, dt=2e-6, n_phi=4,
+                          taus=tuple(k * 60e-6 for k in range(60)))
+    tracemalloc.start()
+    try:
+        run_grid(eig, grid, block=block, acquisition=AcquisitionSpec(t_m=3e-6, window=2e-6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimates[0] <= 1.5 * peak, (estimates, peak)
+
+
 def test_stretched_run_peak_does_not_grow_by_a_matrix_per_tau():
     # every tau of a stretched MREV-8 block has its own cycle, which goes
     # before the next tau's is compiled, and each tau's slab
@@ -535,5 +567,9 @@ def test_acquisition_spec_validation():
         AcquisitionSpec(t_m=-1e-6, window=0.0)
     with pytest.raises(MqcnmrError):
         AcquisitionSpec(t_m=1e-6, window=-1e-6)
+    for t_m, window in ((np.nan, 0.0), (np.inf, 0.0), (1e-6, np.nan), (1e-6, np.inf),
+                        (np.nan, np.inf)):
+        with pytest.raises(MqcnmrError, match="finite"):
+            AcquisitionSpec(t_m=t_m, window=window)
     with pytest.raises(TypeError):
         AcquisitionSpec(t_m=1e-6, window=0.0, axis="x")  # detection is fixed: I_x + i I_y

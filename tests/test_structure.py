@@ -1,8 +1,8 @@
 """The structured operators of the closed engine against the dense oracles in
 reference.py: Kronecker-half pulses, m-block free evolutions and m-block
 basis changes, and the run setup built on I_+'s (m + 1, m) blocks, for
-N = 1-8 and eigenbases in eigendecompose's layout or shuffled; and the
-eigensystem eigendecompose reads from the m blocks' rows alone."""
+N = 1-8; and the eigensystem eigendecompose reads from the m blocks' rows
+alone, in block order whatever the order of the blocks it is given."""
 
 import numpy as np
 import pytest
@@ -25,17 +25,19 @@ def assert_close(got, want):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
-def secular_eigensystem(n, seed, shuffle):
-    """The eigensystem of a random hermitian H that commutes with I_z (one
-    random block per total m), its eigenvectors shuffled when ``shuffle``."""
-    rng = np.random.default_rng(seed)
+def secular_blocks(n, rng):
+    """The m blocks (rows, H_m) of a random hermitian H that commutes with I_z
+    (one random block per total m), in ``secular_hamiltonian``'s layout."""
     reg = SpinRegister(n)
-    m = reg.m_values()
     a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
-    eig = eigendecompose(ref.m_blocks(a + a.conj().T, m), 0.6)
-    if shuffle:
-        eig = ref.shuffled_eigensystem(eig, rng.permutation(reg.dim))
-    return reg, eig, rng
+    return reg, list(ref.m_blocks(a + a.conj().T, reg.m_values()))
+
+
+def secular_eigensystem(n, seed):
+    """The eigensystem of the ``secular_blocks`` of a random H."""
+    rng = np.random.default_rng(seed)
+    reg, blocks = secular_blocks(n, rng)
+    return reg, eigendecompose(blocks, 0.6), rng
 
 
 @settings(max_examples=60, deadline=None)
@@ -56,9 +58,9 @@ def test_kronecker_half_pulse_matches_dense_rotation(n, theta, axis, cols, seed)
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), duration=st.floats(0.0, 1e-4), scale=st.sampled_from((1.0, -0.5)),
-       shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shuffle, seed):
-    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+       seed=st.integers(0, 2 ** 16))
+def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, seed):
+    reg, eig, rng = secular_eigensystem(n, seed)
     ev = FreeEvolution(duration, scale)
     u = ref.propagator(eig, duration, scale)
     x = random_matrix(rng, reg.dim, reg.dim)
@@ -68,11 +70,11 @@ def test_m_block_free_evolution_matches_dense_propagator(n, duration, scale, shu
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 8), shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_m_block_basis_change_matches_dense(n, shuffle, seed):
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+def test_m_block_basis_change_matches_dense(n, seed):
     # to_eigen on a dense matrix, and the I_+ builder under a random weight
     # of the gap S_zz (zeta_a - zeta_b), applied to the dense blocks of I_+
-    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+    reg, eig, rng = secular_eigensystem(n, seed)
     v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
     c, k = random_matrix(rng, 2, 1)[:, 0], rng.uniform(-1e-4, 1e-4, 2)
@@ -92,14 +94,10 @@ def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
     # order permuted when ``shuffle``: every eigenvector carries the total m
     # of its block's product states, and N comes from the rows' count
     rng = np.random.default_rng(seed)
-    reg = SpinRegister(n)
+    reg, blocks = secular_blocks(n, rng)
     m_basis = reg.m_values()
-    a = 1e4 * random_matrix(rng, reg.dim, reg.dim)
-    blocks = list(ref.m_blocks(a + a.conj().T, m_basis))
     if shuffle:
-        perms = [rng.permutation(rows.size) for rows, _ in blocks]
-        blocks = [(rows[p], h[np.ix_(p, p)]) for (rows, h), p in zip(blocks, perms)]
-        blocks = [blocks[i] for i in rng.permutation(len(blocks))]
+        blocks = ref.shuffled_blocks(blocks, rng)
     eig = eigendecompose(blocks, 0.6)
     assert eig.reg.n_spins == n and eig.reg.dim == eig.dim
     v, h = eig.vectors, ref.dense_from_blocks(blocks, reg.dim)
@@ -107,32 +105,57 @@ def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
     assert_close((v * (0.6 * eig.zeta)) @ v.conj().T, h)
     x = random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
-    # a block left out, a row left out of a block, and two blocks of
-    # different m joined into one are refused
+    # a block left out, a row left out of a block, two blocks of different
+    # m joined into one, and one m's block split in two are refused
     k = int(rng.integers(len(blocks)))
     j = (k + 1) % len(blocks)
     rows = blocks[k][0]
     joined = np.concatenate([rows, blocks[j][0]])
     others = [b for i, b in enumerate(blocks) if i not in (k, j)]
-    for bad in (blocks[:k] + blocks[k + 1:],
-                blocks[:k] + [(rows[1:], h[np.ix_(rows[1:], rows[1:])])] + blocks[k + 1:],
-                others + [(joined, h[np.ix_(joined, joined)])]):
+    bads = [blocks[:k] + blocks[k + 1:],
+            blocks[:k] + [(rows[1:], h[np.ix_(rows[1:], rows[1:])])] + blocks[k + 1:],
+            others + [(joined, h[np.ix_(joined, joined)])]]
+    big = max(range(len(blocks)), key=lambda i: blocks[i][0].size)
+    if blocks[big][0].size > 1:
+        parts = np.split(blocks[big][0], [int(rng.integers(1, blocks[big][0].size))])
+        bads.append(blocks[:big] + [(p, h[np.ix_(p, p)]) for p in parts] + blocks[big + 1:])
+    for bad in bads:
         with pytest.raises(MqcnmrError):
             eigendecompose(bad, 0.6)
 
 
 @settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), duration=st.floats(-1e-4, 1e-4), seed=st.integers(0, 2 ** 16))
+def test_eigensystem_is_in_block_order_whatever_the_blocks_order(n, duration, seed):
+    # random secular blocks in a random order, rows shuffled inside each: the
+    # eigenvectors of each m take contiguous columns, the blocks in
+    # descending m, and the free evolution and the basis change on that
+    # layout match their dense forms
+    rng = np.random.default_rng(seed)
+    reg, blocks = secular_blocks(n, rng)
+    eig = eigendecompose(ref.shuffled_blocks(blocks, rng), 0.6)
+    cols = [c for _, c, _ in eig.blocks]
+    starts = [0] + [c.stop for c in cols]
+    assert cols == [slice(a, b) for a, b in zip(starts, starts[1:])] and starts[-1] == reg.dim
+    assert [eig.m[c.start] for c in cols] == [n / 2 - k for k in range(n + 1)]
+    assert np.all(np.diff(eig.m) <= 0)
+    v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
+    assert_close(eig.evolve(x, duration), ref.propagator(eig, duration) @ x)
+    assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
+
+
+@settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), t_p=st.just(0.0) | st.floats(0.0, 1e-4),
        t_m=st.floats(0.0, 2e-5), window=st.just(0.0) | st.floats(0.0, 4e-6),
-       shuffle=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, shuffle, seed):
+       seed=st.integers(0, 2 ** 16))
+def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, seed):
     # the prepared state (product basis, and in the eigenbasis from
     # kernel_inputs), the detection matrix and the default acquisition, all
     # built on I_+'s (m + 1, m) blocks, against dense oracles: I_z carried
     # through jb_prepare by dense pulses and propagators, the detection
     # matrix from dense V, R and I_+, and the dense per-step scan (its t_m
     # compared where no two magnitudes up to its decision tie)
-    reg, eig, rng = secular_eigensystem(n, seed, shuffle)
+    reg, eig, rng = secular_eigensystem(n, seed)
     v = eig.vectors
     prepared = prepared_setup(eig, t_p)
     rho = ref.coll(n, "z")
