@@ -33,7 +33,16 @@ from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """SHA-256 hex digest of a file, read 1 MiB at a time into one buffer, so
+    hashing a stage file allocates no copy of it (``hashlib.file_digest`` needs
+    Python 3.11)."""
+    digest = hashlib.sha256()
+    buf = bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
 
 
 def _write_stage(out_dir: Path, stage: str, cfg_hash: str, t0: float, writers: dict,

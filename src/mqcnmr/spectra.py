@@ -8,13 +8,22 @@ exp(+2 pi i f t) to +f.  Frequencies are reported in Hz.
 
 from __future__ import annotations
 
+import os
+import shutil
+import sys
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from . import _csvrows
 from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem
 from .operators import kron_conjugate, rotation_halves
+
+# about 75 ms of float repr, against about 11 ms to start a helper (2-vCPU x86 host)
+CSV_VALUES_PER_PROCESS = 100_000
 
 
 @dataclass(frozen=True)
@@ -137,16 +146,92 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
     """Write a spectrum as CSV rows (tau, mu, omega_hz, re, im, abs).
 
     Floats are shortest round-trip ``repr``s, abs is ``hypot(re, im)`` and rows
-    end in CRLF; each (tau, mu) block is formatted column-wise and written alone.
+    end in CRLF.  The (tau, mu) blocks are split into contiguous runs, one per
+    process: one process per CSV_VALUES_PER_PROCESS values written, at most
+    one per block and per CPU this process may use (``_allowed_cpus``).  This
+    process formats the first run straight into ``path``.  Each later run goes
+    to a helper interpreter that runs ``_csvrows.py`` (standard library only:
+    no package import, no numpy), which reads its whole share, streamed block
+    by block as raw float64, and writes it to a part file; the parts are then
+    appended to ``path`` in order and removed.  Every block, here or in a
+    helper, is formatted by ``_csvrows.write_blocks``, so the bytes do not
+    depend on the number of processes, and this process holds one block's
+    columns at a time.  A helper that cannot be started has its share
+    formatted here.  A helper that fails raises MqcnmrError with its exit
+    status and the end of its stderr; on any error every helper is killed and
+    reaped and every part file removed.
     """
     freqs = [repr(f) for f in np.asarray(spec.freqs_hz, dtype=float).tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("tau,mu,omega_hz,re,im,abs\r\n")
-        for k, tau in enumerate(spec.taus):
-            for i, m in enumerate(spec.mu):
-                z = spec.data[k, i]
-                head = f"{float(tau)!r},{int(m)},"
-                cols = (map(repr, c.tolist()) for c in (z.real, z.imag, np.hypot(z.real, z.imag)))
-                rows = ("\r\n" + head).join(map(",".join, zip(freqs, *cols)))
-                if rows:
-                    fh.write(head + rows + "\r\n")
+    heads = [f"{float(tau)!r},{int(m)}," for tau in spec.taus for m in spec.mu]
+    n_mu = len(spec.mu)
+
+    def columns(b):
+        z = spec.data[divmod(b, n_mu)]
+        return z.real, z.imag, np.hypot(z.real, z.imag)
+
+    def blocks(start, stop):
+        return ((heads[b], *(c.tolist() for c in columns(b))) for b in range(start, stop))
+
+    n_proc = max(1, min(_allowed_cpus(), len(heads),
+                        3 * spec.data.size // CSV_VALUES_PER_PROCESS))
+    bounds = [len(heads) * j // n_proc for j in range(n_proc + 1)]
+    with ExitStack() as stack:
+        shares = []
+        for j in range(1, n_proc):
+            part = f"{path}.part{j}"
+            stack.callback(Path(part).unlink, missing_ok=True)
+            shares.append((part, bounds[j], bounds[j + 1], _start_helper(stack, part)))
+        for _, start, stop, proc in shares:
+            if proc is not None:
+                with suppress(BrokenPipeError), proc.stdin as pipe:  # _reap reports an early exit
+                    _csvrows.send_share(pipe, heads[start:stop], freqs,
+                                        (np.stack(columns(b), dtype=float)
+                                         for b in range(start, stop)))
+        with open(path, "w", newline="") as fh:
+            fh.write("tau,mu,omega_hz,re,im,abs\r\n")
+            _csvrows.write_blocks(fh, freqs, blocks(0, bounds[1]))
+        for part, start, stop, proc in shares:
+            if proc is None:
+                with open(part, "w", newline="") as fh:
+                    _csvrows.write_blocks(fh, freqs, blocks(start, stop))
+            else:
+                _reap(proc, start, stop)
+        with open(path, "ab") as out:
+            for part, *_ in shares:
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, out)
+
+
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _start_helper(stack: ExitStack, part: str):
+    """A ``_csvrows.py`` interpreter that writes the rows of its share to
+    ``part``, killed if still running and then reaped when ``stack`` closes;
+    None when it cannot be started."""
+    import subprocess
+
+    try:
+        proc = subprocess.Popen([sys.executable, "-I", "-S", _csvrows.__file__, part],
+                                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE)
+    except OSError:
+        return None
+    stack.enter_context(proc)  # on exit: close its pipes, then wait
+    stack.callback(lambda: proc.poll() is None and proc.kill())
+    return proc
+
+
+def _reap(proc, start: int, stop: int) -> None:
+    """Wait for a helper; MqcnmrError with its status and the end of its
+    stderr when it failed."""
+    err = proc.stderr.read()
+    if proc.wait():
+        raise MqcnmrError(
+            f"the CSV helper for (tau, mu) blocks {start} to {stop - 1} exited with status "
+            f"{proc.returncode}: {err[-2000:].decode(errors='replace').strip()}")

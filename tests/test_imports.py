@@ -29,3 +29,12 @@ def test_package_import_loads_no_scipy():
 def test_constants_are_codata_2022():
     assert MU_0 == 1.25663706127e-06
     assert HBAR == 6.62607015e-34 / (2 * math.pi)
+
+
+def test_package_import_loads_no_subprocess():
+    # spectrum_to_csv imports subprocess only when it starts a CSV helper
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = "import sys, mqcnmr, mqcnmr.cli; print('subprocess' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
