@@ -9,7 +9,7 @@ from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, Tabulate
                          g_irreversible, run_grid_open)
 from .operators import SpinRegister, collective_angular_momentum
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
-                       jb_prepare, magic_sandwich, mrev8_block, run_grid, verify_reversion)
+                       magic_sandwich, mrev8_block, run_grid, verify_reversion)
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence
 
 __all__ = [
@@ -18,6 +18,6 @@ __all__ = [
     "Mrev8Spec", "ReducedState", "SignalGrid", "SpinRegister", "SpinSystem", "TabulatedOMDF",
     "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
     "eigendecompose", "fft2_coherence", "fit_decay", "frequency_cuts",
-    "g_irreversible", "jb_prepare", "magic_sandwich", "mrev8_block",
+    "g_irreversible", "magic_sandwich", "mrev8_block",
     "run_grid", "run_grid_open", "secular_hamiltonian", "verify_reversion",
 ]

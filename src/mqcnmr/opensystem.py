@@ -207,7 +207,7 @@ class ReducedState:
         if a.shape != (self.eig.dim, self.eig.dim):
             raise MqcnmrError(f"state shape {a.shape} does not match eigensystem dim {self.eig.dim}")
         herm = np.max(np.abs(a - a.conj().T))
-        if herm > 1e-10 * max(np.max(np.abs(a)), 1e-300):
+        if not herm <= 1e-10 * max(np.max(np.abs(a)), 1e-300):
             raise MqcnmrError(f"reduced state is not hermitian (error {herm:.3e})")
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
@@ -218,27 +218,16 @@ def prepare_reduced_state(eig: EigenSystem, t_p: float) -> ReducedState:
     return ReducedState(eig.to_eigen(prepared_setup(eig, t_p)), eig)
 
 
-def grid_nodes(zeta: np.ndarray, band, most: int) -> tuple:
+def grid_nodes(zeta: np.ndarray, band) -> tuple:
     """(nodes k h for |k| <= ceil(max gap / h) + STENCIL / 2, h) for
     h = pi / (OVERSAMPLING band): all stencils of the gaps; (None, None) for no
-    band or for more than ``most`` nodes."""
+    band or for more nodes than the ordered pairs (a bound on the distinct gaps
+    that needs no sort), where the kernel takes the gaps themselves."""
     if not band or band <= 0:
         return None, None
     h = np.pi / (OVERSAMPLING * band)
     k = np.ceil(np.ptp(zeta) / h) + STENCIL // 2
-    return (h * np.arange(-k, k + 1), h) if 2 * k + 1 <= most else (None, None)
-
-
-def _node_set(upper: np.ndarray, zeta: np.ndarray, band) -> tuple:
-    """(nodes, spacing) for the pairs a <= b in ``upper``: ``grid_nodes``, or
-    where there is no band or those outnumber the ordered pairs (a bound on the
-    distinct gaps that needs no sort), the pairs' gaps and their negatives."""
-    pairs = 2 * np.count_nonzero(upper) - np.count_nonzero(upper.diagonal())
-    nodes, h = grid_nodes(zeta, band, pairs)
-    if h is None:
-        a, b = np.nonzero(upper)
-        nodes = np.unique(np.concatenate([zeta[b] - zeta[a], zeta[a] - zeta[b]]))
-    return nodes, h
+    return (h * np.arange(-k, k + 1), h) if 2 * k + 1 <= zeta.size ** 2 else (None, None)
 
 
 def _stencils(gaps: np.ndarray, nodes: np.ndarray, h) -> tuple:
@@ -273,31 +262,34 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     called with the gaps as a row and the taus as a column; G^T(-g, t) =
     conj(G^T(g, t)), and G^R is real and even in g.
 
-    Each pair's weight is spread onto gap nodes g_k, rho[nu, k] = sum_ab W_ab
-    L_k(g_ab), and c[tau, nu] = (rho[nu] G^R(g_k, tau)) @ E(g_k, :).  For a
-    ``band`` B in g of G^R E over ts and taus (``DecoherenceParams.band``) the
-    nodes are uniform, spaced pi / (c B), and L is P-point Lagrange
-    interpolation, whose error grows as (pi / c)^P at the band's edge: P = 20
-    and c = 6 hold the sums within about 1e-13 of the largest.  With no band,
-    or where those would outnumber the eigenpairs, the nodes are the gaps
-    themselves and L the identity, which is exact (``_node_set``).  Both sets
-    are symmetric about 0: a pair a <= b and its mirror (b, a) share one
-    stencil, mirrored, and E is built on the nodes g >= 0 only.  Pairs are
-    spread in chunks of at most GRID_CHUNK_BYTES, all stencil offsets of a
-    chunk in one ``np.bincount`` per part, so repeated calls are bit-identical;
-    the products run in groups of taus of at most GRID_CHUNK_BYTES.
+    Every pair a <= b of the slab is spread onto gap nodes g_k, its weight
+    and its mirror's, rho[nu, k] = sum_ab W_ab L_k(g_ab), and c[tau, nu] =
+    (rho[nu] G^R(g_k, tau)) @ E(g_k, :).  For a ``band`` B in g of G^R E over
+    ts and taus (``DecoherenceParams.band``) the nodes are uniform, spaced
+    pi / (c B), and L is P-point Lagrange interpolation, whose error grows as
+    (pi / c)^P at the band's edge: P = 20 and c = 6 hold the sums within about
+    1e-13 of the largest.  With no band, or where those would outnumber the
+    ordered pairs (``grid_nodes``), the nodes are the gaps themselves and L
+    the identity, which is exact.  Both sets are symmetric about 0: a pair
+    a <= b and its mirror (b, a) share one stencil, mirrored, and E is built
+    on the nodes g >= 0 only.  Pairs are spread in chunks of rows of at most
+    GRID_CHUNK_BYTES, all stencil offsets of a chunk in one ``np.bincount``
+    per part, so repeated calls are bit-identical; the products run in groups
+    of taus of at most GRID_CHUNK_BYTES.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
-    n_spins = eig.reg.n_spins
-    upper = np.triu((weights != 0) | (weights.T != 0))  # pairs a <= b nonzero either way
-    nodes, h = _node_set(upper, eig.zeta, band)
-    size = (2 * n_spins + 1) * nodes.size
+    n_spins, dim = eig.reg.n_spins, eig.dim
+    n_orders = 2 * n_spins + 1
+    nodes, h = grid_nodes(eig.zeta, band)
+    if h is None:
+        nodes = np.unique(np.subtract.outer(eig.zeta, eig.zeta))
+    size = n_orders * nodes.size
     direct, mirror = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
-    done = np.cumsum(np.count_nonzero(upper, axis=1))  # the pairs in rows <= r
+    done = np.cumsum(np.arange(dim, 0, -1))  # the pairs a <= b in rows <= r
     cuts = np.unique(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
                                      side="right"))  # the first row of each chunk
-    for lo, hi in zip(cuts, np.append(cuts[1:], eig.dim)):
-        a, b = np.nonzero(upper[lo:hi])
+    for lo, hi in zip(cuts, np.append(cuts[1:], dim)):
+        a, b = np.triu_indices(hi - lo, lo, dim)  # rows lo:hi, b >= a
         a += lo
         first, lagrange = _stencils(eig.zeta[b] - eig.zeta[a], nodes, h)
         first += (np.rint(eig.m[b] - eig.m[a]).astype(np.intp) + n_spins) * nodes.size
@@ -308,9 +300,8 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
             rho.imag += np.bincount(index, (lagrange * w.imag).ravel(), size)
         del a, b, first, index, lagrange, pair, image  # before the next chunk makes its own
     direct += mirror[::-1]
-    del upper, mirror
-    rho = direct.reshape(2 * n_spins + 1, -1)
-    live = np.flatnonzero(np.any(rho, axis=1))
+    del mirror
+    rho = direct.reshape(n_orders, -1)
     below = nodes.size // 2  # the nodes g < 0, mirrors of the last of the nodes g >= 0
     half = nodes[below:]
     e = np.empty((half.size, ts.size), dtype=complex)
@@ -318,18 +309,18 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     for lo in range(0, half.size, step):
         e[lo:lo + step] = time_factors(half[lo:lo + step], ts)
     # E(-g) = conj(E(g)): rho at g >= 0 and, conjugated, at their mirrors -g
-    folded = np.zeros((2, live.size, half.size), dtype=complex)
-    folded[0] = rho[live, below:]
-    folded[1, :, half.size - below:] = rho[live, :below][:, ::-1].conj()
+    folded = np.zeros((2, n_orders, half.size), dtype=complex)
+    folded[0] = rho[:, below:]
+    folded[1, :, half.size - below:] = rho[:, :below][:, ::-1].conj()
     del direct, rho
     g_r = g_irreversible(half[None], taus[:, None])
-    c = np.zeros((taus.size, 2 * n_spins + 1, ts.size), dtype=complex)
-    group = max(1, GRID_CHUNK_BYTES // (32 * max(live.size, 1) * (half.size + ts.size)))
+    c = np.empty((taus.size, n_orders, ts.size), dtype=complex)
+    group = max(1, GRID_CHUNK_BYTES // (32 * n_orders * (half.size + ts.size)))
     for lo in range(0, taus.size, group):
         x = folded * g_r[lo:lo + group, None, None]
-        prod = x.reshape(len(x) * 2 * live.size, half.size) @ e
-        prod = prod.reshape(len(x), 2, live.size, ts.size)
-        c[lo:lo + group, live] = prod[:, 0] + prod[:, 1].conj()
+        prod = x.reshape(len(x) * 2 * n_orders, half.size) @ e
+        prod = prod.reshape(len(x), 2, n_orders, ts.size)
+        c[lo:lo + group] = prod[:, 0] + prod[:, 1].conj()
         del x, prod
     return c
 
@@ -348,23 +339,24 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     (``sequence.check_grid_memory``) before anything is allocated.
     """
     # I_+'s blocks, the prepared state, the cycle eig may hold, and the setup
-    # or: the detection matrix, the weights, their pair masks, the signal grid,
-    # the order sums, numpy's cast buffers, on the uniform set's nodes the
-    # spread weights and their mirror, on half of them E and G^R, and the
-    # largest of, each at most what the grid fills, a spreading chunk with a
-    # bincount's output, a block of E with q's own, a group of taus' product
+    # or: the detection matrix, the weights, the signal grid, the order sums,
+    # numpy's cast buffers, on the nodes (the uniform set's, or as many as the
+    # ordered pairs) the spread weights and their mirror, on half of them E
+    # and G^R, and the largest of, each at most what the grid fills, a
+    # spreading chunk with a bincount's output, a block of E with q's own, a
+    # group of taus' product
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders = len(grid.taus), 2 * n_spins + 1
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
-    uniform = grid_nodes(eig.zeta, band, dim2)[0]
-    nodes = dim2 if uniform is None else uniform.size  # ordered pairs otherwise
+    uniform = grid_nodes(eig.zeta, band)[0]
+    nodes = dim2 if uniform is None else uniform.size
     half = nodes // 2 + 1
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * grid.n_t))) * grid.n_t  # a block of E
     chunk = min(GRID_CHUNK_BYTES, _PAIR_BYTES * (dim2 + eig.dim) // 2) // 16
     group = min(GRID_CHUNK_BYTES // 16, 2 * n_tau * n_orders * (half + grid.n_t))
     check_grid_memory(comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
                       + max(setup_values(n_spins, acquisition),
-                            2 * dim2 + dim2 // 4 + grid.n_phi * grid.n_t * n_tau
+                            2 * dim2 + grid.n_phi * grid.n_t * n_tau
                             + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
                             + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
                             + max(chunk + nodes * n_orders // 2,

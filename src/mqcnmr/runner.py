@@ -260,6 +260,8 @@ def fit_stage(run_dir, mu: int, frequencies, model: str = "exponential",
 
 def verify_stage(cfg: RunConfig, max_residual: float = 1e-2) -> dict:
     """Compile the configured reversion block and gate on its residual."""
+    if not 0 <= max_residual < math.inf:
+        raise ConfigError(f"max_residual must be finite and non-negative, got {max_residual}")
     if cfg.block is None:
         raise ConfigError("config has no reversion block to verify")
     eig = build_eigensystem(cfg)
@@ -272,7 +274,7 @@ def verify_stage(cfg: RunConfig, max_residual: float = 1e-2) -> dict:
     result = {"tau": tau, "residual": report.residual,
               "effective_hamiltonian_norm": report.effective_norm,
               "duration": report.duration, "max_residual": max_residual}
-    if report.residual > max_residual:
+    if not report.residual <= max_residual:
         raise NumericalValidationError(
             f"reversion residual {report.residual:.3e} exceeds the gate "
             f"{max_residual:.3e} (tau = {tau})")

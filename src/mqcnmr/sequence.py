@@ -95,13 +95,6 @@ class ExperimentGrid:
         return self.dt * np.arange(self.n_t)
 
 
-def jb_prepare(t_p: float) -> tuple:
-    """Jeener-Broekaert preparation fragment (pi/2)_x - t_p - (pi/4)_y."""
-    if t_p < 0:
-        raise MqcnmrError(f"preparation time must be non-negative, got {t_p}")
-    return (Pulse(np.pi / 2, 0.0), FreeEvolution(t_p), Pulse(np.pi / 4, np.pi / 2))
-
-
 # MREV-8: delays (in units of tau1) interleaved with eight pi/2 pulses of
 # phases x, -y, y, -x, -x, -y, y, x; cycle time 12*tau1.  The pattern is
 # gated by verify_reversion, which checks that the compiled cycle tends to
@@ -229,7 +222,7 @@ def verify_reversion(events, eig: EigenSystem) -> ReversionReport:
     """
     u = compile_program(events, eig)
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if uni_err > 1e-8:
+    if not uni_err <= 1e-8:
         raise NumericalValidationError(f"compiled block is not unitary (error {uni_err:.3e})")
     theta = np.angle(np.trace(u))
     lam = np.linalg.eigvals(u)
@@ -325,7 +318,8 @@ def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
 
 
 def prepared_setup(eig: EigenSystem, t_p: float) -> np.ndarray:
-    """The prepared state of a run, I_z carried through ``jb_prepare(t_p)``, in
+    """The prepared state of a run, I_z carried through the Jeener-Broekaert
+    fragment (pi/2)_x - t_p - (pi/4)_y (``tests/reference.py::jb_prepare``), in
     the product basis and read-only.
 
     The (pi/2)_x pulse takes I_z to +I_y, and t_p of free evolution multiplies

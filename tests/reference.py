@@ -319,6 +319,16 @@ def mrev8_events(tau1, n_blocks=1):
     return cycle * n_blocks
 
 
+def jb_prepare(t_p):
+    """Jeener-Broekaert preparation fragment (pi/2)_x - t_p - (pi/4)_y, as the
+    package's events, which ``sequence.prepared_setup`` applies to I_z."""
+    from mqcnmr.errors import MqcnmrError
+    from mqcnmr.sequence import FreeEvolution, Pulse
+    if t_p < 0:
+        raise MqcnmrError(f"preparation time must be non-negative, got {t_p}")
+    return (Pulse(np.pi / 2, 0.0), FreeEvolution(t_p), Pulse(np.pi / 4, np.pi / 2))
+
+
 def magic_sandwich_events(tau):
     return [("free", tau / 3.0, 1.0), ("free", 2.0 * tau / 3.0, -0.5)]
 

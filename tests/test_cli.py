@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mqcnmr import runner
+from mqcnmr import runner, sequence
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
 from mqcnmr.errors import ConfigError, GridSizeError
@@ -343,6 +343,22 @@ def test_numerical_gate_exit_3(tmp_path):
     # MREV8 at 20 us spacing has a small but nonzero residual
     assert main(["verify-reversion", str(cfg_path)]) == 0
     assert main(["verify-reversion", str(cfg_path), "--max-residual", "1e-12"]) == 3
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "-1"])
+def test_bad_max_residual_exits_2_before_any_output(capsys, bound):
+    assert main(["verify-reversion", "--preset", "fivecb_style", "--max-residual", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "max_residual" in captured.err
+
+
+def test_nan_residual_fails_the_gate(capsys, monkeypatch):
+    # a NaN residual is no pass: the gate is written as "not residual <= bound"
+    nan_report = sequence.ReversionReport(residual=float("nan"), duration=1e-4,
+                                          effective_norm=0.0)
+    monkeypatch.setattr(runner, "verify_reversion", lambda events, eig: nan_report)
+    assert main(["verify-reversion", "--preset", "fivecb_style"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_stage_no_block(tmp_path):

@@ -180,7 +180,7 @@ def test_gap_grid_matches_dense_order_sums(n, seed, family, width, table, sigma,
     weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     ts, taus = dt * np.arange(n_t), np.linspace(0.0, tau_span, n_tau)
     band = params.band(ts, taus, eig.order_parameter) if banded else None
-    h = opensystem._node_set(np.triu(np.ones(shape, dtype=bool)), eig.zeta, band)[1]
+    h = opensystem.grid_nodes(eig.zeta, band)[1]
     event("uniform nodes" if h is not None else "at the gaps")
     g_irr = partial(g_irreversible, params=params)
     fast = pair_order_sums(weights, eig, ts, taus,
@@ -199,8 +199,9 @@ def test_node_sets_of_the_gap_grid():
     for n, banded, uniform in [(6, True, True), (6, False, False), (2, True, False)]:
         reg, eig = make_system(n, 1)
         band = params.band(ts, taus, eig.order_parameter) if banded else None
-        upper = np.triu(np.ones((reg.dim, reg.dim), dtype=bool))
-        nodes, h = opensystem._node_set(upper, eig.zeta, band)
+        nodes, h = opensystem.grid_nodes(eig.zeta, band)
+        if h is None:  # the kernel's nodes then
+            nodes = np.unique(np.subtract.outer(eig.zeta, eig.zeta))
         assert np.array_equal(nodes, -nodes[::-1])
         if uniform:
             assert h > 0 and nodes.size < reg.dim ** 2
@@ -214,7 +215,8 @@ def test_stencil_weights_interpolate_and_hit_nodes():
     # P-point Lagrange weights hold each gap between their middle two nodes,
     # sum to 1, reproduce polynomials of degree < P and are one-hot on a node
     p = opensystem.STENCIL
-    nodes, h = opensystem.grid_nodes(np.array([-3.0, 5.0]), np.pi / opensystem.OVERSAMPLING, 99)
+    nodes, h = opensystem.grid_nodes(np.linspace(-3.0, 5.0, 7),
+                                    np.pi / opensystem.OVERSAMPLING)
     assert h == 1.0
     gaps = np.concatenate([np.random.default_rng(0).uniform(-8.0, 8.0, 50), nodes[p:-p]])
     first, lagrange = opensystem._stencils(gaps, nodes, h)
@@ -240,7 +242,7 @@ def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
     band = params.band(ts, taus, eig.order_parameter)
     factors = (partial(params.omdf.time_factors, s_zz=eig.order_parameter),
                partial(g_irreversible, params=params), band)
-    assert opensystem._node_set(np.triu(np.ones(shape, dtype=bool)), eig.zeta, band)[1]
+    assert opensystem.grid_nodes(eig.zeta, band)[1]
     assert opensystem._PAIR_BYTES * reg.dim ** 2 < opensystem.GRID_CHUNK_BYTES  # one chunk
     whole = pair_order_sums(weights, eig, ts, taus, *factors)
     monkeypatch.setattr(opensystem, "GRID_CHUNK_BYTES", 40 * opensystem._PAIR_BYTES)

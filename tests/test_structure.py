@@ -14,7 +14,7 @@ from mqcnmr.errors import MqcnmrError
 from mqcnmr.hamiltonian import eigendecompose
 from mqcnmr.operators import SpinRegister, kron_apply, kron_conjugate, rotation_halves
 from mqcnmr.sequence import (AcquisitionSpec, FreeEvolution, Pulse, apply, compile_program,
-                             default_acquisition, jb_prepare, kernel_inputs, prepared_setup)
+                             default_acquisition, kernel_inputs, prepared_setup)
 
 
 def random_matrix(rng, rows, cols):
@@ -159,7 +159,7 @@ def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, seed)
     v = eig.vectors
     prepared = prepared_setup(eig, t_p)
     rho = ref.coll(n, "z")
-    for ev in jb_prepare(t_p):
+    for ev in ref.jb_prepare(t_p):
         u = (ref.rot(n, ev.angle, ev.axis_phase) if isinstance(ev, Pulse)
              else ref.propagator(eig, ev.duration, ev.scale))
         rho = u @ rho @ u.conj().T
