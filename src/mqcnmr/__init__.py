@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .analysis import DecayCurve, FitResult, eigen_selectivity_report, fit_decay, frequency_cuts
 from .hamiltonian import (EigenSystem, SpinSystem, dipolar_frequency, eigendecompose,
                           secular_hamiltonian)
-from .opensystem import (DecoherenceParams, GaussianOMDF, ReducedState, TabulatedOMDF,
-                         g_irreversible, run_grid_open)
+from .opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF, g_irreversible,
+                         run_grid_open)
 from .operators import SpinRegister, collective_angular_momentum
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        magic_sandwich, mrev8_block, run_grid, verify_reversion)
@@ -15,7 +15,7 @@ from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence
 __all__ = [
     "AcquisitionSpec", "CoherenceSpectrum", "DecayCurve", "DecoherenceParams",
     "EigenSystem", "ExperimentGrid", "FitResult", "GaussianOMDF", "MagicSandwichSpec",
-    "Mrev8Spec", "ReducedState", "SignalGrid", "SpinRegister", "SpinSystem", "TabulatedOMDF",
+    "Mrev8Spec", "SignalGrid", "SpinRegister", "SpinSystem", "TabulatedOMDF",
     "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
     "eigendecompose", "fft2_coherence", "fit_decay", "frequency_cuts",
     "g_irreversible", "magic_sandwich", "mrev8_block",

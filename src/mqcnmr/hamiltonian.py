@@ -244,8 +244,13 @@ class EigenSystem:
         return self.__dict__["_cycle"][1]
 
     def phases(self, ts) -> np.ndarray:
-        """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim)."""
-        return np.exp(-1j * self.order_parameter * np.outer(ts, self.zeta))
+        """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim),
+        built in place: a float array times a complex scalar casts through
+        numpy's buffer (np.getbufsize() values, 128 KiB), which the memory
+        gates do not charge beside the scan's phases."""
+        p = np.outer(ts, self.zeta).astype(complex)
+        p *= -1j * self.order_parameter
+        return np.exp(p, out=p)
 
     def evolve(self, x: np.ndarray, duration: float) -> np.ndarray:
         """exp(-i H duration) x for x of 2^N rows in the product basis: the rows

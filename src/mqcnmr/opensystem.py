@@ -33,8 +33,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, MqcnmrError
+from .errors import ConfigError
 from .hamiltonian import EigenSystem
+from .operators import checked_hermitian
 from .sequence import (ExperimentGrid, check_grid_memory, kernel_inputs, phase_encode,
                        prepared_setup, setup_values)
 from .spectra import SignalGrid
@@ -195,27 +196,10 @@ def g_irreversible(dzeta, tau, params: DecoherenceParams):
                   / (8.0 * (params.kappa + 1.0) ** 2))
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Reduced density matrix elements in the simultaneous (H, I_z) eigenbasis."""
-
-    matrix: np.ndarray
-    eig: EigenSystem
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.shape != (self.eig.dim, self.eig.dim):
-            raise MqcnmrError(f"state shape {a.shape} does not match eigensystem dim {self.eig.dim}")
-        herm = np.max(np.abs(a - a.conj().T))
-        if not herm <= 1e-10 * max(np.max(np.abs(a)), 1e-300):
-            raise MqcnmrError(f"reduced state is not hermitian (error {herm:.3e})")
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
-
-
-def prepare_reduced_state(eig: EigenSystem, t_p: float) -> ReducedState:
-    """Single-molecule state right after the JB preparation, in the eigenbasis."""
-    return ReducedState(eig.to_eigen(prepared_setup(eig, t_p)), eig)
+def prepare_reduced_state(eig: EigenSystem, t_p: float) -> np.ndarray:
+    """Single-molecule state right after the JB preparation, in the eigenbasis,
+    checked hermitian and read-only."""
+    return checked_hermitian(eig.to_eigen(prepared_setup(eig, t_p)))
 
 
 def grid_nodes(zeta: np.ndarray, band) -> tuple:
@@ -334,8 +318,8 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     built by the OMDF's ``time_factors`` and applied by ``pair_order_sums``
     to one weight slab shared by every tau, on gap nodes for the band that
     ``DecoherenceParams.band`` gives over the grid (P = 20, c = 6: within
-    about 1e-13 of the largest sum).  The prepared state is checked as a
-    ``ReducedState``.  The working set is estimated and gated
+    about 1e-13 of the largest sum).  ``kernel_inputs`` checks the prepared
+    state.  The working set is estimated and gated
     (``sequence.check_grid_memory``) before anything is allocated.
     """
     # I_+'s blocks, the prepared state, the cycle eig may hold, and the setup
@@ -350,6 +334,7 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
     uniform = grid_nodes(eig.zeta, band)[0]
     nodes = dim2 if uniform is None else uniform.size
+    del uniform  # the gate reads its size; the kernel makes its own
     half = nodes // 2 + 1
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * grid.n_t))) * grid.n_t  # a block of E
     chunk = min(GRID_CHUNK_BYTES, _PAIR_BYTES * (dim2 + eig.dim) // 2) // 16
@@ -361,9 +346,8 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
                             + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
                             + max(chunk + nodes * n_orders // 2,
                                   4 * points + params.omdf.q_values(points), group)))
-    acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
-    state = ReducedState(a_eig, eig)
-    sums = pair_order_sums(det * state.matrix.T, eig, grid.ts, grid.taus,
+    acquisition, state, det = kernel_inputs(eig, grid.t_p, acquisition)
+    sums = pair_order_sums(det * state.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),
                            partial(g_irreversible, params=params), band)
     return phase_encode(sums, grid, acquisition, n_molecules)

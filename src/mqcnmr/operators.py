@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidPairError, MqcnmrError
+from .errors import InvalidPairError, MqcnmrError, NumericalValidationError
 
 HERMITIAN_ATOL = 1e-12
 UNITARY_ATOL = 1e-10
@@ -71,22 +71,23 @@ def _m_values(n_spins: int) -> np.ndarray:
 
 def checked_hermitian(a: np.ndarray) -> np.ndarray:
     """``a`` as a read-only complex array, once it passes A == A^dagger
-    entrywise within HERMITIAN_ATOL (MqcnmrError otherwise, NaN included)."""
+    entrywise within HERMITIAN_ATOL (NumericalValidationError otherwise, NaN
+    included)."""
     a = np.asarray(a, dtype=complex)
     herm_err = np.max(np.abs(a - a.conj().T))
     if not herm_err <= HERMITIAN_ATOL:
-        raise MqcnmrError(f"hermitian operator fails A == A^dagger by {herm_err:.3e}")
+        raise NumericalValidationError(f"hermitian operator fails A == A^dagger by {herm_err:.3e}")
     a.flags.writeable = False
     return a
 
 
 def checked_unitary(u: np.ndarray) -> np.ndarray:
     """``u`` once it passes U U^dagger == 1 in the max norm within UNITARY_ATOL
-    (MqcnmrError otherwise, NaN included); ``rotation_halves`` runs it on its
-    2x2 factor."""
+    (NumericalValidationError otherwise, NaN included); ``rotation_halves``
+    runs it on its 2x2 factor."""
     uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if not uni_err <= UNITARY_ATOL:
-        raise MqcnmrError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
+        raise NumericalValidationError(f"unitary operator fails U U^dagger == 1 by {uni_err:.3e}")
     return u
 
 

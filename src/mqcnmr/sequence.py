@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem
-from .operators import kron_apply, kron_conjugate, rotation_halves
+from .operators import checked_hermitian, kron_apply, kron_conjugate, rotation_halves
 from .spectra import SignalGrid, detection_matrix
 
 
@@ -342,13 +342,15 @@ def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | N
     time t_p, the state read-only in the H eigenbasis: the
     ``default_acquisition`` of the ``prepared_setup`` state when
     ``acquisition`` is None.  The product-basis state goes once the
-    eigenbasis one is made, before the detection matrix is built."""
+    eigenbasis one is made; that one is checked hermitian
+    (``checked_hermitian``) before the detection matrix is built, so the
+    check's transients come and go inside the setup both engines gate."""
     prepared = prepared_setup(eig, t_p)
     if acquisition is None:
         acquisition = default_acquisition(eig, prepared)
     state = eig.to_eigen(prepared)
     del prepared
-    state.flags.writeable = False
+    state = checked_hermitian(state)
     return acquisition, state, detection_matrix(eig, acquisition.t_m, acquisition.window)
 
 

@@ -8,6 +8,7 @@ Events are plain tuples: ("pulse", angle, axis_phase) or
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm, logm
@@ -477,6 +478,28 @@ def gaussian_density(width, u):
     return np.exp(-np.asarray(u) ** 2 / (2.0 * width ** 2)) / np.sqrt(2.0 * np.pi * width ** 2)
 
 
+@dataclass(frozen=True)
+class ReducedState:
+    """Reduced density matrix elements in the simultaneous (H, I_z) eigenbasis,
+    the oracles' state type: checked for the eigensystem's shape and for
+    hermiticity relative to its largest element, then held read-only."""
+
+    matrix: np.ndarray
+    eig: object
+
+    def __post_init__(self):
+        from mqcnmr.errors import MqcnmrError
+        a = np.asarray(self.matrix, dtype=complex)
+        if a.shape != (self.eig.dim, self.eig.dim):
+            raise MqcnmrError(f"state shape {a.shape} does not match eigensystem dim "
+                              f"{self.eig.dim}")
+        herm = np.max(np.abs(a - a.conj().T))
+        if not herm <= 1e-10 * max(np.max(np.abs(a)), 1e-300):
+            raise MqcnmrError(f"reduced state is not hermitian (error {herm:.3e})")
+        a.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
+
+
 def populations(state):
     """Diagonal (population) elements of a ``ReducedState``."""
     return state.matrix.diagonal().real
@@ -496,7 +519,7 @@ def evolve_open(state, t, tau, params):
     with ``g_reversible`` above and the package's ``g_irreversible`` as the factors
     ``run_grid_open`` applies; the result is checked as a ``ReducedState`` again.
     """
-    from mqcnmr.opensystem import ReducedState, g_irreversible
+    from mqcnmr.opensystem import g_irreversible
     eig = state.eig
     dz = gaps(eig)
     factor = (np.exp(-1j * eig.order_parameter * dz * t)

@@ -121,7 +121,7 @@ def test_criterion_4_route_equivalence():
     grid = ExperimentGrid(t_p=4.75e-5, n_t=16, dt=2e-6, n_phi=10, taus=taus)
     via_fft = fft2_coherence(run_grid(eig, grid, acquisition=ACQ))
     state = prepare_reduced_state(eig, 4.75e-5)
-    direct = spectral_assembly(state.matrix, eig, reg, grid.ts, ACQ.t_m, ACQ.window,
+    direct = spectral_assembly(state, eig, reg, grid.ts, ACQ.t_m, ACQ.window,
                                taus=np.asarray(taus))
     scale = np.max(np.abs(via_fft.data))
     worst = 0.0
@@ -227,7 +227,8 @@ def test_criterion_8_conservation_suite_100_random_trials():
         u = reference.propagator(eig, t)
         checks["U unitary"] = np.max(np.abs(u @ u.conj().T - eye)) < 1e-11
 
-        state = prepare_reduced_state(eig, float(rng.uniform(0.0, 1e-4)))
+        state = reference.ReducedState(prepare_reduced_state(eig, float(rng.uniform(0.0, 1e-4))),
+                                       eig)
         rho = eig.vectors @ state.matrix @ eig.vectors.conj().T
         rho_t = u @ rho @ u.conj().T
         checks["trace conserved"] = abs(np.trace(rho_t) - np.trace(rho)) < 1e-12

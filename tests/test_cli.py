@@ -330,6 +330,31 @@ def test_refused_grid_leaves_no_run_directory(tmp_path, capsys, engine):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("engine", ["closed", "open"])
+def test_non_hermitian_prepared_state_exits_3_with_no_run_directory(tmp_path, capsys,
+                                                                    monkeypatch, engine):
+    # both engines check the state kernel_inputs prepares; a failed check is a
+    # numerical-validation failure: one line on stderr, no traceback, no output
+    prepare = sequence.prepared_setup
+
+    def skewed(eig, t_p):
+        a = prepare(eig, t_p).copy()
+        a[0, 1] += 1e-9
+        return a
+
+    monkeypatch.setattr(sequence, "prepared_setup", skewed)
+    doc = tiny_doc(engine=engine)
+    if engine == "open":
+        doc["decoherence"] = {"sigma_cl": 2.5e5, "omdf": {"family": "gaussian", "width": 0.05}}
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, doc)), "--output", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical validation failed: hermitian")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_numerical_gate_exit_3(tmp_path):
     doc = tiny_doc()
     # a single pair is refocused exactly; three coupled spins leave a

@@ -11,9 +11,8 @@ from scipy.linalg import expm
 
 from mqcnmr.errors import ConfigError, MqcnmrError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
-from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, ReducedState,
-                               TabulatedOMDF, g_irreversible, prepare_reduced_state,
-                               run_grid_open)
+from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
+                               g_irreversible, prepare_reduced_state, run_grid_open)
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid, run_grid
 from mqcnmr.spectra import fft2_coherence
 
@@ -129,13 +128,13 @@ def test_prepare_reduced_state_matches_reference():
     rho_ref = ref.apply_events(3, h, ref.coll(3, "z"),
                                [("pulse", np.pi / 2, 0.0), ("free", t_p, 1.0),
                                 ("pulse", np.pi / 4, np.pi / 2)])
-    np.testing.assert_allclose(eig.vectors @ state.matrix @ eig.vectors.conj().T,
+    np.testing.assert_allclose(eig.vectors @ state @ eig.vectors.conj().T,
                                rho_ref, atol=1e-11)
 
 
 def test_evolve_open_preserves_populations_and_hermiticity():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, 3e-5)
+    state = ref.ReducedState(prepare_reduced_state(eig, 3e-5), eig)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.1))
     evolved = ref.evolve_open(state, t=5e-5, tau=3e-4, params=params)
     np.testing.assert_allclose(ref.populations(evolved), ref.populations(state), atol=1e-14)
@@ -147,7 +146,7 @@ def test_evolve_open_preserves_populations_and_hermiticity():
 
 def test_evolve_open_closed_system_limit():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, 3e-5)
+    state = ref.ReducedState(prepare_reduced_state(eig, 3e-5), eig)
     # negligible damping: unitary phases only
     params = DecoherenceParams(sigma_cl=1e-6, omdf=GaussianOMDF(1e-9))
     t = 7e-5
@@ -160,7 +159,7 @@ def test_evolve_open_closed_system_limit():
 
 def test_evolve_open_monotone_in_tau():
     _, reg, eig = make_system()
-    state = prepare_reduced_state(eig, 3e-5)
+    state = ref.ReducedState(prepare_reduced_state(eig, 3e-5), eig)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.05))
     off = ~np.eye(reg.dim, dtype=bool)
     norms = []
@@ -173,11 +172,11 @@ def test_evolve_open_monotone_in_tau():
 def test_reduced_state_validation():
     _, reg, eig = make_system()
     with pytest.raises(MqcnmrError):
-        ReducedState(np.zeros((2, 2)), eig)
+        ref.ReducedState(np.zeros((2, 2)), eig)
     bad = np.zeros((4, 4), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(MqcnmrError):
-        ReducedState(bad, eig)
+        ref.ReducedState(bad, eig)
 
 
 def test_run_grid_open_matches_brute_force():
@@ -233,7 +232,7 @@ def test_spectral_assembly_equals_open_grid_route():
     via_grid = fft2_coherence(run_grid_open(eig, grid, params, acquisition=acq))
     state = prepare_reduced_state(eig, 3e-5)
     scale = np.max(np.abs(via_grid.data))
-    direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
+    direct = spectral_assembly(state, eig, reg, grid.ts, acq.t_m, acq.window,
                                time_factors=partial(params.omdf.time_factors,
                                                     s_zz=eig.order_parameter),
                                g_irreversible=partial(g_irreversible, params=params),

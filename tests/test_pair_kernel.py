@@ -47,7 +47,7 @@ def make_omdf(family, width):
 def oracle_grid(eig, reg, grid, params, n_molecules=1):
     """(phi, t, tau) signal from the dense per-(tau, t) order sums."""
     det = detection_matrix(eig, ACQ.t_m, ACQ.window)
-    state = prepare_reduced_state(eig, grid.t_p).matrix
+    state = prepare_reduced_state(eig, grid.t_p)
     sums = ref.open_order_sums_loop(
         det, state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
         lambda dz, t: ref.g_reversible(dz, t, params),
@@ -341,4 +341,4 @@ def test_spectral_route_needs_uniform_times():
     state = prepare_reduced_state(eig, 3e-5)
     ts = np.array([0.0, 1e-6, 3e-6, 4e-6])
     with pytest.raises(UnsupportedGridError):
-        spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)
+        spectral_assembly(state, eig, reg, ts, 3e-6, 2e-6)

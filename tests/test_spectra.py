@@ -191,7 +191,7 @@ def test_spectral_assembly_equals_fft_route():
     via_fft = fft2_coherence(sig)
 
     state = prepare_reduced_state(eig, 4e-5)
-    direct = spectral_assembly(state.matrix, eig, reg, grid.ts, acq.t_m, acq.window,
+    direct = spectral_assembly(state, eig, reg, grid.ts, acq.t_m, acq.window,
                                taus=np.asarray(taus))
     scale = np.max(np.abs(via_fft.data))
     for mu in range(-3, 4):
@@ -205,14 +205,14 @@ def test_spectral_assembly_molecule_scaling_and_decay_hook():
     _, reg, eig = make_system(n=2, seed=5)
     state = prepare_reduced_state(eig, 3e-5)
     ts = 2e-6 * np.arange(8)
-    base = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)
-    scaled = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6, n_molecules=4)
+    base = spectral_assembly(state, eig, reg, ts, 3e-6, 2e-6)
+    scaled = spectral_assembly(state, eig, reg, ts, 3e-6, 2e-6, n_molecules=4)
     np.testing.assert_allclose(scaled.data, 4.0 * base.data, atol=0)
     # a gap-independent reversible factor multiplies the whole spectrum
-    damped = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6,
+    damped = spectral_assembly(state, eig, reg, ts, 3e-6, 2e-6,
                                time_factors=lambda dz, t: 0.5 * np.exp(
                                    -1j * eig.order_parameter * np.multiply.outer(dz, t)))
-    half = spectral_assembly(state.matrix, eig, reg, ts, 3e-6, 2e-6)
+    half = spectral_assembly(state, eig, reg, ts, 3e-6, 2e-6)
     np.testing.assert_allclose(damped.data, 0.5 * half.data, atol=1e-12)
 
 
