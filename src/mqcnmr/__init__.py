@@ -7,7 +7,7 @@ from .hamiltonian import (EigenSystem, SpinSystem, dipolar_frequency, eigendecom
                           secular_hamiltonian)
 from .opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF, g_irreversible,
                          run_grid_open)
-from .operators import SpinRegister, collective_angular_momentum
+from .operators import SpinRegister
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        magic_sandwich, mrev8_block, run_grid, verify_reversion)
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence
@@ -16,8 +16,7 @@ __all__ = [
     "AcquisitionSpec", "CoherenceSpectrum", "DecayCurve", "DecoherenceParams",
     "EigenSystem", "ExperimentGrid", "FitResult", "GaussianOMDF", "MagicSandwichSpec",
     "Mrev8Spec", "SignalGrid", "SpinRegister", "SpinSystem", "TabulatedOMDF",
-    "collective_angular_momentum", "dipolar_frequency", "eigen_selectivity_report",
-    "eigendecompose", "fft2_coherence", "fit_decay", "frequency_cuts",
-    "g_irreversible", "magic_sandwich", "mrev8_block",
+    "dipolar_frequency", "eigen_selectivity_report", "eigendecompose", "fft2_coherence",
+    "fit_decay", "frequency_cuts", "g_irreversible", "magic_sandwich", "mrev8_block",
     "run_grid", "run_grid_open", "secular_hamiltonian", "verify_reversion",
 ]

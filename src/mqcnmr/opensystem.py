@@ -37,7 +37,7 @@ from .errors import ConfigError
 from .hamiltonian import EigenSystem
 from .operators import checked_hermitian
 from .sequence import (ExperimentGrid, check_grid_memory, kernel_inputs, phase_encode,
-                       prepared_setup, setup_values)
+                       prepared_setup, run_values)
 from .spectra import SignalGrid
 
 # Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
@@ -322,13 +322,13 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     state.  The working set is estimated and gated
     (``sequence.check_grid_memory``) before anything is allocated.
     """
-    # I_+'s blocks, the prepared state, the cycle eig may hold, and the setup
-    # or: the detection matrix, the weights, the signal grid, the order sums,
-    # numpy's cast buffers, on the nodes (the uniform set's, or as many as the
-    # ordered pairs) the spread weights and their mirror, on half of them E
-    # and G^R, and the largest of, each at most what the grid fills, a
-    # spreading chunk with a bincount's output, a block of E with q's own, a
-    # group of taus' product
+    # what this engine holds after the setup, which ``run_values`` charges
+    # with the rest that both engines share: the detection matrix, the
+    # weights, the signal grid, the order sums, numpy's cast buffers, on the
+    # nodes (the uniform set's, or as many as the ordered pairs) the spread
+    # weights and their mirror, on half of them E and G^R, and the largest
+    # of, each at most what the grid fills, a spreading chunk with a
+    # bincount's output, a block of E with q's own, a group of taus' product
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders = len(grid.taus), 2 * n_spins + 1
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
@@ -339,13 +339,11 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * grid.n_t))) * grid.n_t  # a block of E
     chunk = min(GRID_CHUNK_BYTES, _PAIR_BYTES * (dim2 + eig.dim) // 2) // 16
     group = min(GRID_CHUNK_BYTES // 16, 2 * n_tau * n_orders * (half + grid.n_t))
-    check_grid_memory(comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
-                      + max(setup_values(n_spins, acquisition),
-                            2 * dim2 + grid.n_phi * grid.n_t * n_tau
-                            + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
-                            + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
-                            + max(chunk + nodes * n_orders // 2,
-                                  4 * points + params.omdf.q_values(points), group)))
+    check_grid_memory(run_values(eig, acquisition, 2 * dim2 + grid.n_phi * grid.n_t * n_tau
+                                 + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
+                                 + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
+                                 + max(chunk + nodes * n_orders // 2,
+                                       4 * points + params.omdf.q_values(points), group)))
     acquisition, state, det = kernel_inputs(eig, grid.t_p, acquisition)
     sums = pair_order_sums(det * state.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),

@@ -18,7 +18,6 @@ the encoding period at Fourier index nu of the phase transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 import numpy as np
@@ -264,19 +263,6 @@ def default_acquisition(eig: EigenSystem, prepared: np.ndarray) -> AcquisitionSp
     return AcquisitionSpec(t_m=idx * ACQUISITION_DWELL, window=2.0 * ACQUISITION_DWELL)
 
 
-def setup_values(n_spins: int, acquisition: AcquisitionSpec | None) -> int:
-    """Complex values ``kernel_inputs`` holds at once beside I_+'s blocks and
-    the one 2^N x 2^N array its caller charges for the eigenbasis prepared
-    state: the default acquisition's scan (when ``acquisition`` is None)
-    beside the product-basis state, that is the scanned state with the read
-    pulse's second product, or with the scan's phases and their transients;
-    or the build of a 2^N x 2^N result from its input beside that array (two
-    products of a pulse's halves, or a basis change's two reordered copies)."""
-    dim2 = 4 ** n_spins
-    scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * 2 ** n_spins)
-    return max(scan, 3 * dim2)
-
-
 def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
@@ -344,7 +330,8 @@ def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | N
     ``acquisition`` is None.  The product-basis state goes once the
     eigenbasis one is made; that one is checked hermitian
     (``checked_hermitian``) before the detection matrix is built, so the
-    check's transients come and go inside the setup both engines gate."""
+    check's transients come and go inside the setup that ``run_values``
+    charges."""
     prepared = prepared_setup(eig, t_p)
     if acquisition is None:
         acquisition = default_acquisition(eig, prepared)
@@ -354,30 +341,48 @@ def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | N
     return acquisition, state, detection_matrix(eig, acquisition.t_m, acquisition.window)
 
 
-def pair_order_sums(slabs, eig: EigenSystem, ts: np.ndarray):
-    """Iterator over c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a
-    of W[a, b] exp(-i S_zz (zeta_b - zeta_a) t), one per (2^N, 2^N) slab W
-    drawn from ``slabs``.
+def run_values(eig: EigenSystem, acquisition: AcquisitionSpec | None,
+               engine_values: int) -> int:
+    """The most complex values a run holds at once, for an engine that holds
+    at most ``engine_values`` beside these once ``kernel_inputs`` returns.
 
-    The phase is p_b conj(p_a) (``EigenSystem.phases``).  The eigenbasis is in
-    block order, so the rows A of one m block are a slice: conj(P[:, A]) W[A]
-    times P, one GEMM on views of P and W in O(n_t 2^N) memory, summed over
-    the columns of each m block by one ``np.add.reduceat`` at the block
-    starts, is that block's part of every order.  P is built once for all
-    slabs; each slab is let go before the next is drawn.
+    Throughout: I_+'s blocks and the MREV-8 cycle that ``eig`` holds, and the
+    prepared state in the eigenbasis.  Beside them, never at once, the
+    engine's values or the setup: the default acquisition's scan (when
+    ``acquisition`` is None) beside the product-basis state, that is the
+    scanned state with the read pulse's second product, or with the scan's
+    phases and their transients; or the build of a 2^N x 2^N result from its
+    input beside that array: two products of a pulse's Kronecker halves,
+    with the halves and the larger one's conjugate, or a basis change's two
+    reordered copies.
     """
-    n_spins = eig.reg.n_spins
-    p, starts = eig.phases(ts), [cols.start for _, cols, _ in eig.blocks]
-    for weights in slabs:
-        c = np.zeros((2 * n_spins + 1, len(ts)), dtype=complex)
-        for a, (_, cols, _) in enumerate(eig.blocks):
-            prod = p[:, cols].conj() @ weights[cols]
-            prod *= p
-            # block b holds m = N/2 - b, so its columns are order a - b, at row N + a - b
-            c[a:a + n_spins + 1] += np.add.reduceat(prod, starts, axis=1)[:, ::-1].T
-            del prod  # before the next GEMM makes its own
-        del weights
-        yield c
+    n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
+    scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * eig.dim)
+    build = 3 * dim2 + 4 ** (n_spins // 2) + 2 * 4 ** (n_spins - n_spins // 2)
+    return (comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
+            + max(scan, build, engine_values))
+
+
+def pair_order_sums(weights: np.ndarray, eig: EigenSystem, p: np.ndarray) -> np.ndarray:
+    """c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a of W[a, b]
+    exp(-i S_zz (zeta_b - zeta_a) t), for one (2^N, 2^N) slab W of pair weights
+    and the phases ``p = eig.phases(ts)``.
+
+    The phase is p_b conj(p_a).  The eigenbasis is in block order, so the
+    rows A of one m block are a slice: conj(p[:, A]) W[A] times p, one GEMM
+    on views of p and W in O(n_t 2^N) memory, summed over the columns of each
+    m block by one ``np.add.reduceat`` at the block starts, is that block's
+    part of every order.
+    """
+    n_spins, starts = eig.reg.n_spins, [cols.start for _, cols, _ in eig.blocks]
+    c = np.zeros((2 * n_spins + 1, p.shape[0]), dtype=complex)
+    for a, (_, cols, _) in enumerate(eig.blocks):
+        prod = p[:, cols].conj() @ weights[cols]
+        prod *= p
+        # block b holds m = N/2 - b, so its columns are order a - b, at row N + a - b
+        c[a:a + n_spins + 1] += np.add.reduceat(prod, starts, axis=1)[:, ::-1].T
+        del prod  # before the next GEMM makes its own
+    return c
 
 
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
@@ -396,19 +401,19 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     beside the prepared state, the detection matrix, the order sums and what
     the eigensystem holds (I_+'s blocks and an MREV-8 cycle w).
 
-    The kernel holds its phases P (n_t x 2^N) and the last tau's sums
-    throughout.  Beside them: an MREV-8 block's step (w sigma, w's adjoint
-    and their product, or the cycle being compiled and taken to the
-    eigenbasis), or the kernel on one slab, beside the state an MREV-8 block
-    carries, with that tau's sums and, per m block of rows A, the GEMM output
-    (n_t x 2^N) with conj(P[:, A]) or with its column sums per m block.  Any
-    other block carries no state of its own.
+    The loop holds the kernel's phases P (n_t x 2^N) throughout.  Beside
+    them: an MREV-8 block's step (w sigma, w's adjoint and their product, or
+    the cycle being compiled and taken to the eigenbasis), or the kernel on
+    one slab, beside the state an MREV-8 block carries, with that tau's sums
+    and, per m block of rows A, the GEMM output (n_t x 2^N) with
+    conj(P[:, A]) or with its column sums per m block.  Any other block
+    carries no state of its own.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
     step, mats = (3 * dim ** 2, 2) if isinstance(block, Mrev8Spec) else (0, 1)
     kernel = mats * dim ** 2 + (2 * n_spins + 1 + dim + max(rows, n_spins + 1)) * n_t
-    return n_t * dim + (2 * n_spins + 1) * n_t + max(step, kernel)
+    return n_t * dim + max(step, kernel)
 
 
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -448,10 +453,11 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     complex transverse signal.  ``kernel_inputs`` builds the prepared state
     and the detection matrix once.  Each tau's block carries the prepared state
     (``block_states``) into one slab of pair weights (``_tau_slab``), which
-    ``pair_order_sums`` turns into that tau's order sums as the loop reaches
-    it; free evolution and the phi dependence are applied analytically in the
-    H eigenbasis there and in ``phase_encode``, which is exactly equivalent
-    to propagating every grid point through the compiled pulse chain.
+    ``pair_order_sums`` turns into that tau's order sums, on phases built
+    once for the run, before the next tau's block runs; free evolution and
+    the phi dependence are applied analytically in the H eigenbasis there
+    and in ``phase_encode``, which is exactly equivalent to propagating
+    every grid point through the compiled pulse chain.
 
     Args:
         block: reversion block spec, ``Mrev8Spec`` (one compiled cycle per
@@ -460,22 +466,16 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
     n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
-    # the MREV-8 cycle eig holds before the tau loop, and through it (one
-    # that the block compiles replaces one eig held at another spacing)
-    cycle = dim2 if eig.holds_cycle else 0
-    loop_cycle = dim2 if eig.holds_cycle or isinstance(block, Mrev8Spec) else 0
-    # I_+'s blocks, which eig holds, and the prepared state; beside them, never
-    # at once: the setup, beside the cycle eig holds; or the detection matrix
-    # and the sums with the tau loop and then with the signal grid, beside
-    # the loop's cycle
-    check_grid_memory(comb(2 * n_spins, n_spins - 1) + dim2 + max(
-        cycle + setup_values(n_spins, acquisition),
-        loop_cycle + dim2 + n_tau * (2 * n_spins + 1) * grid.n_t
-        + max(_loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)))
+    # after the setup: the MREV-8 cycle the block compiles, when eig holds
+    # none to replace; the detection matrix and the sums, with the tau loop
+    # and then with the signal grid
+    compiled = dim2 if isinstance(block, Mrev8Spec) and not eig.holds_cycle else 0
+    check_grid_memory(run_values(eig, acquisition, compiled + dim2 + max(
+        _loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)
+        + n_tau * (2 * n_spins + 1) * grid.n_t))
     acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
-    # map, unlike a generator expression, lets each state go once its slab is made
-    slabs = map(partial(_tau_slab, det), block_states(block, grid.taus, eig, a_eig))
+    p, states = eig.phases(grid.ts), block_states(block, grid.taus, eig, a_eig)
     sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)
-    for k, c in enumerate(pair_order_sums(slabs, eig, grid.ts)):
-        sums[k] = c
+    for k in range(n_tau):  # no name holds a state while the block makes the next
+        sums[k] = pair_order_sums(_tau_slab(det, next(states)), eig, p)
     return phase_encode(sums, grid, acquisition, n_molecules)

@@ -7,10 +7,12 @@ lambda and dividing every time by it (t_p, dt, the taus, tau1, t_m and the
 window) changes no signal either; the open engine's G^R holds
 dzeta^2 sigma_cl^2 tau^4, so sigma_cl is multiplied by lambda too.  Neither
 law needs an oracle, so each checks the engines at any N for the cost of a
-second run.
+second run: the properties below draw N <= 6, and one plain case of each
+law runs at N = 10, where no oracle checks the engines.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +77,17 @@ def test_scaling_couplings_and_times_changes_no_signal(engine, n, seed, lam, pow
     base = signals(engine, table, sigma_cl=sigma_cl, width=width)
     assert_same(base, signals(engine, table, lam, sigma_cl, width))
     assert np.array_equal(base, signals(engine, table, 2.0 ** power, sigma_cl, width))
+
+
+@pytest.mark.parametrize("engine", ["closed", "open"])
+def test_relabelling_the_sites_changes_no_signal_at_ten_spins(engine):
+    table = random_table(10, 7)
+    # every site moves: a site left in place would hide a defect local to it
+    perm = np.roll(np.arange(10), 3)
+    assert_same(signals(engine, table), signals(engine, table[np.ix_(perm, perm)]))
+
+
+@pytest.mark.parametrize("engine", ["closed", "open"])
+def test_scaling_by_a_power_of_two_is_bit_identical_at_ten_spins(engine):
+    table = random_table(10, 8)
+    assert np.array_equal(signals(engine, table), signals(engine, table, 2.0))

@@ -84,7 +84,7 @@ def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=(reg.dim, reg.dim)) + 1j * rng.normal(size=(reg.dim, reg.dim))
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(n_tau)
-    (factorised,) = sequence.pair_order_sums([weights], eig, ts)
+    factorised = sequence.pair_order_sums(weights, eig, eig.phases(ts))
     chunked = pair_order_sums(weights, eig, ts, taus, lambda g, t: np.exp(
         -1j * eig.order_parameter * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 0 * tau + 1.0)
     assert factorised.shape == (2 * n + 1, n_t)

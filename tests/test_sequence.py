@@ -233,7 +233,7 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     det = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
-    (fast,) = pair_order_sums([_tau_slab(det, sigma0)], permuted, ts)
+    fast = pair_order_sums(_tau_slab(det, sigma0), permuted, permuted.phases(ts))
     slow = ref.order_sums_loop(det, sigma0, permuted.zeta, permuted.m, 0.6, ts, reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=10, taus=(0.0, 1.2e-4))
@@ -366,8 +366,7 @@ CLOSED_MEMORY_CASES = (
 
 
 @pytest.mark.parametrize("block, n_t, n_tau, first", CLOSED_MEMORY_CASES)
-def test_closed_memory_estimate_covers_the_propagator_cache(block, n_t, n_tau, first,
-                                                            monkeypatch):
+def test_closed_memory_estimate_covers_the_block_step(block, n_t, n_tau, first, monkeypatch):
     # each block family holds one step at a time (a magic sandwich none, as
     # it leaves the state as it is; an MREV-8 block its compiled cycle); a
     # budget at the traced peak must be refused, and one 5% above it
