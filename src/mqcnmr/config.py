@@ -32,7 +32,8 @@ import yaml
 from .errors import ConfigError, MqcnmrError
 from .hamiltonian import GAMMA_PROTON, SpinSystem
 from .opensystem import DecoherenceParams, GaussianOMDF, TabulatedOMDF
-from .sequence import AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec
+from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
+                       check_grid_memory)
 
 ANGSTROM = 1e-10
 
@@ -132,13 +133,12 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
         for j, k, w in pairs:
             table[j, k] = table[k, j] = w
         make, args = SpinSystem, (table, s_zz)
-    # what a run would meet only later (S_zz outside [-0.5, 1], fewer than 2 or
-    # over 10 sites, coincident sites, a non-finite coupling) is refused now
+    # what a run would meet only later (S_zz outside [-0.5, 1], fewer than 2
+    # sites, coincident sites, a non-finite coupling) is refused now
     try:
         sys_ = make(*args)
         if sys_.n_sites < 2:
             raise MqcnmrError("need at least two sites for a dipolar Hamiltonian")
-        sys_.register()
     except MqcnmrError as exc:
         raise ConfigError(f"{context}: {exc}") from None
     return sys_
@@ -212,6 +212,8 @@ def _tau_schedule(doc, block) -> tuple:
                         "sequence.tau_schedule.count", int)
         if count < 1:
             raise ConfigError("tau schedule must be non-empty")
+        # each tau adds at least n_phi x n_t >= 2 values to the signal grid
+        check_grid_memory(2 * count, f"sequence.tau_schedule.count = {count}")
         start = _number(doc.get("start", 0.0), "sequence.tau_schedule.start")
         if "step" in doc:
             step = _number(doc["step"], "sequence.tau_schedule.step")

@@ -35,7 +35,8 @@ class SpinRegister:
     """An N-spin-1/2 product space.
 
     Attributes:
-        n_spins: number of spin-1/2 sites, 1 <= n_spins <= 10.
+        n_spins: number of spin-1/2 sites, n_spins >= 1; the memory budget
+            sets the largest (``runner.build_eigensystem``).
     """
 
     n_spins: int
@@ -43,11 +44,6 @@ class SpinRegister:
     def __post_init__(self):
         if not isinstance(self.n_spins, (int, np.integer)) or self.n_spins < 1:
             raise MqcnmrError(f"n_spins must be a positive integer, got {self.n_spins!r}")
-        if self.n_spins > 10:
-            raise MqcnmrError(
-                f"n_spins = {self.n_spins} exceeds the supported ceiling of 10 "
-                "(dense matrices on dim = 2^N become impractical)"
-            )
 
     @property
     def dim(self) -> int:

@@ -28,7 +28,7 @@ from .config import RunConfig, _check_keys, _require, config_hash
 from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
-from .sequence import Mrev8Spec, run_grid, verify_reversion
+from .sequence import Mrev8Spec, check_grid_memory, run_grid, verify_reversion
 from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
 
 
@@ -131,7 +131,11 @@ def _finite(value) -> bool:
 
 
 def build_eigensystem(cfg: RunConfig) -> EigenSystem:
-    """Eigendecompose the molecule's secular Hamiltonian."""
+    """Eigendecompose the molecule's secular Hamiltonian, once the memory
+    budget admits H's and V's m blocks and the three 2^N x 2^N arrays that
+    every use of them holds (an engine's setup, or ``verify_reversion``)."""
+    n = cfg.molecule.n_sites
+    check_grid_memory(2 * math.comb(2 * n, n) + 3 * 4 ** n, f"a run on {n} spins")
     return eigendecompose(secular_hamiltonian(cfg.molecule), cfg.molecule.order_parameter)
 
 
@@ -177,11 +181,14 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
 
     Writes ``spectra.npy`` with ``spectra_meta.json`` (its tau, mu and
     frequency axes), which the fit stage reads, and ``spectra.csv`` as the
-    export format.
+    export format.  The memory budget is charged before the transform: the
+    signals, their phi transform and two padded t transforms of it.
     """
     t0 = time.monotonic()
     run_dir = Path(run_dir)
     grid = load_signals(run_dir)
+    check_grid_memory(2 * grid.data.size * (1 + zero_pad),
+                      f"the transform at zero-pad {zero_pad}")
     spec = fft2_coherence(grid, zero_pad=zero_pad)
     if band_hz is not None:
         spec = spec.band(band_hz)

@@ -431,17 +431,17 @@ MEMORY_BUDGET_BYTES = 2 << 30
 SMALL_ARRAY_BYTES = 64 << 10
 
 
-def check_grid_memory(values: int) -> None:
-    """Raise GridSizeError when a grid run's working set exceeds
+def check_grid_memory(values: int, what: str = "grid") -> None:
+    """Raise GridSizeError, naming ``what``, when a working set exceeds
     MEMORY_BUDGET_BYTES.
 
-    The estimate counts ``values`` complex values, the most the engine holds
-    at once, its (n_phi, n_t, n_tau) signal grid included, plus
-    SMALL_ARRAY_BYTES; engines call it before allocating anything.
+    The estimate counts ``values`` complex values, the most the caller holds
+    at once (for an engine, its (n_phi, n_t, n_tau) signal grid included),
+    plus SMALL_ARRAY_BYTES; callers charge it before allocating anything.
     """
     estimate = 16 * values + SMALL_ARRAY_BYTES
     if estimate > MEMORY_BUDGET_BYTES:
-        raise GridSizeError(f"grid needs about {estimate / 1e6:.0f} MB, over the budget of "
+        raise GridSizeError(f"{what} needs about {estimate / 1e6:.0f} MB, over the budget of "
                             f"{MEMORY_BUDGET_BYTES / 1e6:.0f} MB")
 
 

@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mqcnmr.config import config_from_dict, load_config, preset_path
 from mqcnmr.errors import ConfigError, GridSizeError
 from mqcnmr.hamiltonian import EigenSystem
 from mqcnmr.runner import load_signals, read_spectrum_csv, simulate, sweep, verify_stage
+from mqcnmr.spectra import fft2_coherence
 
 
 def tiny_doc(**overrides):
@@ -74,11 +76,12 @@ def test_configuration_errors_exit_2(tmp_path):
 
 @pytest.mark.parametrize("molecule", [
     {"order_parameter": 1.5, "couplings_hz": [[0, 1, 5000.0]]},
-    {"order_parameter": 0.6, "couplings_hz": [[j, j + 1, 3000.0] for j in range(10)]},
+    # 3554 MB for the eigensystem and a run's three 2^N x 2^N arrays
+    {"order_parameter": 0.6, "couplings_hz": [[j, j + 1, 3000.0] for j in range(12)]},
     {"order_parameter": 0.6,
      "positions_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]},
     {"order_parameter": 0.6, "positions_angstrom": [[0.0, 0.0, 0.0]]},
-], ids=["order_parameter_above_1", "eleven_sites", "coincident_positions", "one_site"])
+], ids=["order_parameter_above_1", "thirteen_sites", "coincident_positions", "one_site"])
 def test_invalid_molecule_exits_2_before_any_output(tmp_path, capsys, molecule):
     cfg_path = write_config(tmp_path, tiny_doc(molecule=molecule))
     out = tmp_path / "out"
@@ -235,10 +238,12 @@ def _decreasing_taus(tmp_path, run):
     (lambda tmp_path, run: ["fit", str(run), "--mu", "2", "--frequency", "1e9"],
      "frequency 1000000000.0 Hz"),
     (lambda tmp_path, run: ["spectra", str(run), "--zero-pad", "0"], "zero_pad"),
+    (lambda tmp_path, run: ["spectra", str(run), "--zero-pad", "1000000000"],
+     "the transform at zero-pad 1000000000 needs about 65536000 MB"),
     (lambda tmp_path, run: ["spectra", str(run), "--band-hz", "-5"], "band limit -5.0 Hz"),
     (_decreasing_taus, "sequence.tau_schedule"),
 ], ids=["fit_mu_99", "fit_frequency_outside_band", "spectra_zero_pad_0",
-        "spectra_negative_band", "decreasing_tau_schedule"])
+        "spectra_zero_pad_1e9", "spectra_negative_band", "decreasing_tau_schedule"])
 def test_bad_stage_argument_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
                                                                  two_spin_run, argv, name):
     run = tmp_path / "run"
@@ -246,6 +251,46 @@ def test_bad_stage_argument_exits_2_and_leaves_outputs_untouched(tmp_path, capsy
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     assert_configuration_error(capsys, argv(tmp_path, run), name)
     assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("zero_pad", [1, 4])
+def test_spectra_memory_charge_covers_the_transform(tmp_path, monkeypatch, two_spin_run,
+                                                    zero_pad):
+    # the stage charges the signals, their phi transform and two padded t
+    # transforms of it before the transform runs: a budget at the traced
+    # peak of loading and transforming the signals is refused, with every
+    # file left as it was, and one 50% above it accepted
+    run = tmp_path / "run"
+    shutil.copytree(two_spin_run, run)
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    tracemalloc.start()
+    try:
+        fft2_coherence(load_signals(run), zero_pad=zero_pad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError, match=f"the transform at zero-pad {zero_pad} needs"):
+        runner.spectra_stage(run, zero_pad=zero_pad)
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.5 * peak))
+    runner.spectra_stage(run, zero_pad=zero_pad)
+
+
+def test_huge_tau_count_exits_2_before_the_schedule_is_built(tmp_path, capsys):
+    # 10^12 taus would hold at least 2 signal values each: refused at parse
+    # time, before the tuple of taus exists
+    doc = _with(tiny_doc(), "sequence.tau_schedule", {"count": 10 ** 12, "step": 1e-5})
+    argv = ["simulate", str(write_config(tmp_path, doc)), "--output", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert_configuration_error(capsys, argv, "sequence.tau_schedule.count = 1000000000000 "
+                                                 "needs about 32000000 MB")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} B"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name,text,argv,rerun", [

@@ -1,5 +1,9 @@
 """Dipolar Hamiltonian construction and eigensystem checks."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,9 +13,11 @@ from hypothesis import strategies as st
 
 import reference as ref
 from mqcnmr.config import load_molecule, preset_path
-from mqcnmr import runner
+import mqcnmr
+from mqcnmr import runner, sequence
 from mqcnmr.config import config_from_dict
-from mqcnmr.errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
+from mqcnmr.errors import (DegenerateGeometryError, GridSizeError, MqcnmrError,
+                           TrivialSystemError)
 from mqcnmr.hamiltonian import (GAMMA_PROTON, SpinSystem, dipolar_frequency, eigendecompose,
                                 secular_hamiltonian)
 from mqcnmr.operators import collective_angular_momentum
@@ -274,15 +280,20 @@ def test_secular_hamiltonian_memory_at_ten_spins():
     assert abs(sum(np.trace(h) for _, h in blocks)) < 1e-6
 
 
-def test_eigensystem_build_holds_no_dense_matrix():
-    rng = np.random.default_rng(8)
-    n = 8
+def _random_doc(n, seed=8):
+    """A closed run on n sites, every pair coupled at random, with an MREV-8
+    block and one tau of one cycle."""
+    rng = np.random.default_rng(seed)
     couplings = [[j, k, float(rng.uniform(-5000, 5000))] for j in range(n)
                  for k in range(j + 1, n)]
-    cfg = config_from_dict({
-        "molecule": {"order_parameter": 0.6, "couplings_hz": couplings},
-        "sequence": {"t_p": 0.0, "tau_schedule": [0.0], "grid": {"n_t": 2, "dt": 1e-6,
-                                                                "n_phi": 1}}})
+    return {"molecule": {"order_parameter": 0.6, "couplings_hz": couplings},
+            "sequence": {"t_p": 0.0, "block": {"type": "mrev8", "tau1": 5e-6},
+                         "tau_schedule": [6e-5], "grid": {"n_t": 2, "dt": 1e-6, "n_phi": 1}}}
+
+
+def test_eigensystem_build_holds_no_dense_matrix():
+    n = 8
+    cfg = config_from_dict(_random_doc(n))
     tracemalloc.start()
     try:
         eig = runner.build_eigensystem(cfg)
@@ -291,6 +302,76 @@ def test_eigensystem_build_holds_no_dense_matrix():
         tracemalloc.stop()
     assert peak < 16 * 4 ** n, f"peak {peak} B"
     assert sum(v.size for _, _, v in eig.blocks) == 12870  # C(16, 8)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_eigensystem_memory_charge_at_twelve_and_thirteen_spins(monkeypatch):
+    # H's and V's m blocks, 2 C(2N, N), and the three 2^N x 2^N arrays of any
+    # run on them, 3 x 4^N: at N = 12 about 892 MB, inside the 2 GiB budget,
+    # and refused one byte below; at N = 13 about 3554 MB, refused.  Nothing
+    # is built: the Hamiltonian's build stops the call
+    def stop(*args):
+        raise _Built
+
+    monkeypatch.setattr(runner, "secular_hamiltonian", stop)
+    twelve, thirteen = (config_from_dict(_random_doc(n)) for n in (12, 13))
+    estimate = 16 * (2 * 2_704_156 + 3 * 4 ** 12) + sequence.SMALL_ARRAY_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Built):
+            runner.build_eigensystem(twelve)
+        with pytest.raises(GridSizeError, match="a run on 13 spins needs about 3554 MB, "
+                                                "over the budget of 2147 MB"):
+            runner.build_eigensystem(thirteen)
+        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", estimate)
+        with pytest.raises(_Built):
+            runner.build_eigensystem(twelve)
+        monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", estimate - 1)
+        with pytest.raises(GridSizeError, match="a run on 12 spins needs about 892 MB"):
+            runner.build_eigensystem(twelve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} B"
+
+
+_FRESH_VERIFY = """
+import json, sys, tracemalloc
+import numpy.ma
+from mqcnmr import sequence
+from mqcnmr.config import config_from_dict
+from mqcnmr.errors import GridSizeError
+from mqcnmr.runner import verify_stage
+
+cfg = config_from_dict(json.loads(sys.argv[1]))
+tracemalloc.start()
+verify_stage(cfg, max_residual=2.0)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+sequence.MEMORY_BUDGET_BYTES = peak
+try:
+    verify_stage(cfg, max_residual=2.0)
+except GridSizeError:
+    print("refused", peak)
+else:
+    print("accepted", peak)
+"""
+
+
+def test_verify_stage_memory_charge_covers_a_fresh_process():
+    # verify-reversion has no gate of its own: the eigensystem's charge
+    # covers its V blocks and the three 2^N x 2^N arrays of its unitarity
+    # check, so the first run in a new interpreter, eigensystem build
+    # included, is refused a budget at its traced peak (N = 8).  The first
+    # np.unique imports numpy.ma, about 1.1 MB of module objects at any size,
+    # so the script imports it before the trace
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
+    result = subprocess.run([sys.executable, "-c", _FRESH_VERIFY, json.dumps(_random_doc(8))],
+                            capture_output=True, text=True, env=env, check=True, timeout=300)
+    assert result.stdout.split()[0] == "refused", result.stdout
 
 
 def test_gaps_and_coherence_orders():

@@ -7,8 +7,9 @@ lambda and dividing every time by it (t_p, dt, the taus, tau1, t_m and the
 window) changes no signal either; the open engine's G^R holds
 dzeta^2 sigma_cl^2 tau^4, so sigma_cl is multiplied by lambda too.  Neither
 law needs an oracle, so each checks the engines at any N for the cost of a
-second run: the properties below draw N <= 6, and one plain case of each
-law runs at N = 10, where no oracle checks the engines.
+second run: the properties below draw N <= 6, one plain case of each law
+runs at N = 10, where no oracle checks the engines, and the scaling law
+runs once more at N = 11.
 """
 
 import numpy as np
@@ -34,9 +35,10 @@ def random_table(n, seed):
     return table
 
 
-def signals(engine, table, lam=1.0, sigma_cl=2e5, width=0.05):
+def signals(engine, table, lam=1.0, sigma_cl=2e5, width=0.05, mrev8=True):
     """The signal grid of one run on ``table`` with its couplings times ``lam``
-    and every time divided by it.
+    and every time divided by it; a closed run has an MREV-8 block, or none
+    when ``mrev8`` is false.
 
     The acquisition is explicit: the default scan steps by a fixed 1 us
     dwell, which no coupling scale moves, so it would place t_m on another
@@ -46,7 +48,8 @@ def signals(engine, table, lam=1.0, sigma_cl=2e5, width=0.05):
                           taus=tuple(k * 12 * TAU1 / lam for k in range(3)))
     acq = AcquisitionSpec(t_m=4e-6 / lam, window=2e-6 / lam)
     if engine == "closed":
-        return run_grid(eig, grid, block=Mrev8Spec(tau1=TAU1 / lam), acquisition=acq).data
+        block = Mrev8Spec(tau1=TAU1 / lam) if mrev8 else None
+        return run_grid(eig, grid, block=block, acquisition=acq).data
     params = DecoherenceParams(sigma_cl=lam * sigma_cl, omdf=GaussianOMDF(width))
     return run_grid_open(eig, grid, params, acquisition=acq).data
 
@@ -91,3 +94,11 @@ def test_relabelling_the_sites_changes_no_signal_at_ten_spins(engine):
 def test_scaling_by_a_power_of_two_is_bit_identical_at_ten_spins(engine):
     table = random_table(10, 8)
     assert np.array_equal(signals(engine, table), signals(engine, table, 2.0))
+
+
+def test_scaling_by_a_power_of_two_is_bit_identical_at_eleven_spins():
+    # above the old ceiling of 10 spins no oracle checks the engines; the
+    # closed engine with no block keeps the case to a few seconds
+    table = random_table(11, 9)
+    assert np.array_equal(signals("closed", table, mrev8=False),
+                          signals("closed", table, 2.0, mrev8=False))

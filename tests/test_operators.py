@@ -19,10 +19,10 @@ INV_SQRT6 = 0.4082482904638631  # 1/sqrt(6)
 def test_register_dim_and_bounds():
     assert SpinRegister(1).dim == 2
     assert SpinRegister(10).dim == 1024
+    # no ceiling: the memory budget sets the largest size (runner.build_eigensystem)
+    assert SpinRegister(11).dim == 2048
     with pytest.raises(MqcnmrError):
         SpinRegister(0)
-    with pytest.raises(MqcnmrError):
-        SpinRegister(11)
     with pytest.raises(MqcnmrError):
         SpinRegister(2.5)
 

@@ -290,7 +290,7 @@ def test_open_memory_estimate_covers_the_traced_peak(family, monkeypatch):
         run_grid_open(eig, grid, params, acquisition=ACQ)
 
 
-def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
+def test_open_config_over_budget_exits_2(tmp_path, monkeypatch, capsys):
     doc = {
         "molecule": {"order_parameter": 0.6,
                      "couplings_hz": [[j, j + 1, 3000.0] for j in range(2)]},
@@ -302,9 +302,11 @@ def test_open_config_over_budget_exits_2(tmp_path, monkeypatch):
     }
     cfg_path = tmp_path / "open.yaml"
     cfg_path.write_text(yaml.safe_dump(doc))
-    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 10_000)
+    # over the eigensystem's charge at N = 3 (69,248 B), so the open gate refuses
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", 70_000)
     out = tmp_path / "out"
     assert main(["simulate", str(cfg_path), "--output", str(out)]) == 2
+    assert "configuration error: grid needs about" in capsys.readouterr().err
     assert not (out / "signals.npy").exists()
 
 

@@ -443,7 +443,7 @@ def test_closed_memory_estimate_covers_a_fresh_process(block):
     assert result.stdout.split()[0] == "refused", result.stdout
 
 
-_FRESH_TEN = """
+_FRESH_PERFBENCH_SHAPES = """
 import json, sys, tracemalloc
 import numpy as np
 from mqcnmr import sequence
@@ -504,21 +504,25 @@ def chain_table(n, seed):
     return table
 
 
-@pytest.mark.parametrize("engine, bound", [("closed", 1.05), ("open", 1.6)])
-def test_memory_estimates_cover_a_fresh_process_at_ten_spins(engine, bound):
+@pytest.mark.parametrize("engine, n, bound", [
+    pytest.param("closed", 10, 1.05, id="closed-n10"),
+    pytest.param("open", 10, 1.6, id="open-n10"),
+    pytest.param("open", 11, 1.6, id="open-n11"),
+])
+def test_memory_estimates_cover_a_fresh_process_from_ten_spins(engine, n, bound):
     # perfbench's N = 10 shapes: closed MREV-8 "concatenate" on 4 taus of 64
-    # times with the default acquisition, open on 24 taus of 256 times; the
-    # chain's narrow gaps leave the open gate few nodes, so its margin is a
-    # few kB there.  The first run in a new interpreter, on an eigensystem
-    # built before it (so I_+ is built inside), must be refused a budget at
-    # its traced peak and accepted one at the N = 8 closed or N = 7 open
-    # bound.  Each budget is tried on a new eigensystem, as the traced run
-    # found it
-    table = chain_table(10, 0)
+    # times with the default acquisition, open on 24 taus of 256 times, and
+    # the open shape at N = 11, above the old ceiling of 10 spins (the closed
+    # one takes about 10 s there).  The first run in a new interpreter, on an
+    # eigensystem built before it (so I_+ is built inside), must be refused a
+    # budget at its traced peak and accepted one at the N = 8 closed or N = 7
+    # open bound.  Each budget is tried on a new eigensystem, as the traced
+    # run found it
+    table = chain_table(n, 0)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
-    result = subprocess.run([sys.executable, "-c", _FRESH_TEN, json.dumps(table.tolist()),
-                             engine, repr(bound)], capture_output=True, text=True, env=env,
-                            check=True, timeout=300)
+    result = subprocess.run([sys.executable, "-c", _FRESH_PERFBENCH_SHAPES,
+                             json.dumps(table.tolist()), engine, repr(bound)],
+                            capture_output=True, text=True, env=env, check=True, timeout=300)
     assert result.stdout.split() == ["refused", "accepted"], result.stdout
 
 
