@@ -214,18 +214,21 @@ def grid_nodes(zeta: np.ndarray, band) -> tuple:
     return (h * np.arange(-k, k + 1), h) if 2 * k + 1 <= zeta.size ** 2 else (None, None)
 
 
-def _stencils(gaps: np.ndarray, nodes: np.ndarray, h) -> tuple:
-    """(first node, weights (P, gaps)) of each gap's stencil: the P = STENCIL
-    barycentric weights (-1)^j C(P-1, j) / (s - j) over their sum, s the gap's
-    place among the nodes, which hold it between their middle two (weight 1 on
-    a node it hits); or, on the gaps themselves (h None), its own node."""
+def _stencils(gaps: np.ndarray, nodes: np.ndarray, h, d: np.ndarray) -> tuple:
+    """(first node, weights) of each gap's stencil, the weights written to
+    ``d``, of shape (P, gaps): the P = STENCIL barycentric weights
+    (-1)^j C(P-1, j) / (s - j) over their sum, s the gap's place among the
+    nodes, which hold it between their middle two (weight 1 on a node it
+    hits); or, on the gaps themselves (h None, ``d`` of shape (1, gaps)),
+    its own node."""
     if h is None:
-        return np.searchsorted(nodes, gaps), np.ones((1, gaps.size))
+        d.fill(1.0)
+        return np.searchsorted(nodes, gaps), d
     x = gaps / h
     whole = np.floor(x)
     first = whole.astype(np.intp) + (nodes.size // 2 - STENCIL // 2 + 1)
     at = x - whole + (STENCIL // 2 - 1)  # in [P/2 - 1, P/2]: the gap's place in its stencil
-    d = at - np.arange(STENCIL)[:, None]
+    np.subtract(at, np.arange(STENCIL)[:, None], out=d)
     signs = np.array([(-1) ** j * comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(signs[:, None], d, out=d)
@@ -233,6 +236,17 @@ def _stencils(gaps: np.ndarray, nodes: np.ndarray, h) -> tuple:
     on_node = at == np.rint(at)
     d[:, on_node] = np.arange(STENCIL)[:, None] == at[on_node]
     return first, d
+
+
+def _chunks(dim: int) -> tuple:
+    """(first rows, end rows, most pairs) of the chunks of rows of a 2^N x 2^N
+    slab whose pairs a <= b are spread together: each starts at the row that
+    holds its first of about GRID_CHUNK_BYTES / _PAIR_BYTES pairs."""
+    done = np.cumsum(np.arange(dim, 0, -1))  # the pairs a <= b in rows <= r
+    cuts = np.unique(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
+                                     side="right"))
+    ends = np.append(cuts[1:], dim)
+    return cuts, ends, int(np.max(done[ends - 1] - np.append(0, done)[cuts]))
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus: np.ndarray,
@@ -248,18 +262,22 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
 
     Every pair a <= b of the slab is spread onto gap nodes g_k, its weight
     and its mirror's, rho[nu, k] = sum_ab W_ab L_k(g_ab), and c[tau, nu] =
-    (rho[nu] G^R(g_k, tau)) @ E(g_k, :).  For a ``band`` B in g of G^R E over
-    ts and taus (``DecoherenceParams.band``) the nodes are uniform, spaced
-    pi / (c B), and L is P-point Lagrange interpolation, whose error grows as
-    (pi / c)^P at the band's edge: P = 20 and c = 6 hold the sums within about
-    1e-13 of the largest.  With no band, or where those would outnumber the
-    ordered pairs (``grid_nodes``), the nodes are the gaps themselves and L
-    the identity, which is exact.  Both sets are symmetric about 0: a pair
-    a <= b and its mirror (b, a) share one stencil, mirrored, and E is built
-    on the nodes g >= 0 only.  Pairs are spread in chunks of rows of at most
-    GRID_CHUNK_BYTES, all stencil offsets of a chunk in one ``np.bincount``
-    per part, so repeated calls are bit-identical; the products run in groups
-    of taus of at most GRID_CHUNK_BYTES.
+    (rho[nu] G^R(g_k, tau)) @ E(g_k, :), in real arithmetic (``_node_sums``).
+    For a ``band`` B in g of G^R E over ts and taus (``DecoherenceParams.band``)
+    the nodes are uniform, spaced pi / (c B), and L is P-point Lagrange
+    interpolation, whose error grows as (pi / c)^P at the band's edge: P = 20
+    and c = 6 hold the sums within about 1e-13 of the largest.  With no band,
+    or where those would outnumber the ordered pairs (``grid_nodes``), the
+    nodes are the gaps themselves and L the identity, which is exact.  Both
+    sets are symmetric about 0, so a pair a <= b and its mirror (b, a) share
+    one stencil, reversed in the flat (order, node) layout, and E is built on
+    the nodes g >= 0 only, as its real and imaginary parts.
+
+    Pairs are spread in chunks of rows of about GRID_CHUNK_BYTES (``_chunks``),
+    all stencil offsets of a chunk in one ``np.bincount`` per part, so
+    repeated calls are bit-identical.  One work array, made once per call,
+    holds a chunk's (P, pairs) weights, node indices and weighted values and
+    then a group of taus' scaled operand and product.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     n_spins, dim = eig.reg.n_spins, eig.dim
@@ -267,45 +285,81 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     nodes, h = grid_nodes(eig.zeta, band)
     if h is None:
         nodes = np.unique(np.subtract.outer(eig.zeta, eig.zeta))
-    size = n_orders * nodes.size
-    direct, mirror = np.zeros(size, dtype=complex), np.zeros(size, dtype=complex)
-    done = np.cumsum(np.arange(dim, 0, -1))  # the pairs a <= b in rows <= r
-    cuts = np.unique(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
-                                     side="right"))  # the first row of each chunk
-    for lo, hi in zip(cuts, np.append(cuts[1:], dim)):
-        a, b = np.triu_indices(hi - lo, lo, dim)  # rows lo:hi, b >= a
-        a += lo
-        first, lagrange = _stencils(eig.zeta[b] - eig.zeta[a], nodes, h)
-        first += (np.rint(eig.m[b] - eig.m[a]).astype(np.intp) + n_spins) * nodes.size
-        index = (first + np.arange(len(lagrange))[:, None]).ravel()
-        pair, image = weights[a, b], weights[b, a] * (a != b)  # the diagonal counts once
-        for rho, w in ((direct, pair), (mirror, image)):
-            rho.real += np.bincount(index, (lagrange * w.real).ravel(), size)
-            rho.imag += np.bincount(index, (lagrange * w.imag).ravel(), size)
-        del a, b, first, index, lagrange, pair, image  # before the next chunk makes its own
-    direct += mirror[::-1]
-    del mirror
-    rho = direct.reshape(n_orders, -1)
     below = nodes.size // 2  # the nodes g < 0, mirrors of the last of the nodes g >= 0
     half = nodes[below:]
-    e = np.empty((half.size, ts.size), dtype=complex)
+    e = np.empty((2, half.size, ts.size))
     step = max(1, GRID_CHUNK_BYTES // (256 * ts.size))  # a sixteenth of it per array
     for lo in range(0, half.size, step):
-        e[lo:lo + step] = time_factors(half[lo:lo + step], ts)
-    # E(-g) = conj(E(g)): rho at g >= 0 and, conjugated, at their mirrors -g
-    folded = np.zeros((2, n_orders, half.size), dtype=complex)
-    folded[0] = rho[:, below:]
-    folded[1, :, half.size - below:] = rho[:, :below][:, ::-1].conj()
-    del direct, rho
-    g_r = g_irreversible(half[None], taus[:, None])
-    c = np.empty((taus.size, n_orders, ts.size), dtype=complex)
-    group = max(1, GRID_CHUNK_BYTES // (32 * n_orders * (half.size + ts.size)))
-    for lo in range(0, taus.size, group):
-        x = folded * g_r[lo:lo + group, None, None]
-        prod = x.reshape(len(x) * 2 * n_orders, half.size) @ e
-        prod = prod.reshape(len(x), 2, n_orders, ts.size)
-        c[lo:lo + group] = prod[:, 0] + prod[:, 1].conj()
-        del x, prod
+        block = time_factors(half[lo:lo + step], ts)
+        e[0, lo:lo + step], e[1, lo:lo + step] = block.real, block.imag
+        del block
+    size = n_orders * nodes.size
+    rho = np.zeros(size, dtype=complex)
+    cuts, ends, most = _chunks(dim)
+    rows = 1 if h is None else STENCIL
+    work = np.empty(max(3 * rows * most, _product_floats(n_orders, half.size, ts.size, taus.size)))
+    offsets = np.arange(rows)[:, None]
+    for lo, hi in zip(cuts, ends):
+        a, b = np.triu_indices(hi - lo, lo, dim)  # rows lo:hi, b >= a
+        a += lo
+        span = rows * a.size
+        lagrange, spread = work[:span].reshape(rows, -1), work[span:2 * span].reshape(rows, -1)
+        index = work[2 * span:3 * span].view(np.intp)
+        first = _stencils(eig.zeta[b] - eig.zeta[a], nodes, h, lagrange)[0]
+        first += (np.rint(eig.m[b] - eig.m[a]).astype(np.intp) + n_spins) * nodes.size
+        np.add(first, offsets, out=index.reshape(rows, -1))
+        for w in (weights[a, b], weights[b, a] * (a != b)):  # the diagonal counts once
+            for part, values in ((rho.real, w.real), (rho.imag, w.imag)):
+                part += np.bincount(index, np.multiply(lagrange, values, out=spread).ravel(),
+                                    size)
+            np.subtract(size - 1, index, out=index)  # the mirror's (-nu, -g)
+        del a, b, first, w  # before the next chunk makes its own
+    return _node_sums(rho.reshape(n_orders, -1), e, g_irreversible(half[None], taus[:, None]),
+                      work)
+
+
+def _product_floats(n_orders: int, n_half: int, n_t: int, n_tau: int) -> int:
+    """The floats of ``_node_sums``' work: a group of taus' scaled operand and
+    product, (2 (2N + 1), 2 nodes) and (2 (2N + 1), n_t) per tau, as many
+    taus as fit GRID_CHUNK_BYTES, at least one and at most all."""
+    per_tau = 2 * n_orders * (2 * n_half + n_t)
+    return min(n_tau, max(1, GRID_CHUNK_BYTES // (8 * per_tau))) * per_tau
+
+
+def _node_sums(rho: np.ndarray, e: np.ndarray, g_r: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """c[tau] = sum over the nodes g_k of rho[:, k] G^R(g_k, tau) E(g_k, :),
+    for the (orders, nodes) spread weights ``rho`` on nodes symmetric about
+    0, ``e`` = [Re E; Im E] on the nodes g >= 0 and ``g_r`` (taus, nodes
+    g >= 0), in real arithmetic, in groups of as many taus as fit the float
+    array ``work`` (at least one).
+
+    With E(-g) = conj(E(g)), A = rho at g >= 0 and B = conj(rho at -g) (0
+    at g = 0, counted once), c = A E + conj(B E): Re c = [Re(A + B),
+    -Im(A + B)] [Re E; Im E] and Im c = [Im(A - B), Re(A - B)] [Re E; Im E],
+    one real GEMM per group with 4 multiply-adds per (order, node, time)
+    against the complex product's 8.  G^R scales the left operand per tau.
+    """
+    n_orders, (_, n_half, n_t), n_tau = rho.shape[0], e.shape, g_r.shape[0]
+    below, rows = rho.shape[1] - n_half, 2 * n_orders
+    a, mirrored = rho[:, below:], rho[:, :below][:, ::-1]  # mirrored: at -g for g > 0
+    left = np.empty((2, n_orders, 2, n_half))
+    left[0, :, 0], left[0, :, 1] = a.real, -a.imag
+    left[1, :, 0], left[1, :, 1] = a.imag, a.real
+    left[0, :, 0, 1:] += mirrored.real
+    left[0, :, 1, 1:] += mirrored.imag
+    left[1, :, 0, 1:] += mirrored.imag
+    left[1, :, 1, 1:] -= mirrored.real
+    del a, mirrored
+    group = work.size // (rows * (2 * n_half + n_t))
+    c = np.empty((n_tau, n_orders, n_t), dtype=complex)
+    for lo in range(0, n_tau, group):
+        k = min(group, n_tau - lo)
+        x = work[:k * rows * 2 * n_half].reshape(k, 2, n_orders, 2, n_half)
+        y = work[x.size:x.size + k * rows * n_t].reshape(k * rows, n_t)
+        np.multiply(left, g_r[lo:lo + k, None, None, None], out=x)
+        np.matmul(x.reshape(k * rows, 2 * n_half), e.reshape(2 * n_half, n_t), out=y)
+        y = y.reshape(k, 2, n_orders, n_t)
+        c.real[lo:lo + k], c.imag[lo:lo + k] = y[:, 0], y[:, 1]
     return c
 
 
@@ -323,27 +377,30 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     (``sequence.check_grid_memory``) before anything is allocated.
     """
     # what this engine holds after the setup, which ``run_values`` charges
-    # with the rest that both engines share: the detection matrix, the
-    # weights, the signal grid, the order sums, numpy's cast buffers, on the
-    # nodes (the uniform set's, or as many as the ordered pairs) the spread
-    # weights and their mirror, on half of them E and G^R, and the largest
-    # of, each at most what the grid fills, a spreading chunk with a
-    # bincount's output, a block of E with q's own, a group of taus' product
+    # with the rest that both engines share: the detection matrix, the order
+    # sums and numpy's cast buffers throughout; in the kernel the weights, on
+    # the nodes (the uniform set's, or as many as the ordered pairs) the
+    # spread weights and the product's left operand, on the nodes g >= 0 E's
+    # parts and G^R, and the larger of a block of E with q's own and the
+    # work array (``_chunks``, ``_product_floats``, taken with P rows) with,
+    # while a chunk is spread, its 12 scalars per pair and a bincount's
+    # output; or, in ``phase_encode``, the signal grid and a copy of the sums
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
-    n_tau, n_orders = len(grid.taus), 2 * n_spins + 1
+    n_tau, n_orders, n_t = len(grid.taus), 2 * n_spins + 1, grid.n_t
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
     uniform = grid_nodes(eig.zeta, band)[0]
     nodes = dim2 if uniform is None else uniform.size
     del uniform  # the gate reads its size; the kernel makes its own
     half = nodes // 2 + 1
-    points = min(half, max(1, GRID_CHUNK_BYTES // (256 * grid.n_t))) * grid.n_t  # a block of E
-    chunk = min(GRID_CHUNK_BYTES, _PAIR_BYTES * (dim2 + eig.dim) // 2) // 16
-    group = min(GRID_CHUNK_BYTES // 16, 2 * n_tau * n_orders * (half + grid.n_t))
-    check_grid_memory(run_values(eig, acquisition, 2 * dim2 + grid.n_phi * grid.n_t * n_tau
-                                 + grid.n_t * n_tau * n_orders + 2 * np.getbufsize()
-                                 + nodes * (4 * n_orders + grid.n_t + n_tau // 2) // 2
-                                 + max(chunk + nodes * n_orders // 2,
-                                       4 * points + params.omdf.q_values(points), group)))
+    points = min(half, max(1, GRID_CHUNK_BYTES // (256 * n_t))) * n_t  # a block of E
+    most = _chunks(eig.dim)[2]
+    work = max(3 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
+    kernel = (dim2 + n_orders * (nodes + 2 * half) + half * (2 * n_t + n_tau) // 2
+              + max(work + 6 * most + nodes * n_orders // 2,
+                    4 * points + params.omdf.q_values(points)))
+    sum_values = n_t * n_tau * n_orders
+    check_grid_memory(run_values(eig, acquisition, dim2 + sum_values + 2 * np.getbufsize()
+                                 + max(kernel, grid.n_phi * n_t * n_tau + sum_values)))
     acquisition, state, det = kernel_inputs(eig, grid.t_p, acquisition)
     sums = pair_order_sums(det * state.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),

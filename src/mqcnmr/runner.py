@@ -29,7 +29,8 @@ from .errors import ConfigError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
 from .sequence import Mrev8Spec, check_grid_memory, run_grid, verify_reversion
-from .spectra import CoherenceSpectrum, SignalGrid, fft2_coherence, spectrum_to_csv
+from .spectra import (CoherenceSpectrum, SignalGrid, csv_values, fft2_coherence,
+                      spectrum_to_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -87,7 +88,12 @@ def _text_writer(text: str):
 
 
 def _json_writer(doc: dict):
-    return _text_writer(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as indented JSON, streamed to the file as it is encoded."""
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return write
 
 
 def _npy_writer(arr: np.ndarray):
@@ -182,24 +188,30 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
     Writes ``spectra.npy`` with ``spectra_meta.json`` (its tau, mu and
     frequency axes), which the fit stage reads, and ``spectra.csv`` as the
     export format.  The memory budget is charged before the transform: the
-    signals, their phi transform and two padded t transforms of it.
+    signals, the padded spectrum and its frequency axis, with the phi
+    transform and a second padded t transform while the transform runs, or
+    with what the CSV writer holds in this process (``spectra.csv_values``,
+    more than the metadata file's lists and text).
     """
     t0 = time.monotonic()
     run_dir = Path(run_dir)
     grid = load_signals(run_dir)
-    check_grid_memory(2 * grid.data.size * (1 + zero_pad),
+    values, n_freq = grid.data.size * (1 + zero_pad), grid.n_t * zero_pad
+    check_grid_memory(values + n_freq // 2 + max(values, csv_values(n_freq)),
                       f"the transform at zero-pad {zero_pad}")
     spec = fft2_coherence(grid, zero_pad=zero_pad)
     if band_hz is not None:
         spec = spec.band(band_hz)
 
-    meta = {**spec.meta, "mu": spec.mu.tolist(), "taus": spec.taus.tolist(),
-            "freqs_hz": spec.freqs_hz.tolist(), "n_freq": len(spec.freqs_hz)}
+    def write_meta(tmp):  # its lists are made here, after the CSV is written
+        _json_writer({**spec.meta, "mu": spec.mu.tolist(), "taus": spec.taus.tolist(),
+                      "freqs_hz": spec.freqs_hz.tolist(), "n_freq": len(spec.freqs_hz)})(tmp)
+
     cfg_hash, upstream = _upstream(run_dir, "simulate")
     return _write_stage(run_dir, "spectra", cfg_hash, t0,
                         {"spectra.csv": lambda tmp: spectrum_to_csv(spec, tmp),
                          "spectra.npy": _npy_writer(spec.data),
-                         "spectra_meta.json": _json_writer(meta)}, upstream)
+                         "spectra_meta.json": write_meta}, upstream)
 
 
 def load_spectra(run_dir) -> CoherenceSpectrum:

@@ -388,10 +388,16 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, p: np.ndarray) -> np.
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
                  n_molecules: int = 1) -> SignalGrid:
     """The signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t] on the
-    (phi, t, tau) grid, from the order sums c[tau] of an engine's kernel."""
-    n = sums.shape[1] // 2
-    encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(-n, n + 1)))
-    return SignalGrid(data=np.einsum("pn,knt->ptk", encoder, sums, order="C"), dt=grid.dt,
+    (phi, t, tau) grid, from the order sums c[tau] of an engine's kernel.
+
+    One GEMM: the (n_phi, 2N + 1) encoder times a copy of the sums laid out
+    as (2N + 1, n_t n_tau), whose product is the signal grid in C order.
+    """
+    n_tau, n_orders, n_t = sums.shape
+    encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(n_orders) - n_orders // 2))
+    by_order = np.ascontiguousarray(sums.transpose(1, 2, 0)).reshape(n_orders, n_t * n_tau)
+    data = (encoder @ by_order).reshape(len(encoder), n_t, n_tau)
+    return SignalGrid(data=data, dt=grid.dt,
                       taus=np.asarray(grid.taus, dtype=float), t_p=grid.t_p,
                       t_m=acquisition.t_m, window=acquisition.window)
 
@@ -468,14 +474,16 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
     # after the setup: the MREV-8 cycle the block compiles, when eig holds
     # none to replace; the detection matrix and the sums, with the tau loop
-    # and then with the signal grid
+    # and then with the signal grid and the copy of the sums ``phase_encode``
+    # makes
     compiled = dim2 if isinstance(block, Mrev8Spec) and not eig.holds_cycle else 0
-    check_grid_memory(run_values(eig, acquisition, compiled + dim2 + max(
-        _loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau)
-        + n_tau * (2 * n_spins + 1) * grid.n_t))
+    sum_values = n_tau * (2 * n_spins + 1) * grid.n_t
+    check_grid_memory(run_values(eig, acquisition, compiled + dim2 + sum_values + max(
+        _loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau + sum_values)))
     acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
     p, states = eig.phases(grid.ts), block_states(block, grid.taus, eig, a_eig)
     sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)
     for k in range(n_tau):  # no name holds a state while the block makes the next
         sums[k] = pair_order_sums(_tau_slab(det, next(states)), eig, p)
+    del p, states  # with the last state, before the signal grid is made
     return phase_encode(sums, grid, acquisition, n_molecules)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import shutil
 import sys
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,17 +149,18 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
     end in CRLF.  The (tau, mu) blocks are split into contiguous runs, one per
     process: one process per CSV_VALUES_PER_PROCESS values written, at most
     one per block and per CPU this process may use (``_allowed_cpus``).  This
-    process formats the first run straight into ``path``.  Each later run goes
-    to a helper interpreter that runs ``_csvrows.py`` (standard library only:
-    no package import, no numpy), which reads its whole share, streamed block
-    by block as raw float64, and writes it to a part file; the parts are then
-    appended to ``path`` in order and removed.  Every block, here or in a
-    helper, is formatted by ``_csvrows.write_blocks``, so the bytes do not
-    depend on the number of processes, and this process holds one block's
-    columns at a time.  A helper that cannot be started has its share
-    formatted here.  A helper that fails raises MqcnmrError with its exit
-    status and the end of its stderr; on any error every helper is killed and
-    reaped and every part file removed.
+    process formats the first run straight into ``path``.  Each later run is
+    written as raw float64 to a share file and read, one block at a time, by
+    a helper interpreter that runs ``_csvrows.py`` (standard library only: no
+    package import, no numpy) and writes the rows to a part file; the parts
+    are then appended to ``path`` in order and removed.  Every block, here or
+    in a helper, is formatted by ``_csvrows.write_blocks``, ROWS_PER_WRITE
+    rows at a time, so the bytes do not depend on the number of processes,
+    and each process holds the frequency strings, one block's columns and
+    one slice of rows at a time (``csv_values``).  A helper that cannot be
+    started has its share formatted here.  A helper that fails raises
+    MqcnmrError with its exit status and the end of its stderr; on any error
+    every helper is killed and reaped and every share and part file removed.
     """
     freqs = [repr(f) for f in np.asarray(spec.freqs_hz, dtype=float).tolist()]
     heads = [f"{float(tau)!r},{int(m)}," for tau in spec.taus for m in spec.mu]
@@ -170,7 +171,7 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
         return z.real, z.imag, np.hypot(z.real, z.imag)
 
     def blocks(start, stop):
-        return ((heads[b], *(c.tolist() for c in columns(b))) for b in range(start, stop))
+        return ((heads[b], *columns(b)) for b in range(start, stop))
 
     n_proc = max(1, min(_allowed_cpus(), len(heads),
                         3 * spec.data.size // CSV_VALUES_PER_PROCESS))
@@ -178,15 +179,14 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
     with ExitStack() as stack:
         shares = []
         for j in range(1, n_proc):
-            part = f"{path}.part{j}"
+            part, share = f"{path}.part{j}", f"{path}.share{j}"
             stack.callback(Path(part).unlink, missing_ok=True)
-            shares.append((part, bounds[j], bounds[j + 1], _start_helper(stack, part)))
-        for _, start, stop, proc in shares:
-            if proc is not None:
-                with suppress(BrokenPipeError), proc.stdin as pipe:  # _reap reports an early exit
-                    _csvrows.send_share(pipe, heads[start:stop], freqs,
-                                        (np.stack(columns(b), dtype=float)
-                                         for b in range(start, stop)))
+            stack.callback(Path(share).unlink, missing_ok=True)
+            with open(share, "wb") as out:
+                _csvrows.send_share(out, heads[bounds[j]:bounds[j + 1]], freqs,
+                                    (np.stack(columns(b), dtype=float)
+                                     for b in range(bounds[j], bounds[j + 1])))
+            shares.append((part, bounds[j], bounds[j + 1], _start_helper(stack, part, share)))
         with open(path, "w", newline="") as fh:
             fh.write("tau,mu,omega_hz,re,im,abs\r\n")
             _csvrows.write_blocks(fh, freqs, blocks(0, bounds[1]))
@@ -202,6 +202,15 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
                     shutil.copyfileobj(src, out)
 
 
+def csv_values(n_freq: int) -> int:
+    """Complex values that each process of ``spectrum_to_csv`` holds beside
+    the spectrum, for blocks of ``n_freq`` rows: the frequency strings with
+    their list, at most 88 bytes each, one block's columns and abs as
+    float64, 32 bytes a row, and one slice of at most ROWS_PER_WRITE rows
+    with their floats, reprs and text, at most 640 bytes a row."""
+    return (120 * n_freq + 640 * min(n_freq, _csvrows.ROWS_PER_WRITE)) // 16
+
+
 def _allowed_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -210,19 +219,20 @@ def _allowed_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _start_helper(stack: ExitStack, part: str):
-    """A ``_csvrows.py`` interpreter that writes the rows of its share to
-    ``part``, killed if still running and then reaped when ``stack`` closes;
-    None when it cannot be started."""
+def _start_helper(stack: ExitStack, part: str, share: str):
+    """A ``_csvrows.py`` interpreter that reads the share file ``share`` and
+    writes its rows to ``part``, killed if still running and then reaped
+    when ``stack`` closes; None when it cannot be started."""
     import subprocess
 
     try:
-        proc = subprocess.Popen([sys.executable, "-I", "-S", _csvrows.__file__, part],
-                                stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+        with open(share, "rb") as src:
+            proc = subprocess.Popen([sys.executable, "-I", "-S", _csvrows.__file__, part],
+                                    stdin=src, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.PIPE)
     except OSError:
         return None
-    stack.enter_context(proc)  # on exit: close its pipes, then wait
+    stack.enter_context(proc)  # on exit: close its pipe, then wait
     stack.callback(lambda: proc.poll() is None and proc.kill())
     return proc
 

@@ -465,6 +465,26 @@ def pair_order_sums_dense(weights, zeta, m, s_zz, ts, taus, g_rev, g_irr, n):
     return out
 
 
+def node_sums_complex(rho, e, g_r):
+    """c[k] = sum over all nodes g_j of rho[:, j] G^R(g_j, tau_k) E(g_j, :) in
+    complex arithmetic, for spread weights ``rho`` (orders, nodes) on nodes
+    symmetric about 0 and ``e`` (nodes g >= 0, n_t) and ``g_r`` (taus, nodes
+    g >= 0) extended to g < 0 by E(-g) = conj(E(g)) and G^R(-g) = G^R(g):
+    A E + conj(B E) for A = rho at g >= 0 and B = conj(rho at -g)."""
+    below = rho.shape[1] - e.shape[0]
+    e_all = np.concatenate([e[1:below + 1][::-1].conj(), e])
+    g_all = np.concatenate([g_r[:, 1:below + 1][:, ::-1], g_r], axis=1)
+    return np.stack([(rho * g) @ e_all for g in g_all])
+
+
+def phase_encode_einsum(sums, phis, n_molecules=1):
+    """The (phi, t, tau) signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t]
+    of order sums c (tau, 2N + 1, t), by one einsum."""
+    n = sums.shape[1] // 2
+    encoder = n_molecules * np.exp(1j * np.outer(phis, np.arange(-n, n + 1)))
+    return np.einsum("pn,knt->ptk", encoder, sums)
+
+
 def tabulated_q(u, p, x):
     """q(x) = int p(u) exp(i u x) du by the trapezoid rule on the table (u, p),
     one complex exponential per (x, u) sample."""

@@ -239,7 +239,7 @@ def _decreasing_taus(tmp_path, run):
      "frequency 1000000000.0 Hz"),
     (lambda tmp_path, run: ["spectra", str(run), "--zero-pad", "0"], "zero_pad"),
     (lambda tmp_path, run: ["spectra", str(run), "--zero-pad", "1000000000"],
-     "the transform at zero-pad 1000000000 needs about 65536000 MB"),
+     "the transform at zero-pad 1000000000 needs about 66048000 MB"),
     (lambda tmp_path, run: ["spectra", str(run), "--band-hz", "-5"], "band limit -5.0 Hz"),
     (_decreasing_taus, "sequence.tau_schedule"),
 ], ids=["fit_mu_99", "fit_frequency_outside_band", "spectra_zero_pad_0",

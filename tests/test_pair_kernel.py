@@ -219,7 +219,7 @@ def test_stencil_weights_interpolate_and_hit_nodes():
                                     np.pi / opensystem.OVERSAMPLING)
     assert h == 1.0
     gaps = np.concatenate([np.random.default_rng(0).uniform(-8.0, 8.0, 50), nodes[p:-p]])
-    first, lagrange = opensystem._stencils(gaps, nodes, h)
+    first, lagrange = opensystem._stencils(gaps, nodes, h, np.empty((p, gaps.size)))
     stencil = nodes[first + np.arange(p)[:, None]]
     assert np.all((stencil[p // 2 - 1] <= gaps) & (gaps <= stencil[p // 2]))
     np.testing.assert_allclose(lagrange.sum(axis=0), 1.0, rtol=0, atol=1e-13)
@@ -227,6 +227,32 @@ def test_stencil_weights_interpolate_and_hit_nodes():
         np.testing.assert_allclose((lagrange * (stencil / 8.0) ** degree).sum(axis=0),
                                    (gaps / 8.0) ** degree, rtol=0, atol=1e-11)
     assert np.all((lagrange[:, 50:] != 0) == (np.arange(p)[:, None] == p // 2 - 1))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "tabulated"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_node_product_matches_the_complex_product(family, seed):
+    # random complex spread weights on a node set symmetric about 0 (an odd
+    # count, with g = 0 counted once), the OMDF's E (complex q when
+    # tabulated) and G^R on the nodes g >= 0: the real GEMMs against
+    # A E + conj(B E) in complex arithmetic, to 1e-14 of the largest sum,
+    # with the taus in groups of one, two or all of them
+    rng = np.random.default_rng(seed)
+    n_orders, below, n_t, n_tau = 2 * seed + 5, 40 + 17 * seed, 24 + seed, 7
+    h = 2e3 * (1 + seed)
+    half = h * np.arange(below + 1)
+    shape = (n_orders, 2 * below + 1)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    params = DecoherenceParams(sigma_cl=2e5, omdf=make_omdf(family, 0.05))
+    ts, taus = 3e-6 * np.arange(n_t), 2e-5 * np.arange(n_tau)
+    e = params.omdf.time_factors(half, ts, s_zz=0.6)
+    g_r = g_irreversible(half[None], taus[:, None], params)
+    slow = ref.node_sums_complex(rho, e, g_r)
+    per_tau = 2 * n_orders * (2 * half.size + n_t)
+    for taus_at_once in (1, 2, n_tau):
+        work = np.empty(taus_at_once * per_tau + 3)
+        fast = opensystem._node_sums(rho, np.stack([e.real, e.imag]), g_r, work)
+        assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
 
 
 def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):

@@ -12,9 +12,9 @@ import pytest
 import yaml
 
 import reference as ref
-from mqcnmr import _csvrows, runner, spectra
+from mqcnmr import _csvrows, runner, sequence, spectra
 from mqcnmr.config import load_config, preset_path
-from mqcnmr.errors import MqcnmrError
+from mqcnmr.errors import GridSizeError, MqcnmrError
 from mqcnmr.spectra import CSV_VALUES_PER_PROCESS, CoherenceSpectrum, spectrum_to_csv
 
 SPECIALS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1e16, 1e-5]
@@ -135,7 +135,7 @@ open(sys.argv[1], "w").write("tau,partial")
 sys.stderr.write("x" * 5000 + "boom")
 sys.exit(3)
 """
-# exits before reading: the parent's writes meet a closed pipe
+# exits before reading its share
 FAIL_AT_ONCE = """import sys
 sys.stderr.write("x" * 5000 + "boom")
 sys.exit(3)
@@ -184,6 +184,38 @@ def test_split_stage_writes_the_serial_bytes(big_run, monkeypatch, started):
     assert (big_run / "spectra.csv").read_bytes() == serial
     assert manifest["files"]["spectra.csv"] == hashlib.sha256(serial).hexdigest()
     assert not list(big_run.glob("spectra.csv.*"))
+
+
+def test_spectra_stage_charge_covers_a_long_csv_block(tmp_path, monkeypatch):
+    # signals (2, 4096, 1) at zero-pad 64: two (tau, mu) blocks of 262,144
+    # rows, one for this process and one for a helper.  Rows are formatted
+    # ROWS_PER_WRITE at a time and the metadata's lists are made after the
+    # CSV, so the stage's traced peak stays under its charge: a budget at
+    # that peak is refused, with every file left as it was, and one 50%
+    # above it accepted
+    run = tmp_path / "run"
+    run.mkdir()
+    rng = np.random.default_rng(3)
+    shape = (2, 4096, 1)
+    np.save(run / "signals.npy", rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    (run / "signals_meta.json").write_text(json.dumps(
+        {"dt": 1e-6, "taus": [0.0], "t_p": 0.0, "t_m": 0.0, "window": 0.0}))
+    force_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        runner.spectra_stage(run, zero_pad=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert before["spectra.csv"].count(b"\r\n") == 1 + 2 * 64 * 4096
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError, match="the transform at zero-pad 64 needs"):
+        runner.spectra_stage(run, zero_pad=64)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.5 * peak))
+    runner.spectra_stage(run, zero_pad=64)
+    assert (run / "spectra.csv").read_bytes() == before["spectra.csv"]
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 5])
