@@ -29,6 +29,14 @@ MU_0 = 1.25663706127e-06
 HBAR = 1.0545718176461565e-34
 
 
+def distinct(values) -> np.ndarray:
+    """The distinct entries of an array, ascending, by a sort and a compare of
+    neighbours: np.unique's result without its first call's import of
+    numpy.ma (about 1.1 MB of module objects, outside every memory charge)."""
+    v = np.sort(np.ravel(values))
+    return v[np.append(True, v[1:] != v[:-1])] if v.size else v
+
+
 @dataclass(frozen=True, eq=False)
 class SpinSystem:
     """One molecule's proton cluster: all the Hamiltonian reads of it.
@@ -125,7 +133,7 @@ def secular_hamiltonian(sys: SpinSystem) -> tuple:
     reg = sys.register()
     table = sys.couplings_hz
     m_basis = reg.m_values()
-    rows = [np.flatnonzero(m_basis == m) for m in np.unique(m_basis)[::-1]]
+    rows = [np.flatnonzero(m_basis == m) for m in distinct(m_basis)[::-1]]
     block_of, local = np.empty(reg.dim, dtype=int), np.empty(reg.dim, dtype=int)
     for b, r in enumerate(rows):
         block_of[r], local[r] = b, np.arange(r.size)
@@ -186,7 +194,9 @@ class EigenSystem:
     @property
     def vectors(self) -> np.ndarray:
         """The unitary V, one eigenvector per column, assembled from ``blocks``
-        on every read; the engine works on the blocks and never reads it."""
+        on every read.  The engines work on the blocks and never read it, and
+        the tests use ``reference.vectors``; the benchmark's N = 4 oracle
+        (``perfbench/oracle.py``) reads it."""
         v = np.zeros((self.dim, self.dim), dtype=complex)
         for rows, cols, v_m in self.blocks:
             v[rows, cols] = v_m
@@ -292,11 +302,11 @@ def eigendecompose(blocks, order_parameter: float = 1.0) -> EigenSystem:
     if dim < 2 or dim & (dim - 1) or not np.array_equal(np.sort(rows_all), np.arange(dim)):
         raise MqcnmrError("the blocks' rows do not partition the product basis range(2^N)")
     m_basis = SpinRegister(dim.bit_length() - 1).m_values()
-    ms = [np.unique(m_basis[rows]) for rows, _ in blocks]
+    ms = [distinct(m_basis[rows]) for rows, _ in blocks]
     for b, values in enumerate(ms):
         if values.size != 1:
             raise MqcnmrError(f"block {b} does not hold product states of one total m")
-    if np.unique(ms).size != len(ms):
+    if distinct(np.concatenate(ms)).size != len(ms):
         raise MqcnmrError("two blocks hold product states of one total m")
     zeta, eig_blocks, col = [], [], 0
     for b in np.argsort(np.concatenate(ms))[::-1]:

@@ -34,7 +34,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConfigError
-from .hamiltonian import EigenSystem
+from .hamiltonian import EigenSystem, distinct
 from .operators import checked_hermitian
 from .sequence import (ExperimentGrid, check_grid_memory, kernel_inputs, phase_encode,
                        prepared_setup, run_values)
@@ -243,8 +243,8 @@ def _chunks(dim: int) -> tuple:
     slab whose pairs a <= b are spread together: each starts at the row that
     holds its first of about GRID_CHUNK_BYTES / _PAIR_BYTES pairs."""
     done = np.cumsum(np.arange(dim, 0, -1))  # the pairs a <= b in rows <= r
-    cuts = np.unique(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
-                                     side="right"))
+    cuts = distinct(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
+                                    side="right"))
     ends = np.append(cuts[1:], dim)
     return cuts, ends, int(np.max(done[ends - 1] - np.append(0, done)[cuts]))
 
@@ -284,7 +284,7 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     n_orders = 2 * n_spins + 1
     nodes, h = grid_nodes(eig.zeta, band)
     if h is None:
-        nodes = np.unique(np.subtract.outer(eig.zeta, eig.zeta))
+        nodes = distinct(np.subtract.outer(eig.zeta, eig.zeta))
     below = nodes.size // 2  # the nodes g < 0, mirrors of the last of the nodes g >= 0
     half = nodes[below:]
     e = np.empty((2, half.size, ts.size))

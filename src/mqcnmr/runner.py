@@ -197,7 +197,8 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
     run_dir = Path(run_dir)
     grid = load_signals(run_dir)
     values, n_freq = grid.data.size * (1 + zero_pad), grid.n_t * zero_pad
-    check_grid_memory(values + n_freq // 2 + max(values, csv_values(n_freq)),
+    csv = csv_values((len(grid.taus), grid.n_phi, n_freq), zero_pad)
+    check_grid_memory(values + n_freq // 2 + max(values, csv),
                       f"the transform at zero-pad {zero_pad}")
     spec = fft2_coherence(grid, zero_pad=zero_pad)
     if band_hz is not None:

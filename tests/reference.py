@@ -91,7 +91,8 @@ def propagator(eig, duration, scale=1.0):
         from mqcnmr.errors import MqcnmrError
         raise MqcnmrError(f"duration must be finite, got {duration!r}")
     phases = np.exp(-1j * scale * eig.order_parameter * eig.zeta * duration)
-    return (eig.vectors * phases) @ eig.vectors.conj().T
+    v = vectors(eig)
+    return (v * phases) @ v.conj().T
 
 
 def eigen_labels_svd(h, m_basis, order_parameter=1.0):
@@ -139,6 +140,15 @@ def dense_from_blocks(blocks, dim):
     for rows, h_m in blocks:
         h[np.ix_(rows, rows)] = h_m
     return h
+
+
+def vectors(eig):
+    """The dense unitary V of an EigenSystem, one eigenvector per column,
+    assembled from its (rows, cols, V_m) blocks."""
+    v = np.zeros((eig.dim, eig.dim), dtype=complex)
+    for rows, cols, v_m in eig.blocks:
+        v[rows, cols] = v_m
+    return v
 
 
 def iz_commutator(h, m_basis):
@@ -198,10 +208,10 @@ def gaps(eig):
 
 def dense_detection(eig, t_m, window):
     """V^dagger R^dagger V (I_+ * win) V^dagger R V with every factor dense: I_+
-    from Kronecker sums, V from ``eig.vectors``, R = R_y(pi/4) by expm and the
+    from Kronecker sums, V from ``vectors(eig)``, R = R_y(pi/4) by expm and the
     window exp(i w t_m) sinc(w window / 2 pi) on all gaps w = S_zz (zeta_a - zeta_b)."""
     n = eig.reg.n_spins
-    v, r = eig.vectors, rot(n, np.pi / 4, np.pi / 2)
+    v, r = vectors(eig), rot(n, np.pi / 4, np.pi / 2)
     omega = eig.order_parameter * (eig.zeta[:, None] - eig.zeta[None, :])
     win = np.exp(1j * omega * t_m) * np.sinc(omega * window / (2.0 * np.pi))
     i_plus = v.conj().T @ (coll(n, "x") + 1j * coll(n, "y")) @ v
@@ -256,7 +266,7 @@ def g_coefficients(eig, reg, component, t_m, window, axis="x", n_quad=129):
     n = reg.n_spins
     ry = rot(n, np.pi / 4, np.pi / 2)
     c_rot = ry @ np.asarray(component, dtype=complex) @ ry.conj().T
-    v = eig.vectors
+    v = vectors(eig)
     c_eig = v.conj().T @ c_rot @ v
     i_eig = v.conj().T @ coll(n, axis) @ v
     phases = eig.order_parameter * eig.zeta

@@ -156,7 +156,7 @@ def test_eigendecompose_blocks_and_reconstruction():
     m_basis = reg.m_values()
     for rows, cols, v_m in eig.blocks:
         assert np.all(m_basis[rows] == eig.m[cols]) and v_m.shape == (rows.size, eig.m[cols].size)
-    v = eig.vectors
+    v = ref.vectors(eig)
     np.testing.assert_allclose(v @ v.conj().T, np.eye(reg.dim), atol=1e-12)
     np.testing.assert_allclose((v * (eig.order_parameter * eig.zeta)) @ v.conj().T,
                                h, atol=1e-9)
@@ -340,7 +340,6 @@ def test_eigensystem_memory_charge_at_twelve_and_thirteen_spins(monkeypatch):
 
 _FRESH_VERIFY = """
 import json, sys, tracemalloc
-import numpy.ma
 from mqcnmr import sequence
 from mqcnmr.config import config_from_dict
 from mqcnmr.errors import GridSizeError
@@ -365,9 +364,9 @@ def test_verify_stage_memory_charge_covers_a_fresh_process():
     # verify-reversion has no gate of its own: the eigensystem's charge
     # covers its V blocks and the three 2^N x 2^N arrays of its unitarity
     # check, so the first run in a new interpreter, eigensystem build
-    # included, is refused a budget at its traced peak (N = 8).  The first
-    # np.unique imports numpy.ma, about 1.1 MB of module objects at any size,
-    # so the script imports it before the trace
+    # included, is refused a budget at its traced peak (N = 8).  No step
+    # imports numpy.ma (see test_imports), so nothing is imported before the
+    # trace
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
     result = subprocess.run([sys.executable, "-c", _FRESH_VERIFY, json.dumps(_random_doc(8))],
                             capture_output=True, text=True, env=env, check=True, timeout=300)
@@ -437,8 +436,9 @@ def test_eigensystem_holds_i_plus_and_one_cycle():
     eig = eigendecompose(secular_hamiltonian(SpinSystem(table, 0.6)), 0.6)
     reg = eig.reg
     i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
-    np.testing.assert_allclose(ref.dense_blocks(eig, eig.i_plus),
-                               eig.vectors.conj().T @ i_plus @ eig.vectors, rtol=0, atol=1e-12)
+    v = ref.vectors(eig)
+    np.testing.assert_allclose(ref.dense_blocks(eig, eig.i_plus), v.conj().T @ i_plus @ v,
+                               rtol=0, atol=1e-12)
     assert eig.i_plus is eig.i_plus
     assert not any(x.flags.writeable for _, _, x in eig.i_plus)
     assert sum(x.size for _, _, x in eig.i_plus) == 15  # C(6, 2) of 4^3

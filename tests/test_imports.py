@@ -32,9 +32,32 @@ def test_constants_are_codata_2022():
 
 
 def test_package_import_loads_no_subprocess():
-    # spectrum_to_csv imports subprocess only when it starts a CSV helper
+    # no stage starts a process: spectrum_to_csv formats every value here
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = "import sys, mqcnmr, mqcnmr.cli; print('subprocess' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+RUNS_WITHOUT_NUMPY_MA = """
+import sys
+from pathlib import Path
+from mqcnmr.cli import main
+out = Path(sys.argv[1])
+for argv in (["simulate", "--preset", "open_demo", "--output", str(out / "open")],
+             ["simulate", "--preset", "fivecb_style", "--output", str(out / "fivecb")],
+             ["verify-reversion", "--preset", "fivecb_style"]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_runs_do_not_import_numpy_ma(tmp_path):
+    # the first np.unique in a process imports numpy.ma, about 1.1 MB of
+    # module objects that no memory charge counts; the package dedupes by
+    # sort and compare (hamiltonian.distinct) instead
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_NUMPY_MA, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True, timeout=600)
+    assert proc.stdout.strip().splitlines()[-1] == "False"

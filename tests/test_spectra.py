@@ -176,7 +176,8 @@ def test_detection_matrix_consistent_with_g_coefficients():
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sigma = a + a.conj().T  # hermitian state in the eigenbasis
     signal_det = np.sum(det * sigma.T)
-    c_prod = eig.vectors @ sigma @ eig.vectors.conj().T
+    v = ref.vectors(eig)
+    c_prod = v @ sigma @ v.conj().T
     gx = g_coefficients(eig, reg, c_prod, t_m, window, axis="x", n_quad=4001)
     gy = g_coefficients(eig, reg, c_prod, t_m, window, axis="y", n_quad=4001)
     np.testing.assert_allclose(signal_det, gx + 1j * gy, atol=1e-8)

@@ -1,10 +1,9 @@
-"""Stage file I/O: the CSV writer split across helper processes, and file hashes."""
+"""Stage file I/O: the CSV writer, its float formatting kernel, and file hashes."""
 
 import hashlib
 import json
 import os
 import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,35 +11,17 @@ import pytest
 import yaml
 
 import reference as ref
-from mqcnmr import _csvrows, runner, sequence, spectra
+from mqcnmr import runner, sequence, spectra
 from mqcnmr.config import load_config, preset_path
-from mqcnmr.errors import GridSizeError, MqcnmrError
-from mqcnmr.spectra import CSV_VALUES_PER_PROCESS, CoherenceSpectrum, spectrum_to_csv
+from mqcnmr.errors import GridSizeError
+from mqcnmr.spectra import CoherenceSpectrum, spectrum_to_csv
 
 SPECIALS = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1e16, 1e-5]
 
 
-@pytest.fixture
-def started(monkeypatch):
-    """Every process that subprocess.Popen starts, in order."""
-    procs = []
-    real = subprocess.Popen
-
-    def popen(args, **kwargs):
-        procs.append(real(args, **kwargs))
-        return procs[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    return procs
-
-
-def force_cpus(monkeypatch, n):
-    monkeypatch.setattr(spectra, "_allowed_cpus", lambda: n)
-
-
 def special_spectrum():
-    """A spectrum above three processes' worth of values, with every special
-    float in the columns of every (tau, mu) block and on each axis."""
+    """A spectrum of several slices of rows, with every special float in the
+    columns of every (tau, mu) block and on each axis."""
     n_tau, n_mu, n_freq = 3, 4, 8400
     rng = np.random.default_rng(7)
     parts = rng.normal(size=(2, n_tau, n_mu, n_freq)) * np.exp(rng.uniform(-30, 30, n_freq))
@@ -53,146 +34,113 @@ def special_spectrum():
     freqs[1:1 + len(SPECIALS)] = SPECIALS
     spec = CoherenceSpectrum(data=data, mu=np.arange(-2, 2), freqs_hz=freqs,
                              taus=np.array([-0.0, 5e-324, 1e16]))
-    assert 3 * data.size >= 3 * CSV_VALUES_PER_PROCESS
+    assert data.size > 10 * spectra.ROWS_PER_WRITE
     return spec
 
 
-def test_split_csv_bytes_match_per_row_writer_for_any_process_count(tmp_path, monkeypatch,
-                                                                     started):
+def test_csv_with_special_values_in_every_block_matches_per_row_writer(tmp_path):
     spec = special_spectrum()
     ref.spectrum_csv_rows(spec, tmp_path / "rows.csv")
-    want = (tmp_path / "rows.csv").read_bytes()
-    for k in (1, 2, 3):
-        force_cpus(monkeypatch, k)
-        before = len(started)
-        spectrum_to_csv(spec, tmp_path / f"split{k}.csv")
-        assert len(started) - before == k - 1
-        assert all(proc.returncode == 0 for proc in started)
-        assert (tmp_path / f"split{k}.csv").read_bytes() == want, f"{k} processes"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "split1.csv",
-                                                          "split2.csv", "split3.csv"]
+    spectrum_to_csv(spec, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bulk.csv", "rows.csv"]
 
 
-def test_split_csv_of_single_precision_data_matches_one_process(tmp_path, monkeypatch, started):
-    # helpers receive float64, which holds every float32 value exactly
+def test_csv_of_single_precision_data_matches_per_row_writer(tmp_path):
+    # float32 parts widen to float64 exactly; abs is taken in single precision
     spec = special_spectrum()
     spec = CoherenceSpectrum(data=spec.data.astype(np.complex64), mu=spec.mu,
                              freqs_hz=spec.freqs_hz, taus=spec.taus)
-    for k in (1, 2):
-        force_cpus(monkeypatch, k)
-        spectrum_to_csv(spec, tmp_path / f"split{k}.csv")
-    assert len(started) == 1
-    assert (tmp_path / "split2.csv").read_bytes() == (tmp_path / "split1.csv").read_bytes()
+    ref.spectrum_csv_rows(spec, tmp_path / "rows.csv")
+    spectrum_to_csv(spec, tmp_path / "bulk.csv")
+    assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
-def test_small_spectrum_and_one_cpu_start_no_helper(tmp_path, monkeypatch, started):
-    spec = special_spectrum()
-    force_cpus(monkeypatch, 1)
-    spectrum_to_csv(spec, tmp_path / "one_cpu.csv")
-    force_cpus(monkeypatch, 8)
-    small = CoherenceSpectrum(data=spec.data[:, :, :2000], mu=spec.mu,
-                              freqs_hz=spec.freqs_hz[:2000], taus=spec.taus)
-    assert 3 * small.data.size < 2 * CSV_VALUES_PER_PROCESS
-    spectrum_to_csv(small, tmp_path / "small.csv")
-    assert started == []
-
-
-def test_helper_that_cannot_start_has_its_share_formatted_here(tmp_path, monkeypatch):
-    spec = special_spectrum()
-    force_cpus(monkeypatch, 1)
-    spectrum_to_csv(spec, tmp_path / "serial.csv")
-
+def test_csv_writer_starts_no_process(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise OSError("no more processes")
+        raise AssertionError("spectrum_to_csv started a process")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    force_cpus(monkeypatch, 3)
-    spectrum_to_csv(spec, tmp_path / "fallback.csv")
-    assert (tmp_path / "fallback.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fallback.csv", "serial.csv"]
+    spectrum_to_csv(special_spectrum(), tmp_path / "spectra.csv")
 
 
-@pytest.fixture
-def big_run(tmp_path, monkeypatch):
-    """A run directory whose spectrum splits three ways, after one spectra
-    stage in one process."""
-    rng = np.random.default_rng(1)
-    shape = (4, 8192, 4)  # (n_phi, n_t, n_tau): 393216 CSV values
-    run = tmp_path / "run"
-    run.mkdir()
-    np.save(run / "signals.npy", rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    (run / "signals_meta.json").write_text(json.dumps(
-        {"dt": 1e-6, "taus": [0.0, 1e-5, 2e-5, 3e-5], "t_p": 0.0, "t_m": 0.0, "window": 0.0}))
-    force_cpus(monkeypatch, 1)
-    runner.spectra_stage(run)
-    return run
+def kernel_lines(values):
+    """The formatter's reprs of a 1-D float array, one a line, formatted as the
+    CSV writer formats a slice of rows' values."""
+    out = []
+    for chunk in np.array_split(values, -(-values.size // (3 * spectra.ROWS_PER_WRITE))):
+        reprs = spectra._Reprs(chunk)
+        cells = np.empty((chunk.size, reprs.width + 1), dtype=np.uint8)
+        reprs.write(cells[:, :-1])
+        cells[:, -1] = ord("\n")
+        flat = cells.ravel()
+        out.append(flat[flat != 0].tobytes())
+    return b"".join(out)
 
 
-# reads its share, leaves a partial part file, then fails
-READ_THEN_FAIL = """import sys
-sys.stdin.buffer.read()
-open(sys.argv[1], "w").write("tau,partial")
-sys.stderr.write("x" * 5000 + "boom")
-sys.exit(3)
-"""
-# exits before reading its share
-FAIL_AT_ONCE = """import sys
-sys.stderr.write("x" * 5000 + "boom")
-sys.exit(3)
-"""
+def repr_lines(values):
+    return "".join(f"{v!r}\n" for v in values.tolist()).encode()
 
 
-@pytest.mark.parametrize("code", [READ_THEN_FAIL, FAIL_AT_ONCE],
-                         ids=["read_then_fail", "fail_at_once"])
-def test_failing_helper_raises_with_its_status_and_leaves_old_outputs(big_run, monkeypatch,
-                                                                      started, code):
-    before = {p.name: p.read_bytes() for p in big_run.iterdir()}
-    record = subprocess.Popen  # the started fixture's
-    monkeypatch.setattr(subprocess, "Popen", lambda args, **kwargs: record(
-        [sys.executable, "-c", code, args[-1]], **kwargs))
-    force_cpus(monkeypatch, 3)
-    with pytest.raises(MqcnmrError, match=r"exited with status 3: x+boom$") as info:
-        runner.spectra_stage(big_run)
-    assert len(str(info.value)) < 2200  # the tail of stderr, not all of it
-    assert len(started) == 2
-    assert all(proc.poll() is not None for proc in started)
-    assert {p.name: p.read_bytes() for p in big_run.iterdir()} == before
+def test_formatter_matches_repr_on_random_bit_patterns():
+    # every sign, exponent and mantissa: NaNs and infinities included, and
+    # about half of them at or above 2^50, where repr formats them
+    values = np.random.default_rng(30).integers(0, 2 ** 64, 1_000_000, dtype=np.uint64).view(float)
+    assert kernel_lines(values) == repr_lines(values)
 
 
-def test_failing_parent_kills_and_reaps_its_helpers(big_run, monkeypatch, started):
-    before = {p.name: p.read_bytes() for p in big_run.iterdir()}
-    real = _csvrows.write_blocks
-
-    def write_then_fail(fh, freqs, blocks):
-        real(fh, freqs, [next(iter(blocks))])
-        raise OSError("disk full")
-
-    monkeypatch.setattr(_csvrows, "write_blocks", write_then_fail)
-    force_cpus(monkeypatch, 3)
-    with pytest.raises(OSError, match="disk full"):
-        runner.spectra_stage(big_run)
-    assert len(started) == 2
-    assert all(proc.poll() is not None for proc in started)
-    assert {p.name: p.read_bytes() for p in big_run.iterdir()} == before
+def test_formatter_matches_repr_on_single_precision_values():
+    # short decimals widened from float32: many of them exact, so a dropped
+    # half is a tie broken to even
+    rng = np.random.default_rng(31)
+    bits = rng.integers(0, 2 ** 32, 200_000, dtype=np.uint64).astype(np.uint32)
+    with np.errstate(invalid="ignore"):
+        values = np.concatenate([bits.view(np.float32).astype(float),
+                                 rng.normal(size=200_000).astype(np.float32).astype(float)])
+    assert kernel_lines(values) == repr_lines(values)
 
 
-def test_split_stage_writes_the_serial_bytes(big_run, monkeypatch, started):
-    serial = (big_run / "spectra.csv").read_bytes()
-    force_cpus(monkeypatch, 3)
-    manifest = runner.spectra_stage(big_run)
-    assert len(started) == 2
-    assert (big_run / "spectra.csv").read_bytes() == serial
-    assert manifest["files"]["spectra.csv"] == hashlib.sha256(serial).hexdigest()
-    assert not list(big_run.glob("spectra.csv.*"))
+def test_formatter_matches_repr_at_layout_and_fallback_boundaries():
+    edges = [1e-4, 1e-5, 1e16, 9.999999999999999e15, 1e15, 123456789012345.6, 0.1, 0.5, 1.5,
+             2.5, 3906.25, -250000.0, 1e100, 1.5e-300, 1e-100, 1.7976931348623157e308,
+             5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 2.0 ** 50, 2.0 ** 50 + 2,
+             2.0 ** 53 + 2, 2.0 ** -1000, 0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+    near = np.array(edges)
+    with np.errstate(over="ignore"):  # past the largest float: inf
+        near = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)])
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)]
+                      + [float(f"9.999999999999999e{k}") for k in range(-300, 300)])
+    values = np.concatenate([near, -near, powers, -powers])
+    assert kernel_lines(values) == repr_lines(values)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                                   2.0 ** 50 + 2, 1e300, 0.5, 2.0 ** -1000],
+                         ids=["zero", "negative_zero", "nan", "inf", "negative_inf",
+                              "q_at_most_1", "e2_at_least_0", "power_of_two",
+                              "small_power_of_two"])
+def test_formatter_hands_values_outside_its_path_to_repr(value):
+    values = np.array([value, 1.25e-7])
+    assert spectra._shortest(values)[2].tolist() == [False, True]
+    assert kernel_lines(values) == repr_lines(values)
+
+
+def test_formatter_covers_spectrum_like_values_without_fallback():
+    # the values of a spectrum and its axes: no value of them goes to repr
+    rng = np.random.default_rng(32)
+    values = np.concatenate([rng.normal(size=30_000) * np.exp(rng.uniform(-30, 30, 30_000)),
+                             np.fft.fftfreq(4096, 1e-6), np.linspace(1e-6, 1e-3, 24)])
+    values = values[values != 0]
+    assert spectra._shortest(values)[2].all()
+    assert kernel_lines(values) == repr_lines(values)
 
 
 def test_spectra_stage_charge_covers_a_long_csv_block(tmp_path, monkeypatch):
     # signals (2, 4096, 1) at zero-pad 64: two (tau, mu) blocks of 262,144
-    # rows, one for this process and one for a helper.  Rows are formatted
-    # ROWS_PER_WRITE at a time and the metadata's lists are made after the
-    # CSV, so the stage's traced peak stays under its charge: a budget at
-    # that peak is refused, with every file left as it was, and one 50%
-    # above it accepted
+    # rows.  Rows are formatted ROWS_PER_WRITE at a time and the metadata's
+    # lists are made after the CSV, so the stage's traced peak stays under
+    # its charge: a budget at that peak is refused, with every file left as
+    # it was, and one 50% above it accepted
     run = tmp_path / "run"
     run.mkdir()
     rng = np.random.default_rng(3)
@@ -200,7 +148,6 @@ def test_spectra_stage_charge_covers_a_long_csv_block(tmp_path, monkeypatch):
     np.save(run / "signals.npy", rng.normal(size=shape) + 1j * rng.normal(size=shape))
     (run / "signals_meta.json").write_text(json.dumps(
         {"dt": 1e-6, "taus": [0.0], "t_p": 0.0, "t_m": 0.0, "window": 0.0}))
-    force_cpus(monkeypatch, 2)
     tracemalloc.start()
     try:
         runner.spectra_stage(run, zero_pad=64)

@@ -75,7 +75,7 @@ def test_m_block_basis_change_matches_dense(n, seed):
     # to_eigen on a dense matrix, and the I_+ builder under a random weight
     # of the gap S_zz (zeta_a - zeta_b), applied to the dense blocks of I_+
     reg, eig, rng = secular_eigensystem(n, seed)
-    v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
+    v, x = ref.vectors(eig), random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
     c, k = random_matrix(rng, 2, 1)[:, 0], rng.uniform(-1e-4, 1e-4, 2)
 
@@ -100,7 +100,7 @@ def test_eigendecompose_reads_m_and_n_from_the_rows(n, shuffle, seed):
         blocks = ref.shuffled_blocks(blocks, rng)
     eig = eigendecompose(blocks, 0.6)
     assert eig.reg.n_spins == n and eig.reg.dim == eig.dim
-    v, h = eig.vectors, ref.dense_from_blocks(blocks, reg.dim)
+    v, h = ref.vectors(eig), ref.dense_from_blocks(blocks, reg.dim)
     assert np.array_equal(m_basis[:, None] * v, v * eig.m)  # I_z V = V diag(m)
     assert_close((v * (0.6 * eig.zeta)) @ v.conj().T, h)
     x = random_matrix(rng, reg.dim, reg.dim)
@@ -139,7 +139,7 @@ def test_eigensystem_is_in_block_order_whatever_the_blocks_order(n, duration, se
     assert cols == [slice(a, b) for a, b in zip(starts, starts[1:])] and starts[-1] == reg.dim
     assert [eig.m[c.start] for c in cols] == [n / 2 - k for k in range(n + 1)]
     assert np.all(np.diff(eig.m) <= 0)
-    v, x = eig.vectors, random_matrix(rng, reg.dim, reg.dim)
+    v, x = ref.vectors(eig), random_matrix(rng, reg.dim, reg.dim)
     assert_close(eig.evolve(x, duration), ref.propagator(eig, duration) @ x)
     assert_close(eig.to_eigen(x), v.conj().T @ x @ v)
 
@@ -156,7 +156,7 @@ def test_setup_on_i_plus_blocks_matches_dense_oracles(n, t_p, t_m, window, seed)
     # matrix from dense V, R and I_+, and the dense per-step scan (its t_m
     # compared where no two magnitudes up to its decision tie)
     reg, eig, rng = secular_eigensystem(n, seed)
-    v = eig.vectors
+    v = ref.vectors(eig)
     prepared = prepared_setup(eig, t_p)
     rho = ref.coll(n, "z")
     for ev in ref.jb_prepare(t_p):
