@@ -45,9 +45,9 @@ from .spectra import SignalGrid
 QUADRATURE_BLOCK_BYTES = 4 << 20
 
 # The gap grid: P-point Lagrange interpolation between nodes pi / (c B) apart for
-# a band B; the byte budget of its transients (a chunk of pairs being spread, a
+# a band B; the byte budget of its transients (a slice of pairs being spread, a
 # block of E with its temporaries, or a group of taus' product with its operand);
-# the bytes of one pair of a chunk (P weights, their nodes and values, 12 scalars).
+# the bytes of one pair of a slice (P weights, their nodes and values, 12 scalars).
 STENCIL = 20
 OVERSAMPLING = 6.0
 GRID_CHUNK_BYTES = 4 << 20
@@ -238,15 +238,16 @@ def _stencils(gaps: np.ndarray, nodes: np.ndarray, h, d: np.ndarray) -> tuple:
     return first, d
 
 
-def _chunks(dim: int) -> tuple:
-    """(first rows, end rows, most pairs) of the chunks of rows of a 2^N x 2^N
-    slab whose pairs a <= b are spread together: each starts at the row that
-    holds its first of about GRID_CHUNK_BYTES / _PAIR_BYTES pairs."""
-    done = np.cumsum(np.arange(dim, 0, -1))  # the pairs a <= b in rows <= r
-    cuts = distinct(np.searchsorted(done, np.arange(0, done[-1], GRID_CHUNK_BYTES // _PAIR_BYTES),
-                                    side="right"))
-    ends = np.append(cuts[1:], dim)
-    return cuts, ends, int(np.max(done[ends - 1] - np.append(0, done)[cuts]))
+def _slices(blocks) -> tuple:
+    """([(x - y, rows of A, columns of B)], most pairs) for m blocks x <= y of
+    ``blocks``: rows by GRID_CHUNK_BYTES / _PAIR_BYTES pairs, a row at least."""
+    spans, step, walk = [cols for _, cols, _ in blocks], GRID_CHUNK_BYTES // _PAIR_BYTES, []
+    for x, a in enumerate(spans):
+        for y, b in enumerate(spans[x:], x):
+            rows = max(1, step // (b.stop - b.start))
+            walk += [(x - y, slice(lo, min(lo + rows, a.stop)), b)
+                     for lo in range(a.start, a.stop, rows)]
+    return walk, max((a.stop - a.start) * (b.stop - b.start) for _, a, b in walk)
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus: np.ndarray,
@@ -260,62 +261,52 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     called with the gaps as a row and the taus as a column; G^T(-g, t) =
     conj(G^T(g, t)), and G^R is real and even in g.
 
-    Every pair a <= b of the slab is spread onto gap nodes g_k, its weight
-    and its mirror's, rho[nu, k] = sum_ab W_ab L_k(g_ab), and c[tau, nu] =
-    (rho[nu] G^R(g_k, tau)) @ E(g_k, :), in real arithmetic (``_node_sums``).
-    For a ``band`` B in g of G^R E over ts and taus (``DecoherenceParams.band``)
-    the nodes are uniform, spaced pi / (c B), and L is P-point Lagrange
-    interpolation, whose error grows as (pi / c)^P at the band's edge: P = 20
-    and c = 6 hold the sums within about 1e-13 of the largest.  With no band,
-    or where those would outnumber the ordered pairs (``grid_nodes``), the
+    Every pair of the slab is spread onto gap nodes g_k, rho[nu, k] =
+    sum_ab W_ab L_k(g_ab), and c[tau, nu] = (rho[nu] G^R(g_k, tau)) @
+    E(g_k, :), in real arithmetic (``_node_sums``).  For a ``band`` B in g
+    of G^R E over ts and taus (``DecoherenceParams.band``) the nodes are
+    uniform, spaced pi / (c B), and L is P-point Lagrange interpolation,
+    whose error grows as (pi / c)^P at the band's edge: P = 20 and c = 6
+    hold the sums within about 1e-13 of the largest.  With no band, or
+    where those would outnumber the ordered pairs (``grid_nodes``), the
     nodes are the gaps themselves and L the identity, which is exact.  Both
-    sets are symmetric about 0, so a pair a <= b and its mirror (b, a) share
-    one stencil, reversed in the flat (order, node) layout, and E is built on
-    the nodes g >= 0 only, as its real and imaginary parts.
+    sets are symmetric about 0, and E is built on the nodes g >= 0 only.
 
-    Pairs are spread in chunks of rows of about GRID_CHUNK_BYTES (``_chunks``),
-    all stencil offsets of a chunk in one ``np.bincount`` per part, so
-    repeated calls are bit-identical.  One work array, made once per call,
-    holds a chunk's (P, pairs) weights, node indices and weighted values and
-    then a group of taus' scaled operand and product.
+    The eigenbasis is in m-block order: the pairs of blocks x <= y, A and B,
+    are the slice W[A, B] of order x - y and gaps zeta[B] - zeta[A, None],
+    and its mirror W[B, A].T (none if x = y) of order y - x takes the stencils
+    reversed.  Rows of A go in slices of about GRID_CHUNK_BYTES (``_slices``)
+    by one ``np.bincount`` per order and part, so calls are bit-identical,
+    through one work array made per call: a slice's (P, pairs) weights, node
+    indices and weighted values, then a group of taus' operand and product.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
-    n_spins, dim = eig.reg.n_spins, eig.dim
-    n_orders = 2 * n_spins + 1
+    n_spins, n_orders = eig.reg.n_spins, 2 * eig.reg.n_spins + 1
     nodes, h = grid_nodes(eig.zeta, band)
     if h is None:
         nodes = distinct(np.subtract.outer(eig.zeta, eig.zeta))
-    below = nodes.size // 2  # the nodes g < 0, mirrors of the last of the nodes g >= 0
-    half = nodes[below:]
+    half = nodes[nodes.size // 2:]  # the nodes g >= 0; the rest mirror them
     e = np.empty((2, half.size, ts.size))
     step = max(1, GRID_CHUNK_BYTES // (256 * ts.size))  # a sixteenth of it per array
     for lo in range(0, half.size, step):
         block = time_factors(half[lo:lo + step], ts)
         e[0, lo:lo + step], e[1, lo:lo + step] = block.real, block.imag
         del block
-    size = n_orders * nodes.size
-    rho = np.zeros(size, dtype=complex)
-    cuts, ends, most = _chunks(dim)
+    rho = np.zeros((n_orders, nodes.size), dtype=complex)
+    walk, most = _slices(eig.blocks)
     rows = 1 if h is None else STENCIL
     work = np.empty(max(3 * rows * most, _product_floats(n_orders, half.size, ts.size, taus.size)))
-    offsets = np.arange(rows)[:, None]
-    for lo, hi in zip(cuts, ends):
-        a, b = np.triu_indices(hi - lo, lo, dim)  # rows lo:hi, b >= a
-        a += lo
-        span = rows * a.size
-        lagrange, spread = work[:span].reshape(rows, -1), work[span:2 * span].reshape(rows, -1)
-        index = work[2 * span:3 * span].view(np.intp)
-        first = _stencils(eig.zeta[b] - eig.zeta[a], nodes, h, lagrange)[0]
-        first += (np.rint(eig.m[b] - eig.m[a]).astype(np.intp) + n_spins) * nodes.size
-        np.add(first, offsets, out=index.reshape(rows, -1))
-        for w in (weights[a, b], weights[b, a] * (a != b)):  # the diagonal counts once
+    for nu, a, b in walk:
+        gaps = (eig.zeta[b] - eig.zeta[a, None]).ravel()
+        lagrange, spread, index = work[:3 * rows * gaps.size].reshape(3, rows, -1)
+        index = index.view(np.intp)
+        np.add(_stencils(gaps, nodes, h, lagrange)[0], np.arange(rows)[:, None], out=index)
+        for order, w in ((nu, weights[a, b]), (-nu, weights[b, a].T))[:1 + (nu != 0)]:
             for part, values in ((rho.real, w.real), (rho.imag, w.imag)):
-                part += np.bincount(index, np.multiply(lagrange, values, out=spread).ravel(),
-                                    size)
-            np.subtract(size - 1, index, out=index)  # the mirror's (-nu, -g)
-        del a, b, first, w  # before the next chunk makes its own
-    return _node_sums(rho.reshape(n_orders, -1), e, g_irreversible(half[None], taus[:, None]),
-                      work)
+                np.multiply(lagrange, values.ravel(), out=spread)
+                part[n_spins + order] += np.bincount(index.ravel(), spread.ravel(), nodes.size)
+            np.subtract(nodes.size - 1, index, out=index)  # the mirror's -g
+    return _node_sums(rho, e, g_irreversible(half[None], taus[:, None]), work)
 
 
 def _product_floats(n_orders: int, n_half: int, n_t: int, n_tau: int) -> int:
@@ -381,10 +372,11 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     # sums and numpy's cast buffers throughout; in the kernel the weights, on
     # the nodes (the uniform set's, or as many as the ordered pairs) the
     # spread weights and the product's left operand, on the nodes g >= 0 E's
-    # parts and G^R, and the larger of a block of E with q's own and the
-    # work array (``_chunks``, ``_product_floats``, taken with P rows) with,
-    # while a chunk is spread, its 12 scalars per pair and a bincount's
-    # output; or, in ``phase_encode``, the signal grid and a copy of the sums
+    # parts and G^R, and the larger of a block of E with q's own and the work
+    # array (P rows of the largest slice, ``_slices``, or ``_product_floats``)
+    # with a slice's gaps, stencil temporaries and weight part (12 scalars a
+    # pair at most) and one order's bincount (a float a node); or, in
+    # ``phase_encode``, the signal grid and a copy of the sums
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders, n_t = len(grid.taus), 2 * n_spins + 1, grid.n_t
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
@@ -393,11 +385,10 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     del uniform  # the gate reads its size; the kernel makes its own
     half = nodes // 2 + 1
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * n_t))) * n_t  # a block of E
-    most = _chunks(eig.dim)[2]
+    most = _slices(eig.blocks)[1]
     work = max(3 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
     kernel = (dim2 + n_orders * (nodes + 2 * half) + half * (2 * n_t + n_tau) // 2
-              + max(work + 6 * most + nodes * n_orders // 2,
-                    4 * points + params.omdf.q_values(points)))
+              + max(work + 6 * most + nodes // 2, 4 * points + params.omdf.q_values(points)))
     sum_values = n_t * n_tau * n_orders
     check_grid_memory(run_values(eig, acquisition, dim2 + sum_values + 2 * np.getbufsize()
                                  + max(kernel, grid.n_phi * n_t * n_tau + sum_values)))

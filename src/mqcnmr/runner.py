@@ -170,14 +170,26 @@ def simulate(cfg: RunConfig, out_dir=None, eig: EigenSystem | None = None) -> di
                          "signals_meta.json": _json_writer(grid.metadata())})
 
 
+def _stage_npy(path: Path, stage: str, fits) -> np.ndarray:
+    """The numeric array that ``stage`` wrote to ``path``, of a shape that ``fits``."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError):
+        data = None
+    if not (isinstance(data, np.ndarray) and data.dtype.kind in "biufc" and fits(data.shape)):
+        raise ConfigError(f"{path} is not the array that the {stage} stage writes beside "
+                          f"{path.stem}_meta.json; rerun the {stage} stage")
+    return data
+
+
 def load_signals(run_dir) -> SignalGrid:
-    run_dir = Path(run_dir)
-    sig_path = run_dir / "signals.npy"
-    meta_path = run_dir / "signals_meta.json"
+    sig_path, meta_path = Path(run_dir, "signals.npy"), Path(run_dir, "signals_meta.json")
     if not sig_path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} does not contain signals.npy + signals_meta.json")
     meta = _stage_json(meta_path, "simulate", ("dt", "t_p", "t_m", "window"), ("taus",))
-    return SignalGrid(data=np.load(sig_path), dt=meta["dt"],
+    data = _stage_npy(sig_path, "simulate",
+                      lambda shape: len(shape) == 3 and shape[2] == len(meta["taus"]))
+    return SignalGrid(data=data, dt=meta["dt"],
                       taus=np.asarray(meta["taus"]), t_p=meta["t_p"],
                       t_m=meta["t_m"], window=meta["window"])
 
@@ -217,17 +229,13 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
 
 def load_spectra(run_dir) -> CoherenceSpectrum:
     """The spectrum spectra_stage wrote to ``spectra.npy`` + ``spectra_meta.json``."""
-    run_dir = Path(run_dir)
-    path, meta_path = run_dir / "spectra.npy", run_dir / "spectra_meta.json"
+    path, meta_path = Path(run_dir, "spectra.npy"), Path(run_dir, "spectra_meta.json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
                           "rerun the spectra stage")
     meta = _stage_json(meta_path, "spectra", lists=("taus", "mu", "freqs_hz"))
-    data = np.load(path)
     axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
-    if data.shape != tuple(axis.size for axis in axes):
-        raise ConfigError(f"{path} has shape {data.shape}, not that of the axes in "
-                          f"{meta_path.name}; rerun the spectra stage")
+    data = _stage_npy(path, "spectra", lambda shape: shape == tuple(axis.size for axis in axes))
     return CoherenceSpectrum(data=data, mu=axes[1], freqs_hz=axes[2], taus=axes[0], meta=meta)
 
 

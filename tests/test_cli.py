@@ -302,14 +302,27 @@ def test_huge_tau_count_exits_2_before_the_schedule_is_built(tmp_path, capsys):
      ["spectra"], "simulate"),
     ("signals_meta.json", '{"dt": 2e-6, "taus": "abc", "t_p": 0.0, "t_m": 0.0, "window": 0.0}',
      ["spectra"], "simulate"),
+    # the run's signals are 8 phases by 64 times by 4 taus
+    ("signals.npy", np.zeros((8, 64, 3), dtype=complex), ["spectra"], "simulate"),
+    ("signals.npy", np.zeros((8, 64), dtype=complex), ["spectra"], "simulate"),
+    ("signals.npy", np.full((8, 64, 4), "x"), ["spectra"], "simulate"),
+    ("signals.npy", "not an array", ["spectra"], "simulate"),
+    ("signals.npy", "", ["spectra"], "simulate"),
+    ("spectra.npy", "not an array", ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
 ], ids=["signals_meta_not_json", "signals_meta_without_dt", "spectra_meta_not_json",
-        "manifest_simulate_not_json", "signals_meta_dt_string", "signals_meta_taus_string"])
+        "manifest_simulate_not_json", "signals_meta_dt_string", "signals_meta_taus_string",
+        "signals_of_three_taus_not_four", "signals_two_dimensional", "signals_strings",
+        "signals_not_npy", "signals_empty", "spectra_not_npy"])
 def test_damaged_stage_file_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
                                                                  two_spin_run, name, text,
                                                                  argv, rerun):
+    # the stage writes no output file: every file keeps its bytes
     run = tmp_path / "run"
     shutil.copytree(two_spin_run, run)
-    (run / name).write_text(text)
+    if isinstance(text, str):
+        (run / name).write_text(text)
+    else:
+        np.save(run / name, text)
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     err = assert_configuration_error(capsys, [argv[0], str(run), *argv[1:]], name)
     assert f"rerun the {rerun} stage" in err

@@ -277,6 +277,23 @@ def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
     assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_open_engine_in_its_closed_limit_is_the_closed_engine(n):
+    # sigma_cl = 1e-6 and a Gaussian OMDF of width 1e-9 leave G^R and G^T at 1
+    # far below the bound, so the open run is the closed run with no block on
+    # the same eigensystem: the two kernels share nothing after
+    # ``kernel_inputs``, and from N = 8 up no oracle checks the open kernel's
+    # block-pair walk
+    _, eig = make_system(n, 0)
+    grid = ExperimentGrid(t_p=4.75e-5, n_t=64, dt=2e-6, n_phi=2 * n + 2,
+                          taus=(0.0, 1e-5, 2e-5))
+    acq = AcquisitionSpec(t_m=4e-6, window=2e-6)
+    params = DecoherenceParams(sigma_cl=1e-6, omdf=GaussianOMDF(1e-9))
+    closed = sequence.run_grid(eig, grid, acquisition=acq).data
+    open_ = run_grid_open(eig, grid, params, acquisition=acq).data
+    assert np.max(np.abs(open_ - closed)) <= 1e-12 * np.max(np.abs(closed))
+
+
 def test_open_memory_gate_runs_before_any_work(monkeypatch):
     reg, eig = make_system(3, 1)
     params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.05))
