@@ -47,11 +47,12 @@ QUADRATURE_BLOCK_BYTES = 4 << 20
 # The gap grid: P-point Lagrange interpolation between nodes pi / (c B) apart for
 # a band B; the byte budget of its transients (a slice of pairs being spread, a
 # block of E with its temporaries, or a group of taus' product with its operand);
-# the bytes of one pair of a slice (P weights, their nodes and values, 12 scalars).
+# the bytes of one pair of a slice (P weights, their nodes and products, 6 scalars).
 STENCIL = 20
 OVERSAMPLING = 6.0
 GRID_CHUNK_BYTES = 4 << 20
-_PAIR_BYTES = 8 * (3 * STENCIL + 12)
+_PAIR_BYTES = 8 * (4 * STENCIL + 6)
+_SIGNS = np.array([(-1) ** j * comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
 
 # The band of a Gaussian spectrum of deviation s is M s, M = ((P-1)!!)^(1/P) = 2.77:
 # the error grows as frequency^P, whose mean there is (M s)^P, as on a flat band to M s.
@@ -229,9 +230,8 @@ def _stencils(gaps: np.ndarray, nodes: np.ndarray, h, d: np.ndarray) -> tuple:
     first = whole.astype(np.intp) + (nodes.size // 2 - STENCIL // 2 + 1)
     at = x - whole + (STENCIL // 2 - 1)  # in [P/2 - 1, P/2]: the gap's place in its stencil
     np.subtract(at, np.arange(STENCIL)[:, None], out=d)
-    signs = np.array([(-1) ** j * comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(signs[:, None], d, out=d)
+        np.divide(_SIGNS[:, None], d, out=d)
         d /= d.sum(axis=0)
     on_node = at == np.rint(at)
     d[:, on_node] = np.arange(STENCIL)[:, None] == at[on_node]
@@ -239,15 +239,15 @@ def _stencils(gaps: np.ndarray, nodes: np.ndarray, h, d: np.ndarray) -> tuple:
 
 
 def _slices(blocks) -> tuple:
-    """([(x - y, rows of A, columns of B)], most pairs) for m blocks x <= y of
-    ``blocks``: rows by GRID_CHUNK_BYTES / _PAIR_BYTES pairs, a row at least."""
-    spans, step, walk = [cols for _, cols, _ in blocks], GRID_CHUNK_BYTES // _PAIR_BYTES, []
-    for x, a in enumerate(spans):
-        for y, b in enumerate(spans[x:], x):
-            rows = max(1, step // (b.stop - b.start))
-            walk += [(x - y, slice(lo, min(lo + rows, a.stop)), b)
-                     for lo in range(a.start, a.stop, rows)]
-    return walk, max((a.stop - a.start) * (b.stop - b.start) for _, a, b in walk)
+    """(an iterator of (x - y, rows of A, columns of B), most pairs) for m blocks
+    x <= y of ``blocks``: rows by GRID_CHUNK_BYTES / _PAIR_BYTES pairs, a row at
+    least, one at a time (a list's tuples, freed, stay in CPython's free list)."""
+    spans, step = [cols for _, cols, _ in blocks], GRID_CHUNK_BYTES // _PAIR_BYTES
+    pairs = [(x - y, a, b, max(1, step // (b.stop - b.start)))
+             for x, a in enumerate(spans) for y, b in enumerate(spans[x:], x)]
+    return (((nu, slice(lo, min(lo + rows, a.stop)), b) for nu, a, b, rows in pairs
+             for lo in range(a.start, a.stop, rows)),
+            max(min(rows, a.stop - a.start) * (b.stop - b.start) for _, a, b, rows in pairs))
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus: np.ndarray,
@@ -275,10 +275,10 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     The eigenbasis is in m-block order: the pairs of blocks x <= y, A and B,
     are the slice W[A, B] of order x - y and gaps zeta[B] - zeta[A, None],
     and its mirror W[B, A].T (none if x = y) of order y - x takes the stencils
-    reversed.  Rows of A go in slices of about GRID_CHUNK_BYTES (``_slices``)
-    by one ``np.bincount`` per order and part, so calls are bit-identical,
-    through one work array made per call: a slice's (P, pairs) weights, node
-    indices and weighted values, then a group of taus' operand and product.
+    reversed.  Rows of A go in slices of about GRID_CHUNK_BYTES (``_slices``),
+    each order's by one ``np.add.at`` into a zeroed row in element order, so
+    calls are bit-identical, through one work array made per call: a slice's
+    (P, pairs) weights, node indices and complex products, then a tau group's.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     n_spins, n_orders = eig.reg.n_spins, 2 * eig.reg.n_spins + 1
@@ -295,16 +295,17 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     rho = np.zeros((n_orders, nodes.size), dtype=complex)
     walk, most = _slices(eig.blocks)
     rows = 1 if h is None else STENCIL
-    work = np.empty(max(3 * rows * most, _product_floats(n_orders, half.size, ts.size, taus.size)))
+    work = np.empty(max(4 * rows * most, _product_floats(n_orders, half.size, ts.size, taus.size)))
     for nu, a, b in walk:
         gaps = (eig.zeta[b] - eig.zeta[a, None]).ravel()
-        lagrange, spread, index = work[:3 * rows * gaps.size].reshape(3, rows, -1)
-        index = index.view(np.intp)
+        lagrange, index = work[:2 * rows * gaps.size].reshape(2, rows, -1)
+        index, values = index.view(np.intp), work[2 * index.size:4 * index.size].view(complex)
         np.add(_stencils(gaps, nodes, h, lagrange)[0], np.arange(rows)[:, None], out=index)
         for order, w in ((nu, weights[a, b]), (-nu, weights[b, a].T))[:1 + (nu != 0)]:
-            for part, values in ((rho.real, w.real), (rho.imag, w.imag)):
-                np.multiply(lagrange, values.ravel(), out=spread)
-                part[n_spins + order] += np.bincount(index.ravel(), spread.ravel(), nodes.size)
+            np.multiply(lagrange, w.ravel(), out=values.reshape(rows, -1))
+            spread = np.zeros(nodes.size, dtype=complex)
+            np.add.at(spread, index.ravel(), values)  # a 1-D index: numpy's fast path
+            rho[n_spins + order] += spread
             np.subtract(nodes.size - 1, index, out=index)  # the mirror's -g
     return _node_sums(rho, e, g_irreversible(half[None], taus[:, None]), work)
 
@@ -373,22 +374,20 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     # the nodes (the uniform set's, or as many as the ordered pairs) the
     # spread weights and the product's left operand, on the nodes g >= 0 E's
     # parts and G^R, and the larger of a block of E with q's own and the work
-    # array (P rows of the largest slice, ``_slices``, or ``_product_floats``)
-    # with a slice's gaps, stencil temporaries and weight part (12 scalars a
-    # pair at most) and one order's bincount (a float a node); or, in
-    # ``phase_encode``, the signal grid and a copy of the sums
+    # array (the largest slice's, ``_slices``, or ``_product_floats``) with
+    # the slice's other 6 scalars a pair (``_PAIR_BYTES``) and a zeroed row;
+    # or, in ``phase_encode``, the signal grid and a copy of the sums
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders, n_t = len(grid.taus), 2 * n_spins + 1, grid.n_t
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
-    uniform = grid_nodes(eig.zeta, band)[0]
-    nodes = dim2 if uniform is None else uniform.size
-    del uniform  # the gate reads its size; the kernel makes its own
+    nodes = grid_nodes(eig.zeta, band)[0]  # the gate reads its size; the kernel makes its own
+    nodes = dim2 if nodes is None else nodes.size
     half = nodes // 2 + 1
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * n_t))) * n_t  # a block of E
     most = _slices(eig.blocks)[1]
-    work = max(3 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
+    work = max(4 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
     kernel = (dim2 + n_orders * (nodes + 2 * half) + half * (2 * n_t + n_tau) // 2
-              + max(work + 6 * most + nodes // 2, 4 * points + params.omdf.q_values(points)))
+              + max(work + 3 * most + nodes, 4 * points + params.omdf.q_values(points)))
     sum_values = n_t * n_tau * n_orders
     check_grid_memory(run_values(eig, acquisition, dim2 + sum_values + 2 * np.getbufsize()
                                  + max(kernel, grid.n_phi * n_t * n_tau + sum_values)))

@@ -151,8 +151,12 @@ def simulate(cfg: RunConfig, out_dir=None, eig: EigenSystem | None = None) -> di
     ``eig`` is the eigensystem of ``cfg.molecule`` when the caller holds it
     (``build_eigensystem(cfg)``); it is built here when None.  The run
     directory is made only once the engine has returned, so a grid that its
-    memory gate refuses leaves none behind.
+    memory gate refuses leaves none behind.  A config with a ``sweep``
+    section is refused: it would run the base values alone.
     """
+    if "sweep" in cfg.raw:
+        raise ConfigError("the config has a sweep section, which simulate would ignore; "
+                          "run it with `mqcnmr sweep`")
     t0 = time.monotonic()
     out = Path(out_dir or cfg.output_dir)
     if eig is None:

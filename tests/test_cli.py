@@ -650,6 +650,20 @@ def test_sweep_cli_with_preset_config(tmp_path):
     assert len(list((tmp_path / "out").iterdir())) == 2
 
 
+def test_simulate_refuses_a_sweep_config(tmp_path, capsys):
+    # simulate would run the base values alone and ignore sweep.parameters;
+    # it exits 2 and writes nothing (``mqcnmr sweep`` runs such a config)
+    doc = tiny_doc()
+    doc["sweep"] = {"parameters": {"sequence.t_p": [0.0, 2e-5]}}
+    cfg_path = write_config(tmp_path, doc)
+    for args in ([str(cfg_path)], ["--preset", "nonideality_sweep"]):
+        out = tmp_path / "simulated"
+        assert main(["simulate", *args, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "mqcnmr sweep" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_cli_preset_simulate(tmp_path):
     assert main(["simulate", "--preset", "two_spin_ms",
                  "--output", str(tmp_path / "preset_run")]) == 0

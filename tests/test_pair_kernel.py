@@ -256,7 +256,8 @@ def test_real_node_product_matches_the_complex_product(family, seed):
 
 
 def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
-    # uniform nodes (N = 6, times as in the benchmark's open run); a spreading
+    # N = 6, times as in the benchmark's open run, on uniform nodes and on the
+    # gaps themselves (no band, the path of open_demo's few pairs); a spreading
     # budget of 40 pairs makes every order span many chunks, and each call
     # under it gives the same bits, within rounding of the one-chunk sums
     reg, eig = make_system(6, 3)
@@ -265,16 +266,17 @@ def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
     weights = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     params = DecoherenceParams(sigma_cl=2.5e5, omdf=make_omdf("tabulated", 0.05))
     ts, taus = 2e-6 * np.arange(64), 1e-5 * np.arange(6)
-    band = params.band(ts, taus, eig.order_parameter)
     factors = (partial(params.omdf.time_factors, s_zz=eig.order_parameter),
-               partial(g_irreversible, params=params), band)
-    assert opensystem.grid_nodes(eig.zeta, band)[1]
+               partial(g_irreversible, params=params))
     assert opensystem._PAIR_BYTES * reg.dim ** 2 < opensystem.GRID_CHUNK_BYTES  # one chunk
-    whole = pair_order_sums(weights, eig, ts, taus, *factors)
-    monkeypatch.setattr(opensystem, "GRID_CHUNK_BYTES", 40 * opensystem._PAIR_BYTES)
-    runs = [pair_order_sums(weights, eig, ts, taus, *factors) for _ in range(3)]
-    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
-    assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
+    for band in (params.band(ts, taus, eig.order_parameter), None):
+        assert (opensystem.grid_nodes(eig.zeta, band)[1] is None) == (band is None)
+        whole = pair_order_sums(weights, eig, ts, taus, *factors, band)
+        with monkeypatch.context() as patch:
+            patch.setattr(opensystem, "GRID_CHUNK_BYTES", 40 * opensystem._PAIR_BYTES)
+            runs = [pair_order_sums(weights, eig, ts, taus, *factors, band) for _ in range(3)]
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+        assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])

@@ -61,14 +61,21 @@ def test_negative_order_lands_on_negative_bin():
     assert abs(spec.data[0, i_mu, j_f] - grid.n_t) < 1e-9
 
 
-def test_parseval_relation():
-    rng = np.random.default_rng(0)
-    data = rng.normal(size=(8, 16, 3)) + 1j * rng.normal(size=(8, 16, 3))
-    grid = SignalGrid(data=data, dt=1e-6, taus=np.arange(3.0), t_p=0.0,
+@settings(max_examples=50, deadline=None)
+@given(n_phi=st.integers(1, 12), n_t=st.integers(1, 24), n_tau=st.integers(1, 4),
+       zero_pad=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_parseval_relation(n_phi, n_t, n_tau, zero_pad, seed):
+    # the phi transform divides by n_phi and the t transform runs over
+    # n_freq = zero_pad n_t points, so sum |spectrum|^2 = (n_freq / n_phi)
+    # sum |signal|^2 on any grid: the padding adds no energy
+    rng = np.random.default_rng(seed)
+    shape = (n_phi, n_t, n_tau)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid = SignalGrid(data=data, dt=1e-6, taus=np.arange(float(n_tau)), t_p=0.0,
                       t_m=0.0, window=0.0)
-    spec = fft2_coherence(grid)
+    spec = fft2_coherence(grid, zero_pad=zero_pad)
     lhs = np.sum(np.abs(spec.data) ** 2)
-    rhs = (16 / 8) * np.sum(np.abs(data) ** 2)
+    rhs = (zero_pad * n_t / n_phi) * np.sum(np.abs(data) ** 2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
