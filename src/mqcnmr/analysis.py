@@ -96,7 +96,8 @@ def fit_decay(curve: DecayCurve, model: str = "exponential") -> FitResult:
     ambiguous).
     """
     if curve.taus.size < 2:
-        raise MqcnmrError("need at least 2 points to fit")
+        raise FitDomainError(f"a decay fit needs at least 2 taus, got {curve.taus.size}; rerun "
+                             "simulate with 2 or more in sequence.tau_schedule, then spectra")
     tau = curve.taus
     y = curve.amplitudes
 

@@ -29,8 +29,8 @@ class GridSizeError(ConfigError):
     """Experiment grid exceeds the memory budget (CLI exit code 2)."""
 
 
-class FitDomainError(MqcnmrError):
-    """Decay data outside the domain of the requested fit model."""
+class FitDomainError(ConfigError):
+    """Decay data outside the domain of the requested fit model (CLI exit code 2)."""
 
 
 class UnsupportedGridError(ConfigError):

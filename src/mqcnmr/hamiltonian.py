@@ -164,7 +164,6 @@ class EigenSystem:
     Attributes:
         zeta: eigenvalues in rad/s with S_zz factored out,
             H = V diag(S_zz * zeta) V^dagger.
-        m: total-I_z quantum number of each eigenvector, non-increasing.
         blocks: (rows, cols, V_m) of each total m, in descending m: every
             eigenvector has a definite m, so V is zero outside the blocks
             V_m = V[rows, cols] that join the product-basis states of that m
@@ -178,7 +177,6 @@ class EigenSystem:
     """
 
     zeta: np.ndarray
-    m: np.ndarray
     blocks: tuple
     order_parameter: float
 
@@ -318,7 +316,5 @@ def eigendecompose(blocks, order_parameter: float = 1.0) -> EigenSystem:
         col += rows.size
     scale = order_parameter if order_parameter != 0.0 else 1.0
     zeta = np.concatenate(zeta) / scale
-    m = m_basis[np.concatenate([rows for rows, _, _ in eig_blocks])]
-    for arr in (zeta, m):
-        arr.flags.writeable = False
-    return EigenSystem(zeta=zeta, m=m, blocks=tuple(eig_blocks), order_parameter=order_parameter)
+    zeta.flags.writeable = False
+    return EigenSystem(zeta=zeta, blocks=tuple(eig_blocks), order_parameter=order_parameter)

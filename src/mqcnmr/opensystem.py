@@ -79,8 +79,6 @@ class GaussianOMDF(_OMDF):
     q(x) = exp(-w^2 x^2 / 2), so G^T is Gaussian in t.
     """
 
-    family = "gaussian"
-
     def __init__(self, width: float):
         if width <= 0:
             raise ConfigError(f"OMDF width must be positive, got {width}")
@@ -103,8 +101,6 @@ class TabulatedOMDF(_OMDF):
     cos(x u) w + i sin(x u) w, in blocks of x of at most
     QUADRATURE_BLOCK_BYTES of phases and their cosines or sines.
     """
-
-    family = "tabulated"
 
     def __init__(self, u: np.ndarray, p: np.ndarray):
         u = np.asarray(u, dtype=float)
@@ -191,10 +187,12 @@ class DecoherenceParams:
 
 
 def g_irreversible(dzeta, tau, params: DecoherenceParams):
-    """Irreversible decoherence factor exp(-dzeta^2 sigma^2 tau^4 / [8(kappa+1)^2])."""
-    dz = np.asarray(dzeta, dtype=float)
-    return np.exp(-(dz * params.sigma_cl) ** 2 * np.asarray(tau, dtype=float) ** 4
-                  / (8.0 * (params.kappa + 1.0) ** 2))
+    """Irreversible decoherence factor exp(-dzeta^2 sigma^2 tau^4 / [8(kappa+1)^2]),
+    built in one array of the broadcast shape (the sign on the divisor changes no bit)."""
+    x = np.asarray((np.asarray(dzeta, dtype=float) * params.sigma_cl) ** 2
+                   * np.asarray(tau, dtype=float) ** 4)
+    x /= -8.0 * (params.kappa + 1.0) ** 2
+    return np.exp(x, out=x)[()]
 
 
 def prepare_reduced_state(eig: EigenSystem, t_p: float) -> np.ndarray:
@@ -252,8 +250,9 @@ def _slices(blocks) -> tuple:
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus: np.ndarray,
                     time_factors, g_irreversible, band=None) -> np.ndarray:
-    """c[tau, nu + N, t] = sum over pairs of order nu of W G^R E, for one
-    (2^N, 2^N) slab W of pair weights shared by every tau, on a grid of gaps.
+    """c[nu + N, t, tau] = sum over pairs of order nu of W G^R E, shape
+    (2N + 1, n_t, n_tau), for one (2^N, 2^N) slab W of pair weights shared by
+    every tau, on a grid of gaps.
 
     Pair (a, b) has order nu = m_b - m_a, gap g = zeta_b - zeta_a and the term
     weights[a, b] G^R(g, tau) E(g, t), with E = ``time_factors(gaps, ts)`` =
@@ -262,7 +261,7 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     conj(G^T(g, t)), and G^R is real and even in g.
 
     Every pair of the slab is spread onto gap nodes g_k, rho[nu, k] =
-    sum_ab W_ab L_k(g_ab), and c[tau, nu] = (rho[nu] G^R(g_k, tau)) @
+    sum_ab W_ab L_k(g_ab), and c[nu, :, tau] = (rho[nu] G^R(g_k, tau)) @
     E(g_k, :), in real arithmetic (``_node_sums``).  For a ``band`` B in g
     of G^R E over ts and taus (``DecoherenceParams.band``) the nodes are
     uniform, spaced pi / (c B), and L is P-point Lagrange interpolation,
@@ -319,11 +318,12 @@ def _product_floats(n_orders: int, n_half: int, n_t: int, n_tau: int) -> int:
 
 
 def _node_sums(rho: np.ndarray, e: np.ndarray, g_r: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """c[tau] = sum over the nodes g_k of rho[:, k] G^R(g_k, tau) E(g_k, :),
-    for the (orders, nodes) spread weights ``rho`` on nodes symmetric about
-    0, ``e`` = [Re E; Im E] on the nodes g >= 0 and ``g_r`` (taus, nodes
-    g >= 0), in real arithmetic, in groups of as many taus as fit the float
-    array ``work`` (at least one).
+    """c[:, :, tau] = sum over the nodes g_k of rho[:, k] G^R(g_k, tau)
+    E(g_k, :), shape (orders, n_t, taus), for the (orders, nodes) spread
+    weights ``rho`` on nodes symmetric about 0, ``e`` = [Re E; Im E] on the
+    nodes g >= 0 and ``g_r`` (taus, nodes g >= 0), in real arithmetic, in
+    groups of as many taus as fit the float array ``work`` (at least one),
+    each group's product written into its taus ``c[..., lo:lo + k]``.
 
     With E(-g) = conj(E(g)), A = rho at g >= 0 and B = conj(rho at -g) (0
     at g = 0, counted once), c = A E + conj(B E): Re c = [Re(A + B),
@@ -335,23 +335,23 @@ def _node_sums(rho: np.ndarray, e: np.ndarray, g_r: np.ndarray, work: np.ndarray
     below, rows = rho.shape[1] - n_half, 2 * n_orders
     a, mirrored = rho[:, below:], rho[:, :below][:, ::-1]  # mirrored: at -g for g > 0
     left = np.empty((2, n_orders, 2, n_half))
-    left[0, :, 0], left[0, :, 1] = a.real, -a.imag
-    left[1, :, 0], left[1, :, 1] = a.imag, a.real
+    left[0, :, 0], left[1, :, 0], left[1, :, 1] = a.real, a.imag, a.real
+    np.negative(a.imag, out=left[0, :, 1])  # no temporary beside G^R and ``left``
     left[0, :, 0, 1:] += mirrored.real
     left[0, :, 1, 1:] += mirrored.imag
     left[1, :, 0, 1:] += mirrored.imag
     left[1, :, 1, 1:] -= mirrored.real
     del a, mirrored
     group = work.size // (rows * (2 * n_half + n_t))
-    c = np.empty((n_tau, n_orders, n_t), dtype=complex)
+    c = np.empty((n_orders, n_t, n_tau), dtype=complex)
     for lo in range(0, n_tau, group):
         k = min(group, n_tau - lo)
         x = work[:k * rows * 2 * n_half].reshape(k, 2, n_orders, 2, n_half)
         y = work[x.size:x.size + k * rows * n_t].reshape(k * rows, n_t)
         np.multiply(left, g_r[lo:lo + k, None, None, None], out=x)
         np.matmul(x.reshape(k * rows, 2 * n_half), e.reshape(2 * n_half, n_t), out=y)
-        y = y.reshape(k, 2, n_orders, n_t)
-        c.real[lo:lo + k], c.imag[lo:lo + k] = y[:, 0], y[:, 1]
+        y = y.reshape(k, 2, n_orders, n_t).transpose(1, 2, 3, 0)
+        c.real[..., lo:lo + k], c.imag[..., lo:lo + k] = y
     return c
 
 
@@ -368,15 +368,14 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     state.  The working set is estimated and gated
     (``sequence.check_grid_memory``) before anything is allocated.
     """
-    # what this engine holds after the setup, which ``run_values`` charges
-    # with the rest that both engines share: the detection matrix, the order
-    # sums and numpy's cast buffers throughout; in the kernel the weights, on
-    # the nodes (the uniform set's, or as many as the ordered pairs) the
-    # spread weights and the product's left operand, on the nodes g >= 0 E's
-    # parts and G^R, and the larger of a block of E with q's own and the work
-    # array (the largest slice's, ``_slices``, or ``_product_floats``) with
-    # the slice's other 6 scalars a pair (``_PAIR_BYTES``) and a zeroed row;
-    # or, in ``phase_encode``, the signal grid and a copy of the sums
+    # beside what ``run_values`` charges for both engines: numpy's cast
+    # buffers throughout, and the kernel: the weights and E's parts on the
+    # nodes g >= 0, with the larger of its two phases.  While E is built, a
+    # block of it with q's own; then the spread weights on the nodes (the
+    # uniform set's, or as many as the ordered pairs) and the work array
+    # (the largest slice's, ``_slices``, or ``_product_floats``), with the
+    # larger of a slice's other 6 scalars a pair (``_PAIR_BYTES``) and its
+    # zeroed row, or G^R on the nodes g >= 0 and the product's left operand
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders, n_t = len(grid.taus), 2 * n_spins + 1, grid.n_t
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
@@ -386,11 +385,10 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * n_t))) * n_t  # a block of E
     most = _slices(eig.blocks)[1]
     work = max(4 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
-    kernel = (dim2 + n_orders * (nodes + 2 * half) + half * (2 * n_t + n_tau) // 2
-              + max(work + 3 * most + nodes, 4 * points + params.omdf.q_values(points)))
-    sum_values = n_t * n_tau * n_orders
-    check_grid_memory(run_values(eig, acquisition, dim2 + sum_values + 2 * np.getbufsize()
-                                 + max(kernel, grid.n_phi * n_t * n_tau + sum_values)))
+    spread = n_orders * nodes + work + max(3 * most + nodes,
+                                           half * n_tau // 2 + 2 * n_orders * half)
+    kernel = dim2 + half * n_t + max(4 * points + params.omdf.q_values(points), spread)
+    check_grid_memory(run_values(eig, grid, acquisition, 2 * np.getbufsize(), kernel))
     acquisition, state, det = kernel_inputs(eig, grid.t_p, acquisition)
     sums = pair_order_sums(det * state.T, eig, grid.ts, grid.taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),

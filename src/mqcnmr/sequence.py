@@ -341,14 +341,18 @@ def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | N
     return acquisition, state, detection_matrix(eig, acquisition.t_m, acquisition.window)
 
 
-def run_values(eig: EigenSystem, acquisition: AcquisitionSpec | None,
-               engine_values: int) -> int:
-    """The most complex values a run holds at once, for an engine that holds
-    at most ``engine_values`` beside these once ``kernel_inputs`` returns.
+def run_values(eig: EigenSystem, grid: ExperimentGrid, acquisition: AcquisitionSpec | None,
+               held: int, working: int) -> int:
+    """The most complex values a run on ``grid`` holds at once, for an engine
+    that holds ``held`` values throughout and at most ``working`` more beside
+    them once ``kernel_inputs`` returns.
 
     Throughout: I_+'s blocks and the MREV-8 cycle that ``eig`` holds, and the
-    prepared state in the eigenbasis.  Beside them, never at once, the
-    engine's values or the setup: the default acquisition's scan (when
+    prepared state in the eigenbasis.  Beside them, never at once, the setup
+    or what both engines hold after it: the detection matrix, the order sums
+    (2N + 1, n_t, n_tau) and ``held``, with the larger of ``working`` and
+    the (n_phi, n_t, n_tau) signal grid that ``phase_encode`` makes from the
+    sums where they lie.  The setup is the default acquisition's scan (when
     ``acquisition`` is None) beside the product-basis state, that is the
     scanned state with the read pulse's second product, or with the scan's
     phases and their transients; or the build of a 2^N x 2^N result from its
@@ -356,17 +360,18 @@ def run_values(eig: EigenSystem, acquisition: AcquisitionSpec | None,
     with the halves and the larger one's conjugate, or a basis change's two
     reordered copies.
     """
-    n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
+    n_spins, dim2, points = eig.reg.n_spins, eig.dim ** 2, grid.n_t * len(grid.taus)
     scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * eig.dim)
     build = 3 * dim2 + 4 ** (n_spins // 2) + 2 * 4 ** (n_spins - n_spins // 2)
+    engine = dim2 + (2 * n_spins + 1) * points + held + max(working, grid.n_phi * points)
     return (comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
-            + max(scan, build, engine_values))
+            + max(scan, build, engine))
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, p: np.ndarray) -> np.ndarray:
     """c[nu + N, t] = sum over pairs (a, b) of order nu = m_b - m_a of W[a, b]
-    exp(-i S_zz (zeta_b - zeta_a) t), for one (2^N, 2^N) slab W of pair weights
-    and the phases ``p = eig.phases(ts)``.
+    exp(-i S_zz (zeta_b - zeta_a) t), shape (2N + 1, n_t), for one (2^N, 2^N)
+    slab W of pair weights and the phases ``p = eig.phases(ts)``.
 
     The phase is p_b conj(p_a).  The eigenbasis is in block order, so the
     rows A of one m block are a slice: conj(p[:, A]) W[A] times p, one GEMM
@@ -387,16 +392,16 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, p: np.ndarray) -> np.
 
 def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: AcquisitionSpec,
                  n_molecules: int = 1) -> SignalGrid:
-    """The signal n_molecules sum_nu exp(i nu phi) c[tau, nu + N, t] on the
-    (phi, t, tau) grid, from the order sums c[tau] of an engine's kernel.
+    """The signal n_molecules sum_nu exp(i nu phi) c[nu + N, t, tau] on the
+    (phi, t, tau) grid, from the (2N + 1, n_t, n_tau) order sums c of an
+    engine's kernel.
 
-    One GEMM: the (n_phi, 2N + 1) encoder times a copy of the sums laid out
-    as (2N + 1, n_t n_tau), whose product is the signal grid in C order.
+    One GEMM: the (n_phi, 2N + 1) encoder times the sums as they lie, a
+    (2N + 1, n_t n_tau) view, whose product is the signal grid in C order.
     """
-    n_tau, n_orders, n_t = sums.shape
+    n_orders, n_t, n_tau = sums.shape
     encoder = n_molecules * np.exp(1j * np.outer(grid.phis, np.arange(n_orders) - n_orders // 2))
-    by_order = np.ascontiguousarray(sums.transpose(1, 2, 0)).reshape(n_orders, n_t * n_tau)
-    data = (encoder @ by_order).reshape(len(encoder), n_t, n_tau)
+    data = (encoder @ sums.reshape(n_orders, n_t * n_tau)).reshape(len(encoder), n_t, n_tau)
     return SignalGrid(data=data, dt=grid.dt,
                       taus=np.asarray(grid.taus, dtype=float), t_p=grid.t_p,
                       t_m=acquisition.t_m, window=acquisition.window)
@@ -459,11 +464,12 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
     complex transverse signal.  ``kernel_inputs`` builds the prepared state
     and the detection matrix once.  Each tau's block carries the prepared state
     (``block_states``) into one slab of pair weights (``_tau_slab``), which
-    ``pair_order_sums`` turns into that tau's order sums, on phases built
-    once for the run, before the next tau's block runs; free evolution and
-    the phi dependence are applied analytically in the H eigenbasis there
-    and in ``phase_encode``, which is exactly equivalent to propagating
-    every grid point through the compiled pulse chain.
+    ``pair_order_sums`` turns into that tau's column of the order sums
+    (2N + 1, n_t, n_tau), on phases built once for the run, before the next
+    tau's block runs; free evolution and the phi dependence are applied
+    analytically in the H eigenbasis there and in ``phase_encode``, which
+    is exactly equivalent to propagating every grid point through the
+    compiled pulse chain.
 
     Args:
         block: reversion block spec, ``Mrev8Spec`` (one compiled cycle per
@@ -471,19 +477,15 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
             identity, as None) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    n_spins, n_tau, dim2 = eig.reg.n_spins, len(grid.taus), eig.dim ** 2
-    # after the setup: the MREV-8 cycle the block compiles, when eig holds
-    # none to replace; the detection matrix and the sums, with the tau loop
-    # and then with the signal grid and the copy of the sums ``phase_encode``
-    # makes
-    compiled = dim2 if isinstance(block, Mrev8Spec) and not eig.holds_cycle else 0
-    sum_values = n_tau * (2 * n_spins + 1) * grid.n_t
-    check_grid_memory(run_values(eig, acquisition, compiled + dim2 + sum_values + max(
-        _loop_values(block, n_spins, grid.n_t), grid.n_phi * grid.n_t * n_tau + sum_values)))
+    # beside what ``run_values`` charges for both engines: the MREV-8 cycle
+    # the block compiles, when eig holds none to replace, and the tau loop
+    compiled = eig.dim ** 2 if isinstance(block, Mrev8Spec) and not eig.holds_cycle else 0
+    check_grid_memory(run_values(eig, grid, acquisition, compiled,
+                                 _loop_values(block, eig.reg.n_spins, grid.n_t)))
     acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
     p, states = eig.phases(grid.ts), block_states(block, grid.taus, eig, a_eig)
-    sums = np.empty((n_tau, 2 * n_spins + 1, grid.n_t), dtype=complex)
-    for k in range(n_tau):  # no name holds a state while the block makes the next
-        sums[k] = pair_order_sums(_tau_slab(det, next(states)), eig, p)
+    sums = np.empty((2 * eig.reg.n_spins + 1, grid.n_t, len(grid.taus)), dtype=complex)
+    for k in range(len(grid.taus)):  # no name holds a state while the block makes the next
+        sums[..., k] = pair_order_sums(_tau_slab(det, next(states)), eig, p)
     del p, states  # with the last state, before the signal grid is made
     return phase_encode(sums, grid, acquisition, n_molecules)

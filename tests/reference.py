@@ -165,9 +165,16 @@ def degeneracy_labels(eig):
     return group_labels(eig.zeta, 1e-9 * max(np.max(np.abs(eig.zeta)), 1e-300))
 
 
+def eigen_m(eig):
+    """Total-I_z quantum number of each eigenvector, in the eigensystem's
+    block order: that of the product states of its m block (``eig.blocks``)."""
+    return eig.reg.m_values()[np.concatenate([rows for rows, _, _ in eig.blocks])]
+
+
 def eigen_coherence_orders(eig):
     """Integer coherence order m_a - m_b of eigenbasis element (a, b)."""
-    return np.rint(eig.m[:, None] - eig.m[None, :]).astype(int)
+    m = eigen_m(eig)
+    return np.rint(m[:, None] - m[None, :]).astype(int)
 
 
 def shuffled_blocks(blocks, rng):
@@ -606,7 +613,7 @@ def spectral_assembly(state_eig, eig, reg, ts, t_m, window, time_factors=None,
             return np.ones(np.broadcast_shapes(np.shape(gaps), np.shape(tau)))
     det = dense_detection(eig, t_m, window)
     sums = pair_order_sums(det * np.asarray(state_eig).T, eig, ts, taus, time_factors,
-                           g_irreversible)
+                           g_irreversible).transpose(2, 0, 1)
     data = n_molecules * np.fft.fftshift(np.fft.fft(sums, axis=2), axes=2)
     freqs = np.fft.fftshift(np.fft.fftfreq(ts.size, float(ts[1] - ts[0])))
     return CoherenceSpectrum(data=data, mu=np.arange(-reg.n_spins, reg.n_spins + 1),

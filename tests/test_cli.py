@@ -354,6 +354,23 @@ def test_failing_csv_writer_leaves_no_temp_file_and_previous_output(
     assert not list(run.glob(output + ".*"))
 
 
+def test_fit_on_a_one_tau_run_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a one-point decay has no fit: exit 2 naming the stage to rerun, no
+    # traceback, no fit file, and the simulate and spectra outputs keep their bytes
+    doc = yaml.safe_load(preset_path("runs/two_spin_ms.yaml").read_text())
+    doc["molecule"] = str(preset_path("molecules/two_spin.yaml"))
+    doc["sequence"]["tau_schedule"] = [0.0]
+    run = tmp_path / "run"
+    assert main(["simulate", str(write_config(tmp_path, doc)), "--output", str(run)]) == 0
+    assert main(["spectra", str(run)]) == 0
+    before = {path.name: path.read_bytes() for path in run.iterdir()}
+    capsys.readouterr()
+    assert main(["fit", str(run), "--mu", "2", "--frequency", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and "simulate" in err and "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+
+
 def test_failing_refit_replaces_no_fit_file(tmp_path, monkeypatch, two_spin_run):
     # a refit at a second frequency would change both reports; the curves
     # writer fails after they are filled, so none of the four files may change

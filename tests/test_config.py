@@ -9,6 +9,7 @@ from mqcnmr.config import (config_from_dict, config_hash, load_config, load_mole
                            molecule_from_dict, preset_path)
 from mqcnmr.errors import ConfigError
 from mqcnmr.hamiltonian import GAMMA_PROTON, dipolar_frequency
+from mqcnmr.opensystem import TabulatedOMDF
 from mqcnmr.sequence import AcquisitionSpec, MagicSandwichSpec, Mrev8Spec
 
 
@@ -220,7 +221,7 @@ def test_tabulated_omdf_config(tmp_path):
     doc["decoherence"] = {"sigma_cl": 1e5,
                           "omdf": {"family": "tabulated", "path": "omdf.txt"}}
     cfg = config_from_dict(doc, base_dir=tmp_path)
-    assert cfg.decoherence.omdf.family == "tabulated"
+    assert isinstance(cfg.decoherence.omdf, TabulatedOMDF)
     doc["decoherence"]["omdf"] = {"family": "lorentz"}
     with pytest.raises(ConfigError):
         config_from_dict(doc, base_dir=tmp_path)

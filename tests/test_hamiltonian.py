@@ -151,18 +151,19 @@ def _example_eig(n=3, seed=3, s_zz=0.7):
 def test_eigendecompose_blocks_and_reconstruction():
     _, _, reg, h, eig = _example_eig()
     # m blocks of a 3-spin system have sizes 1, 3, 3, 1
-    counts = [np.sum(eig.m == mv) for mv in (1.5, 0.5, -0.5, -1.5)]
+    m = ref.eigen_m(eig)
+    counts = [np.sum(m == mv) for mv in (1.5, 0.5, -0.5, -1.5)]
     assert counts == [1, 3, 3, 1]
     m_basis = reg.m_values()
     for rows, cols, v_m in eig.blocks:
-        assert np.all(m_basis[rows] == eig.m[cols]) and v_m.shape == (rows.size, eig.m[cols].size)
+        assert np.all(m_basis[rows] == m[cols]) and v_m.shape == (rows.size, m[cols].size)
     v = ref.vectors(eig)
     np.testing.assert_allclose(v @ v.conj().T, np.eye(reg.dim), atol=1e-12)
     np.testing.assert_allclose((v * (eig.order_parameter * eig.zeta)) @ v.conj().T,
                                h, atol=1e-9)
     # every eigenvector has definite m
     iz = collective_angular_momentum(reg, "z")
-    np.testing.assert_allclose(iz @ v, v * eig.m, atol=1e-12)
+    np.testing.assert_allclose(iz @ v, v * m, atol=1e-12)
 
 
 def test_eigendecompose_zeta_excludes_order_parameter():

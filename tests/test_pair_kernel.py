@@ -49,7 +49,7 @@ def oracle_grid(eig, reg, grid, params, n_molecules=1):
     det = detection_matrix(eig, ACQ.t_m, ACQ.window)
     state = prepare_reduced_state(eig, grid.t_p)
     sums = ref.open_order_sums_loop(
-        det, state, eig.zeta, eig.m, eig.order_parameter, grid.ts, grid.taus,
+        det, state, eig.zeta, ref.eigen_m(eig), eig.order_parameter, grid.ts, grid.taus,
         lambda dz, t: ref.g_reversible(dz, t, params),
         lambda dz, tau: g_irreversible(dz, tau, params), reg.n_spins)
     encoder = np.exp(1j * np.outer(grid.phis, np.arange(-reg.n_spins, reg.n_spins + 1)))
@@ -88,8 +88,8 @@ def test_factorised_and_chunked_sums_agree(n, seed, n_tau, n_t):
     chunked = pair_order_sums(weights, eig, ts, taus, lambda g, t: np.exp(
         -1j * eig.order_parameter * np.multiply.outer(g, t)), lambda g, tau: 0 * g + 0 * tau + 1.0)
     assert factorised.shape == (2 * n + 1, n_t)
-    assert chunked.shape == (n_tau, 2 * n + 1, n_t)
-    assert np.max(np.abs(factorised - chunked)) <= 1e-12 * np.max(np.abs(chunked))
+    assert chunked.shape == (2 * n + 1, n_t, n_tau)
+    assert np.max(np.abs(factorised[..., None] - chunked)) <= 1e-12 * np.max(np.abs(chunked))
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,9 +145,9 @@ def test_mirror_pairs_match_the_ordered_pair_oracle(n, seed, n_tau, density, n_t
     time_factors = partial(params.omdf.time_factors, s_zz=eig.order_parameter)
     ts, taus = 3e-6 * np.arange(n_t), 1e-4 * np.arange(1, n_tau + 1)
     band = params.band(ts, taus, eig.order_parameter) if banded else None
-    fast = pair_order_sums(weights, eig, ts, taus, time_factors, g_irr, band)
-    slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
-                                     g_rev, g_irr, n)
+    fast = pair_order_sums(weights, eig, ts, taus, time_factors, g_irr, band).transpose(2, 0, 1)
+    slow = ref.pair_order_sums_dense(weights, eig.zeta, ref.eigen_m(eig), eig.order_parameter,
+                                     ts, taus, g_rev, g_irr, n)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
@@ -185,9 +185,10 @@ def test_gap_grid_matches_dense_order_sums(n, seed, family, width, table, sigma,
     g_irr = partial(g_irreversible, params=params)
     fast = pair_order_sums(weights, eig, ts, taus,
                            partial(params.omdf.time_factors, s_zz=eig.order_parameter),
-                           g_irr, band)
-    slow = ref.pair_order_sums_dense(weights, eig.zeta, eig.m, eig.order_parameter, ts, taus,
-                                     partial(ref.g_reversible, params=params), g_irr, n)
+                           g_irr, band).transpose(2, 0, 1)
+    slow = ref.pair_order_sums_dense(weights, eig.zeta, ref.eigen_m(eig), eig.order_parameter,
+                                     ts, taus, partial(ref.g_reversible, params=params),
+                                     g_irr, n)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
@@ -251,7 +252,8 @@ def test_real_node_product_matches_the_complex_product(family, seed):
     per_tau = 2 * n_orders * (2 * half.size + n_t)
     for taus_at_once in (1, 2, n_tau):
         work = np.empty(taus_at_once * per_tau + 3)
-        fast = opensystem._node_sums(rho, np.stack([e.real, e.imag]), g_r, work)
+        fast = opensystem._node_sums(rho, np.stack([e.real, e.imag]), g_r,
+                                     work).transpose(2, 0, 1)
         assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
 
 
@@ -333,6 +335,27 @@ def test_open_memory_estimate_covers_the_traced_peak(family, monkeypatch):
             run_grid_open(eig, grid, params, acquisition=ACQ)
         monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(bound * peak))
         run_grid_open(eig, grid, params, acquisition=ACQ)
+
+
+def test_open_memory_estimate_covers_g_r_on_many_taus(monkeypatch):
+    # 2000 taus of 2 times at N = 6: G^R (taus x nodes g >= 0) outweighs the
+    # rest of the kernel, so its build may hold no second array of its size;
+    # a budget at the traced peak must be refused, and one 5% above it accepted
+    reg, eig = make_system(6, 3)
+    params = DecoherenceParams(sigma_cl=2e5, omdf=GaussianOMDF(0.05))
+    grid = ExperimentGrid(t_p=3e-5, n_t=2, dt=3e-6, n_phi=14,
+                          taus=tuple(k * 1e-7 for k in range(2000)))
+    tracemalloc.start()
+    try:
+        run_grid_open(eig, grid, params, acquisition=ACQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError):
+        run_grid_open(eig, grid, params, acquisition=ACQ)
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.05 * peak))
+    run_grid_open(eig, grid, params, acquisition=ACQ)
 
 
 def test_open_config_over_budget_exits_2(tmp_path, monkeypatch, capsys):

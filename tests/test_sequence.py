@@ -21,6 +21,7 @@ from mqcnmr.sequence import (AcquisitionSpec, ExperimentGrid, FreeEvolution,
                              block_states, compile_program, default_acquisition,
                              magic_sandwich, mrev8_block, pair_order_sums, prepared_setup,
                              run_grid, total_duration, verify_reversion)
+from mqcnmr.spectra import fft2_coherence
 
 
 def make_system(n=2, seed=1, s_zz=0.6, scale_hz=5000.0):
@@ -234,7 +235,8 @@ def test_tau_slab_matches_per_time_loop_on_permuted_basis():
     sigma0 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     ts = 3e-6 * np.arange(6)
     fast = pair_order_sums(_tau_slab(det, sigma0), permuted, permuted.phases(ts))
-    slow = ref.order_sums_loop(det, sigma0, permuted.zeta, permuted.m, 0.6, ts, reg.n_spins)
+    slow = ref.order_sums_loop(det, sigma0, permuted.zeta, ref.eigen_m(permuted), 0.6, ts,
+                               reg.n_spins)
     np.testing.assert_allclose(fast.T, slow, rtol=0, atol=1e-12 * np.abs(slow).max())
     grid = ExperimentGrid(t_p=4e-5, n_t=6, dt=2e-6, n_phi=10, taus=(0.0, 1.2e-4))
     runs = [run_grid(e, grid, block=Mrev8Spec(tau1=5e-6),
@@ -325,19 +327,58 @@ def test_run_grid_molecule_count_scales_linearly():
 @pytest.mark.parametrize("n_tau, n_orders, n_t, n_phi, n_molecules", [
     (24, 17, 256, 18, 1), (1, 3, 2, 1, 2), (5, 7, 33, 64, 3)])
 def test_phase_encode_matches_the_einsum(n_tau, n_orders, n_t, n_phi, n_molecules):
-    # one GEMM on a copy of the sums laid out by order, against the einsum
-    # over the (phi, order) encoder, to 1e-15 of the largest signal
+    # one GEMM on the sums as they lie, (orders, times, taus), against the
+    # einsum over the (phi, order) encoder, to 1e-15 of the largest signal
     rng = np.random.default_rng(n_tau)
-    sums = rng.normal(size=(n_tau, n_orders, n_t)) + 1j * rng.normal(size=(n_tau, n_orders, n_t))
+    sums = rng.normal(size=(n_orders, n_t, n_tau)) + 1j * rng.normal(size=(n_orders, n_t, n_tau))
     grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=2e-6, n_phi=n_phi,
                           taus=tuple(k * 1e-5 for k in range(n_tau)))
     acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
     fast = sequence.phase_encode(sums, grid, acq, n_molecules)
-    slow = ref.phase_encode_einsum(sums, grid.phis, n_molecules)
+    slow = ref.phase_encode_einsum(sums.transpose(2, 0, 1), grid.phis, n_molecules)
     assert fast.data.shape == (n_phi, n_t, n_tau) and fast.data.flags.c_contiguous
     assert np.max(np.abs(fast.data - slow)) <= 1e-15 * np.max(np.abs(slow))
     assert (fast.t_m, fast.window, fast.dt) == (acq.t_m, acq.window, grid.dt)
     assert np.array_equal(fast.taus, grid.taus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 4), extra_phases=st.integers(0, 6), n_t=st.integers(2, 12),
+       n_tau=st.integers(1, 4), n_molecules=st.integers(1, 5), seed=st.integers(0, 2 ** 16))
+def test_phase_encoding_is_alias_free(k, extra_phases, n_t, n_tau, n_molecules, seed):
+    # random sums of the orders -K..K, encoded on n_phi >= 2K + 1 phases and
+    # taken back by fft2_coherence: order nu comes back at mu = nu,
+    # n_molecules times (after the same t transform), and every other bin
+    # is zero, to 1e-12 of the largest
+    rng = np.random.default_rng(seed)
+    shape = (2 * k + 1, n_t, n_tau)
+    sums = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid = ExperimentGrid(t_p=4e-5, n_t=n_t, dt=2e-6, n_phi=2 * k + 1 + extra_phases,
+                          taus=tuple(j * 1e-5 for j in range(n_tau)))
+    acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
+    spec = fft2_coherence(sequence.phase_encode(sums, grid, acq, n_molecules))
+    want = np.zeros_like(spec.data)
+    at = np.searchsorted(spec.mu, np.arange(-k, k + 1))
+    assert np.array_equal(spec.mu[at], np.arange(-k, k + 1))
+    by_order = np.fft.fftshift(np.fft.fft(sums, axis=1), axes=1)
+    want[:, at] = n_molecules * by_order.transpose(2, 0, 1)
+    assert np.max(np.abs(spec.data - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_phase_encode_holds_no_copy_of_the_sums():
+    # 7 orders, 512 times, 16 taus and 8 phases: the encoder multiplies the
+    # sums where they lie, so the call holds the signal grid and small arrays
+    sums = np.ones((7, 512, 16), dtype=complex)
+    grid = ExperimentGrid(t_p=4e-5, n_t=512, dt=2e-6, n_phi=8,
+                          taus=tuple(j * 1e-5 for j in range(16)))
+    acq = AcquisitionSpec(t_m=3e-6, window=2e-6)
+    tracemalloc.start()
+    try:
+        signal = sequence.phase_encode(sums, grid, acq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < signal.data.nbytes + sums.nbytes // 2, (peak, signal.data.nbytes)
 
 
 def test_magic_sandwich_run_equals_a_block_less_run():
@@ -554,7 +595,7 @@ def test_memory_estimates_cover_a_fresh_process_from_ten_spins(engine, n, bound)
 @pytest.mark.parametrize("engine", ["closed", "open"])
 def test_memory_estimates_cover_a_fresh_process_on_a_grid_dominated_shape(engine):
     # N = 3 on 64 phases, 4096 times and 32 taus: the 134 MB signal grid and
-    # the copy of the order sums that ``phase_encode`` multiplies set the
+    # the order sums that ``phase_encode`` multiplies where they lie set the
     # peak, in a new interpreter, on either engine; refused at the traced
     # peak and accepted 5% above it
     table = chain_table(3, 0)
