@@ -118,7 +118,7 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
         positions = np.array([[_number(v, key) for v in row]
                               for row in _rows(doc["positions_angstrom"], key, "[x, y, z]")])
         gamma = _number(doc.get("gamma", GAMMA_PROTON), f"{context}.gamma")
-        make, args = SpinSystem.from_positions, (positions * ANGSTROM, s_zz, gamma)
+        n_sites = len(positions)
     else:
         key = f"{context}.couplings_hz"
         rows = _rows(doc["couplings_hz"], key, "[site_j, site_k, omega_D_hz]")
@@ -129,19 +129,19 @@ def molecule_from_dict(doc: dict, context: str = "molecule") -> SpinSystem:
         for j, k, _ in pairs:
             if j == k or not (0 <= j < n_sites and 0 <= k < n_sites):
                 raise ConfigError(f"{context}: bad coupling pair ({j}, {k}) for {n_sites} sites")
-        table = np.zeros((n_sites, n_sites))
-        for j, k, w in pairs:
-            table[j, k] = table[k, j] = w
-        make, args = SpinSystem, (table, s_zz)
+    # 17 bytes a pair of sites: the table, SpinSystem's copy and one boolean mask
+    check_grid_memory(17 * n_sites ** 2 // 16, f"{context}: the coupling table of {n_sites} sites")
     # what a run would meet only later (S_zz outside [-0.5, 1], fewer than 2
     # sites, coincident sites, a non-finite coupling) is refused now
     try:
-        sys_ = make(*args)
-        if sys_.n_sites < 2:
-            raise MqcnmrError("need at least two sites for a dipolar Hamiltonian")
+        if has_pos:
+            return SpinSystem.from_positions(positions * ANGSTROM, s_zz, gamma)
+        table = np.zeros((n_sites, n_sites))
+        for j, k, w in pairs:
+            table[j, k] = table[k, j] = w
+        return SpinSystem(table, s_zz)
     except MqcnmrError as exc:
         raise ConfigError(f"{context}: {exc}") from None
-    return sys_
 
 
 # PyYAML's safe loader on libyaml's parser where PyYAML was built with it
@@ -203,6 +203,13 @@ def _block_from_dict(doc: dict | None):
     return None
 
 
+def check_increasing(taus, what: str) -> None:
+    """Refuse taus that do not strictly increase, naming them ``what``: every
+    decay curve the fit stage cuts runs along tau."""
+    if any(b <= a for a, b in zip(taus, taus[1:])):
+        raise ConfigError(f"{what} must be strictly increasing, got {list(taus)}")
+
+
 def _tau_schedule(doc, block) -> tuple:
     if isinstance(doc, list):
         return tuple(_number(v, "sequence.tau_schedule") for v in doc)
@@ -210,8 +217,6 @@ def _tau_schedule(doc, block) -> tuple:
         _check_keys(doc, TAU_SCHEDULE_KEYS, "sequence.tau_schedule")
         count = _number(_require(doc, "count", "sequence.tau_schedule"),
                         "sequence.tau_schedule.count", int)
-        if count < 1:
-            raise ConfigError("tau schedule must be non-empty")
         # each tau adds at least n_phi x n_t >= 2 values to the signal grid
         check_grid_memory(2 * count, f"sequence.tau_schedule.count = {count}")
         start = _number(doc.get("start", 0.0), "sequence.tau_schedule.start")
@@ -265,9 +270,7 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError("sequence.block: the open engine takes the reversion as ideal; "
                           "give type none or leave the block out")
     taus = _tau_schedule(_require(seq, "tau_schedule", "config"), block)
-    # every decay curve the fit stage cuts runs along tau
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ConfigError(f"sequence.tau_schedule must be strictly increasing, got {list(taus)}")
+    check_increasing(taus, "sequence.tau_schedule")
     gdoc = _require(seq, "grid", "config")
     _check_keys(gdoc, GRID_KEYS, "sequence.grid")
     grid = ExperimentGrid(

@@ -46,8 +46,10 @@ class SpinSystem:
 
     Attributes:
         couplings_hz: finite, symmetric, zero-diagonal table of the pair
-            dipolar frequencies omega_D(j, k) in Hz, kept as a read-only copy
-            (with -0.0 stored as 0.0, so equal tables have equal bytes).
+            dipolar frequencies omega_D(j, k) in Hz over two sites or more
+            (TrivialSystemError otherwise: no dipolar Hamiltonian exists),
+            kept as a read-only copy (with -0.0 stored as 0.0, so equal
+            tables have equal bytes).
         order_parameter: nematic order parameter S_zz in [-0.5, 1].
     """
 
@@ -58,6 +60,8 @@ class SpinSystem:
         c = np.array(self.couplings_hz, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise MqcnmrError(f"coupling table shape {c.shape} is not square")
+        if c.shape[0] < 2:
+            raise TrivialSystemError("need at least two sites for a dipolar Hamiltonian")
         if not np.all(np.isfinite(c)):
             raise MqcnmrError("coupling table has non-finite entries")
         if not np.array_equal(c, c.T) or np.any(np.diag(c) != 0):
@@ -119,7 +123,7 @@ def secular_hamiltonian(sys: SpinSystem) -> tuple:
     """Secular dipolar Hamiltonian of the molecule, in rad/s, as its total-m
     blocks: one (rows, H_m) per total m, in descending m, with rows the
     product-basis states of that m (ascending) and H_m = H[rows, rows]
-    read-only.
+    read-only.  The molecule has two sites or more (``SpinSystem``).
 
     The Hz -> rad/s conversion (factor 2*pi) is applied here and nowhere
     else.  H is traceless and commutes with total I_z, so it is zero outside
@@ -128,8 +132,6 @@ def secular_hamiltonian(sys: SpinSystem) -> tuple:
     flip-flop entries, which join two states of one m; each block is checked
     hermitian.
     """
-    if sys.n_sites < 2:
-        raise TrivialSystemError("need at least two sites for a dipolar Hamiltonian")
     reg = sys.register()
     table = sys.couplings_hz
     m_basis = reg.m_values()

@@ -40,14 +40,12 @@ from .sequence import (ExperimentGrid, check_grid_memory, kernel_inputs, phase_e
                        prepared_setup, run_values)
 from .spectra import SignalGrid
 
-# Byte budget of one block of TabulatedOMDF.q's (points x table) phases and
-# their cosines or sines.
-QUADRATURE_BLOCK_BYTES = 4 << 20
-
 # The gap grid: P-point Lagrange interpolation between nodes pi / (c B) apart for
 # a band B; the byte budget of its transients (a slice of pairs being spread, a
 # block of E with its temporaries, or a group of taus' product with its operand);
 # the bytes of one pair of a slice (P weights, their nodes and products, 6 scalars).
+# TabulatedOMDF.q's blocks of (points x table) phases and their cosines or sines
+# keep to the same byte budget.
 STENCIL = 20
 OVERSAMPLING = 6.0
 GRID_CHUNK_BYTES = 4 << 20
@@ -98,8 +96,8 @@ class TabulatedOMDF(_OMDF):
     Normalized to unit integral on load; q(x) is evaluated by trapezoid
     quadrature of p(u) exp(i u x) over the tabulated support: with the
     weights w_k = p_k (u_{k+1} - u_{k-1}) / 2 (one-sided at the ends) it is
-    cos(x u) w + i sin(x u) w, in blocks of x of at most
-    QUADRATURE_BLOCK_BYTES of phases and their cosines or sines.
+    cos(x u) w + i sin(x u) w, in blocks of x of at most GRID_CHUNK_BYTES of
+    phases and their cosines or sines, cut when q is called.
     """
 
     def __init__(self, u: np.ndarray, p: np.ndarray):
@@ -120,7 +118,6 @@ class TabulatedOMDF(_OMDF):
         self.p_values = p / area
         du = np.diff(u)
         self._weights = self.p_values * (np.append(0.0, du) + np.append(du, 0.0)) / 2
-        self._step = max(1, QUADRATURE_BLOCK_BYTES // (16 * u.size))  # points per block
 
     @classmethod
     def from_file(cls, path) -> "TabulatedOMDF":
@@ -138,7 +135,7 @@ class TabulatedOMDF(_OMDF):
     def q(self, x):
         x = np.asarray(x, dtype=float)
         flat, out = x.ravel(), np.empty(x.size, dtype=complex)
-        step = self._step
+        step = self._points()
         for lo in range(0, flat.size, step):
             phase = np.multiply.outer(flat[lo:lo + step], self.u)
             # einsum sums each row in one order whatever the block's row count
@@ -150,7 +147,11 @@ class TabulatedOMDF(_OMDF):
 
     def q_values(self, points: int) -> int:
         """One block's phases and their cosines or sines, as complex values."""
-        return min(points, self._step) * self.u.size
+        return min(points, self._points()) * self.u.size
+
+    def _points(self) -> int:
+        """Points of x in one block of q."""
+        return max(1, GRID_CHUNK_BYTES // (16 * self.u.size))
 
     def band(self, t_max: float) -> float:
         """Band in g of q(g t), |t| <= t_max: exactly max |u| t_max (q sums exp(i u g t))."""

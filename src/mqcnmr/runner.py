@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import curves_to_csv, eigen_selectivity_report, frequency_cuts
-from .config import RunConfig, _check_keys, _require, config_hash
-from .errors import ConfigError, NumericalValidationError
+from .config import RunConfig, _check_keys, _require, check_increasing, config_hash
+from .errors import ConfigError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
-from .sequence import Mrev8Spec, check_grid_memory, run_grid, verify_reversion
+from .sequence import (AcquisitionSpec, ExperimentGrid, Mrev8Spec, check_grid_memory, run_grid,
+                       verify_reversion)
 from .spectra import (CoherenceSpectrum, SignalGrid, csv_values, fft2_coherence,
                       spectrum_to_csv)
 
@@ -186,16 +187,32 @@ def _stage_npy(path: Path, stage: str, fits) -> np.ndarray:
     return data
 
 
+def _refused(path: Path, stage: str, exc: MqcnmrError) -> ConfigError:
+    """The ConfigError for a file that ``stage`` wrote and the rules of its
+    run refuse: it names the file, the broken rule and the stage to rerun."""
+    return ConfigError(f"{path}: {exc}; rerun the {stage} stage")
+
+
 def load_signals(run_dir) -> SignalGrid:
+    """The signals simulate wrote to ``signals.npy`` + ``signals_meta.json``,
+    refused as their run would refuse them: the run's ``ExperimentGrid`` (with
+    n_phi and n_t from the array) and ``AcquisitionSpec`` are built from the
+    metadata, and the taus must strictly increase."""
     sig_path, meta_path = Path(run_dir, "signals.npy"), Path(run_dir, "signals_meta.json")
     if not sig_path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} does not contain signals.npy + signals_meta.json")
     meta = _stage_json(meta_path, "simulate", ("dt", "t_p", "t_m", "window"), ("taus",))
     data = _stage_npy(sig_path, "simulate",
                       lambda shape: len(shape) == 3 and shape[2] == len(meta["taus"]))
-    return SignalGrid(data=data, dt=meta["dt"],
-                      taus=np.asarray(meta["taus"]), t_p=meta["t_p"],
-                      t_m=meta["t_m"], window=meta["window"])
+    try:
+        grid = ExperimentGrid(t_p=meta["t_p"], n_t=data.shape[1], dt=meta["dt"],
+                              n_phi=data.shape[0], taus=tuple(meta["taus"]))
+        acq = AcquisitionSpec(t_m=meta["t_m"], window=meta["window"])
+        check_increasing(grid.taus, "taus")
+    except MqcnmrError as exc:
+        raise _refused(meta_path, "simulate", exc) from None
+    return SignalGrid(data=data, dt=grid.dt, taus=np.asarray(grid.taus), t_p=grid.t_p,
+                      t_m=acq.t_m, window=acq.window)
 
 
 def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> dict:
@@ -232,12 +249,17 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
 
 
 def load_spectra(run_dir) -> CoherenceSpectrum:
-    """The spectrum spectra_stage wrote to ``spectra.npy`` + ``spectra_meta.json``."""
+    """The spectrum spectra_stage wrote to ``spectra.npy`` + ``spectra_meta.json``,
+    refused unless its taus strictly increase, as its run's did."""
     path, meta_path = Path(run_dir, "spectra.npy"), Path(run_dir, "spectra_meta.json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
                           "rerun the spectra stage")
     meta = _stage_json(meta_path, "spectra", lists=("taus", "mu", "freqs_hz"))
+    try:
+        check_increasing(meta["taus"], "taus")
+    except ConfigError as exc:
+        raise _refused(meta_path, "spectra", exc) from None
     axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
     data = _stage_npy(path, "spectra", lambda shape: shape == tuple(axis.size for axis in axes))
     return CoherenceSpectrum(data=data, mu=axes[1], freqs_hz=axes[2], taus=axes[0], meta=meta)

@@ -22,9 +22,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
+from .errors import ConfigError, GridSizeError, MqcnmrError
 from .hamiltonian import EigenSystem
-from .operators import checked_hermitian, kron_apply, kron_conjugate, rotation_halves
+from .operators import (checked_hermitian, checked_unitary, kron_apply, kron_conjugate,
+                        rotation_halves)
 from .spectra import SignalGrid, detection_matrix
 
 
@@ -214,15 +215,13 @@ def verify_reversion(events, eig: EigenSystem) -> ReversionReport:
 
     Reports ||U - exp(i theta) 1|| in the spectral norm with theta the phase
     of tr(U), plus the norm of the effective generator log(U)/(-i tau).  U is
-    unitary (checked), so both come from its eigenvalues lambda: the residual
-    is max |lambda - exp(i theta)| and the norm max |arg(lambda exp(-i theta))|
-    / tau (0 when tau = 0).  Used as a gate so a wrong multipulse phase
-    pattern cannot silently ship.
+    unitary (checked within UNITARY_ATOL by ``operators.checked_unitary``), so
+    both come from its eigenvalues lambda: the residual is max |lambda -
+    exp(i theta)| and the norm max |arg(lambda exp(-i theta))| / tau (0 when
+    tau = 0).  Used as a gate so a wrong multipulse phase pattern cannot
+    silently ship.
     """
-    u = compile_program(events, eig)
-    uni_err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if not uni_err <= 1e-8:
-        raise NumericalValidationError(f"compiled block is not unitary (error {uni_err:.3e})")
+    u = checked_unitary(compile_program(events, eig))
     theta = np.angle(np.trace(u))
     lam = np.linalg.eigvals(u)
     tau = total_duration(events)
@@ -449,11 +448,13 @@ def check_grid_memory(values: int, what: str = "grid") -> None:
     The estimate counts ``values`` complex values, the most the caller holds
     at once (for an engine, its (n_phi, n_t, n_tau) signal grid included),
     plus SMALL_ARRAY_BYTES; callers charge it before allocating anything.
+    The megabytes are rounded in integer arithmetic, which holds for an
+    estimate past the float range (4^N values from N = 512 on).
     """
     estimate = 16 * values + SMALL_ARRAY_BYTES
     if estimate > MEMORY_BUDGET_BYTES:
-        raise GridSizeError(f"{what} needs about {estimate / 1e6:.0f} MB, over the budget of "
-                            f"{MEMORY_BUDGET_BYTES / 1e6:.0f} MB")
+        raise GridSizeError(f"{what} needs about {int(estimate + 500_000) // 10 ** 6} MB, over "
+                            f"the budget of {MEMORY_BUDGET_BYTES / 1e6:.0f} MB")
 
 
 def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,

@@ -6,8 +6,9 @@ exp(+i nu phi) lands at bin mu = nu, and the t transform maps
 exp(+2 pi i f t) to +f.  Frequencies are reported in Hz.
 
 ``spectrum_to_csv`` exports a spectrum as CSV text whose floats are their
-shortest round-trip ``repr``s, formatted a whole array at a time by a numpy
-port of Ryu's shortest-digit search (``_shortest``, ``_Reprs``).
+shortest round-trip ``repr``s: the key columns by ``repr`` itself, the values
+a whole array at a time by a numpy port of Ryu's shortest-digit search
+(``_shortest``, ``_Reprs``).
 """
 
 from __future__ import annotations
@@ -144,23 +145,29 @@ def spectrum_to_csv(spec: CoherenceSpectrum, path) -> None:
     """Write a spectrum as CSV rows (tau, mu, omega_hz, re, im, abs).
 
     Floats are shortest round-trip ``repr``s, abs is ``hypot(re, im)`` and rows
-    end in CRLF.  Every float is formatted by a vectorised kernel
+    end in CRLF.  The tau, mu and frequency strings are ``repr``'s, made once
+    (``_keys``); re, im and abs are formatted by a vectorised kernel
     (``_Reprs``) that gives ``repr``'s bytes for a whole array at once, with
     ``repr`` itself as the fallback for the few values outside its path.
-    The tau and frequency strings are formatted once; the rows are built a
-    slice at a time (``_slice_rows``) in one uint8 array, with each field in
-    fixed-width slots and NUL wherever no character goes, and written with
-    the NULs dropped.  So the writer holds the tau, mu and frequency strings
-    and one slice of rows at a time (``csv_values``).
+    The rows are built a slice at a time (``_slice_rows``) in one uint8
+    array, with each field in fixed-width slots and NUL wherever no
+    character goes, and written with the NULs dropped.  So the writer holds
+    the key strings and one slice of rows at a time (``csv_values``).
     """
     step = _slice_rows(spec.data.size, spec.meta.get("zero_pad"))
-    mus = np.array([f"{int(m)},".encode() for m in spec.mu], dtype="S")
-    heads = [_repr_table(spec.taus, step), mus.view(np.uint8).reshape(mus.size, mus.itemsize),
-             _repr_table(spec.freqs_hz, step)]
+    heads = [_keys(spec.taus, float), _keys(spec.mu, int), _keys(spec.freqs_hz, float)]
     with open(path, "wb") as fh:
         fh.write(b"tau,mu,omega_hz,re,im,abs\r\n")
         for lo in range(0, spec.data.size, step):
             _write_text(fh, _csv_rows(spec.data, heads, lo, min(lo + step, spec.data.size)))
+
+
+def _keys(values, kind) -> np.ndarray:
+    """``repr(kind(v)) + ","`` for each v of a 1-D array, as contiguous uint8
+    rows of 25 bytes (a float's repr is at most 24 long), with NUL wherever
+    no character goes."""
+    keys = np.fromiter((repr(kind(v)) + "," for v in values), dtype="S25", count=len(values))
+    return keys.view(np.uint8).reshape(keys.size, 25)
 
 
 def _write_text(fh, text: np.ndarray) -> None:
@@ -189,13 +196,11 @@ def _slice_rows(n_rows: int, zero_pad: int | None) -> int:
 def csv_values(shape, zero_pad: int) -> int:
     """Complex values that ``spectrum_to_csv`` holds beside a spectrum of
     ``shape`` (n_tau, n_mu, n_freq) from ``fft2_coherence`` at ``zero_pad``:
-    the tau and frequency strings, at most _MAX_WIDTH + 1 bytes each, the mu
-    strings, at most 24 bytes each, and one slice of rows (``_slice_rows``),
-    at most _ROW_BYTES a row, which also covers the formatting of the
-    strings."""
+    the tau, mu and frequency strings, 25 bytes each (``_keys``), and one
+    slice of rows (``_slice_rows``), at most _ROW_BYTES a row."""
     n_tau, n_mu, n_freq = shape
     rows = _slice_rows(n_tau * n_mu * n_freq, zero_pad)
-    return ((_MAX_WIDTH + 1) * (n_tau + n_freq) + 24 * n_mu + _ROW_BYTES * rows) // 16
+    return (25 * (n_tau + n_mu + n_freq) + _ROW_BYTES * rows) // 16
 
 
 def _csv_rows(data: np.ndarray, heads: list, lo: int, hi: int) -> np.ndarray:
@@ -218,22 +223,6 @@ def _csv_rows(data: np.ndarray, heads: list, lo: int, hi: int) -> np.ndarray:
     cells[:, 2, -1] = ord("\r")
     rows[:, -1] = ord("\n")
     return rows
-
-
-def _repr_table(values, rows: int) -> np.ndarray:
-    """``repr(v) + ","`` for each float v of a 1-D array, as uint8 rows as wide
-    as the widest, with NUL wherever no character goes.  The values are
-    formatted in parts of 3 * ``rows``, as many as a slice of ``rows`` CSV
-    rows holds: once for the width, then into the table."""
-    values = np.asarray(values, dtype=float)
-    parts = range(0, values.size, 3 * rows)
-    width = max((_Reprs(values[lo:lo + 3 * rows]).width for lo in parts), default=0)
-    table = np.zeros((values.size, width + 1), dtype=np.uint8)
-    for lo in parts:
-        reprs = _Reprs(values[lo:lo + 3 * rows])
-        reprs.write(table[lo:lo + 3 * rows, :reprs.width])
-    table[:, -1] = ord(",")
-    return table
 
 
 # Ryu's d2s (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018)
@@ -403,8 +392,6 @@ def _ascii8(x: np.ndarray, word: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 # _KEEP[z] clears the first z bytes in memory of a little-endian word
 _KEEP = np.array([(2 ** 64 - 1) << 8 * z & 2 ** 64 - 1 for z in range(9)], dtype=np.uint64)
 _EXP_BIAS = 400
-# the widest _Reprs: a sign, 16 whole digits, the point, 20 fraction digits, e-XXX
-_MAX_WIDTH = 43
 # "e-05" and so on, right-aligned in a little-endian word; index 0 is empty
 _EXPONENTS = np.array([0] + [int.from_bytes(f"e{x:+03d}".encode().rjust(8, b"\0"), "little")
                              for x in range(1 - _EXP_BIAS, _EXP_BIAS)], dtype=np.uint64)

@@ -81,7 +81,12 @@ def test_configuration_errors_exit_2(tmp_path):
     {"order_parameter": 0.6,
      "positions_angstrom": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]},
     {"order_parameter": 0.6, "positions_angstrom": [[0.0, 0.0, 0.0]]},
-], ids=["order_parameter_above_1", "thirteen_sites", "coincident_positions", "one_site"])
+    # a 75 GB coupling table: refused before it is allocated
+    {"order_parameter": 0.6, "couplings_hz": [[0, 1, 5000.0]], "n_sites": 100000},
+    # 3 x 4^600 values for the eigensystem: past the float range
+    {"order_parameter": 0.6, "couplings_hz": [[0, 1, 5000.0]], "n_sites": 600},
+], ids=["order_parameter_above_1", "thirteen_sites", "coincident_positions", "one_site",
+        "hundred_thousand_sites", "six_hundred_sites"])
 def test_invalid_molecule_exits_2_before_any_output(tmp_path, capsys, molecule):
     cfg_path = write_config(tmp_path, tiny_doc(molecule=molecule))
     out = tmp_path / "out"
@@ -309,10 +314,21 @@ def test_huge_tau_count_exits_2_before_the_schedule_is_built(tmp_path, capsys):
     ("signals.npy", "not an array", ["spectra"], "simulate"),
     ("signals.npy", "", ["spectra"], "simulate"),
     ("spectra.npy", "not an array", ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
+    # files that parse but break a rule of the run that wrote them
+    ("signals_meta.json", '{"dt": 0, "taus": [0.0, 6e-5, 1.2e-4, 2.4e-4], "t_p": 5e-5, '
+     '"t_m": 0.0, "window": 0.0}', ["spectra"], "simulate"),
+    ("signals_meta.json", '{"dt": -1e-6, "taus": [0.0, 6e-5, 1.2e-4, 2.4e-4], "t_p": 5e-5, '
+     '"t_m": 0.0, "window": 0.0}', ["spectra"], "simulate"),
+    ("signals_meta.json", '{"dt": 1e-6, "taus": [0.0, 0.0, 1e-4, 2e-4], "t_p": 5e-5, '
+     '"t_m": 0.0, "window": 0.0}', ["spectra"], "simulate"),
+    ("spectra_meta.json", json.dumps({"taus": [2.4e-4, 1.2e-4, 6e-5, 0.0],
+                                      "mu": list(range(-4, 4)), "freqs_hz": [0.0] * 64}),
+     ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
 ], ids=["signals_meta_not_json", "signals_meta_without_dt", "spectra_meta_not_json",
         "manifest_simulate_not_json", "signals_meta_dt_string", "signals_meta_taus_string",
         "signals_of_three_taus_not_four", "signals_two_dimensional", "signals_strings",
-        "signals_not_npy", "signals_empty", "spectra_not_npy"])
+        "signals_not_npy", "signals_empty", "spectra_not_npy", "signals_meta_dt_zero",
+        "signals_meta_dt_negative", "signals_meta_taus_repeated", "spectra_meta_taus_reversed"])
 def test_damaged_stage_file_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
                                                                  two_spin_run, name, text,
                                                                  argv, rerun):

@@ -392,7 +392,7 @@ def test_long_omdf_table_runs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * opensystem.QUADRATURE_BLOCK_BYTES
+    assert peak <= 6 * opensystem.GRID_CHUNK_BYTES
     slow = oracle_grid(eig, reg, grid, params)
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
@@ -401,7 +401,8 @@ def test_tabulated_q_blocks_are_bit_identical(monkeypatch):
     omdf = make_omdf("tabulated", 0.05)
     x = np.random.default_rng(2).normal(scale=40.0, size=(7, 5))
     whole = omdf.q(x)
-    monkeypatch.setattr(opensystem, "QUADRATURE_BLOCK_BYTES", 16 * omdf.u.size * 3)
+    monkeypatch.setattr(opensystem, "GRID_CHUNK_BYTES", 16 * omdf.u.size * 3)
+    assert omdf.q_values(35) == 3 * omdf.u.size
     assert np.array_equal(omdf.q(x), whole)  # 12 blocks of 3 points
     assert omdf.q(x[0, 0]) == whole[0, 0]
 
