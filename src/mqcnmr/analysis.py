@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FitDomainError, MqcnmrError
-from .spectra import CoherenceSpectrum
+from .spectra import CoherenceSpectrum, check_increasing
 
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Normalized spectral amplitude versus reversion time at one frequency."""
+    """Normalized spectral amplitude at one frequency along ``check_increasing`` taus."""
 
     taus: np.ndarray
     amplitudes: np.ndarray
@@ -29,8 +29,7 @@ class DecayCurve:
         amps = np.asarray(self.amplitudes, dtype=float)
         if taus.shape != amps.shape or taus.ndim != 1:
             raise MqcnmrError("taus and amplitudes must be matching 1D arrays")
-        if np.any(np.diff(taus) <= 0):
-            raise MqcnmrError("tau values must be strictly increasing")
+        check_increasing(taus, "taus")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -66,8 +65,6 @@ def frequency_cuts(spec: CoherenceSpectrum, mu: int, frequencies,
     """
     if mode not in ("nearest", "local3"):
         raise MqcnmrError(f"unknown cut mode {mode!r}")
-    if spec.taus.size == 0:
-        raise MqcnmrError("spectrum has an empty tau axis")
     block = np.abs(spec.order(mu))  # (n_tau, n_freq)
     fmin, fmax = spec.freqs_hz[0], spec.freqs_hz[-1]
     curves = []

@@ -34,6 +34,7 @@ from .hamiltonian import GAMMA_PROTON, SpinSystem
 from .opensystem import DecoherenceParams, GaussianOMDF, TabulatedOMDF
 from .sequence import (AcquisitionSpec, ExperimentGrid, MagicSandwichSpec, Mrev8Spec,
                        check_grid_memory)
+from .spectra import check_increasing
 
 ANGSTROM = 1e-10
 
@@ -201,13 +202,6 @@ def _block_from_dict(doc: dict | None):
     if kind == "magic_sandwich":
         return MagicSandwichSpec()
     return None
-
-
-def check_increasing(taus, what: str) -> None:
-    """Refuse taus that do not strictly increase, naming them ``what``: every
-    decay curve the fit stage cuts runs along tau."""
-    if any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ConfigError(f"{what} must be strictly increasing, got {list(taus)}")
 
 
 def _tau_schedule(doc, block) -> tuple:

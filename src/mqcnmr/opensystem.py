@@ -276,9 +276,9 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     are the slice W[A, B] of order x - y and gaps zeta[B] - zeta[A, None],
     and its mirror W[B, A].T (none if x = y) of order y - x takes the stencils
     reversed.  Rows of A go in slices of about GRID_CHUNK_BYTES (``_slices``),
-    each order's by one ``np.add.at`` into a zeroed row in element order, so
-    calls are bit-identical, through one work array made per call: a slice's
-    (P, pairs) weights, node indices and complex products, then a tau group's.
+    each order's by one ``np.add.at`` into rho flat, at (N + nu) nodes + k, in
+    element order, so calls are bit-identical, through one work array made per
+    call: a slice's (P, pairs) weights, node indices and products, then a tau group's.
     """
     ts, taus = np.asarray(ts, dtype=float), np.asarray(taus, dtype=float)
     n_spins, n_orders = eig.reg.n_spins, 2 * eig.reg.n_spins + 1
@@ -300,13 +300,12 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
         gaps = (eig.zeta[b] - eig.zeta[a, None]).ravel()
         lagrange, index = work[:2 * rows * gaps.size].reshape(2, rows, -1)
         index, values = index.view(np.intp), work[2 * index.size:4 * index.size].view(complex)
-        np.add(_stencils(gaps, nodes, h, lagrange)[0], np.arange(rows)[:, None], out=index)
-        for order, w in ((nu, weights[a, b]), (-nu, weights[b, a].T))[:1 + (nu != 0)]:
+        first = _stencils(gaps, nodes, h, lagrange)[0]
+        np.add(first, np.arange(rows)[:, None] + (n_spins + nu) * nodes.size, out=index)
+        for w in (weights[a, b], weights[b, a].T)[:1 + (nu != 0)]:
             np.multiply(lagrange, w.ravel(), out=values.reshape(rows, -1))
-            spread = np.zeros(nodes.size, dtype=complex)
-            np.add.at(spread, index.ravel(), values)  # a 1-D index: numpy's fast path
-            rho[n_spins + order] += spread
-            np.subtract(nodes.size - 1, index, out=index)  # the mirror's -g
+            np.add.at(rho.reshape(-1), index.ravel(), values)  # 1-D: numpy's fast path
+            np.subtract(rho.size - 1, index, out=index)  # the mirror: order -nu at -g
     return _node_sums(rho, e, g_irreversible(half[None], taus[:, None]), work)
 
 
@@ -375,8 +374,8 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     # block of it with q's own; then the spread weights on the nodes (the
     # uniform set's, or as many as the ordered pairs) and the work array
     # (the largest slice's, ``_slices``, or ``_product_floats``), with the
-    # larger of a slice's other 6 scalars a pair (``_PAIR_BYTES``) and its
-    # zeroed row, or G^R on the nodes g >= 0 and the product's left operand
+    # larger of a slice's other 6 scalars a pair (``_PAIR_BYTES``), or G^R on
+    # the nodes g >= 0 and the product's left operand
     n_spins, dim2 = eig.reg.n_spins, eig.dim ** 2
     n_tau, n_orders, n_t = len(grid.taus), 2 * n_spins + 1, grid.n_t
     band = params.band(grid.ts, grid.taus, eig.order_parameter)
@@ -386,8 +385,7 @@ def run_grid_open(eig: EigenSystem, grid: ExperimentGrid, params: DecoherencePar
     points = min(half, max(1, GRID_CHUNK_BYTES // (256 * n_t))) * n_t  # a block of E
     most = _slices(eig.blocks)[1]
     work = max(4 * STENCIL * most, _product_floats(n_orders, half, n_t, n_tau)) // 2
-    spread = n_orders * nodes + work + max(3 * most + nodes,
-                                           half * n_tau // 2 + 2 * n_orders * half)
+    spread = n_orders * nodes + work + max(3 * most, half * n_tau // 2 + 2 * n_orders * half)
     kernel = dim2 + half * n_t + max(4 * points + params.omdf.q_values(points), spread)
     check_grid_memory(run_values(eig, grid, acquisition, 2 * np.getbufsize(), kernel))
     acquisition, state, det = kernel_inputs(eig, grid.t_p, acquisition)

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import curves_to_csv, eigen_selectivity_report, frequency_cuts
-from .config import RunConfig, _check_keys, _require, check_increasing, config_hash
+from .config import RunConfig, _check_keys, _require, config_hash
 from .errors import ConfigError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
 from .sequence import (AcquisitionSpec, ExperimentGrid, Mrev8Spec, check_grid_memory, run_grid,
                        verify_reversion)
-from .spectra import (CoherenceSpectrum, SignalGrid, csv_values, fft2_coherence,
-                      spectrum_to_csv)
+from .spectra import (CoherenceSpectrum, SignalGrid, check_increasing, csv_values,
+                      fft2_coherence, spectrum_to_csv)
 
 
 def _sha256(path: Path) -> str:
@@ -176,12 +176,13 @@ def simulate(cfg: RunConfig, out_dir=None, eig: EigenSystem | None = None) -> di
 
 
 def _stage_npy(path: Path, stage: str, fits) -> np.ndarray:
-    """The numeric array that ``stage`` wrote to ``path``, of a shape that ``fits``."""
+    """The finite numeric array that ``stage`` wrote to ``path``, of a shape that ``fits``."""
     try:
         data = np.load(path)
     except (ValueError, EOFError):
         data = None
-    if not (isinstance(data, np.ndarray) and data.dtype.kind in "biufc" and fits(data.shape)):
+    if not (isinstance(data, np.ndarray) and data.dtype.kind in "biufc" and fits(data.shape)
+            and np.isfinite(data).all()):
         raise ConfigError(f"{path} is not the array that the {stage} stage writes beside "
                           f"{path.stem}_meta.json; rerun the {stage} stage")
     return data
@@ -197,7 +198,7 @@ def load_signals(run_dir) -> SignalGrid:
     """The signals simulate wrote to ``signals.npy`` + ``signals_meta.json``,
     refused as their run would refuse them: the run's ``ExperimentGrid`` (with
     n_phi and n_t from the array) and ``AcquisitionSpec`` are built from the
-    metadata, and the taus must strictly increase."""
+    metadata, and its taus must pass ``check_increasing``."""
     sig_path, meta_path = Path(run_dir, "signals.npy"), Path(run_dir, "signals_meta.json")
     if not sig_path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} does not contain signals.npy + signals_meta.json")
@@ -250,19 +251,18 @@ def spectra_stage(run_dir, zero_pad: int = 1, band_hz: float | None = None) -> d
 
 def load_spectra(run_dir) -> CoherenceSpectrum:
     """The spectrum spectra_stage wrote to ``spectra.npy`` + ``spectra_meta.json``,
-    refused unless its taus strictly increase, as its run's did."""
+    refused unless its tau, mu and frequency axes pass ``check_increasing``."""
     path, meta_path = Path(run_dir, "spectra.npy"), Path(run_dir, "spectra_meta.json")
     if not path.exists() or not meta_path.exists():
         raise ConfigError(f"{run_dir} has no spectra.npy + spectra_meta.json; "
                           "rerun the spectra stage")
     meta = _stage_json(meta_path, "spectra", lists=("taus", "mu", "freqs_hz"))
     try:
-        check_increasing(meta["taus"], "taus")
+        taus, mu, freqs = (check_increasing(meta[key], key) for key in ("taus", "mu", "freqs_hz"))
     except ConfigError as exc:
         raise _refused(meta_path, "spectra", exc) from None
-    axes = [np.asarray(meta[key]) for key in ("taus", "mu", "freqs_hz")]
-    data = _stage_npy(path, "spectra", lambda shape: shape == tuple(axis.size for axis in axes))
-    return CoherenceSpectrum(data=data, mu=axes[1], freqs_hz=axes[2], taus=axes[0], meta=meta)
+    data = _stage_npy(path, "spectra", lambda shape: shape == (taus.size, mu.size, freqs.size))
+    return CoherenceSpectrum(data=data, mu=mu, freqs_hz=freqs, taus=taus, meta=meta)
 
 
 def read_spectrum_csv(path) -> CoherenceSpectrum:

@@ -99,6 +99,16 @@ class CoherenceSpectrum:
             taus=self.taus, meta={**self.meta, "band_hz": limit_hz})
 
 
+def check_increasing(values, what: str) -> np.ndarray:
+    """The axis ``values`` as an array, refused by name (``what``) unless non-empty
+    and strictly increasing: the fit cuts each order at frequencies, along tau."""
+    axis = np.asarray(values)
+    if axis.size == 0 or np.any(axis[1:] <= axis[:-1]):
+        raise ConfigError(f"{what} must be non-empty and strictly increasing, got "
+                          f"{np.array2string(axis, separator=', ', threshold=6)}")
+    return axis
+
+
 def fft2_coherence(grid: SignalGrid, zero_pad: int = 1) -> CoherenceSpectrum:
     """Transform a signal grid into per-tau coherence spectra.
 

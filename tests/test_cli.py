@@ -127,9 +127,14 @@ def _positions(row):
     # paths: Path(5) raised a TypeError, and str() made a directory "['x', 'y']"
     ("decoherence.omdf", {"family": "tabulated", "path": 5}, "decoherence.omdf.path"),
     ("output", ["x", "y"], "output"),
+    ("n_molecules", 0, "n_molecules"),
+    ("sequence.block", 5, "sequence.block"),
+    ("sequence.tau_schedule", 5, "tau_schedule"),
+    ("decoherence.omdf", 5, "decoherence.omdf"),
 ], ids=["order_parameter", "tau_count", "n_t", "coupling", "order_parameter_bool", "t_p_bool",
         "dt_bool", "coupling_bool", "position_ragged", "position_string", "position_nan",
-        "position_overflow", "position_bool", "omdf_path_number", "output_list"])
+        "position_overflow", "position_bool", "omdf_path_number", "output_list",
+        "n_molecules_zero", "block_number", "tau_schedule_number", "omdf_number"])
 def test_non_numeric_config_value_exits_2_before_any_output(tmp_path, capsys, monkeypatch,
                                                             dotted, value, key):
     doc = (tiny_doc(engine="open", decoherence={"sigma_cl": 2.5e5, "omdf": {}})
@@ -298,6 +303,17 @@ def test_huge_tau_count_exits_2_before_the_schedule_is_built(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+FIT = ["fit", "--mu", "2", "--frequency", "0"]
+# the axes of the run's spectra, and a spectra_meta.json and spectra.npy of them
+TAUS, MU = [0.0, 6e-5, 1.2e-4, 2.4e-4], list(range(-4, 4))
+FREQS = [1e4 * k for k in range(-32, 32)]
+
+
+def _spectra(taus=TAUS, mu=MU, freqs=FREQS):
+    return {"spectra_meta.json": json.dumps({"taus": taus, "mu": mu, "freqs_hz": freqs}),
+            "spectra.npy": np.zeros((len(taus), len(mu), len(freqs)), dtype=complex)}
+
+
 @pytest.mark.parametrize("name,text,argv,rerun", [
     ("signals_meta.json", "{not json", ["spectra"], "simulate"),
     ("signals_meta.json", '{"taus": [0.0]}', ["spectra"], "simulate"),
@@ -324,21 +340,32 @@ def test_huge_tau_count_exits_2_before_the_schedule_is_built(tmp_path, capsys):
     ("spectra_meta.json", json.dumps({"taus": [2.4e-4, 1.2e-4, 6e-5, 0.0],
                                       "mu": list(range(-4, 4)), "freqs_hz": [0.0] * 64}),
      ["fit", "--mu", "2", "--frequency", "0"], "spectra"),
+    ("signals.npy", np.full((8, 64, 4), np.nan, dtype=complex), ["spectra"], "simulate"),
+    ("spectra.npy", np.full((4, 8, 64), np.inf, dtype=complex), FIT, "spectra"),
+    # an empty axis in both files, and frequencies in reverse with the run's array
+    ("spectra_meta.json", _spectra(taus=[]), FIT, "spectra"),
+    ("spectra_meta.json", _spectra(mu=[]), FIT, "spectra"),
+    ("spectra_meta.json", _spectra(freqs=[]), FIT, "spectra"),
+    ("spectra_meta.json", _spectra(freqs=FREQS[::-1])["spectra_meta.json"], FIT, "spectra"),
 ], ids=["signals_meta_not_json", "signals_meta_without_dt", "spectra_meta_not_json",
         "manifest_simulate_not_json", "signals_meta_dt_string", "signals_meta_taus_string",
         "signals_of_three_taus_not_four", "signals_two_dimensional", "signals_strings",
         "signals_not_npy", "signals_empty", "spectra_not_npy", "signals_meta_dt_zero",
-        "signals_meta_dt_negative", "signals_meta_taus_repeated", "spectra_meta_taus_reversed"])
+        "signals_meta_dt_negative", "signals_meta_taus_repeated", "spectra_meta_taus_reversed",
+        "signals_nan", "spectra_inf", "spectra_taus_empty", "spectra_mu_empty",
+        "spectra_freqs_empty", "spectra_meta_freqs_reversed"])
 def test_damaged_stage_file_exits_2_and_leaves_outputs_untouched(tmp_path, capsys,
                                                                  two_spin_run, name, text,
                                                                  argv, rerun):
-    # the stage writes no output file: every file keeps its bytes
+    # the stage writes no output file: every file keeps its bytes; ``text`` is
+    # the content of ``name``, or a mapping of file names to their contents
     run = tmp_path / "run"
     shutil.copytree(two_spin_run, run)
-    if isinstance(text, str):
-        (run / name).write_text(text)
-    else:
-        np.save(run / name, text)
+    for file, content in (text if isinstance(text, dict) else {name: text}).items():
+        if isinstance(content, str):
+            (run / file).write_text(content)
+        else:
+            np.save(run / file, content)
     before = {path.name: path.read_bytes() for path in run.iterdir()}
     err = assert_configuration_error(capsys, [argv[0], str(run), *argv[1:]], name)
     assert f"rerun the {rerun} stage" in err
@@ -484,6 +511,16 @@ def test_verify_stage_no_block(tmp_path):
     cfg = config_from_dict(doc)
     with pytest.raises(ConfigError):
         verify_stage(cfg)
+
+
+def test_verify_stage_on_a_zero_tau_schedule():
+    # MREV-8 verifies one cycle; a magic sandwich has no duration to verify
+    doc = tiny_doc()
+    doc["sequence"].update(block={"type": "mrev8", "tau1": 5e-6}, tau_schedule=[0.0])
+    assert verify_stage(config_from_dict(doc))["tau"] == pytest.approx(60e-6)
+    doc["sequence"]["block"] = {"type": "magic_sandwich"}
+    with pytest.raises(ConfigError, match="no positive entry"):
+        verify_stage(config_from_dict(doc))
 
 
 def test_simulate_outputs_are_bit_identical_across_workers(tmp_path):
@@ -747,6 +784,10 @@ def test_read_spectrum_csv_refuses_repeated_or_missing_rows(tmp_path):
     missing.write_text(header + "".join(rows) + "1.0,0,0.0,1.0,0.0,1.0\n")
     with pytest.raises(ConfigError):
         read_spectrum_csv(missing)
+    signals = tmp_path / "signals.csv"
+    signals.write_text("phi,t,tau,re,im\n0.0,0.0,0.0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match="is not a spectra CSV"):
+        read_spectrum_csv(signals)
 
 
 def test_spectra_hand_off_through_npy_with_manifest_chain(tmp_path):

@@ -148,6 +148,10 @@ def test_config_blocks_and_schedules():
     with pytest.raises(ConfigError):
         config_from_dict(doc)
 
+    doc["sequence"]["block"] = {"type": "mrev8", "tau1": 0}
+    with pytest.raises(ConfigError, match="tau1 must be positive"):
+        config_from_dict(doc)
+
     doc["sequence"]["block"] = None
     doc["sequence"]["tau_schedule"] = {"count": 3}  # no step, no MREV8
     with pytest.raises(ConfigError):

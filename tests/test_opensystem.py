@@ -72,6 +72,8 @@ def test_tabulated_omdf_validation_and_file(tmp_path):
         TabulatedOMDF([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])  # non-monotone
     with pytest.raises(ConfigError):
         TabulatedOMDF([0.0, 1.0, 2.0], [1.0, -1.0, 1.0])  # negative
+    with pytest.raises(ConfigError, match="zero integral"):
+        TabulatedOMDF([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
     # NaN passes every comparison above, and inf makes the integral inf
     for u, p in (([0.0, 0.1, 0.2], [1.0, np.nan, 1.0]), ([0.0, np.nan, 0.2], [1.0] * 3),
                  ([0.0, 0.1, np.inf], [1.0] * 3), ([0.0, 0.1, 0.2], [1.0, np.inf, 1.0])):
@@ -80,6 +82,9 @@ def test_tabulated_omdf_validation_and_file(tmp_path):
     path = tmp_path / "omdf.txt"
     u = np.linspace(-0.3, 0.3, 101)
     p = np.exp(-u ** 2 / (2 * 0.1 ** 2))
+    np.savetxt(path, np.column_stack([u, p, p]))
+    with pytest.raises(ConfigError, match="must have two columns"):
+        TabulatedOMDF.from_file(path)
     np.savetxt(path, np.column_stack([u, p]))
     tab = TabulatedOMDF.from_file(path)
     np.testing.assert_allclose(np.trapezoid(tab.p_values, tab.u), 1.0, atol=1e-12)

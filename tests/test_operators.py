@@ -226,6 +226,8 @@ def test_operator_checks_reject_invalid_operators(monkeypatch):
         checked_unitary(2.0 * np.eye(2))
     with pytest.raises(MqcnmrError):
         rotation(SpinRegister(2), np.nan, "x")
+    with pytest.raises(MqcnmrError, match="axis must be one of x, y, z, got 'w'"):
+        collective_angular_momentum(SpinRegister(2), "w")
 
     # each constructor runs its check: the hermiticity check on the full operator
     # (on each m block of H, the first of them 1 x 1), rotation's unitarity

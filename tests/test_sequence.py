@@ -144,6 +144,8 @@ def test_block_specs():
                                rtol=1e-12)
     with pytest.raises(ConfigError):
         Mrev8Spec(tau1=5e-6, mode="other")
+    with pytest.raises(MqcnmrError, match="negative evolution duration"):
+        FreeEvolution(-1e-6)
 
 
 def test_block_states_match_the_compiled_chain():
