@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, MqcnmrError, TrivialSystemError
-from .operators import T20_UNIT, SpinRegister, checked_hermitian, t20_bits
+from .operators import T20_UNIT, SpinRegister, checked_hermitian, one_bit_apart
 
 GAMMA_PROTON = 2.6752218744e8  # rad s^-1 T^-1 (CODATA)
 # CODATA 2022: vacuum permeability (N A^-2) and h / (2 pi) with the exact
@@ -85,14 +84,14 @@ class SpinSystem:
     def from_positions(cls, positions_m, order_parameter: float = 1.0,
                        gamma: float = GAMMA_PROTON) -> SpinSystem:
         """The molecule with sites at ``positions_m`` (N x 3, meters): the one
-        place where geometry and gamma (rad s^-1 T^-1) enter, each pair's
-        omega_D from ``dipolar_frequency``."""
+        place where geometry and gamma (rad s^-1 T^-1) enter, the omega_D of
+        row j's pairs (j, k > j) from one ``dipolar_frequency`` call."""
         pos = np.asarray(positions_m, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise MqcnmrError(f"positions shape {pos.shape} is not (N, 3)")
         table = np.zeros((pos.shape[0],) * 2)
-        for j, k in combinations(range(pos.shape[0]), 2):
-            table[j, k] = table[k, j] = dipolar_frequency(pos[k] - pos[j], gamma)
+        for j in range(pos.shape[0] - 1):
+            table[j, j + 1:] = table[j + 1:, j] = dipolar_frequency(pos[j + 1:] - pos[j], gamma)
         return cls(table, order_parameter)
 
     @property
@@ -103,20 +102,23 @@ class SpinSystem:
         return SpinRegister(self.n_sites)
 
 
-def dipolar_frequency(r_jk: np.ndarray, gamma: float = GAMMA_PROTON) -> float:
-    """Dipolar frequency (Hz) of a spin pair joined by vector r_jk (meters).
+def dipolar_frequency(r_jk, gamma: float = GAMMA_PROTON):
+    """Dipolar frequency (Hz) of a spin pair joined by vector r_jk (meters),
+    or of each pair of a (..., 3) stack of such vectors.
 
     omega_D = 3 mu0 gamma^2 hbar / (8 pi r^3) * [1 - 3 cos^2(beta)] with
     beta the polar angle of r_jk with respect to the molecular z axis.
-    Vanishes at the magic angle and scales as r^-3.
+    Vanishes at the magic angle and scales as r^-3.  One vector runs as a
+    (1, 3) stack, so it gives the bits of its row in any stack.
     """
     r = np.asarray(r_jk, dtype=float)
-    norm = np.linalg.norm(r)
-    if norm == 0.0:
+    rows = r.reshape(-1, 3)
+    norm = np.sqrt(np.vecdot(rows, rows))  # the dot np.linalg.norm takes of one vector
+    if np.any(norm == 0.0):
         raise DegenerateGeometryError("internuclear vector has zero length")
-    cos_beta = r[2] / norm
+    cos_beta = rows[:, 2] / norm
     prefactor = 3.0 * MU_0 * gamma ** 2 * HBAR / (8.0 * np.pi * norm ** 3)
-    return prefactor * (1.0 - 3.0 * cos_beta ** 2)
+    return (prefactor * (1.0 - 3.0 * cos_beta ** 2)).reshape(r.shape[:-1])[()]
 
 
 def secular_hamiltonian(sys: SpinSystem) -> tuple:
@@ -127,34 +129,27 @@ def secular_hamiltonian(sys: SpinSystem) -> tuple:
 
     The Hz -> rad/s conversion (factor 2*pi) is applied here and nowhere
     else.  H is traceless and commutes with total I_z, so it is zero outside
-    these blocks and no 2^N x 2^N matrix is formed.  Each pair adds its T20
-    entries from basis-index bits (``t20_bits``): its diagonal, and its
-    flip-flop entries, which join two states of one m; each block is checked
-    hermitian.
+    these blocks and no 2^N x 2^N matrix is formed.  Pair (j, k) adds its T20
+    diagonal (``t20_pair``) and its flip-flop entry, which joins r, r' of one
+    block when r ^ r' is the pair's two bits: one 2^N table holds it at that
+    index, read at ``rows[:, None] ^ rows``.  Each block is checked hermitian.
     """
-    reg = sys.register()
-    table = sys.couplings_hz
-    m_basis = reg.m_values()
-    rows = [np.flatnonzero(m_basis == m) for m in distinct(m_basis)[::-1]]
-    block_of, local = np.empty(reg.dim, dtype=int), np.empty(reg.dim, dtype=int)
-    for b, r in enumerate(rows):
-        block_of[r], local[r] = b, np.arange(r.size)
-    diag = np.zeros(reg.dim, dtype=complex)
-    hs = [np.zeros((r.size, r.size), dtype=complex) for r in rows]
-    for j, k in combinations(range(sys.n_sites), 2):
-        if table[j, k] == 0.0:
-            continue
+    reg, table = sys.register(), sys.couplings_hz
+    idx = np.arange(reg.dim)
+    diag, flip = np.zeros(reg.dim, dtype=complex), np.zeros(reg.dim, dtype=complex)
+    for j, k in zip(*np.nonzero(np.triu(table, 1))):
         coef = np.sqrt(2.0 / 3.0) * (2.0 * np.pi * table[j, k])
-        pair_diag, flip_rows, flip_cols = t20_bits(reg.n_spins, j, k)
-        diag += coef * pair_diag
-        flip_block = block_of[flip_cols]
-        for b, h in enumerate(hs):
-            flips = flip_block == b
-            h[local[flip_rows[flips]], local[flip_cols[flips]]] = coef * -T20_UNIT
-    for r, h in zip(rows, hs):
-        h.flat[::r.size + 1] = diag[r]
+        bj, bk = reg.n_spins - 1 - j, reg.n_spins - 1 - k
+        diag += coef * (T20_UNIT * (1.0 - 2.0 * ((idx >> bj ^ idx >> bk) & 1)))
+        flip[1 << bj | 1 << bk] = coef * -T20_UNIT
+    m_basis, blocks = reg.m_values(), []
+    for m in distinct(m_basis)[::-1]:
+        rows = np.flatnonzero(m_basis == m)
+        h = flip[rows[:, None] ^ rows]
+        h.flat[::rows.size + 1] = diag[rows]
         h *= sys.order_parameter
-    return tuple((r, checked_hermitian(h)) for r, h in zip(rows, hs))
+        blocks.append((rows, checked_hermitian(h)))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -207,17 +202,12 @@ class EigenSystem:
         """I_+ = I_x + i I_y in the eigenbasis, read-only, as its only nonzero
         blocks, C(2N, N - 1) entries: (up, down, V_{m+1}^dagger X V_m) for each
         two neighbouring entries up and down of ``blocks`` (total m + 1 and m),
-        with X = I_+[rows_{m+1}, rows_m] from basis-index bits (I_+ clears one
-        down bit, coefficient 1)."""
-        local, pairs = np.empty(self.dim, dtype=np.intp), []
-        for rows, _, _ in self.blocks:
-            local[rows] = np.arange(rows.size)
+        with X = I_+[rows_{m+1}, rows_m] 1 where the XOR d = r ^ r' of two basis
+        indices is one bit (``one_bit_apart``: d & (d - 1) == 0), else 0."""
+        pairs = []
         for up, down in zip(self.blocks, self.blocks[1:]):
             (rows_up, _, v_up), (rows, _, v) = up, down
-            x = np.zeros((rows_up.size, rows.size), dtype=complex)
-            at, bit = np.nonzero(rows[:, None] & 1 << np.arange(self.reg.n_spins))
-            x[local[rows[at] ^ 1 << bit], at] = 1.0
-            x = v_up.conj().T @ (x @ v)
+            x = v_up.conj().T @ (one_bit_apart(rows_up, rows).astype(complex) @ v)
             x.flags.writeable = False
             pairs.append((up, down, x))
         return tuple(pairs)

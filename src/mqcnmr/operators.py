@@ -56,11 +56,7 @@ class SpinRegister:
 
 @lru_cache(maxsize=None)
 def _m_values(n_spins: int) -> np.ndarray:
-    idx = np.arange(2 ** n_spins)
-    ones = np.zeros_like(idx)
-    for bit in range(n_spins):
-        ones += (idx >> bit) & 1
-    m = 0.5 * (n_spins - 2 * ones)
+    m = 0.5 * n_spins - np.bitwise_count(np.arange(2 ** n_spins))  # each site adds 1/2 - bit
     m.flags.writeable = False
     return m
 
@@ -90,25 +86,24 @@ def checked_unitary(u: np.ndarray) -> np.ndarray:
 def collective_angular_momentum(reg: SpinRegister, axis: str) -> np.ndarray:
     """Total angular-momentum component I_axis = sum over sites, read-only.
 
-    The z component is diagonal with the per-state total m values.  The x
-    and y components couple only basis states that differ in one bit, so
-    they are filled in directly from bit flips of the basis index.  Always
-    traceless and hermitian (checked).
+    The z component is diagonal with the per-state total m values; x and y
+    join the basis states r, r' whose XOR d = r ^ r' is one bit
+    (``one_bit_apart``).  Always traceless and hermitian (checked).
     """
     if axis == "z":
         return checked_hermitian(np.diag(reg.m_values().astype(complex)))
     if axis not in ("x", "y"):
         raise MqcnmrError(f"axis must be one of x, y, z, got {axis!r}")
     idx = np.arange(reg.dim)
-    mat = np.zeros((reg.dim, reg.dim), dtype=complex)
-    for bit in range(reg.n_spins):
-        mask = 1 << bit
-        if axis == "x":
-            mat[idx ^ mask, idx] = 0.5
-        else:
-            # <up| I_y |down> = -i/2; bit value 1 is spin down
-            mat[idx ^ mask, idx] = np.where(idx & mask, -0.5j, 0.5j)
-    return checked_hermitian(mat)
+    # <up| I_y |down> = -i/2; bit value 1 is spin down, so down is the larger index
+    value = 0.5 if axis == "x" else np.where(idx[:, None] < idx, -0.5j, 0.5j)
+    return checked_hermitian(np.where(one_bit_apart(idx, idx), value, 0.0))
+
+
+def one_bit_apart(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Whether basis states rows[a] and cols[b] differ in one bit: XOR d != 0, d & (d - 1) == 0."""
+    d = rows[:, None] ^ cols
+    return ((d & (d - 1)) == 0) & (d != 0)
 
 
 def rotation_halves(reg: SpinRegister, theta: float, axis="x") -> tuple:
@@ -177,30 +172,23 @@ def kron_conjugate(halves: tuple, x: np.ndarray) -> np.ndarray:
     return np.matmul(a.conj(), z, out=y.reshape(z.shape)).reshape(x.shape)
 
 
-def t20_bits(n_spins: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """T20_jk from basis-index bits: its diagonal (+T20_UNIT where bits j and k
-    agree, -T20_UNIT where they differ) and the (rows, cols) of its flip-flop
-    entries, each -T20_UNIT (cols: the two bits differ; rows: both flipped)."""
-    idx = np.arange(2 ** n_spins)
-    bj, bk = n_spins - 1 - j, n_spins - 1 - k
-    differ = ((idx >> bj) ^ (idx >> bk)) & 1
-    cols = np.flatnonzero(differ)
-    return T20_UNIT * (1.0 - 2.0 * differ), cols ^ ((1 << bj) | (1 << bk)), cols
-
-
 def t20_pair(reg: SpinRegister, j: int, k: int) -> np.ndarray:
     """Secular rank-2 pair tensor for sites (j, k), read-only.
 
     ``T20 = (1/sqrt(6)) [2 I_zj I_zk - (1/2)(I_+j I_-k + I_-j I_+k)]``;
-    traceless, hermitian and commuting with total I_z; built by ``t20_bits``.
+    traceless, hermitian and commuting with total I_z.  From basis-index
+    bits b_j, b_k: +-T20_UNIT on the diagonal (the two bits agree or differ),
+    and -T20_UNIT joining r, r' whose bits differ and whose XOR r ^ r' is
+    1 << b_j | 1 << b_k.
     """
     if j == k:
         raise InvalidPairError(f"pair tensor needs two distinct sites, got j == k == {j}")
     for s in (j, k):
         if not 0 <= s < reg.n_spins:
             raise InvalidPairError(f"site {s} out of range for {reg.n_spins} spins")
-    diag, rows, cols = t20_bits(reg.n_spins, j, k)
-    mat = np.diag(diag).astype(complex)
-    mat[rows, cols] = -T20_UNIT
+    idx, bj, bk = np.arange(reg.dim), reg.n_spins - 1 - j, reg.n_spins - 1 - k
+    differ = (idx >> bj ^ idx >> bk) & 1
+    mat = np.diag(T20_UNIT * (1.0 - 2.0 * differ)).astype(complex)
+    cols = np.flatnonzero(differ)
+    mat[cols ^ (1 << bj | 1 << bk), cols] = -T20_UNIT
     return checked_hermitian(mat)
-

@@ -268,7 +268,8 @@ def load_spectra(run_dir) -> CoherenceSpectrum:
 def read_spectrum_csv(path) -> CoherenceSpectrum:
     """Rebuild a CoherenceSpectrum from the CSV written by spectra_stage.
 
-    Raises ConfigError when a (tau, mu, omega) key is repeated or missing.
+    Raises ConfigError, naming the file, when a (tau, mu, omega) key is
+    repeated or missing, or an axis fails ``check_increasing``.
     """
     axes = ({}, {}, {})  # value -> index, in order of first appearance
     values = {}
@@ -285,6 +286,8 @@ def read_spectrum_csv(path) -> CoherenceSpectrum:
             for axis, value in zip(axes, key):
                 axis.setdefault(value, len(axis))
             values[key] = complex(float(row[3]), float(row[4]))
+    taus, mus, freqs = (check_increasing(list(axis), f"{path}: {name}")
+                        for axis, name in zip(axes, ("tau", "mu", "omega_hz")))
     shape = tuple(len(axis) for axis in axes)
     if len(values) != np.prod(shape):
         raise ConfigError(f"{path} has {len(values)} rows, not the {np.prod(shape)} "
@@ -292,7 +295,6 @@ def read_spectrum_csv(path) -> CoherenceSpectrum:
     data = np.zeros(shape, dtype=complex)
     for key, z in values.items():
         data[tuple(axis[v] for axis, v in zip(axes, key))] = z
-    taus, mus, freqs = (np.asarray(list(axis)) for axis in axes)
     return CoherenceSpectrum(data=data, mu=mus, freqs_hz=freqs, taus=taus)
 
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its fft package on first use: loaded here, its module objects
+# (about 120 kB) stay out of a fresh process's first transform and its charge
+import numpy.fft
 
 from .errors import ConfigError, MqcnmrError, UnsupportedGridError
 from .hamiltonian import EigenSystem

@@ -788,6 +788,15 @@ def test_read_spectrum_csv_refuses_repeated_or_missing_rows(tmp_path):
     signals.write_text("phi,t,tau,re,im\n0.0,0.0,0.0,1.0,0.0\n")
     with pytest.raises(ConfigError, match="is not a spectra CSV"):
         read_spectrum_csv(signals)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(header)
+    with pytest.raises(ConfigError, match="header_only.csv: tau must be non-empty"):
+        read_spectrum_csv(header_only)
+    descending = tmp_path / "descending.csv"
+    descending.write_text(header + "0.0,0,10000.0,1.0,0.0,1.0\n0.0,0,-10000.0,2.0,0.0,2.0\n")
+    with pytest.raises(ConfigError, match="descending.csv: omega_hz must be non-empty and "
+                                          "strictly increasing"):
+        read_spectrum_csv(descending)
 
 
 def test_spectra_hand_off_through_npy_with_manifest_chain(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import reference as ref
 from mqcnmr.config import load_molecule, preset_path
 import mqcnmr
-from mqcnmr import runner, sequence
+from mqcnmr import hamiltonian, runner, sequence
 from mqcnmr.config import config_from_dict
 from mqcnmr.errors import (DegenerateGeometryError, GridSizeError, MqcnmrError,
                            TrivialSystemError)
@@ -107,6 +107,22 @@ def test_from_positions_follows_the_dipolar_law(sites, gamma, s, angle):
         size = dipolar_frequency([np.linalg.norm(pos[k] - pos[j]), 0.0, 0.0], gamma)
         assert abs(scaled[j, k] - table[j, k] / s ** 3) <= 1e-12 * size / s ** 3
         assert abs(turned[j, k] - table[j, k]) <= 1e-12 * size
+
+
+def test_from_positions_fills_its_table_a_row_at_a_time(monkeypatch):
+    # row j's pairs (j, k > j) take one dipolar_frequency call: n - 1 in all
+    n, calls = 40, []
+
+    def counted(r_jk, gamma):
+        calls.append(np.shape(r_jk))
+        return dipolar_frequency(r_jk, gamma)
+
+    monkeypatch.setattr(hamiltonian, "dipolar_frequency", counted)
+    pos = 1e-10 * np.column_stack([np.arange(n), np.random.default_rng(4).normal(size=(n, 2))])
+    table = SpinSystem.from_positions(pos).couplings_hz
+    assert len(calls) <= n - 1
+    assert all(table[j, k] == dipolar_frequency(pos[k] - pos[j])
+               for j in range(n) for k in range(j + 1, n))
 
 
 def test_secular_hamiltonian_two_spin_spectrum():
@@ -430,6 +446,23 @@ def test_spin_systems_compare_and_hash_by_value(n, s_zz, couplings, pick, delta)
     other_s_zz = s_zz - 0.25 if s_zz > 0.0 else s_zz + 0.25
     assert mol != SpinSystem(table, other_s_zz)
     assert mol != SpinSystem(np.zeros((n + 1, n + 1)), s_zz) and mol != "molecule"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_i_plus_blocks_are_the_collective_operator_in_the_eigenbasis(n):
+    # each (m + 1, m) block is V_{m+1}^dagger X V_m, bit for bit, with X read
+    # from I_x + i I_y; one spin has no Hamiltonian, so its blocks are zero
+    if n == 1:
+        blocks = tuple((np.array([r]), np.zeros((1, 1), dtype=complex)) for r in (0, 1))
+    else:
+        table = np.triu(np.random.default_rng(n).uniform(-5000.0, 5000.0, (n, n)), 1)
+        blocks = secular_hamiltonian(SpinSystem(table + table.T, 0.6))
+    eig = eigendecompose(blocks, 0.6)
+    reg = eig.reg
+    i_plus = collective_angular_momentum(reg, "x") + 1j * collective_angular_momentum(reg, "y")
+    assert len(eig.i_plus) == n
+    for (rows_up, _, v_up), (rows, _, v), x in eig.i_plus:
+        assert np.array_equal(x, v_up.conj().T @ (i_plus[np.ix_(rows_up, rows)] @ v))
 
 
 def test_eigensystem_holds_i_plus_and_one_cycle():

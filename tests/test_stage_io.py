@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -135,19 +136,25 @@ def test_formatter_covers_spectrum_like_values_without_fallback():
     assert kernel_lines(values) == repr_lines(values)
 
 
+def signals_run(tmp_path, shape):
+    """A run directory holding random signals of ``shape`` (n_phi, n_t, n_tau)."""
+    run = tmp_path / "run"
+    run.mkdir()
+    rng = np.random.default_rng(3)
+    np.save(run / "signals.npy", rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    (run / "signals_meta.json").write_text(json.dumps(
+        {"dt": 1e-6, "taus": [1e-5 * k for k in range(shape[2])], "t_p": 0.0, "t_m": 0.0,
+         "window": 0.0}))
+    return run
+
+
 def test_spectra_stage_charge_covers_a_long_csv_block(tmp_path, monkeypatch):
     # signals (2, 4096, 1) at zero-pad 64: two (tau, mu) blocks of 262,144
     # rows.  Rows are formatted ROWS_PER_WRITE at a time and the metadata's
     # lists are made after the CSV, so the stage's traced peak stays under
     # its charge: a budget at that peak is refused, with every file left as
     # it was, and one 50% above it accepted
-    run = tmp_path / "run"
-    run.mkdir()
-    rng = np.random.default_rng(3)
-    shape = (2, 4096, 1)
-    np.save(run / "signals.npy", rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    (run / "signals_meta.json").write_text(json.dumps(
-        {"dt": 1e-6, "taus": [0.0], "t_p": 0.0, "t_m": 0.0, "window": 0.0}))
+    run = signals_run(tmp_path, (2, 4096, 1))
     tracemalloc.start()
     try:
         runner.spectra_stage(run, zero_pad=64)
@@ -163,6 +170,38 @@ def test_spectra_stage_charge_covers_a_long_csv_block(tmp_path, monkeypatch):
     monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", int(1.5 * peak))
     runner.spectra_stage(run, zero_pad=64)
     assert (run / "spectra.csv").read_bytes() == before["spectra.csv"]
+
+
+_FRESH_SPECTRA_STAGE = """
+import sys, tracemalloc
+from mqcnmr import runner, sequence
+from mqcnmr.errors import GridSizeError
+
+tracemalloc.start()
+runner.spectra_stage(sys.argv[1])
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+sequence.MEMORY_BUDGET_BYTES = peak
+try:
+    runner.spectra_stage(sys.argv[1])
+except GridSizeError:
+    print("refused", peak)
+else:
+    print("accepted", peak)
+"""
+
+
+def test_spectra_stage_memory_charge_covers_a_fresh_process(tmp_path):
+    # signals (64, 4096, 8) at zero-pad 1, where the transform's arrays set
+    # the peak.  numpy loads its fft package on its first transform, about
+    # 120 kB of module objects, which put the first stage in a new
+    # interpreter above its charge; that stage must be refused a budget at
+    # its traced peak
+    run = signals_run(tmp_path, (64, 4096, 8))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(runner.__file__))}
+    result = subprocess.run([sys.executable, "-c", _FRESH_SPECTRA_STAGE, str(run)],
+                            capture_output=True, text=True, env=env, check=True, timeout=300)
+    assert result.stdout.split()[0] == "refused", result.stdout
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 5])
