@@ -167,15 +167,20 @@ class EigenSystem:
             (rows, an index array) to its eigenvectors (cols, a slice; the
             slices follow one another from 0 to 2^N).
         order_parameter: the S_zz that was factored out.
+        cycle_slots: how many reversion cycles ``held_cycle`` keeps: 1, or
+            the number of MREV-8 "concatenate" pulse spacings that a sweep's
+            runs on the eigensystem take turns with (``runner.sweep``).
 
     Beside these it holds, read-only and for as long as it lives, what every
     run on it would build alike: I_+'s eigenbasis blocks (``i_plus``, built
-    on the first read) and one reversion cycle (``held_cycle``).
+    on the first read), up to ``cycle_slots`` reversion cycles
+    (``held_cycle``) and one run setup (``held_setup``).
     """
 
     zeta: np.ndarray
     blocks: tuple
     order_parameter: float
+    cycle_slots: int = 1
 
     @property
     def dim(self) -> int:
@@ -226,22 +231,42 @@ class EigenSystem:
         return out
 
     @property
+    def cycles_held(self) -> int:
+        """How many operators ``held_cycle`` holds."""
+        return len(self.__dict__.get("_cycles", ()))
+
+    @property
     def holds_cycle(self) -> bool:
         """Whether ``held_cycle`` holds an operator."""
-        return "_cycle" in self.__dict__
+        return self.cycles_held > 0
 
     def held_cycle(self, key, build) -> np.ndarray:
         """The operator ``build()`` returns, built on the first call with
         ``key`` and held, read-only, for the next calls with it.  The holder
-        has one entry: a call with another key lets the held operator go
-        before it builds its own."""
-        if self.holds_cycle and self.__dict__["_cycle"][0] != key:
-            del self.__dict__["_cycle"]
-        if not self.holds_cycle:
-            cycle = build()
-            cycle.flags.writeable = False
-            self.__dict__["_cycle"] = (key, cycle)
-        return self.__dict__["_cycle"][1]
+        keeps ``cycle_slots`` entries: a call with a new key when it is full
+        lets the oldest go before it builds its own."""
+        cycle = self._held("_cycles", self.cycle_slots, key, build)
+        cycle.flags.writeable = False
+        return cycle
+
+    def holds_setup(self, key) -> bool:
+        """Whether ``held_setup`` holds the setup of ``key``."""
+        return key in self.__dict__.get("_setup", ())
+
+    def held_setup(self, key, build) -> tuple:
+        """The run setup ``build()`` returns, built on the first call with
+        ``key`` and held for the next calls with it.  The holder has one
+        entry: a call with another key lets the held setup go before it
+        builds its own."""
+        return self._held("_setup", 1, key, build)
+
+    def _held(self, holder: str, slots: int, key, build):
+        held = self.__dict__.setdefault(holder, {})  # in order of building
+        if key not in held:
+            if len(held) == slots:
+                del held[next(iter(held))]
+            held[key] = build()
+        return held[key]
 
     def phases(self, ts) -> np.ndarray:
         """Free-evolution phases p[j, a] = exp(-i S_zz zeta_a t_j), shape (n_t, dim),

@@ -18,6 +18,7 @@ import os
 import tempfile
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +26,22 @@ import numpy as np
 from . import __version__
 from .analysis import curves_to_csv, eigen_selectivity_report, frequency_cuts
 from .config import RunConfig, _check_keys, _require, config_hash
-from .errors import ConfigError, MqcnmrError, NumericalValidationError
+from .errors import ConfigError, GridSizeError, MqcnmrError, NumericalValidationError
 from .hamiltonian import EigenSystem, eigendecompose, secular_hamiltonian
 from .opensystem import run_grid_open
-from .sequence import (AcquisitionSpec, ExperimentGrid, Mrev8Spec, check_grid_memory, run_grid,
-                       verify_reversion)
+from .sequence import (AcquisitionSpec, ExperimentGrid, Mrev8Spec, check_grid_memory,
+                       closed_values, run_grid, verify_reversion)
 from .spectra import (CoherenceSpectrum, SignalGrid, check_increasing, csv_values,
                       fft2_coherence, spectrum_to_csv)
 
 
 def _sha256(path: Path) -> str:
-    """SHA-256 hex digest of a file, read 1 MiB at a time into one buffer, so
+    """SHA-256 hex digest of a file, read 64 KiB at a time into one buffer, so
     hashing a stage file allocates no copy of it (``hashlib.file_digest`` needs
-    Python 3.11)."""
+    Python 3.11); a larger buffer hashes no faster, and would sit above the
+    spectra stage's charge."""
     digest = hashlib.sha256()
-    buf = bytearray(1 << 20)
+    buf = bytearray(1 << 16)
     view = memoryview(buf)
     with open(path, "rb", buffering=0) as fh:
         while n := fh.readinto(buf):
@@ -361,12 +363,18 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
     ``sequence.t_p``) to value lists; each combination runs in its own
     subdirectory.  Every combination is parsed before the first run starts.
     The runs are grouped by molecule, in order of first appearance: each
-    molecule is eigendecomposed once, and its eigensystem, with the I_+ and
-    the one MREV-8 cycle it holds (``EigenSystem.i_plus``, ``held_cycle``),
-    is shared by that molecule's runs and let go after the last.  Within a
-    group the runs go in combination order, stably sorted by the block's
-    tau1, so that runs of one "concatenate" cycle follow each other and
-    each such cycle is compiled once.  Nothing outlives the call.  Returns
+    molecule is eigendecomposed once, and its eigensystem, with what it
+    holds (``EigenSystem.i_plus``, ``held_cycle``, ``held_setup``), is
+    shared by that molecule's runs and let go after the last.
+
+    A molecule's runs are taken in combination order, stably sorted by the
+    block's tau1, and then grouped by setup, (t_p, acquisition), in order of
+    first appearance, so that each setup is built once (``kernel_inputs``).
+    The eigensystem keeps one MREV-8 cycle per "concatenate" tau1 of the
+    molecule's runs, so each such cycle is compiled once.  When those k
+    cycles do not fit the memory budget beside the molecule's largest run,
+    the runs keep the tau1 order and the eigensystem one cycle, so runs of
+    one cycle still follow each other.  Nothing outlives the call.  Returns
     the runs' manifests in combination order.
     """
     import copy
@@ -396,11 +404,39 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
     manifests = [None] * len(cfgs)
     for indices in groups.values():
         eig = build_eigensystem(cfgs[indices[0]][1])
-        for k in sorted(indices, key=lambda k: getattr(cfgs[k][1].block, "tau1", 0.0)):
+        eig, order = _run_order(eig, [cfgs[k][1] for k in indices])
+        for k in (indices[i] for i in order):
             label, cfg = cfgs[k]
             manifests[k] = simulate(cfg, out_dir=out_root / label, eig=eig)
         del eig  # with what it holds, before the next molecule's is built
     return manifests
+
+
+def _run_order(eig: EigenSystem, cfgs: list) -> tuple:
+    """(eigensystem, order) for one molecule's runs ``cfgs``, on its new
+    eigensystem ``eig``: the order of ``sweep``, as indices into ``cfgs``,
+    and ``eig`` keeping a cycle per "concatenate" tau1
+    (``EigenSystem.cycle_slots``) when those k cycles fit the budget beside
+    each run's charge on ``eig``; otherwise the tau1 order and ``eig`` as
+    it is.  The runs are charged by the closed engine's gate
+    (``closed_values``): every combination of a sweep parses, and the
+    closed engine refuses the decoherence section that the open one needs,
+    so all of a sweep's runs take one engine, and runs with a block take
+    the closed one."""
+    by_tau1 = sorted(range(len(cfgs)), key=lambda i: getattr(cfgs[i].block, "tau1", 0.0))
+    spacings = {cfg.block.tau1 for cfg in cfgs
+                if isinstance(cfg.block, Mrev8Spec) and cfg.block.mode == "concatenate"}
+    if len(spacings) > 1:
+        try:
+            check_grid_memory(max(closed_values(eig, cfg.grid, cfg.block, cfg.acquisition)
+                                  for cfg in cfgs) + len(spacings) * eig.dim ** 2)
+        except GridSizeError:
+            return eig, by_tau1
+        eig = replace(eig, cycle_slots=len(spacings))
+    setups = {}
+    for i in by_tau1:
+        setups.setdefault((cfgs[i].grid.t_p, cfgs[i].acquisition), []).append(i)
+    return eig, [i for group in setups.values() for i in group]
 
 
 def _sweep_parameters(sweep_doc) -> dict:

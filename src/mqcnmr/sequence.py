@@ -324,20 +324,26 @@ def prepared_setup(eig: EigenSystem, t_p: float) -> np.ndarray:
 
 def kernel_inputs(eig: EigenSystem, t_p: float, acquisition: AcquisitionSpec | None) -> tuple:
     """(acquisition, prepared state, detection matrix) of a run with preparation
-    time t_p, the state read-only in the H eigenbasis: the
+    time t_p, the state and the matrix read-only in the H eigenbasis: the
     ``default_acquisition`` of the ``prepared_setup`` state when
-    ``acquisition`` is None.  The product-basis state goes once the
-    eigenbasis one is made; that one is checked hermitian
-    (``checked_hermitian``) before the detection matrix is built, so the
-    check's transients come and go inside the setup that ``run_values``
-    charges."""
-    prepared = prepared_setup(eig, t_p)
-    if acquisition is None:
-        acquisition = default_acquisition(eig, prepared)
-    state = eig.to_eigen(prepared)
-    del prepared
-    state = checked_hermitian(state)
-    return acquisition, state, detection_matrix(eig, acquisition.t_m, acquisition.window)
+    ``acquisition`` is None.  ``eig`` holds the setup under (t_p,
+    acquisition) (``EigenSystem.held_setup``), so a run with the key of the
+    run before it reuses its setup, and a run with another key lets that go
+    and builds its own.  The product-basis state goes once the eigenbasis one
+    is made; that one is checked hermitian (``checked_hermitian``) before the
+    detection matrix is built, so the check's transients come and go inside
+    the setup that ``run_values`` charges."""
+    def build():
+        prepared = prepared_setup(eig, t_p)
+        acq = default_acquisition(eig, prepared) if acquisition is None else acquisition
+        state = eig.to_eigen(prepared)
+        del prepared
+        state = checked_hermitian(state)
+        det = detection_matrix(eig, acq.t_m, acq.window)
+        det.flags.writeable = False
+        return acq, state, det
+
+    return eig.held_setup((t_p, acquisition), build)
 
 
 def run_values(eig: EigenSystem, grid: ExperimentGrid, acquisition: AcquisitionSpec | None,
@@ -346,25 +352,28 @@ def run_values(eig: EigenSystem, grid: ExperimentGrid, acquisition: AcquisitionS
     that holds ``held`` values throughout and at most ``working`` more beside
     them once ``kernel_inputs`` returns.
 
-    Throughout: I_+'s blocks and the MREV-8 cycle that ``eig`` holds, and the
-    prepared state in the eigenbasis.  Beside them, never at once, the setup
-    or what both engines hold after it: the detection matrix, the order sums
-    (2N + 1, n_t, n_tau) and ``held``, with the larger of ``working`` and
-    the (n_phi, n_t, n_tau) signal grid that ``phase_encode`` makes from the
-    sums where they lie.  The setup is the default acquisition's scan (when
-    ``acquisition`` is None) beside the product-basis state, that is the
-    scanned state with the read pulse's second product, or with the scan's
-    phases and their transients; or the build of a 2^N x 2^N result from its
-    input beside that array: two products of a pulse's Kronecker halves,
-    with the halves and the larger one's conjugate, or a basis change's two
-    reordered copies.
+    Throughout: I_+'s blocks, the MREV-8 cycles that ``eig`` holds (up to
+    its ``cycle_slots``) and the prepared state in the eigenbasis.  Beside
+    them, never at once, the setup or what both engines hold after it: the
+    detection matrix, the order sums (2N + 1, n_t, n_tau) and ``held``, with
+    the larger of ``working`` and the (n_phi, n_t, n_tau) signal grid that
+    ``phase_encode`` makes from the sums where they lie.  The setup is
+    nothing when ``eig`` holds the run's (``kernel_inputs``); else it is the
+    default acquisition's scan (when ``acquisition`` is None) beside the
+    product-basis state, that is the scanned state with the read pulse's
+    second product, or with the scan's phases and their transients; or the
+    build of a 2^N x 2^N result from its input beside that array: two
+    products of a pulse's Kronecker halves, with the halves and the larger
+    one's conjugate, or a basis change's two reordered copies.
     """
     n_spins, dim2, points = eig.reg.n_spins, eig.dim ** 2, grid.n_t * len(grid.taus)
-    scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * eig.dim)
-    build = 3 * dim2 + 4 ** (n_spins // 2) + 2 * 4 ** (n_spins - n_spins // 2)
+    setup = 0
+    if not eig.holds_setup((grid.t_p, acquisition)):
+        scan = 0 if acquisition is not None else dim2 + max(dim2, 2 * ACQUISITION_SCAN * eig.dim)
+        setup = max(scan, 3 * dim2 + 4 ** (n_spins // 2) + 2 * 4 ** (n_spins - n_spins // 2))
     engine = dim2 + (2 * n_spins + 1) * points + held + max(working, grid.n_phi * points)
-    return (comb(2 * n_spins, n_spins - 1) + dim2 + (dim2 if eig.holds_cycle else 0)
-            + max(scan, build, engine))
+    return (comb(2 * n_spins, n_spins - 1) + dim2 * (1 + eig.cycles_held)
+            + max(setup, engine))
 
 
 def pair_order_sums(weights: np.ndarray, eig: EigenSystem, p: np.ndarray) -> np.ndarray:
@@ -417,12 +426,16 @@ def _loop_values(block, n_spins: int, n_t: int) -> int:
     one slab, beside the state an MREV-8 block carries, with that tau's sums
     and, per m block of rows A, the GEMM output (n_t x 2^N) with
     conj(P[:, A]) or with its column sums per m block.  Any other block
-    carries no state of its own.
+    carries no state of its own.  The slab is made through numpy's buffer,
+    as sigma^T is not in C order: np.getbufsize() values once a 2^N x 2^N
+    array is larger (from N = 7 up), else the slab's size, at most 64 KiB,
+    which SMALL_ARRAY_BYTES covers.
     """
     dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
     # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
     step, mats = (3 * dim ** 2, 2) if isinstance(block, Mrev8Spec) else (0, 1)
-    kernel = mats * dim ** 2 + (2 * n_spins + 1 + dim + max(rows, n_spins + 1)) * n_t
+    buffer = np.getbufsize() if dim ** 2 > np.getbufsize() else 0
+    kernel = mats * dim ** 2 + buffer + (2 * n_spins + 1 + dim + max(rows, n_spins + 1)) * n_t
     return n_t * dim + max(step, kernel)
 
 
@@ -457,6 +470,19 @@ def check_grid_memory(values: int, what: str = "grid") -> None:
                             f"the budget of {MEMORY_BUDGET_BYTES / 1e6:.0f} MB")
 
 
+def closed_values(eig: EigenSystem, grid: ExperimentGrid, block,
+                  acquisition: AcquisitionSpec | None) -> int:
+    """The complex values ``run_grid`` charges for a run on ``eig``: what
+    ``run_values`` charges for both engines, and beside it the tau loop and
+    the MREV-8 cycles that the block may compile, as many as fill the
+    holder of ``eig`` (``EigenSystem.cycle_slots``)."""
+    compiled = 0
+    if isinstance(block, Mrev8Spec):
+        compiled = eig.dim ** 2 * (eig.cycle_slots - eig.cycles_held)
+    return run_values(eig, grid, acquisition, compiled,
+                      _loop_values(block, eig.reg.n_spins, grid.n_t))
+
+
 def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
              acquisition: AcquisitionSpec | None = None, n_molecules: int = 1) -> SignalGrid:
     """Execute the closed-system experiment over the whole (phi, t, tau) grid.
@@ -478,11 +504,7 @@ def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,
             identity, as None) or None.
         acquisition: acquisition spec; defaults to ``default_acquisition``.
     """
-    # beside what ``run_values`` charges for both engines: the MREV-8 cycle
-    # the block compiles, when eig holds none to replace, and the tau loop
-    compiled = eig.dim ** 2 if isinstance(block, Mrev8Spec) and not eig.holds_cycle else 0
-    check_grid_memory(run_values(eig, grid, acquisition, compiled,
-                                 _loop_values(block, eig.reg.n_spins, grid.n_t)))
+    check_grid_memory(closed_values(eig, grid, block, acquisition))
     acquisition, a_eig, det = kernel_inputs(eig, grid.t_p, acquisition)
     p, states = eig.phases(grid.ts), block_states(block, grid.taus, eig, a_eig)
     sums = np.empty((2 * eig.reg.n_spins + 1, grid.n_t, len(grid.taus)), dtype=complex)

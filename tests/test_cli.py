@@ -630,17 +630,21 @@ def _count_calls(monkeypatch, module, name, log):
 
 
 def test_sweep_eigendecomposes_once_and_compiles_once_per_tau1(tmp_path, monkeypatch):
-    # nonideality_sweep: 8 runs of one molecule at 2 values of tau1; each run
-    # writes the signals of a standalone simulate of its combination
+    # nonideality_sweep: 8 runs of one molecule at 2 values of tau1 and 4 of
+    # t_p; the runs of one t_p share its setup, so the default acquisition is
+    # scanned once per t_p; each run writes the signals of a standalone
+    # simulate of its combination
     from mqcnmr import sequence
     log = []
     _count_calls(monkeypatch, runner, "eigendecompose", log)
     _count_calls(monkeypatch, sequence, "compile_program", log)
+    _count_calls(monkeypatch, sequence, "default_acquisition", log)
     path = preset_path("runs/nonideality_sweep.yaml")
     doc = yaml.safe_load(path.read_text())
     manifests = sweep(doc, base_dir=path.parent, out_root=tmp_path / "sweep")
     assert len(manifests) == 8
     assert log.count("eigendecompose") == 1 and log.count("compile_program") == 2
+    assert log.count("default_acquisition") == 4
     params = doc.pop("sweep")["parameters"]
     for tau1 in params["sequence.block.tau1"]:
         for t_p in params["sequence.t_p"]:
@@ -651,6 +655,30 @@ def test_sweep_eigendecomposes_once_and_compiles_once_per_tau1(tmp_path, monkeyp
             swept = tmp_path / "sweep" / f"tau1={tau1:g}_t_p={t_p:g}" / "signals.npy"
             assert swept.read_bytes() == (out / "signals.npy").read_bytes()
     assert log.count("eigendecompose") == 9 and log.count("compile_program") == 10
+    assert log.count("default_acquisition") == 12
+
+
+def test_open_sweep_builds_one_setup_per_preparation_time(tmp_path, monkeypatch):
+    # 2 values of sigma_cl crossed with 2 of t_p on the open engine: the runs
+    # of one t_p share its prepared state and detection matrix, which only
+    # t_p and the acquisition decide, and each writes the signals of a
+    # standalone simulate of its combination
+    log = []
+    _count_calls(monkeypatch, sequence, "prepared_setup", log)
+    doc = tiny_doc(engine="open")
+    doc["decoherence"] = {"sigma_cl": 2.5e5, "omdf": {"family": "gaussian", "width": 0.05}}
+    params = {"decoherence.sigma_cl": [2.5e5, 5e5], "sequence.t_p": [0.0, 4e-5]}
+    assert len(sweep({**doc, "sweep": {"parameters": params}}, out_root=tmp_path / "sw")) == 4
+    assert log.count("prepared_setup") == 2
+    for sigma_cl in params["decoherence.sigma_cl"]:
+        for t_p in params["sequence.t_p"]:
+            one = {**doc, "decoherence": {**doc["decoherence"], "sigma_cl": sigma_cl},
+                   "sequence": {**doc["sequence"], "t_p": t_p}}
+            out = tmp_path / "alone"
+            simulate(config_from_dict(one), out_dir=out)
+            swept = tmp_path / "sw" / f"sigma_cl={sigma_cl:g}_t_p={t_p:g}" / "signals.npy"
+            assert swept.read_bytes() == (out / "signals.npy").read_bytes()
+    assert log.count("prepared_setup") == 6
 
 
 def test_sweep_builds_one_eigensystem_per_molecule_and_call(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Dipolar Hamiltonian construction and eigensystem checks."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -491,3 +492,19 @@ def test_eigensystem_holds_i_plus_and_one_cycle():
     # one entry: another key replaces it, and the first key builds again
     assert eig.held_cycle(2e-6, build(3.0))[0, 0] == 3.0
     assert eig.held_cycle(1e-6, build(4.0))[0, 0] == 4.0 and builds == [1.0, 3.0, 4.0]
+    # two entries, as a sweep over two spacings keeps: both keys stay held,
+    # and a third key lets the oldest go
+    two = dataclasses.replace(eig, cycle_slots=2)
+    assert two.cycles_held == 0 and eig.cycles_held == 1
+    first, second = two.held_cycle(1e-6, build(5.0)), two.held_cycle(2e-6, build(6.0))
+    assert two.held_cycle(1e-6, build(7.0)) is first and two.held_cycle(2e-6, build(7.0)) is second
+    assert two.cycles_held == 2 and builds == [1.0, 3.0, 4.0, 5.0, 6.0]
+    assert two.held_cycle(3e-6, build(8.0))[0, 0] == 8.0 and two.cycles_held == 2
+    assert two.held_cycle(2e-6, build(9.0)) is second
+    assert two.held_cycle(1e-6, build(10.0))[0, 0] == 10.0
+    assert builds == [1.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0]
+    # one setup: another key lets it go before its own is built
+    setup = eig.held_setup((0.0, None), lambda: ("a",))
+    assert eig.held_setup((0.0, None), lambda: ("b",)) is setup and eig.holds_setup((0.0, None))
+    assert eig.held_setup((1e-5, None), lambda: ("c",)) == ("c",)
+    assert not eig.holds_setup((0.0, None))

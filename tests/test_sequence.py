@@ -673,6 +673,56 @@ def test_stretched_run_peak_does_not_grow_by_a_matrix_per_tau():
     assert peaks[1] - peaks[0] <= 30 * per_tau
 
 
+def test_sweep_keeps_the_tau1_order_when_two_cycles_exceed_the_memory_budget(tmp_path,
+                                                                             monkeypatch):
+    # 2 values of tau1 crossed with 2 of t_p at N = 4: under a budget that
+    # fits one MREV-8 cycle beside the largest run but not two, the sweep
+    # keeps the tau1 order on an eigensystem that holds one cycle.  So it
+    # still runs every combination, compiles one cycle per tau1 and writes
+    # the signals of the sweep under the default budget, but scans the
+    # default acquisition once per run, where the default budget's setup
+    # order scans it once per t_p
+    from mqcnmr import runner
+    from mqcnmr.config import config_from_dict
+    table = make_system(n=4, seed=3)[0]
+    doc = {"molecule": {"order_parameter": 0.6,
+                        "couplings_hz": [[j, k, float(table[j, k])]
+                                         for j in range(4) for k in range(j + 1, 4)]},
+           "sequence": {"t_p": 0.0, "block": {"type": "mrev8", "tau1": 5e-6},
+                        "tau_schedule": {"count": 3},
+                        "grid": {"n_t": 8, "dt": 2e-6, "n_phi": 9}}}
+    params = {"sequence.t_p": [0.0, 4e-5], "sequence.block.tau1": [5e-6, 1e-5]}
+    cfgs = [config_from_dict({**doc, "sequence": {**doc["sequence"], "t_p": t_p,
+                                                  "block": {"type": "mrev8", "tau1": tau1}}})
+            for t_p in params["sequence.t_p"] for tau1 in params["sequence.block.tau1"]]
+    eig = runner.build_eigensystem(cfgs[0])
+    largest = max(sequence.closed_values(eig, cfg.grid, cfg.block, cfg.acquisition)
+                  for cfg in cfgs)
+    calls = {"compile_program": 0, "default_acquisition": 0}
+
+    def counted(name):
+        fn = getattr(sequence, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sequence, name, counted(name))
+    assert len(runner.sweep({**doc, "sweep": {"parameters": params}},
+                            out_root=tmp_path / "default")) == 4
+    assert calls == {"compile_program": 2, "default_acquisition": 2}
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES",
+                        16 * (largest + eig.dim ** 2) + sequence.SMALL_ARRAY_BYTES)
+    assert len(runner.sweep({**doc, "sweep": {"parameters": params}},
+                            out_root=tmp_path / "tight")) == 4
+    assert calls == {"compile_program": 4, "default_acquisition": 6}
+    for run in (tmp_path / "default").iterdir():
+        assert (run / "signals.npy").read_bytes() == \
+            (tmp_path / "tight" / run.name / "signals.npy").read_bytes()
+
+
 class _GatePassed(Exception):
     pass
 

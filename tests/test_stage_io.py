@@ -204,6 +204,24 @@ def test_spectra_stage_memory_charge_covers_a_fresh_process(tmp_path):
     assert result.stdout.split()[0] == "refused", result.stdout
 
 
+def test_spectra_stage_memory_charge_covers_the_hash_buffer(tmp_path, monkeypatch):
+    # signals (8, 512, 4) at zero-pad 1: a spectrum small enough that the
+    # buffer which hashes each stage file weighs in the stage's peak.  After
+    # a first stage (warm: numpy's fft loaded), a budget at a second stage's
+    # traced peak is refused
+    run = signals_run(tmp_path, (8, 512, 4))
+    runner.spectra_stage(run)
+    tracemalloc.start()
+    try:
+        runner.spectra_stage(run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(sequence, "MEMORY_BUDGET_BYTES", peak)
+    with pytest.raises(GridSizeError, match="the transform at zero-pad 1 needs"):
+        runner.spectra_stage(run)
+
+
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 5])
 def test_chunked_hash_is_the_sha256_of_the_bytes(tmp_path, size):
     path = tmp_path / "file"
