@@ -52,9 +52,16 @@ GRID_CHUNK_BYTES = 4 << 20
 _PAIR_BYTES = 8 * (4 * STENCIL + 6)
 _SIGNS = np.array([(-1) ** j * comb(STENCIL - 1, j) for j in range(STENCIL)], dtype=float)
 
+# G^R below 2^-511, the square root of the smallest normal double, is taken as 0
+# before the node product: a spread weight of at least 2^-511 times a kept value
+# is then a normal number, and no subnormal operand slows the GEMM.  A dropped
+# term moves its sum by at most G_R_FLOOR times its order's sum of |rho| (|E| <= 1).
+G_R_FLOOR = 2.0 ** -511
+
 # The band of a Gaussian spectrum of deviation s is M s, M = ((P-1)!!)^(1/P) = 2.77:
 # the error grows as frequency^P, whose mean there is (M s)^P, as on a flat band to M s.
 GAUSSIAN_BAND = float(np.prod(np.arange(1.0, STENCIL, 2.0)) ** (1.0 / STENCIL))
+_LARGEST = np.finfo(float).max
 
 
 class _OMDF:
@@ -181,17 +188,26 @@ class DecoherenceParams:
     def band(self, ts, taus, s_zz: float) -> float:
         """Band in the gap g of G^R(g, tau) E(g, t) over ts and taus: the phase's
         |S_zz| max |t|, the OMDF's, and G^R = exp(-beta g^2)'s, a Gaussian of spectral
-        deviation sqrt(2 beta) at the largest tau's beta = sigma^2 tau^4 / [8 (kappa+1)^2]."""
+        deviation sqrt(2 beta) at the largest tau's beta = sigma^2 tau^4 / [8 (kappa+1)^2];
+        inf where beta overflows, which ``grid_nodes`` answers with the exact node set."""
         t_max = float(np.max(np.abs(ts)))
-        beta = (self.sigma_cl * np.max(taus) ** 2) ** 2 / (8.0 * (self.kappa + 1.0) ** 2)
-        return abs(s_zz) * t_max + self.omdf.band(t_max) + GAUSSIAN_BAND * np.sqrt(2.0 * beta)
+        with np.errstate(over="ignore"):
+            beta = (self.sigma_cl * np.max(taus) ** 2) ** 2 / (8.0 * (self.kappa + 1.0) ** 2)
+            return (abs(s_zz) * t_max + self.omdf.band(t_max)
+                    + GAUSSIAN_BAND * np.sqrt(2.0 * beta))
 
 
 def g_irreversible(dzeta, tau, params: DecoherenceParams):
     """Irreversible decoherence factor exp(-dzeta^2 sigma^2 tau^4 / [8(kappa+1)^2]),
-    built in one array of the broadcast shape (the sign on the divisor changes no bit)."""
-    x = np.asarray((np.asarray(dzeta, dtype=float) * params.sigma_cl) ** 2
-                   * np.asarray(tau, dtype=float) ** 4)
+    built in one array of the broadcast shape (the sign on the divisor changes no bit).
+
+    Finite for every finite gap and tau: a factor (dzeta sigma)^2 or tau^4 that
+    overflows is taken as the largest double, so G^R is exactly 1 where the gap
+    or tau is 0 and exactly 0 where the exponent overflows; nothing else moves a bit.
+    """
+    with np.errstate(over="ignore"):
+        rate = np.minimum((np.asarray(dzeta, dtype=float) * params.sigma_cl) ** 2, _LARGEST)
+        x = np.asarray(rate * np.minimum(np.asarray(tau, dtype=float) ** 4, _LARGEST))
     x /= -8.0 * (params.kappa + 1.0) ** 2
     return np.exp(x, out=x)[()]
 
@@ -205,9 +221,10 @@ def prepare_reduced_state(eig: EigenSystem, t_p: float) -> np.ndarray:
 def grid_nodes(zeta: np.ndarray, band) -> tuple:
     """(nodes k h for |k| <= ceil(max gap / h) + STENCIL / 2, h) for
     h = pi / (OVERSAMPLING band): all stencils of the gaps; (None, None) for no
-    band or for more nodes than the ordered pairs (a bound on the distinct gaps
-    that needs no sort), where the kernel takes the gaps themselves."""
-    if not band or band <= 0:
+    band, a band that is not finite, or more nodes than the ordered pairs (a
+    bound on the distinct gaps that needs no sort), where the kernel takes the
+    gaps themselves."""
+    if not (band and 0 < band < np.inf):
         return None, None
     h = np.pi / (OVERSAMPLING * band)
     k = np.ceil(np.ptp(zeta) / h) + STENCIL // 2
@@ -271,6 +288,9 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
     where those would outnumber the ordered pairs (``grid_nodes``), the
     nodes are the gaps themselves and L the identity, which is exact.  Both
     sets are symmetric about 0, and E is built on the nodes g >= 0 only.
+    On either set, G^R below G_R_FLOOR = 2^-511 goes into the node product as
+    exactly 0, so no operand of it is subnormal; that moves an order's sum by
+    at most 2^-511 times its sum of |rho[nu, k]| (|E| <= 1).
 
     The eigenbasis is in m-block order: the pairs of blocks x <= y, A and B,
     are the slice W[A, B] of order x - y and gaps zeta[B] - zeta[A, None],
@@ -306,7 +326,10 @@ def pair_order_sums(weights: np.ndarray, eig: EigenSystem, ts: np.ndarray, taus:
             np.multiply(lagrange, w.ravel(), out=values.reshape(rows, -1))
             np.add.at(rho.reshape(-1), index.ravel(), values)  # 1-D: numpy's fast path
             np.subtract(rho.size - 1, index, out=index)  # the mirror: order -nu at -g
-    return _node_sums(rho, e, g_irreversible(half[None], taus[:, None]), work)
+    g_r = g_irreversible(half[None], taus[:, None])
+    for row in g_r:  # one tau's mask at a time: nothing of G^R's size beside it
+        row[row < G_R_FLOOR] = 0.0
+    return _node_sums(rho, e, g_r, work)
 
 
 def _product_floats(n_orders: int, n_half: int, n_t: int, n_tau: int) -> int:
@@ -329,7 +352,9 @@ def _node_sums(rho: np.ndarray, e: np.ndarray, g_r: np.ndarray, work: np.ndarray
     at g = 0, counted once), c = A E + conj(B E): Re c = [Re(A + B),
     -Im(A + B)] [Re E; Im E] and Im c = [Im(A - B), Re(A - B)] [Re E; Im E],
     one real GEMM per group with 4 multiply-adds per (order, node, time)
-    against the complex product's 8.  G^R scales the left operand per tau.
+    against the complex product's 8.  G^R scales the left operand per tau;
+    ``pair_order_sums`` floors it at G_R_FLOOR, so a spread weight of at
+    least 2^-511 scales to a normal number or to 0, never a subnormal one.
     """
     n_orders, (_, n_half, n_t), n_tau = rho.shape[0], e.shape, g_r.shape[0]
     below, rows = rho.shape[1] - n_half, 2 * n_orders

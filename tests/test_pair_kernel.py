@@ -14,11 +14,13 @@ from reference import spectral_assembly
 
 from mqcnmr import opensystem, sequence
 from mqcnmr.cli import main
+from mqcnmr.config import config_from_dict, preset_path
 from mqcnmr.errors import GridSizeError, UnsupportedGridError
 from mqcnmr.hamiltonian import SpinSystem, eigendecompose, secular_hamiltonian
 from mqcnmr.opensystem import (DecoherenceParams, GaussianOMDF, TabulatedOMDF,
-                               g_irreversible, pair_order_sums, prepare_reduced_state,
+                               g_irreversible, grid_nodes, pair_order_sums, prepare_reduced_state,
                                run_grid_open)
+from mqcnmr.runner import build_eigensystem
 from mqcnmr.sequence import AcquisitionSpec, ExperimentGrid
 from mqcnmr.spectra import detection_matrix
 
@@ -279,6 +281,90 @@ def test_order_sums_are_bit_identical_across_calls_and_chunks(monkeypatch):
             runs = [pair_order_sums(weights, eig, ts, taus, *factors, band) for _ in range(3)]
         assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
         assert np.max(np.abs(runs[0] - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+# the open benchmark's run: eight_spin_test, 24 taus 10 us apart, n_t = 256
+OPEN_N8 = {
+    "molecule": "../molecules/eight_spin_test.yaml",
+    "engine": "open",
+    "decoherence": {"sigma_cl": 2.5e5, "kappa": 2.0,
+                    "omdf": {"family": "gaussian", "width": 0.05}},
+    "sequence": {"t_p": 47.5e-6, "tau_schedule": {"count": 24, "step": 10.0e-6},
+                 "acquisition": {"t_m": 4.0e-6, "window": 2.0e-6},
+                 "grid": {"n_t": 256, "dt": 2.0e-6, "n_phi": 18}},
+}
+
+
+@pytest.fixture(scope="module")
+def open_n8():
+    """OPEN_N8's config, eigensystem and weight slab (``det * state.T``)."""
+    cfg = config_from_dict(OPEN_N8, base_dir=preset_path("runs"))
+    eig = build_eigensystem(cfg)
+    _, state, det = sequence.kernel_inputs(eig, cfg.grid.t_p, cfg.acquisition)
+    return cfg, eig, det * state.T
+
+
+def _kernel_args(open_n8, ts) -> tuple:
+    """OPEN_N8's ``pair_order_sums`` arguments on the times ts, the band over them last."""
+    cfg, eig, weights = open_n8
+    params, taus = cfg.decoherence, np.asarray(cfg.grid.taus)
+    return (weights, eig, ts, taus, partial(params.omdf.time_factors, s_zz=eig.order_parameter),
+            partial(g_irreversible, params=params), params.band(ts, taus, eig.order_parameter))
+
+
+def test_g_r_floor_zeroes_what_underflows_and_moves_no_bit(open_n8, monkeypatch):
+    # the G^R that reaches the node product holds no value in (0, 2^-511), and
+    # more zeros than unfloored, as the late taus underflow; the sums keep every bit
+    seen, node_sums = [], opensystem._node_sums
+
+    def capture(rho, e, g_r, work):
+        seen.append(g_r.copy())
+        return node_sums(rho, e, g_r, work)
+
+    args = _kernel_args(open_n8, open_n8[0].grid.ts)
+    monkeypatch.setattr(opensystem, "_node_sums", capture)
+    floored = pair_order_sums(*args)
+    monkeypatch.setattr(opensystem, "G_R_FLOOR", 0.0)
+    unfloored = pair_order_sums(*args)
+    assert floored.tobytes() == unfloored.tobytes()
+    (g_r, raw), tiny = seen, 2.0 ** -511
+    assert np.count_nonzero((raw > 0) & (raw < tiny)) > 0
+    assert np.count_nonzero((g_r > 0) & (g_r < tiny)) == 0
+    assert np.count_nonzero(g_r == 0) > np.count_nonzero(raw == 0)
+    assert np.array_equal(g_r, np.where(raw < tiny, 0.0, raw))
+
+
+def test_uniform_nodes_hold_the_sums_within_1e_13_of_the_exact_nodes(open_n8):
+    # N = 8 on the open benchmark's taus, whose late G^R underflows, and its
+    # first 64 times: the uniform nodes against the gaps themselves (band None)
+    *args, band = _kernel_args(open_n8, open_n8[0].grid.ts[:64])
+    eig, taus, g_irr = args[1], args[3], args[5]
+    assert grid_nodes(eig.zeta, band)[1] is not None
+    assert np.any(g_irr(np.ptp(eig.zeta), taus) < 2.0 ** -511)
+    uniform = pair_order_sums(*args, band)
+    exact = pair_order_sums(*args)
+    assert np.max(np.abs(uniform - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_g_r_is_finite_for_every_finite_tau():
+    # tau^4 and the band overflow at tau = 1e80: G^R is exactly 1 at g = 0 and 0
+    # elsewhere, the run takes the exact node set, and no warning is raised
+    params = DecoherenceParams(sigma_cl=2.5e5, omdf=GaussianOMDF(0.05))
+    gaps, taus = np.array([0.0, 1e-3, 2e4]), np.array([0.0, 1e-4, 1e80])
+    g_r = g_irreversible(gaps[None], taus[:, None], params)
+    assert g_r[:, 0].tolist() == [1.0] * 3 and g_r[2, 1:].tolist() == [0.0, 0.0]
+    divisor = -8.0 * (params.kappa + 1.0) ** 2
+    kept = np.exp((gaps[None] * params.sigma_cl) ** 2 * taus[:2, None] ** 4 / divisor)
+    assert g_r[:2].tobytes() == kept.tobytes()
+    assert g_irreversible(1e5, 0.0, DecoherenceParams(sigma_cl=1e300, omdf=params.omdf)) == 1.0
+    reg, eig = make_system(3, 0)
+    grid = ExperimentGrid(t_p=3e-5, n_t=8, dt=2e-6, n_phi=8, taus=(0.0, 1e80))
+    assert params.band(grid.ts, grid.taus, eig.order_parameter) == np.inf
+    assert grid_nodes(eig.zeta, np.inf) == (None, None)
+    fast = run_grid_open(eig, grid, params, acquisition=ACQ).data
+    assert np.all(np.isfinite(fast))
+    slow = oracle_grid(eig, reg, grid, params)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
