@@ -242,6 +242,9 @@ def _phi_points(seq: dict) -> int:
 
 
 def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
+    """The RunConfig of a run document; ``base_dir`` resolves its paths.
+    Parsing applies the MREV-8 cycle rule to every tau (``Mrev8Spec.steps``),
+    so a bad tau is refused before a run, or a sweep's first run, starts."""
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     _check_keys(doc, RUN_KEYS, "config")
     # accepted for old run files and validated, but no engine reads it
@@ -265,6 +268,8 @@ def config_from_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
                           "give type none or leave the block out")
     taus = _tau_schedule(_require(seq, "tau_schedule", "config"), block)
     check_increasing(taus, "sequence.tau_schedule")
+    if isinstance(block, Mrev8Spec):
+        block.steps(taus)
     gdoc = _require(seq, "grid", "config")
     _check_keys(gdoc, GRID_KEYS, "sequence.grid")
     grid = ExperimentGrid(

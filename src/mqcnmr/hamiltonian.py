@@ -235,11 +235,6 @@ class EigenSystem:
         """How many operators ``held_cycle`` holds."""
         return len(self.__dict__.get("_cycles", ()))
 
-    @property
-    def holds_cycle(self) -> bool:
-        """Whether ``held_cycle`` holds an operator."""
-        return self.cycles_held > 0
-
     def held_cycle(self, key, build) -> np.ndarray:
         """The operator ``build()`` returns, built on the first call with
         ``key`` and held, read-only, for the next calls with it.  The holder

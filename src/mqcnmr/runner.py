@@ -361,7 +361,9 @@ def sweep(base_doc: dict, base_dir=None, out_root=None) -> list:
 
     The config's ``sweep.parameters`` maps dotted paths (for example
     ``sequence.t_p``) to value lists; each combination runs in its own
-    subdirectory.  Every combination is parsed before the first run starts.
+    subdirectory.  Every combination is parsed before the first run starts,
+    and parsing applies the MREV-8 cycle rule to every tau
+    (``config_from_dict``), so a bad tau leaves no run directory.
     The runs are grouped by molecule, in order of first appearance: each
     molecule is eigendecomposed once, and its eigensystem, with what it
     holds (``EigenSystem.i_plus``, ``held_cycle``, ``held_setup``), is

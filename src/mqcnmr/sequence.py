@@ -166,6 +166,19 @@ class Mrev8Spec:
                               f"time 12*tau1 = {self.cycle_time}")
         return self.tau1, round(n)
 
+    def steps(self, taus) -> list:
+        """(spacing, d, restart) of each tau's block, carried from the block of
+        the tau before: when the spacing changes or the count falls the state
+        restarts from the prepared one and takes the whole count, else it
+        advances by the d cycles that the count grew.  ``cycles`` runs on
+        every tau first, so a bad tau is refused before any step."""
+        steps, spacing, n = [], None, 0
+        for s, count in [self.cycles(tau) for tau in taus]:
+            restart = s != spacing or count < n
+            steps.append((s, count if restart else count - n, restart))
+            spacing, n = s, count
+        return steps
+
     def events_for(self, tau: float) -> tuple:
         spacing, count = self.cycles(tau)
         return mrev8_block(spacing, count) if count else ()
@@ -266,39 +279,27 @@ def block_states(block, taus, eig: EigenSystem, state: np.ndarray):
     """Iterator over the prepared ``state`` (H eigenbasis) carried through each
     tau's reversion block, in the eigenbasis, one tau at a time.
 
-    An MREV-8 block of duration tau is n copies of one cycle
-    (``Mrev8Spec.cycles``), carried by ``_cycle_states``.  ``cycles`` runs
-    for every tau at the call, so a "concatenate" tau that is not a whole
-    number of cycles is rejected before anything is compiled.  An idealized
-    magic sandwich compiles to the identity (``magic_sandwich``), so it
-    yields ``state`` itself for every tau, as no block does.
+    An MREV-8 block of n cycles of spacing s (``Mrev8Spec.cycles``) is
+    w^n sigma w^-n for the cycle w in the eigenbasis, held by ``eig`` under s
+    and compiled only when it holds none for s.  Each tau's step
+    (``Mrev8Spec.steps``, read at the first state, so a bad tau is refused
+    before anything is compiled) restarts from ``state`` or not and applies
+    step = w^d (``np.linalg.matrix_power``: w itself when d = 1) as
+    step sigma step^dagger; the step goes before the state is yielded.  An
+    idealized magic sandwich compiles to the identity (``magic_sandwich``),
+    so it yields ``state`` itself for every tau, as no block does.
     """
-    if isinstance(block, Mrev8Spec):
-        return _cycle_states(eig, state, [block.cycles(tau) for tau in taus])
-    return (state for _ in taus)
-
-
-def _cycle_states(eig: EigenSystem, state: np.ndarray, cycles):
-    """Iterator over ``state`` carried through n cycles of pulse spacing s, for
-    each (s, n) of ``cycles``.
-
-    The cycle taken to the eigenbasis, w, is held by ``eig`` under s and
-    compiled only when it holds none for that s; sigma_n = w sigma_(n-1)
-    w^dagger is advanced from the previous state, restarting from ``state``
-    when s changes or n falls.  The loop lets its w go before ``eig`` builds
-    the next, so at most one cycle is alive.
-    """
-    spacing, w, n, sigma = None, None, 0, state
-    for s, count in cycles:
-        if s != spacing:
-            spacing, w, n, sigma = s, None, 0, state
-        elif count < n:
-            n, sigma = 0, state
-        if count and w is None:
-            w = eig.held_cycle(s, lambda: eig.to_eigen(compile_program(mrev8_block(s), eig)))
-        for n in range(n + 1, count + 1):
-            sigma = w @ sigma  # the last state goes before w^dagger is made
-            sigma = sigma @ w.conj().T
+    steps = block.steps(taus) if isinstance(block, Mrev8Spec) else [(None, 0, False)] * len(taus)
+    sigma = state
+    for s, d, restart in steps:
+        if restart:
+            sigma = state
+        if d:
+            step = np.linalg.matrix_power(eig.held_cycle(
+                s, lambda: eig.to_eigen(compile_program(mrev8_block(s), eig))), d)
+            sigma = step @ sigma  # the last state goes before step^dagger is made
+            sigma = sigma @ step.conj().T
+            del step
         yield sigma
 
 
@@ -415,30 +416,6 @@ def phase_encode(sums: np.ndarray, grid: ExperimentGrid, acquisition: Acquisitio
                       t_m=acquisition.t_m, window=acquisition.window)
 
 
-def _loop_values(block, n_spins: int, n_t: int) -> int:
-    """The most complex values the tau loop of ``run_grid`` holds at once
-    beside the prepared state, the detection matrix, the order sums and what
-    the eigensystem holds (I_+'s blocks and an MREV-8 cycle w).
-
-    The loop holds the kernel's phases P (n_t x 2^N) throughout.  Beside
-    them: an MREV-8 block's step (w sigma, w's adjoint and their product, or
-    the cycle being compiled and taken to the eigenbasis), or the kernel on
-    one slab, beside the state an MREV-8 block carries, with that tau's sums
-    and, per m block of rows A, the GEMM output (n_t x 2^N) with
-    conj(P[:, A]) or with its column sums per m block.  Any other block
-    carries no state of its own.  The slab is made through numpy's buffer,
-    as sigma^T is not in C order: np.getbufsize() values once a 2^N x 2^N
-    array is larger (from N = 7 up), else the slab's size, at most 64 KiB,
-    which SMALL_ARRAY_BYTES covers.
-    """
-    dim, rows = 2 ** n_spins, comb(n_spins, n_spins // 2)
-    # what the block step adds, and the 2^N x 2^N arrays the kernel runs beside
-    step, mats = (3 * dim ** 2, 2) if isinstance(block, Mrev8Spec) else (0, 1)
-    buffer = np.getbufsize() if dim ** 2 > np.getbufsize() else 0
-    kernel = mats * dim ** 2 + buffer + (2 * n_spins + 1 + dim + max(rows, n_spins + 1)) * n_t
-    return n_t * dim + max(step, kernel)
-
-
 def _tau_slab(det: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Pair weights W = det (elementwise) sigma^T of one tau, for the state
     ``sigma`` after that tau's block, both in the H eigenbasis."""
@@ -473,14 +450,33 @@ def check_grid_memory(values: int, what: str = "grid") -> None:
 def closed_values(eig: EigenSystem, grid: ExperimentGrid, block,
                   acquisition: AcquisitionSpec | None) -> int:
     """The complex values ``run_grid`` charges for a run on ``eig``: what
-    ``run_values`` charges for both engines, and beside it the tau loop and
-    the MREV-8 cycles that the block may compile, as many as fill the
-    holder of ``eig`` (``EigenSystem.cycle_slots``)."""
-    compiled = 0
+    ``run_values`` charges for both engines, with the MREV-8 cycles that the
+    block may compile (as many as fill ``EigenSystem.cycle_slots``) held
+    throughout and the tau loop as the working set.  It reads an MREV-8
+    block's steps (``Mrev8Spec.steps``), so a bad tau is refused first.
+
+    The loop holds the kernel's phases P (n_t x 2^N) throughout.  Beside
+    them: an MREV-8 block's step (step sigma, the step's adjoint and their
+    product, or the cycle being compiled and taken to the eigenbasis, and
+    the power w^d when some step spans d >= 2 cycles), or the kernel on one
+    slab, beside the state an MREV-8 block carries, with that tau's sums
+    and, per m block of rows A, the GEMM output (n_t x 2^N) with
+    conj(P[:, A]) or with its column sums per m block.  Any other block
+    carries no state of its own.  The slab is made through numpy's buffer,
+    as sigma^T is not in C order: np.getbufsize() values once a 2^N x 2^N
+    array is larger (from N = 7 up), else the slab's size, at most 64 KiB,
+    which SMALL_ARRAY_BYTES covers.
+    """
+    n_spins, dim, n_t = eig.reg.n_spins, eig.dim, grid.n_t
+    compiled, step, mats = 0, 0, 1  # cycles compiled, block step, kernel's 2^N x 2^N arrays
     if isinstance(block, Mrev8Spec):
-        compiled = eig.dim ** 2 * (eig.cycle_slots - eig.cycles_held)
-    return run_values(eig, grid, acquisition, compiled,
-                      _loop_values(block, eig.reg.n_spins, grid.n_t))
+        power = any(d > 1 for _, d, _ in block.steps(grid.taus))
+        compiled = dim ** 2 * (eig.cycle_slots - eig.cycles_held)
+        step, mats = (3 + power) * dim ** 2, 2
+    buffer = np.getbufsize() if dim ** 2 > np.getbufsize() else 0
+    rows = max(comb(n_spins, n_spins // 2), n_spins + 1)
+    kernel = mats * dim ** 2 + buffer + (2 * n_spins + 1 + dim + rows) * n_t
+    return run_values(eig, grid, acquisition, compiled, n_t * dim + max(step, kernel))
 
 
 def run_grid(eig: EigenSystem, grid: ExperimentGrid, block=None,

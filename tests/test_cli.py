@@ -3,12 +3,15 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
+import mqcnmr
 from mqcnmr import runner, sequence
 from mqcnmr.cli import main
 from mqcnmr.config import config_from_dict, load_config, preset_path
@@ -598,6 +601,37 @@ def test_sweep_checks_every_combination_before_running(tmp_path):
                 {"parameters": {"sequence.t_p": [0.0]}, "param": 1}):
         with pytest.raises(ConfigError):
             sweep({**tiny_doc(), "sweep": bad}, out_root=tmp_path / "sw")
+
+
+def test_sweep_refuses_a_tau_off_the_mrev8_cycle_before_any_run(tmp_path, capsys):
+    # 60 us is one 12 tau1 cycle at tau1 = 5 us and no whole number of them
+    # at 7 us: the cycle rule is part of parsing, so no run directory is made
+    doc = tiny_doc()
+    doc["molecule"]["couplings_hz"] = [[0, 1, 5000.0], [1, 2, 3000.0]]
+    doc["sequence"]["block"] = {"type": "mrev8", "tau1": 5.0e-6}
+    doc["sequence"]["tau_schedule"] = [0.0, 60.0e-6]
+    doc["sweep"] = {"parameters": {"sequence.block.tau1": [5.0e-6, 7.0e-6]}}
+    assert main(["sweep", str(write_config(tmp_path, doc)),
+                 "--output", str(tmp_path / "sw")]) == 2
+    assert "integer multiple of the MREV8 cycle time 12*tau1 = 8.4e-05" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_a_block_of_a_billion_cycles_runs_in_one_step(tmp_path):
+    # tau = 10^9 MREV-8 cycles of 60 us: the state advances by one power of
+    # the cycle, not by 10^9 products, in a process of its own
+    doc = {"molecule": {"order_parameter": 0.6, "couplings_hz": [[0, 1, 3000.0]]},
+           "sequence": {"t_p": 4.0e-5,
+                        "block": {"type": "mrev8", "tau1": 5.0e-6, "mode": "concatenate"},
+                        "tau_schedule": [0.0, 60000.00000000001],
+                        "grid": {"n_t": 4, "dt": 2.0e-6, "n_phi": 6}}}
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(mqcnmr.__file__))}
+    result = subprocess.run([sys.executable, "-m", "mqcnmr.cli", "simulate",
+                             str(write_config(tmp_path, doc)), "--output", str(out)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert np.isfinite(np.load(out / "signals.npy")).all()
 
 
 def test_sweep_runs_all_combinations(tmp_path):

@@ -485,10 +485,10 @@ def test_eigensystem_holds_i_plus_and_one_cycle():
             return np.full((2, 2), value, dtype=complex)
         return make
 
-    assert not eig.holds_cycle
+    assert eig.cycles_held == 0
     first = eig.held_cycle(1e-6, build(1.0))
     assert eig.held_cycle(1e-6, build(2.0)) is first and builds == [1.0]
-    assert eig.holds_cycle and not first.flags.writeable
+    assert eig.cycles_held == 1 and not first.flags.writeable
     # one entry: another key replaces it, and the first key builds again
     assert eig.held_cycle(2e-6, build(3.0))[0, 0] == 3.0
     assert eig.held_cycle(1e-6, build(4.0))[0, 0] == 4.0 and builds == [1.0, 3.0, 4.0]

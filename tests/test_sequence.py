@@ -159,6 +159,10 @@ def test_block_states_match_the_compiled_chain():
         return w @ state @ w.conj().T
 
     block = Mrev8Spec(tau1=5e-6)
+    # the first state refuses a bad tau after a good one, with no cycle compiled or held
+    with pytest.raises(ConfigError):
+        next(block_states(block, [60e-6, 70e-6], eig, state))
+    assert eig.cycles_held == 0
     counts = (3, 0, 1, 4, 2)  # unsorted on purpose
     states = list(block_states(block, [n * block.cycle_time for n in counts], eig, state))
     assert states[1] is state
@@ -166,8 +170,11 @@ def test_block_states_match_the_compiled_chain():
         if n:
             np.testing.assert_allclose(
                 sigma, carried(compile_program(mrev8_block(5e-6, n), eig)), rtol=0, atol=1e-12)
-    with pytest.raises(ConfigError):
-        block_states(block, [0.0, 70e-6], eig, state)
+    # one step of 37 cycles, w^37 by repeated squaring, against the 629-event chain
+    first, sigma = block_states(block, [0.0, 37 * block.cycle_time], eig, state)
+    assert first is state
+    np.testing.assert_allclose(sigma, carried(compile_program(mrev8_block(5e-6, 37), eig)),
+                               rtol=0, atol=1e-12)
     # a stretched cycle and a magic sandwich carry the state alike
     for other, tau in ((Mrev8Spec(tau1=5e-6, mode="stretch"), 240e-6),
                        (MagicSandwichSpec(), 1.5e-4)):
@@ -190,8 +197,9 @@ def test_block_states_match_the_compiled_chain_for_any_schedule(mode, counts, un
     block = Mrev8Spec(tau1=5e-6, mode=mode)
     taus = [n * (block.cycle_time if mode == "concatenate" else unit) for n in counts]
     with pytest.raises(ConfigError):
-        block_states(Mrev8Spec(tau1=5e-6), [n * 60e-6 for n in counts] + [70e-6], eig, None)
-    assert not eig.holds_cycle
+        next(block_states(Mrev8Spec(tau1=5e-6), [n * 60e-6 for n in counts] + [70e-6], eig,
+                          None))
+    assert eig.cycles_held == 0
     if held:
         eig.held_cycle(-1.0, lambda: np.ones((8, 8), dtype=complex))
     rng = np.random.default_rng(len(counts))
@@ -416,14 +424,17 @@ BLOCK_FAMILIES = [MagicSandwichSpec(), Mrev8Spec(tau1=5e-6, mode="stretch"), Mre
 # block step set the peak, and 8 taus of 1024 times, where the kernel's
 # phases and GEMM output of n_t x 2^N do; each on a new eigensystem, or on
 # one that a first run left holding I_+ and its MREV-8 cycle (which a
-# "concatenate" run at another tau1, two cycles per 60 us, replaces)
+# "concatenate" run at another tau1, two or four cycles per 60 us step,
+# replaces)
 CLOSED_MEMORY_CASES = (
     [pytest.param(block, 4, 60, None, id=f"block{i}") for i, block in enumerate(BLOCK_FAMILIES)]
     + [pytest.param(block, 1024, 8, None, id=f"n_t1024-block{i}")
        for i, block in enumerate(BLOCK_FAMILIES)]
     + [pytest.param(MagicSandwichSpec(), 4, 60, BLOCK_FAMILIES[2], id="block2-then-block0"),
        pytest.param(Mrev8Spec(tau1=2.5e-6), 4, 60, BLOCK_FAMILIES[2],
-                    id="block2-then-other-tau1")])
+                    id="block2-then-other-tau1"),
+       pytest.param(Mrev8Spec(tau1=1.25e-6), 4, 60, BLOCK_FAMILIES[2],
+                    id="block2-then-quarter-tau1")])
 
 
 @pytest.mark.parametrize("block, n_t, n_tau, first", CLOSED_MEMORY_CASES)
